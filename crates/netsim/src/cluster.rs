@@ -1,30 +1,40 @@
-//! Deterministic co-simulation driver.
+//! Deterministic co-simulation of rank threads and the network.
 //!
 //! [`run_cluster`] spawns one OS thread per MPI rank, each executing the
 //! user's SPMD closure against a [`SimProcess`] handle, and interleaves
 //! them with the discrete-event [`World`] so that the whole ensemble
-//! executes in *virtual* time:
+//! executes in *virtual* time. There is no driver thread: all shared state
+//! sits behind one lock, and execution proceeds in *rounds*.
 //!
-//! 1. ranks run native code until they call into the handle (send, recv,
-//!    compute, ...), which parks the thread and posts a request;
-//! 2. the driver applies non-blocking requests immediately (charging LogP
-//!    software overheads to the rank's local clock) in rank order;
-//! 3. once every rank is parked in a blocking receive, the driver advances
-//!    network events until one completes a receive, wakes exactly that
-//!    rank, and goes back to 1.
+//! 1. Ranks run native code until they call into the handle (send, recv,
+//!    compute, ...) or return. Either way the rank stops counting as
+//!    *running*; a call leaves its request in `pending`.
+//! 2. The rank that brings the running count to zero is the round's
+//!    *closer*. It applies every pending request in rank order, charging
+//!    LogP software overheads to each rank's local clock and answering
+//!    whatever does not block.
+//! 3. If that answered nobody — every live rank is blocked in a receive —
+//!    the closer advances network events until one completes a receive or
+//!    fires a timeout, and answers those ranks.
+//! 4. Answered ranks count as running again and are woken once the closer
+//!    has released the lock. A rank parks only while its own request is
+//!    unanswered, so a request issued while no other rank runs costs no
+//!    context switch at all.
 //!
-//! Because ranks only interact through the driver and ties are broken by
-//! rank id and event sequence number, a run is a pure function of
-//! `(closure, config, seed)` — the property the figure harness relies on.
+//! The rounds, and every call into the [`World`], are the same whichever
+//! thread closes; ties are broken by rank id and event sequence number. A
+//! run is therefore a pure function of `(closure, config, seed)` — the
+//! property the figure harness relies on. `docs/SIMULATOR.md`
+//! ("Co-simulation hand-off") has the invariants and the abort protocol.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::SimError;
 use crate::ids::{HostId, SocketId};
-use crate::params::NetParams;
-use crate::process::{ProcShared, Request, Response, SimProcess, Slot};
+use crate::params::{HostParams, NetParams};
+use crate::process::{Request, Response, SimProcess};
 use crate::rng::SplitMix64;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
@@ -131,6 +141,50 @@ enum RankStatus {
     Done,
 }
 
+/// The co-simulation's state, all behind [`Cluster::sim`].
+struct Sim {
+    world: World,
+    status: Vec<RankStatus>,
+    /// Per-rank local clocks.
+    local: Vec<SimTime>,
+    /// Requests posted since the last round closed.
+    pending: Vec<Option<Request>>,
+    /// Answers their ranks have not picked up yet.
+    responses: Vec<Option<Response>>,
+    next_token: u64,
+    /// Ranks executing application code. The round closes when it hits zero.
+    running: usize,
+    /// Highest rank whose closure panicked since the last round closed.
+    panicked: Option<usize>,
+    /// Set once, by the round that failed; every later request unwinds.
+    abort: Option<SimError>,
+}
+
+/// What the rank threads of one run share.
+pub(crate) struct Cluster {
+    sim: Mutex<Sim>,
+    /// One per rank, all paired with `sim`: a rank waits on its own for its
+    /// response, so a round wakes exactly the ranks it answered.
+    wake: Vec<Condvar>,
+    host: HostParams,
+    multicast_loopback: bool,
+    time_limit: SimTime,
+}
+
+/// Tells the simulation that a rank's closure returned, or (unless
+/// disarmed) that it unwound.
+struct FinishGuard<'a> {
+    cluster: &'a Cluster,
+    rank: usize,
+    panicked: bool,
+}
+
+impl Drop for FinishGuard<'_> {
+    fn drop(&mut self) {
+        self.cluster.finish(self.rank, self.panicked);
+    }
+}
+
 /// Run `f` as an SPMD program on a simulated cluster.
 ///
 /// `f` is invoked once per rank on its own thread with a [`SimProcess`]
@@ -141,69 +195,72 @@ where
     F: Fn(SimProcess) -> R + Sync,
     R: Send,
 {
-    assert!(config.n > 0, "cluster needs at least one rank");
-    let mut world = World::with_mode(
-        config.n,
+    let n = config.n;
+    assert!(n > 0, "cluster needs at least one rank");
+    let world = World::with_mode(
+        n,
         config.params.clone(),
         config.seed,
         config.resolved_run_mode(),
     );
     let mut rng = SplitMix64::new(config.seed ^ 0x5EED_5EED_5EED_5EED);
-    let skews: Vec<SimTime> = (0..config.n)
+    let skews: Vec<SimTime> = (0..n)
         .map(|_| {
             let max = config.start_skew_max.as_nanos();
             SimTime::from_nanos(if max == 0 { 0 } else { rng.next_below(max + 1) })
         })
         .collect();
 
-    let shareds: Vec<Arc<ProcShared>> =
-        (0..config.n).map(|_| Arc::new(ProcShared::new())).collect();
-    let outputs: Mutex<Vec<Option<R>>> = Mutex::new((0..config.n).map(|_| None).collect());
+    let cluster = Arc::new(Cluster {
+        sim: Mutex::new(Sim {
+            world,
+            status: vec![RankStatus::Running; n],
+            local: skews.clone(),
+            pending: (0..n).map(|_| None).collect(),
+            responses: (0..n).map(|_| None).collect(),
+            next_token: 0,
+            running: n,
+            panicked: None,
+            abort: None,
+        }),
+        wake: (0..n).map(|_| Condvar::new()).collect(),
+        host: config.params.host.clone(),
+        multicast_loopback: config.multicast_loopback,
+        time_limit: SimTime::ZERO + config.time_limit,
+    });
+    let outputs: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
 
-    let result: Result<(Vec<SimTime>, NetStats), SimError> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(config.n);
-        for rank in 0..config.n {
-            let shared = Arc::clone(&shareds[rank]);
-            let start = skews[rank];
-            let f = &f;
-            let outputs = &outputs;
-            handles.push(scope.spawn(move || {
-                // Ensure the driver learns about this rank's exit even on
-                // panic (the guard fires during unwinding).
-                struct FinishGuard {
-                    shared: Arc<ProcShared>,
-                    armed: bool,
-                }
-                impl Drop for FinishGuard {
-                    fn drop(&mut self) {
-                        if self.armed {
-                            *self.shared.slot.lock() = Slot::Finished { panicked: true };
-                            self.shared.to_driver.notify_one();
-                        }
-                    }
-                }
+    std::thread::scope(|scope| {
+        let spawn = |(rank, &start)| {
+            let (cluster, f, outputs) = (&cluster, &f, &outputs);
+            scope.spawn(move || {
                 let mut guard = FinishGuard {
-                    shared: Arc::clone(&shared),
-                    armed: true,
+                    cluster,
+                    rank,
+                    panicked: true,
                 };
-                let proc = SimProcess::new(Arc::clone(&shared), rank, start);
-                let out = f(proc);
+                let out = f(SimProcess::new(Arc::clone(cluster), rank, start));
                 outputs.lock()[rank] = Some(out);
-                guard.armed = false;
-                *shared.slot.lock() = Slot::Finished { panicked: false };
-                shared.to_driver.notify_one();
-            }));
-        }
-        let r = drive(config, &mut world, &shareds, skews);
-        // Join every rank thread; panics were already converted into
-        // driver-level errors (or are the expected abort unwinds).
+                guard.panicked = false;
+            })
+        };
+        let handles: Vec<_> = skews.iter().enumerate().map(spawn).collect();
+        // Join every rank thread. Panics have already become the run's
+        // error (or are the abort's own unwinds), and an unjoined panic
+        // would make the scope itself panic.
         for h in handles {
             let _ = h.join();
         }
-        r
     });
 
-    let (completion_times, stats) = result?;
+    let mut sim = cluster.sim.lock();
+    if let Some(err) = sim.abort.take() {
+        return Err(err);
+    }
+    // Let in-flight traffic settle so drop/delivery counters are complete
+    // (e.g. datagrams still crossing the switch when the last rank exited).
+    while !matches!(sim.world.step(), StepOutcome::Quiescent) {}
+    let completion_times = std::mem::take(&mut sim.local);
     let makespan = completion_times
         .iter()
         .copied()
@@ -216,181 +273,208 @@ where
     Ok(RunReport {
         completion_times,
         makespan,
-        stats,
+        stats: sim.world.stats().clone(),
         outputs,
     })
 }
 
-/// Wait until `shared` holds a request or a finish marker, then return a
-/// taken `Request` (slot left `Idle`, rank parked) or `None` for finished.
-fn wait_for_request(shared: &ProcShared) -> Option<Request> {
-    let mut slot = shared.slot.lock();
-    loop {
-        match &*slot {
-            Slot::Requested(_) => {
-                let Slot::Requested(req) = std::mem::replace(&mut *slot, Slot::Idle) else {
-                    unreachable!();
-                };
-                return Some(req);
+impl Cluster {
+    /// Post `req` for `rank` and block until it is answered. Returns the
+    /// answer and the rank's new local time; [`Response::Aborted`] once the
+    /// run has failed.
+    pub(crate) fn request(&self, rank: usize, req: Request) -> (Response, SimTime) {
+        let mut sim = self.sim.lock();
+        if sim.abort.is_none() {
+            sim.pending[rank] = Some(req);
+            sim = self.stop_running(sim, rank);
+        }
+        loop {
+            if sim.abort.is_some() {
+                return (Response::Aborted, sim.local[rank]);
             }
-            Slot::Finished { .. } => return None,
-            _ => shared.to_driver.wait(&mut slot),
+            if let Some(resp) = sim.responses[rank].take() {
+                return (resp, sim.local[rank]);
+            }
+            self.wake[rank].wait(&mut sim);
         }
     }
-}
 
-fn respond(shared: &ProcShared, resp: Response, at: SimTime) {
-    let mut slot = shared.slot.lock();
-    *slot = Slot::Responded(resp, at);
-    shared.to_proc.notify_one();
-}
-
-fn rank_panicked(shared: &ProcShared) -> bool {
-    matches!(*shared.slot.lock(), Slot::Finished { panicked: true })
-}
-
-#[allow(clippy::too_many_lines)]
-fn drive(
-    config: &ClusterConfig,
-    world: &mut World,
-    shareds: &[Arc<ProcShared>],
-    skews: Vec<SimTime>,
-) -> Result<(Vec<SimTime>, NetStats), SimError> {
-    let n = config.n;
-    let hp = config.params.host.clone();
-    let mut status = vec![RankStatus::Running; n];
-    let mut local = skews;
-    let mut next_token: u64 = 0;
-    let mut pending: Vec<Option<Request>> = (0..n).map(|_| None).collect();
-    let time_limit = SimTime::ZERO + config.time_limit;
-
-    let abort = loop {
-        // Phase 1: collect a request (or exit notice) from every running rank.
-        let mut panicked_rank = None;
-        for i in 0..n {
-            if status[i] != RankStatus::Running || pending[i].is_some() {
-                continue;
-            }
-            match wait_for_request(&shareds[i]) {
-                Some(req) => pending[i] = Some(req),
-                None => {
-                    if rank_panicked(&shareds[i]) {
-                        panicked_rank = Some(i);
-                    }
-                    status[i] = RankStatus::Done;
-                }
-            }
+    /// `rank`'s closure returned or unwound.
+    fn finish(&self, rank: usize, panicked: bool) {
+        let mut sim = self.sim.lock();
+        // After an abort the unwinding ranks were parked, not running, and
+        // there are no more rounds to close.
+        if sim.abort.is_some() {
+            return;
         }
-        if let Some(rank) = panicked_rank {
-            break Some(SimError::RankPanicked {
+        sim.status[rank] = RankStatus::Done;
+        if panicked {
+            sim.panicked = sim.panicked.max(Some(rank));
+        }
+        drop(self.stop_running(sim, rank));
+    }
+
+    /// `rank` left application code. If it was the last one running it
+    /// closes the round; the ranks that round answered are woken after the
+    /// lock is released, so that they do not wake up only to block on it.
+    /// Hands the (possibly re-taken) lock back.
+    fn stop_running<'a>(
+        &'a self,
+        mut sim: MutexGuard<'a, Sim>,
+        rank: usize,
+    ) -> MutexGuard<'a, Sim> {
+        sim.running -= 1;
+        if sim.running > 0 {
+            return sim;
+        }
+        if let Err(err) = self.close_round(&mut sim) {
+            sim.abort = Some(err);
+        }
+        // A response still in its slot was left by this round: earlier ones
+        // were taken by the ranks they set running. An abort wakes everyone.
+        let woken: Vec<usize> = (0..sim.status.len())
+            .filter(|&i| i != rank)
+            .filter(|&i| match sim.abort {
+                Some(_) => sim.status[i] != RankStatus::Done,
+                None => sim.responses[i].is_some(),
+            })
+            .collect();
+        drop(sim);
+        for i in woken {
+            self.wake[i].notify_one();
+        }
+        self.sim.lock()
+    }
+
+    /// Every rank has posted, blocked or exited: apply the round. On return
+    /// either somebody runs again or every rank is done.
+    fn close_round(&self, sim: &mut Sim) -> Result<(), SimError> {
+        if let Some(rank) = sim.panicked {
+            return Err(SimError::RankPanicked {
                 rank,
                 message: "rank closure panicked (see stderr)".into(),
             });
         }
-
-        // Phase 2: apply non-blocking requests in rank order.
-        let mut any_immediate = false;
+        let n = sim.status.len();
         for i in 0..n {
-            let Some(req) = pending[i].take() else {
-                continue;
-            };
-            let host = HostId(i as u32);
-            match req {
-                Request::Bind { port } => {
-                    let sid = world.bind(host, port);
-                    respond(&shareds[i], Response::Socket(sid), local[i]);
-                    any_immediate = true;
-                }
-                Request::JoinQuiet { socket, group } => {
-                    world.join_group_quiet(host, socket, group);
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
-                }
-                Request::LeaveQuiet { socket, group } => {
-                    world.leave_group_quiet(host, socket, group);
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
-                }
-                Request::JoinIgmp { socket, group } => {
-                    local[i] += hp.o_send;
-                    world.join_group_igmp(host, socket, group, local[i]);
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
-                }
-                Request::Now => {
-                    respond(&shareds[i], Response::Time, local[i]);
-                    any_immediate = true;
-                }
-                Request::Compute { dur } => {
-                    local[i] += dur;
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
-                }
-                Request::Send {
-                    socket,
-                    dst,
-                    dst_port,
-                    payload,
-                    kernel,
-                } => {
-                    let len = payload.len() as u64;
-                    local[i] += if kernel {
-                        hp.o_kernel_send
-                    } else {
-                        hp.o_send + hp.send_per_byte * len
-                    };
-                    let src_port = world.host(host).socket(socket).port;
-                    world.send_datagram(
-                        host,
-                        src_port,
-                        dst,
-                        dst_port,
-                        payload,
-                        local[i],
-                        config.multicast_loopback,
-                        kernel,
-                    );
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
-                }
-                Request::Recv { socket, timeout } => {
-                    // Ranks only run while the world is paused, so any
-                    // buffered datagram arrived at or before the rank's
-                    // local time — it can complete the receive directly.
-                    if let Some((_arrived, dg)) = world.try_pop_buffered(host, socket) {
-                        local[i] += hp.o_recv + hp.recv_per_byte * dg.payload.len() as u64;
-                        respond(&shareds[i], Response::Datagram(Some(dg)), local[i]);
-                        any_immediate = true;
-                    } else {
-                        // The receive becomes *posted* at the rank's local
-                        // time, not at the (earlier) world time — crucial
-                        // for the strict posted-receive loss model.
-                        world.schedule_post_recv(host, socket, local[i]);
-                        let timer = timeout.map(|t| {
-                            let token = next_token;
-                            next_token += 1;
-                            world.schedule_timer(host, Some(socket), token, local[i] + t);
-                            token
-                        });
-                        status[i] = RankStatus::BlockedRecv { socket, timer };
-                    }
+            if let Some(req) = sim.pending[i].take() {
+                if let Some(resp) = self.apply(sim, i, req)? {
+                    sim.respond(i, resp);
                 }
             }
         }
-        if status.iter().all(|s| *s == RankStatus::Done) {
-            break None;
+        // Everyone alive is blocked: advance the network until that changes.
+        while sim.running == 0 && sim.status.iter().any(|s| *s != RankStatus::Done) {
+            self.advance(sim)?;
         }
-        if any_immediate {
-            continue;
-        }
-        if status.iter().all(|s| s == &RankStatus::Done) {
-            break None;
-        }
+        Ok(())
+    }
 
-        // Phase 3: everyone alive is blocked; advance the network.
-        match world.run_until_completion() {
+    /// Apply one request at `rank`'s local time. `None` means the rank now
+    /// blocks in a receive.
+    fn apply(
+        &self,
+        sim: &mut Sim,
+        rank: usize,
+        req: Request,
+    ) -> Result<Option<Response>, SimError> {
+        let Sim {
+            world,
+            status,
+            local,
+            next_token,
+            ..
+        } = sim;
+        let hp = &self.host;
+        let host = HostId(rank as u32);
+        let now = &mut local[rank];
+        let resp = match req {
+            Request::Bind { port } => Response::Socket(world.bind(host, port)),
+            Request::JoinQuiet { socket, group } => {
+                world.join_group_quiet(host, socket, group);
+                Response::Done
+            }
+            Request::LeaveQuiet { socket, group } => {
+                world.leave_group_quiet(host, socket, group);
+                Response::Done
+            }
+            Request::JoinIgmp { socket, group } => {
+                *now += hp.o_send;
+                world.join_group_igmp(host, socket, group, *now);
+                Response::Done
+            }
+            Request::Compute { dur } => {
+                *now += dur;
+                Response::Done
+            }
+            Request::Send {
+                socket,
+                dst,
+                dst_port,
+                payload,
+                kernel,
+            } => {
+                let len = payload.len() as u64;
+                *now += if kernel {
+                    hp.o_kernel_send
+                } else {
+                    hp.o_send + hp.send_per_byte * len
+                };
+                let src_port = world.host(host).socket(socket).port;
+                world.send_datagram(
+                    host,
+                    src_port,
+                    dst,
+                    dst_port,
+                    payload,
+                    *now,
+                    self.multicast_loopback,
+                    kernel,
+                );
+                Response::Done
+            }
+            Request::Recv { socket, timeout } => {
+                // Ranks only run while the world is paused, so any
+                // buffered datagram arrived at or before the rank's
+                // local time — it can complete the receive directly.
+                if let Some((_arrived, dg)) = world.try_pop_buffered(host, socket) {
+                    *now += hp.o_recv + hp.recv_per_byte * dg.payload.len() as u64;
+                    Response::Datagram(Some(dg))
+                } else {
+                    // The receive becomes *posted* at the rank's local
+                    // time, not at the (earlier) world time — crucial
+                    // for the strict posted-receive loss model.
+                    world.schedule_post_recv(host, socket, *now);
+                    let timer = timeout.map(|t| {
+                        let token = *next_token;
+                        *next_token += 1;
+                        world.schedule_timer(host, Some(socket), token, *now + t);
+                        token
+                    });
+                    status[rank] = RankStatus::BlockedRecv { socket, timer };
+                    return Ok(None);
+                }
+            }
+        };
+        // The world clock only moves while every rank is blocked, so a rank
+        // that never blocks (a compute or send loop beside a blocked peer)
+        // must be held to the limit on its own clock.
+        if *now > self.time_limit {
+            return Err(SimError::TimeLimitExceeded {
+                limit: self.time_limit,
+            });
+        }
+        Ok(Some(resp))
+    }
+
+    /// Advance the network to its next batch of completions and answer the
+    /// receives they complete or time out.
+    fn advance(&self, sim: &mut Sim) -> Result<(), SimError> {
+        let hp = &self.host;
+        let (now, completions) = match sim.world.run_until_completion() {
             StepOutcome::Quiescent => {
-                let detail: Vec<String> = status
+                let detail: Vec<String> = sim
+                    .status
                     .iter()
                     .enumerate()
                     .filter_map(|(i, s)| match s {
@@ -400,117 +484,79 @@ fn drive(
                         _ => None,
                     })
                     .collect();
-                break Some(SimError::Deadlock {
-                    at: world.now(),
+                return Err(SimError::Deadlock {
+                    at: sim.world.now(),
                     detail: detail.join("; "),
                 });
             }
-            StepOutcome::Advanced { now, completions } => {
-                if now > time_limit {
-                    break Some(SimError::TimeLimitExceeded { limit: time_limit });
-                }
-                for c in completions {
-                    match c {
-                        Completion::RecvReady { host, socket, at } => {
-                            let i = host.index();
-                            let RankStatus::BlockedRecv { socket: s, timer } = status[i] else {
-                                // Spurious: the rank is no longer blocked
-                                // (cannot happen — deliveries only complete
-                                // posted receives). Ignore defensively.
-                                continue;
-                            };
-                            debug_assert_eq!(s, socket);
-                            if let Some(tok) = timer {
-                                world.cancel_timer(host, tok);
-                            }
-                            let (_arrived, dg) = world
-                                .take_recv(host, socket)
-                                .expect("completion implies a buffered datagram");
-                            // Use the completion's event time, not `now`:
-                            // under the frame engine the world clock is
-                            // already at the frame boundary.
-                            local[i] = local[i].max(at)
-                                + hp.o_recv
-                                + hp.recv_per_byte * dg.payload.len() as u64;
-                            status[i] = RankStatus::Running;
-                            respond(&shareds[i], Response::Datagram(Some(dg)), local[i]);
-                        }
-                        Completion::TimerFired {
-                            host,
-                            socket,
-                            token,
-                            at,
-                        } => {
-                            let i = host.index();
-                            match status[i] {
-                                RankStatus::BlockedRecv {
-                                    socket: s,
-                                    timer: Some(tok),
-                                } if tok == token => {
-                                    debug_assert_eq!(Some(s), socket);
-                                    world.cancel_recv(host, s);
-                                    local[i] = local[i].max(at);
-                                    status[i] = RankStatus::Running;
-                                    respond(&shareds[i], Response::Datagram(None), local[i]);
-                                }
-                                _ => {
-                                    // Stale timer for an already-completed
-                                    // receive; lazily cancelled.
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            StepOutcome::Advanced { now, completions } => (now, completions),
+        };
+        if now > self.time_limit {
+            return Err(SimError::TimeLimitExceeded {
+                limit: self.time_limit,
+            });
         }
-    };
-
-    match abort {
-        None => {
-            // Let in-flight traffic settle so drop/delivery counters are
-            // complete (e.g. datagrams still crossing the switch when the
-            // last rank exited).
-            while !matches!(world.step(), StepOutcome::Quiescent) {}
-            Ok((local, world.stats().clone()))
-        }
-        Some(err) => {
-            // Tear down: wake every parked or soon-to-ask rank with Aborted
-            // until all threads have exited (their handles panic, which the
-            // finish guard converts into a Finished marker).
-            let mut done: Vec<bool> = status.iter().map(|s| *s == RankStatus::Done).collect();
-            while !done.iter().all(|d| *d) {
-                for i in 0..n {
-                    if done[i] {
+        for c in completions {
+            match c {
+                Completion::RecvReady { host, socket, at } => {
+                    let i = host.index();
+                    let RankStatus::BlockedRecv { socket: s, timer } = sim.status[i] else {
+                        // Spurious: the rank is no longer blocked
+                        // (cannot happen — deliveries only complete
+                        // posted receives). Ignore defensively.
                         continue;
+                    };
+                    debug_assert_eq!(s, socket);
+                    if let Some(tok) = timer {
+                        sim.world.cancel_timer(host, tok);
                     }
-                    let shared = &shareds[i];
-                    let mut slot = shared.slot.lock();
-                    loop {
-                        match &*slot {
-                            Slot::Finished { .. } => {
-                                done[i] = true;
-                                break;
-                            }
-                            Slot::Requested(_) | Slot::Idle => {
-                                *slot = Slot::Responded(Response::Aborted, local[i]);
-                                shared.to_proc.notify_one();
-                                // Wait for the rank to unwind.
-                                while !matches!(*slot, Slot::Finished { .. }) {
-                                    shared.to_driver.wait(&mut slot);
-                                }
-                                done[i] = true;
-                                break;
-                            }
-                            Slot::Responded(..) => {
-                                // Rank is waking from a previous response;
-                                // wait for its next state.
-                                shared.to_driver.wait(&mut slot);
-                            }
+                    let (_arrived, dg) = sim
+                        .world
+                        .take_recv(host, socket)
+                        .expect("completion implies a buffered datagram");
+                    // Use the completion's event time, not `now`:
+                    // under the frame engine the world clock is
+                    // already at the frame boundary.
+                    sim.local[i] = sim.local[i].max(at)
+                        + hp.o_recv
+                        + hp.recv_per_byte * dg.payload.len() as u64;
+                    sim.status[i] = RankStatus::Running;
+                    sim.respond(i, Response::Datagram(Some(dg)));
+                }
+                Completion::TimerFired {
+                    host,
+                    socket,
+                    token,
+                    at,
+                } => {
+                    let i = host.index();
+                    match sim.status[i] {
+                        RankStatus::BlockedRecv {
+                            socket: s,
+                            timer: Some(tok),
+                        } if tok == token => {
+                            debug_assert_eq!(Some(s), socket);
+                            sim.world.cancel_recv(host, s);
+                            sim.local[i] = sim.local[i].max(at);
+                            sim.status[i] = RankStatus::Running;
+                            sim.respond(i, Response::Datagram(None));
+                        }
+                        _ => {
+                            // Stale timer for an already-completed
+                            // receive; lazily cancelled.
                         }
                     }
                 }
             }
-            Err(err)
         }
+        Ok(())
+    }
+}
+
+impl Sim {
+    /// Leave `resp` for `rank`, which runs again from now on.
+    fn respond(&mut self, rank: usize, resp: Response) {
+        self.responses[rank] = Some(resp);
+        self.running += 1;
     }
 }

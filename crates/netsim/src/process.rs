@@ -1,20 +1,21 @@
 //! The blocking API a simulated MPI process programs against.
 //!
-//! Each rank runs on its own OS thread and talks to the simulation driver
-//! through a one-slot mailbox: the rank posts a [`Request`] and parks until
-//! the driver hands back a [`Response`] stamped with the rank's new local
-//! virtual time. The same collective-operation code therefore runs
-//! unmodified here and on a real UDP transport — only the handle differs.
+//! Each rank runs on its own OS thread. A [`SimProcess`] method posts a
+//! [`Request`] to the co-simulation ([`crate::cluster`]) and returns once
+//! the simulation has a [`Response`] for it, together with the rank's new
+//! local virtual time. Whether the calling thread parked in between or ran
+//! the simulation itself (the rank that closes a round does) is invisible
+//! here. The same collective-operation code therefore runs unmodified on
+//! this handle and on a real UDP transport — only the handle differs.
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
+use crate::cluster::Cluster;
 use crate::frame::{Datagram, SharedPayload};
 use crate::ids::{DatagramDst, GroupId, SocketId, UdpPort};
 use crate::time::{SimDuration, SimTime};
 
-/// What a rank asks the driver to do.
+/// What a rank asks the simulation to do.
 #[derive(Debug)]
 pub enum Request {
     /// Bind a UDP socket (free: setup-time configuration).
@@ -52,7 +53,7 @@ pub enum Request {
         dst: DatagramDst,
         /// Destination port.
         dst_port: UdpPort,
-        /// Payload bytes (shared segments — never copied by the driver).
+        /// Payload bytes (shared segments — never copied by the simulator).
         payload: SharedPayload,
         /// Kernel-generated traffic (modelled TCP acks): cheaper host
         /// cost, separate statistics.
@@ -70,11 +71,9 @@ pub enum Request {
         /// Amount of virtual work.
         dur: SimDuration,
     },
-    /// Read the local clock.
-    Now,
 }
 
-/// What the driver answers.
+/// What the simulation answers.
 #[derive(Debug)]
 pub enum Response {
     /// Socket created.
@@ -84,54 +83,9 @@ pub enum Response {
     Done,
     /// Receive completed: `None` means the timeout elapsed first.
     Datagram(Option<Arc<Datagram>>),
-    /// Current local time answer for [`Request::Now`].
-    Time,
     /// The run is being torn down (another rank panicked, deadlock, limit);
     /// the handle raises a panic to unwind this rank.
     Aborted,
-}
-
-/// Mailbox slot state.
-#[derive(Debug)]
-pub enum Slot {
-    /// Rank is executing application code.
-    Idle,
-    /// Rank posted a request and is parked.
-    Requested(Request),
-    /// Driver posted a response; rank is waking.
-    Responded(Response, SimTime),
-    /// Rank's closure returned (or unwound).
-    Finished {
-        /// True when the rank exited by panic.
-        panicked: bool,
-    },
-}
-
-/// Shared mailbox between one rank thread and the driver.
-pub struct ProcShared {
-    /// The slot.
-    pub slot: Mutex<Slot>,
-    /// Signalled by the rank when it posts a request or finishes.
-    pub to_driver: Condvar,
-    /// Signalled by the driver when it posts a response.
-    pub to_proc: Condvar,
-}
-
-impl ProcShared {
-    /// Fresh mailbox in the idle state.
-    pub fn new() -> Self {
-        ProcShared {
-            slot: Mutex::new(Slot::Idle),
-            to_driver: Condvar::new(),
-            to_proc: Condvar::new(),
-        }
-    }
-}
-
-impl Default for ProcShared {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Marker payload used to unwind a rank thread during simulation teardown.
@@ -139,19 +93,19 @@ pub struct AbortUnwind;
 
 /// Handle a rank uses to interact with the simulated network.
 ///
-/// All methods block the calling thread until the driver has advanced
-/// virtual time far enough to answer. Local time is monotone per rank and
-/// reflects LogP-style software overheads charged by the driver.
+/// All methods block the calling thread until virtual time has advanced
+/// far enough to answer. Local time is monotone per rank and reflects the
+/// LogP-style software overheads charged for each request.
 pub struct SimProcess {
-    pub(crate) shared: Arc<ProcShared>,
-    pub(crate) rank: usize,
-    pub(crate) local_time: SimTime,
+    cluster: Arc<Cluster>,
+    rank: usize,
+    local_time: SimTime,
 }
 
 impl SimProcess {
-    pub(crate) fn new(shared: Arc<ProcShared>, rank: usize, start: SimTime) -> Self {
+    pub(crate) fn new(cluster: Arc<Cluster>, rank: usize, start: SimTime) -> Self {
         SimProcess {
-            shared,
+            cluster,
             rank,
             local_time: start,
         }
@@ -168,20 +122,7 @@ impl SimProcess {
     }
 
     fn call(&mut self, req: Request) -> Response {
-        let mut slot = self.shared.slot.lock();
-        debug_assert!(matches!(*slot, Slot::Idle), "re-entrant request");
-        *slot = Slot::Requested(req);
-        self.shared.to_driver.notify_one();
-        loop {
-            match &*slot {
-                Slot::Responded(..) => break,
-                _ => self.shared.to_proc.wait(&mut slot),
-            }
-        }
-        let Slot::Responded(resp, at) = std::mem::replace(&mut *slot, Slot::Idle) else {
-            unreachable!("checked above");
-        };
-        drop(slot);
+        let (resp, at) = self.cluster.request(self.rank, req);
         self.local_time = at;
         if matches!(resp, Response::Aborted) {
             // Unwind without invoking the panic hook (this is controlled

@@ -277,6 +277,39 @@ fn rank_panic_aborts_cleanly() {
     assert!(matches!(err, SimError::RankPanicked { rank: 2, .. }));
 }
 
+/// The world clock only moves while every rank is blocked, so a rank that
+/// never blocks has to be held to the time limit on its own clock: before
+/// that check this run spun in wall time forever (the network, which would
+/// deliver to rank 0, only advances once nobody is running).
+#[test]
+fn time_limit_stops_a_rank_that_never_blocks() {
+    for send_only in [false, true] {
+        let mut cfg = ClusterConfig::new(2, NetParams::fast_ethernet_switch(), 1);
+        cfg.time_limit = SimDuration::from_millis(2);
+        let err = run_cluster(&cfg, |mut p| {
+            let s = p.bind(PORT);
+            if p.rank() == 0 {
+                p.recv(s);
+            } else if send_only {
+                loop {
+                    p.send(s, DatagramDst::Unicast(HostId(0)), PORT, vec![0; 8]);
+                }
+            } else {
+                loop {
+                    p.compute(SimDuration::from_micros(10));
+                }
+            }
+        })
+        .unwrap_err();
+        match err {
+            SimError::TimeLimitExceeded { limit } => {
+                assert_eq!(limit, SimTime::ZERO + SimDuration::from_millis(2));
+            }
+            other => panic!("expected the time limit, got {other}"),
+        }
+    }
+}
+
 #[test]
 fn recv_timeout_fires_when_nothing_arrives() {
     let cfg = ClusterConfig::new(1, NetParams::fast_ethernet_switch(), 1);

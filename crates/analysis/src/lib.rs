@@ -1,18 +1,11 @@
 //! Workspace-native correctness tooling for the mcast-mpi repo.
 //!
-//! Two halves:
-//!
-//! * **`mmpi-lint`** ([`rules`], [`lexer`], [`config`]) — a
-//!   repo-specific static analyzer enforcing the invariants in
-//!   `docs/INVARIANTS.md`: SAFETY comments on every `unsafe`, no wall
-//!   clock / hash-order iteration / ambient randomness / panics in
-//!   replay-critical paths. Driven by the checked-in `lint.toml`
-//!   allowlist; run as `cargo run -p mmpi-analysis --bin mmpi-lint`.
-//! * **the shard-claim model checker** ([`model`]) — exhaustively
-//!   enumerates every interleaving of the parallel frame engine's
-//!   coordinator/worker protocol and proves the `Racy` exclusivity,
-//!   barrier, and liveness properties that `netsim/src/parallel.rs`
-//!   otherwise only argues in comments.
+//! **`mmpi-lint`** ([`rules`], [`lexer`], [`config`]) is a
+//! repo-specific static analyzer enforcing the invariants in
+//! `docs/INVARIANTS.md`: SAFETY comments on every `unsafe`, no wall
+//! clock / hash-order iteration / ambient randomness / panics in
+//! replay-critical paths. Driven by the checked-in `lint.toml`
+//! allowlist; run as `cargo run -p mmpi-analysis --bin mmpi-lint`.
 //!
 //! Everything here is std-only so the tooling never constrains the
 //! toolchain (it must run under miri and whatever CI carries).
@@ -21,5 +14,4 @@
 
 pub mod config;
 pub mod lexer;
-pub mod model;
 pub mod rules;

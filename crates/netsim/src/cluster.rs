@@ -38,7 +38,7 @@ use crate::process::{Request, Response, SimProcess};
 use crate::rng::SplitMix64;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
-use crate::world::{Completion, RunMode, StepOutcome, World};
+use crate::world::{Completion, StepOutcome, World};
 
 /// Configuration for one simulated cluster run.
 #[derive(Clone, Debug)]
@@ -58,12 +58,6 @@ pub struct ClusterConfig {
     pub multicast_loopback: bool,
     /// Abort if virtual time passes this limit (livelock guard).
     pub time_limit: SimDuration,
-    /// Which engine advances the world. `None` (the default) consults the
-    /// `MMPI_SIM_WORKERS` environment variable: unset or `0` selects
-    /// [`RunMode::EventLoop`], `w >= 1` selects [`RunMode::Frames`] with
-    /// `w` workers. `Some(mode)` pins the engine regardless of the
-    /// environment (tests asserting exact event-loop counters do this).
-    pub run_mode: Option<RunMode>,
 }
 
 impl ClusterConfig {
@@ -77,7 +71,6 @@ impl ClusterConfig {
             start_skew_max: SimDuration::ZERO,
             multicast_loopback: false,
             time_limit: SimDuration::from_secs(60),
-            run_mode: None,
         }
     }
 
@@ -91,29 +84,6 @@ impl ClusterConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Builder-style: pin the execution engine (see
-    /// [`ClusterConfig::run_mode`]).
-    pub fn with_run_mode(mut self, mode: RunMode) -> Self {
-        self.run_mode = Some(mode);
-        self
-    }
-
-    /// The engine this config resolves to: the pinned mode if set, else
-    /// the `MMPI_SIM_WORKERS` environment variable (unset, unparsable, or
-    /// `0` → the event-loop engine).
-    pub fn resolved_run_mode(&self) -> RunMode {
-        if let Some(mode) = self.run_mode {
-            return mode;
-        }
-        match std::env::var("MMPI_SIM_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(workers) if workers >= 1 => RunMode::Frames { workers },
-            _ => RunMode::EventLoop,
-        }
     }
 }
 
@@ -197,12 +167,7 @@ where
 {
     let n = config.n;
     assert!(n > 0, "cluster needs at least one rank");
-    let world = World::with_mode(
-        n,
-        config.params.clone(),
-        config.seed,
-        config.resolved_run_mode(),
-    );
+    let world = World::new(n, config.params.clone(), config.seed);
     let mut rng = SplitMix64::new(config.seed ^ 0x5EED_5EED_5EED_5EED);
     let skews: Vec<SimTime> = (0..n)
         .map(|_| {
@@ -514,9 +479,6 @@ impl Cluster {
                         .world
                         .take_recv(host, socket)
                         .expect("completion implies a buffered datagram");
-                    // Use the completion's event time, not `now`:
-                    // under the frame engine the world clock is
-                    // already at the frame boundary.
                     sim.local[i] = sim.local[i].max(at)
                         + hp.o_recv
                         + hp.recv_per_byte * dg.payload.len() as u64;

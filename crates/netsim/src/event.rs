@@ -49,16 +49,6 @@ pub enum Event {
         /// Ingress port (excluded from flooding).
         in_port: SwitchPort,
     },
-    /// Switch: enqueue a frame on exactly one output port. The parallel
-    /// engine's per-port form of [`Event::SwitchForward`] — forwarding
-    /// fans out into one `PortEnqueue` per target so each lands on the
-    /// shard that owns the port.
-    PortEnqueue {
-        /// The frame to enqueue.
-        frame: Frame,
-        /// The single target port.
-        port: SwitchPort,
-    },
     /// Switch: the last bit of a frame arrived at the host on `port`.
     PortDelivered {
         /// The delivered frame.

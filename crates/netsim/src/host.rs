@@ -101,14 +101,11 @@ pub struct HostStack {
     rx_buffer_limit: usize,
     strict_posted_recv: bool,
     /// Tokens of lazily cancelled timers (the timer event is left in the
-    /// queue and swallowed when it fires). Lives on the host so each
-    /// parallel-engine shard cancels its own timers without global state.
+    /// queue and swallowed when it fires).
     cancelled_timers: HashSet<u64>,
     /// Payload-crossing tracker ([`NetParams::track_payload_crossings`]):
     /// `(src_rank, seq, chunk_index)` of every `mcast-mpi` Data chunk that
     /// has crossed this host's link, or `None` when tracking is off.
-    /// Lives on the host so the state survives the event-loop ->
-    /// frame-engine conversion with no extra plumbing.
     ///
     /// [`NetParams::track_payload_crossings`]: crate::params::NetParams::track_payload_crossings
     crossing_seen: Option<HashSet<(u32, u64, u32)>>,

@@ -25,16 +25,13 @@
 //! The same protocol code that runs here also runs over real UDP multicast
 //! sockets via the `mmpi-transport` crate.
 //!
-//! ## Execution engines
+//! ## The event loop
 //!
-//! The world runs on one of two engines behind the [`world::World`]
-//! facade (selected by [`world::RunMode`]): the sequential event-loop
-//! engine, and a frame-based [`parallel`] engine that shards hosts
-//! across a worker pool and stays byte-deterministic at any worker
-//! count. Scheduled link faults — holds, partitions, heals — are
-//! described by a [`topology::TopologyScript`]. The frame model,
-//! merge ordering, and determinism contract are documented in
-//! `docs/SIMULATOR.md`.
+//! [`world::World`] is one single-threaded discrete-event loop over a
+//! `(time, sequence)`-ordered queue; both fabrics run on it. Scheduled
+//! link faults — holds, partitions, heals — are described by a
+//! [`topology::TopologyScript`]. The event model, the rank hand-off and
+//! the determinism contract are documented in `docs/SIMULATOR.md`.
 //!
 //! ```
 //! use mmpi_netsim::cluster::{run_cluster, ClusterConfig};
@@ -59,11 +56,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// The only unsafe in the workspace's own crates lives in the parallel
-// engine's `Racy` shard protocol (parallel.rs); every site must argue
-// its claim explicitly (mmpi-lint enforces the comments, and
-// crates/analysis/src/model.rs model-checks the protocol itself).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod error;
@@ -73,7 +66,6 @@ pub mod host;
 pub mod hub;
 pub mod ids;
 pub mod nic;
-pub mod parallel;
 pub mod params;
 pub mod process;
 pub mod rng;
@@ -92,4 +84,4 @@ pub use params::{EthernetParams, FabricKind, HostParams, IpParams, NetParams, Sw
 pub use process::SimProcess;
 pub use time::{SimDuration, SimTime};
 pub use topology::{TopologyOp, TopologyScript};
-pub use world::{Completion, RunMode, StepOutcome, World};
+pub use world::{Completion, StepOutcome, World};

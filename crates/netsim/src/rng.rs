@@ -2,9 +2,9 @@
 //!
 //! The simulator cannot use a global or time-seeded RNG: every run with the
 //! same experiment seed must be bit-identical so that figures regenerate
-//! exactly and failures replay. We use SplitMix64, which is tiny, fast, and
-//! splittable — each component (hub backoff, per-rank skew, loss injection)
-//! forks its own independent stream from the experiment seed.
+//! exactly and failures replay. We use SplitMix64, which is tiny and fast —
+//! each component (hub backoff, per-rank skew, loss injection) seeds its
+//! own stream from the experiment seed xor a per-component salt.
 
 /// A SplitMix64 generator.
 ///
@@ -78,15 +78,6 @@ impl SplitMix64 {
         } else {
             self.next_f64() < p
         }
-    }
-
-    /// Fork an independent stream for a named component.
-    ///
-    /// The child stream is decorrelated from the parent by hashing the
-    /// parent's next output with the stream id.
-    pub fn fork(&mut self, stream: u64) -> SplitMix64 {
-        let base = self.next_u64();
-        SplitMix64::new(base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 }
 
@@ -162,14 +153,5 @@ mod tests {
         let mut r = SplitMix64::new(13);
         assert!(!r.coin(0.0));
         assert!(r.coin(1.0));
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut parent = SplitMix64::new(99);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 2);
     }
 }

@@ -6,13 +6,6 @@
 //! A managed switch (like the paper's HP ProCurve) snoops IGMP membership
 //! reports and forwards multicast frames only to member ports; an unmanaged
 //! one floods them everywhere.
-//!
-//! The state is split in two so the parallel engine
-//! ([`crate::parallel`]) can shard it: [`SwitchTables`] holds the
-//! read-mostly forwarding state (MAC learning + snooped membership,
-//! shared behind a lock), while each [`OutPort`] is owned by the shard
-//! of the host it feeds. The sequential [`Switch`] keeps both together
-//! and is what the event-loop engine uses.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -59,24 +52,6 @@ impl OutPort {
     }
 }
 
-/// The switch's forwarding state: MAC learning table plus IGMP-snooped
-/// group membership. Separated from the port queues so the parallel
-/// engine can share it read-mostly across shards.
-#[derive(Debug, Clone)]
-pub struct SwitchTables {
-    /// MAC learning table: station -> port.
-    mac_table: HashMap<HostId, SwitchPort>,
-    /// IGMP-snooped group membership: group -> member ports.
-    group_table: HashMap<GroupId, HashSet<SwitchPort>>,
-    /// Number of host ports (for flooding).
-    n_ports: usize,
-    /// Flood multicast instead of snooping.
-    flood_multicast: bool,
-    /// Forward no multicast frames at all (see
-    /// [`crate::params::SwitchParams::unicast_only`]).
-    unicast_only: bool,
-}
-
 /// Where a frame must be forwarded.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ForwardSet {
@@ -84,21 +59,41 @@ pub struct ForwardSet {
     pub ports: Vec<SwitchPort>,
 }
 
-impl SwitchTables {
-    /// Empty tables for a switch with `n_ports` host ports.
-    pub fn new(n_ports: usize, flood_multicast: bool) -> Self {
-        SwitchTables {
+/// Switch state: forwarding tables (MAC learning + IGMP-snooped group
+/// membership) plus per-port output queues.
+#[derive(Debug)]
+pub struct Switch {
+    /// MAC learning table: station -> port.
+    mac_table: HashMap<HostId, SwitchPort>,
+    /// IGMP-snooped group membership: group -> member ports.
+    group_table: HashMap<GroupId, HashSet<SwitchPort>>,
+    /// Flood multicast instead of snooping.
+    flood_multicast: bool,
+    /// Forward no multicast frames at all (see
+    /// [`crate::params::SwitchParams::unicast_only`]).
+    unicast_only: bool,
+    /// Output ports, indexed by port number (one per host).
+    ports: Vec<OutPort>,
+    /// Tail-drop threshold per port, in queued MAC-payload bytes.
+    buffer_limit: usize,
+}
+
+impl Switch {
+    /// A switch with `n_ports` host ports.
+    pub fn new(n_ports: usize, buffer_limit: usize, flood_multicast: bool) -> Self {
+        Switch {
             mac_table: HashMap::new(),
             group_table: HashMap::new(),
-            n_ports,
             flood_multicast,
             unicast_only: false,
+            ports: (0..n_ports).map(|_| OutPort::default()).collect(),
+            buffer_limit,
         }
     }
 
     /// Number of ports.
     pub fn port_count(&self) -> usize {
-        self.n_ports
+        self.ports.len()
     }
 
     /// Enable (or disable) unicast-only mode: multicast frames get an
@@ -116,13 +111,6 @@ impl SwitchTables {
     /// Learn that `host` is reachable via `port` (called on every ingress).
     pub fn learn(&mut self, host: HostId, port: SwitchPort) {
         self.mac_table.insert(host, port);
-    }
-
-    /// True when the learning table already maps `host` to `port` — the
-    /// parallel engine's cheap read-side check that skips the write lock
-    /// on the (static star) common case.
-    pub fn knows(&self, host: HostId, port: SwitchPort) -> bool {
-        self.mac_table.get(&host) == Some(&port)
     }
 
     /// Record an IGMP join snooped on `port`.
@@ -155,7 +143,7 @@ impl SwitchTables {
     pub fn forward_set(&self, frame: &Frame, in_port: SwitchPort) -> ForwardSet {
         use crate::frame::FrameDst::*;
         let all_but_ingress = || -> Vec<SwitchPort> {
-            (0..self.n_ports as u32)
+            (0..self.ports.len() as u32)
                 .map(SwitchPort)
                 .filter(|p| *p != in_port)
                 .collect()
@@ -181,76 +169,6 @@ impl SwitchTables {
             Broadcast => all_but_ingress(),
         };
         ForwardSet { ports }
-    }
-}
-
-/// Switch state: forwarding tables plus per-port output queues (the
-/// sequential engine's view; the parallel engine splits the two).
-#[derive(Debug)]
-pub struct Switch {
-    /// Forwarding state.
-    tables: SwitchTables,
-    /// Output ports, indexed by port number (one per host).
-    ports: Vec<OutPort>,
-    /// Tail-drop threshold per port, in queued MAC-payload bytes.
-    buffer_limit: usize,
-}
-
-impl Switch {
-    /// A switch with `n_ports` host ports.
-    pub fn new(n_ports: usize, buffer_limit: usize, flood_multicast: bool) -> Self {
-        Switch {
-            tables: SwitchTables::new(n_ports, flood_multicast),
-            ports: (0..n_ports).map(|_| OutPort::default()).collect(),
-            buffer_limit,
-        }
-    }
-
-    /// Number of ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// The forwarding tables.
-    pub fn tables(&self) -> &SwitchTables {
-        &self.tables
-    }
-
-    /// Enable (or disable) unicast-only mode on the forwarding tables.
-    pub fn set_unicast_only(&mut self, on: bool) {
-        self.tables.set_unicast_only(on);
-    }
-
-    /// Split into `(tables, ports, buffer_limit)` — the parallel engine's
-    /// conversion path: tables go behind a shared lock, each port to the
-    /// shard of the host it feeds.
-    pub fn split(self) -> (SwitchTables, Vec<OutPort>, usize) {
-        (self.tables, self.ports, self.buffer_limit)
-    }
-
-    /// Learn that `host` is reachable via `port` (called on every ingress).
-    pub fn learn(&mut self, host: HostId, port: SwitchPort) {
-        self.tables.learn(host, port);
-    }
-
-    /// Record an IGMP join snooped on `port`.
-    pub fn snoop_join(&mut self, group: GroupId, port: SwitchPort) {
-        self.tables.snoop_join(group, port);
-    }
-
-    /// Record an IGMP leave snooped on `port`.
-    pub fn snoop_leave(&mut self, group: GroupId, port: SwitchPort) {
-        self.tables.snoop_leave(group, port);
-    }
-
-    /// Ports currently subscribed to `group`.
-    pub fn group_members(&self, group: GroupId) -> Vec<SwitchPort> {
-        self.tables.group_members(group)
-    }
-
-    /// Compute the forwarding set for `frame` arriving on `in_port`.
-    pub fn forward_set(&self, frame: &Frame, in_port: SwitchPort) -> ForwardSet {
-        self.tables.forward_set(frame, in_port)
     }
 
     /// Try to enqueue `frame` on `port`. Returns `Ok(kick)` where `kick` is
@@ -395,20 +313,5 @@ mod tests {
         assert_eq!(sw.dequeue(SwitchPort(0)).unwrap().id, 1);
         assert_eq!(sw.dequeue(SwitchPort(0)).unwrap().id, 2);
         assert!(sw.dequeue(SwitchPort(0)).is_none());
-    }
-
-    #[test]
-    fn split_preserves_tables_and_queues() {
-        let mut sw = Switch::new(3, 1 << 20, false);
-        sw.learn(HostId(2), SwitchPort(2));
-        sw.snoop_join(GroupId(7), SwitchPort(1));
-        sw.enqueue(SwitchPort(1), frame(FrameDst::Broadcast, 64))
-            .unwrap();
-        let (tables, mut ports, limit) = sw.split();
-        assert_eq!(limit, 1 << 20);
-        assert!(tables.knows(HostId(2), SwitchPort(2)));
-        assert_eq!(tables.group_members(GroupId(7)), vec![SwitchPort(1)]);
-        assert_eq!(ports[1].queue_len(), 1);
-        assert!(ports[1].dequeue().is_some());
     }
 }

@@ -22,8 +22,8 @@
 //!   every outstanding hold.
 //! * Ops at the same instant apply in insertion order.
 //!
-//! The runtime side is [`TopoCursor`]: a monotone cursor the engines
-//! advance with event time. The world schedules a wake event at every
+//! The runtime side is [`TopoCursor`]: a monotone cursor the world
+//! advances with event time. The world schedules a wake event at every
 //! op time, so releases happen even on otherwise idle links.
 
 use crate::ids::HostId;
@@ -119,7 +119,7 @@ impl TopologyScript {
     }
 
     /// The distinct times at which operations fire, ascending — the
-    /// instants the engines schedule wake events for.
+    /// instants the world schedules wake events for.
     pub fn op_times(&self) -> Vec<SimTime> {
         let mut times: Vec<SimTime> = self.ops.iter().map(|(at, _)| *at).collect();
         times.sort_unstable();

@@ -1,23 +1,14 @@
-//! The simulated network world: hosts + fabric + execution engines.
+//! The simulated network world: hosts + fabric + one event loop.
 //!
 //! [`World`] owns every piece of simulated state. It knows nothing about
 //! threads or MPI ranks — the co-sim driver in [`crate::cluster`] injects
 //! sends/receives at chosen virtual times and consumes the
 //! [`Completion`]s the world reports back.
 //!
-//! Since PR 7 the world is a facade over two interchangeable engines
-//! (selected by [`RunMode`]; the full model is in `docs/SIMULATOR.md`):
-//!
-//! * the **event-loop engine** (`EventEngine`, this file): one global
-//!   time-ordered queue, advanced one event at a time — the original,
-//!   byte-stable reference engine;
-//! * the **frame engine** ([`crate::parallel`]): a fixed frame clock and
-//!   a worker pool claiming per-host shards through an atomic cursor,
-//!   deterministic at any worker count.
-//!
-//! Every run-loop entry point (`step`, `run_until_completion`,
-//! [`World::run_parallel`]) goes through the single `advance_once` seam,
-//! so experiment code cannot drift between modes.
+//! The world is a single-threaded discrete-event loop: one global
+//! `(time, sequence)`-ordered queue, advanced one event at a time by
+//! [`World::step`] (the model is in `docs/SIMULATOR.md`). Both fabrics —
+//! the CSMA/CD hub and the switch — run on it.
 //!
 //! Fault injection hooks in at the last hop: every frame that survives
 //! the fabric passes through a per-link dice roll
@@ -34,7 +25,6 @@ use crate::frame::{fragment_datagram, Datagram, Frame, FramePayload, SharedPaylo
 use crate::host::{Delivery, DeliveryFailure, HostStack};
 use crate::hub::{Arbitration, Hub};
 use crate::ids::{DatagramDst, GroupId, HostId, SocketId, SwitchPort, UdpPort};
-use crate::parallel::ParEngine;
 use crate::params::{FabricKind, NetParams};
 use crate::rng::SplitMix64;
 use crate::stats::NetStats;
@@ -52,10 +42,8 @@ pub enum Completion {
         host: HostId,
         /// Receiving socket.
         socket: SocketId,
-        /// Event time at which the receive became ready. Under the
-        /// event-loop engine this equals the world clock when the
-        /// completion is returned; the frame engine returns whole frames,
-        /// so the world clock may already be at the frame boundary.
+        /// Event time at which the receive became ready (the world
+        /// clock when the completion is returned).
         at: SimTime,
     },
     /// A timer fired (receive timeout or sleep).
@@ -73,13 +61,6 @@ pub enum Completion {
 }
 
 impl Completion {
-    /// The event time the completion happened at.
-    pub fn at(&self) -> SimTime {
-        match self {
-            Completion::RecvReady { at, .. } | Completion::TimerFired { at, .. } => *at,
-        }
-    }
-
     /// The host the completion belongs to.
     pub fn host(&self) -> HostId {
         match self {
@@ -103,27 +84,8 @@ pub enum StepOutcome {
     Quiescent,
 }
 
-/// Which execution engine advances the world (see the module docs and
-/// `docs/SIMULATOR.md`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunMode {
-    /// The sequential event-loop engine (the default; byte-stable
-    /// reference behaviour).
-    EventLoop,
-    /// The frame-based parallel engine with this many workers. `workers
-    /// == 1` still exercises the frame clock and merge path on the
-    /// calling thread — the baseline the determinism tests compare
-    /// against. Requires the switch fabric (the hub's single collision
-    /// domain is inherently sequential; construction falls back to
-    /// [`RunMode::EventLoop`] on a hub).
-    Frames {
-        /// Worker count (>= 1), including the calling thread.
-        workers: usize,
-    },
-}
-
 /// Statistics class of a frame.
-pub(crate) fn frame_class(frame: &Frame) -> crate::stats::FrameClass {
+fn frame_class(frame: &Frame) -> crate::stats::FrameClass {
     match &frame.payload {
         FramePayload::Fragment { datagram, .. } => {
             if datagram.kernel {
@@ -145,361 +107,10 @@ enum Fabric {
 /// Salt decorrelating the fault-injection RNG stream from the
 /// backoff/skew streams, so enabling faults never perturbs the timing of
 /// surviving frames.
-pub(crate) const FAULT_RNG_SALT: u64 = 0xFA17_ED11_FA17_ED11;
-
-/// The state an [`EventEngine`] hands over when converting to the frame
-/// engine (queue must be drained first — conversion happens at setup
-/// time or between quiescent phases).
-pub(crate) struct EngineParts {
-    pub n: usize,
-    pub hosts: Vec<HostStack>,
-    pub switch: Switch,
-    pub params: NetParams,
-    pub stats: NetStats,
-    pub seed: u64,
-    pub now: SimTime,
-    pub next_datagram_id: u64,
-    pub trace_capacity: Option<usize>,
-}
+const FAULT_RNG_SALT: u64 = 0xFA17_ED11_FA17_ED11;
 
 /// The simulated network.
 pub struct World {
-    engine: Engine,
-}
-
-enum Engine {
-    Event(Box<EventEngine>),
-    Par(Box<ParEngine>),
-}
-
-impl World {
-    /// Build a world of `n` hosts with the given parameters and RNG seed,
-    /// advanced by the default event-loop engine.
-    pub fn new(n: usize, params: NetParams, seed: u64) -> Self {
-        Self::with_mode(n, params, seed, RunMode::EventLoop)
-    }
-
-    /// Build a world advanced by the chosen [`RunMode`]. A
-    /// [`RunMode::Frames`] request on the hub fabric (or with zero
-    /// forwarding latency, which leaves the frame clock no lookahead)
-    /// falls back to the event-loop engine.
-    pub fn with_mode(n: usize, params: NetParams, seed: u64, mode: RunMode) -> Self {
-        let engine = EventEngine::new(n, params, seed);
-        let mut world = World {
-            engine: Engine::Event(Box::new(engine)),
-        };
-        if let RunMode::Frames { workers } = mode {
-            world.convert_to_parallel(workers);
-        }
-        world
-    }
-
-    /// Switch to the frame-based parallel engine with `workers` workers.
-    ///
-    /// Only valid while no events are pending (setup time, or after the
-    /// world went quiescent); panics otherwise — convert before traffic,
-    /// not mid-flight. A no-op when the fabric cannot be parallelized
-    /// (hub, or zero forwarding latency) or the world already runs the
-    /// frame engine with the same worker count.
-    pub fn convert_to_parallel(&mut self, workers: usize) {
-        assert!(workers >= 1, "need at least one worker");
-        match &mut self.engine {
-            Engine::Par(p) => {
-                assert_eq!(
-                    p.workers(),
-                    workers,
-                    "worker count is fixed for the lifetime of a world"
-                );
-            }
-            Engine::Event(e) => {
-                let parallelizable = match &e.params.fabric {
-                    FabricKind::Hub => false,
-                    FabricKind::Switch(sp) => sp.forwarding_latency > SimDuration::ZERO,
-                };
-                if !parallelizable {
-                    return;
-                }
-                // The construction-time TopologyWake events are the one
-                // thing legitimately in the queue here: discard them (the
-                // frame engine re-schedules its own per-shard wakes).
-                // Anything else means traffic is in flight.
-                while let Some((_, event)) = e.queue.pop() {
-                    assert!(
-                        matches!(event, Event::TopologyWake),
-                        "convert_to_parallel requires a drained event queue \
-                         (convert at setup time, before injecting traffic)"
-                    );
-                }
-                let placeholder = EventEngine::new(0, e.params.clone(), 0);
-                let engine = std::mem::replace(e.as_mut(), placeholder);
-                self.engine = Engine::Par(Box::new(ParEngine::new(engine.into_parts(), workers)));
-            }
-        }
-    }
-
-    /// True when the frame-based parallel engine is active.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self.engine, Engine::Par(_))
-    }
-
-    /// Enable event tracing with a bounded ring buffer (debugging and
-    /// fine-grained model validation; off by default).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        match &mut self.engine {
-            Engine::Event(e) => e.enable_trace(capacity),
-            Engine::Par(p) => p.enable_trace(capacity),
-        }
-    }
-
-    /// The trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        match &self.engine {
-            Engine::Event(e) => e.trace.as_ref(),
-            Engine::Par(p) => p.trace(),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        match &self.engine {
-            Engine::Event(e) => e.now,
-            Engine::Par(p) => p.now(),
-        }
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        match &self.engine {
-            Engine::Event(e) => e.hosts.len(),
-            Engine::Par(p) => p.host_count(),
-        }
-    }
-
-    /// Statistics collected so far.
-    pub fn stats(&self) -> &NetStats {
-        match &self.engine {
-            Engine::Event(e) => &e.stats,
-            Engine::Par(p) => p.stats(),
-        }
-    }
-
-    /// Mutable statistics (e.g. to reset after warm-up).
-    pub fn stats_mut(&mut self) -> &mut NetStats {
-        match &mut self.engine {
-            Engine::Event(e) => &mut e.stats,
-            Engine::Par(p) => p.stats_mut(),
-        }
-    }
-
-    /// Model parameters.
-    pub fn params(&self) -> &NetParams {
-        match &self.engine {
-            Engine::Event(e) => &e.params,
-            Engine::Par(p) => p.params(),
-        }
-    }
-
-    /// Access a host (tests/driver).
-    pub fn host(&self, h: HostId) -> &HostStack {
-        match &self.engine {
-            Engine::Event(e) => &e.hosts[h.index()],
-            Engine::Par(p) => p.host(h),
-        }
-    }
-
-    /// Mutable access to a host (driver).
-    pub fn host_mut(&mut self, h: HostId) -> &mut HostStack {
-        match &mut self.engine {
-            Engine::Event(e) => &mut e.hosts[h.index()],
-            Engine::Par(p) => p.host_mut(h),
-        }
-    }
-
-    /// Bind a UDP socket on `host`.
-    pub fn bind(&mut self, host: HostId, port: UdpPort) -> SocketId {
-        match &mut self.engine {
-            Engine::Event(e) => e.hosts[host.index()].bind(port),
-            Engine::Par(p) => p.bind(host, port),
-        }
-    }
-
-    /// Setup-time multicast join: updates the host filter *and* the switch
-    /// membership table instantly, without IGMP traffic. Models groups
-    /// joined before the timed region, as MPI process groups are.
-    pub fn join_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
-        match &mut self.engine {
-            Engine::Event(e) => e.join_group_quiet(host, socket, group),
-            Engine::Par(p) => p.join_group_quiet(host, socket, group),
-        }
-    }
-
-    /// Setup-time leave (inverse of [`World::join_group_quiet`]).
-    pub fn leave_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
-        match &mut self.engine {
-            Engine::Event(e) => e.leave_group_quiet(host, socket, group),
-            Engine::Par(p) => p.leave_group_quiet(host, socket, group),
-        }
-    }
-
-    /// Runtime multicast join: joins locally and emits an IGMP membership
-    /// report frame on the wire at time `at` so a managed switch can snoop.
-    pub fn join_group_igmp(&mut self, host: HostId, socket: SocketId, group: GroupId, at: SimTime) {
-        match &mut self.engine {
-            Engine::Event(e) => e.join_group_igmp(host, socket, group, at),
-            Engine::Par(p) => p.join_group_igmp(host, socket, group, at),
-        }
-    }
-
-    /// Inject a datagram send: the host stack finishes send-side processing
-    /// at `at` (the driver has already charged `o_send` + copy), after which
-    /// fragments head to the NIC. Under the frame engine `at` is clamped
-    /// forward to the current frame boundary (see `docs/SIMULATOR.md`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_datagram(
-        &mut self,
-        host: HostId,
-        src_port: UdpPort,
-        dst: DatagramDst,
-        dst_port: UdpPort,
-        payload: SharedPayload,
-        at: SimTime,
-        multicast_loopback: bool,
-        kernel: bool,
-    ) -> u64 {
-        match &mut self.engine {
-            Engine::Event(e) => e.send_datagram(
-                host,
-                src_port,
-                dst,
-                dst_port,
-                payload,
-                at,
-                multicast_loopback,
-                kernel,
-            ),
-            Engine::Par(p) => p.send_datagram(
-                host,
-                src_port,
-                dst,
-                dst_port,
-                payload,
-                at,
-                multicast_loopback,
-                kernel,
-            ),
-        }
-    }
-
-    /// Pop a buffered datagram, if any, without posting a receive.
-    pub fn try_pop_buffered(
-        &mut self,
-        host: HostId,
-        socket: SocketId,
-    ) -> Option<(SimTime, Arc<Datagram>)> {
-        self.host_mut(host).socket_mut(socket).pop()
-    }
-
-    /// Schedule the posting of a blocking receive at virtual time `at` (the
-    /// rank's local clock when it called `recv`). Until that instant the
-    /// socket counts as *not ready* — under the strict posted-receive model
-    /// a datagram delivered earlier is lost, exactly the paper's hazard.
-    pub fn schedule_post_recv(&mut self, host: HostId, socket: SocketId, at: SimTime) {
-        match &mut self.engine {
-            Engine::Event(e) => e.queue.schedule(at, Event::PostRecv { host, socket }),
-            Engine::Par(p) => p.schedule_post_recv(host, socket, at),
-        }
-    }
-
-    /// Take the datagram that satisfied a [`Completion::RecvReady`] and
-    /// clear the pending-receive flag.
-    pub fn take_recv(
-        &mut self,
-        host: HostId,
-        socket: SocketId,
-    ) -> Option<(SimTime, Arc<Datagram>)> {
-        let sock = self.host_mut(host).socket_mut(socket);
-        sock.recv_posted = false;
-        sock.pop()
-    }
-
-    /// Cancel a pending receive (timeout path).
-    pub fn cancel_recv(&mut self, host: HostId, socket: SocketId) {
-        self.host_mut(host).socket_mut(socket).recv_posted = false;
-    }
-
-    /// Schedule a timer on `host` that fires at `at` with `token`.
-    pub fn schedule_timer(
-        &mut self,
-        host: HostId,
-        socket: Option<SocketId>,
-        token: u64,
-        at: SimTime,
-    ) {
-        match &mut self.engine {
-            Engine::Event(e) => e.queue.schedule(
-                at,
-                Event::Timer {
-                    host,
-                    socket,
-                    token,
-                },
-            ),
-            Engine::Par(p) => p.schedule_timer(host, socket, token, at),
-        }
-    }
-
-    /// Lazily cancel a timer previously scheduled on `host`. The pending
-    /// event stays queued and is swallowed when it fires.
-    pub fn cancel_timer(&mut self, host: HostId, token: u64) {
-        self.host_mut(host).cancel_timer(token);
-    }
-
-    // ------------------------------------------------------------------
-    // The Runner seam: every run loop goes through `advance_once`.
-    // ------------------------------------------------------------------
-
-    /// Advance the engine by its natural unit: one event (event-loop
-    /// engine) or one non-empty frame (frame engine).
-    pub fn step(&mut self) -> StepOutcome {
-        match &mut self.engine {
-            Engine::Event(e) => e.advance_once(),
-            Engine::Par(p) => p.advance_once(),
-        }
-    }
-
-    /// Advance until at least one completion is ready (returned) or
-    /// the world drains ([`StepOutcome::Quiescent`]).
-    pub fn run_until_completion(&mut self) -> StepOutcome {
-        loop {
-            match self.step() {
-                StepOutcome::Advanced { completions, .. } if completions.is_empty() => continue,
-                outcome => return outcome,
-            }
-        }
-    }
-
-    /// Run the world to quiescence on the frame-based parallel engine
-    /// with `workers` workers, converting from the event-loop engine
-    /// first if needed (which requires a drained queue — convert at
-    /// setup time). Returns the final outcome (always
-    /// [`StepOutcome::Quiescent`]; completions surface through
-    /// [`World::run_until_completion`] as usual before that).
-    pub fn run_parallel(&mut self, workers: usize) -> StepOutcome {
-        self.convert_to_parallel(workers);
-        loop {
-            if let StepOutcome::Quiescent = self.step() {
-                return StepOutcome::Quiescent;
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// The sequential event-loop engine.
-// ----------------------------------------------------------------------
-
-/// The original single-queue discrete-event engine (see module docs).
-pub(crate) struct EventEngine {
     now: SimTime,
     queue: EventQueue,
     hosts: Vec<HostStack>,
@@ -508,7 +119,6 @@ pub(crate) struct EventEngine {
     stats: NetStats,
     rng: SplitMix64,
     fault_rng: SplitMix64,
-    seed: u64,
     next_datagram_id: u64,
     next_frame_id: u64,
     topo: TopoCursor,
@@ -516,11 +126,11 @@ pub(crate) struct EventEngine {
     held: Vec<(HostId, HostId, Frame)>,
     completions: Vec<Completion>,
     trace: Option<Trace>,
-    trace_capacity: Option<usize>,
 }
 
-impl EventEngine {
-    fn new(n: usize, params: NetParams, seed: u64) -> Self {
+impl World {
+    /// Build a world of `n` hosts with the given parameters and RNG seed.
+    pub fn new(n: usize, params: NetParams, seed: u64) -> Self {
         let hosts = (0..n)
             .map(|i| {
                 let mut h = HostStack::new(
@@ -555,7 +165,7 @@ impl EventEngine {
         for at in params.faults.topology.op_times() {
             queue.schedule(at, Event::TopologyWake);
         }
-        EventEngine {
+        World {
             now: SimTime::ZERO,
             queue,
             hosts,
@@ -564,46 +174,64 @@ impl EventEngine {
             stats: NetStats::new(n),
             rng: SplitMix64::new(seed),
             fault_rng: SplitMix64::new(seed ^ FAULT_RNG_SALT),
-            seed,
             next_datagram_id: 0,
             next_frame_id: 0,
             topo,
             held: Vec::new(),
             completions: Vec::new(),
             trace: None,
-            trace_capacity: None,
         }
     }
 
-    /// Tear down into the parts the frame engine is built from. The
-    /// caller (the facade) has already checked the queue is empty and
-    /// the fabric is a switch.
-    fn into_parts(self) -> EngineParts {
-        debug_assert!(self.queue.is_empty());
-        assert!(
-            self.held.is_empty(),
-            "convert_to_parallel would lose frames parked by a topology \
-             hold (convert before the script starts holding links)"
-        );
-        let Fabric::Switch(switch) = self.fabric else {
-            unreachable!("parallel conversion is switch-only");
-        };
-        EngineParts {
-            n: self.hosts.len(),
-            hosts: self.hosts,
-            switch,
-            params: self.params,
-            stats: self.stats,
-            seed: self.seed,
-            now: self.now,
-            next_datagram_id: self.next_datagram_id,
-            trace_capacity: self.trace_capacity,
-        }
-    }
-
-    fn enable_trace(&mut self, capacity: usize) {
+    /// Enable event tracing with a bounded ring buffer (debugging and
+    /// fine-grained model validation; off by default).
+    pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(Trace::new(capacity));
-        self.trace_capacity = Some(capacity);
+    }
+
+    /// The trace, if enabled.
+    pub fn trace(&self) -> Option<&Trace> {
+        self.trace.as_ref()
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Number of hosts.
+    pub fn host_count(&self) -> usize {
+        self.hosts.len()
+    }
+
+    /// Statistics collected so far.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    /// Mutable statistics (e.g. to reset after warm-up).
+    pub fn stats_mut(&mut self) -> &mut NetStats {
+        &mut self.stats
+    }
+
+    /// Model parameters.
+    pub fn params(&self) -> &NetParams {
+        &self.params
+    }
+
+    /// Access a host (tests/driver).
+    pub fn host(&self, h: HostId) -> &HostStack {
+        &self.hosts[h.index()]
+    }
+
+    /// Mutable access to a host (driver).
+    pub fn host_mut(&mut self, h: HostId) -> &mut HostStack {
+        &mut self.hosts[h.index()]
+    }
+
+    /// Bind a UDP socket on `host`.
+    pub fn bind(&mut self, host: HostId, port: UdpPort) -> SocketId {
+        self.hosts[host.index()].bind(port)
     }
 
     fn trace_push(&mut self, event: TraceEvent) {
@@ -613,14 +241,18 @@ impl EventEngine {
         }
     }
 
-    fn join_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
+    /// Setup-time multicast join: updates the host filter *and* the switch
+    /// membership table instantly, without IGMP traffic. Models groups
+    /// joined before the timed region, as MPI process groups are.
+    pub fn join_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
         self.hosts[host.index()].join_group(socket, group);
         if let Fabric::Switch(sw) = &mut self.fabric {
             sw.snoop_join(group, SwitchPort(host.0));
         }
     }
 
-    fn leave_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
+    /// Setup-time leave (inverse of [`World::join_group_quiet`]).
+    pub fn leave_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
         let h = &mut self.hosts[host.index()];
         h.leave_group(socket, group);
         let still_member = h.nic.is_member(group);
@@ -629,7 +261,9 @@ impl EventEngine {
         }
     }
 
-    fn join_group_igmp(&mut self, host: HostId, socket: SocketId, group: GroupId, at: SimTime) {
+    /// Runtime multicast join: joins locally and emits an IGMP membership
+    /// report frame on the wire at time `at` so a managed switch can snoop.
+    pub fn join_group_igmp(&mut self, host: HostId, socket: SocketId, group: GroupId, at: SimTime) {
         self.hosts[host.index()].join_group(socket, group);
         let frame = Frame {
             id: self.fresh_frame_id(),
@@ -641,8 +275,11 @@ impl EventEngine {
         self.enqueue_frames_at(host, vec![frame], at);
     }
 
+    /// Inject a datagram send: the host stack finishes send-side processing
+    /// at `at` (the driver has already charged `o_send` + copy), after which
+    /// fragments head to the NIC.
     #[allow(clippy::too_many_arguments)]
-    fn send_datagram(
+    pub fn send_datagram(
         &mut self,
         host: HostId,
         src_port: UdpPort,
@@ -696,8 +333,77 @@ impl EventEngine {
         id
     }
 
-    /// Process exactly one event (this engine's `advance_once`).
-    fn advance_once(&mut self) -> StepOutcome {
+    /// Pop a buffered datagram, if any, without posting a receive.
+    pub fn try_pop_buffered(
+        &mut self,
+        host: HostId,
+        socket: SocketId,
+    ) -> Option<(SimTime, Arc<Datagram>)> {
+        self.host_mut(host).socket_mut(socket).pop()
+    }
+
+    /// Schedule the posting of a blocking receive at virtual time `at` (the
+    /// rank's local clock when it called `recv`). Until that instant the
+    /// socket counts as *not ready* — under the strict posted-receive model
+    /// a datagram delivered earlier is lost, exactly the paper's hazard.
+    pub fn schedule_post_recv(&mut self, host: HostId, socket: SocketId, at: SimTime) {
+        self.queue.schedule(at, Event::PostRecv { host, socket });
+    }
+
+    /// Take the datagram that satisfied a [`Completion::RecvReady`] and
+    /// clear the pending-receive flag.
+    pub fn take_recv(
+        &mut self,
+        host: HostId,
+        socket: SocketId,
+    ) -> Option<(SimTime, Arc<Datagram>)> {
+        let sock = self.host_mut(host).socket_mut(socket);
+        sock.recv_posted = false;
+        sock.pop()
+    }
+
+    /// Cancel a pending receive (timeout path).
+    pub fn cancel_recv(&mut self, host: HostId, socket: SocketId) {
+        self.host_mut(host).socket_mut(socket).recv_posted = false;
+    }
+
+    /// Schedule a timer on `host` that fires at `at` with `token`.
+    pub fn schedule_timer(
+        &mut self,
+        host: HostId,
+        socket: Option<SocketId>,
+        token: u64,
+        at: SimTime,
+    ) {
+        self.queue.schedule(
+            at,
+            Event::Timer {
+                host,
+                socket,
+                token,
+            },
+        );
+    }
+
+    /// Lazily cancel a timer previously scheduled on `host`. The pending
+    /// event stays queued and is swallowed when it fires.
+    pub fn cancel_timer(&mut self, host: HostId, token: u64) {
+        self.host_mut(host).cancel_timer(token);
+    }
+
+    /// Advance until at least one completion is ready (returned) or
+    /// the world drains ([`StepOutcome::Quiescent`]).
+    pub fn run_until_completion(&mut self) -> StepOutcome {
+        loop {
+            match self.step() {
+                StepOutcome::Advanced { completions, .. } if completions.is_empty() => continue,
+                outcome => return outcome,
+            }
+        }
+    }
+
+    /// Process exactly one event.
+    pub fn step(&mut self) -> StepOutcome {
         let Some((at, event)) = self.queue.pop() else {
             return StepOutcome::Quiescent;
         };
@@ -751,7 +457,6 @@ impl EventEngine {
             Event::NicTxNext { host } => self.nic_tx_next(host),
             Event::SwitchIngress { frame, in_port } => self.switch_ingress(frame, in_port),
             Event::SwitchForward { frame, in_port } => self.switch_forward(frame, in_port),
-            Event::PortEnqueue { frame, port } => self.port_enqueue(frame, port),
             Event::PortDelivered { frame, port } => self.port_delivered(frame, port),
             Event::PortTxNext { port } => self.port_tx_next(port),
             Event::LinkRedeliver { host, frame } => self.receive_frame(host, &frame),
@@ -1033,7 +738,7 @@ impl EventEngine {
         let Fabric::Switch(sw) = &mut self.fabric else {
             unreachable!();
         };
-        if sw.tables().unicast_only() && matches!(frame.dst, crate::frame::FrameDst::Multicast(_)) {
+        if sw.unicast_only() && matches!(frame.dst, crate::frame::FrameDst::Multicast(_)) {
             self.stats.unicast_only_drops += 1;
             return;
         }
@@ -1043,9 +748,7 @@ impl EventEngine {
         }
     }
 
-    /// Enqueue on a single output port, kicking transmission if idle —
-    /// shared by [`Event::SwitchForward`] fan-out and the parallel
-    /// engine's [`Event::PortEnqueue`].
+    /// Enqueue on a single output port, kicking transmission if idle.
     fn port_enqueue_frame(&mut self, frame: Frame, port: SwitchPort) {
         let Fabric::Switch(sw) = &mut self.fabric else {
             unreachable!();
@@ -1055,10 +758,6 @@ impl EventEngine {
             Ok(false) => {}
             Err(()) => self.stats.switch_buffer_drops += 1,
         }
-    }
-
-    fn port_enqueue(&mut self, frame: Frame, port: SwitchPort) {
-        self.port_enqueue_frame(frame, port);
     }
 
     /// Begin serializing the next queued frame on a switch output port.

@@ -13,7 +13,7 @@ use mmpi_netsim::cluster::{run_cluster, ClusterConfig};
 use mmpi_netsim::ids::{DatagramDst, GroupId, HostId};
 use mmpi_netsim::params::NetParams;
 use mmpi_netsim::time::SimDuration;
-use mmpi_netsim::{RunMode, SimError, SimProcess};
+use mmpi_netsim::{SimError, SimProcess};
 
 const PORT: u16 = 5000;
 const GROUP: GroupId = GroupId(1);
@@ -272,11 +272,9 @@ fn mixed_scenario(mut p: SimProcess) -> u64 {
 }
 
 /// FNV-1a over the rendered `(completion_times, outputs, NetStats)`.
-fn mixed_scenario_fingerprint(mode: RunMode) -> u64 {
+fn mixed_scenario_fingerprint() -> u64 {
     let params = NetParams::fast_ethernet_switch().with_loss(0.05);
-    let cfg = ClusterConfig::new(16, params, 0x1357_9BDF)
-        .with_start_skew(us(50))
-        .with_run_mode(mode);
+    let cfg = ClusterConfig::new(16, params, 0x1357_9BDF).with_start_skew(us(50));
     let report = run_cluster(&cfg, mixed_scenario).expect("every receive has a timeout");
     assert!(report.stats.injected_frame_losses > 0, "the loss model ran");
     let rendered = format!(
@@ -290,21 +288,15 @@ fn mixed_scenario_fingerprint(mode: RunMode) -> u64 {
 
 /// Recorded on the last commit that had a driver thread (PR 12). The
 /// hand-off is scheduling only: whoever runs a round, the `World` sees the
-/// same calls in the same order, so these never change with it.
+/// same calls in the same order, so this never changes with it.
 const MIXED_EVENT_LOOP: u64 = 0xc66b_7d3b_9bf5_23ec;
-const MIXED_FRAMES: u64 = 0x90d6_4fb8_434f_52b5;
 
 #[test]
-fn mixed_scenario_fingerprint_is_unchanged_under_both_engines() {
+fn mixed_scenario_fingerprint_is_unchanged() {
     within(60, || {
-        for (mode, recorded) in [
-            (RunMode::EventLoop, MIXED_EVENT_LOOP),
-            (RunMode::Frames { workers: 2 }, MIXED_FRAMES),
-        ] {
-            let got = mixed_scenario_fingerprint(mode);
-            println!("mixed scenario under {mode:?}: {got:#018x}");
-            assert_eq!(got, mixed_scenario_fingerprint(mode), "{mode:?} replays");
-            assert_eq!(got, recorded, "{mode:?} moved off the recorded run");
-        }
+        let got = mixed_scenario_fingerprint();
+        println!("mixed scenario: {got:#018x}");
+        assert_eq!(got, mixed_scenario_fingerprint(), "replays");
+        assert_eq!(got, MIXED_EVENT_LOOP, "moved off the recorded run");
     });
 }

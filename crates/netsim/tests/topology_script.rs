@@ -1,6 +1,6 @@
 //! Scriptable topology faults (ISSUE 7): `TopologyScript` schedules
 //! `hold` / `release` / `partition` / `heal` ops at sim times, and the
-//! world applies them on both execution engines. The lockdown here is
+//! world applies them. The lockdown here is
 //! the *hold contract*: a held frame is parked, never dropped — every
 //! frame that enters a hold leaves it on `release` (or the final
 //! `heal`), so `frames_held == frames_released` once the script is

@@ -212,12 +212,9 @@ impl SimCommConfig {
 /// The simulator half of the endpoint: process handle, socket, and
 /// addressing. Implements [`RepairPump`] over virtual time.
 ///
-/// Engine-agnostic by construction: every clock read goes through
-/// `proc.now()` — the rank's *local* virtual clock — never the world's
-/// global `now`. Under `RunMode::Frames` the global clock sits at a
-/// frame boundary while ranks are mid-frame, so plumbing it in here
-/// would skew RTT samples and solicitation deadlines; the local clock
-/// is exact under both engines (see `docs/SIMULATOR.md`).
+/// Every clock read goes through `proc.now()` — the rank's *local*
+/// virtual clock, which runs ahead of the world's global `now` by the
+/// software overheads the rank has been charged since it last blocked.
 struct SimIo {
     proc: SimProcess,
     socket: SocketId,

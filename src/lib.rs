@@ -6,10 +6,8 @@
 //!
 //! * [`netsim`] — discrete-event Fast Ethernet / IP / UDP simulator,
 //!   with injectable per-link faults (loss, duplication, reordering,
-//!   scripted holds/partitions) and two execution engines behind one
-//!   `World` facade: the sequential event loop and the frame-based
-//!   parallel engine, byte-identical at any worker count
-//!   (`docs/SIMULATOR.md`).
+//!   scripted holds/partitions) on one sequential, byte-deterministic
+//!   event loop (`docs/SIMULATOR.md`).
 //! * [`wire`] — on-the-wire message formats (headers, fragmentation,
 //!   scouts, NACKs, ACK-horizon session messages) and the sender-side
 //!   retransmit ring with acknowledged-frontier release, built as a
@@ -38,10 +36,8 @@
 //! `mmpi-lint` binary that checks the workspace against the invariant
 //! rules in the root `lint.toml` (SAFETY comments on every `unsafe`,
 //! wall-clock/hash-iter/ambient-RNG/panic bans with exact exception
-//! budgets) and the exhaustive interleaving model checker for the
-//! parallel engine's `Racy` shard-claim protocol. It depends on no
-//! workspace crate and nothing depends on it; `docs/INVARIANTS.md` is
-//! its human-readable half.
+//! budgets). It depends on no workspace crate and nothing depends on
+//! it; `docs/INVARIANTS.md` is its human-readable half.
 //!
 //! # Crate graph
 //!
@@ -116,9 +112,8 @@
 //!                ├─ SharedPayload: datagrams cross the simulator as
 //!                │  shared Bytes segments (fan-out/dup/redeliver are
 //!                │  refcount bumps)
-//!                ├─ RunMode: event-loop engine or frame-based
-//!                │  parallel engine (per-host shards, Δ-lookahead
-//!                │  frames, worker-count-invariant — docs/SIMULATOR.md)
+//!                ├─ World: one sequential event loop for hub and
+//!                │  switch (docs/SIMULATOR.md)
 //!                └─ FaultParams: per-link drop · dup · reorder ·
 //!                   partition · heterogeneous extra delay, on a
 //!                   dedicated deterministic RNG stream; unicast-only

@@ -216,11 +216,7 @@ fn send_window_prevents_unavailable_where_capacity_eviction_fails() {
         let params = NetParams::fast_ethernet_switch().with_loss(0.10);
         // Seed 5 is tuned so the baseline leg loses exactly the frames
         // that outlive the 8-record ring yet still lets the run drain.
-        // That pattern belongs to the event-loop engine's fault stream
-        // (the frame engine draws per-host streams; see
-        // docs/SIMULATOR.md), so pin the engine.
-        let cluster =
-            ClusterConfig::new(2, params, 5).with_run_mode(mcast_mpi::netsim::RunMode::EventLoop);
+        let cluster = ClusterConfig::new(2, params, 5);
         run_sim_world_stats(&cluster, &cfg, |mut c| {
             if c.rank() == 0 {
                 for i in 0..MSGS {

@@ -13,8 +13,8 @@ use mcast_mpi::transport::{run_sim_world, SimCommConfig};
 
 /// A collective-heavy workload with per-rank skew: bcast + allreduce +
 /// barrier, returning each rank's digest and final local time.
-fn replay_once(params: NetParams, seed: u64) -> (Vec<SimTime>, Vec<(u64, u64)>, String) {
-    let cluster = ClusterConfig::new(5, params, seed).with_start_skew(SimDuration::from_micros(80));
+fn replay_once(n: usize, params: NetParams, seed: u64) -> (Vec<SimTime>, Vec<(u64, u64)>, String) {
+    let cluster = ClusterConfig::new(n, params, seed).with_start_skew(SimDuration::from_micros(80));
     let report = run_sim_world(&cluster, &SimCommConfig::default(), |c| {
         let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::McastBinary);
         let mut buf = if comm.rank() == 0 {
@@ -44,22 +44,27 @@ fn replay_once(params: NetParams, seed: u64) -> (Vec<SimTime>, Vec<(u64, u64)>, 
 
 #[test]
 fn run_sim_world_replays_byte_identically() {
-    for params in [
-        NetParams::fast_ethernet_hub(),
-        NetParams::fast_ethernet_switch(),
-    ] {
-        let a = replay_once(params.clone(), 0xDE7E_4A11);
-        let b = replay_once(params, 0xDE7E_4A11);
+    let hub = NetParams::fast_ethernet_hub;
+    let switch = NetParams::fast_ethernet_switch;
+    let mut inputs = vec![(5, hub(), 0xDE7E_4A11), (5, switch(), 0xDE7E_4A11)];
+    for n in [8, 64] {
+        inputs.extend([1, 7, 23].map(|seed| (n, switch(), seed)));
+    }
+    for (n, params, seed) in inputs {
+        let a = replay_once(n, params.clone(), seed);
+        let b = replay_once(n, params, seed);
         assert_eq!(a.0, b.0, "completion times must replay exactly");
         assert_eq!(a.1, b.1, "outputs must replay exactly");
         assert_eq!(a.2, b.2, "every stats counter must replay exactly");
+        let want = (0x5A * 3000, (1..=n as u64).sum());
+        assert_eq!(a.1, vec![want; n], "and be correct (n={n} seed={seed})");
     }
 }
 
 #[test]
 fn different_seed_changes_timing_but_not_results() {
-    let a = replay_once(NetParams::fast_ethernet_hub(), 1);
-    let b = replay_once(NetParams::fast_ethernet_hub(), 2);
+    let a = replay_once(5, NetParams::fast_ethernet_hub(), 1);
+    let b = replay_once(5, NetParams::fast_ethernet_hub(), 2);
     assert_eq!(a.1, b.1, "collective results are seed-independent");
     assert_ne!(a.0, b.0, "start skew must differ across seeds");
 }

@@ -13,7 +13,7 @@ use mcast_mpi::netsim::error::SimError;
 use mcast_mpi::netsim::ids::{DatagramDst, GroupId, HostId, UdpPort};
 use mcast_mpi::netsim::params::NetParams;
 use mcast_mpi::netsim::time::{SimDuration, SimTime};
-use mcast_mpi::netsim::world::{RunMode, StepOutcome, World};
+use mcast_mpi::netsim::world::{StepOutcome, World};
 use mcast_mpi::transport::{run_mem_world, run_sim_world_stats, Comm, RepairConfig, SimCommConfig};
 
 /// The lossy-recovery kitchen sink with the gossip bcast selected:
@@ -245,11 +245,10 @@ fn fingerprint(parts: &[String]) -> u64 {
 /// test and copying the printed value).
 #[test]
 fn multicast_dissemination_is_byte_identical_through_the_seam() {
-    let run = |mode: RunMode| {
+    let run = || {
         let params = NetParams::fast_ethernet_switch().with_loss(0.10);
         let cluster = ClusterConfig::new(4, params, 0x5EA3_10CC)
-            .with_start_skew(SimDuration::from_micros(80))
-            .with_run_mode(mode);
+            .with_start_skew(SimDuration::from_micros(80));
         let (report, stats) =
             run_sim_world_stats(&cluster, &SimCommConfig::default().with_repair(), |c| {
                 let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::McastBinary);
@@ -293,26 +292,13 @@ fn multicast_dissemination_is_byte_identical_through_the_seam() {
         ];
         fingerprint(&parts)
     };
-    // The constant is an event-loop run: the engines do not promise each
-    // other's trace, so the engine is pinned here, not left to
-    // `MMPI_SIM_WORKERS`.
-    let a = run(RunMode::EventLoop);
+    let a = run();
     println!("multicast seam fingerprint: {a:#018x}");
-    assert_eq!(
-        a,
-        run(RunMode::EventLoop),
-        "seam run must replay byte-identically"
-    );
+    assert_eq!(a, run(), "seam run must replay byte-identically");
     assert_eq!(
         a, MULTICAST_SEAM_FINGERPRINT,
         "Dissemination::Multicast must stay byte-identical to the \
          pre-seam protocol"
-    );
-    let frames = RunMode::Frames { workers: 2 };
-    assert_eq!(
-        run(frames),
-        run(frames),
-        "the frames engine must replay the seam run identically to itself"
     );
 }
 

@@ -430,11 +430,7 @@ fn drain_grace_scales_with_group_size() {
         cfg.repair = Some(rc);
         // Seed 23: two stragglers (ranks 10 and 15) deterministically
         // lose the final multicast and wake after the old constant.
-        // That exact loss pattern is a property of the event-loop
-        // engine's fault stream, so pin the engine (the frame engine
-        // draws from per-host streams; see docs/SIMULATOR.md).
-        let cluster =
-            lossy_cluster(n, 0.10, 23).with_run_mode(mcast_mpi::netsim::RunMode::EventLoop);
+        let cluster = lossy_cluster(n, 0.10, 23);
         let (report, _) = run_sim_world_stats(&cluster, &cfg, |mut c| {
             if c.rank() == 0 {
                 c.mcast(FINAL, vec![0x5A_u8; 600]);

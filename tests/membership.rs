@@ -191,10 +191,9 @@ fn kill_mid_iallgather_survivors_shrink_and_retry() {
 
 /// The CI chaos sweep: `MMPI_CHAOS_SEEDS="1,2,…"` re-runs the n=16
 /// kill scenario under every listed seed (the workflow sweeps six
-/// seeds × both simulator engines). Replay is skipped per seed —
-/// determinism is pinned by the gate above and by
-/// `tests/parallel_determinism.rs` — so the sweep buys fault-pattern
-/// coverage, not repetition. A no-op without the env var, keeping the
+/// seeds). Replay is skipped per seed — determinism is pinned by the
+/// gate above and by `tests/determinism.rs` — so the sweep buys
+/// fault-pattern coverage, not repetition. A no-op without the env var, keeping the
 /// local tier-1 run fast.
 #[test]
 fn chaos_seed_sweep_from_env() {

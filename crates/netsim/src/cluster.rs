@@ -21,20 +21,28 @@
 //!    unanswered, so a request issued while no other rank runs costs no
 //!    context switch at all.
 //!
+//! A rank parked in [`SimProcess::recv_served`] is not even answered for
+//! most of what arrives: when a completion is the only one of its batch,
+//! the closer runs the rank's [`Served::step`] itself — through a
+//! [`RankPort`], making the `World` calls the rank would have made — and
+//! the rank's thread wakes only when a step ends the wait.
+//!
 //! The rounds, and every call into the [`World`], are the same whichever
 //! thread closes; ties are broken by rank id and event sequence number. A
 //! run is therefore a pure function of `(closure, config, seed)` — the
 //! property the figure harness relies on. `docs/SIMULATOR.md`
 //! ("Co-simulation hand-off") has the invariants and the abort protocol.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::SimError;
-use crate::ids::{HostId, SocketId};
+use crate::frame::{Datagram, SharedPayload};
+use crate::ids::{DatagramDst, HostId, SocketId, UdpPort};
 use crate::params::{HostParams, NetParams};
-use crate::process::{Request, Response, SimProcess};
+use crate::process::{Request, Response, Served, SimProcess, Step};
 use crate::rng::SplitMix64;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
@@ -99,14 +107,33 @@ pub struct RunReport<R> {
     pub stats: NetStats,
     /// Per-rank return values of the SPMD closure.
     pub outputs: Vec<R>,
+    /// What the rounds did with the receives that blocked.
+    pub handoff: HandoffStats,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where the completions of blocked receives (a datagram, or the timeout)
+/// went. Both counts follow from the order of `World` events alone, so
+/// they are as much a function of `(closure, config, seed)` as the virtual
+/// times — unlike the context switches they stand for, which depend on
+/// which thread happened to close a round.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HandoffStats {
+    /// Completions that answered their rank: its thread runs again.
+    pub answered: u64,
+    /// Completions a round closer gave to the rank's [`Served::step`]
+    /// which then received again: the rank's thread slept through them.
+    pub stepped_inline: u64,
+}
+
+#[derive(Debug)]
 enum RankStatus {
     Running,
     BlockedRecv {
         socket: SocketId,
         timer: Option<u64>,
+        /// Set by [`SimProcess::recv_served`]: the closer may run this
+        /// instead of waking the rank.
+        served: Option<Arc<dyn Served>>,
     },
     Done,
 }
@@ -117,13 +144,18 @@ struct Sim {
     status: Vec<RankStatus>,
     /// Per-rank local clocks.
     local: Vec<SimTime>,
-    /// Requests posted since the last round closed.
-    pending: Vec<Option<Request>>,
+    /// Requests posted since the last round closed, in posting order.
+    posted: Vec<(usize, Request)>,
     /// Answers their ranks have not picked up yet.
     responses: Vec<Option<Response>>,
+    /// The ranks the closing round has answered so far.
+    answered: Vec<usize>,
     next_token: u64,
     /// Ranks executing application code. The round closes when it hits zero.
     running: usize,
+    /// Ranks whose closure has not returned or unwound yet.
+    live: usize,
+    handoff: HandoffStats,
     /// Highest rank whose closure panicked since the last round closed.
     panicked: Option<usize>,
     /// Set once, by the round that failed; every later request unwinds.
@@ -179,12 +211,15 @@ where
     let cluster = Arc::new(Cluster {
         sim: Mutex::new(Sim {
             world,
-            status: vec![RankStatus::Running; n],
+            status: (0..n).map(|_| RankStatus::Running).collect(),
             local: skews.clone(),
-            pending: (0..n).map(|_| None).collect(),
+            posted: Vec::with_capacity(n),
             responses: (0..n).map(|_| None).collect(),
+            answered: Vec::with_capacity(n),
             next_token: 0,
             running: n,
+            live: n,
+            handoff: HandoffStats::default(),
             panicked: None,
             abort: None,
         }),
@@ -240,6 +275,7 @@ where
         makespan,
         stats: sim.world.stats().clone(),
         outputs,
+        handoff: sim.handoff,
     })
 }
 
@@ -250,7 +286,7 @@ impl Cluster {
     pub(crate) fn request(&self, rank: usize, req: Request) -> (Response, SimTime) {
         let mut sim = self.sim.lock();
         if sim.abort.is_none() {
-            sim.pending[rank] = Some(req);
+            sim.posted.push((rank, req));
             sim = self.stop_running(sim, rank);
         }
         loop {
@@ -273,6 +309,7 @@ impl Cluster {
             return;
         }
         sim.status[rank] = RankStatus::Done;
+        sim.live -= 1;
         if panicked {
             sim.panicked = sim.panicked.max(Some(rank));
         }
@@ -292,23 +329,47 @@ impl Cluster {
         if sim.running > 0 {
             return sim;
         }
-        if let Err(err) = self.close_round(&mut sim) {
-            sim.abort = Some(err);
+        // A panic in here is a `Served::step` that the closer ran for
+        // somebody: it takes the run down like a panic in `rank`'s own
+        // closure, which is where it continues once everyone is told.
+        let unwinding = match catch_unwind(AssertUnwindSafe(|| self.close_round(&mut sim))) {
+            Ok(Ok(())) => None,
+            Ok(Err(err)) => {
+                sim.abort = Some(err);
+                None
+            }
+            Err(payload) => {
+                sim.abort = Some(SimError::RankPanicked {
+                    rank,
+                    message: "a served step panicked in the round this rank closed (see stderr)"
+                        .into(),
+                });
+                Some(payload)
+            }
+        };
+        // `answered` holds exactly this round's answers: the closer before
+        // took its own. An abort wakes everyone instead.
+        let mut woken = std::mem::take(&mut sim.answered);
+        if sim.abort.is_some() {
+            woken.clear();
+            let alive = |i: &usize| !matches!(sim.status[*i], RankStatus::Done);
+            woken.extend((0..sim.status.len()).filter(alive));
         }
-        // A response still in its slot was left by this round: earlier ones
-        // were taken by the ranks they set running. An abort wakes everyone.
-        let woken: Vec<usize> = (0..sim.status.len())
-            .filter(|&i| i != rank)
-            .filter(|&i| match sim.abort {
-                Some(_) => sim.status[i] != RankStatus::Done,
-                None => sim.responses[i].is_some(),
-            })
-            .collect();
         drop(sim);
-        for i in woken {
+        for &i in woken.iter().filter(|&&i| i != rank) {
             self.wake[i].notify_one();
         }
-        self.sim.lock()
+        if let Some(payload) = unwinding {
+            resume_unwind(payload);
+        }
+        let mut sim = self.sim.lock();
+        // Hand the buffer back for the next round, unless a rank woken
+        // above has closed one already and left its own.
+        if sim.answered.capacity() == 0 {
+            woken.clear();
+            sim.answered = woken;
+        }
+        sim
     }
 
     /// Every rank has posted, blocked or exited: apply the round. On return
@@ -320,16 +381,16 @@ impl Cluster {
                 message: "rank closure panicked (see stderr)".into(),
             });
         }
-        let n = sim.status.len();
-        for i in 0..n {
-            if let Some(req) = sim.pending[i].take() {
-                if let Some(resp) = self.apply(sim, i, req)? {
-                    sim.respond(i, resp);
-                }
+        let mut posted = std::mem::take(&mut sim.posted);
+        posted.sort_unstable_by_key(|&(rank, _)| rank);
+        for (rank, req) in posted.drain(..) {
+            if let Some(resp) = self.apply(sim, rank, req)? {
+                sim.respond(rank, resp);
             }
         }
+        sim.posted = posted;
         // Everyone alive is blocked: advance the network until that changes.
-        while sim.running == 0 && sim.status.iter().any(|s| *s != RankStatus::Done) {
+        while sim.running == 0 && sim.live > 0 {
             self.advance(sim)?;
         }
         Ok(())
@@ -398,7 +459,11 @@ impl Cluster {
                 );
                 Response::Done
             }
-            Request::Recv { socket, timeout } => {
+            Request::Recv {
+                socket,
+                timeout,
+                served,
+            } => {
                 // Ranks only run while the world is paused, so any
                 // buffered datagram arrived at or before the rank's
                 // local time — it can complete the receive directly.
@@ -416,7 +481,11 @@ impl Cluster {
                         world.schedule_timer(host, Some(socket), token, *now + t);
                         token
                     });
-                    status[rank] = RankStatus::BlockedRecv { socket, timer };
+                    status[rank] = RankStatus::BlockedRecv {
+                        socket,
+                        timer,
+                        served,
+                    };
                     return Ok(None);
                 }
             }
@@ -432,11 +501,11 @@ impl Cluster {
         Ok(Some(resp))
     }
 
-    /// Advance the network to its next batch of completions and answer the
-    /// receives they complete or time out.
+    /// Advance the network to its next batch of completions and answer —
+    /// or step — the receives they complete or time out.
     fn advance(&self, sim: &mut Sim) -> Result<(), SimError> {
         let hp = &self.host;
-        let (now, completions) = match sim.world.run_until_completion() {
+        let (now, mut completions) = match sim.world.run_until_completion() {
             StepOutcome::Quiescent => {
                 let detail: Vec<String> = sim
                     .status
@@ -461,16 +530,35 @@ impl Cluster {
                 limit: self.time_limit,
             });
         }
-        for c in completions {
-            match c {
-                Completion::RecvReady { host, socket, at } => {
-                    let i = host.index();
-                    let RankStatus::BlockedRecv { socket: s, timer } = sim.status[i] else {
-                        // Spurious: the rank is no longer blocked
-                        // (cannot happen — deliveries only complete
-                        // posted receives). Ignore defensively.
+        // The rank a lone completion answers would be the only one running,
+        // and each of its requests would close a round by itself: running
+        // its receive loop right here makes the same `World` calls in the
+        // same order. Ranks answered together interleave their requests by
+        // rank within each round, which only their own threads reproduce.
+        let alone = completions.len() == 1;
+        for c in completions.drain(..) {
+            let i = c.host().index();
+            let (socket, timer, served) =
+                match std::mem::replace(&mut sim.status[i], RankStatus::Running) {
+                    RankStatus::BlockedRecv {
+                        socket,
+                        timer,
+                        served,
+                    } => (socket, timer, served),
+                    // Spurious: the rank is not blocked (cannot happen —
+                    // deliveries only complete posted receives, and a timer
+                    // outlives only a completed receive). Ignore defensively.
+                    other => {
+                        sim.status[i] = other;
                         continue;
-                    };
+                    }
+                };
+            let datagram = match c {
+                Completion::RecvReady {
+                    host,
+                    socket: s,
+                    at,
+                } => {
                     debug_assert_eq!(s, socket);
                     if let Some(tok) = timer {
                         sim.world.cancel_timer(host, tok);
@@ -482,36 +570,135 @@ impl Cluster {
                     sim.local[i] = sim.local[i].max(at)
                         + hp.o_recv
                         + hp.recv_per_byte * dg.payload.len() as u64;
-                    sim.status[i] = RankStatus::Running;
-                    sim.respond(i, Response::Datagram(Some(dg)));
+                    Some(dg)
                 }
                 Completion::TimerFired {
                     host,
-                    socket,
+                    socket: s,
                     token,
                     at,
-                } => {
-                    let i = host.index();
-                    match sim.status[i] {
-                        RankStatus::BlockedRecv {
-                            socket: s,
-                            timer: Some(tok),
-                        } if tok == token => {
-                            debug_assert_eq!(Some(s), socket);
-                            sim.world.cancel_recv(host, s);
-                            sim.local[i] = sim.local[i].max(at);
-                            sim.status[i] = RankStatus::Running;
-                            sim.respond(i, Response::Datagram(None));
-                        }
-                        _ => {
-                            // Stale timer for an already-completed
-                            // receive; lazily cancelled.
-                        }
-                    }
+                } if timer == Some(token) => {
+                    debug_assert_eq!(s, Some(socket));
+                    sim.world.cancel_recv(host, socket);
+                    sim.local[i] = sim.local[i].max(at);
+                    None
+                }
+                // Stale timer of an already-completed receive; lazily
+                // cancelled. The rank goes on waiting for its current one.
+                Completion::TimerFired { .. } => {
+                    sim.status[i] = RankStatus::BlockedRecv {
+                        socket,
+                        timer,
+                        served,
+                    };
+                    continue;
+                }
+            };
+            match served {
+                Some(served) if alone => self.step_served(sim, i, socket, served, datagram)?,
+                _ => {
+                    sim.handoff.answered += 1;
+                    sim.respond(i, Response::Datagram(datagram));
                 }
             }
         }
+        sim.world.recycle_completions(completions);
         Ok(())
+    }
+
+    /// Run `rank`'s receive loop on the closer's thread, starting with what
+    /// its parked receive just produced, until a step ends the wait (the
+    /// rank is answered) or the loop is parked in a receive again.
+    fn step_served(
+        &self,
+        sim: &mut Sim,
+        rank: usize,
+        socket: SocketId,
+        served: Arc<dyn Served>,
+        mut datagram: Option<Arc<Datagram>>,
+    ) -> Result<(), SimError> {
+        loop {
+            let mut port = RankPort {
+                cluster: self,
+                sim: &mut *sim,
+                rank,
+                failed: None,
+            };
+            let step = served.step(&mut port, datagram.take());
+            if let Some(err) = port.failed {
+                return Err(err);
+            }
+            let Step::Park(timeout) = step else {
+                sim.handoff.answered += 1;
+                sim.respond(rank, Response::Stepped);
+                return Ok(());
+            };
+            // Receiving again is the request the rank's own thread would
+            // have posted, applied the way it would have been: from the
+            // socket buffer if something is waiting (the next turn of the
+            // loop), else posted in the `World` with its timer.
+            let again = Request::Recv {
+                socket,
+                timeout,
+                served: Some(Arc::clone(&served)),
+            };
+            match self.apply(sim, rank, again)? {
+                Some(Response::Datagram(buffered)) => datagram = buffered,
+                Some(other) => unreachable!("a receive answered {other:?}"),
+                None => {
+                    sim.handoff.stepped_inline += 1;
+                    return Ok(());
+                }
+            }
+        }
+    }
+}
+
+/// What a [`Served::step`] may do in its rank's name: read the rank's clock
+/// and send. The round closer hands it out while it holds the simulation
+/// lock; every call is the `World` call the rank's own request would have
+/// been, with the same charges to the rank's local clock.
+pub struct RankPort<'a> {
+    cluster: &'a Cluster,
+    sim: &'a mut Sim,
+    rank: usize,
+    /// The first send that failed the run (time limit). Later sends are
+    /// dropped and the closer aborts the round when the step returns.
+    failed: Option<SimError>,
+}
+
+impl RankPort<'_> {
+    /// The rank being stepped.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The rank's local virtual time.
+    pub fn now(&self) -> SimTime {
+        self.sim.local[self.rank]
+    }
+
+    /// [`SimProcess::send`], from the stepped rank.
+    pub fn send(
+        &mut self,
+        socket: SocketId,
+        dst: DatagramDst,
+        dst_port: u16,
+        payload: impl Into<SharedPayload>,
+    ) {
+        if self.failed.is_some() {
+            return;
+        }
+        let req = Request::Send {
+            socket,
+            dst,
+            dst_port: UdpPort(dst_port),
+            payload: payload.into(),
+            kernel: false,
+        };
+        if let Err(err) = self.cluster.apply(self.sim, self.rank, req) {
+            self.failed = Some(err);
+        }
     }
 }
 
@@ -519,6 +706,7 @@ impl Sim {
     /// Leave `resp` for `rank`, which runs again from now on.
     fn respond(&mut self, rank: usize, resp: Response) {
         self.responses[rank] = Some(resp);
+        self.answered.push(rank);
         self.running += 1;
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Ordering is `(time, sequence)` where the sequence number is assigned at
 //! scheduling time — two events at the same instant fire in the order they
-//! were scheduled, which (together with the driver running ranks in rank
+//! were scheduled, which (together with the round closer applying requests in rank
 //! order) makes whole simulations bit-reproducible.
 
 use std::cmp::Ordering;

@@ -29,7 +29,7 @@ pub struct Socket {
     rx: VecDeque<(SimTime, Arc<Datagram>)>,
     /// Bytes currently buffered.
     rx_bytes: usize,
-    /// A receive is posted and blocked (set by the co-sim driver).
+    /// A receive is posted and blocked (set by the co-simulation's round closer).
     pub recv_posted: bool,
 }
 

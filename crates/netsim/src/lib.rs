@@ -76,12 +76,12 @@ pub mod topology;
 pub mod trace;
 pub mod world;
 
-pub use cluster::{run_cluster, ClusterConfig, RunReport};
+pub use cluster::{run_cluster, ClusterConfig, HandoffStats, RankPort, RunReport};
 pub use error::SimError;
 pub use frame::{Datagram, SharedPayload};
 pub use ids::{DatagramDst, GroupId, HostId, SocketId, UdpPort};
 pub use params::{EthernetParams, FabricKind, HostParams, IpParams, NetParams, SwitchParams};
-pub use process::SimProcess;
+pub use process::{Served, ServedRecv, SimProcess, Step};
 pub use time::{SimDuration, SimTime};
 pub use topology::{TopologyOp, TopologyScript};
 pub use world::{Completion, StepOutcome, World};

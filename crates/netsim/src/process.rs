@@ -7,10 +7,16 @@
 //! the simulation itself (the rank that closes a round does) is invisible
 //! here. The same collective-operation code therefore runs unmodified on
 //! this handle and on a real UDP transport — only the handle differs.
+//!
+//! A rank whose receive is one turn of a longer wait loop (ingest, look,
+//! receive again) can leave the loop body behind as a [`Served`] when it
+//! parks in [`SimProcess::recv_served`]: the round closer then runs the
+//! body for it and wakes the rank's thread only once the loop is over.
 
+use std::fmt;
 use std::sync::Arc;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, RankPort};
 use crate::frame::{Datagram, SharedPayload};
 use crate::ids::{DatagramDst, GroupId, SocketId, UdpPort};
 use crate::time::{SimDuration, SimTime};
@@ -65,6 +71,9 @@ pub enum Request {
         socket: SocketId,
         /// Give up after this long, if set.
         timeout: Option<SimDuration>,
+        /// The receive loop this receive is a turn of, if the round closer
+        /// may run it ([`SimProcess::recv_served`]).
+        served: Option<Arc<dyn Served>>,
     },
     /// Advance the local clock by `dur` (models application computation).
     Compute {
@@ -83,6 +92,9 @@ pub enum Response {
     Done,
     /// Receive completed: `None` means the timeout elapsed first.
     Datagram(Option<Arc<Datagram>>),
+    /// A served receive ended with [`Step::Done`]: the rank's [`Served`]
+    /// has already consumed what arrived.
+    Stepped,
     /// The run is being torn down (another rank panicked, deadlock, limit);
     /// the handle raises a panic to unwind this rank.
     Aborted,
@@ -90,6 +102,49 @@ pub enum Response {
 
 /// Marker payload used to unwind a rank thread during simulation teardown.
 pub struct AbortUnwind;
+
+/// The body of a blocked rank's receive loop, for whichever thread closes
+/// the round to run while the rank's own thread stays parked in
+/// [`SimProcess::recv_served`].
+///
+/// The closer calls [`Served::step`] holding the simulation lock, and only
+/// for a rank parked in `recv_served`; whatever state the step shares with
+/// its rank must be reachable without that rank's thread (it is parked) and
+/// without the simulation lock (the closer holds it).
+pub trait Served: Send + Sync {
+    /// The parked receive finished with `datagram` (`None`: its timeout
+    /// ran out). Consume it, send through `port` whatever the rank would
+    /// have sent next, and say whether the rank receives again or wakes.
+    fn step(&self, port: &mut RankPort<'_>, datagram: Option<Arc<Datagram>>) -> Step;
+}
+
+impl fmt::Debug for dyn Served {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Served")
+    }
+}
+
+/// What a [`Served::step`] wants next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Receive again on the same socket, with this timeout: the rank stays
+    /// parked.
+    Park(Option<SimDuration>),
+    /// The loop is over: wake the rank ([`ServedRecv::Stepped`]).
+    Done,
+}
+
+/// How a [`SimProcess::recv_served`] ended.
+#[derive(Debug)]
+pub enum ServedRecv {
+    /// Steps consumed everything that arrived and the last one returned
+    /// [`Step::Done`].
+    Stepped,
+    /// The receive completed the ordinary way, as
+    /// [`SimProcess::recv_timeout`] does, and no step saw its result
+    /// (`None`: timed out). The caller runs the loop body itself.
+    Woken(Option<Arc<Datagram>>),
+}
 
 /// Handle a rank uses to interact with the simulated network.
 ///
@@ -205,6 +260,7 @@ impl SimProcess {
         match self.call(Request::Recv {
             socket,
             timeout: None,
+            served: None,
         }) {
             Response::Datagram(Some(d)) => d,
             Response::Datagram(None) => unreachable!("no timeout was set"),
@@ -221,8 +277,34 @@ impl SimProcess {
         match self.call(Request::Recv {
             socket,
             timeout: Some(timeout),
+            served: None,
         }) {
             Response::Datagram(d) => d,
+            other => unreachable!("bad response {other:?}"),
+        }
+    }
+
+    /// Block in a receive on `socket` (`timeout: None` waits forever) and
+    /// let the round closer run `served` for every datagram or timeout
+    /// that arrives while this rank is the only one answered — which is
+    /// almost always (`docs/SIMULATOR.md`, "Served waits"). The call
+    /// returns once a step says [`Step::Done`], or with the receive's own
+    /// result when the closer had to answer several ranks at once.
+    ///
+    /// The caller must not hold a lock `served` takes.
+    pub fn recv_served(
+        &mut self,
+        socket: SocketId,
+        timeout: Option<SimDuration>,
+        served: &Arc<dyn Served>,
+    ) -> ServedRecv {
+        match self.call(Request::Recv {
+            socket,
+            timeout,
+            served: Some(Arc::clone(served)),
+        }) {
+            Response::Stepped => ServedRecv::Stepped,
+            Response::Datagram(d) => ServedRecv::Woken(d),
             other => unreachable!("bad response {other:?}"),
         }
     }

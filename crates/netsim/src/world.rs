@@ -1,7 +1,7 @@
 //! The simulated network world: hosts + fabric + one event loop.
 //!
 //! [`World`] owns every piece of simulated state. It knows nothing about
-//! threads or MPI ranks — the co-sim driver in [`crate::cluster`] injects
+//! threads or MPI ranks — the round closer in [`crate::cluster`] injects
 //! sends/receives at chosen virtual times and consumes the
 //! [`Completion`]s the world reports back.
 //!
@@ -33,7 +33,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::TopoCursor;
 use crate::trace::{Trace, TraceEvent};
 
-/// Something the driver has been waiting on finished.
+/// Something a blocked rank has been waiting on finished.
 #[derive(Debug)]
 pub enum Completion {
     /// A posted receive can now complete: a datagram is buffered.
@@ -219,12 +219,12 @@ impl World {
         &self.params
     }
 
-    /// Access a host (tests/driver).
+    /// Access a host (tests, the round closer).
     pub fn host(&self, h: HostId) -> &HostStack {
         &self.hosts[h.index()]
     }
 
-    /// Mutable access to a host (driver).
+    /// Mutable access to a host (the round closer).
     pub fn host_mut(&mut self, h: HostId) -> &mut HostStack {
         &mut self.hosts[h.index()]
     }
@@ -276,7 +276,7 @@ impl World {
     }
 
     /// Inject a datagram send: the host stack finishes send-side processing
-    /// at `at` (the driver has already charged `o_send` + copy), after which
+    /// at `at` (the round closer has already charged `o_send` + copy), after which
     /// fragments head to the NIC.
     #[allow(clippy::too_many_arguments)]
     pub fn send_datagram(
@@ -399,6 +399,15 @@ impl World {
                 StepOutcome::Advanced { completions, .. } if completions.is_empty() => continue,
                 outcome => return outcome,
             }
+        }
+    }
+
+    /// Give a drained [`StepOutcome::Advanced::completions`] back, so the
+    /// next batch does not allocate its own.
+    pub fn recycle_completions(&mut self, mut spent: Vec<Completion>) {
+        if self.completions.capacity() == 0 {
+            spent.clear();
+            self.completions = spent;
         }
     }
 

@@ -6,14 +6,14 @@
 //! of hanging the suite.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use mmpi_netsim::cluster::{run_cluster, ClusterConfig};
-use mmpi_netsim::ids::{DatagramDst, GroupId, HostId};
+use mmpi_netsim::cluster::{run_cluster, ClusterConfig, HandoffStats};
+use mmpi_netsim::ids::{DatagramDst, GroupId, HostId, SocketId};
 use mmpi_netsim::params::NetParams;
 use mmpi_netsim::time::SimDuration;
-use mmpi_netsim::{SimError, SimProcess};
+use mmpi_netsim::{Datagram, RankPort, Served, ServedRecv, SimError, SimProcess, Step};
 
 const PORT: u16 = 5000;
 const GROUP: GroupId = GroupId(1);
@@ -89,7 +89,7 @@ fn a_panic_while_peers_run_application_code_aborts_the_run() {
     within(20, || {
         let exits = AtomicUsize::new(0);
         let (go_tx, go_rx) = mpsc::channel::<()>();
-        let go_rx = std::sync::Mutex::new(go_rx);
+        let go_rx = Mutex::new(go_rx);
         let err = run_cluster(&switch(4), |mut p| {
             let _exit = Exits(&exits);
             let s = p.bind(PORT);
@@ -233,11 +233,57 @@ fn two_hundred_back_to_back_n32_runs() {
     });
 }
 
+/// What one of `mixed_scenario`'s receives saw: sender, length and the
+/// rank's clock afterwards, or `None` for a timeout.
+type Seen = Option<(u64, u64, u64)>;
+
+/// Three 400 us receives as one loop, for [`SimProcess::recv_served`].
+struct Three(Mutex<Vec<Seen>>);
+
+impl Three {
+    fn turn(&self, now: u64, d: Option<Arc<Datagram>>) -> Step {
+        let mut seen = self.0.lock().unwrap();
+        seen.push(d.map(|d| (d.src_host.index() as u64, u64::from(d.len()), now)));
+        if seen.len() == 3 {
+            Step::Done
+        } else {
+            Step::Park(Some(us(400)))
+        }
+    }
+}
+
+impl Served for Three {
+    fn step(&self, port: &mut RankPort<'_>, d: Option<Arc<Datagram>>) -> Step {
+        self.turn(port.now().as_nanos(), d)
+    }
+}
+
+/// `mixed_scenario`'s three receives of a round: `recv_timeout` three
+/// times, or the same loop parked served.
+fn three_receives(p: &mut SimProcess, s: SocketId, served: bool) -> Vec<Seen> {
+    let three = Arc::new(Three(Mutex::new(Vec::new())));
+    let handle: Arc<dyn Served> = Arc::clone(&three) as Arc<dyn Served>;
+    let mut next = Step::Park(Some(us(400)));
+    while let Step::Park(timeout) = next {
+        let d = if served {
+            match p.recv_served(s, timeout, &handle) {
+                ServedRecv::Stepped => break,
+                ServedRecv::Woken(d) => d,
+            }
+        } else {
+            p.recv_timeout(s, timeout.expect("every receive has a timeout"))
+        };
+        next = three.turn(p.now().as_nanos(), d);
+    }
+    let seen = three.0.lock().unwrap().clone();
+    seen
+}
+
 /// N=16, raw `SimProcess`, 5 % frame loss, every request kind: staggered
 /// `compute`, a rotating multicast, a unicast ring token and three
 /// `recv_timeout`s per round, so ranks block, time out and finish at
 /// different times.
-fn mixed_scenario(mut p: SimProcess) -> u64 {
+fn mixed_scenario(mut p: SimProcess, served: bool) -> u64 {
     const N: usize = 16;
     let rank = p.rank();
     let s = p.bind(PORT);
@@ -257,12 +303,12 @@ fn mixed_scenario(mut p: SimProcess) -> u64 {
             PORT,
             vec![rank as u8; 40 + round],
         );
-        for _ in 0..3 {
-            match p.recv_timeout(s, us(400)) {
-                Some(d) => {
-                    mix(d.src_host.index() as u64);
-                    mix(u64::from(d.len()));
-                    mix(p.now().as_nanos());
+        for seen in three_receives(&mut p, s, served) {
+            match seen {
+                Some((src, len, at)) => {
+                    mix(src);
+                    mix(len);
+                    mix(at);
                 }
                 None => mix(u64::MAX),
             }
@@ -271,32 +317,399 @@ fn mixed_scenario(mut p: SimProcess) -> u64 {
     acc
 }
 
-/// FNV-1a over the rendered `(completion_times, outputs, NetStats)`.
-fn mixed_scenario_fingerprint() -> u64 {
+/// FNV-1a over the rendered `(completion_times, outputs, NetStats)`, and
+/// what the rounds did with the receives.
+fn mixed_scenario_fingerprint(served: bool) -> (u64, HandoffStats) {
     let params = NetParams::fast_ethernet_switch().with_loss(0.05);
     let cfg = ClusterConfig::new(16, params, 0x1357_9BDF).with_start_skew(us(50));
-    let report = run_cluster(&cfg, mixed_scenario).expect("every receive has a timeout");
+    let report =
+        run_cluster(&cfg, |p| mixed_scenario(p, served)).expect("every receive has a timeout");
     assert!(report.stats.injected_frame_losses > 0, "the loss model ran");
     let rendered = format!(
         "{:?}|{:?}|{:?}",
         report.completion_times, report.outputs, report.stats
     );
-    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+    let fnv = rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    });
+    (fnv, report.handoff)
 }
 
 /// Recorded on the last commit that had a driver thread (PR 12). The
-/// hand-off is scheduling only: whoever runs a round, the `World` sees the
-/// same calls in the same order, so this never changes with it.
+/// hand-off is scheduling only: whoever runs a round — and whoever takes
+/// the turns of a served receive loop — the `World` sees the same calls in
+/// the same order, so this never changes with it.
 const MIXED_EVENT_LOOP: u64 = 0xc66b_7d3b_9bf5_23ec;
 
 #[test]
 fn mixed_scenario_fingerprint_is_unchanged() {
     within(60, || {
-        let got = mixed_scenario_fingerprint();
+        let (got, handoff) = mixed_scenario_fingerprint(false);
         println!("mixed scenario: {got:#018x}");
-        assert_eq!(got, mixed_scenario_fingerprint(), "replays");
+        assert_eq!(got, mixed_scenario_fingerprint(false).0, "replays");
         assert_eq!(got, MIXED_EVENT_LOOP, "moved off the recorded run");
+        assert_eq!(handoff.stepped_inline, 0);
+
+        let (got, served) = mixed_scenario_fingerprint(true);
+        assert_eq!(got, MIXED_EVENT_LOOP, "served, the run moved");
+        assert!(served.stepped_inline > 0, "{served:?}");
+        assert_eq!(
+            served.answered + served.stepped_inline,
+            handoff.answered,
+            "the same completions, handed over differently"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------
+// Served waits: a rank parked in `recv_served` leaves its receive loop to
+// whoever closes the round.
+// ---------------------------------------------------------------------
+
+/// A receive loop that ends after `want` datagrams or `patience` silent
+/// timeouts in a row, whichever thread takes its turns. Records who sent
+/// what it saw (`usize::MAX` for a timeout).
+struct Gather {
+    want: usize,
+    timeout: Option<SimDuration>,
+    patience: usize,
+    seen: Mutex<Vec<usize>>,
+}
+
+impl Gather {
+    fn new(want: usize) -> Arc<Gather> {
+        Gather::with_timeout(want, None, 0)
+    }
+
+    fn with_timeout(want: usize, timeout: Option<SimDuration>, patience: usize) -> Arc<Gather> {
+        Arc::new(Gather {
+            want,
+            timeout,
+            patience,
+            seen: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn turn(&self, datagram: Option<Arc<Datagram>>) -> Step {
+        let mut seen = self.seen.lock().unwrap();
+        seen.push(datagram.map_or(usize::MAX, |d| d.src_host.index()));
+        let got = seen.iter().filter(|&&src| src != usize::MAX).count();
+        let silent = seen.iter().rev().take_while(|&&src| src == usize::MAX);
+        if got >= self.want || (self.patience > 0 && silent.count() >= self.patience) {
+            Step::Done
+        } else {
+            Step::Park(self.timeout)
+        }
+    }
+
+    /// Run the loop to its end from `p`'s own thread: served, or (the
+    /// reference) receiving every datagram itself.
+    fn run(self: &Arc<Self>, p: &mut SimProcess, s: SocketId, served: bool) -> Vec<usize> {
+        let handle: Arc<dyn Served> = Arc::clone(self) as Arc<dyn Served>;
+        let mut next = Step::Park(self.timeout);
+        while let Step::Park(timeout) = next {
+            next = if served {
+                match p.recv_served(s, timeout, &handle) {
+                    ServedRecv::Stepped => Step::Done,
+                    ServedRecv::Woken(datagram) => self.turn(datagram),
+                }
+            } else {
+                self.turn(match timeout {
+                    Some(t) => p.recv_timeout(s, t),
+                    None => Some(p.recv(s)),
+                })
+            };
+        }
+        self.seen.lock().unwrap().clone()
+    }
+}
+
+impl Served for Gather {
+    fn step(&self, _port: &mut RankPort<'_>, datagram: Option<Arc<Datagram>>) -> Step {
+        self.turn(datagram)
+    }
+}
+
+/// Passes a counter to its own rank until it reaches `self.1`: every step
+/// but the last sends the next datagram through the closer's port.
+struct Relay(SocketId, u8);
+
+impl Served for Relay {
+    fn step(&self, port: &mut RankPort<'_>, datagram: Option<Arc<Datagram>>) -> Step {
+        let count = datagram.expect("no timeout was set").payload.to_vec()[0];
+        if count == self.1 {
+            return Step::Done;
+        }
+        let me = DatagramDst::Unicast(HostId(port.rank() as u32));
+        port.send(self.0, me, PORT, vec![count + 1; 16]);
+        Step::Park(None)
+    }
+}
+
+#[test]
+fn the_closer_steps_its_own_rank() {
+    within(20, || {
+        let report = run_cluster(&switch(1), |mut p| {
+            let s = p.bind(PORT);
+            p.send(s, DatagramDst::Unicast(HostId(0)), PORT, vec![0; 16]);
+            // The only rank closes every round, this one included: it runs
+            // its own loop, sends and all, from inside `recv_served`.
+            let relay: Arc<dyn Served> = Arc::new(Relay(s, 5));
+            assert!(matches!(
+                p.recv_served(s, None, &relay),
+                ServedRecv::Stepped
+            ));
+            p.now().as_nanos()
+        })
+        .unwrap();
+        assert_eq!(report.stats.datagrams_delivered, 6);
+        assert_eq!(report.completion_times[0].as_nanos(), report.outputs[0]);
+        let want = HandoffStats {
+            answered: 1,
+            stepped_inline: 5,
+        };
+        assert_eq!(report.handoff, want);
+    });
+}
+
+#[test]
+fn a_rank_that_already_returned_steps_the_ones_still_parked() {
+    within(20, || {
+        let n = 4;
+        let report = run_cluster(&switch(n), |mut p| {
+            let s = p.bind(PORT);
+            if p.rank() == 0 {
+                return Gather::new(n - 1).run(&mut p, s, true);
+            }
+            // Further apart than a receive costs rank 0, so that each
+            // datagram finds it parked again.
+            p.compute(us(100 * p.rank() as u64));
+            p.send(s, DatagramDst::Unicast(HostId(0)), PORT, vec![7; 32]);
+            Vec::new()
+        })
+        .unwrap();
+        assert_eq!(report.outputs[0], vec![1, 2, 3]);
+        let want = HandoffStats {
+            answered: 1,
+            stepped_inline: 2,
+        };
+        assert_eq!(report.handoff, want);
+    });
+}
+
+#[test]
+fn timeouts_are_stepped_like_datagrams_and_cost_the_same_virtual_time() {
+    within(20, || {
+        let run = |served: bool| {
+            run_cluster(&switch(2), move |mut p| {
+                let s = p.bind(PORT);
+                if p.rank() == 1 {
+                    p.compute(us(150));
+                    p.send(s, DatagramDst::Unicast(HostId(0)), PORT, vec![1; 64]);
+                    p.compute(us(2000));
+                    return Vec::new();
+                }
+                // Two 100 us timeouts, the datagram, then four more
+                // timeouts end the loop.
+                Gather::with_timeout(2, Some(us(100)), 4).run(&mut p, s, served)
+            })
+            .unwrap()
+        };
+        let (plain, served) = (run(false), run(true));
+        let silent = usize::MAX;
+        assert_eq!(
+            plain.outputs[0],
+            vec![silent, silent, 1, silent, silent, silent, silent]
+        );
+        assert_eq!(plain.outputs, served.outputs);
+        assert_eq!(plain.completion_times, served.completion_times);
+        assert_eq!(format!("{:?}", plain.stats), format!("{:?}", served.stats));
+        assert_eq!(plain.handoff.stepped_inline, 0);
+        assert_eq!(served.handoff.stepped_inline, 6, "{:?}", served.handoff);
+        assert_eq!(
+            served.handoff.answered + served.handoff.stepped_inline,
+            plain.handoff.answered
+        );
+    });
+}
+
+/// Panics in its first step.
+struct Bomb;
+
+impl Served for Bomb {
+    fn step(&self, _port: &mut RankPort<'_>, _datagram: Option<Arc<Datagram>>) -> Step {
+        panic!("boom in a step");
+    }
+}
+
+#[test]
+fn a_panicking_step_aborts_the_run_against_the_closing_rank() {
+    within(20, || {
+        let exits = AtomicUsize::new(0);
+        let err = run_cluster(&switch(4), |mut p| {
+            let _exit = Exits(&exits);
+            let s = p.bind(PORT);
+            match p.rank() {
+                0 => {
+                    let bomb: Arc<dyn Served> = Arc::new(Bomb);
+                    p.recv_served(s, None, &bomb);
+                }
+                // By its last `compute` rank 1 is the only rank running,
+                // so the rounds that deliver its datagram are its own: the
+                // step for rank 0 panics on rank 1's thread.
+                1 => {
+                    for _ in 0..8 {
+                        p.compute(us(1));
+                    }
+                    p.send(s, DatagramDst::Unicast(HostId(0)), PORT, vec![1; 8]);
+                    p.recv(s);
+                }
+                _ => {
+                    p.recv(s);
+                }
+            }
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, SimError::RankPanicked { rank: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(exits.load(Ordering::SeqCst), 4, "every rank thread joined");
+    });
+}
+
+/// Answers every datagram with a flood from the stepped rank.
+struct Flood(SocketId);
+
+impl Served for Flood {
+    fn step(&self, port: &mut RankPort<'_>, _datagram: Option<Arc<Datagram>>) -> Step {
+        let before = port.now();
+        for _ in 0..10_000 {
+            port.send(self.0, DatagramDst::Unicast(HostId(1)), PORT, vec![0; 1000]);
+        }
+        assert!(port.now() > before, "sends charge the stepped rank's clock");
+        Step::Park(None)
+    }
+}
+
+#[test]
+fn sends_in_a_step_are_held_to_the_time_limit() {
+    within(20, || {
+        let mut cfg = switch(2);
+        cfg.time_limit = SimDuration::from_millis(5);
+        let err = run_cluster(&cfg, |mut p| {
+            let s = p.bind(PORT);
+            if p.rank() == 0 {
+                let flood: Arc<dyn Served> = Arc::new(Flood(s));
+                p.recv_served(s, None, &flood);
+            } else {
+                p.send(s, DatagramDst::Unicast(HostId(0)), PORT, vec![1; 8]);
+                p.recv(s);
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, SimError::TimeLimitExceeded { .. }), "{err}");
+    });
+}
+
+#[test]
+fn deadlock_with_every_rank_parked_served() {
+    within(20, || {
+        let err = run_cluster(&switch(4), |mut p| {
+            let s = p.bind(PORT);
+            Gather::new(1).run(&mut p, s, true);
+        })
+        .unwrap_err();
+        match err {
+            SimError::Deadlock { detail, .. } => {
+                for rank in 0..4 {
+                    assert!(detail.contains(&format!("rank {rank}")), "{detail}");
+                }
+            }
+            other => panic!("expected deadlock, got {other}"),
+        }
+    });
+}
+
+/// Rank 0 multicasts `rounds` datagrams, every other rank gathers them.
+fn multicast_fan_out(params: NetParams, served: bool) -> (Vec<Vec<usize>>, Vec<u64>, HandoffStats) {
+    let (n, rounds) = (6, 5);
+    let report = run_cluster(&ClusterConfig::new(n, params, 3), move |mut p| {
+        let s = p.bind(PORT);
+        p.join_group(s, GROUP);
+        if p.rank() == 0 {
+            for i in 0..rounds {
+                p.compute(us(40));
+                p.send(s, DatagramDst::Multicast(GROUP), PORT, vec![i as u8; 200]);
+            }
+            return Vec::new();
+        }
+        Gather::new(rounds).run(&mut p, s, served)
+    })
+    .unwrap();
+    let times = report.completion_times.iter().map(|t| t.as_nanos());
+    (report.outputs, times.collect(), report.handoff)
+}
+
+#[test]
+fn a_hub_answers_every_station_at_once_and_falls_back_to_waking_them() {
+    within(20, || {
+        let hub = NetParams::fast_ethernet_hub;
+        let (outputs, times, handoff) = multicast_fan_out(hub(), true);
+        assert_eq!(outputs[1..], vec![vec![0; 5]; 5]);
+        // One frame reaches all five stations in one event: five
+        // completions in a batch, nobody stepped.
+        let want = HandoffStats {
+            answered: 25,
+            stepped_inline: 0,
+        };
+        assert_eq!(handoff, want);
+        let (plain_outputs, plain_times, _) = multicast_fan_out(hub(), false);
+        assert_eq!((outputs, times), (plain_outputs, plain_times));
+
+        // The switch delivers port by port: the same program is stepped.
+        let (_, _, handoff) = multicast_fan_out(NetParams::fast_ethernet_switch(), true);
+        let want = HandoffStats {
+            answered: 5,
+            stepped_inline: 20,
+        };
+        assert_eq!(handoff, want);
+    });
+}
+
+#[test]
+fn two_hundred_back_to_back_n32_served_runs() {
+    within(120, || {
+        let n = 32;
+        let mut first = None;
+        for _ in 0..200 {
+            let report = run_cluster(&switch(n), |mut p| {
+                let s = p.bind(PORT);
+                p.join_group(s, GROUP);
+                let next = HostId(((p.rank() + 1) % n) as u32);
+                p.send(
+                    s,
+                    DatagramDst::Unicast(next),
+                    PORT,
+                    vec![p.rank() as u8; 32],
+                );
+                if p.rank() == 0 {
+                    p.send(s, DatagramDst::Multicast(GROUP), PORT, vec![9; 64]);
+                }
+                // The ring token, and from everyone but rank 0 the multicast.
+                let want = if p.rank() == 0 { 1 } else { 2 };
+                let mut seen = Gather::new(want).run(&mut p, s, true);
+                seen.sort_unstable();
+                seen
+            })
+            .unwrap();
+            for (rank, seen) in report.outputs.iter().enumerate().skip(1) {
+                let mut want = vec![0, rank - 1];
+                want.sort_unstable();
+                assert_eq!(*seen, want);
+            }
+            let run = (report.completion_times.clone(), report.handoff);
+            assert_eq!(*first.get_or_insert(run.clone()), run);
+        }
     });
 }

@@ -682,7 +682,7 @@ pub trait Comm {
     /// Claim-only variant of [`Comm::test`]: no progress pass, just a
     /// table lookup. For pollers checking many requests after one
     /// explicit [`Comm::progress`] — avoids a socket drain (and, on the
-    /// simulator, a driver round-trip) per request.
+    /// simulator, a round of the co-simulation) per request.
     fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>>;
 
     /// Block until `req` completes and claim it.
@@ -1347,7 +1347,7 @@ pub type Nanos = u64;
 /// over: a clock (virtual or wall) and a socket pump. Implemented by the
 /// sim backend over [`mmpi_netsim::SimTime`] and by the UDP backend over
 /// [`std::time::Instant`]; the loops in [`EndpointCore`] are written once
-/// against this trait.
+/// against this trait. The half that does not receive is [`RepairPort`].
 pub trait RepairPump {
     /// The current instant, as [`Nanos`] on this backend's clock.
     fn now(&mut self) -> Nanos;
@@ -1393,6 +1393,69 @@ pub trait RepairPump {
         let _ = target;
         self.send_encoded_mcast(datagrams);
     }
+}
+
+/// The clock-and-send half of [`RepairPump`]: everything one pass of the
+/// engine ([`EndpointCore::poll_wait`] and the planes under it) needs from
+/// a backend. It cannot receive, so a pass may be handed one by somebody
+/// who is not the endpoint's own thread — the simulator's round closer,
+/// stepping a parked rank (`docs/SIMULATOR.md`, "Served waits"). Every
+/// [`RepairPump`] is one.
+pub trait RepairPort {
+    /// [`RepairPump::now`].
+    fn now(&mut self) -> Nanos;
+    /// [`RepairPump::send_encoded`].
+    fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]);
+    /// [`RepairPump::send_encoded_mcast`].
+    fn send_encoded_mcast(&mut self, datagrams: &[Datagram]);
+    /// [`RepairPump::send_solicit`].
+    fn send_solicit(&mut self, target: Option<usize>, datagrams: &[Datagram]) {
+        let _ = target;
+        self.send_encoded_mcast(datagrams);
+    }
+}
+
+impl<P: RepairPump> RepairPort for P {
+    #[inline]
+    fn now(&mut self) -> Nanos {
+        RepairPump::now(self)
+    }
+    #[inline]
+    fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
+        RepairPump::send_encoded(self, dst, datagrams);
+    }
+    #[inline]
+    fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
+        RepairPump::send_encoded_mcast(self, datagrams);
+    }
+    #[inline]
+    fn send_solicit(&mut self, target: Option<usize>, datagrams: &[Datagram]) {
+        RepairPump::send_solicit(self, target, datagrams);
+    }
+}
+
+/// What a blocking wait on an [`EndpointCore`] is waiting for.
+#[derive(Clone, Copy, Debug)]
+pub enum WaitKind<'a> {
+    /// One of these posted receives holds a completion
+    /// ([`Comm::wait`], [`Comm::wait_any`], [`Comm::wait_ready`]).
+    AnyOf(&'a [RecvReq]),
+    /// The receive holds a completion, or the backend's clock has reached
+    /// the deadline ([`Comm::wait_deadline`]).
+    Until(RecvReq, Nanos),
+    /// Any posted receive at all holds a completion
+    /// ([`Comm::progress_block`]).
+    AnyPosted,
+}
+
+/// One turn of a blocking wait ([`EndpointCore::poll_wait`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitPoll {
+    /// The wait is over; the caller claims what it came for.
+    Ready,
+    /// Nothing yet: receive one datagram, giving up at this instant
+    /// (`None`: no timer is armed), and poll again.
+    Park(Option<Nanos>),
 }
 
 /// Duration → backend-clock [`Nanos`].
@@ -2007,7 +2070,7 @@ impl EndpointCore {
     /// fabric multicast under the `Multicast` plane, a unicast per live
     /// peer under `Gossip` (whose fabric is assumed to have no working
     /// multicast at all).
-    fn group_transmit<P: RepairPump>(&self, io: &mut P, dgs: &[Datagram]) {
+    fn group_transmit<P: RepairPort>(&self, io: &mut P, dgs: &[Datagram]) {
         if self.gossip.is_some() {
             for p in 0..self.n {
                 if p != self.rank && !self.peer_dead(p) {
@@ -2026,7 +2089,7 @@ impl EndpointCore {
     /// their account starves every other observer's suspicion clock.
     /// No-op — and, deliberately, no clock read — with membership off,
     /// so the membership-less send path stays identical.
-    fn note_tx<P: RepairPump>(&mut self, io: &mut P) {
+    fn note_tx<P: RepairPort>(&mut self, io: &mut P) {
         if let Some(m) = self.member.as_mut() {
             m.last_tx_at = io.now();
         }
@@ -2119,7 +2182,7 @@ impl EndpointCore {
     /// number — already recorded when first sent, so no re-record. Under
     /// gossip the re-send goes unicast per live peer (receivers that
     /// already hold the seq dedup it).
-    pub fn mcast_resend_message<P: RepairPump>(
+    pub fn mcast_resend_message<P: RepairPort>(
         &mut self,
         io: &mut P,
         tag: Tag,
@@ -2145,7 +2208,7 @@ impl EndpointCore {
     /// original sequence number (receivers that already have the message
     /// dedup the copy) and re-send the recorded views themselves — no
     /// per-record clone.
-    pub fn service_nacks<P: RepairPump>(&mut self, io: &mut P) {
+    pub fn service_nacks<P: RepairPort>(&mut self, io: &mut P) {
         let Some(rc) = self.repair else {
             return;
         };
@@ -2262,7 +2325,7 @@ impl EndpointCore {
     /// peer's RTT estimator, adopt the peer's advertised frontier for
     /// our traffic (monotone by high-water mark — a reordered stale
     /// horizon cannot regress it), then garbage-collect the ring.
-    fn service_horizons<P: RepairPump>(&mut self, io: &mut P) {
+    fn service_horizons<P: RepairPort>(&mut self, io: &mut P) {
         if self.horizon.is_none() {
             return;
         }
@@ -2355,7 +2418,7 @@ impl EndpointCore {
     /// then re-issue expired pulls. No-op — with no clock read and no
     /// RNG draw — under the `Multicast` plane, so multicast replay stays
     /// byte-identical to the pre-seam protocol.
-    fn service_gossip<P: RepairPump>(&mut self, io: &mut P) {
+    fn service_gossip<P: RepairPort>(&mut self, io: &mut P) {
         let Some(mut g) = self.gossip.take() else {
             return;
         };
@@ -2413,7 +2476,7 @@ impl EndpointCore {
     /// Lazy-push step of [`EndpointCore::mcast_message`]: advertise the
     /// freshly recorded ids to every live peer (via
     /// [`EndpointCore::advertise_to_peers`]). No-op under `Multicast`.
-    fn advertise_ids<P: RepairPump>(&mut self, io: &mut P, ids: &[(u32, u64)]) {
+    fn advertise_ids<P: RepairPort>(&mut self, io: &mut P, ids: &[(u32, u64)]) {
         let Some(mut g) = self.gossip.take() else {
             return;
         };
@@ -2425,7 +2488,7 @@ impl EndpointCore {
     /// already known (or already told) to hold them. The per-peer
     /// `advertised` table is what keeps re-sends and relay loops from
     /// amplifying: an id is pushed at a peer once, ever, per endpoint.
-    fn advertise_to_peers<P: RepairPump>(
+    fn advertise_to_peers<P: RepairPort>(
         &mut self,
         io: &mut P,
         g: &mut GossipState,
@@ -2460,7 +2523,7 @@ impl EndpointCore {
     /// to the advertiser. Ids we already hold count as
     /// `duplicate_payloads_avoided` — each is a payload that did *not*
     /// cross our link a second time.
-    fn ingest_advr<P: RepairPump>(
+    fn ingest_advr<P: RepairPort>(
         &mut self,
         io: &mut P,
         g: &mut GossipState,
@@ -2505,7 +2568,7 @@ impl EndpointCore {
 
     /// Unicast a merged `Want` digest of `ids` to `peer` (no-op when
     /// empty).
-    fn send_want<P: RepairPump>(&mut self, io: &mut P, peer: usize, ids: &[(u32, u64)]) {
+    fn send_want<P: RepairPort>(&mut self, io: &mut P, peer: usize, ids: &[(u32, u64)]) {
         for d in digests_of(ids) {
             self.rstats.wants_sent += 1;
             let seq = self.control_seq();
@@ -2522,7 +2585,7 @@ impl EndpointCore {
     /// matching treat the relayed copy exactly like the original. Ids we
     /// no longer hold go unanswered — the requester's retry rotates to
     /// another holder, and the NACK plane backstops it.
-    fn answer_want<P: RepairPump>(
+    fn answer_want<P: RepairPort>(
         &mut self,
         io: &mut P,
         g: &mut GossipState,
@@ -2567,7 +2630,7 @@ impl EndpointCore {
     /// or dead advertiser cannot stall a pull that anyone else could
     /// answer. An id with no live known holder left is dropped: the
     /// per-request NACK plane is the backstop for truly lost traffic.
-    fn retry_wants<P: RepairPump>(&mut self, io: &mut P, g: &mut GossipState) {
+    fn retry_wants<P: RepairPort>(&mut self, io: &mut P, g: &mut GossipState) {
         if g.wanted.is_empty() {
             return;
         }
@@ -2675,7 +2738,7 @@ impl EndpointCore {
     /// in the retransmit ring — a replayed stale frontier could only
     /// mislead — and never emitted from the drain loop, whose quiet
     /// clock it would restart forever.
-    fn emit_horizon_if_due<P: RepairPump>(&mut self, io: &mut P) {
+    fn emit_horizon_if_due<P: RepairPort>(&mut self, io: &mut P) {
         let Some(interval) = self
             .repair
             .and_then(|rc| rc.effective_horizon_interval(self.n))
@@ -2800,7 +2863,7 @@ impl EndpointCore {
     /// but is rejected beyond the adaptive clamp ceiling — an arrival
     /// that late measures the application not being ready, not the
     /// network.
-    fn note_repair_sample<P: RepairPump>(&mut self, io: &mut P, src: u32) {
+    fn note_repair_sample<P: RepairPort>(&mut self, io: &mut P, src: u32) {
         let adaptive = self.repair.is_some_and(|rc| rc.adaptive);
         let Some(hz) = &mut self.horizon else {
             return;
@@ -2824,7 +2887,7 @@ impl EndpointCore {
     /// NACK naming the target (or any-source) plus the sequence ranges we
     /// are missing — peers overhear it and suppress their own. Legacy:
     /// unicast to the awaited source (or every peer for any-source).
-    fn solicit<P: RepairPump>(&mut self, io: &mut P, src: Option<usize>, tag: Tag) {
+    fn solicit<P: RepairPort>(&mut self, io: &mut P, src: Option<usize>, tag: Tag) {
         if src == Some(self.rank) {
             return; // self-sends never need repair
         }
@@ -2882,7 +2945,7 @@ impl EndpointCore {
         }
     }
 
-    fn send_nack<P: RepairPump>(&mut self, io: &mut P, dst: usize, tag: Tag, payload: Bytes) {
+    fn send_nack<P: RepairPort>(&mut self, io: &mut P, dst: usize, tag: Tag, payload: Bytes) {
         self.rstats.nacks_sent += 1;
         let seq = self.fresh_seq();
         let dgs = self.encode(tag, MsgKind::Nack, &payload, seq);
@@ -2903,7 +2966,7 @@ impl EndpointCore {
     /// retransmission puts a second copy of the payload on a link the
     /// pull already crossed. The NACK plane stays the final backstop —
     /// it just fires behind the rotation instead of in front of it.
-    fn solicit_deadline<P: RepairPump>(&mut self, io: &mut P, src: Option<usize>) -> Option<Nanos> {
+    fn solicit_deadline<P: RepairPort>(&mut self, io: &mut P, src: Option<usize>) -> Option<Nanos> {
         let rc = self.repair?;
         let (mut t, b) = self.repair_timers(src);
         if rc.is_gossip() {
@@ -2941,7 +3004,7 @@ impl EndpointCore {
     }
 
     /// Solicit-or-suppress at an expired deadline, returning the next one.
-    fn solicit_step<P: RepairPump>(
+    fn solicit_step<P: RepairPort>(
         &mut self,
         io: &mut P,
         now: Nanos,
@@ -2982,7 +3045,7 @@ impl EndpointCore {
 
     /// Post a receive into the request table, arming its solicitation
     /// deadline when repair is on. Never blocks.
-    pub fn post_recv<P: RepairPump>(
+    pub fn post_recv<P: RepairPort>(
         &mut self,
         io: &mut P,
         src: Option<usize>,
@@ -3008,7 +3071,7 @@ impl EndpointCore {
     /// Does **not** pump the socket — callers decide whether to drain
     /// nonblockingly ([`EndpointCore::progress`]) or park
     /// ([`EndpointCore::wait_req`] & co.).
-    fn advance<P: RepairPump>(&mut self, io: &mut P) {
+    pub(crate) fn advance<P: RepairPort>(&mut self, io: &mut P) {
         if !self.cancels.is_empty() {
             for req in self.cancels.drain() {
                 self.cancel_req(req);
@@ -3128,7 +3191,7 @@ impl EndpointCore {
         }
     }
 
-    fn expect_posted(&self, req: RecvReq) {
+    pub(crate) fn expect_posted(&self, req: RecvReq) {
         assert!(
             self.pending.iter().any(|p| p.id == req.0),
             "receive request {} is not posted on this endpoint \
@@ -3149,10 +3212,39 @@ impl EndpointCore {
     /// [`EndpointCore::progress`] this turn and are checking many
     /// requests — one engine pass, then O(1)-ish claims, instead of a
     /// socket drain per request (on the simulator every drain is a
-    /// driver round-trip).
+    /// round of the co-simulation).
     pub fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
         self.expect_posted(req);
         self.claim(req)
+    }
+
+    /// One turn of a blocking wait, the body every wait loop repeats: run
+    /// the engine over what is in hand (`advance`), then
+    /// either the wait is over or the caller should receive one datagram —
+    /// by no later than the returned instant, when the next solicit,
+    /// horizon, heartbeat or gossip retry falls due — and poll again.
+    /// Claims nothing. The loops below block in [`RepairPump::pump_one`]
+    /// between turns; the simulator's endpoint parks its rank and lets the
+    /// round closer take the turns (`sim.rs`).
+    #[inline]
+    pub fn poll_wait<P: RepairPort>(&mut self, io: &mut P, kind: &WaitKind<'_>) -> WaitPoll {
+        self.advance(io);
+        let done = |id: u64| self.pending.iter().any(|p| p.id == id && p.done.is_some());
+        let until = match *kind {
+            WaitKind::AnyOf(reqs) if reqs.iter().any(|r| done(r.0)) => return WaitPoll::Ready,
+            WaitKind::Until(req, _) if done(req.0) => return WaitPoll::Ready,
+            WaitKind::AnyPosted if self.pending.iter().any(|p| p.done.is_some()) => {
+                return WaitPoll::Ready
+            }
+            WaitKind::Until(_, deadline) => {
+                if io.now() >= deadline {
+                    return WaitPoll::Ready;
+                }
+                Some(self.park_deadline().map_or(deadline, |at| at.min(deadline)))
+            }
+            WaitKind::AnyOf(_) | WaitKind::AnyPosted => self.park_deadline(),
+        };
+        WaitPoll::Park(until)
     }
 
     /// Blocking progress step: park until one datagram arrives or the
@@ -3164,13 +3256,10 @@ impl EndpointCore {
     /// park another operation's *last* message in its slot, and a park
     /// here would then wait for a datagram that will never come.
     pub fn progress_block<P: RepairPump>(&mut self, io: &mut P) {
-        self.advance(io);
-        if self.pending.iter().any(|p| p.done.is_some()) {
-            return;
+        if let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::AnyPosted) {
+            io.pump_one(self, until);
+            self.advance(io);
         }
-        let until = self.park_deadline();
-        io.pump_one(self, until);
-        self.advance(io);
     }
 
     /// Block until at least one of `reqs` holds a parked completion,
@@ -3186,13 +3275,7 @@ impl EndpointCore {
         for r in reqs {
             self.expect_posted(*r);
         }
-        loop {
-            self.advance(io);
-            let ready = |id: u64| self.pending.iter().any(|p| p.id == id && p.done.is_some());
-            if reqs.iter().any(|r| ready(r.0)) {
-                return;
-            }
-            let until = self.park_deadline();
+        while let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::AnyOf(reqs)) {
             io.pump_one(self, until);
         }
     }
@@ -3218,15 +3301,8 @@ impl EndpointCore {
         io: &mut P,
         req: RecvReq,
     ) -> Result<Message, RecvError> {
-        self.expect_posted(req);
-        loop {
-            self.advance(io);
-            if let Some(r) = self.claim(req) {
-                return r;
-            }
-            let until = self.park_deadline();
-            io.pump_one(self, until);
-        }
+        self.wait_any_req(io, std::slice::from_ref(&req))
+            .map(|(_, m)| m)
     }
 
     /// [`EndpointCore::wait_req`] against a deadline — the one timeout
@@ -3240,18 +3316,21 @@ impl EndpointCore {
     ) -> Result<Option<Message>, RecvError> {
         self.expect_posted(req);
         let deadline = io.now() + dur_nanos(timeout);
-        loop {
-            self.advance(io);
-            if let Some(r) = self.claim(req) {
-                return r.map(Some);
-            }
-            let now = io.now();
-            if now >= deadline {
+        while let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::Until(req, deadline)) {
+            io.pump_one(self, until);
+        }
+        self.claim_by_deadline(req)
+    }
+
+    /// The end of a [`WaitKind::Until`] wait: the completion if there is
+    /// one, else the deadline passed and the request is cancelled.
+    pub(crate) fn claim_by_deadline(&mut self, req: RecvReq) -> Result<Option<Message>, RecvError> {
+        match self.claim(req) {
+            Some(r) => r.map(Some),
+            None => {
                 self.cancel_req(req);
-                return Ok(None);
+                Ok(None)
             }
-            let until = self.park_deadline().map_or(deadline, |at| at.min(deadline));
-            io.pump_one(self, Some(until));
         }
     }
 
@@ -3262,6 +3341,18 @@ impl EndpointCore {
         io: &mut P,
         reqs: &[RecvReq],
     ) -> Result<(usize, Message), RecvError> {
+        self.expect_waitable(reqs);
+        loop {
+            if let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::AnyOf(reqs)) {
+                io.pump_one(self, until);
+            } else if let Some(claimed) = self.claim_first(reqs) {
+                return claimed;
+            }
+        }
+    }
+
+    /// The precondition of a [`WaitKind::AnyOf`] wait that claims.
+    pub(crate) fn expect_waitable(&self, reqs: &[RecvReq]) {
         assert!(
             !reqs.is_empty(),
             "wait_any on no requests would block forever"
@@ -3269,16 +3360,17 @@ impl EndpointCore {
         for r in reqs {
             self.expect_posted(*r);
         }
-        loop {
-            self.advance(io);
-            for (i, r) in reqs.iter().enumerate() {
-                if let Some(res) = self.claim(*r) {
-                    return res.map(|m| (i, m));
-                }
-            }
-            let until = self.park_deadline();
-            io.pump_one(self, until);
-        }
+    }
+
+    /// Claim the first of `reqs` (in the caller's order) that holds a
+    /// completion, with its index.
+    pub(crate) fn claim_first(
+        &mut self,
+        reqs: &[RecvReq],
+    ) -> Option<Result<(usize, Message), RecvError>> {
+        reqs.iter()
+            .enumerate()
+            .find_map(|(i, r)| Some(self.claim(*r)?.map(|m| (i, m))))
     }
 
     /// Abandon a posted receive; an already-matched message is requeued
@@ -3417,7 +3509,7 @@ impl EndpointCore {
     /// beacon is the only thing keeping its suspicion clocks at bay —
     /// see [`EndpointCore::drain`] for the teardown race it prevents.
     /// No-op with membership off or before the first service pass.
-    pub fn beacon_tick<P: RepairPump>(&mut self, io: &mut P) {
+    pub fn beacon_tick<P: RepairPort>(&mut self, io: &mut P) {
         let Some(mc) = self.repair.and_then(|r| r.membership) else {
             return;
         };
@@ -3570,7 +3662,7 @@ impl EndpointCore {
 
     /// Multicast a `FailureAnnounce` naming `ranks` (split across
     /// messages past the wire cap), stamping the current epoch.
-    fn announce_failure<P: RepairPump>(&mut self, io: &mut P, ranks: &[u32], graceful: bool) {
+    fn announce_failure<P: RepairPort>(&mut self, io: &mut P, ranks: &[u32], graceful: bool) {
         if self.member.is_none() || ranks.is_empty() {
             return;
         }
@@ -3596,7 +3688,7 @@ impl EndpointCore {
     /// failures, and emit a standalone heartbeat if the schedule is due
     /// and the endpoint has been quiet. No-op — with no clock read —
     /// when membership is off.
-    fn service_membership<P: RepairPump>(&mut self, io: &mut P) {
+    fn service_membership<P: RepairPort>(&mut self, io: &mut P) {
         let Some(mc) = self.repair.and_then(|r| r.membership) else {
             return;
         };

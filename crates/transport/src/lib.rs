@@ -40,7 +40,8 @@ pub mod udp;
 
 pub use comm::{
     CancelSink, Comm, EndpointCore, Inbox, MembershipConfig, Nanos, RecvError, RecvReq,
-    RepairConfig, RepairPump, SendReq, SendWindowFull, Tag, FIRE_AND_FORGET_TAG,
+    RepairConfig, RepairPort, RepairPump, SendReq, SendWindowFull, Tag, WaitKind, WaitPoll,
+    FIRE_AND_FORGET_TAG,
 };
 pub use mem::{run_mem_world, MemComm};
 pub use sim::{

@@ -21,22 +21,38 @@
 //! [`mmpi_netsim::SimTime`]). [`run_sim_world_stats`] additionally
 //! aggregates every rank's [`RepairStats`] with the network counters into
 //! a [`WorldStats`].
+//!
+//! # Served waits
+//!
+//! A blocking [`Comm`] wait is a loop of [`EndpointCore::poll_wait`] turns
+//! with one socket receive between them, and on the simulator most turns
+//! only file a datagram away (an overheard NACK, a repair for somebody
+//! else). [`SimComm`] therefore does not receive in that loop itself: it
+//! parks in [`SimProcess::recv_served`] and leaves the endpoint behind as
+//! a [`Served`], so the thread that closes the round takes the turns and
+//! the rank's own thread wakes once, when the wait is over
+//! (`docs/SIMULATOR.md`, "Served waits"). That is why the endpoint sits in
+//! an `Arc<Mutex<_>>`. **Lock order:** a round closer takes the simulation
+//! lock, then the endpoint of a rank parked in `recv_served`; the owner
+//! releases its endpoint before it parks there. The owner does hold the
+//! endpoint across its other requests (sends, the drain's and the send
+//! window's plain receives), which is safe because a closer only ever
+//! touches the endpoint of a rank parked *served*.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use mmpi_netsim::cluster::{run_cluster, ClusterConfig, RunReport};
+use mmpi_netsim::cluster::{run_cluster, ClusterConfig, RankPort, RunReport};
 use mmpi_netsim::ids::{DatagramDst, GroupId, HostId, SocketId};
-use mmpi_netsim::process::SimProcess;
+use mmpi_netsim::process::{Served, ServedRecv, SimProcess, Step};
 use mmpi_netsim::stats::NetStats;
 use mmpi_netsim::time::SimDuration;
 use mmpi_netsim::{SharedPayload, SimError, SimTime};
 use mmpi_wire::{Bytes, Datagram, Message, MsgKind, RepairStats};
 
 use crate::comm::{
-    CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairConfig, RepairPump, SendReq,
-    SendWindowFull, Tag,
+    CancelSink, Comm, EndpointCore, Nanos, RecvError, RecvReq, RepairConfig, RepairPort,
+    RepairPump, SendReq, SendWindowFull, Tag, WaitKind, WaitPoll,
 };
 
 /// Thread-safe accumulator the ranks of one run flush their
@@ -44,98 +60,22 @@ use crate::comm::{
 /// drops). Totals are order-independent sums, so the aggregate is as
 /// deterministic as the per-rank counters.
 #[derive(Debug, Default)]
-pub struct RepairStatsSink {
-    nacks_sent: AtomicU64,
-    nacks_received: AtomicU64,
-    retransmits_sent: AtomicU64,
-    unanswered_nacks: AtomicU64,
-    nacks_suppressed: AtomicU64,
-    nacks_overheard: AtomicU64,
-    repairs_suppressed: AtomicU64,
-    unavailable_sent: AtomicU64,
-    horizons_sent: AtomicU64,
-    horizons_received: AtomicU64,
-    acked_records_freed: AtomicU64,
-    rtt_samples: AtomicU64,
-    send_window_stalls: AtomicU64,
-    heartbeats_sent: AtomicU64,
-    suspicions: AtomicU64,
-    failures_confirmed: AtomicU64,
-    advrs_sent: AtomicU64,
-    wants_sent: AtomicU64,
-    pulls_answered: AtomicU64,
-    duplicate_payloads_avoided: AtomicU64,
-    /// High-water mark (merged by max, like [`RepairStats::merge`]):
-    /// the epoch the furthest-along rank reached, not a sum.
-    epoch: AtomicU64,
-}
+pub struct RepairStatsSink(Mutex<RepairStats>);
 
 impl RepairStatsSink {
-    /// Add one endpoint's counters.
+    fn totals(&self) -> MutexGuard<'_, RepairStats> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Add one endpoint's counters (sums; `epoch` is a high-water mark,
+    /// see [`RepairStats::merge`]).
     pub fn add(&self, s: &RepairStats) {
-        self.nacks_sent.fetch_add(s.nacks_sent, Ordering::Relaxed);
-        self.nacks_received
-            .fetch_add(s.nacks_received, Ordering::Relaxed);
-        self.retransmits_sent
-            .fetch_add(s.retransmits_sent, Ordering::Relaxed);
-        self.unanswered_nacks
-            .fetch_add(s.unanswered_nacks, Ordering::Relaxed);
-        self.nacks_suppressed
-            .fetch_add(s.nacks_suppressed, Ordering::Relaxed);
-        self.nacks_overheard
-            .fetch_add(s.nacks_overheard, Ordering::Relaxed);
-        self.repairs_suppressed
-            .fetch_add(s.repairs_suppressed, Ordering::Relaxed);
-        self.unavailable_sent
-            .fetch_add(s.unavailable_sent, Ordering::Relaxed);
-        self.horizons_sent
-            .fetch_add(s.horizons_sent, Ordering::Relaxed);
-        self.horizons_received
-            .fetch_add(s.horizons_received, Ordering::Relaxed);
-        self.acked_records_freed
-            .fetch_add(s.acked_records_freed, Ordering::Relaxed);
-        self.rtt_samples.fetch_add(s.rtt_samples, Ordering::Relaxed);
-        self.send_window_stalls
-            .fetch_add(s.send_window_stalls, Ordering::Relaxed);
-        self.heartbeats_sent
-            .fetch_add(s.heartbeats_sent, Ordering::Relaxed);
-        self.suspicions.fetch_add(s.suspicions, Ordering::Relaxed);
-        self.failures_confirmed
-            .fetch_add(s.failures_confirmed, Ordering::Relaxed);
-        self.advrs_sent.fetch_add(s.advrs_sent, Ordering::Relaxed);
-        self.wants_sent.fetch_add(s.wants_sent, Ordering::Relaxed);
-        self.pulls_answered
-            .fetch_add(s.pulls_answered, Ordering::Relaxed);
-        self.duplicate_payloads_avoided
-            .fetch_add(s.duplicate_payloads_avoided, Ordering::Relaxed);
-        self.epoch.fetch_max(s.epoch, Ordering::Relaxed);
+        self.totals().merge(s);
     }
 
     /// Current totals.
     pub fn snapshot(&self) -> RepairStats {
-        RepairStats {
-            nacks_sent: self.nacks_sent.load(Ordering::Relaxed),
-            nacks_received: self.nacks_received.load(Ordering::Relaxed),
-            retransmits_sent: self.retransmits_sent.load(Ordering::Relaxed),
-            unanswered_nacks: self.unanswered_nacks.load(Ordering::Relaxed),
-            nacks_suppressed: self.nacks_suppressed.load(Ordering::Relaxed),
-            nacks_overheard: self.nacks_overheard.load(Ordering::Relaxed),
-            repairs_suppressed: self.repairs_suppressed.load(Ordering::Relaxed),
-            unavailable_sent: self.unavailable_sent.load(Ordering::Relaxed),
-            horizons_sent: self.horizons_sent.load(Ordering::Relaxed),
-            horizons_received: self.horizons_received.load(Ordering::Relaxed),
-            acked_records_freed: self.acked_records_freed.load(Ordering::Relaxed),
-            rtt_samples: self.rtt_samples.load(Ordering::Relaxed),
-            send_window_stalls: self.send_window_stalls.load(Ordering::Relaxed),
-            heartbeats_sent: self.heartbeats_sent.load(Ordering::Relaxed),
-            suspicions: self.suspicions.load(Ordering::Relaxed),
-            failures_confirmed: self.failures_confirmed.load(Ordering::Relaxed),
-            advrs_sent: self.advrs_sent.load(Ordering::Relaxed),
-            wants_sent: self.wants_sent.load(Ordering::Relaxed),
-            pulls_answered: self.pulls_answered.load(Ordering::Relaxed),
-            duplicate_payloads_avoided: self.duplicate_payloads_avoided.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Relaxed),
-        }
+        *self.totals()
     }
 }
 
@@ -209,17 +149,49 @@ impl SimCommConfig {
     }
 }
 
-/// The simulator half of the endpoint: process handle, socket, and
-/// addressing. Implements [`RepairPump`] over virtual time.
-///
-/// Every clock read goes through `proc.now()` — the rank's *local*
-/// virtual clock, which runs ahead of the world's global `now` by the
-/// software overheads the rank has been charged since it last blocked.
-struct SimIo {
-    proc: SimProcess,
+/// Where one rank's datagrams go on the simulated network.
+#[derive(Clone, Copy)]
+struct Link {
     socket: SocketId,
     port: u16,
     group: GroupId,
+}
+
+/// A rank's local clock and send path: its own [`SimProcess`], or the
+/// [`RankPort`] of a round closer stepping it.
+///
+/// Every clock read is the rank's *local* virtual clock, which runs ahead
+/// of the world's global `now` by the software overheads the rank has been
+/// charged since it last blocked.
+trait Wire {
+    fn now(&self) -> SimTime;
+    fn send(&mut self, socket: SocketId, dst: DatagramDst, port: u16, payload: SharedPayload);
+}
+
+impl Wire for SimProcess {
+    fn now(&self) -> SimTime {
+        SimProcess::now(self)
+    }
+    fn send(&mut self, socket: SocketId, dst: DatagramDst, port: u16, payload: SharedPayload) {
+        SimProcess::send(self, socket, dst, port, payload);
+    }
+}
+
+impl Wire for RankPort<'_> {
+    fn now(&self) -> SimTime {
+        RankPort::now(self)
+    }
+    fn send(&mut self, socket: SocketId, dst: DatagramDst, port: u16, payload: SharedPayload) {
+        RankPort::send(self, socket, dst, port, payload);
+    }
+}
+
+/// The simulator half of the endpoint, borrowed for one call: a [`Wire`]
+/// and the addressing. Over the rank's own process handle it is the full
+/// [`RepairPump`]; over a closer's [`RankPort`] only the [`RepairPort`].
+struct SimIo<'a, W> {
+    wire: &'a mut W,
+    link: Link,
 }
 
 /// A wire datagram as simulator payload segments (header view + payload
@@ -228,44 +200,64 @@ fn segments(d: &Datagram) -> SharedPayload {
     SharedPayload::from_segments(vec![d.header().clone(), d.payload().clone()])
 }
 
-impl SimIo {
-    fn ingest(core: &mut EndpointCore, dg: &mmpi_netsim::Datagram) {
-        // Malformed datagrams are impossible on the simulated fabric, but
-        // the inbox API reports them; keep UDP's ignore semantics.
-        if let Ok(wire) = Datagram::from_segments(dg.payload.segments()) {
-            let _ = core.inbox.ingest_wire(&wire, false);
-        }
-    }
-
-    fn send_mcast(&mut self, dgs: &[Datagram]) {
-        for d in dgs {
-            self.proc.send(
-                self.socket,
-                DatagramDst::Multicast(self.group),
-                self.port,
-                segments(d),
-            );
-        }
+fn ingest(core: &mut EndpointCore, dg: &mmpi_netsim::Datagram) {
+    // Malformed datagrams are impossible on the simulated fabric, but
+    // the inbox API reports them; keep UDP's ignore semantics.
+    if let Ok(wire) = Datagram::from_segments(dg.payload.segments()) {
+        let _ = core.inbox.ingest_wire(&wire, false);
     }
 }
 
-impl RepairPump for SimIo {
-    fn now(&mut self) -> u64 {
-        self.proc.now().as_nanos()
+impl<W: Wire> SimIo<'_, W> {
+    fn now_nanos(&self) -> Nanos {
+        self.wire.now().as_nanos()
     }
 
-    fn pump_one(&mut self, core: &mut EndpointCore, until: Option<u64>) {
+    fn transmit(&mut self, dst: DatagramDst, dgs: &[Datagram]) {
+        for d in dgs {
+            self.wire
+                .send(self.link.socket, dst, self.link.port, segments(d));
+        }
+    }
+
+    fn unicast(&mut self, dst: usize, dgs: &[Datagram]) {
+        self.transmit(DatagramDst::Unicast(HostId(dst as u32)), dgs);
+    }
+
+    fn mcast(&mut self, dgs: &[Datagram]) {
+        self.transmit(DatagramDst::Multicast(self.link.group), dgs);
+    }
+}
+
+impl RepairPort for SimIo<'_, RankPort<'_>> {
+    fn now(&mut self) -> Nanos {
+        self.now_nanos()
+    }
+
+    fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
+        self.unicast(dst, datagrams);
+    }
+
+    fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
+        self.mcast(datagrams);
+    }
+}
+
+impl RepairPump for SimIo<'_, SimProcess> {
+    fn now(&mut self) -> Nanos {
+        self.now_nanos()
+    }
+
+    fn pump_one(&mut self, core: &mut EndpointCore, until: Option<Nanos>) {
+        let socket = self.link.socket;
         match until {
-            None => {
-                let dg = self.proc.recv(self.socket);
-                Self::ingest(core, &dg);
-            }
+            None => ingest(core, &self.wire.recv(socket)),
             Some(at) => {
-                let now = self.proc.now().as_nanos();
+                let now = self.now_nanos();
                 if at > now {
                     let wait = SimDuration::from_nanos(at - now);
-                    if let Some(dg) = self.proc.recv_timeout(self.socket, wait) {
-                        Self::ingest(core, &dg);
+                    if let Some(dg) = self.wire.recv_timeout(socket, wait) {
+                        ingest(core, &dg);
                     }
                 }
             }
@@ -273,26 +265,17 @@ impl RepairPump for SimIo {
     }
 
     fn pump_ready(&mut self, core: &mut EndpointCore) -> bool {
-        // A zero-duration receive: the driver completes it immediately
+        // A zero-duration receive: the round closer completes it at once
         // from the socket buffer when a datagram is queued, and otherwise
         // answers the zero timer without advancing this rank's clock.
-        match self
-            .proc
-            .recv_timeout(self.socket, SimDuration::from_nanos(0))
-        {
-            Some(dg) => {
-                Self::ingest(core, &dg);
-                true
-            }
-            None => false,
-        }
+        self.pump_drain(core, Duration::ZERO)
     }
 
     fn pump_drain(&mut self, core: &mut EndpointCore, quiet: Duration) -> bool {
         let quiet = SimDuration::from_nanos(quiet.as_nanos() as u64);
-        match self.proc.recv_timeout(self.socket, quiet) {
+        match self.wire.recv_timeout(self.link.socket, quiet) {
             Some(dg) => {
-                Self::ingest(core, &dg);
+                ingest(core, &dg);
                 true
             }
             None => false,
@@ -300,25 +283,115 @@ impl RepairPump for SimIo {
     }
 
     fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
-        for d in datagrams {
-            self.proc.send(
-                self.socket,
-                DatagramDst::Unicast(HostId(dst as u32)),
-                self.port,
-                segments(d),
-            );
-        }
+        self.unicast(dst, datagrams);
     }
 
     fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
-        self.send_mcast(datagrams);
+        self.mcast(datagrams);
+    }
+}
+
+/// The wait a rank parked in [`SimProcess::recv_served`] is in the middle
+/// of: [`WaitKind`] without the borrow (the requests of `AnyOf` are in
+/// [`EndpointState::reqs`]).
+#[derive(Clone, Copy)]
+enum Parked {
+    AnyOf,
+    Until(RecvReq, Nanos),
+    AnyPosted,
+    /// [`Comm::progress_block`] after its one receive: a last engine pass
+    /// and the call returns, whatever that pass found.
+    Pass,
+}
+
+/// What a rank shares with the round closers that step it.
+struct EndpointState {
+    core: EndpointCore,
+    parked: Parked,
+    reqs: Vec<RecvReq>,
+}
+
+impl EndpointState {
+    fn park(&mut self, kind: WaitKind<'_>) {
+        self.parked = match kind {
+            WaitKind::AnyOf(reqs) => {
+                self.reqs.clear();
+                self.reqs.extend_from_slice(reqs);
+                Parked::AnyOf
+            }
+            WaitKind::Until(req, deadline) => Parked::Until(req, deadline),
+            WaitKind::AnyPosted => Parked::AnyPosted,
+        };
+    }
+
+    /// Take turns of the parked wait for as long as that needs no receive:
+    /// [`Step::Done`] when the wait is over, else how long the rank's next
+    /// receive may take. The owner's thread and a closer's both come
+    /// through here, so a wait behaves the same whoever takes its turns.
+    fn turn<P: RepairPort>(&mut self, io: &mut P) -> Step {
+        loop {
+            let kind = match self.parked {
+                Parked::AnyOf => WaitKind::AnyOf(&self.reqs),
+                Parked::Until(req, deadline) => WaitKind::Until(req, deadline),
+                Parked::AnyPosted => WaitKind::AnyPosted,
+                Parked::Pass => {
+                    self.core.advance(io);
+                    return Step::Done;
+                }
+            };
+            let until = match self.core.poll_wait(io, &kind) {
+                WaitPoll::Ready => return Step::Done,
+                WaitPoll::Park(until) => until,
+            };
+            if let Parked::AnyPosted = self.parked {
+                self.parked = Parked::Pass;
+            }
+            match until {
+                None => return Step::Park(None),
+                Some(at) => {
+                    // A deadline the rank's clock has already passed needs
+                    // no receive to fire: take the next turn at once.
+                    let now = io.now();
+                    if at > now {
+                        return Step::Park(Some(SimDuration::from_nanos(at - now)));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One rank's endpoint, reachable from its own [`SimComm`] and — while the
+/// rank is parked in a served wait — from the round closer.
+struct Endpoint {
+    link: Link,
+    state: Mutex<EndpointState>,
+}
+
+impl Endpoint {
+    fn lock(&self) -> MutexGuard<'_, EndpointState> {
+        // A poisoned endpoint belongs to a run that is already aborting.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Served for Endpoint {
+    fn step(&self, port: &mut RankPort<'_>, datagram: Option<Arc<mmpi_netsim::Datagram>>) -> Step {
+        let mut state = self.lock();
+        if let Some(dg) = &datagram {
+            ingest(&mut state.core, dg);
+        }
+        let link = self.link;
+        state.turn(&mut SimIo { wire: port, link })
     }
 }
 
 /// A communicator bound to one simulated rank.
 pub struct SimComm {
-    io: SimIo,
-    core: EndpointCore,
+    proc: SimProcess,
+    endpoint: Arc<Endpoint>,
+    /// `endpoint` again, as [`SimProcess::recv_served`] takes it.
+    served: Arc<dyn Served>,
     stats_sink: Option<Arc<RepairStatsSink>>,
     multicast_capable: bool,
 }
@@ -329,63 +402,110 @@ impl SimComm {
         let socket = proc.bind(cfg.port);
         proc.join_group(socket, cfg.group);
         let rank = proc.rank();
-        let core = EndpointCore::new(cfg.context, rank, n, cfg.max_chunk, cfg.repair);
-        SimComm {
-            io: SimIo {
-                proc,
+        let endpoint = Arc::new(Endpoint {
+            link: Link {
                 socket,
                 port: cfg.port,
                 group: cfg.group,
             },
-            core,
+            state: Mutex::new(EndpointState {
+                core: EndpointCore::new(cfg.context, rank, n, cfg.max_chunk, cfg.repair),
+                parked: Parked::AnyPosted,
+                reqs: Vec::new(),
+            }),
+        });
+        SimComm {
+            proc,
+            served: Arc::clone(&endpoint) as Arc<dyn Served>,
+            endpoint,
             stats_sink: cfg.stats_sink,
             multicast_capable: cfg.multicast_capable.unwrap_or(true),
         }
     }
 
+    /// Run `f` on the endpoint with this rank's own pump.
+    fn with<R>(&mut self, f: impl FnOnce(&mut EndpointCore, &mut SimIo<'_, SimProcess>) -> R) -> R {
+        let link = self.endpoint.link;
+        let mut state = self.endpoint.lock();
+        let wire = &mut self.proc;
+        f(&mut state.core, &mut SimIo { wire, link })
+    }
+
+    /// The endpoint, for calls that touch neither clock nor socket.
+    fn state(&self) -> MutexGuard<'_, EndpointState> {
+        self.endpoint.lock()
+    }
+
+    /// Block until `kind` is satisfied and hand the endpoint back, locked,
+    /// for the caller to claim from. The first turns are taken here; once
+    /// one needs a receive, the rank parks *served* with the endpoint
+    /// unlocked, and wakes either because a closer's turn ended the wait
+    /// or — the closer answered several ranks at once — with the receive's
+    /// result to take the next turns itself.
+    fn wait_served(&mut self, kind: WaitKind<'_>) -> MutexGuard<'_, EndpointState> {
+        let endpoint = &self.endpoint;
+        let link = endpoint.link;
+        let mut state = endpoint.lock();
+        state.park(kind);
+        loop {
+            let wire = &mut self.proc;
+            let Step::Park(timeout) = state.turn(&mut SimIo { wire, link }) else {
+                return state;
+            };
+            drop(state);
+            let woke = self.proc.recv_served(link.socket, timeout, &self.served);
+            state = endpoint.lock();
+            match woke {
+                ServedRecv::Stepped => return state,
+                ServedRecv::Woken(Some(dg)) => ingest(&mut state.core, &dg),
+                ServedRecv::Woken(None) => {}
+            }
+        }
+    }
+
     /// Repair counters of this endpoint so far.
     pub fn repair_stats(&self) -> RepairStats {
-        self.core.repair_stats()
+        self.state().core.repair_stats()
     }
 
     /// Smoothed RTT estimate toward `peer`, if the adaptive control
     /// plane has collected samples for it.
     pub fn peer_rtt(&self, peer: usize) -> Option<Duration> {
-        self.core.peer_rtt(peer)
+        self.state().core.peer_rtt(peer)
     }
 
     /// The NACK solicitation timeout the repair loop currently applies
     /// toward `peer` (configured base, or RTT-derived when adaptive).
     pub fn peer_nack_timeout(&self, peer: usize) -> Option<Duration> {
-        self.core.peer_nack_timeout(peer)
+        self.state().core.peer_nack_timeout(peer)
     }
 
     /// Posted-but-unclaimed receives (diagnostics).
     pub fn outstanding_recvs(&self) -> usize {
-        self.core.outstanding_recvs()
+        self.state().core.outstanding_recvs()
     }
 
     /// Local virtual time (for measurement).
     pub fn now(&self) -> SimTime {
-        self.io.proc.now()
+        self.proc.now()
     }
 
     /// The underlying process handle (advanced uses: extra sockets).
     pub fn process_mut(&mut self) -> &mut SimProcess {
-        &mut self.io.proc
+        &mut self.proc
     }
 
     /// The drain grace this endpoint would apply on shutdown right now
     /// (exposed for the drain-on-leave regression tests).
     pub fn drain_grace(&self) -> Duration {
-        self.core.drain_grace()
+        self.state().core.drain_grace()
     }
 
     /// Crash injection for failure tests: the endpoint stops
     /// participating immediately — no departure announcement, no drain
     /// on drop — exactly what a killed process looks like to survivors.
     pub fn simulate_crash(&mut self) {
-        self.core.abandon();
+        self.state().core.abandon();
     }
 }
 
@@ -393,20 +513,20 @@ impl Drop for SimComm {
     fn drop(&mut self) {
         // Drain: a peer may still be missing our *final* message, so keep
         // answering NACKs until the link has been quiet for the grace
-        // period. Skipped while unwinding — the driver is tearing the run
-        // down and every blocking call would re-panic.
+        // period. Skipped while unwinding — the run is being torn down and
+        // every blocking call would re-panic.
         if !std::thread::panicking() {
-            self.core.drain(&mut self.io);
+            self.with(|core, io| core.drain(io));
         }
         if let Some(sink) = &self.stats_sink {
-            sink.add(&self.core.repair_stats());
+            sink.add(&self.repair_stats());
         }
     }
 }
 
 impl Comm for SimComm {
     fn rank(&self) -> usize {
-        self.core.rank()
+        self.state().core.rank()
     }
 
     fn multicast_capable(&self) -> bool {
@@ -414,49 +534,47 @@ impl Comm for SimComm {
     }
 
     fn size(&self) -> usize {
-        self.core.size()
+        self.state().core.size()
     }
 
     fn context(&self) -> u32 {
-        self.core.context()
+        self.state().core.context()
     }
 
     fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.core
-            .send_message(&mut self.io, dst, tag, kind, payload)
+        self.with(|core, io| core.send_message(io, dst, tag, kind, payload))
     }
 
     fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.core.mcast_message(&mut self.io, tag, kind, payload)
+        self.with(|core, io| core.mcast_message(io, tag, kind, payload))
     }
 
     fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        self.core
-            .mcast_resend_message(&mut self.io, tag, kind, payload, seq);
+        self.with(|core, io| core.mcast_resend_message(io, tag, kind, payload, seq));
     }
 
     fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        self.core.post_recv(&mut self.io, src, tag)
+        self.with(|core, io| core.post_recv(io, src, tag))
     }
 
     fn progress(&mut self) {
-        self.core.progress(&mut self.io);
+        self.with(|core, io| core.progress(io));
     }
 
     fn progress_block(&mut self) {
-        self.core.progress_block(&mut self.io);
+        drop(self.wait_served(WaitKind::AnyPosted));
     }
 
     fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.core.test_req(&mut self.io, req)
+        self.with(|core, io| core.test_req(io, req))
     }
 
     fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.core.test_claimed(req)
+        self.state().core.test_claimed(req)
     }
 
     fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        self.core.wait_req(&mut self.io, req)
+        self.wait_any(std::slice::from_ref(&req)).map(|(_, m)| m)
     }
 
     fn wait_deadline(
@@ -464,23 +582,39 @@ impl Comm for SimComm {
         req: RecvReq,
         timeout: Duration,
     ) -> Result<Option<Message>, RecvError> {
-        self.core.wait_req_deadline(&mut self.io, req, timeout)
+        self.state().core.expect_posted(req);
+        let deadline = self.proc.now().as_nanos() + timeout.as_nanos() as Nanos;
+        self.wait_served(WaitKind::Until(req, deadline))
+            .core
+            .claim_by_deadline(req)
     }
 
     fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
-        self.core.wait_any_req(&mut self.io, reqs)
+        self.state().core.expect_waitable(reqs);
+        loop {
+            let mut state = self.wait_served(WaitKind::AnyOf(reqs));
+            if let Some(claimed) = state.core.claim_first(reqs) {
+                return claimed;
+            }
+        }
     }
 
     fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        self.core.wait_ready(&mut self.io, reqs);
+        if reqs.is_empty() {
+            return;
+        }
+        let state = self.state();
+        reqs.iter().for_each(|r| state.core.expect_posted(*r));
+        drop(state);
+        drop(self.wait_served(WaitKind::AnyOf(reqs)));
     }
 
     fn cancel_recv(&mut self, req: RecvReq) {
-        self.core.cancel_req(req);
+        self.state().core.cancel_req(req);
     }
 
     fn cancel_sink(&self) -> CancelSink {
-        self.core.cancel_sink()
+        self.state().core.cancel_sink()
     }
 
     fn try_post_send(
@@ -489,14 +623,12 @@ impl Comm for SimComm {
         tag: Tag,
         payload: &Bytes,
     ) -> Result<SendReq, SendWindowFull> {
-        self.core
-            .try_send_message(&mut self.io, dst, tag, payload)
+        self.with(|core, io| core.try_send_message(io, dst, tag, payload))
             .map(SendReq::completed)
     }
 
     fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        self.core
-            .try_mcast_message(&mut self.io, tag, payload)
+        self.with(|core, io| core.try_mcast_message(io, tag, payload))
             .map(SendReq::completed)
     }
 
@@ -507,64 +639,65 @@ impl Comm for SimComm {
         // deployment's progress thread does), so peers never read a
         // long compute phase as death. Without membership this folds to
         // the plain single clock advance.
-        let mut remaining = d.as_nanos() as u64;
-        while remaining > 0 {
-            let step = match self.core.next_heartbeat_due() {
-                Some(hb_at) => {
-                    let now = self.io.now();
-                    remaining.min(hb_at.saturating_sub(now).max(1))
-                }
-                None => remaining,
-            };
-            self.io.proc.compute(SimDuration::from_nanos(step));
-            remaining -= step;
-            self.core.beacon_tick(&mut self.io);
-        }
+        self.with(|core, io| {
+            let mut remaining = d.as_nanos() as u64;
+            while remaining > 0 {
+                let step = match core.next_heartbeat_due() {
+                    Some(hb_at) => remaining.min(hb_at.saturating_sub(io.now_nanos()).max(1)),
+                    None => remaining,
+                };
+                io.wire.compute(SimDuration::from_nanos(step));
+                remaining -= step;
+                core.beacon_tick(io);
+            }
+        });
     }
 
     fn failed_peers(&self) -> Vec<usize> {
-        self.core.failed_peers()
+        self.state().core.failed_peers()
     }
 
     fn departed_peers(&self) -> Vec<usize> {
-        self.core.departed_peers()
+        self.state().core.departed_peers()
     }
 
     fn epoch(&self) -> u32 {
-        self.core.epoch()
+        self.state().core.epoch()
     }
 
     fn leave(&mut self) {
-        self.core.leave(&mut self.io);
+        self.with(|core, io| core.leave(io));
     }
 
     fn rebase_epoch(&mut self, epoch: u32) {
-        self.core.rebase_epoch(epoch);
+        self.state().core.rebase_epoch(epoch);
     }
 
     fn declare_failed(&mut self, rank: usize) {
-        self.core.force_fail(rank);
+        self.state().core.force_fail(rank);
     }
 
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
-        assert!(dst < self.core.size(), "rank {dst} out of range");
-        for _ in 0..count {
-            let seq = self.core.fresh_seq();
-            let dgs = self.core.encode(
-                crate::comm::FIRE_AND_FORGET_TAG,
-                MsgKind::Ack,
-                &Bytes::new(),
-                seq,
-            );
-            for d in &dgs {
-                self.io.proc.send_kernel(
-                    self.io.socket,
-                    DatagramDst::Unicast(HostId(dst as u32)),
-                    self.io.port,
-                    segments(d),
+        self.with(|core, io| {
+            assert!(dst < core.size(), "rank {dst} out of range");
+            for _ in 0..count {
+                let seq = core.fresh_seq();
+                let dgs = core.encode(
+                    crate::comm::FIRE_AND_FORGET_TAG,
+                    MsgKind::Ack,
+                    &Bytes::new(),
+                    seq,
                 );
+                for d in &dgs {
+                    io.wire.send_kernel(
+                        io.link.socket,
+                        DatagramDst::Unicast(HostId(dst as u32)),
+                        io.link.port,
+                        segments(d),
+                    );
+                }
             }
-        }
+        });
     }
 }
 

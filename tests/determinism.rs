@@ -153,3 +153,150 @@ fn world_trace_replays_byte_identically() {
     assert_eq!(a, trace_of(0xBEEF), "trace must replay byte-identically");
     assert_ne!(a, trace_of(0xBEF0), "a different seed must change backoff");
 }
+
+/// FNV-1a over the rendered completion times, outputs, `NetStats` and
+/// `RepairStats` of one repaired run of `cycles` rounds of `round`.
+fn served_wait_fingerprint(
+    cluster: &ClusterConfig,
+    repair: mcast_mpi::transport::RepairConfig,
+    bcast: BcastAlgorithm,
+    round: &(dyn Fn(&mut Communicator<mcast_mpi::transport::SimComm>, usize) -> u64 + Sync),
+    cycles: usize,
+) -> u64 {
+    use mcast_mpi::transport::run_sim_world_stats;
+    let comm_cfg = SimCommConfig {
+        repair: Some(repair),
+        ..SimCommConfig::default()
+    };
+    let (report, stats) = run_sim_world_stats(cluster, &comm_cfg, |c| {
+        let mut comm = Communicator::new(c).with_bcast(bcast);
+        (0..cycles).fold(0xcbf2_9ce4_8422_2325u64, |acc, i| {
+            (acc ^ round(&mut comm, i)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+    .expect("the repair plane must recover every loss");
+    assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
+    let rendered = format!(
+        "{:?}|{:?}|{:?}|{:?}",
+        report.completion_times, report.outputs, stats.net, stats.repair
+    );
+    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One bcast / barrier / allgather cycle; the digest covers every byte a
+/// rank ended up with.
+fn bcast_barrier_allgather(
+    comm: &mut Communicator<mcast_mpi::transport::SimComm>,
+    i: usize,
+) -> u64 {
+    let (n, rank) = (comm.size(), comm.rank());
+    let root = (i * 7) % n;
+    let mut buf = vec![if rank == root { 0xA5 ^ i as u8 } else { 0 }; 3000 - 900 * (i % 3)];
+    comm.bcast(root, &mut buf).unwrap();
+    comm.barrier().unwrap();
+    let blocks = comm.allgather(&[rank as u8 ^ i as u8; 200]).unwrap();
+    buf.iter()
+        .chain(blocks.iter().flatten())
+        .fold(i as u64, |h, &b| {
+            h.wrapping_mul(31).wrapping_add(u64::from(b))
+        })
+}
+
+/// Recorded on the last commit whose blocking waits woke the rank's thread
+/// for every datagram (PR 17). Served waits (`docs/SIMULATOR.md`) move the
+/// receive loop onto the round closer's thread and nothing else: the
+/// `World` sees the same calls in the same order, so these never change
+/// with the hand-off. Three shapes: the switch (single-completion rounds,
+/// stepped inline), the hub (every station hears a frame at once: the
+/// multi-completion fallback) and unicast-only gossip.
+const SERVED_SWITCH_N64_SRM: u64 = 0x821b_2c9a_830a_464a;
+const SERVED_HUB_N8_SRM: u64 = 0x59a2_ebda_29de_2e3f;
+const SERVED_GOSSIP_N16: u64 = 0xf7ed_58e5_f497_b5f4;
+
+#[test]
+fn served_waits_replay_the_recorded_runs() {
+    use mcast_mpi::transport::RepairConfig;
+    let skew = SimDuration::from_micros(50);
+    let switch = NetParams::fast_ethernet_switch().with_loss(0.05);
+    let switch_n64 = served_wait_fingerprint(
+        &ClusterConfig::new(64, switch.clone(), 0x5E12_7ED1).with_start_skew(skew),
+        RepairConfig::sim_default().with_seed(11),
+        BcastAlgorithm::McastBinary,
+        &bcast_barrier_allgather,
+        3,
+    );
+    println!("switch n64 srm: {switch_n64:#018x}");
+
+    let hub = NetParams::fast_ethernet_hub().with_loss(0.10);
+    let hub_n8 = served_wait_fingerprint(
+        &ClusterConfig::new(8, hub, 0x5E12_7ED2).with_start_skew(skew),
+        RepairConfig::sim_default().with_seed(12),
+        BcastAlgorithm::McastBinary,
+        &bcast_barrier_allgather,
+        4,
+    );
+    println!("hub n8 srm: {hub_n8:#018x}");
+
+    let gossip_n16 = served_wait_fingerprint(
+        &ClusterConfig::new(16, switch.with_unicast_only(), 0x5E12_7ED3).with_start_skew(skew),
+        RepairConfig::sim_default().with_seed(13).with_gossip(),
+        BcastAlgorithm::Gossip,
+        &|comm, i| {
+            let root = (i * 5) % comm.size();
+            let mut buf = vec![
+                if comm.rank() == root {
+                    0x3C ^ i as u8
+                } else {
+                    0
+                };
+                4096 >> (2 * (i % 3))
+            ];
+            comm.bcast(root, &mut buf).unwrap();
+            buf.iter().fold(i as u64, |h, &b| {
+                h.wrapping_mul(31).wrapping_add(u64::from(b))
+            })
+        },
+        6,
+    );
+    println!("gossip n16: {gossip_n16:#018x}");
+    assert_eq!(
+        (switch_n64, hub_n8, gossip_n16),
+        (SERVED_SWITCH_N64_SRM, SERVED_HUB_N8_SRM, SERVED_GOSSIP_N16),
+        "moved off the recorded runs"
+    );
+}
+
+/// The served-wait win as an exact count instead of a wall time: on the
+/// lossy N=64 switch the SRM plane multicasts every NACK and repair, and
+/// almost every datagram a parked rank receives is one it only files away.
+/// Each of those used to wake the rank's thread (`answered`); now the round
+/// closer steps the rank's receive loop and the thread sleeps on
+/// (`stepped_inline`). Both counts follow from the `World`'s event order.
+#[test]
+fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
+    use mcast_mpi::transport::RepairConfig;
+    let run = || {
+        let params = NetParams::fast_ethernet_switch().with_loss(0.05);
+        let cluster = ClusterConfig::new(64, params, 0x5E12_7ED1)
+            .with_start_skew(SimDuration::from_micros(50));
+        let comm_cfg = SimCommConfig {
+            repair: Some(RepairConfig::sim_default().with_seed(11)),
+            ..SimCommConfig::default()
+        };
+        run_sim_world(&cluster, &comm_cfg, |c| {
+            let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::McastBinary);
+            (0..3).fold(0, |acc, i| acc ^ bcast_barrier_allgather(&mut comm, i))
+        })
+        .expect("the repair plane must recover every loss")
+        .handoff
+    };
+    let handoff = run();
+    println!("{handoff:?}");
+    assert_eq!(handoff, run(), "hand-off counts replay exactly");
+    assert!(
+        handoff.stepped_inline >= 3 * handoff.answered,
+        "the closer should take most turns of a lossy N=64 wait: {handoff:?}"
+    );
+}

@@ -34,7 +34,7 @@
 //! runs (the ULFM stance — suspected means excluded). Conversely a
 //! false positive naming *us* is ignored by the membership layer, but a
 //! vote round held together by one would exclude a live rank; the
-//! suspicion bounds in [`mmpi_transport::comm::RepairConfig`] are sized
+//! suspicion bounds in [`mmpi_transport::RepairConfig`] are sized
 //! so heartbeats always outrun them.
 
 use std::collections::BTreeSet;

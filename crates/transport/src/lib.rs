@@ -13,12 +13,21 @@
 //! | [`udp::UdpComm`] | real UDP + IP multicast (socket2) | live runs on loopback or a LAN |
 //! | [`mem::MemComm`] | in-process channels | fast algorithm correctness tests |
 //!
-//! All three speak the `mmpi-wire` datagram format and share the
-//! [`comm::Inbox`] matching/dedup logic, so a collective validated on one
-//! backend behaves identically on the others (up to timing).
+//! All three speak the `mmpi-wire` datagram format and share one
+//! backend-independent endpoint, so a collective validated on one
+//! backend behaves identically on the others (up to timing):
+//!
+//! | module | what lives there |
+//! |---|---|
+//! | [`api`] | the [`Comm`] trait, request handles, typed errors |
+//! | [`config`] | [`RepairConfig`] and the knobs of the planes under it |
+//! | [`inbox`] | [`Inbox`]: reassembly, dedup, tag matching, control-traffic diversion |
+//! | [`pump`] | [`RepairPump`]/[`RepairPort`] — what the engine asks of a backend |
+//! | [`engine`] | [`EndpointCore`]: send paths, request table, progress engine, waits, drain |
+//! | `planes::{srm, horizon, membership, gossip}` | the repair loop's four planes, module-private, each reached through a few entry points |
 //!
 //! The sim and UDP backends optionally run the NACK/retransmit repair
-//! loop (enable with [`comm::RepairConfig`]; walkthrough in
+//! loop (enable with [`RepairConfig`]; walkthrough in
 //! `docs/PROTOCOL.md`), which lets the collectives complete on a fabric
 //! that drops, duplicates or reorders datagrams. On top of it, the
 //! adaptive control plane (`RepairConfig::with_adaptive` /
@@ -33,18 +42,36 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod comm;
+pub mod api;
+pub mod config;
+pub mod engine;
+pub mod inbox;
 pub mod mem;
+mod planes;
+pub mod pump;
 pub mod sim;
+#[doc(hidden)]
+pub mod testing;
 pub mod udp;
 
-pub use comm::{
-    CancelSink, Comm, EndpointCore, Inbox, MembershipConfig, Nanos, RecvError, RecvReq,
-    RepairConfig, RepairPort, RepairPump, SendReq, SendWindowFull, Tag, WaitKind, WaitPoll,
-    FIRE_AND_FORGET_TAG,
+pub use api::{
+    CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag, FIRE_AND_FORGET_TAG,
 };
+pub use config::{MembershipConfig, RepairConfig};
+pub use engine::EndpointCore;
+pub use inbox::Inbox;
 pub use mem::{run_mem_world, MemComm};
+pub use pump::{Nanos, RepairPort, RepairPump, WaitKind, WaitPoll};
 pub use sim::{
     run_sim_world, run_sim_world_stats, RepairStatsSink, SimComm, SimCommConfig, WorldStats,
 };
 pub use udp::{multicast_available, multicast_available_cached, run_udp_world, UdpComm, UdpConfig};
+
+/// The engine-level unit tests, over [`testing::ScriptedPump`]. The
+/// module path `comm::tests` is the one these tests have had since the
+/// endpoint was a single `comm.rs`, and the one the test floor lists
+/// them under.
+#[cfg(test)]
+mod comm {
+    mod tests;
+}

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mmpi_wire::{Bytes, Datagram, Message, MsgKind};
 
-use crate::comm::{CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairPump, Tag};
+use crate::{CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairPump, Tag};
 
 /// The channel half of an in-memory endpoint. Implements [`RepairPump`]
 /// over wall-clock time (only timeouts ever read the clock — mem has no

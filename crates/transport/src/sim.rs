@@ -50,7 +50,8 @@ use mmpi_netsim::time::SimDuration;
 use mmpi_netsim::{SharedPayload, SimError, SimTime};
 use mmpi_wire::{Bytes, Datagram, Message, MsgKind, RepairStats};
 
-use crate::comm::{
+use crate::pump::deadline_after;
+use crate::{
     CancelSink, Comm, EndpointCore, Nanos, RecvError, RecvReq, RepairConfig, RepairPort,
     RepairPump, SendReq, SendWindowFull, Tag, WaitKind, WaitPoll,
 };
@@ -490,11 +491,6 @@ impl SimComm {
         self.proc.now()
     }
 
-    /// The underlying process handle (advanced uses: extra sockets).
-    pub fn process_mut(&mut self) -> &mut SimProcess {
-        &mut self.proc
-    }
-
     /// The drain grace this endpoint would apply on shutdown right now
     /// (exposed for the drain-on-leave regression tests).
     pub fn drain_grace(&self) -> Duration {
@@ -583,7 +579,7 @@ impl Comm for SimComm {
         timeout: Duration,
     ) -> Result<Option<Message>, RecvError> {
         self.state().core.expect_posted(req);
-        let deadline = self.proc.now().as_nanos() + timeout.as_nanos() as Nanos;
+        let deadline = deadline_after(self.proc.now().as_nanos(), timeout);
         self.wait_served(WaitKind::Until(req, deadline))
             .core
             .claim_by_deadline(req)
@@ -682,12 +678,7 @@ impl Comm for SimComm {
             assert!(dst < core.size(), "rank {dst} out of range");
             for _ in 0..count {
                 let seq = core.fresh_seq();
-                let dgs = core.encode(
-                    crate::comm::FIRE_AND_FORGET_TAG,
-                    MsgKind::Ack,
-                    &Bytes::new(),
-                    seq,
-                );
+                let dgs = core.encode(crate::FIRE_AND_FORGET_TAG, MsgKind::Ack, &Bytes::new(), seq);
                 for d in &dgs {
                     io.wire.send_kernel(
                         io.link.socket,

@@ -33,7 +33,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mmpi_wire::{Bytes, Datagram, Message, MsgKind, RepairStats};
 use socket2::{Domain, Protocol, Socket, Type};
 
-use crate::comm::{
+use crate::{
     CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairConfig, RepairPump, SendReq,
     SendWindowFull, Tag,
 };

@@ -5,88 +5,37 @@
 //! advertisement) and the receiver surfaces a typed
 //! [`RecvError::Unavailable`] within a bounded number of solicits.
 //!
-//! The first tests drive two bare [`EndpointCore`]s through a scripted
-//! in-memory [`RepairPump`] (full control over delivery and time); the
+//! The first tests drive two bare [`EndpointCore`]s through the scripted
+//! in-memory [`ScriptedPump`] (full control over delivery and time); the
 //! last reproduces the livelock end-to-end on the simulator with a
 //! one-shot partition provoking the eviction.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::rc::Rc;
 use std::time::Duration;
 
-use mmpi_transport::{EndpointCore, RecvError, RepairConfig, RepairPump};
-use mmpi_wire::{Bytes, Datagram, MsgKind, SendDst};
-
-/// Shared virtual clock + two one-directional datagram queues. Each core
-/// owns a `PipeIo` whose `inbound` is the peer's `outbound`.
-struct PipeIo {
-    now: Rc<Cell<u64>>,
-    inbound: Rc<RefCell<VecDeque<Bytes>>>,
-    outbound: Rc<RefCell<VecDeque<Bytes>>>,
-}
-
-impl RepairPump for PipeIo {
-    fn now(&mut self) -> u64 {
-        self.now.get()
-    }
-
-    fn pump_one(&mut self, core: &mut EndpointCore, until: Option<u64>) {
-        if let Some(b) = self.inbound.borrow_mut().pop_front() {
-            let _ = core.inbox.ingest_datagram(&b);
-        } else if let Some(at) = until {
-            // Nothing queued: the wait elapses in full.
-            self.now.set(self.now.get().max(at));
-        } else {
-            panic!("blocking receive with nothing queued would hang");
-        }
-    }
-
-    fn pump_ready(&mut self, core: &mut EndpointCore) -> bool {
-        match self.inbound.borrow_mut().pop_front() {
-            Some(b) => {
-                let _ = core.inbox.ingest_datagram(&b);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn pump_drain(&mut self, _core: &mut EndpointCore, _quiet: Duration) -> bool {
-        false
-    }
-
-    fn send_encoded(&mut self, _dst: usize, datagrams: &[Datagram]) {
-        let mut out = self.outbound.borrow_mut();
-        for d in datagrams {
-            out.push_back(Bytes::from(d.to_vec()));
-        }
-    }
-
-    fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
-        self.send_encoded(usize::MAX, datagrams);
-    }
-}
+use mmpi_transport::testing::ScriptedPump;
+use mmpi_transport::{EndpointCore, RecvError, RepairConfig};
+use mmpi_wire::{Bytes, Message, MsgKind, SendDst};
 
 /// A 2-rank harness: rank 0 (the sender) and rank 1 (the receiver),
 /// wired back-to-back with a shared clock.
-fn pipes(cfg: RepairConfig) -> (EndpointCore, PipeIo, EndpointCore, PipeIo) {
-    let now = Rc::new(Cell::new(0u64));
-    let a_to_b = Rc::new(RefCell::new(VecDeque::new()));
-    let b_to_a = Rc::new(RefCell::new(VecDeque::new()));
+fn pipes(cfg: RepairConfig) -> (EndpointCore, ScriptedPump, EndpointCore, ScriptedPump) {
+    let (sender_io, receiver_io) = ScriptedPump::pair();
     let sender = EndpointCore::new(0, 0, 2, 60_000, Some(cfg));
-    let sender_io = PipeIo {
-        now: Rc::clone(&now),
-        inbound: Rc::clone(&b_to_a),
-        outbound: Rc::clone(&a_to_b),
-    };
     let receiver = EndpointCore::new(0, 1, 2, 60_000, Some(cfg));
-    let receiver_io = PipeIo {
-        now,
-        inbound: a_to_b,
-        outbound: b_to_a,
-    };
     (sender, sender_io, receiver, receiver_io)
+}
+
+/// One bounded receive attempt at `core`: post, wait out `timeout`,
+/// cancel on expiry.
+fn recv_within(
+    core: &mut EndpointCore,
+    io: &mut ScriptedPump,
+    src: Option<usize>,
+    tag: u32,
+    timeout: Duration,
+) -> Result<Option<Message>, RecvError> {
+    let req = core.post_recv(io, src, tag);
+    core.wait_req_deadline(io, req, timeout)
 }
 
 /// Encode + record a send on `core` *without* delivering it (the "lost
@@ -121,7 +70,13 @@ fn evicted_traffic_fails_fast_with_typed_error() {
     let err = loop {
         // One bounded receive attempt: long enough (5 ms against a 2 ms
         // nack_timeout + ≤2 ms backoff) that every attempt solicits.
-        match receiver.recv_loop_timeout(&mut receiver_io, Some(0), 10, Duration::from_millis(5)) {
+        match recv_within(
+            &mut receiver,
+            &mut receiver_io,
+            Some(0),
+            10,
+            Duration::from_millis(5),
+        ) {
             Err(e) => break e,
             Ok(Some(_)) => panic!("the message was lost; nothing can arrive"),
             Ok(None) => {}
@@ -131,11 +86,9 @@ fn evicted_traffic_fails_fast_with_typed_error() {
             solicits < 4,
             "receiver must fail fast, not re-solicit forever (the PR-2 livelock)"
         );
-        // Ferry the NACK over, let the sender service it, ferry back.
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
+        // The sender takes the NACK in and services it; the answer is
+        // queued for the receiver's next attempt.
+        sender.progress(&mut sender_io);
     };
     assert_eq!(
         err,
@@ -167,22 +120,29 @@ fn nack_above_eviction_floor_stays_pending() {
     }
 
     // Tag 99 was never sent and is above the floor (11): no Unavail.
-    let got = receiver
-        .recv_loop_timeout(&mut receiver_io, Some(0), 99, Duration::from_millis(5))
-        .expect("no unavailability may be reported");
+    let got = recv_within(
+        &mut receiver,
+        &mut receiver_io,
+        Some(0),
+        99,
+        Duration::from_millis(5),
+    )
+    .expect("no unavailability may be reported");
     assert!(got.is_none(), "nothing arrived, and that is fine");
-    while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-        sender.inbox.ingest_datagram(&b).unwrap();
-    }
-    sender.service_nacks(&mut sender_io);
+    sender.progress(&mut sender_io);
     let s = sender.repair_stats();
     assert_eq!(s.unavailable_sent, 0);
     assert_eq!(s.unanswered_nacks, 1);
 
     // The receiver keeps waiting rather than erroring.
-    let got = receiver
-        .recv_loop_timeout(&mut receiver_io, Some(0), 99, Duration::from_millis(5))
-        .expect("still no error");
+    let got = recv_within(
+        &mut receiver,
+        &mut receiver_io,
+        Some(0),
+        99,
+        Duration::from_millis(5),
+    )
+    .expect("still no error");
     assert!(got.is_none());
 }
 
@@ -198,17 +158,20 @@ fn retained_traffic_still_recovers_after_eviction() {
     // Tag 14 is still in the 4-slot ring (12..=15 retained).
     let mut attempts = 0;
     let got = loop {
-        match receiver.recv_loop_timeout(&mut receiver_io, Some(0), 14, Duration::from_millis(5)) {
+        match recv_within(
+            &mut receiver,
+            &mut receiver_io,
+            Some(0),
+            14,
+            Duration::from_millis(5),
+        ) {
             Err(e) => panic!("tag 14 is retained; {e}"),
             Ok(Some(m)) => break m,
             Ok(None) => {}
         }
         attempts += 1;
         assert!(attempts < 4, "one solicit round must recover it");
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
+        sender.progress(&mut sender_io);
     };
     assert_eq!(got.payload, vec![7u8; 64]);
     assert_eq!(sender.repair_stats().retransmits_sent, 1);
@@ -228,14 +191,16 @@ fn any_source_nack_never_answered_unavailable() {
 
     // Any-source receive of the evicted tag 10: solicits target ANY.
     for _ in 0..2 {
-        let got = receiver
-            .recv_loop_timeout(&mut receiver_io, None, 10, Duration::from_millis(5))
-            .expect("an ANY solicit must not be declared unavailable");
+        let got = recv_within(
+            &mut receiver,
+            &mut receiver_io,
+            None,
+            10,
+            Duration::from_millis(5),
+        )
+        .expect("an ANY solicit must not be declared unavailable");
         assert!(got.is_none());
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
+        sender.progress(&mut sender_io);
     }
     assert_eq!(sender.repair_stats().unavailable_sent, 0);
     // The evicted tag matches nothing, so the solicit stays pending —
@@ -261,18 +226,18 @@ fn evicted_seq_behind_retained_same_tag_records_fails_fast() {
         let dgs = sender.encode(10, MsgKind::Data, &payload, seq);
         sender.record_if_armed(seq, SendDst::Rank(1), 10, MsgKind::Data, &dgs);
         if seq >= 2 {
-            for d in &dgs {
-                receiver_io
-                    .inbound
-                    .borrow_mut()
-                    .push_back(Bytes::from(d.to_vec()));
-            }
+            receiver_io.inject(dgs);
         }
     }
     for _ in 2..=5 {
-        let got = receiver
-            .recv_loop_timeout(&mut receiver_io, Some(0), 10, Duration::from_millis(5))
-            .expect("delivered records match normally");
+        let got = recv_within(
+            &mut receiver,
+            &mut receiver_io,
+            Some(0),
+            10,
+            Duration::from_millis(5),
+        )
+        .expect("delivered records match normally");
         assert!(got.is_some());
     }
 
@@ -281,17 +246,20 @@ fn evicted_seq_behind_retained_same_tag_records_fails_fast() {
     // even though newer tag-10 records are still retained.
     let mut attempts = 0;
     let err = loop {
-        match receiver.recv_loop_timeout(&mut receiver_io, Some(0), 10, Duration::from_millis(5)) {
+        match recv_within(
+            &mut receiver,
+            &mut receiver_io,
+            Some(0),
+            10,
+            Duration::from_millis(5),
+        ) {
             Err(e) => break e,
             Ok(Some(_)) => panic!("seqs 0/1 are gone; nothing can arrive"),
             Ok(None) => {}
         }
         attempts += 1;
         assert!(attempts < 4, "must fail fast, not livelock");
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
+        sender.progress(&mut sender_io);
     };
     assert!(matches!(
         err,
@@ -321,15 +289,18 @@ fn stale_directed_unavail_does_not_fail_any_source_waits() {
 
     // Directed wait fails fast, as designed...
     let err = loop {
-        match receiver.recv_loop_timeout(&mut receiver_io, Some(0), 10, Duration::from_millis(5)) {
+        match recv_within(
+            &mut receiver,
+            &mut receiver_io,
+            Some(0),
+            10,
+            Duration::from_millis(5),
+        ) {
             Err(e) => break e,
             Ok(Some(_)) => panic!("the message was lost; nothing can arrive"),
             Ok(None) => {}
         }
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
+        sender.progress(&mut sender_io);
         // Service may answer twice before the receiver consumes one:
         // queue another round so a second Unavail is actually pending.
     };
@@ -338,57 +309,15 @@ fn stale_directed_unavail_does_not_fail_any_source_waits() {
     // ...and the fallback any-source wait for the same tag must NOT be
     // poisoned by any still-queued advertisement: it returns pending,
     // never Err.
-    let got = receiver
-        .recv_loop_timeout(&mut receiver_io, None, 10, Duration::from_millis(5))
-        .expect("an any-source wait never consumes a directed Unavail");
+    let got = recv_within(
+        &mut receiver,
+        &mut receiver_io,
+        None,
+        10,
+        Duration::from_millis(5),
+    )
+    .expect("an any-source wait never consumes a directed Unavail");
     assert!(got.is_none());
-}
-
-/// The same guarantee on the legacy (`srm = false`) unicast path: its
-/// any-source NACKs carry an explicit ANY target rather than the empty
-/// "addressed to you" payload, so a non-holding peer with unrelated
-/// evictions cannot answer `Unavail` for them either.
-#[test]
-fn legacy_any_source_nack_never_answered_unavailable() {
-    let (mut sender, mut sender_io, mut receiver, mut receiver_io) =
-        pipes(small_ring().without_srm());
-    for tag in 10..=15 {
-        send_lost(&mut sender, tag);
-    }
-
-    for _ in 0..2 {
-        let got = receiver
-            .recv_loop_timeout(&mut receiver_io, None, 10, Duration::from_millis(5))
-            .expect("a legacy ANY solicit must not be declared unavailable");
-        assert!(got.is_none());
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
-    }
-    assert_eq!(sender.repair_stats().unavailable_sent, 0);
-    assert!(sender.repair_stats().unanswered_nacks > 0);
-
-    // A legacy *directed* solicit still gets the fail-fast answer.
-    let err = loop {
-        match receiver.recv_loop_timeout(&mut receiver_io, Some(0), 10, Duration::from_millis(5)) {
-            Err(e) => break e,
-            Ok(Some(_)) => panic!("the message was lost; nothing can arrive"),
-            Ok(None) => {}
-        }
-        while let Some(b) = sender_io.inbound.borrow_mut().pop_front() {
-            sender.inbox.ingest_datagram(&b).unwrap();
-        }
-        sender.service_nacks(&mut sender_io);
-    };
-    assert!(matches!(
-        err,
-        RecvError::Unavailable {
-            src: 0,
-            tag: 10,
-            ..
-        }
-    ));
 }
 
 /// Overheard *any-source* solicits arm the suppression memory too: a
@@ -398,27 +327,18 @@ fn legacy_any_source_nack_never_answered_unavailable() {
 fn overheard_any_source_solicit_suppresses_our_own() {
     // Rank 1 of 3; rank 2 (not wired up — we forge its solicit) NACKs
     // tag 7 any-source just before rank 1's own deadline expires.
-    let now = Rc::new(Cell::new(0u64));
-    let inbound = Rc::new(RefCell::new(VecDeque::new()));
     let mut core = EndpointCore::new(0, 1, 3, 60_000, Some(RepairConfig::sim_default()));
-    let mut io = PipeIo {
-        now: Rc::clone(&now),
-        inbound: Rc::clone(&inbound),
-        outbound: Rc::new(RefCell::new(VecDeque::new())),
-    };
+    let mut io = ScriptedPump::new();
 
     // Forge rank 2's multicast any-source NACK for tag 7.
     let mut peer = EndpointCore::new(0, 2, 3, 60_000, Some(RepairConfig::sim_default()));
     let payload = mmpi_wire::NackPayload::addressed_to(mmpi_wire::NACK_TARGET_ANY).encode();
     let seq = peer.fresh_seq();
-    for d in peer.encode(7, MsgKind::Nack, &payload, seq) {
-        inbound.borrow_mut().push_back(Bytes::from(d.to_vec()));
-    }
+    io.inject(peer.encode(7, MsgKind::Nack, &payload, seq));
 
     // Rank 1 now waits any-source on the same tag: its deadline expiry
     // falls inside the suppression window of the overheard solicit.
-    let got = core
-        .recv_loop_timeout(&mut io, None, 7, Duration::from_millis(4))
+    let got = recv_within(&mut core, &mut io, None, 7, Duration::from_millis(4))
         .expect("nothing unavailable here");
     assert!(got.is_none());
     let s = core.repair_stats();

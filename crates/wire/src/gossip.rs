@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use bytes::{Bytes, BytesMut};
 
 use crate::error::WireError;
-use crate::nack::SeqRange;
+use crate::nack::{read_ranges, SeqRange};
+use crate::read::Reader;
 
 /// Cap on per-source entries in one encoded digest. Entries beyond the
 /// cap are dropped (under-advertise): the ids stay correct, they are just
@@ -149,35 +150,14 @@ impl GossipDigest {
 
     /// Decode a gossip digest payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let need_at = |need: usize, got: usize| WireError::Truncated { got, need };
-        if bytes.len() < DIGEST_FIXED {
-            return Err(need_at(DIGEST_FIXED, bytes.len()));
-        }
-        let count = u16::from_le_bytes(bytes[0..2].try_into().expect("checked")) as usize;
-        if count > MAX_DIGEST_SOURCES {
-            return Err(need_at(DIGEST_FIXED + count * SOURCE_FIXED, bytes.len()));
-        }
-        let mut off = DIGEST_FIXED;
+        let mut r = Reader::new(bytes);
+        let count = r.u16()? as usize;
+        r.counted(count, MAX_DIGEST_SOURCES, SOURCE_FIXED)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            if bytes.len() < off + SOURCE_FIXED {
-                return Err(need_at(off + SOURCE_FIXED, bytes.len()));
-            }
-            let src = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("checked"));
-            let nr =
-                u16::from_le_bytes(bytes[off + 4..off + 6].try_into().expect("checked")) as usize;
-            off += SOURCE_FIXED;
-            if nr > MAX_DIGEST_RANGES || bytes.len() < off + nr * RANGE_LEN {
-                return Err(need_at(off + nr * RANGE_LEN, bytes.len()));
-            }
-            let mut ranges = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                ranges.push(SeqRange {
-                    start: u64::from_le_bytes(bytes[off..off + 8].try_into().expect("checked")),
-                    end: u64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("checked")),
-                });
-                off += RANGE_LEN;
-            }
+            let src = r.u32()?;
+            let nr = r.u16()? as usize;
+            let ranges = read_ranges(&mut r, nr, MAX_DIGEST_RANGES)?;
             entries.push(SourceDigest { src, ranges });
         }
         Ok(GossipDigest { entries })

@@ -30,6 +30,7 @@ pub mod gossip;
 pub mod header;
 pub mod member;
 pub mod nack;
+mod read;
 pub mod retransmit;
 
 pub use assemble::{split_message, Assembler, Datagram, Message};

@@ -16,6 +16,7 @@
 use bytes::{Bytes, BytesMut};
 
 use crate::error::WireError;
+use crate::read::Reader;
 
 /// Cap on ranks carried by one failure announcement. Announcements list
 /// *newly confirmed* failures (re-floods carry the delta, not history),
@@ -54,15 +55,10 @@ impl HeartbeatPayload {
 
     /// Decode a heartbeat payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < HEARTBEAT_LEN {
-            return Err(WireError::Truncated {
-                got: bytes.len(),
-                need: HEARTBEAT_LEN,
-            });
-        }
+        let mut r = Reader::new(bytes);
         Ok(HeartbeatPayload {
-            epoch: u32::from_le_bytes(bytes[0..4].try_into().expect("checked")),
-            incarnation: u32::from_le_bytes(bytes[4..8].try_into().expect("checked")),
+            epoch: r.u32()?,
+            incarnation: r.u32()?,
         })
     }
 }
@@ -104,28 +100,14 @@ impl FailureAnnouncePayload {
 
     /// Decode a failure announcement.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < ANNOUNCE_FIXED {
-            return Err(WireError::Truncated {
-                got: bytes.len(),
-                need: ANNOUNCE_FIXED,
-            });
-        }
-        let epoch = u32::from_le_bytes(bytes[0..4].try_into().expect("checked"));
-        let graceful = bytes[4] != 0;
-        let count = u16::from_le_bytes(bytes[5..7].try_into().expect("checked")) as usize;
-        let need = ANNOUNCE_FIXED + count * 4;
-        if count > MAX_ANNOUNCE_RANKS || bytes.len() < need {
-            return Err(WireError::Truncated {
-                got: bytes.len(),
-                need,
-            });
-        }
+        let mut r = Reader::new(bytes);
+        let epoch = r.u32()?;
+        let graceful = r.u8()? != 0;
+        let count = r.u16()? as usize;
+        r.counted(count, MAX_ANNOUNCE_RANKS, 4)?;
         let mut ranks = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = ANNOUNCE_FIXED + i * 4;
-            ranks.push(u32::from_le_bytes(
-                bytes[off..off + 4].try_into().expect("checked"),
-            ));
+        for _ in 0..count {
+            ranks.push(r.u32()?);
         }
         Ok(FailureAnnouncePayload {
             epoch,

@@ -15,15 +15,15 @@
 //! requester surface a typed unrecoverable-loss error instead of
 //! re-soliciting forever.
 //!
-//! Both codecs are deliberately tiny, fixed little-endian layouts; an
-//! empty NACK payload remains valid and means the legacy unicast
-//! semantics ("addressed to whoever received it, everything matching the
-//! tag").
+//! The codecs are deliberately tiny, fixed little-endian layouts, read
+//! through one checked cursor (`read::Reader`) — the decoders are total
+//! on hostile bytes.
 
 use bytes::{Bytes, BytesMut};
 
 use crate::error::WireError;
 use crate::member::{HeartbeatPayload, HEARTBEAT_LEN};
+use crate::read::Reader;
 
 /// `target` value naming no specific rank: an any-source solicitation —
 /// every peer holding matching traffic may answer.
@@ -58,7 +58,7 @@ pub struct NackPayload {
     pub target: u32,
     /// Sequence ranges (of the target's per-sender counter) the requester
     /// is missing, sorted and disjoint. Empty = "anything matching the
-    /// tag" (always the case for any-source solicits and legacy NACKs).
+    /// tag" (always the case for any-source solicits).
     pub missing: Vec<SeqRange>,
 }
 
@@ -68,8 +68,7 @@ const NACK_FIXED: usize = 6;
 const RANGE_LEN: usize = 16;
 
 impl NackPayload {
-    /// A solicitation addressed to one rank with no range information —
-    /// also how an empty (legacy) payload is interpreted by the receiver.
+    /// A solicitation addressed to one rank with no range information.
     pub fn addressed_to(target: u32) -> Self {
         NackPayload {
             target,
@@ -105,35 +104,31 @@ impl NackPayload {
         buf.freeze()
     }
 
-    /// Decode a non-empty NACK payload. (Empty payloads are the legacy
-    /// unicast form and carry no target — the caller substitutes its own
-    /// rank via [`NackPayload::addressed_to`].)
+    /// Decode a NACK payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < NACK_FIXED {
-            return Err(WireError::Truncated {
-                got: bytes.len(),
-                need: NACK_FIXED,
-            });
-        }
-        let target = u32::from_le_bytes(bytes[0..4].try_into().expect("checked"));
-        let count = u16::from_le_bytes(bytes[4..6].try_into().expect("checked")) as usize;
-        let need = NACK_FIXED + count * RANGE_LEN;
-        if bytes.len() < need || count > MAX_NACK_RANGES {
-            return Err(WireError::Truncated {
-                got: bytes.len(),
-                need,
-            });
-        }
-        let mut missing = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = NACK_FIXED + i * RANGE_LEN;
-            missing.push(SeqRange {
-                start: u64::from_le_bytes(bytes[off..off + 8].try_into().expect("checked")),
-                end: u64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("checked")),
-            });
-        }
+        let mut r = Reader::new(bytes);
+        let target = r.u32()?;
+        let count = r.u16()? as usize;
+        let missing = read_ranges(&mut r, count, MAX_NACK_RANGES)?;
         Ok(NackPayload { target, missing })
     }
+}
+
+/// Read `count` (at most `cap`) encoded [`SeqRange`]s.
+pub(crate) fn read_ranges(
+    r: &mut Reader<'_>,
+    count: usize,
+    cap: usize,
+) -> Result<Vec<SeqRange>, WireError> {
+    r.counted(count, cap, RANGE_LEN)?;
+    let mut ranges = Vec::with_capacity(count);
+    for _ in 0..count {
+        ranges.push(SeqRange {
+            start: r.u64()?,
+            end: r.u64()?,
+        });
+    }
+    Ok(ranges)
 }
 
 /// Decoded body of a [`crate::MsgKind::Unavail`] datagram: the responder's
@@ -155,14 +150,8 @@ impl UnavailPayload {
 
     /// Decode an Unavail payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < 4 {
-            return Err(WireError::Truncated {
-                got: bytes.len(),
-                need: 4,
-            });
-        }
         Ok(UnavailPayload {
-            tag_floor: u32::from_le_bytes(bytes[0..4].try_into().expect("checked")),
+            tag_floor: Reader::new(bytes).u32()?,
         })
     }
 }
@@ -290,57 +279,30 @@ impl AckHorizonPayload {
 
     /// Decode an ACK-horizon payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let need_at = |need: usize, got: usize| WireError::Truncated { got, need };
-        if bytes.len() < HORIZON_FIXED {
-            return Err(need_at(HORIZON_FIXED, bytes.len()));
-        }
-        let probe_ts = u64::from_le_bytes(bytes[0..8].try_into().expect("checked"));
-        let echo_count = u16::from_le_bytes(bytes[8..10].try_into().expect("checked")) as usize;
-        let ack_count = u16::from_le_bytes(bytes[10..12].try_into().expect("checked")) as usize;
-        if echo_count > MAX_HORIZON_ECHOES || ack_count > MAX_HORIZON_ACKS {
-            // Mirror the NACK codec: a count beyond the protocol cap is
-            // rejected as malformed via the same truncation error.
-            let claimed = HORIZON_FIXED + echo_count * ECHO_LEN + ack_count * ACK_FIXED;
-            return Err(need_at(claimed, bytes.len()));
-        }
-        let mut off = HORIZON_FIXED;
+        let mut r = Reader::new(bytes);
+        let probe_ts = r.u64()?;
+        let echo_count = r.u16()? as usize;
+        let ack_count = r.u16()? as usize;
+        r.counted(echo_count, MAX_HORIZON_ECHOES, ECHO_LEN)?;
         let mut echoes = Vec::with_capacity(echo_count);
         for _ in 0..echo_count {
-            if bytes.len() < off + ECHO_LEN {
-                return Err(need_at(off + ECHO_LEN, bytes.len()));
-            }
             echoes.push(HorizonEcho {
-                peer: u32::from_le_bytes(bytes[off..off + 4].try_into().expect("checked")),
-                ts: u64::from_le_bytes(bytes[off + 4..off + 12].try_into().expect("checked")),
-                hold_ns: u64::from_le_bytes(bytes[off + 12..off + 20].try_into().expect("checked")),
+                peer: r.u32()?,
+                ts: r.u64()?,
+                hold_ns: r.u64()?,
             });
-            off += ECHO_LEN;
         }
+        r.counted(ack_count, MAX_HORIZON_ACKS, ACK_FIXED)?;
         let mut acks = Vec::with_capacity(ack_count);
         for _ in 0..ack_count {
-            if bytes.len() < off + ACK_FIXED {
-                return Err(need_at(off + ACK_FIXED, bytes.len()));
-            }
-            let src = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("checked"));
-            let hwm = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().expect("checked"));
-            let holes =
-                u16::from_le_bytes(bytes[off + 12..off + 14].try_into().expect("checked")) as usize;
-            off += ACK_FIXED;
-            if holes > MAX_HORIZON_HOLES || bytes.len() < off + holes * RANGE_LEN {
-                return Err(need_at(off + holes * RANGE_LEN, bytes.len()));
-            }
-            let mut missing = Vec::with_capacity(holes);
-            for _ in 0..holes {
-                missing.push(SeqRange {
-                    start: u64::from_le_bytes(bytes[off..off + 8].try_into().expect("checked")),
-                    end: u64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("checked")),
-                });
-                off += RANGE_LEN;
-            }
+            let src = r.u32()?;
+            let hwm = r.u64()?;
+            let holes = r.u16()? as usize;
+            let missing = read_ranges(&mut r, holes, MAX_HORIZON_HOLES)?;
             acks.push(SourceHorizon { src, hwm, missing });
         }
-        let member = if bytes.len() >= off + HEARTBEAT_LEN {
-            Some(HeartbeatPayload::decode(&bytes[off..])?)
+        let member = if r.rest().len() >= HEARTBEAT_LEN {
+            Some(HeartbeatPayload::decode(r.rest())?)
         } else {
             None
         };

@@ -4,7 +4,79 @@
 
 use proptest::prelude::*;
 
-use mmpi_wire::{split_message, Assembler, Bytes, Datagram, Header, MsgKind};
+use mmpi_wire::{
+    split_message, AckHorizonPayload, Assembler, Bytes, Datagram, FailureAnnouncePayload, Header,
+    HeartbeatPayload, HorizonEcho, MsgKind, NackPayload, SeqRange, SourceHorizon, UnavailPayload,
+};
+
+/// Run every payload decoder over `bytes`: none may panic, and whatever
+/// one accepts must re-encode (no internal inconsistency).
+fn decode_as_every_payload(bytes: &[u8]) {
+    if let Ok(p) = NackPayload::decode(bytes) {
+        let _ = p.encode();
+    }
+    if let Ok(p) = AckHorizonPayload::decode(bytes) {
+        let _ = p.encode();
+    }
+    if let Ok(p) = HeartbeatPayload::decode(bytes) {
+        let _ = p.encode();
+    }
+    if let Ok(p) = FailureAnnouncePayload::decode(bytes) {
+        let _ = p.encode();
+    }
+    if let Ok(p) = UnavailPayload::decode(bytes) {
+        let _ = p.encode();
+    }
+}
+
+/// One well-formed encoding of each control payload, with every
+/// counted section populated.
+fn valid_payloads() -> Vec<Bytes> {
+    let holes = vec![
+        SeqRange { start: 3, end: 5 },
+        SeqRange {
+            start: 9,
+            end: u64::MAX,
+        },
+    ];
+    vec![
+        NackPayload {
+            target: 2,
+            missing: holes.clone(),
+        }
+        .encode(),
+        AckHorizonPayload {
+            probe_ts: 77,
+            echoes: vec![HorizonEcho {
+                peer: 1,
+                ts: 5,
+                hold_ns: 6,
+            }],
+            acks: vec![SourceHorizon {
+                src: 4,
+                hwm: 12,
+                missing: holes,
+            }],
+            member: Some(HeartbeatPayload {
+                epoch: 1,
+                incarnation: 0,
+            }),
+        }
+        .encode(),
+        HeartbeatPayload {
+            epoch: 3,
+            incarnation: 1,
+        }
+        .encode(),
+        FailureAnnouncePayload {
+            epoch: 2,
+            graceful: false,
+            ranks: vec![1, 5, 9],
+        }
+        .encode(),
+        UnavailPayload { tag_floor: 40 }.encode(),
+    ]
+}
 
 fn kind_strategy() -> impl Strategy<Value = MsgKind> {
     prop_oneof![
@@ -86,9 +158,29 @@ proptest! {
         let shared = Bytes::from(bytes);
         // Viewing garbage as a datagram either fails cleanly or decodes
         // to an error on feed; neither may panic.
-        if let Ok(dg) = Datagram::from_contiguous(shared) {
+        if let Ok(dg) = Datagram::from_contiguous(shared.clone()) {
             let mut asm = Assembler::new();
             let _ = asm.feed(&dg);
+        }
+        decode_as_every_payload(&shared);
+    }
+
+    /// Garbage rarely gets past a count field, so also damage well-formed
+    /// payloads: cut each anywhere and overwrite any one byte (count
+    /// fields included), then hand the result to every decoder.
+    #[test]
+    fn damaged_payloads_error_not_panic(
+        cut in 0usize..120,
+        at in 0usize..120,
+        to in any::<u8>(),
+    ) {
+        for valid in valid_payloads() {
+            let mut bytes = valid.to_vec();
+            bytes.truncate(bytes.len().saturating_sub(cut));
+            if let Some(b) = bytes.get_mut(at) {
+                *b = to;
+            }
+            decode_as_every_payload(&bytes);
         }
     }
 
@@ -113,7 +205,6 @@ proptest! {
 // ---- Advr/Want digest codec (`docs/PROTOCOL.md` §11) ----
 
 use mmpi_wire::gossip::{compact_ranges, GossipDigest, SourceDigest, MAX_DIGEST_RANGES};
-use mmpi_wire::SeqRange;
 
 fn range_strategy() -> impl Strategy<Value = SeqRange> {
     (0u64..500, 0u64..40).prop_map(|(start, span)| SeqRange {

@@ -67,30 +67,39 @@
 //!                        │                     survivor-agreement votes
 //!                        ▼
 //!                  mmpi-transport ───────────  Comm: sim | udp | mem
-//!                    │         │               · request layer: posted
-//!                    │         │                 recvs, one progress
-//!                    │         │                 engine (test / wait /
-//!                    │         │                 wait_any, docs/API.md)
-//!                    │         │               · repair loop: per-request
+//!                    │         │               · api / config / inbox /
+//!                    │         │                 pump: the Comm trait,
+//!                    │         │                 RepairConfig, matching
+//!                    │         │                 and dedup, what a
+//!                    │         │                 backend provides
+//!                    │         │               · engine (EndpointCore):
+//!                    │         │                 posted recvs, one
+//!                    │         │                 progress engine (test /
+//!                    │         │                 wait / wait_any,
+//!                    │         │                 docs/API.md), per-request
 //!                    │         │                 NACK deadlines driven
 //!                    │         │                 for ALL posted recvs,
-//!                    │         │                 drain on exit
-//!                    │         │               · SRM scale-out: seeded
+//!                    │         │                 drain on exit; services
+//!                    │         │                 four module-private
+//!                    │         │                 planes in a fixed order
+//!                    │         │                 (docs/PROTOCOL.md §8.3):
+//!                    │         │               · planes::srm: seeded
 //!                    │         │                 backoff, mcast NACK
 //!                    │         │                 suppression, mcast
 //!                    │         │                 repair, Unavail floor
-//!                    │         │               · adaptive control plane:
+//!                    │         │               · planes::horizon:
 //!                    │         │                 AckHorizon session msgs,
 //!                    │         │                 per-peer RTT timers
 //!                    │         │                 (RFC 6298), ring GC from
 //!                    │         │                 acked frontiers, send-
 //!                    │         │                 window back-pressure
-//!                    │         │               · membership: heartbeat
-//!                    │         │                 beacons + suspicion
+//!                    │         │               · planes::membership:
+//!                    │         │                 heartbeats + suspicion
 //!                    │         │                 timers, PeerFailed,
 //!                    │         │                 announce flooding,
 //!                    │         │                 epoch-rotated contexts
-//!                    │         │               · dissemination seam:
+//!                    │         │               · planes::gossip, behind
+//!                    │         │                 the dissemination seam:
 //!                    │         │                 Multicast (default,
 //!                    │         │                 byte-identical) | Gossip
 //!                    │         │                 (lazy-push Advr digests,

@@ -338,67 +338,45 @@ fn duplication_and_reordering_are_absorbed() {
 
 /// The SRM scale-out acceptance sweep (ISSUE 4): at N ∈ {16, 32} under
 /// 10% loss, (a) the lossy digests still equal the lossless mem backend,
-/// (b) suppression on sends strictly fewer NACK solicits than
-/// suppression off at the same seed — ≥2× fewer at N = 32 — and
+/// (b) suppression keeps the NACK solicits under an absolute ceiling
+/// taken from the last run of the unicast solicit/answer protocol PR 20
+/// deleted — 274 solicits at N = 16 and 850 at N = 32 at these seeds
+/// (suppression sent 81 and 144; `BENCH_4.json` has the full on/off
+/// sweep): strictly fewer at N = 16, ≥2× fewer (≤ 425) at N = 32 — and
 /// (c) a lossy run replays byte-identically (the randomized backoff is
 /// drawn from a seeded stream, so `WorldStats` is a pure function of the
 /// config).
 #[test]
 fn srm_suppression_scales_and_replays() {
-    for (n, seed) in [(16usize, 1u64), (32, 1)] {
+    for (n, seed, nack_ceiling) in [(16usize, 1u64, 273u64), (32, 1, 425)] {
         let mem = run_mem_world(n, 0, kitchen_sink);
-        let run = |srm: bool| {
-            let mut cfg = SimCommConfig::default().with_repair();
-            if !srm {
-                cfg.repair = cfg.repair.map(|r| r.without_srm());
-            }
+        let run = || {
+            let cfg = SimCommConfig::default().with_repair();
             run_sim_world_stats(&lossy_cluster(n, 0.10, seed), &cfg, kitchen_sink)
-                .unwrap_or_else(|e| panic!("lossy run failed at n={n} srm={srm}: {e:?}"))
+                .unwrap_or_else(|e| panic!("lossy run failed at n={n}: {e:?}"))
         };
 
-        let (r_on, s_on) = run(true);
-        let (r_off, s_off) = run(false);
-        assert_eq!(
-            r_on.outputs, mem,
-            "digest mismatch with suppression (n={n})"
-        );
-        assert_eq!(
-            r_off.outputs, mem,
-            "digest mismatch without suppression (n={n})"
-        );
+        let (r_on, s_on) = run();
+        assert_eq!(r_on.outputs, mem, "digest mismatch (n={n})");
         assert!(
             s_on.net.injected_frame_losses > 0 && s_on.repair.retransmits_sent > 0,
             "the sweep must actually lose and recover (n={n})"
         );
 
-        // (b) Suppression pays: strictly fewer solicits, and the
-        // suppression machinery visibly fired.
+        // (b) Suppression pays, and the suppression machinery visibly
+        // fired.
         assert!(
-            s_on.repair.nacks_sent < s_off.repair.nacks_sent,
-            "suppression must reduce solicits (n={n}: {} vs {})",
+            s_on.repair.nacks_sent <= nack_ceiling,
+            "suppression must keep solicits under the ceiling (n={n}: {} vs {nack_ceiling})",
             s_on.repair.nacks_sent,
-            s_off.repair.nacks_sent
         );
         assert!(
             s_on.repair.nacks_suppressed > 0 && s_on.repair.nacks_overheard > 0,
             "suppression counters must fire (n={n})"
         );
-        assert_eq!(
-            s_off.repair.nacks_suppressed + s_off.repair.nacks_overheard,
-            0,
-            "suppression off means unicast NACKs: nothing overheard (n={n})"
-        );
-        if n >= 32 {
-            assert!(
-                s_on.repair.nacks_sent * 2 <= s_off.repair.nacks_sent,
-                "acceptance: ≥2× fewer solicits at n={n} ({} vs {})",
-                s_on.repair.nacks_sent,
-                s_off.repair.nacks_sent
-            );
-        }
 
         // (c) Byte-identical replay, randomized backoff included.
-        let (r2, s2) = run(true);
+        let (r2, s2) = run();
         assert_eq!(
             r_on.completion_times, r2.completion_times,
             "timing replay (n={n})"
@@ -417,16 +395,19 @@ fn srm_suppression_scales_and_replays() {
 /// that needs the origin's final message. At n=16 / 10% loss this
 /// scenario — rank 0 multicasts its final message and exits while ranks
 /// wake staggered, the last past the old 50 ms constant — loses
-/// stragglers with the pinned constant and recovers everyone with the
-/// group-size-derived grace.
+/// stragglers with the grace pinned to the constant (`drain_grace_cap`
+/// = `drain_grace` leaves the scaling no room) and recovers everyone
+/// with the group-size-derived grace.
 #[test]
 fn drain_grace_scales_with_group_size() {
     const FINAL: u32 = 900;
     let n = 16;
-    let run = |fixed_drain: bool| {
+    let run = |pinned: bool| {
         let mut cfg = SimCommConfig::default();
         let mut rc = mcast_mpi::transport::RepairConfig::sim_default();
-        rc.fixed_drain = fixed_drain;
+        if pinned {
+            rc.drain_grace_cap = rc.drain_grace;
+        }
         cfg.repair = Some(rc);
         // Seed 23: two stragglers (ranks 10 and 15) deterministically
         // lose the final multicast and wake after the old constant.

@@ -361,7 +361,7 @@ fn graceful_leave_beats_silent_crash_for_survivors() {
 /// `MembershipConfig::effective_heartbeat_interval` now stretches the
 /// period by `n/2` (the AckHorizon constant-bandwidth-share rule), so
 /// confirmation is slower-but-uniform: the deterministic
-/// `(suspicion_factor + confirm_misses) × interval` bound, with the
+/// `(4 + 3) × interval` bound, with the
 /// 9× first-to-last spread collapsed to under one beacon period.
 #[test]
 fn beacon_cadence_scales_with_group_size_and_tightens_the_tail() {

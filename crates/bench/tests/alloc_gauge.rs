@@ -7,7 +7,10 @@
 //! * recording a message into the [`RetransmitBuffer`] allocates no
 //!   payload-sized memory; and
 //! * evicting a record releases the message's buffers — shared `Bytes`
-//!   views in the ring do not leak (live bytes return to baseline).
+//!   views in the ring do not leak (live bytes return to baseline); and
+//! * ingesting a session message whose frontiers are all unchanged costs
+//!   a gossip-armed endpoint not one allocation more than an endpoint
+//!   with the gossip plane off.
 //!
 //! Everything runs inside one `#[test]` so no concurrent test thread
 //! perturbs the counters.
@@ -15,7 +18,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mmpi_wire::{split_message, Assembler, Bytes, MsgKind, RetransmitBuffer, SendDst};
+use mmpi_transport::testing::ScriptedPump;
+use mmpi_transport::{EndpointCore, RepairConfig};
+use mmpi_wire::{
+    split_message, AckHorizonPayload, Assembler, Bytes, MsgKind, RetransmitBuffer, SendDst,
+    SourceHorizon,
+};
 
 struct Gauge;
 
@@ -77,8 +85,45 @@ fn split_assemble_allocs(chunk: usize) -> u64 {
     })
 }
 
+/// Allocations per ingested session message — rank 1 of 8 repeating the
+/// same seven frontiers — at an endpoint armed with `cfg`, the scripted
+/// pump's own queueing included (it is the same on every call).
+fn session_message_allocs(cfg: RepairConfig) -> u64 {
+    let mut core = EndpointCore::new(0, 0, 8, 60_000, Some(cfg));
+    let mut io = ScriptedPump::new();
+    let payload = AckHorizonPayload {
+        probe_ts: 1,
+        echoes: vec![],
+        acks: (1..8)
+            .map(|src| SourceHorizon {
+                src,
+                hwm: 5,
+                missing: vec![],
+            })
+            .collect(),
+        member: None,
+    }
+    .encode();
+    let mut seq = 1u64 << 63;
+    allocs_per(500, || {
+        seq += 1;
+        io.inject_message(MsgKind::AckHorizon, 1, 0, seq, &payload);
+        core.progress(&mut io);
+    })
+}
+
 #[test]
 fn datagram_path_allocation_budget() {
+    // --- an unchanged session message costs the gossip plane nothing --
+    let horizons_only =
+        RepairConfig::sim_default().with_horizon_interval(std::time::Duration::from_millis(8));
+    let plain = session_message_allocs(horizons_only);
+    let gossip = session_message_allocs(horizons_only.with_gossip());
+    assert_eq!(
+        gossip, plain,
+        "the gossip plane allocates on a session message that changes no frontier"
+    );
+
     // --- constant allocations per message, independent of chunking ----
     let allocs_2_chunks = split_assemble_allocs(60_000); // 2 chunks
     let allocs_45_chunks = split_assemble_allocs(1472); // 45 chunks

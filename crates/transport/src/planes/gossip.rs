@@ -60,10 +60,97 @@ pub(crate) struct GossipState {
     /// dedups any duplicate answers, but not re-pulling at all is what
     /// keeps each payload to one crossing per link.
     wanted: BTreeMap<(u32, u64), WantPending>,
-    /// Per-peer frontiers from the horizon plane (`peer → src → that
-    /// peer's advertised SourceHorizon`): the GC quorum for the relay
-    /// store and the tables.
-    frontiers: Vec<BTreeMap<u32, SourceHorizon>>,
+    /// The horizon plane's feed and what [`GossipState::gc`] still owes
+    /// for it.
+    acked: AckBook,
+}
+
+/// Every peer's latest frontier per source — the GC quorum for the relay
+/// store and the tables — and which sources something has changed for
+/// since the last GC, so a GC pays for those only (`docs/PROTOCOL.md`
+/// §11, "Incremental GC"). Dense: `rows[peer]` indexed by source; a
+/// source `>= n` off the wire is refused at the door.
+#[derive(Debug)]
+struct AckBook {
+    n: usize,
+    rows: Vec<PeerRow>,
+    /// Per source: a frontier for it changed, a relay entry or a table
+    /// note of it is new, or the dead-set moved — GC must visit it.
+    dirty: Vec<bool>,
+    /// The membership dead-set the last GC ran under.
+    dead: Vec<bool>,
+    /// Per source: the floor the last GC computed, and the highest floor
+    /// the tables were ever released below. `floor < released` only after
+    /// a frontier dragged a floor back down: a reordered session message,
+    /// or a peer whose high-water mark outgrew the window its inbox
+    /// reports holes precisely in (`Inbox::missing_from`).
+    floor: Vec<u64>,
+    released: Vec<u64>,
+    /// `(peer, src, prefix)` of every frontier since the last GC that was
+    /// equal to the stored one, so noting its prefix into `peer_seen` was
+    /// skipped. The skip is exact while floors only rise (the prefix was
+    /// noted when the frontier was stored, and nothing above the floor
+    /// has been released since); GC replays these for a source whose
+    /// floor fell below `released`.
+    skipped: Vec<(u32, u32, u64)>,
+    /// Scratch: relay seqs of one source the quorum has acknowledged.
+    drop_seqs: Vec<u64>,
+    /// Sources [`GossipState::gc`] evaluated a quorum for, ever.
+    #[cfg(test)]
+    quorum_evals: u64,
+}
+
+/// What one peer last advertised, by source. Both columns stay empty
+/// until the peer's first session message (an endpoint's set-up does not
+/// pay for peers it never hears), then hold `n` slots.
+#[derive(Clone, Debug, Default)]
+struct PeerRow {
+    frontier: Vec<Option<SourceHorizon>>,
+    /// [`acked_prefix`] of each frontier, 0 while there is none: a floor
+    /// is the minimum of these over the voting peers.
+    prefix: Vec<u64>,
+}
+
+impl AckBook {
+    fn new(n: usize) -> Self {
+        AckBook {
+            n,
+            rows: vec![PeerRow::default(); n],
+            dirty: vec![false; n],
+            dead: vec![false; n],
+            floor: vec![0; n],
+            released: vec![0; n],
+            skipped: Vec::new(),
+            drop_seqs: Vec::new(),
+            #[cfg(test)]
+            quorum_evals: 0,
+        }
+    }
+
+    fn frontier(&self, peer: usize, src: usize) -> Option<&SourceHorizon> {
+        self.rows[peer].frontier.get(src)?.as_ref()
+    }
+
+    fn prefix(&self, peer: usize, src: usize) -> u64 {
+        self.rows[peer].prefix.get(src).copied().unwrap_or(0)
+    }
+
+    /// GC must look at `src` again. Sources outside the group have no
+    /// frontier and are never collected.
+    fn mark(&mut self, src: u32) {
+        if let Some(d) = self.dirty.get_mut(src as usize) {
+            *d = true;
+        }
+    }
+}
+
+/// The contiguous prefix `f` acknowledges: everything below its first
+/// hole, up to `hwm` without one; `None` when seq 0 is itself a hole.
+fn acked_prefix(f: &SourceHorizon) -> Option<u64> {
+    match f.missing.iter().map(|r| r.start).min() {
+        Some(first) => first.checked_sub(1),
+        None => Some(f.hwm),
+    }
 }
 
 /// Intern a flat id list into wire digests: group by source, coalesce
@@ -125,7 +212,7 @@ impl GossipState {
             relay: BTreeMap::new(),
             relay_order: VecDeque::new(),
             wanted: BTreeMap::new(),
-            frontiers: vec![BTreeMap::new(); n],
+            acked: AckBook::new(n),
         }
     }
 
@@ -163,17 +250,7 @@ impl GossipState {
                 continue;
             }
             // The origin of a payload holds it by definition.
-            self.peer_seen[src as usize].note(src, m.seq);
-            self.relay.insert(key, m);
-            self.relay_order.push_back(key);
-            while self.relay.len() > RELAY_CAP {
-                match self.relay_order.pop_front() {
-                    Some(old) => {
-                        self.relay.remove(&old);
-                    }
-                    None => break,
-                }
-            }
+            self.relay_insert(m);
             fresh.push(key);
         }
         if !fresh.is_empty() {
@@ -196,6 +273,26 @@ impl GossipState {
         }
         // 3. Expired pulls rotate to another known holder.
         self.retry_wants(cx, io, horizon, member);
+    }
+
+    /// Store one accepted payload for relaying, FIFO-evicting at
+    /// [`RELAY_CAP`]. The caller has checked `src < n` and that the id is
+    /// not already stored.
+    fn relay_insert(&mut self, m: Message) {
+        let key = (m.src_rank, m.seq);
+        // The origin of a payload holds it by definition.
+        self.peer_seen[key.0 as usize].note(key.0, key.1);
+        self.acked.mark(key.0);
+        self.relay.insert(key, m);
+        self.relay_order.push_back(key);
+        while self.relay.len() > RELAY_CAP {
+            match self.relay_order.pop_front() {
+                Some(old) => {
+                    self.relay.remove(&old);
+                }
+                None => break,
+            }
+        }
     }
 
     /// Unicast an `Advr` digest of `ids` to every live peer that is not
@@ -222,6 +319,7 @@ impl GossipState {
                 if !self.advertised[p].note(src, seq) {
                     continue; // already advertised to this peer
                 }
+                self.acked.mark(src);
                 fresh.push((src, seq));
             }
             cx.stats.advrs_sent += send_digests(cx.enc, io, MsgKind::Advr, p, &fresh);
@@ -251,6 +349,9 @@ impl GossipState {
                 let end = r.end.min(r.start.saturating_add(4096));
                 for s in r.start..=end {
                     let newly = self.peer_seen[peer].note(e.src, s);
+                    if newly {
+                        self.acked.mark(e.src);
+                    }
                     if e.src == me {
                         continue; // our own traffic: we hold it
                     }
@@ -396,17 +497,45 @@ impl GossipState {
 
     /// Horizon feed: a frontier is positive knowledge — `peer` *holds*
     /// its acknowledged prefix — and the GC quorum for the relay store
-    /// and the tables.
+    /// and the tables. A frontier equal to the one already stored (almost
+    /// every one: a session message repeats all of them each period)
+    /// costs one comparison; one naming a source outside the group is
+    /// stray or hostile traffic and is ignored.
     pub(crate) fn note_frontiers(&mut self, peer: usize, acks: &[SourceHorizon]) {
+        let book = &mut self.acked;
         for f in acks {
-            let prefix = match f.missing.iter().map(|r| r.start).min() {
-                Some(first) => first.checked_sub(1),
-                None => Some(f.hwm),
-            };
+            let src = f.src as usize;
+            if src >= book.n {
+                continue;
+            }
+            let row = &mut book.rows[peer];
+            if row.frontier.is_empty() {
+                row.frontier.resize(book.n, None);
+                row.prefix.resize(book.n, 0);
+            }
+            let prefix = acked_prefix(f);
+            let stored = &mut row.frontier[src];
+            if stored
+                .as_ref()
+                .is_some_and(|old| old.hwm == f.hwm && old.missing == f.missing)
+            {
+                if let Some(end) = prefix {
+                    book.skipped.push((peer as u32, f.src, end));
+                    if book.floor[src] < book.released[src] {
+                        book.dirty[src] = true;
+                    }
+                }
+                continue;
+            }
             if let Some(end) = prefix {
                 self.peer_seen[peer].note_range(f.src, SeqRange { start: 0, end });
             }
-            self.frontiers[peer].insert(f.src, f.clone());
+            match stored {
+                Some(old) => old.clone_from(f),
+                None => *stored = Some(f.clone()),
+            }
+            row.prefix[src] = prefix.unwrap_or(0);
+            book.dirty[src] = true;
         }
     }
 
@@ -414,14 +543,113 @@ impl GossipState {
     /// origin) has acknowledged can never be pulled again, and
     /// per-source seen/advertised history below the group-wide
     /// acknowledged floor buys nothing — exactly the quorum rule
-    /// [`HorizonState::gc_ring`] applies to the retransmit ring.
+    /// [`HorizonState::gc_ring`] applies to the retransmit ring. Visits
+    /// only the sources marked dirty since the last call (all of them
+    /// when the dead-set moved): for any other source every input of the
+    /// rule is what the last GC already acted on.
     pub(crate) fn gc(&mut self, enc: &Encoder, member: Option<&MemberState>) {
+        let n = self.acked.n;
+        for p in 0..n {
+            let dead = membership::is_dead(member, p);
+            if self.acked.dead[p] != dead {
+                self.acked.dead[p] = dead;
+                self.acked.dirty.fill(true);
+            }
+        }
+        for src in 0..n {
+            if std::mem::take(&mut self.acked.dirty[src]) {
+                self.gc_source(enc.rank, src);
+            }
+        }
+        self.acked.skipped.clear();
+    }
+
+    /// [`GossipState::gc`] for one source: drop its acknowledged relay
+    /// entries, then release the tables below its floor.
+    fn gc_source(&mut self, me: usize, src: usize) {
+        let book = &mut self.acked;
+        let n = book.n;
+        #[cfg(test)]
+        {
+            book.quorum_evals += 1;
+        }
+        // Whose acknowledgement counts: every live peer but the origin.
+        let votes = |dead: &[bool], p: usize| p != me && p != src && !dead[p];
+        let (mut voters, mut floor) = (0, u64::MAX);
+        for p in (0..n).filter(|&p| votes(&book.dead, p)) {
+            voters += 1;
+            floor = floor.min(book.prefix(p, src));
+        }
+        if voters == 0 {
+            floor = 0;
+        }
+        let key = |seq: u64| (src as u32, seq);
+        book.drop_seqs.clear();
+        for (&(_, seq), _) in self.relay.range(key(0)..=key(u64::MAX)) {
+            // At or below the floor every voter's prefix covers `seq`
+            // (seq 0 excepted: prefix 0 also stands for "none").
+            let acked = (seq != 0 && seq <= floor)
+                || (0..n)
+                    .filter(|&p| votes(&book.dead, p))
+                    .all(|p| book.frontier(p, src).is_some_and(|f| f.acks(seq)));
+            if acked {
+                book.drop_seqs.push(seq);
+            }
+        }
+        for &seq in &book.drop_seqs {
+            self.relay.remove(&key(seq));
+        }
+        // A floor that fell back below what was already released: the
+        // skipped prefix notes would have put part of it back.
+        if floor < book.released[src] {
+            for &(peer, s, end) in &book.skipped {
+                if s as usize == src {
+                    self.peer_seen[peer as usize].note_range(s, SeqRange { start: 0, end });
+                }
+            }
+        }
+        book.floor[src] = floor;
+        if floor == 0 {
+            return;
+        }
+        book.released[src] = book.released[src].max(floor);
+        for p in 0..n {
+            self.peer_seen[p].release_below(src as u32, floor);
+            self.advertised[p].release_below(src as u32, floor);
+        }
+    }
+}
+
+/// The feed and the GC as they were before they became incremental, kept
+/// as the oracle the tests below hold [`GossipState::note_frontiers`] and
+/// [`GossipState::gc`] to: every frontier noted and stored, every relay
+/// key and every source scanned, on every call. They read and write
+/// nothing of [`AckBook`] but the stored frontiers.
+#[cfg(test)]
+impl GossipState {
+    fn note_frontiers_reference(&mut self, peer: usize, acks: &[SourceHorizon]) {
+        let n = self.acked.n;
+        for f in acks.iter().filter(|f| (f.src as usize) < n) {
+            if let Some(end) = acked_prefix(f) {
+                self.peer_seen[peer].note_range(f.src, SeqRange { start: 0, end });
+            }
+            let row = &mut self.acked.rows[peer].frontier;
+            row.resize(n, None);
+            row[f.src as usize] = Some(f.clone());
+        }
+    }
+
+    fn gc_reference(&mut self, enc: &Encoder, member: Option<&MemberState>) {
         let (me, n) = (enc.rank, enc.n);
         let dead: Vec<bool> = (0..n).map(|p| membership::is_dead(member, p)).collect();
         let quorum = |g: &GossipState, src: u32, seq: u64| {
             (0..n)
                 .filter(|&p| p != me && p != src as usize && !dead[p])
-                .all(|p| g.frontiers[p].get(&src).is_some_and(|f| f.acks(seq)))
+                .all(|p| {
+                    g.acked
+                        .frontier(p, src as usize)
+                        .is_some_and(|f| f.acks(seq))
+                })
         };
         let drop_keys: Vec<(u32, u64)> = self
             .relay
@@ -432,23 +660,14 @@ impl GossipState {
         for k in &drop_keys {
             self.relay.remove(k);
         }
-        // Per-source floors for the tables: the contiguous prefix every
-        // live peer's frontier acknowledges.
-        let srcs: Vec<u32> = {
-            let mut s: Vec<u32> = self
-                .frontiers
-                .iter()
-                .flat_map(|f| f.keys().copied())
-                .collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
+        let srcs: Vec<u32> = (0..n as u32)
+            .filter(|&src| (0..n).any(|p| self.acked.frontier(p, src as usize).is_some()))
+            .collect();
         for src in srcs {
             let floor = (0..n)
                 .filter(|&p| p != me && p != src as usize && !dead[p])
                 .map(|p| {
-                    self.frontiers[p].get(&src).map_or(0, |f| {
+                    self.acked.frontier(p, src as usize).map_or(0, |f| {
                         match f.missing.iter().map(|r| r.start).min() {
                             Some(first) => first.saturating_sub(1),
                             None => f.hwm,
@@ -465,5 +684,252 @@ impl GossipState {
                 self.advertised[p].release_below(src, floor);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mmpi_wire::{Bytes, RepairStats, RetransmitBuffer};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::config::{MembershipConfig, RepairConfig};
+    use crate::inbox::Inbox;
+    use crate::testing::ScriptedPump;
+
+    /// One gossip plane and everything its entry points borrow.
+    struct Rig {
+        g: GossipState,
+        enc: Encoder,
+        inbox: Inbox,
+        rtx: RetransmitBuffer,
+        stats: RepairStats,
+        horizon: HorizonState,
+        member: MemberState,
+        io: ScriptedPump,
+        /// Drive the full-scan oracle instead of the incremental pair.
+        reference: bool,
+    }
+
+    /// One step of a random history (see [`Rig::apply`]).
+    type Op = (u8, u32, u32, u64, u64);
+
+    fn horizon_of(src: u32, hwm: u64, shape: u64) -> SourceHorizon {
+        let missing = match shape % 4 {
+            0 | 1 => vec![],
+            2 => vec![SeqRange {
+                start: shape % (hwm + 1),
+                end: hwm,
+            }],
+            _ => vec![SeqRange { start: 0, end: 0 }],
+        };
+        SourceHorizon { src, hwm, missing }
+    }
+
+    impl Rig {
+        fn new(n: usize, me: usize, reference: bool) -> Self {
+            let cfg = RepairConfig::sim_default().with_gossip();
+            let hb = MembershipConfig {
+                heartbeat_interval: std::time::Duration::from_millis(2),
+            };
+            Rig {
+                g: GossipState::new(n),
+                enc: Encoder::new(0, me, n, 60_000, true),
+                inbox: Inbox::new(0, me as u32),
+                rtx: RetransmitBuffer::new(8),
+                stats: RepairStats::default(),
+                horizon: HorizonState::new(&cfg, n),
+                member: MemberState::new(hb, n),
+                io: ScriptedPump::new(),
+                reference,
+            }
+        }
+
+        fn frontiers(&mut self, peer: usize, acks: &[SourceHorizon]) {
+            if self.reference {
+                self.g.note_frontiers_reference(peer, acks);
+            } else {
+                self.g.note_frontiers(peer, acks);
+            }
+        }
+
+        fn gc(&mut self) {
+            if self.reference {
+                self.g.gc_reference(&self.enc, Some(&self.member));
+            } else {
+                self.g.gc(&self.enc, Some(&self.member));
+            }
+        }
+
+        /// Interpret one op. Small value ranges on purpose: repeated and
+        /// regressing frontiers, re-noted ids and emptied quorums must be
+        /// common, not rare.
+        fn apply(&mut self, (kind, a, b, s, t): Op) {
+            let (n, me) = (self.enc.n, self.enc.rank);
+            let peer = 1 + a as usize % (n - 1); // never `me` (rank 0)
+            let mut cx = Ctx {
+                enc: &mut self.enc,
+                inbox: &mut self.inbox,
+                rtx: &mut self.rtx,
+                stats: &mut self.stats,
+            };
+            match kind {
+                0 | 1 => {
+                    let src = 1 + b % (n as u32 - 1);
+                    if !self.g.relay.contains_key(&(src, s)) {
+                        self.g.relay_insert(Message {
+                            kind: MsgKind::Data,
+                            context: 0,
+                            src_rank: src,
+                            tag: 0,
+                            seq: s,
+                            payload: Bytes::new(),
+                        });
+                    }
+                }
+                2 => {
+                    // `b` may name a source outside the group.
+                    let digest = GossipDigest {
+                        entries: vec![SourceDigest {
+                            src: b,
+                            ranges: vec![SeqRange {
+                                start: s,
+                                end: s + t % 3,
+                            }],
+                        }],
+                    };
+                    self.g
+                        .ingest_advr(&mut cx, &mut self.io, &self.horizon, peer, &digest);
+                }
+                3 => {
+                    let ids = [(b % n as u32, s)];
+                    self.g
+                        .advertise(&mut cx, &mut self.io, &ids, Some(&self.member));
+                }
+                4..=8 => {
+                    let acks: Vec<SourceHorizon> = (0..1 + t % 3)
+                        .map(|k| horizon_of((b + k as u32) % (n as u32 + 2), (s + k) % 12, t + k))
+                        .collect();
+                    self.frontiers(peer, &acks);
+                }
+                9 if t < 4 && peer != me => {
+                    self.member.force_fail(peer);
+                }
+                _ => self.gc(),
+            }
+        }
+
+        /// Everything the GC may touch, and everything a divergence in it
+        /// would eventually move on the wire.
+        fn observable(&self) -> impl PartialEq + std::fmt::Debug + '_ {
+            (
+                self.g.relay.keys().collect::<Vec<_>>(),
+                &self.g.relay_order,
+                &self.g.peer_seen,
+                &self.g.advertised,
+                self.g.wanted.keys().collect::<Vec<_>>(),
+                (self.stats.advrs_sent, self.stats.wants_sent),
+                self.stats.duplicate_payloads_avoided,
+                self.io.unicasts_out,
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The equivalence oracle: over random histories of relay inserts,
+        /// `Advr` ingests, advertisements, session messages (repeated,
+        /// advancing and stale), failures and GCs, the incremental feed
+        /// and GC leave exactly what the full scan leaves, after every GC.
+        #[test]
+        fn incremental_gc_matches_the_full_scan(
+            ops in proptest::collection::vec(
+                (0u8..12, 0u32..8, 0u32..8, 0u64..12, 0u64..12), 1..120),
+        ) {
+            let mut real = Rig::new(5, 0, false);
+            let mut oracle = Rig::new(5, 0, true);
+            for op in ops {
+                real.apply(op);
+                oracle.apply(op);
+                if op.0 >= 10 {
+                    prop_assert_eq!(real.observable(), oracle.observable());
+                }
+            }
+            real.gc();
+            oracle.gc();
+            prop_assert_eq!(real.observable(), oracle.observable());
+        }
+    }
+
+    /// The corner the `skipped` log exists for: a repeated frontier's
+    /// prefix note is skipped, then a stale frontier later in the same
+    /// batch drags the floor back below what was already released — the
+    /// full scan would have re-noted the repeated prefix first.
+    #[test]
+    fn stale_frontier_replays_the_skipped_prefix_notes() {
+        let full = |src, hwm| SourceHorizon {
+            src,
+            hwm,
+            missing: vec![],
+        };
+        let mut rigs = [Rig::new(4, 0, false), Rig::new(4, 0, true)];
+        for rig in &mut rigs {
+            rig.frontiers(2, &[full(1, 10)]);
+            rig.frontiers(3, &[full(1, 10)]);
+            rig.gc(); // floor 10: everything of source 1 released
+            rig.frontiers(2, &[full(1, 10)]); // repeated
+            rig.frontiers(3, &[full(1, 4)]); // stale
+            rig.gc();
+            assert!(rig.g.peer_seen[2].contains(1, 5), "5..=10 is back");
+            assert!(!rig.g.peer_seen[2].contains(1, 4));
+        }
+        assert_eq!(rigs[0].observable(), rigs[1].observable());
+    }
+
+    /// A session message that changes nothing costs comparisons only: no
+    /// quorum is evaluated and the state-owned scratch does not grow.
+    #[test]
+    fn unchanged_session_message_evaluates_no_quorum() {
+        let n = 32;
+        let mut rig = Rig::new(n, 0, false);
+        let acks: Vec<SourceHorizon> = (1..n as u32).map(|src| horizon_of(src, 7, 0)).collect();
+        for _ in 0..2 {
+            rig.frontiers(1, &acks);
+            rig.gc();
+        }
+        let (evals, scratch) = (rig.g.acked.quorum_evals, rig.g.acked.skipped.capacity());
+        assert_eq!(
+            evals,
+            n as u64 - 1,
+            "the first message dirtied every source"
+        );
+        for _ in 0..100 {
+            rig.frontiers(1, &acks);
+            rig.gc();
+        }
+        assert_eq!(rig.g.acked.quorum_evals, evals);
+        assert_eq!(rig.g.acked.skipped.capacity(), scratch);
+    }
+
+    /// Frontiers naming sources outside the group — stray or hostile
+    /// traffic — must not grow anything.
+    #[test]
+    fn frontiers_for_sources_outside_the_group_are_ignored() {
+        let n = 4;
+        let mut rig = Rig::new(n, 0, false);
+        for k in 0..1000u32 {
+            let acks: Vec<SourceHorizon> = (0..32)
+                .map(|j| horizon_of(n as u32 + k * 32 + j, 9, 0))
+                .collect();
+            rig.frontiers(1, &acks);
+            rig.gc();
+        }
+        let book = &rig.g.acked;
+        assert!(book
+            .rows
+            .iter()
+            .all(|r| r.frontier.is_empty() && r.prefix.is_empty()));
+        assert!(book.skipped.is_empty() && rig.g.peer_seen.iter().all(SeenTable::is_empty));
     }
 }

@@ -213,9 +213,11 @@ impl HorizonState {
                 }
             }
             if let Some(f) = p.acks.iter().find(|a| a.src == me) {
-                let slot = &mut self.frontier[peer as usize];
-                if slot.as_ref().is_none_or(|old| f.hwm >= old.hwm) {
-                    *slot = Some(f.clone());
+                match &mut self.frontier[peer as usize] {
+                    Some(old) if f.hwm < old.hwm => {} // reordered, stale
+                    Some(old) if f.hwm == old.hwm && f.missing == old.missing => {}
+                    Some(old) => old.clone_from(f),
+                    slot => *slot = Some(f.clone()),
                 }
             }
             if let Some(g) = gossip.as_deref_mut() {
@@ -240,17 +242,17 @@ impl HorizonState {
     /// (and a closed send window) forever.
     pub(crate) fn gc_ring(&self, cx: &mut Ctx<'_>, member: Option<&MemberState>) {
         let (n, me) = (cx.enc.n, cx.enc.rank);
-        let dead: Vec<bool> = (0..n).map(|p| membership::is_dead(member, p)).collect();
-        if self.frontier.iter().all(|f| f.is_none()) && !dead.iter().any(|&d| d) {
+        let dead = |p: usize| membership::is_dead(member, p);
+        if self.frontier.iter().all(|f| f.is_none()) && !(0..n).any(dead) {
             return;
         }
         let frontier = &self.frontier;
         let acked_by = |p: usize, seq: u64| frontier[p].as_ref().is_some_and(|f| f.acks(seq));
         let freed = cx.rtx.release_acked(|rec| match rec.dst {
             SendDst::Multicast => (0..n)
-                .filter(|&p| p != me && !dead[p])
+                .filter(|&p| p != me && !dead(p))
                 .all(|p| acked_by(p, rec.seq)),
-            SendDst::Rank(d) => dead[d as usize] || acked_by(d as usize, rec.seq),
+            SendDst::Rank(d) => dead(d as usize) || acked_by(d as usize, rec.seq),
         });
         cx.stats.acked_records_freed += freed;
     }

@@ -13,8 +13,18 @@
 //! loopback interface with `IP_MULTICAST_LOOP` enabled) or processes on a
 //! LAN (set `iface`/`peers` accordingly).
 //!
-//! Buffer ownership: each socket read lands in one shared [`Bytes`]
-//! buffer that flows to the reader channel, the reassembler, and (for
+//! A rank reads its own sockets, as the paper's processes do: a
+//! [`UdpComm`] owns no thread. A blocking wait is one `ppoll(2)` on both
+//! descriptors (through the `socket2` shim's `poll`) with the engine's
+//! deadline as its timeout, followed by nonblocking reads of whichever
+//! socket it reported — which stays marked ready, and is read before the
+//! next wait, until a read comes back empty. The kernel's socket buffers
+//! are therefore the only receive queue; [`UdpComm::new`] asks for
+//! [`RECV_BUFFER_BYTES`] on each.
+//!
+//! Buffer ownership: each socket read lands in one reusable 64 KiB buffer
+//! and is imported into a shared [`Bytes`] exactly once (the
+//! kernel-boundary copy), which flows to the reassembler and (for
 //! single-chunk messages) the matched [`Message`] itself without another
 //! copy; each send concatenates a datagram's header and payload views
 //! into one reusable scratch buffer — the sole copy a contiguous socket
@@ -22,16 +32,20 @@
 //! `docs/PERFORMANCE.md`). The NACK/retransmit repair loop policy lives
 //! in [`EndpointCore`]; this file provides only the wall-clock
 //! [`RepairPump`].
+//!
+//! Errors: UDP semantics throughout. A failed read loses that wake-up, a
+//! failed send loses that datagram (the repair loop is what recovers
+//! either), and a failed wait degrades to polling the nonblocking sockets
+//! every millisecond — nothing here panics or blocks forever on
+//! a socket error. The one thing a send never does is turn a *full send
+//! buffer* into a drop: it waits for writability and retries.
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mmpi_wire::{Bytes, Datagram, Message, MsgKind, RepairStats};
-use socket2::{Domain, Protocol, Socket, Type};
+use socket2::{Domain, PollFd, Protocol, Socket, Type};
 
 use crate::{
     CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairConfig, RepairPump, SendReq,
@@ -99,45 +113,30 @@ impl UdpConfig {
     }
 }
 
-fn reader_thread(
-    sock: UdpSocket,
-    via_mcast: bool,
-    out: Sender<(Bytes, bool)>,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        // One reusable receive buffer; each datagram is imported into a
-        // freshly shared `Bytes` exactly once (the kernel-boundary copy)
-        // and never copied again on its way to the application.
-        let mut buf = vec![0u8; 65_536];
-        while !stop.load(Ordering::Relaxed) {
-            match sock.recv_from(&mut buf) {
-                Ok((len, _from)) => {
-                    if out
-                        .send((Bytes::copy_from_slice(&buf[..len]), via_mcast))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(_) => break,
-            }
-        }
-    })
-}
+/// Kernel receive buffer requested for each socket, best effort (the
+/// kernel clamps to `net.core.rmem_max`): room for a burst of a few dozen
+/// maximum-size datagrams while the rank is busy elsewhere.
+pub const RECV_BUFFER_BYTES: usize = 4 << 20;
+
+/// How long a pump pauses when the readiness wait itself fails (kernel
+/// out of memory, in practice) before it polls the sockets directly.
+const WAIT_FAILED_PAUSE: Duration = Duration::from_millis(1);
 
 /// The socket half of a UDP endpoint. Implements [`RepairPump`] over
 /// wall-clock time.
 struct UdpIo {
     cfg: UdpConfig,
-    /// Used for all sends (unicast and multicast).
-    tx: UdpSocket,
-    rx: Receiver<(Bytes, bool)>,
-    stop: Arc<AtomicBool>,
-    readers: Vec<std::thread::JoinHandle<()>>,
+    /// `[point-to-point, multicast]`, both nonblocking. All sends
+    /// (unicast and multicast) leave through the first.
+    socks: [UdpSocket; 2],
+    /// Per socket: the last wait reported it readable and no read has
+    /// come back empty since.
+    ready: [bool; 2],
+    /// Which socket [`UdpIo::recv_ready`] tries first; alternates per
+    /// datagram so a flood on one cannot starve the other.
+    turn: usize,
+    /// Reusable receive buffer (one maximum-size UDP datagram).
+    rx_buf: Vec<u8>,
     /// Reusable scratch for the contiguous socket write.
     scratch: Vec<u8>,
     /// Epoch of this endpoint's repair clock (wall nanos since creation).
@@ -145,20 +144,27 @@ struct UdpIo {
 }
 
 impl UdpIo {
-    fn ingest(core: &mut EndpointCore, bytes: &Bytes, via_mcast: bool) {
-        // Malformed datagrams (stray traffic on our ports) are ignored.
-        let _ = core.inbox.ingest_datagram_via(bytes, via_mcast);
-    }
-
     /// Send encoded datagrams to an explicit address (unicast or the
     /// multicast group). The one copy here is the contiguous write a
     /// plain UDP socket demands.
     fn send_to_addr(&mut self, to: SocketAddrV4, dgs: &[Datagram]) {
+        let tx = &self.socks[0];
         for d in dgs {
             self.scratch.clear();
             d.write_contiguous(&mut self.scratch);
-            // UDP semantics: errors (e.g. peer gone) lose the datagram.
-            let _ = self.tx.send_to(&self.scratch, to);
+            loop {
+                match tx.send_to(&self.scratch, to) {
+                    // Send buffer full: wait for room, never drop.
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        if socket2::poll(&mut [PollFd::writable(tx)], None).is_err() {
+                            std::thread::sleep(WAIT_FAILED_PAUSE);
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    // UDP semantics: errors (e.g. peer gone) lose the datagram.
+                    _ => break,
+                }
+            }
         }
     }
 
@@ -166,20 +172,68 @@ impl UdpIo {
         SocketAddrV4::new(self.cfg.mcast_addr, self.cfg.mcast_port)
     }
 
-    fn pump_chan(&mut self, core: &mut EndpointCore, timeout: Option<Duration>) -> bool {
-        let item = match timeout {
-            None => self.rx.recv().ok(),
-            Some(t) => match self.rx.recv_timeout(t) {
-                Ok(x) => Some(x),
-                Err(RecvTimeoutError::Timeout) => return false,
-                Err(RecvTimeoutError::Disconnected) => None,
-            },
-        };
-        let Some((bytes, via_mcast)) = item else {
-            panic!("UDP reader threads died");
-        };
-        Self::ingest(core, &bytes, via_mcast);
-        true
+    /// Read one datagram from a socket marked ready into `core`'s inbox.
+    /// Returns whether one was ingested; a socket whose read comes back
+    /// empty (or failed) loses its mark.
+    fn recv_ready(&mut self, core: &mut EndpointCore) -> bool {
+        for k in 0..2 {
+            let i = (self.turn + k) % 2;
+            if !self.ready[i] {
+                continue;
+            }
+            match self.socks[i].recv_from(&mut self.rx_buf) {
+                Ok((len, _from)) => {
+                    self.turn = 1 - i;
+                    let bytes = Bytes::copy_from_slice(&self.rx_buf[..len]);
+                    // Malformed datagrams (stray traffic on our ports)
+                    // are ignored.
+                    let _ = core.inbox.ingest_datagram_via(&bytes, i == 1);
+                    return true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.ready[i] = false,
+            }
+        }
+        false
+    }
+
+    /// Wait up to `timeout` (`None`: indefinitely) for either socket to
+    /// become readable and mark the ready ones. A wait that fails marks
+    /// both after a short pause: the sockets are nonblocking, so reading
+    /// them is always safe and the pump degrades to polling.
+    fn wait_readable(&mut self, timeout: Option<Duration>) {
+        let [p2p, mc] = &self.socks;
+        let mut fds = [PollFd::readable(p2p), PollFd::readable(mc)];
+        match socket2::poll(&mut fds, timeout) {
+            Ok(_) => {
+                for (mark, fd) in self.ready.iter_mut().zip(&fds) {
+                    *mark |= fd.is_ready();
+                }
+            }
+            Err(_) => {
+                std::thread::sleep(timeout.map_or(WAIT_FAILED_PAUSE, |t| t.min(WAIT_FAILED_PAUSE)));
+                self.ready = [true; 2];
+            }
+        }
+    }
+
+    /// Receive one datagram into `core`, waiting for it until the repair
+    /// clock reads `until` (`None`: as long as it takes). Returns whether
+    /// one was ingested.
+    fn pump_until(&mut self, core: &mut EndpointCore, until: Option<u64>) -> bool {
+        loop {
+            if self.recv_ready(core) {
+                return true;
+            }
+            let timeout = match until {
+                None => None,
+                Some(at) => match at.checked_sub(RepairPump::now(self)) {
+                    Some(left) if left > 0 => Some(Duration::from_nanos(left)),
+                    _ => return false,
+                },
+            };
+            self.wait_readable(timeout);
+        }
     }
 }
 
@@ -189,40 +243,20 @@ impl RepairPump for UdpIo {
     }
 
     fn pump_one(&mut self, core: &mut EndpointCore, until: Option<u64>) {
-        match until {
-            None => {
-                self.pump_chan(core, None);
-            }
-            Some(at) => {
-                let now = self.epoch.elapsed().as_nanos() as u64;
-                if at > now {
-                    self.pump_chan(core, Some(Duration::from_nanos(at - now)));
-                }
-            }
-        }
+        self.pump_until(core, until);
     }
 
     fn pump_ready(&mut self, core: &mut EndpointCore) -> bool {
-        match self.rx.try_recv() {
-            Ok((bytes, via_mcast)) => {
-                Self::ingest(core, &bytes, via_mcast);
-                true
-            }
-            Err(_) => false,
+        if self.recv_ready(core) {
+            return true;
         }
+        self.wait_readable(Some(Duration::ZERO));
+        self.recv_ready(core)
     }
 
     fn pump_drain(&mut self, core: &mut EndpointCore, quiet: Duration) -> bool {
-        // Unlike pump_one, tolerate dead reader threads here: a hard
-        // socket error must not turn teardown into a panic-in-Drop
-        // (which would abort the process).
-        match self.rx.recv_timeout(quiet) {
-            Ok((bytes, via_mcast)) => {
-                Self::ingest(core, &bytes, via_mcast);
-                true
-            }
-            Err(_) => false,
-        }
+        let until = RepairPump::now(self).saturating_add(quiet.as_nanos() as u64);
+        self.pump_until(core, Some(until))
     }
 
     fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
@@ -250,6 +284,7 @@ impl RepairPump for UdpIo {
 pub struct UdpComm {
     io: UdpIo,
     core: EndpointCore,
+    recv_buffer_bytes: usize,
 }
 
 impl UdpComm {
@@ -263,6 +298,9 @@ impl UdpComm {
         p2p.bind(&SocketAddr::V4(p2p_addr).into())?;
         p2p.set_multicast_if_v4(&cfg.iface)?;
         p2p.set_multicast_loop_v4(true)?;
+        // Best effort: a refusal leaves the default-sized buffer.
+        let _ = p2p.set_recv_buffer_size(RECV_BUFFER_BYTES);
+        let p2p_granted = p2p.recv_buffer_size().unwrap_or(0);
         let p2p: UdpSocket = p2p.into();
 
         // Multicast receive socket: every rank binds the same port.
@@ -273,26 +311,20 @@ impl UdpComm {
         let mc_addr = SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, cfg.mcast_port);
         mc.bind(&SocketAddr::V4(mc_addr).into())?;
         mc.join_multicast_v4(&cfg.mcast_addr, &cfg.iface)?;
+        let _ = mc.set_recv_buffer_size(RECV_BUFFER_BYTES);
+        let recv_buffer_bytes = p2p_granted.min(mc.recv_buffer_size().unwrap_or(0));
         let mc: UdpSocket = mc.into();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx_chan, rx_chan) = bounded(4096);
-        let p2p_reader = p2p.try_clone()?;
-        p2p_reader.set_read_timeout(Some(Duration::from_millis(50)))?;
-        mc.set_read_timeout(Some(Duration::from_millis(50)))?;
-        let readers = vec![
-            reader_thread(p2p_reader, false, tx_chan.clone(), Arc::clone(&stop)),
-            reader_thread(mc, true, tx_chan, Arc::clone(&stop)),
-        ];
+        p2p.set_nonblocking(true)?;
+        mc.set_nonblocking(true)?;
 
         let core = EndpointCore::new(cfg.context, rank, n, cfg.max_chunk, cfg.repair);
         Ok(UdpComm {
             io: UdpIo {
                 cfg,
-                tx: p2p,
-                rx: rx_chan,
-                stop,
-                readers,
+                socks: [p2p, mc],
+                ready: [false; 2],
+                turn: 0,
+                rx_buf: vec![0u8; 65_536],
                 scratch: Vec::new(),
                 // Real-network backend: the repair pump's time base is
                 // wall time by definition (lint.toml carries the budget).
@@ -300,7 +332,16 @@ impl UdpComm {
                 epoch: Instant::now(),
             },
             core,
+            recv_buffer_bytes,
         })
+    }
+
+    /// The smaller of the two sockets' kernel receive buffers, in bytes as
+    /// the kernel accounts them — what [`RECV_BUFFER_BYTES`] was granted
+    /// as. The kernel buffer is the only receive queue, so this bounds the
+    /// burst a rank busy elsewhere can absorb without loss.
+    pub fn recv_buffer_bytes(&self) -> usize {
+        self.recv_buffer_bytes
     }
 
     /// Repair counters of this endpoint so far.
@@ -318,10 +359,6 @@ impl Drop for UdpComm {
         // everything silently skips out after one quiet grace period.
         if !std::thread::panicking() {
             self.core.drain(&mut self.io);
-        }
-        self.io.stop.store(true, Ordering::Relaxed);
-        for h in self.io.readers.drain(..) {
-            let _ = h.join();
         }
     }
 }

@@ -169,7 +169,7 @@ impl GossipDigest {
 /// digests and its ACK-horizon frontiers; consulted before advertising to
 /// that peer (suppression) and when routing a `Want` to a peer that can
 /// answer it. GC'd by the AckHorizon plane via [`SeenTable::release_below`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SeenTable {
     map: BTreeMap<u32, Vec<SeqRange>>,
 }
@@ -199,14 +199,29 @@ impl SeenTable {
             return false;
         }
         let ranges = self.map.entry(src).or_default();
-        let covered = ranges
-            .iter()
-            .any(|r| r.start <= range.start && range.end <= r.end);
-        if covered {
-            return false;
+        // Merge in place — the stored list is already canonical, so only
+        // the run `lo..hi` of ranges that overlap or abut `range` changes.
+        let lo = ranges.partition_point(|r| r.end.saturating_add(1) < range.start);
+        let hi = lo + ranges[lo..].partition_point(|r| r.start <= range.end.saturating_add(1));
+        if lo == hi {
+            if ranges.is_empty() {
+                // Most lists stay one coalesced range for life: do not
+                // let `insert` reserve four slots for it.
+                *ranges = vec![range];
+            } else {
+                ranges.insert(lo, range);
+            }
+            return true;
         }
-        ranges.push(range);
-        *ranges = compact_ranges(std::mem::take(ranges));
+        let merged = SeqRange {
+            start: range.start.min(ranges[lo].start),
+            end: range.end.max(ranges[hi - 1].end),
+        };
+        if hi - lo == 1 && merged == ranges[lo] {
+            return false; // covered
+        }
+        ranges[lo] = merged;
+        ranges.drain(lo + 1..hi);
         true
     }
 

@@ -303,6 +303,32 @@ proptest! {
         prop_assert_eq!(&compact_ranges(out.clone()), &out);
     }
 
+    /// `SeenTable::note_range` merges in place; it must agree with the
+    /// model it replaced — push, then `compact_ranges` — on the stored
+    /// form after every note, and report "new" exactly when the range was
+    /// not already inside one stored range. Near-`u64::MAX` ranges ride
+    /// along for the saturating adjacency test.
+    #[test]
+    fn seen_table_note_range_matches_compaction(
+        notes in proptest::collection::vec((range_strategy(), any::<bool>()), 0..40),
+    ) {
+        let mut table = mmpi_wire::SeenTable::new();
+        let mut model: Vec<SeqRange> = Vec::new();
+        for (r, high) in notes {
+            let r = if high {
+                SeqRange { start: u64::MAX - r.end, end: u64::MAX - r.start }
+            } else {
+                r
+            };
+            let covered = model.iter().any(|m| m.start <= r.start && r.end <= m.end);
+            model.push(r);
+            model = compact_ranges(model);
+            prop_assert_eq!(table.note_range(7, r), !covered);
+            let stored = table.digest().entries.pop().map(|e| e.ranges);
+            prop_assert_eq!(stored.as_ref(), Some(&model));
+        }
+    }
+
     /// The digest decoder never panics on arbitrary bytes, and whatever
     /// it accepts re-encodes cleanly (no internal inconsistency).
     #[test]

@@ -105,7 +105,13 @@
 //!                    │         │                 (lazy-push Advr digests,
 //!                    │         │                 Want pulls from ring or
 //!                    │         │                 relay store, n/2-scaled
-//!                    │         │                 retry rotation — §11)
+//!                    │         │                 retry rotation, GC per
+//!                    │         │                 dirty source — §11)
+//!                    │         │               · udp: a rank reads its
+//!                    │         │                 own two sockets (ppoll
+//!                    │         │                 + nonblocking reads);
+//!                    │         │                 a UdpComm owns no
+//!                    │         │                 thread
 //!                    ▼         ▼
 //!              mmpi-netsim   mmpi-wire ──────  event-driven net model /
 //!                │                 │           datagram format

@@ -5,7 +5,7 @@
 use mcast_mpi::core::{
     combine_u64_sum, expect_coll, BarrierAlgorithm, BcastAlgorithm, Communicator,
 };
-use mcast_mpi::transport::{multicast_available_cached, run_udp_world, UdpConfig};
+use mcast_mpi::transport::{multicast_available_cached, run_udp_world, Comm, UdpComm, UdpConfig};
 
 /// One cached probe for the whole binary: sandboxed CI environments
 /// without multicast routes skip every live test after a single quick
@@ -131,4 +131,150 @@ fn live_pvm_ack_bcast_retransmits_to_completion() {
     })
     .unwrap();
     assert_eq!(out, vec![9, 9, 9]);
+}
+
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line["Threads:".len()..].trim().parse().unwrap()
+}
+
+/// A rank reads its own sockets: a world of four costs exactly the four
+/// rank threads `run_udp_world` spawns, and they are gone afterwards.
+/// Other tests of this binary start and stop worlds concurrently, so a
+/// sample only counts when the process was the same size before and
+/// after it.
+#[test]
+fn live_world_adds_one_thread_per_rank() {
+    if !guard() {
+        return;
+    }
+    let cfg = UdpConfig::loopback(50_500);
+    for _attempt in 0..20 {
+        let gate = std::sync::Barrier::new(4);
+        let before = process_threads();
+        let during = run_udp_world(4, &cfg, |c| {
+            gate.wait(); // all four ranks are alive
+            let threads = process_threads();
+            gate.wait(); // nobody leaves before everyone has counted
+            drop(c);
+            threads
+        })
+        .unwrap();
+        if process_threads() != before {
+            continue;
+        }
+        assert_eq!(during, vec![before + 4; 4]);
+        return;
+    }
+    panic!("the process's thread count never held still around a world");
+}
+
+/// Teardown of a repair-armed endpoint is its drain grace and nothing
+/// else — no thread to stop, no read timeout to wait out.
+#[test]
+fn live_drop_of_a_repair_armed_endpoint_takes_its_drain_grace() {
+    if !guard() {
+        return;
+    }
+    let cfg = UdpConfig::loopback(50_600).with_repair();
+    let grace = cfg.repair.unwrap().effective_drain_grace(2);
+    let comm = UdpComm::new(0, 2, cfg).unwrap();
+    #[allow(clippy::disallowed_methods)] // a live-socket teardown is wall time
+    let t0 = std::time::Instant::now();
+    drop(comm);
+    let took = t0.elapsed();
+    let slack = std::time::Duration::from_millis(20);
+    assert!(
+        took >= grace && took <= grace + slack,
+        "{took:?} for a {grace:?} grace"
+    );
+}
+
+/// Stray traffic on a rank's ports — garbage, a truncated header, a
+/// well-formed datagram of somebody else's communicator — is dropped on
+/// the rank's own thread without disturbing the collective that follows.
+#[test]
+fn live_stray_datagrams_on_both_ports_are_ignored() {
+    if !guard() {
+        return;
+    }
+    use mcast_mpi::wire::{split_message, Bytes, MsgKind};
+    let cfg = UdpConfig::loopback(50_700);
+    let foreign = {
+        let payload = Bytes::from(vec![0xEE; 64]);
+        let dgs = split_message(MsgKind::Data, 0xBAD_C0DE, 0, 0, 0, &payload, 60_000);
+        let mut bytes = Vec::new();
+        dgs[0].write_contiguous(&mut bytes);
+        bytes
+    };
+    let strays: [&[u8]; 4] = [&[0xFF; 300], &[], &foreign[..5], &foreign];
+    let out = run_udp_world(2, &cfg, |c| {
+        if c.rank() == 0 {
+            // The multicast port is shared (`SO_REUSEPORT`): the kernel
+            // picks the receiving rank per source port, so vary it.
+            for _ in 0..8 {
+                let junk = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+                for port in [cfg.base_port, cfg.base_port + 1, cfg.mcast_port] {
+                    for stray in strays {
+                        junk.send_to(stray, ("127.0.0.1", port)).unwrap();
+                    }
+                }
+            }
+        }
+        let mut comm = Communicator::new(c);
+        let mut buf = if comm.rank() == 0 {
+            vec![0x7A; 20_000]
+        } else {
+            vec![0; 20_000]
+        };
+        expect_coll(comm.bcast(0, &mut buf));
+        expect_coll(comm.barrier());
+        buf == vec![0x7A; 20_000]
+    })
+    .unwrap();
+    assert_eq!(out, vec![true, true]);
+}
+
+/// The kernel's socket buffer is the only receive queue now: a burst of
+/// 16 maximum-size multicasts sent while the receiver is busy elsewhere
+/// must all still be there when it first looks, repair off — provided
+/// the kernel granted the buffer `UdpComm::new` asks for.
+#[test]
+fn live_burst_waits_in_the_kernel_buffer_for_a_busy_receiver() {
+    if !guard() {
+        return;
+    }
+    use std::time::Duration;
+    const BURST: usize = 16;
+    let cfg = UdpConfig::loopback(50_800);
+    let out = run_udp_world(2, &cfg, |mut c| {
+        if c.recv_buffer_bytes() < 2 << 20 {
+            return Err(c.recv_buffer_bytes());
+        }
+        if c.rank() == 0 {
+            for i in 0..BURST {
+                c.mcast(7, vec![i as u8; 60_000]);
+            }
+            // Hold the endpoint open until the receiver is done with it.
+            let done = c.recv_match_timeout(1, 8, Duration::from_secs(5));
+            return Ok(usize::from(matches!(done, Ok(Some(_)))));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let got = (0..BURST)
+            .map_while(|_| c.recv_match_timeout(0, 7, Duration::from_secs(1)).ok()?)
+            .filter(|m| m.payload.len() == 60_000)
+            .count();
+        c.send(0, 8, b"done");
+        Ok(got)
+    })
+    .unwrap();
+    match out[..] {
+        [Ok(1), Ok(got)] => assert_eq!(got, BURST, "datagrams were lost with repair off"),
+        [Err(granted), _] | [_, Err(granted)] => eprintln!(
+            "skipping: the kernel granted a {granted} B receive buffer, the burst needs 2 MiB \
+             (raise net.core.rmem_max)"
+        ),
+        _ => panic!("{out:?}"),
+    }
 }

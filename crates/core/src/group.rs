@@ -17,6 +17,95 @@ use std::time::Duration;
 use mmpi_transport::{CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
+/// Rank and tag translation between a member subset and its parent
+/// communicator — the part [`GroupComm`] and [`crate::ShrunkComm`] share.
+pub(crate) struct Mapping {
+    /// Parent ranks of the members, sorted; position = local rank.
+    pub(crate) members: Vec<usize>,
+    /// This process's rank within the subset.
+    pub(crate) my_rank: usize,
+    /// Tag-space shift separating this subset's traffic.
+    pub(crate) tag_shift: Tag,
+}
+
+impl Mapping {
+    /// `members` must be sorted, unique, and hold `parent_rank`.
+    pub(crate) fn new(members: Vec<usize>, parent_rank: usize, tag_shift: Tag) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        let my_rank = members
+            .iter()
+            .position(|&m| m == parent_rank)
+            .expect("calling process must be a member of the group");
+        Mapping {
+            members,
+            my_rank,
+            tag_shift,
+        }
+    }
+
+    pub(crate) fn shift(&self, tag: Tag) -> Tag {
+        tag.wrapping_add(self.tag_shift)
+    }
+
+    fn local_rank(&self, parent_src: u32) -> u32 {
+        self.members
+            .iter()
+            .position(|&m| m == parent_src as usize)
+            .expect("message from a non-member matched inside the subset") as u32
+    }
+
+    pub(crate) fn local_message(&self, mut m: Message) -> Message {
+        m.tag = m.tag.wrapping_sub(self.tag_shift);
+        m.src_rank = self.local_rank(m.src_rank);
+        m
+    }
+
+    pub(crate) fn local_error(&self, e: RecvError) -> RecvError {
+        match e {
+            RecvError::Unavailable {
+                src,
+                tag,
+                tag_floor,
+            } => RecvError::Unavailable {
+                src: self.local_rank(src),
+                tag: tag.wrapping_sub(self.tag_shift),
+                // The floor lives in the parent's tag space; translate it
+                // the same way so the caller compares like with like.
+                tag_floor: tag_floor.wrapping_sub(self.tag_shift),
+            },
+            // Failures surface only on receives directed at members, so
+            // the failed rank always translates into local coordinates.
+            RecvError::PeerFailed { rank, epoch } => RecvError::PeerFailed {
+                rank: self.local_rank(rank),
+                epoch,
+            },
+        }
+    }
+
+    pub(crate) fn local_result(&self, r: Result<Message, RecvError>) -> Result<Message, RecvError> {
+        r.map(|m| self.local_message(m))
+            .map_err(|e| self.local_error(e))
+    }
+
+    /// [`Mapping::local_result`] for [`Comm::wait_deadline`]'s shape.
+    pub(crate) fn local_timed(
+        &self,
+        r: Result<Option<Message>, RecvError>,
+    ) -> Result<Option<Message>, RecvError> {
+        r.map(|m| m.map(|m| self.local_message(m)))
+            .map_err(|e| self.local_error(e))
+    }
+
+    /// The members among `parent_ranks` (failed or departed peers as the
+    /// parent reports them), in local coordinates: only members matter.
+    pub(crate) fn local_peers(&self, parent_ranks: Vec<usize>) -> Vec<usize> {
+        parent_ranks
+            .into_iter()
+            .filter_map(|w| self.members.iter().position(|&m| m == w))
+            .collect()
+    }
+}
+
 /// A communicator over a subset of a parent communicator's ranks.
 ///
 /// Borrowing: the group holds the parent mutably for its lifetime —
@@ -25,12 +114,7 @@ use mmpi_wire::{Bytes, Message, MsgKind};
 /// a time.
 pub struct GroupComm<'a, C: Comm> {
     parent: &'a mut C,
-    /// World ranks of the members, sorted; position = group rank.
-    members: Vec<usize>,
-    /// This process's rank within the group.
-    my_rank: usize,
-    /// Tag-space shift for this group.
-    tag_shift: Tag,
+    map: Mapping,
 }
 
 impl<'a, C: Comm> GroupComm<'a, C> {
@@ -44,22 +128,14 @@ impl<'a, C: Comm> GroupComm<'a, C> {
             members.windows(2).all(|w| w[0] < w[1]),
             "members must be sorted and unique"
         );
-        let world_rank = parent.rank();
-        let my_rank = members
-            .iter()
-            .position(|&m| m == world_rank)
-            .expect("calling process must be a member of the group");
         assert!(
             *members.last().unwrap() < parent.size(),
             "member rank out of range"
         );
-        GroupComm {
-            parent,
-            members: members.to_vec(),
-            my_rank,
-            // High bits far above the communicator's op-sequence space.
-            tag_shift: 0x4000_0000u32.wrapping_add((group_id as u32) << 16),
-        }
+        // High bits far above the communicator's op-sequence space.
+        let tag_shift = 0x4000_0000u32.wrapping_add((group_id as u32) << 16);
+        let map = Mapping::new(members.to_vec(), parent.rank(), tag_shift);
+        GroupComm { parent, map }
     }
 
     /// Split helper mirroring `MPI_Comm_split` with an externally agreed
@@ -74,66 +150,22 @@ impl<'a, C: Comm> GroupComm<'a, C> {
 
     /// World rank of group member `group_rank`.
     pub fn world_rank_of(&self, group_rank: usize) -> usize {
-        self.members[group_rank]
+        self.map.members[group_rank]
     }
 
     /// The member list (world ranks).
     pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    fn shift(&self, tag: Tag) -> Tag {
-        tag.wrapping_add(self.tag_shift)
-    }
-
-    fn unshift_rank(&self, world_src: u32) -> u32 {
-        self.members
-            .iter()
-            .position(|&m| m == world_src as usize)
-            .expect("message from non-member leaked into group matching") as u32
-    }
-
-    fn group_message(&self, mut m: Message) -> Message {
-        m.tag = m.tag.wrapping_sub(self.tag_shift);
-        m.src_rank = self.unshift_rank(m.src_rank);
-        m
-    }
-
-    fn group_error(&self, e: RecvError) -> RecvError {
-        match e {
-            RecvError::Unavailable {
-                src,
-                tag,
-                tag_floor,
-            } => RecvError::Unavailable {
-                src: self.unshift_rank(src),
-                tag: tag.wrapping_sub(self.tag_shift),
-                // The floor lives in the parent's tag space; translate it
-                // the same way so the caller compares like with like.
-                tag_floor: tag_floor.wrapping_sub(self.tag_shift),
-            },
-            // Failures surface only on receives directed at members, so
-            // the failed rank always translates into group coordinates.
-            RecvError::PeerFailed { rank, epoch } => RecvError::PeerFailed {
-                rank: self.unshift_rank(rank),
-                epoch,
-            },
-        }
-    }
-
-    fn group_result(&self, r: Result<Message, RecvError>) -> Result<Message, RecvError> {
-        r.map(|m| self.group_message(m))
-            .map_err(|e| self.group_error(e))
+        &self.map.members
     }
 }
 
 impl<C: Comm> Comm for GroupComm<'_, C> {
     fn rank(&self) -> usize {
-        self.my_rank
+        self.map.my_rank
     }
 
     fn size(&self) -> usize {
-        self.members.len()
+        self.map.members.len()
     }
 
     fn context(&self) -> u32 {
@@ -145,20 +177,18 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
     }
 
     fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        let world = self.members[dst];
-        let t = self.shift(tag);
-        self.parent.send_kind(world, t, kind, payload)
+        let t = self.map.shift(tag);
+        self.parent
+            .send_kind(self.map.members[dst], t, kind, payload)
     }
 
     fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
         // Unicast fan-out within the group (see module docs).
-        let t = self.shift(tag);
-        let me = self.my_rank;
+        let t = self.map.shift(tag);
         let mut last_seq = 0;
-        for g in 0..self.members.len() {
-            if g != me {
-                let world = self.members[g];
-                last_seq = self.parent.send_kind(world, t, kind, payload);
+        for g in 0..self.map.members.len() {
+            if g != self.map.my_rank {
+                last_seq = self.parent.send_kind(self.map.members[g], t, kind, payload);
             }
         }
         last_seq
@@ -172,9 +202,8 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
     }
 
     fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        let world = src.map(|s| self.members[s]);
-        let t = self.shift(tag);
-        self.parent.post_recv(world, t)
+        let world = src.map(|s| self.map.members[s]);
+        self.parent.post_recv(world, self.map.shift(tag))
     }
 
     fn progress(&mut self) {
@@ -185,17 +214,13 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
         self.parent.progress_block();
     }
 
-    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.parent.test(req).map(|r| self.group_result(r))
+    fn wait_ready(&mut self, reqs: &[RecvReq]) {
+        self.parent.wait_ready(reqs);
     }
 
     fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.parent.test_claimed(req).map(|r| self.group_result(r))
-    }
-
-    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        let r = self.parent.wait(req);
-        self.group_result(r)
+        let done = self.parent.test_claimed(req)?;
+        Some(self.map.local_result(done))
     }
 
     fn wait_deadline(
@@ -203,22 +228,8 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
         req: RecvReq,
         timeout: Duration,
     ) -> Result<Option<Message>, RecvError> {
-        match self.parent.wait_deadline(req, timeout) {
-            Ok(Some(m)) => Ok(Some(self.group_message(m))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(self.group_error(e)),
-        }
-    }
-
-    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
-        match self.parent.wait_any(reqs) {
-            Ok((i, m)) => Ok((i, self.group_message(m))),
-            Err(e) => Err(self.group_error(e)),
-        }
-    }
-
-    fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        self.parent.wait_ready(reqs);
+        let done = self.parent.wait_deadline(req, timeout);
+        self.map.local_timed(done)
     }
 
     fn cancel_recv(&mut self, req: RecvReq) {
@@ -236,22 +247,19 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
         tag: Tag,
         payload: &Bytes,
     ) -> Result<SendReq, SendWindowFull> {
-        let world = self.members[dst];
-        let t = self.shift(tag);
-        self.parent.try_post_send(world, t, payload)
+        let t = self.map.shift(tag);
+        self.parent.try_post_send(self.map.members[dst], t, payload)
     }
 
     fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
         // Unicast fan-out, nonblocking: give up on the first full window
         // (already-sent copies stand — same partial-progress semantics as
         // a blocked fan-out interrupted mid-loop).
-        let t = self.shift(tag);
-        let me = self.my_rank;
+        let t = self.map.shift(tag);
         let mut last = SendReq::default();
-        for g in 0..self.members.len() {
-            if g != me {
-                let world = self.members[g];
-                last = self.parent.try_post_send(world, t, payload)?;
+        for g in 0..self.map.members.len() {
+            if g != self.map.my_rank {
+                last = self.parent.try_post_send(self.map.members[g], t, payload)?;
             }
         }
         Ok(last)
@@ -262,25 +270,15 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
     }
 
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
-        let world = self.members[dst];
-        self.parent.tcp_ack_model(world, count);
+        self.parent.tcp_ack_model(self.map.members[dst], count);
     }
 
     fn failed_peers(&self) -> Vec<usize> {
-        // Only failures of group members matter in group coordinates.
-        self.parent
-            .failed_peers()
-            .into_iter()
-            .filter_map(|w| self.members.iter().position(|&m| m == w))
-            .collect()
+        self.map.local_peers(self.parent.failed_peers())
     }
 
     fn departed_peers(&self) -> Vec<usize> {
-        self.parent
-            .departed_peers()
-            .into_iter()
-            .filter_map(|w| self.members.iter().position(|&m| m == w))
-            .collect()
+        self.map.local_peers(self.parent.departed_peers())
     }
 
     fn epoch(&self) -> u32 {
@@ -288,8 +286,7 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
     }
 
     fn declare_failed(&mut self, rank: usize) {
-        let world = self.members[rank];
-        self.parent.declare_failed(world);
+        self.parent.declare_failed(self.map.members[rank]);
     }
 
     // `leave`/`rebase_epoch` deliberately keep the no-op defaults: a

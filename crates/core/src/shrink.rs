@@ -44,6 +44,7 @@ use mmpi_transport::{CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFu
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::communicator::Communicator;
+use crate::group::Mapping;
 
 /// Tag space reserved for shrink votes, far above the collective
 /// op-sequence layout (`crate::tags`) and distinct from the group shift
@@ -85,49 +86,37 @@ fn decode_vote(payload: &[u8]) -> Vec<u32> {
 /// A communicator transport over the survivors of a failed group.
 ///
 /// Like [`crate::GroupComm`] this translates member ranks to parent
-/// (pre-shrink) ranks and shifts the tag space — but it *owns* the
+/// (pre-shrink) ranks and shifts the tag space (one shared mapping does
+/// both for the two of them) — but it *owns* the
 /// parent transport (the old communicator is consumed; there is nothing
 /// to go back to), and it keeps real multicast: every non-member is
 /// dead or departed, so a wire-level multicast reaches exactly the
 /// members and cannot grow a bystander's inbox.
 pub struct ShrunkComm<C: Comm> {
     parent: C,
-    /// Parent ranks of the survivors, sorted; position = new rank.
-    members: Vec<usize>,
-    /// This process's rank among the survivors.
-    my_rank: usize,
-    /// Tag-space shift for this epoch.
-    tag_shift: Tag,
+    /// Survivors' parent ranks ↔ new ranks, and this epoch's tag shift.
+    map: Mapping,
     /// The liveness epoch this group was formed in.
     epoch: u32,
 }
 
 impl<C: Comm> ShrunkComm<C> {
     fn new(parent: C, members: Vec<usize>, epoch: u32) -> Self {
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let my_rank = members
-            .iter()
-            .position(|&m| m == parent.rank())
-            .expect("survivor set must contain the calling rank");
-        ShrunkComm {
-            parent,
-            members,
-            my_rank,
-            // Epoch in the high bits: tags of successive shrinks differ
-            // even on transports whose context never changes.
-            tag_shift: 0x2000_0000u32.wrapping_add(epoch.wrapping_shl(16)),
-            epoch,
-        }
+        // Epoch in the high bits: tags of successive shrinks differ
+        // even on transports whose context never changes.
+        let tag_shift = 0x2000_0000u32.wrapping_add(epoch.wrapping_shl(16));
+        let map = Mapping::new(members, parent.rank(), tag_shift);
+        ShrunkComm { parent, map, epoch }
     }
 
     /// Parent rank of survivor `rank`.
     pub fn parent_rank_of(&self, rank: usize) -> usize {
-        self.members[rank]
+        self.map.members[rank]
     }
 
     /// The survivor list (parent ranks, sorted).
     pub fn members(&self) -> &[usize] {
-        &self.members
+        &self.map.members
     }
 
     /// The epoch this group was formed in.
@@ -139,55 +128,15 @@ impl<C: Comm> ShrunkComm<C> {
     pub fn parent(&self) -> &C {
         &self.parent
     }
-
-    fn shift(&self, tag: Tag) -> Tag {
-        tag.wrapping_add(self.tag_shift)
-    }
-
-    fn unshift_rank(&self, parent_src: u32) -> u32 {
-        self.members
-            .iter()
-            .position(|&m| m == parent_src as usize)
-            .expect("message from non-survivor leaked past the epoch context") as u32
-    }
-
-    fn local_message(&self, mut m: Message) -> Message {
-        m.tag = m.tag.wrapping_sub(self.tag_shift);
-        m.src_rank = self.unshift_rank(m.src_rank);
-        m
-    }
-
-    fn local_error(&self, e: RecvError) -> RecvError {
-        match e {
-            RecvError::Unavailable {
-                src,
-                tag,
-                tag_floor,
-            } => RecvError::Unavailable {
-                src: self.unshift_rank(src),
-                tag: tag.wrapping_sub(self.tag_shift),
-                tag_floor: tag_floor.wrapping_sub(self.tag_shift),
-            },
-            RecvError::PeerFailed { rank, epoch } => RecvError::PeerFailed {
-                rank: self.unshift_rank(rank),
-                epoch,
-            },
-        }
-    }
-
-    fn local_result(&self, r: Result<Message, RecvError>) -> Result<Message, RecvError> {
-        r.map(|m| self.local_message(m))
-            .map_err(|e| self.local_error(e))
-    }
 }
 
 impl<C: Comm> Comm for ShrunkComm<C> {
     fn rank(&self) -> usize {
-        self.my_rank
+        self.map.my_rank
     }
 
     fn size(&self) -> usize {
-        self.members.len()
+        self.map.members.len()
     }
 
     fn context(&self) -> u32 {
@@ -199,26 +148,24 @@ impl<C: Comm> Comm for ShrunkComm<C> {
     }
 
     fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        let world = self.members[dst];
-        let t = self.shift(tag);
-        self.parent.send_kind(world, t, kind, payload)
+        let t = self.map.shift(tag);
+        self.parent
+            .send_kind(self.map.members[dst], t, kind, payload)
     }
 
     fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
         // Real multicast (see type docs): the dead can't overhear.
-        let t = self.shift(tag);
-        self.parent.mcast_kind(t, kind, payload)
+        self.parent.mcast_kind(self.map.shift(tag), kind, payload)
     }
 
     fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        let t = self.shift(tag);
-        self.parent.mcast_resend(t, kind, payload, seq);
+        self.parent
+            .mcast_resend(self.map.shift(tag), kind, payload, seq);
     }
 
     fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        let world = src.map(|s| self.members[s]);
-        let t = self.shift(tag);
-        self.parent.post_recv(world, t)
+        let world = src.map(|s| self.map.members[s]);
+        self.parent.post_recv(world, self.map.shift(tag))
     }
 
     fn progress(&mut self) {
@@ -229,17 +176,13 @@ impl<C: Comm> Comm for ShrunkComm<C> {
         self.parent.progress_block();
     }
 
-    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.parent.test(req).map(|r| self.local_result(r))
+    fn wait_ready(&mut self, reqs: &[RecvReq]) {
+        self.parent.wait_ready(reqs);
     }
 
     fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.parent.test_claimed(req).map(|r| self.local_result(r))
-    }
-
-    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        let r = self.parent.wait(req);
-        self.local_result(r)
+        let done = self.parent.test_claimed(req)?;
+        Some(self.map.local_result(done))
     }
 
     fn wait_deadline(
@@ -247,22 +190,8 @@ impl<C: Comm> Comm for ShrunkComm<C> {
         req: RecvReq,
         timeout: Duration,
     ) -> Result<Option<Message>, RecvError> {
-        match self.parent.wait_deadline(req, timeout) {
-            Ok(Some(m)) => Ok(Some(self.local_message(m))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(self.local_error(e)),
-        }
-    }
-
-    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
-        match self.parent.wait_any(reqs) {
-            Ok((i, m)) => Ok((i, self.local_message(m))),
-            Err(e) => Err(self.local_error(e)),
-        }
-    }
-
-    fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        self.parent.wait_ready(reqs);
+        let done = self.parent.wait_deadline(req, timeout);
+        self.map.local_timed(done)
     }
 
     fn cancel_recv(&mut self, req: RecvReq) {
@@ -279,14 +208,12 @@ impl<C: Comm> Comm for ShrunkComm<C> {
         tag: Tag,
         payload: &Bytes,
     ) -> Result<SendReq, SendWindowFull> {
-        let world = self.members[dst];
-        let t = self.shift(tag);
-        self.parent.try_post_send(world, t, payload)
+        let t = self.map.shift(tag);
+        self.parent.try_post_send(self.map.members[dst], t, payload)
     }
 
     fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        let t = self.shift(tag);
-        self.parent.try_post_mcast(t, payload)
+        self.parent.try_post_mcast(self.map.shift(tag), payload)
     }
 
     fn compute(&mut self, d: Duration) {
@@ -294,25 +221,16 @@ impl<C: Comm> Comm for ShrunkComm<C> {
     }
 
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
-        let world = self.members[dst];
-        self.parent.tcp_ack_model(world, count);
+        self.parent.tcp_ack_model(self.map.members[dst], count);
     }
 
     fn failed_peers(&self) -> Vec<usize> {
         // Failures since the shrink, in survivor coordinates.
-        self.parent
-            .failed_peers()
-            .into_iter()
-            .filter_map(|w| self.members.iter().position(|&m| m == w))
-            .collect()
+        self.map.local_peers(self.parent.failed_peers())
     }
 
     fn departed_peers(&self) -> Vec<usize> {
-        self.parent
-            .departed_peers()
-            .into_iter()
-            .filter_map(|w| self.members.iter().position(|&m| m == w))
-            .collect()
+        self.map.local_peers(self.parent.departed_peers())
     }
 
     fn epoch(&self) -> u32 {
@@ -334,8 +252,7 @@ impl<C: Comm> Comm for ShrunkComm<C> {
     }
 
     fn declare_failed(&mut self, rank: usize) {
-        let world = self.members[rank];
-        self.parent.declare_failed(world);
+        self.parent.declare_failed(self.map.members[rank]);
     }
 }
 
@@ -466,13 +383,34 @@ mod tests {
         }
     }
 
+    /// Without membership the transport's context does not move, so the
+    /// survivors that leave the vote round first can start the next
+    /// collective while a late voter is still collecting.
+    #[test]
+    fn shrink_over_mem_keeps_the_context_and_tolerates_a_late_voter() {
+        let out = run_mem_world(6, 9, |c| {
+            if c.rank() == 5 {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            let mut comm = Communicator::new(c).shrink().unwrap().shrink().unwrap();
+            let mut buf = if comm.rank() == 0 {
+                b"on".to_vec()
+            } else {
+                Vec::new()
+            };
+            comm.bcast(0, &mut buf).unwrap();
+            (comm.transport().context(), comm.transport().epoch(), buf)
+        });
+        assert_eq!(out, vec![(9, 2, b"on".to_vec()); 6]);
+    }
+
     #[test]
     fn repeated_shrink_bumps_epoch_and_separates_tag_spaces() {
         let out = run_mem_world(3, 0, |c| {
             let comm = Communicator::new(c).shrink().unwrap();
-            let t1 = comm.transport().tag_shift;
+            let t1 = comm.transport().map.tag_shift;
             let comm2 = comm.shrink().unwrap();
-            let t2 = comm2.transport().tag_shift;
+            let t2 = comm2.transport().map.tag_shift;
             assert_ne!(t1, t2);
             (comm2.transport().formed_epoch(), comm2.size())
         });

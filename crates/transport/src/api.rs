@@ -19,6 +19,10 @@
 //! * [`crate::udp::UdpComm`] — real UDP + IP multicast sockets,
 //! * [`crate::mem::MemComm`] — in-memory channels (fast correctness tests).
 //!
+//! All three are one type, [`crate::Endpoint`], over a
+//! [`crate::Backend`]: the trait is implemented for it once
+//! (`endpoint.rs`).
+//!
 //! Payloads are [`Bytes`]: a message is written once (by the sender into
 //! its wire encoding) and only *sliced* thereafter — chunking, the
 //! retransmit ring, NACK replays, and multicast fan-out all clone
@@ -33,12 +37,13 @@
 //! solicit, how NACKs are serviced, how an endpoint drains on shutdown —
 //! is implemented exactly once, in [`crate::EndpointCore`]'s progress
 //! engine, parameterized over the backend's clock and socket primitives
-//! via the [`crate::RepairPump`] trait; the backends cannot drift. A
-//! walkthrough of a posted receive's lifecycle through the engine is in
-//! `docs/API.md`.
+//! via the [`crate::RepairPump`] trait, and reached through the one
+//! [`Comm`] implementation of [`crate::Endpoint`]; the backends cannot
+//! drift. A walkthrough of a posted receive's lifecycle through the
+//! engine is in `docs/API.md`.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use mmpi_wire::{Bytes, Message, MsgKind};
@@ -141,24 +146,32 @@ impl CancelSink {
         Self::default()
     }
 
+    /// The handle list. A poisoned lock is taken over: a list of handles
+    /// has no state a panic could leave half-updated, and the usual
+    /// pusher is a request machine's `Drop` — which runs *during*
+    /// unwinding, where a second panic would abort the process.
+    fn handles(&self) -> MutexGuard<'_, Vec<RecvReq>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a receive handle for deferred cancellation.
     pub fn push(&self, req: RecvReq) {
-        self.0.lock().expect("cancel sink poisoned").push(req);
+        self.handles().push(req);
     }
 
     /// Register every handle in `reqs` for deferred cancellation.
     pub fn push_all(&self, reqs: impl IntoIterator<Item = RecvReq>) {
-        self.0.lock().expect("cancel sink poisoned").extend(reqs);
+        self.handles().extend(reqs);
     }
 
     /// Take every deferred handle (the engine's half).
     pub fn drain(&self) -> Vec<RecvReq> {
-        std::mem::take(&mut *self.0.lock().expect("cancel sink poisoned"))
+        std::mem::take(&mut *self.handles())
     }
 
     /// True when no cancellations are pending.
     pub fn is_empty(&self) -> bool {
-        self.0.lock().expect("cancel sink poisoned").is_empty()
+        self.handles().is_empty()
     }
 }
 
@@ -301,8 +314,12 @@ pub trait Comm {
     /// `Some(result)` claims the completion and **retires the handle**.
     /// Runs a nonblocking progress pass first, so a lone `test` loop
     /// observes arrivals (but see [`Comm::progress_block`] for how to
-    /// wait without spinning).
-    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>>;
+    /// wait without spinning). Provided: [`Comm::progress`], then
+    /// [`Comm::test_claimed`].
+    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
+        self.progress();
+        self.test_claimed(req)
+    }
 
     /// Claim-only variant of [`Comm::test`]: no progress pass, just a
     /// table lookup. For pollers checking many requests after one
@@ -310,8 +327,11 @@ pub trait Comm {
     /// simulator, a round of the co-simulation) per request.
     fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>>;
 
-    /// Block until `req` completes and claim it.
-    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError>;
+    /// Block until `req` completes and claim it. Provided:
+    /// [`Comm::wait_any`] over the one request.
+    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
+        self.wait_any(std::slice::from_ref(&req)).map(|(_, m)| m)
+    }
 
     /// Block until `req` completes or `timeout` elapses. `Ok(None)` means
     /// the timeout won — the request is **cancelled** (an already-matched
@@ -330,8 +350,24 @@ pub trait Comm {
     /// retired; to abandon the operation, [`Comm::cancel_recv`] every
     /// handle in `reqs` — cancel is a no-op on the retired one, so no
     /// identification is needed (testing it would panic). Panics on an
-    /// empty slice — that wait could never return.
-    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError>;
+    /// empty slice — that wait could never return. Provided:
+    /// [`Comm::wait_ready`], then [`Comm::test_claimed`] in the caller's
+    /// order — so an implementor translates a completion in
+    /// [`Comm::test_claimed`] and [`Comm::wait_deadline`] only.
+    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
+        assert!(
+            !reqs.is_empty(),
+            "wait_any on no requests would block forever"
+        );
+        loop {
+            self.wait_ready(reqs);
+            for (i, req) in reqs.iter().enumerate() {
+                if let Some(done) = self.test_claimed(*req) {
+                    return done.map(|m| (i, m));
+                }
+            }
+        }
+    }
 
     /// Abandon a posted receive: its handle is retired and its repair
     /// state dropped. A message already matched to it is requeued for the
@@ -469,8 +505,9 @@ pub trait Comm {
     }
 
     /// Graceful departure: announce, flush the retransmit ring, and
-    /// retire this endpoint (drain-on-leave, `docs/API.md`). A no-op on
-    /// transports without membership.
+    /// retire this endpoint (drain-on-leave, `docs/API.md`). Without
+    /// membership there is no one to announce to; the ring is still
+    /// flushed, which with repair off is nothing at all.
     fn leave(&mut self) {}
 
     /// Adopt a new liveness epoch after a communicator shrink: the
@@ -512,5 +549,28 @@ pub trait Comm {
     /// a zero-copy slice of a larger receive buffer).
     fn recv(&mut self, src: usize, tag: Tag) -> Result<Vec<u8>, RecvError> {
         self.recv_match(src, tag).map(Message::into_vec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A request machine dropped while its thread unwinds pushes into the
+    /// sink; if an earlier panic poisoned the lock, that push must not be
+    /// the second panic that aborts the process.
+    #[test]
+    fn cancel_sink_survives_a_poisoned_lock() {
+        let sink = CancelSink::new();
+        let poisoner = sink.clone();
+        let held = std::thread::spawn(move || {
+            let _held = poisoner.handles();
+            panic!("poisoning the sink on purpose");
+        });
+        assert!(held.join().is_err());
+        sink.push(RecvReq(7));
+        sink.push_all([RecvReq(8)]);
+        assert!(!sink.is_empty());
+        assert_eq!(sink.drain(), vec![RecvReq(7), RecvReq(8)]);
     }
 }

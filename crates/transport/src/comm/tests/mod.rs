@@ -11,7 +11,17 @@ use mmpi_wire::{
 use crate::planes::horizon::PeerRtt;
 use crate::planes::CONTROL_SEQ_BASE;
 use crate::testing::ScriptedPump;
-use crate::{EndpointCore, Inbox, RecvError, RepairConfig};
+use crate::{EndpointCore, Inbox, RecvError, RecvReq, RepairConfig, WaitKind};
+
+/// [`crate::Comm::test`] on a bare core: a progress pass, then the claim.
+fn test_req(
+    core: &mut EndpointCore,
+    io: &mut ScriptedPump,
+    req: RecvReq,
+) -> Option<Result<Message, RecvError>> {
+    core.progress(io);
+    core.test_claimed(req)
+}
 
 fn msg(src: u32, tag: u32, seq: u64, payload: &[u8]) -> Message {
     Message {
@@ -224,7 +234,7 @@ fn cancel_requeues_matched_message_for_next_request() {
     core.cancel_req(req);
     // The cancel must have requeued it: a fresh request claims it.
     let again = core.post_recv(&mut io, Some(0), 5);
-    let got = core.test_req(&mut io, again).expect("requeued message");
+    let got = test_req(&mut core, &mut io, again).expect("requeued message");
     assert_eq!(got.unwrap().payload, b"survivor");
 }
 
@@ -234,7 +244,7 @@ fn test_retires_the_handle() {
     let mut io = ScriptedPump::new();
     let req = core.post_recv(&mut io, Some(0), 5);
     io.inject_message(MsgKind::Data, 0, 5, 0, b"x");
-    assert!(core.test_req(&mut io, req).is_some());
+    assert!(test_req(&mut core, &mut io, req).is_some());
     assert_eq!(core.outstanding_recvs(), 0);
 }
 
@@ -245,8 +255,8 @@ fn waiting_a_retired_handle_panics() {
     let mut io = ScriptedPump::new();
     let req = core.post_recv(&mut io, Some(0), 5);
     io.inject_message(MsgKind::Data, 0, 5, 0, b"x");
-    assert!(core.test_req(&mut io, req).is_some());
-    let _ = core.test_req(&mut io, req); // second use: programming error
+    assert!(test_req(&mut core, &mut io, req).is_some());
+    let _ = test_req(&mut core, &mut io, req); // second use: programming error
 }
 
 /// Regression (found by the overlapping-collectives kitchen sink):
@@ -266,8 +276,8 @@ fn progress_block_returns_instead_of_parking_over_claimable_work() {
     io.inject_message(MsgKind::Data, 0, 2, 1, b"for-b");
     // A nonblocking test of `b` drains the queue and parks BOTH
     // completions; claiming `b` leaves `a` complete-but-unclaimed.
-    assert!(core.test_req(&mut io, b).is_some());
-    core.progress_block(&mut io); // must return, not pump
+    assert!(test_req(&mut core, &mut io, b).is_some());
+    core.block(&mut io, &WaitKind::AnyPosted); // must return, not pump
     assert_eq!(core.test_claimed(a).unwrap().unwrap().payload, b"for-a");
 }
 
@@ -283,7 +293,7 @@ fn wait_ready_pumps_past_unrelated_parked_completions() {
     io.inject_message(MsgKind::Data, 0, 1, 0, b"parked");
     core.progress(&mut io); // parks `unrelated`, leaves it unclaimed
     io.inject_message(MsgKind::Data, 0, 2, 1, b"wanted");
-    core.wait_ready(&mut io, &[target]); // must pump to `target`
+    core.block(&mut io, &WaitKind::AnyOf(&[target])); // must pump to `target`
     assert_eq!(
         core.test_claimed(target).unwrap().unwrap().payload,
         b"wanted"
@@ -306,9 +316,9 @@ fn waiting_one_request_solicits_for_all_posted() {
     let _b = core.post_recv(&mut io, Some(2), 11);
     let c = core.post_recv(&mut io, Some(3), 12);
     // Park on the *last* one long enough for two solicitation rounds.
-    let waited = core
-        .wait_req_deadline(&mut io, c, rc.nack_timeout * 2 + Duration::from_millis(1))
-        .expect("nothing unavailable here");
+    let deadline = core.arm_deadline(&mut io, c, rc.nack_timeout * 2 + Duration::from_millis(1));
+    core.block(&mut io, &WaitKind::Until(c, deadline));
+    let waited = core.claim_by_deadline(c).expect("nothing unavailable here");
     assert!(waited.is_none(), "nothing ever arrives");
     let s = core.repair_stats();
     assert!(
@@ -561,7 +571,7 @@ fn silent_peer_suspected_confirmed_and_directed_recv_fails() {
     // A directed receive from the corpse fails typed instead of
     // NACKing forever.
     let req = core.post_recv(&mut io, Some(1), 5);
-    let got = core.test_req(&mut io, req).expect("completes immediately");
+    let got = test_req(&mut core, &mut io, req).expect("completes immediately");
     assert_eq!(got, Err(RecvError::PeerFailed { rank: 1, epoch: 0 }));
     assert_eq!(
         core.repair_stats().nacks_sent,

@@ -29,7 +29,7 @@ struct PendingRecv {
     tag: Tag,
     /// Next solicitation deadline (`None` with repair off).
     solicit_at: Option<Nanos>,
-    /// Parked completion; claimed by `test`/`wait`/`wait_any`.
+    /// Parked completion; claimed by `test_claimed`/`wait_deadline`.
     done: Option<Result<Message, RecvError>>,
 }
 
@@ -441,8 +441,7 @@ impl EndpointCore {
     /// inbox (matched message or `Unavail` advertisement) and fire its
     /// solicitation deadline if expired. Does **not** pump the socket —
     /// callers decide whether to drain nonblockingly
-    /// ([`EndpointCore::progress`]) or park ([`EndpointCore::wait_req`] &
-    /// co.).
+    /// ([`EndpointCore::progress`]) or park ([`EndpointCore::block`]).
     pub(crate) fn advance<P: RepairPort>(&mut self, io: &mut P) {
         if !self.cancels.is_empty() {
             for req in self.cancels.drain() {
@@ -562,13 +561,17 @@ impl EndpointCore {
         }
     }
 
-    pub(crate) fn expect_posted(&self, req: RecvReq) {
-        assert!(
-            self.pending.iter().any(|p| p.id == req.0),
-            "receive request {} is not posted on this endpoint \
-             (already completed, cancelled, or foreign)",
-            req.0
-        );
+    /// The precondition of every call that names requests: each is
+    /// still posted here.
+    pub(crate) fn expect_posted(&self, reqs: &[RecvReq]) {
+        for req in reqs {
+            assert!(
+                self.pending.iter().any(|p| p.id == req.0),
+                "receive request {} is not posted on this endpoint \
+                 (already completed, cancelled, or foreign)",
+                req.0
+            );
+        }
     }
 
     /// Nonblocking progress pass: drain every datagram already available,
@@ -578,25 +581,24 @@ impl EndpointCore {
         self.advance(io);
     }
 
-    /// Claim-only completion check: [`EndpointCore::test_req`] minus the
+    /// Claim-only completion check: [`Comm::test`] minus the
     /// progress pass. For pollers that already ran
     /// [`EndpointCore::progress`] this turn and are checking many
     /// requests — one engine pass, then O(1)-ish claims, instead of a
     /// socket drain per request (on the simulator every drain is a
     /// round of the co-simulation).
     pub fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.expect_posted(req);
+        self.expect_posted(&[req]);
         self.claim(req)
     }
 
-    /// One turn of a blocking wait, the body every wait loop repeats: run
-    /// the engine over what is in hand (`advance`), then
-    /// either the wait is over or the caller should receive one datagram —
-    /// by no later than the returned instant, when the next solicit,
-    /// horizon, heartbeat or gossip retry falls due — and poll again.
-    /// Claims nothing. The loops below block in [`RepairPump::pump_one`]
-    /// between turns; the simulator's endpoint parks its rank and lets the
-    /// round closer take the turns (`sim.rs`).
+    /// One turn of a blocking wait: run the engine over what is in hand
+    /// (`advance`), then either the wait is over or the caller should
+    /// receive one datagram — by no later than the returned instant, when
+    /// the next solicit, horizon, heartbeat or gossip retry falls due —
+    /// and poll again. Claims nothing. [`EndpointCore::block`] receives in
+    /// [`RepairPump::pump_one`] between turns; the simulator's endpoint
+    /// parks its rank and lets the round closer take the turns (`sim.rs`).
     #[inline]
     pub fn poll_wait<P: RepairPort>(&mut self, io: &mut P, kind: &WaitKind<'_>) -> WaitPoll {
         self.advance(io);
@@ -622,79 +624,39 @@ impl EndpointCore {
         WaitPoll::Park(until)
     }
 
-    /// Blocking progress step: park until one datagram arrives or the
-    /// earliest solicitation deadline fires, then advance the table —
-    /// **unless** some posted receive already holds an unclaimed
-    /// completion, in which case return immediately. The early return is
+    /// Block until `kind` is satisfied — the one wait loop, behind every
+    /// blocking call of every backend whose rank receives for itself
+    /// ([`crate::Backend::block`]'s default): take a turn, receive one
+    /// datagram, repeat. Claims nothing.
+    ///
+    /// [`WaitKind::AnyPosted`] is the exception to "repeat": it blocks for
+    /// *one event* — a datagram ingested or a deadline fired — then runs
+    /// one more engine pass and returns whatever that pass found. It
+    /// returns at once when a completion is already unclaimed, which is
     /// what makes round-robin polling of several composed operations
     /// safe: one operation's nonblocking poll may drain the socket and
     /// park another operation's *last* message in its slot, and a park
     /// here would then wait for a datagram that will never come.
-    pub fn progress_block<P: RepairPump>(&mut self, io: &mut P) {
-        if let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::AnyPosted) {
+    pub fn block<P: RepairPump>(&mut self, io: &mut P, kind: &WaitKind<'_>) {
+        while let WaitPoll::Park(until) = self.poll_wait(io, kind) {
             io.pump_one(self, until);
-            self.advance(io);
+            if let WaitKind::AnyPosted = kind {
+                self.advance(io);
+                return;
+            }
         }
     }
 
-    /// Block until at least one of `reqs` holds a parked completion,
-    /// without claiming anything — the set-scoped wait a composed
-    /// operation parks on while *other* requests on the endpoint may
-    /// already be complete-but-unclaimed (a plain
-    /// [`EndpointCore::progress_block`] would return immediately for
-    /// those and the caller would spin). No-op on an empty set.
-    pub fn wait_ready<P: RepairPump>(&mut self, io: &mut P, reqs: &[RecvReq]) {
-        if reqs.is_empty() {
-            return;
-        }
-        for r in reqs {
-            self.expect_posted(*r);
-        }
-        while let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::AnyOf(reqs)) {
-            io.pump_one(self, until);
-        }
-    }
-
-    /// Nonblocking completion check; claims and retires on completion.
-    pub fn test_req<P: RepairPump>(
-        &mut self,
-        io: &mut P,
-        req: RecvReq,
-    ) -> Option<Result<Message, RecvError>> {
-        self.expect_posted(req);
-        self.progress(io);
-        self.claim(req)
-    }
-
-    /// Block until `req` completes; the single wait loop every blocking
-    /// receive convenience goes through. Identical to the pre-request
-    /// blocking loop when `req` is the only posted receive; with more
-    /// outstanding, every one of them keeps soliciting while this one is
-    /// waited on.
-    pub fn wait_req<P: RepairPump>(
-        &mut self,
-        io: &mut P,
-        req: RecvReq,
-    ) -> Result<Message, RecvError> {
-        self.wait_any_req(io, std::slice::from_ref(&req))
-            .map(|(_, m)| m)
-    }
-
-    /// [`EndpointCore::wait_req`] against a deadline — the one timeout
-    /// implementation shared by every backend (`Ok(None)`: timed out,
-    /// request cancelled).
-    pub fn wait_req_deadline<P: RepairPump>(
-        &mut self,
+    /// The start of a [`WaitKind::Until`] wait: `req` must be posted, and
+    /// the wait ends `timeout` from now on the backend's clock.
+    pub(crate) fn arm_deadline<P: RepairPort>(
+        &self,
         io: &mut P,
         req: RecvReq,
         timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        self.expect_posted(req);
-        let deadline = deadline_after(io.now(), timeout);
-        while let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::Until(req, deadline)) {
-            io.pump_one(self, until);
-        }
-        self.claim_by_deadline(req)
+    ) -> Nanos {
+        self.expect_posted(&[req]);
+        deadline_after(io.now(), timeout)
     }
 
     /// The end of a [`WaitKind::Until`] wait: the completion if there is
@@ -707,45 +669,6 @@ impl EndpointCore {
                 Ok(None)
             }
         }
-    }
-
-    /// Block until one of `reqs` completes; claim it and return its index
-    /// with the result.
-    pub fn wait_any_req<P: RepairPump>(
-        &mut self,
-        io: &mut P,
-        reqs: &[RecvReq],
-    ) -> Result<(usize, Message), RecvError> {
-        self.expect_waitable(reqs);
-        loop {
-            if let WaitPoll::Park(until) = self.poll_wait(io, &WaitKind::AnyOf(reqs)) {
-                io.pump_one(self, until);
-            } else if let Some(claimed) = self.claim_first(reqs) {
-                return claimed;
-            }
-        }
-    }
-
-    /// The precondition of a [`WaitKind::AnyOf`] wait that claims.
-    pub(crate) fn expect_waitable(&self, reqs: &[RecvReq]) {
-        assert!(
-            !reqs.is_empty(),
-            "wait_any on no requests would block forever"
-        );
-        for r in reqs {
-            self.expect_posted(*r);
-        }
-    }
-
-    /// Claim the first of `reqs` (in the caller's order) that holds a
-    /// completion, with its index.
-    pub(crate) fn claim_first(
-        &mut self,
-        reqs: &[RecvReq],
-    ) -> Option<Result<(usize, Message), RecvError>> {
-        reqs.iter()
-            .enumerate()
-            .find_map(|(i, r)| Some(self.claim(*r)?.map(|m| (i, m))))
     }
 
     /// Abandon a posted receive; an already-matched message is requeued
@@ -979,15 +902,22 @@ impl EndpointCore {
     /// stamp the epoch into the stats. Sequence counters are *not*
     /// rewound — receivers' dedup history stays valid across the
     /// boundary.
+    ///
+    /// A no-op without membership: there is no failure to fence off, the
+    /// context never changes, and it must not — a shrink is one vote
+    /// round with no barrier, so the survivor that finishes first would
+    /// otherwise speak a context its peers still drop as foreign, and
+    /// with repair off (`MemComm`) nothing would ever re-send it.
     pub fn rebase_epoch(&mut self, epoch: u32) {
+        let Some(m) = self.member_mut() else {
+            return;
+        };
+        m.set_epoch(epoch);
         let new_context = epoch_context(self.base_context, epoch);
         self.inbox.rebase(new_context);
         self.inbox
             .set_next_context(epoch_context(self.base_context, epoch.wrapping_add(1)));
         self.enc.context = new_context;
-        if let Some(m) = self.member_mut() {
-            m.set_epoch(epoch);
-        }
         self.rstats.epoch = self.rstats.epoch.max(u64::from(epoch));
     }
 }
@@ -1120,7 +1050,10 @@ mod tests {
         );
         assert_eq!(parked, WaitPoll::Park(core.park_deadline()));
         io.inject_message(MsgKind::Data, 0, 5, 0, b"late");
-        let got = core.wait_req_deadline(&mut io, req, Duration::MAX);
+        let deadline = core.arm_deadline(&mut io, req, Duration::MAX);
+        assert_eq!(deadline, never);
+        core.block(&mut io, &WaitKind::Until(req, deadline));
+        let got = core.claim_by_deadline(req);
         assert_eq!(
             got.expect("delivered").expect("not timed out").payload,
             b"late"

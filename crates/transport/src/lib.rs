@@ -5,25 +5,28 @@
 //! receives ([`Comm::post_recv`]) driven by a shared progress engine
 //! ([`Comm::progress`]/[`Comm::test`]/[`Comm::wait`]/[`Comm::wait_any`]),
 //! with blocking receives kept as thin post-and-wait conveniences — and
-//! three interchangeable implementations:
+//! its one implementation, [`Endpoint`], over three interchangeable
+//! [`Backend`]s:
 //!
-//! | backend | fabric | use |
+//! | communicator | fabric | use |
 //! |---|---|---|
 //! | [`sim::SimComm`] | `mmpi-netsim` virtual hub/switch | figure regeneration, deterministic experiments |
 //! | [`udp::UdpComm`] | real UDP + IP multicast (socket2) | live runs on loopback or a LAN |
 //! | [`mem::MemComm`] | in-process channels | fast algorithm correctness tests |
 //!
-//! All three speak the `mmpi-wire` datagram format and share one
-//! backend-independent endpoint, so a collective validated on one
-//! backend behaves identically on the others (up to timing):
+//! All three are type aliases of [`Endpoint`], speak the `mmpi-wire`
+//! datagram format and share one backend-independent engine, so a
+//! collective validated on one backend behaves identically on the others
+//! (up to timing):
 //!
 //! | module | what lives there |
 //! |---|---|
 //! | [`api`] | the [`Comm`] trait, request handles, typed errors |
+//! | [`endpoint`] | [`Endpoint`], the one `impl Comm`, and the [`Backend`] trait a fabric implements |
 //! | [`config`] | [`RepairConfig`] and the knobs of the planes under it |
 //! | [`inbox`] | [`Inbox`]: reassembly, dedup, tag matching, control-traffic diversion |
 //! | [`pump`] | [`RepairPump`]/[`RepairPort`] — what the engine asks of a backend |
-//! | [`engine`] | [`EndpointCore`]: send paths, request table, progress engine, waits, drain |
+//! | [`engine`] | [`EndpointCore`]: send paths, request table, progress engine, the one wait loop, drain |
 //! | `planes::{srm, horizon, membership, gossip}` | the repair loop's four planes, module-private, each reached through a few entry points |
 //!
 //! The sim and UDP backends optionally run the NACK/retransmit repair
@@ -44,6 +47,7 @@
 
 pub mod api;
 pub mod config;
+pub mod endpoint;
 pub mod engine;
 pub mod inbox;
 pub mod mem;
@@ -58,6 +62,7 @@ pub use api::{
     CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag, FIRE_AND_FORGET_TAG,
 };
 pub use config::{MembershipConfig, RepairConfig};
+pub use endpoint::{Backend, Endpoint};
 pub use engine::EndpointCore;
 pub use inbox::Inbox;
 pub use mem::{run_mem_world, MemComm};

@@ -10,22 +10,24 @@
 //! `n - 1` peers splits the message once and fans out reference-counted
 //! views — every receiver reads the sender's single encode buffer.
 //!
-//! Like the other backends, the endpoint is an [`EndpointCore`] (request
-//! table, progress engine, wire bookkeeping) over a thin [`RepairPump`]
-//! of channel primitives — mem simply never arms the repair loop, since
-//! its fabric is lossless by construction.
+//! Like the other backends, [`MemComm`] is an [`Endpoint`]: an
+//! [`EndpointCore`] (request table, progress engine, wire bookkeeping)
+//! over a thin [`RepairPump`] of channel primitives — mem simply never
+//! arms the repair loop, since its fabric is lossless by construction.
 
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mmpi_wire::{Bytes, Datagram, Message, MsgKind};
+use mmpi_wire::Datagram;
 
-use crate::{CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairPump, Tag};
+#[cfg(doc)]
+use crate::Comm;
+use crate::{Backend, Endpoint, EndpointCore, Nanos, RepairPump};
 
 /// The channel half of an in-memory endpoint. Implements [`RepairPump`]
 /// over wall-clock time (only timeouts ever read the clock — mem has no
 /// time model).
-struct MemIo {
+pub struct MemIo {
     rank: usize,
     /// `senders[i]` delivers datagrams to rank `i`.
     senders: Vec<Sender<Datagram>>,
@@ -107,11 +109,31 @@ impl RepairPump for MemIo {
     }
 }
 
-/// One rank's endpoint of an in-memory world.
-pub struct MemComm {
+/// The in-memory [`Backend`]: the endpoint and its channels, both the
+/// rank's own. No time model, so [`Comm::compute`] is instantaneous.
+pub struct MemBackend {
     io: MemIo,
     core: EndpointCore,
 }
+
+impl Backend for MemBackend {
+    type Pump = MemIo;
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut EndpointCore, &mut MemIo) -> R) -> R {
+        f(&mut self.core, &mut self.io)
+    }
+
+    fn peek<R>(&self, f: impl FnOnce(&EndpointCore) -> R) -> R {
+        f(&self.core)
+    }
+
+    fn pass_time(&mut self, nanos: Nanos) -> Nanos {
+        nanos
+    }
+}
+
+/// One rank's endpoint of an in-memory world.
+pub type MemComm = Endpoint<MemBackend>;
 
 impl MemComm {
     /// Create a fully-connected world of `n` ranks with context id
@@ -121,106 +143,21 @@ impl MemComm {
         receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, rx)| MemComm {
-                io: MemIo {
-                    rank,
-                    senders: senders.clone(),
-                    rx,
-                    // Real-threads backend: recv deadlines are wall-clock
-                    // waits (lint.toml carries the budget).
-                    #[allow(clippy::disallowed_methods)]
-                    epoch: Instant::now(),
-                },
-                core: EndpointCore::new(context, rank, n, mmpi_wire::DEFAULT_MAX_CHUNK, None),
+            .map(|(rank, rx)| {
+                Endpoint(MemBackend {
+                    io: MemIo {
+                        rank,
+                        senders: senders.clone(),
+                        rx,
+                        // Real-threads backend: recv deadlines are wall-clock
+                        // waits (lint.toml carries the budget).
+                        #[allow(clippy::disallowed_methods)]
+                        epoch: Instant::now(),
+                    },
+                    core: EndpointCore::new(context, rank, n, mmpi_wire::DEFAULT_MAX_CHUNK, None),
+                })
             })
             .collect()
-    }
-
-    /// Posted-but-unclaimed receives (diagnostics — a steadily growing
-    /// value means requests are leaking instead of being waited on or
-    /// cancelled).
-    pub fn outstanding_recvs(&self) -> usize {
-        self.core.outstanding_recvs()
-    }
-}
-
-impl Comm for MemComm {
-    fn rank(&self) -> usize {
-        self.core.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.core.size()
-    }
-
-    fn context(&self) -> u32 {
-        self.core.context()
-    }
-
-    fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.core
-            .send_message(&mut self.io, dst, tag, kind, payload)
-    }
-
-    fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.core.mcast_message(&mut self.io, tag, kind, payload)
-    }
-
-    fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        self.core
-            .mcast_resend_message(&mut self.io, tag, kind, payload, seq);
-    }
-
-    fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        self.core.post_recv(&mut self.io, src, tag)
-    }
-
-    fn progress(&mut self) {
-        self.core.progress(&mut self.io);
-    }
-
-    fn progress_block(&mut self) {
-        self.core.progress_block(&mut self.io);
-    }
-
-    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.core.test_req(&mut self.io, req)
-    }
-
-    fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.core.test_claimed(req)
-    }
-
-    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        self.core.wait_req(&mut self.io, req)
-    }
-
-    fn wait_deadline(
-        &mut self,
-        req: RecvReq,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        self.core.wait_req_deadline(&mut self.io, req, timeout)
-    }
-
-    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
-        self.core.wait_any_req(&mut self.io, reqs)
-    }
-
-    fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        self.core.wait_ready(&mut self.io, reqs);
-    }
-
-    fn cancel_recv(&mut self, req: RecvReq) {
-        self.core.cancel_req(req);
-    }
-
-    fn cancel_sink(&self) -> CancelSink {
-        self.core.cancel_sink()
-    }
-
-    fn compute(&mut self, _d: Duration) {
-        // Instantaneous: MemComm has no time model.
     }
 }
 
@@ -248,6 +185,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Comm;
+    use mmpi_wire::{Bytes, MsgKind};
 
     #[test]
     fn two_rank_ping_pong() {
@@ -276,6 +215,27 @@ mod tests {
             }
         });
         assert!(out.iter().all(|o| o == b"hello"));
+    }
+
+    /// A shrink is one vote round with no barrier, so a survivor that has
+    /// already rebased talks to one that has not. Without membership the
+    /// rebase must change nothing: under a fresh context that message
+    /// would be dropped as foreign, and with repair off never re-sent.
+    #[test]
+    fn a_rebased_rank_still_reaches_one_that_has_not_rebased() {
+        use std::time::Duration;
+        let out = run_mem_world(2, 7, |mut c| {
+            if c.rank() == 0 {
+                c.rebase_epoch(1);
+                c.send(1, 5, b"after");
+            } else {
+                let got = c.recv_match_timeout(0, 5, Duration::from_secs(10));
+                assert_eq!(got.unwrap().expect("dropped as foreign").payload, b"after");
+                c.rebase_epoch(1);
+            }
+            (c.context(), c.epoch())
+        });
+        assert_eq!(out, vec![(7, 0); 2]);
     }
 
     #[test]

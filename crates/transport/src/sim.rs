@@ -1,11 +1,11 @@
 //! [`Comm`] over the deterministic network simulator.
 //!
-//! [`SimComm`] wraps a [`SimProcess`] (one rank's handle into the
-//! co-simulation) and speaks the `mmpi-wire` format over simulated UDP.
-//! [`run_sim_world`] is the entry point the experiment harness and the
-//! benches use: it runs an SPMD closure over a fully-configured simulated
-//! cluster where every rank has already bound its socket and joined the
-//! communicator's multicast group.
+//! [`SimComm`] is a [`crate::Endpoint`] over a [`SimProcess`] (one rank's
+//! handle into the co-simulation) and speaks the `mmpi-wire` format over
+//! simulated UDP. [`run_sim_world`] is the entry point the experiment
+//! harness and the benches use: it runs an SPMD closure over a
+//! fully-configured simulated cluster where every rank has already bound
+//! its socket and joined the communicator's multicast group.
 //!
 //! Wire datagrams travel through the simulator as
 //! [`mmpi_netsim::SharedPayload`] segments — the header view and payload
@@ -27,16 +27,17 @@
 //! A blocking [`Comm`] wait is a loop of [`EndpointCore::poll_wait`] turns
 //! with one socket receive between them, and on the simulator most turns
 //! only file a datagram away (an overheard NACK, a repair for somebody
-//! else). [`SimComm`] therefore does not receive in that loop itself: it
-//! parks in [`SimProcess::recv_served`] and leaves the endpoint behind as
-//! a [`Served`], so the thread that closes the round takes the turns and
-//! the rank's own thread wakes once, when the wait is over
-//! (`docs/SIMULATOR.md`, "Served waits"). That is why the endpoint sits in
-//! an `Arc<Mutex<_>>`. **Lock order:** a round closer takes the simulation
-//! lock, then the endpoint of a rank parked in `recv_served`; the owner
-//! releases its endpoint before it parks there. The owner does hold the
-//! endpoint across its other requests (sends, the drain's and the send
-//! window's plain receives), which is safe because a closer only ever
+//! else). [`SimBackend`] therefore overrides [`Backend::block`] — the one
+//! place every blocking call goes through — and does not receive in that
+//! loop itself: it parks in [`SimProcess::recv_served`] and leaves the
+//! endpoint behind as a [`Served`], so the thread that closes the round
+//! takes the turns and the rank's own thread wakes once, when the wait is
+//! over (`docs/SIMULATOR.md`, "Served waits"). That is why the endpoint
+//! sits in an `Arc<Mutex<_>>`. **Lock order:** a round closer takes the
+//! simulation lock, then the endpoint of a rank parked in `recv_served`;
+//! the owner releases its endpoint before it parks there. The owner does
+//! hold the endpoint across its other requests (sends, the drain's and the
+//! send window's plain receives), which is safe because a closer only ever
 //! touches the endpoint of a rank parked *served*.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -48,12 +49,12 @@ use mmpi_netsim::process::{Served, ServedRecv, SimProcess, Step};
 use mmpi_netsim::stats::NetStats;
 use mmpi_netsim::time::SimDuration;
 use mmpi_netsim::{SharedPayload, SimError, SimTime};
-use mmpi_wire::{Bytes, Datagram, Message, MsgKind, RepairStats};
+use mmpi_wire::{Bytes, Datagram, MsgKind, RepairStats};
 
-use crate::pump::deadline_after;
+#[cfg(doc)]
+use crate::Comm;
 use crate::{
-    CancelSink, Comm, EndpointCore, Nanos, RecvError, RecvReq, RepairConfig, RepairPort,
-    RepairPump, SendReq, SendWindowFull, Tag, WaitKind, WaitPoll,
+    Backend, EndpointCore, Nanos, RecvReq, RepairConfig, RepairPort, RepairPump, WaitKind, WaitPoll,
 };
 
 /// Thread-safe accumulator the ranks of one run flush their
@@ -119,13 +120,6 @@ pub struct SimCommConfig {
     /// Where ranks flush their repair counters on drop (see
     /// [`run_sim_world_stats`], which wires this automatically).
     pub stats_sink: Option<Arc<RepairStatsSink>>,
-    /// What [`Comm::multicast_capable`] reports. `None` (default) means
-    /// "derive from the fabric": [`run_sim_world`] fills it from
-    /// [`mmpi_netsim::params::NetParams::is_unicast_only`], and a bare
-    /// [`SimComm::new`] treats it as `true`. Set `Some(false)` to force
-    /// algorithm selectors onto gossip-shaped plans regardless of the
-    /// fabric.
-    pub multicast_capable: Option<bool>,
 }
 
 impl Default for SimCommConfig {
@@ -137,7 +131,6 @@ impl Default for SimCommConfig {
             max_chunk: mmpi_wire::DEFAULT_MAX_CHUNK,
             repair: None,
             stats_sink: None,
-            multicast_capable: None,
         }
     }
 }
@@ -178,7 +171,7 @@ impl Wire for SimProcess {
     }
 }
 
-impl Wire for RankPort<'_> {
+impl Wire for &mut RankPort<'_> {
     fn now(&self) -> SimTime {
         RankPort::now(self)
     }
@@ -187,11 +180,11 @@ impl Wire for RankPort<'_> {
     }
 }
 
-/// The simulator half of the endpoint, borrowed for one call: a [`Wire`]
-/// and the addressing. Over the rank's own process handle it is the full
-/// [`RepairPump`]; over a closer's [`RankPort`] only the [`RepairPort`].
-struct SimIo<'a, W> {
-    wire: &'a mut W,
+/// The simulator half of the endpoint: a `Wire` and the addressing.
+/// Over the rank's own process handle it is the full [`RepairPump`]; over
+/// a closer's borrowed [`RankPort`] only the [`RepairPort`].
+pub struct SimIo<W> {
+    wire: W,
     link: Link,
 }
 
@@ -209,44 +202,33 @@ fn ingest(core: &mut EndpointCore, dg: &mmpi_netsim::Datagram) {
     }
 }
 
-impl<W: Wire> SimIo<'_, W> {
-    fn now_nanos(&self) -> Nanos {
+fn transmit<W: Wire>(io: &mut SimIo<W>, dst: DatagramDst, dgs: &[Datagram]) {
+    for d in dgs {
+        io.wire.send(io.link.socket, dst, io.link.port, segments(d));
+    }
+}
+
+fn unicast(dst: usize) -> DatagramDst {
+    DatagramDst::Unicast(HostId(dst as u32))
+}
+
+impl RepairPort for SimIo<&mut RankPort<'_>> {
+    fn now(&mut self) -> Nanos {
         self.wire.now().as_nanos()
     }
 
-    fn transmit(&mut self, dst: DatagramDst, dgs: &[Datagram]) {
-        for d in dgs {
-            self.wire
-                .send(self.link.socket, dst, self.link.port, segments(d));
-        }
-    }
-
-    fn unicast(&mut self, dst: usize, dgs: &[Datagram]) {
-        self.transmit(DatagramDst::Unicast(HostId(dst as u32)), dgs);
-    }
-
-    fn mcast(&mut self, dgs: &[Datagram]) {
-        self.transmit(DatagramDst::Multicast(self.link.group), dgs);
-    }
-}
-
-impl RepairPort for SimIo<'_, RankPort<'_>> {
-    fn now(&mut self) -> Nanos {
-        self.now_nanos()
-    }
-
     fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
-        self.unicast(dst, datagrams);
+        transmit(self, unicast(dst), datagrams);
     }
 
     fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
-        self.mcast(datagrams);
+        transmit(self, DatagramDst::Multicast(self.link.group), datagrams);
     }
 }
 
-impl RepairPump for SimIo<'_, SimProcess> {
+impl RepairPump for SimIo<SimProcess> {
     fn now(&mut self) -> Nanos {
-        self.now_nanos()
+        self.wire.now().as_nanos()
     }
 
     fn pump_one(&mut self, core: &mut EndpointCore, until: Option<Nanos>) {
@@ -254,7 +236,7 @@ impl RepairPump for SimIo<'_, SimProcess> {
         match until {
             None => ingest(core, &self.wire.recv(socket)),
             Some(at) => {
-                let now = self.now_nanos();
+                let now = self.wire.now().as_nanos();
                 if at > now {
                     let wait = SimDuration::from_nanos(at - now);
                     if let Some(dg) = self.wire.recv_timeout(socket, wait) {
@@ -284,11 +266,11 @@ impl RepairPump for SimIo<'_, SimProcess> {
     }
 
     fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
-        self.unicast(dst, datagrams);
+        transmit(self, unicast(dst), datagrams);
     }
 
     fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
-        self.mcast(datagrams);
+        transmit(self, DatagramDst::Multicast(self.link.group), datagrams);
     }
 }
 
@@ -387,9 +369,10 @@ impl Served for Endpoint {
     }
 }
 
-/// A communicator bound to one simulated rank.
-pub struct SimComm {
-    proc: SimProcess,
+/// The simulator [`Backend`]: the rank's process handle, and its endpoint
+/// shared with the round closers that step it while it is parked.
+pub struct SimBackend {
+    io: SimIo<SimProcess>,
     endpoint: Arc<Endpoint>,
     /// `endpoint` again, as [`SimProcess::recv_served`] takes it.
     served: Arc<dyn Served>,
@@ -397,280 +380,45 @@ pub struct SimComm {
     multicast_capable: bool,
 }
 
-impl SimComm {
-    /// Wrap a rank's process handle: binds the port and joins the group.
-    pub fn new(mut proc: SimProcess, n: usize, cfg: SimCommConfig) -> Self {
-        let socket = proc.bind(cfg.port);
-        proc.join_group(socket, cfg.group);
-        let rank = proc.rank();
-        let endpoint = Arc::new(Endpoint {
-            link: Link {
-                socket,
-                port: cfg.port,
-                group: cfg.group,
-            },
-            state: Mutex::new(EndpointState {
-                core: EndpointCore::new(cfg.context, rank, n, cfg.max_chunk, cfg.repair),
-                parked: Parked::AnyPosted,
-                reqs: Vec::new(),
-            }),
-        });
-        SimComm {
-            proc,
-            served: Arc::clone(&endpoint) as Arc<dyn Served>,
-            endpoint,
-            stats_sink: cfg.stats_sink,
-            multicast_capable: cfg.multicast_capable.unwrap_or(true),
-        }
+impl Backend for SimBackend {
+    type Pump = SimIo<SimProcess>;
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut EndpointCore, &mut Self::Pump) -> R) -> R {
+        f(&mut self.endpoint.lock().core, &mut self.io)
     }
 
-    /// Run `f` on the endpoint with this rank's own pump.
-    fn with<R>(&mut self, f: impl FnOnce(&mut EndpointCore, &mut SimIo<'_, SimProcess>) -> R) -> R {
-        let link = self.endpoint.link;
+    fn peek<R>(&self, f: impl FnOnce(&EndpointCore) -> R) -> R {
+        f(&self.endpoint.lock().core)
+    }
+
+    /// The first turns are taken here; once one needs a receive, the rank
+    /// parks *served* with the endpoint unlocked, and wakes either because
+    /// a closer's turn ended the wait or — the closer answered several
+    /// ranks at once — with the receive's result to take the next turns
+    /// itself.
+    fn block(&mut self, kind: WaitKind<'_>) {
         let mut state = self.endpoint.lock();
-        let wire = &mut self.proc;
-        f(&mut state.core, &mut SimIo { wire, link })
-    }
-
-    /// The endpoint, for calls that touch neither clock nor socket.
-    fn state(&self) -> MutexGuard<'_, EndpointState> {
-        self.endpoint.lock()
-    }
-
-    /// Block until `kind` is satisfied and hand the endpoint back, locked,
-    /// for the caller to claim from. The first turns are taken here; once
-    /// one needs a receive, the rank parks *served* with the endpoint
-    /// unlocked, and wakes either because a closer's turn ended the wait
-    /// or — the closer answered several ranks at once — with the receive's
-    /// result to take the next turns itself.
-    fn wait_served(&mut self, kind: WaitKind<'_>) -> MutexGuard<'_, EndpointState> {
-        let endpoint = &self.endpoint;
-        let link = endpoint.link;
-        let mut state = endpoint.lock();
         state.park(kind);
-        loop {
-            let wire = &mut self.proc;
-            let Step::Park(timeout) = state.turn(&mut SimIo { wire, link }) else {
-                return state;
-            };
+        while let Step::Park(timeout) = state.turn(&mut self.io) {
             drop(state);
-            let woke = self.proc.recv_served(link.socket, timeout, &self.served);
-            state = endpoint.lock();
+            let socket = self.io.link.socket;
+            let woke = self.io.wire.recv_served(socket, timeout, &self.served);
+            state = self.endpoint.lock();
             match woke {
-                ServedRecv::Stepped => return state,
+                ServedRecv::Stepped => return,
                 ServedRecv::Woken(Some(dg)) => ingest(&mut state.core, &dg),
                 ServedRecv::Woken(None) => {}
             }
         }
     }
 
-    /// Repair counters of this endpoint so far.
-    pub fn repair_stats(&self) -> RepairStats {
-        self.state().core.repair_stats()
-    }
-
-    /// Smoothed RTT estimate toward `peer`, if the adaptive control
-    /// plane has collected samples for it.
-    pub fn peer_rtt(&self, peer: usize) -> Option<Duration> {
-        self.state().core.peer_rtt(peer)
-    }
-
-    /// The NACK solicitation timeout the repair loop currently applies
-    /// toward `peer` (configured base, or RTT-derived when adaptive).
-    pub fn peer_nack_timeout(&self, peer: usize) -> Option<Duration> {
-        self.state().core.peer_nack_timeout(peer)
-    }
-
-    /// Posted-but-unclaimed receives (diagnostics).
-    pub fn outstanding_recvs(&self) -> usize {
-        self.state().core.outstanding_recvs()
-    }
-
-    /// Local virtual time (for measurement).
-    pub fn now(&self) -> SimTime {
-        self.proc.now()
-    }
-
-    /// The drain grace this endpoint would apply on shutdown right now
-    /// (exposed for the drain-on-leave regression tests).
-    pub fn drain_grace(&self) -> Duration {
-        self.state().core.drain_grace()
-    }
-
-    /// Crash injection for failure tests: the endpoint stops
-    /// participating immediately — no departure announcement, no drain
-    /// on drop — exactly what a killed process looks like to survivors.
-    pub fn simulate_crash(&mut self) {
-        self.state().core.abandon();
-    }
-}
-
-impl Drop for SimComm {
-    fn drop(&mut self) {
-        // Drain: a peer may still be missing our *final* message, so keep
-        // answering NACKs until the link has been quiet for the grace
-        // period. Skipped while unwinding — the run is being torn down and
-        // every blocking call would re-panic.
-        if !std::thread::panicking() {
-            self.with(|core, io| core.drain(io));
-        }
-        if let Some(sink) = &self.stats_sink {
-            sink.add(&self.repair_stats());
-        }
-    }
-}
-
-impl Comm for SimComm {
-    fn rank(&self) -> usize {
-        self.state().core.rank()
-    }
-
     fn multicast_capable(&self) -> bool {
         self.multicast_capable
     }
 
-    fn size(&self) -> usize {
-        self.state().core.size()
-    }
-
-    fn context(&self) -> u32 {
-        self.state().core.context()
-    }
-
-    fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.with(|core, io| core.send_message(io, dst, tag, kind, payload))
-    }
-
-    fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.with(|core, io| core.mcast_message(io, tag, kind, payload))
-    }
-
-    fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        self.with(|core, io| core.mcast_resend_message(io, tag, kind, payload, seq));
-    }
-
-    fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        self.with(|core, io| core.post_recv(io, src, tag))
-    }
-
-    fn progress(&mut self) {
-        self.with(|core, io| core.progress(io));
-    }
-
-    fn progress_block(&mut self) {
-        drop(self.wait_served(WaitKind::AnyPosted));
-    }
-
-    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.with(|core, io| core.test_req(io, req))
-    }
-
-    fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.state().core.test_claimed(req)
-    }
-
-    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        self.wait_any(std::slice::from_ref(&req)).map(|(_, m)| m)
-    }
-
-    fn wait_deadline(
-        &mut self,
-        req: RecvReq,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        self.state().core.expect_posted(req);
-        let deadline = deadline_after(self.proc.now().as_nanos(), timeout);
-        self.wait_served(WaitKind::Until(req, deadline))
-            .core
-            .claim_by_deadline(req)
-    }
-
-    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
-        self.state().core.expect_waitable(reqs);
-        loop {
-            let mut state = self.wait_served(WaitKind::AnyOf(reqs));
-            if let Some(claimed) = state.core.claim_first(reqs) {
-                return claimed;
-            }
-        }
-    }
-
-    fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        if reqs.is_empty() {
-            return;
-        }
-        let state = self.state();
-        reqs.iter().for_each(|r| state.core.expect_posted(*r));
-        drop(state);
-        drop(self.wait_served(WaitKind::AnyOf(reqs)));
-    }
-
-    fn cancel_recv(&mut self, req: RecvReq) {
-        self.state().core.cancel_req(req);
-    }
-
-    fn cancel_sink(&self) -> CancelSink {
-        self.state().core.cancel_sink()
-    }
-
-    fn try_post_send(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<SendReq, SendWindowFull> {
-        self.with(|core, io| core.try_send_message(io, dst, tag, payload))
-            .map(SendReq::completed)
-    }
-
-    fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        self.with(|core, io| core.try_mcast_message(io, tag, payload))
-            .map(SendReq::completed)
-    }
-
-    fn compute(&mut self, d: Duration) {
-        // A busy rank is deaf, but it must not go mute: with membership
-        // armed, slice the advance at beacon boundaries and emit the
-        // heartbeats that fall due mid-slice (the job a real
-        // deployment's progress thread does), so peers never read a
-        // long compute phase as death. Without membership this folds to
-        // the plain single clock advance.
-        self.with(|core, io| {
-            let mut remaining = d.as_nanos() as u64;
-            while remaining > 0 {
-                let step = match core.next_heartbeat_due() {
-                    Some(hb_at) => remaining.min(hb_at.saturating_sub(io.now_nanos()).max(1)),
-                    None => remaining,
-                };
-                io.wire.compute(SimDuration::from_nanos(step));
-                remaining -= step;
-                core.beacon_tick(io);
-            }
-        });
-    }
-
-    fn failed_peers(&self) -> Vec<usize> {
-        self.state().core.failed_peers()
-    }
-
-    fn departed_peers(&self) -> Vec<usize> {
-        self.state().core.departed_peers()
-    }
-
-    fn epoch(&self) -> u32 {
-        self.state().core.epoch()
-    }
-
-    fn leave(&mut self) {
-        self.with(|core, io| core.leave(io));
-    }
-
-    fn rebase_epoch(&mut self, epoch: u32) {
-        self.state().core.rebase_epoch(epoch);
-    }
-
-    fn declare_failed(&mut self, rank: usize) {
-        self.state().core.force_fail(rank);
+    fn pass_time(&mut self, nanos: Nanos) -> Nanos {
+        self.io.wire.compute(SimDuration::from_nanos(nanos));
+        nanos
     }
 
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
@@ -680,15 +428,66 @@ impl Comm for SimComm {
                 let seq = core.fresh_seq();
                 let dgs = core.encode(crate::FIRE_AND_FORGET_TAG, MsgKind::Ack, &Bytes::new(), seq);
                 for d in &dgs {
-                    io.wire.send_kernel(
-                        io.link.socket,
-                        DatagramDst::Unicast(HostId(dst as u32)),
-                        io.link.port,
-                        segments(d),
-                    );
+                    io.wire
+                        .send_kernel(io.link.socket, unicast(dst), io.link.port, segments(d));
                 }
             }
         });
+    }
+}
+
+impl Drop for SimBackend {
+    /// Runs after the [`crate::Endpoint`]'s drain, so the flushed counters
+    /// include it.
+    fn drop(&mut self) {
+        if let Some(sink) = &self.stats_sink {
+            sink.add(&self.peek(EndpointCore::repair_stats));
+        }
+    }
+}
+
+/// A communicator bound to one simulated rank.
+pub type SimComm = crate::Endpoint<SimBackend>;
+
+impl SimComm {
+    /// Wrap a rank's process handle: binds the port and joins the group.
+    /// [`Comm::multicast_capable`] reads `true`; [`run_sim_world`] derives
+    /// it from the fabric instead.
+    pub fn new(mut proc: SimProcess, n: usize, cfg: SimCommConfig) -> Self {
+        let socket = proc.bind(cfg.port);
+        proc.join_group(socket, cfg.group);
+        let link = Link {
+            socket,
+            port: cfg.port,
+            group: cfg.group,
+        };
+        let endpoint = Arc::new(Endpoint {
+            link,
+            state: Mutex::new(EndpointState {
+                core: EndpointCore::new(cfg.context, proc.rank(), n, cfg.max_chunk, cfg.repair),
+                parked: Parked::AnyPosted,
+                reqs: Vec::new(),
+            }),
+        });
+        crate::Endpoint(SimBackend {
+            io: SimIo { wire: proc, link },
+            served: Arc::clone(&endpoint) as Arc<dyn Served>,
+            endpoint,
+            stats_sink: cfg.stats_sink,
+            multicast_capable: true,
+        })
+    }
+
+    /// Local virtual time (for measurement).
+    pub fn now(&self) -> SimTime {
+        self.0.io.wire.now()
+    }
+
+    /// Crash injection for failure tests: the endpoint stops
+    /// participating immediately — no departure announcement, no drain
+    /// on drop — exactly what a killed process looks like to survivors.
+    pub fn simulate_crash(&mut self) {
+        self.0.with(|core, _| core.abandon());
     }
 }
 
@@ -705,16 +504,13 @@ where
     R: Send,
 {
     let n = cluster.n;
-    // Resolve "derive from the fabric" here, where we can see the
-    // cluster's NetParams: a unicast-only switch drops every multicast
-    // frame, so selectors should know not to build multicast-shaped
-    // plans that only the repair plane would ever deliver.
-    let mut comm_cfg = comm_cfg.clone();
-    if comm_cfg.multicast_capable.is_none() {
-        comm_cfg.multicast_capable = Some(!cluster.params.is_unicast_only());
-    }
+    // A unicast-only switch drops every multicast frame, so selectors
+    // should know not to build multicast-shaped plans that only the
+    // repair plane would ever deliver.
+    let multicast_capable = !cluster.params.is_unicast_only();
     run_cluster(cluster, move |proc| {
-        let comm = SimComm::new(proc, n, comm_cfg.clone());
+        let mut comm = SimComm::new(proc, n, comm_cfg.clone());
+        comm.0.multicast_capable = multicast_capable;
         f(comm)
     })
 }

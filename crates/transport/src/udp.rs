@@ -25,7 +25,7 @@
 //! Buffer ownership: each socket read lands in one reusable 64 KiB buffer
 //! and is imported into a shared [`Bytes`] exactly once (the
 //! kernel-boundary copy), which flows to the reassembler and (for
-//! single-chunk messages) the matched [`Message`] itself without another
+//! single-chunk messages) the matched [`mmpi_wire::Message`] itself without another
 //! copy; each send concatenates a datagram's header and payload views
 //! into one reusable scratch buffer — the sole copy a contiguous socket
 //! write requires (kernel-side vectored IO would remove it; see
@@ -44,13 +44,10 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::time::{Duration, Instant};
 
-use mmpi_wire::{Bytes, Datagram, Message, MsgKind, RepairStats};
+use mmpi_wire::{Bytes, Datagram};
 use socket2::{Domain, PollFd, Protocol, Socket, Type};
 
-use crate::{
-    CancelSink, Comm, EndpointCore, RecvError, RecvReq, RepairConfig, RepairPump, SendReq,
-    SendWindowFull, Tag,
-};
+use crate::{Backend, Comm, Endpoint, EndpointCore, Nanos, RepairConfig, RepairPump};
 
 /// Addressing plan for a UDP world.
 #[derive(Clone, Debug)]
@@ -124,7 +121,7 @@ const WAIT_FAILED_PAUSE: Duration = Duration::from_millis(1);
 
 /// The socket half of a UDP endpoint. Implements [`RepairPump`] over
 /// wall-clock time.
-struct UdpIo {
+pub struct UdpIo {
     cfg: UdpConfig,
     /// `[point-to-point, multicast]`, both nonblocking. All sends
     /// (unicast and multicast) leave through the first.
@@ -280,12 +277,40 @@ impl RepairPump for UdpIo {
     }
 }
 
-/// A communicator over real UDP/IP-multicast sockets.
-pub struct UdpComm {
+/// The real-socket [`Backend`]: the endpoint and its two sockets, both
+/// the rank's own. [`Comm::compute`] sleeps.
+pub struct UdpBackend {
     io: UdpIo,
     core: EndpointCore,
     recv_buffer_bytes: usize,
 }
+
+impl Backend for UdpBackend {
+    type Pump = UdpIo;
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut EndpointCore, &mut UdpIo) -> R) -> R {
+        f(&mut self.core, &mut self.io)
+    }
+
+    fn peek<R>(&self, f: impl FnOnce(&EndpointCore) -> R) -> R {
+        f(&self.core)
+    }
+
+    fn multicast_capable(&self) -> bool {
+        self.io.cfg.multicast_capable
+    }
+
+    fn pass_time(&mut self, nanos: Nanos) -> Nanos {
+        let start = self.io.now();
+        std::thread::sleep(Duration::from_nanos(nanos));
+        self.io.now() - start
+    }
+}
+
+/// A communicator over real UDP/IP-multicast sockets. Its drop-time drain
+/// is bounded, so a sandbox that drops everything silently skips out after
+/// one quiet grace period.
+pub type UdpComm = Endpoint<UdpBackend>;
 
 impl UdpComm {
     /// Create the endpoint for `rank` of an `n`-rank world.
@@ -318,7 +343,7 @@ impl UdpComm {
         mc.set_nonblocking(true)?;
 
         let core = EndpointCore::new(cfg.context, rank, n, cfg.max_chunk, cfg.repair);
-        Ok(UdpComm {
+        Ok(Endpoint(UdpBackend {
             io: UdpIo {
                 cfg,
                 socks: [p2p, mc],
@@ -333,7 +358,7 @@ impl UdpComm {
             },
             core,
             recv_buffer_bytes,
-        })
+        }))
     }
 
     /// The smaller of the two sockets' kernel receive buffers, in bytes as
@@ -341,170 +366,7 @@ impl UdpComm {
     /// as. The kernel buffer is the only receive queue, so this bounds the
     /// burst a rank busy elsewhere can absorb without loss.
     pub fn recv_buffer_bytes(&self) -> usize {
-        self.recv_buffer_bytes
-    }
-
-    /// Repair counters of this endpoint so far.
-    pub fn repair_stats(&self) -> RepairStats {
-        self.core.repair_stats()
-    }
-}
-
-impl Drop for UdpComm {
-    fn drop(&mut self) {
-        // Drain: keep answering NACKs until the sockets have been quiet
-        // for the grace period, so peers missing our final message can
-        // still recover. Skipped while unwinding (a panicking rank must
-        // not linger) — and bounded regardless, so a sandbox that drops
-        // everything silently skips out after one quiet grace period.
-        if !std::thread::panicking() {
-            self.core.drain(&mut self.io);
-        }
-    }
-}
-
-impl Comm for UdpComm {
-    fn rank(&self) -> usize {
-        self.core.rank()
-    }
-
-    fn multicast_capable(&self) -> bool {
-        self.io.cfg.multicast_capable
-    }
-
-    fn size(&self) -> usize {
-        self.core.size()
-    }
-
-    fn context(&self) -> u32 {
-        self.core.context()
-    }
-
-    fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.core
-            .send_message(&mut self.io, dst, tag, kind, payload)
-    }
-
-    fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.core.mcast_message(&mut self.io, tag, kind, payload)
-    }
-
-    fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        self.core
-            .mcast_resend_message(&mut self.io, tag, kind, payload, seq);
-    }
-
-    fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        self.core.post_recv(&mut self.io, src, tag)
-    }
-
-    fn progress(&mut self) {
-        self.core.progress(&mut self.io);
-    }
-
-    fn progress_block(&mut self) {
-        self.core.progress_block(&mut self.io);
-    }
-
-    fn test(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.core.test_req(&mut self.io, req)
-    }
-
-    fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.core.test_claimed(req)
-    }
-
-    fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        self.core.wait_req(&mut self.io, req)
-    }
-
-    fn wait_deadline(
-        &mut self,
-        req: RecvReq,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        self.core.wait_req_deadline(&mut self.io, req, timeout)
-    }
-
-    fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
-        self.core.wait_any_req(&mut self.io, reqs)
-    }
-
-    fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        self.core.wait_ready(&mut self.io, reqs);
-    }
-
-    fn cancel_recv(&mut self, req: RecvReq) {
-        self.core.cancel_req(req);
-    }
-
-    fn cancel_sink(&self) -> CancelSink {
-        self.core.cancel_sink()
-    }
-
-    fn try_post_send(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<SendReq, SendWindowFull> {
-        self.core
-            .try_send_message(&mut self.io, dst, tag, payload)
-            .map(SendReq::completed)
-    }
-
-    fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        self.core
-            .try_mcast_message(&mut self.io, tag, payload)
-            .map(SendReq::completed)
-    }
-
-    fn compute(&mut self, d: Duration) {
-        // Same contract as the simulator: with membership armed, sleep
-        // in beacon-sized slices and emit the heartbeats that fall due,
-        // so a long compute phase never reads as death to the peers.
-        #[allow(clippy::disallowed_methods)] // real-network backend: wall time
-        let end = Instant::now() + d;
-        loop {
-            #[allow(clippy::disallowed_methods)] // real-network backend: wall time
-            let left = end.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            let step = match self.core.next_heartbeat_due() {
-                Some(hb_at) => {
-                    let until_hb = hb_at.saturating_sub(self.io.now()).max(1);
-                    left.min(Duration::from_nanos(until_hb))
-                }
-                None => left,
-            };
-            std::thread::sleep(step);
-            self.core.beacon_tick(&mut self.io);
-        }
-    }
-
-    fn failed_peers(&self) -> Vec<usize> {
-        self.core.failed_peers()
-    }
-
-    fn departed_peers(&self) -> Vec<usize> {
-        self.core.departed_peers()
-    }
-
-    fn epoch(&self) -> u32 {
-        self.core.epoch()
-    }
-
-    fn leave(&mut self) {
-        self.core.leave(&mut self.io);
-    }
-
-    fn rebase_epoch(&mut self, epoch: u32) {
-        self.core.rebase_epoch(epoch);
-    }
-
-    fn declare_failed(&mut self, rank: usize) {
-        self.core.force_fail(rank);
+        self.0.recv_buffer_bytes
     }
 }
 

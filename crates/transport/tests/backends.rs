@@ -4,12 +4,15 @@
 
 use std::time::Duration;
 
-use mmpi_netsim::cluster::ClusterConfig;
+use mmpi_netsim::cluster::{run_cluster, ClusterConfig};
+use mmpi_netsim::ids::{DatagramDst, HostId};
 use mmpi_netsim::params::NetParams;
+use mmpi_netsim::{SharedPayload, SimDuration};
 use mmpi_transport::{
     multicast_available_cached, run_mem_world, run_sim_world, run_sim_world_stats, run_udp_world,
-    Comm, SimCommConfig, UdpConfig,
+    Comm, SimComm, SimCommConfig, UdpComm, UdpConfig,
 };
+use mmpi_wire::{split_message, Bytes, MsgKind};
 
 /// The SPMD program used across backends: rank 0 multicasts, everyone
 /// acks, rank 0 reports the ack count.
@@ -183,10 +186,207 @@ fn sim_repair_recovers_heavy_loss() {
 fn sim_deterministic_across_runs() {
     let run = || {
         let cluster = ClusterConfig::new(6, NetParams::fast_ethernet_hub(), 99)
-            .with_start_skew(mmpi_netsim::SimDuration::from_micros(40));
+            .with_start_skew(SimDuration::from_micros(40));
         run_sim_world(&cluster, &SimCommConfig::default(), mcast_and_ack)
             .unwrap()
             .makespan
     };
     assert_eq!(run(), run());
+}
+
+/// The request layer's contract, as one two-rank program every backend
+/// must run to the same end — the guard for what `Backend::block`
+/// promises, whoever implements it. Rank 1 is under test; rank 0 sends
+/// one message per `GO` it is handed, so nothing is ever in flight that
+/// rank 1 has not asked for. Unicast only: it runs where multicast does
+/// not.
+fn request_contract<C: Comm>(mut c: C) {
+    const GO: u32 = 1;
+    const UNRELATED: u32 = 10;
+    const TARGET: u32 = 11;
+    const LATE: u32 = 12;
+    const FIRST: u32 = 13;
+    const SECOND: u32 = 14;
+    const POLLED: u32 = 15;
+    const UNPOSTED: u32 = 16;
+    const IDLE: u32 = 17;
+    const PAUSE: Duration = Duration::from_millis(2);
+    if c.rank() == 0 {
+        for tag in [
+            UNRELATED, TARGET, LATE, SECOND, FIRST, POLLED, UNPOSTED, IDLE,
+        ] {
+            c.recv_match(1, GO).unwrap();
+            // Rank 1 is inside its wait by the time this arrives (on the
+            // simulator: provably; on real threads: all but surely).
+            c.compute(PAUSE);
+            c.send(1, tag, &tag.to_le_bytes());
+        }
+        return;
+    }
+    let payload_of = |m: mmpi_wire::Message| u32::from_le_bytes(m.payload[..4].try_into().unwrap());
+
+    // `wait_ready` names its set: it returns when `unrelated` completes,
+    // claims nothing, and then parks for `target` although `unrelated`
+    // still sits complete-but-unclaimed.
+    let unrelated = c.post_recv(Some(0), UNRELATED);
+    let target = c.post_recv(Some(0), TARGET);
+    c.wait_ready(&[]);
+    c.send(0, GO, b"");
+    c.wait_ready(&[unrelated]);
+    c.send(0, GO, b"");
+    c.wait_ready(&[target]);
+    let got = c.test_claimed(target).expect("wait_ready returned early");
+    assert_eq!(payload_of(got.unwrap()), TARGET);
+
+    // `progress_block` is the opposite: with any completion unclaimed it
+    // returns at once — nothing else is coming, a park here never ends.
+    c.progress_block();
+    let got = c.test_claimed(unrelated).expect("still parked in its slot");
+    assert_eq!(payload_of(got.unwrap()), UNRELATED);
+
+    // A `wait_deadline` that times out cancels: the stale request is
+    // ahead in post order and would otherwise take the message.
+    let stale = c.post_recv(Some(0), LATE);
+    assert!(c.wait_deadline(stale, PAUSE).unwrap().is_none());
+    c.cancel_recv(stale); // retired already: a no-op
+    let fresh = c.post_recv(Some(0), LATE);
+    c.send(0, GO, b"");
+    assert_eq!(payload_of(c.wait(fresh).unwrap()), LATE);
+
+    // `wait_any` answers with the caller's index and leaves the rest
+    // posted: `first` is still there to be waited on.
+    let first = c.post_recv(Some(0), FIRST);
+    let second = c.post_recv(Some(0), SECOND);
+    c.send(0, GO, b"");
+    let (index, m) = c.wait_any(&[first, second]).unwrap();
+    assert_eq!((index, payload_of(m)), (1, SECOND));
+    c.send(0, GO, b"");
+    assert_eq!(payload_of(c.wait(first).unwrap()), FIRST);
+
+    // `test` is a progress pass plus the claim: `None` while nothing has
+    // been sent, and a `progress_block` between tests is enough to see
+    // the message arrive.
+    let polled = c.post_recv(Some(0), POLLED);
+    assert!(c.test(polled).is_none());
+    c.send(0, GO, b"");
+    let got = loop {
+        match c.test(polled) {
+            Some(done) => break done,
+            None => c.progress_block(),
+        }
+    };
+    assert_eq!(payload_of(got.unwrap()), POLLED);
+
+    // `progress_block` blocks for one *event*, not for a completion: a
+    // datagram nobody has posted for ends it, with `idle` still pending.
+    let idle = c.post_recv(Some(0), IDLE);
+    c.send(0, GO, b"");
+    c.progress_block();
+    let buffered = c.post_recv(Some(0), UNPOSTED);
+    assert_eq!(payload_of(c.wait(buffered).unwrap()), UNPOSTED);
+    c.send(0, GO, b"");
+    assert_eq!(payload_of(c.wait(idle).unwrap()), IDLE);
+}
+
+/// Run `body` on its own thread and fail, not hang, if it has neither
+/// returned nor panicked within `secs` of wall time (a broken wait on real
+/// threads is a rank blocked for good).
+fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .expect("the world panicked or is still blocked");
+}
+
+#[test]
+fn request_contract_holds_on_every_backend() {
+    for params in [
+        NetParams::fast_ethernet_hub(),
+        NetParams::fast_ethernet_switch(),
+    ] {
+        let cluster = ClusterConfig::new(2, params, 11);
+        run_sim_world(&cluster, &SimCommConfig::default(), request_contract).unwrap();
+    }
+    within(30, || drop(run_mem_world(2, 0, request_contract)));
+    within(30, || {
+        run_udp_world(2, &UdpConfig::loopback(46_300), request_contract).unwrap();
+    });
+}
+
+/// What a stranger can put on a live endpoint's port: noise, a datagram
+/// cut off inside its header, a well-formed message of somebody else's
+/// communicator, and a NACK with no body. `valid` is what the endpoint is
+/// actually waiting for, from rank 0.
+fn hostile_datagrams(context: u32, tag: u32) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let wire = |kind, context, seq, payload: &[u8]| {
+        let mut out = Vec::new();
+        let payload = Bytes::copy_from_slice(payload);
+        split_message(kind, context, 0, tag, seq, &payload, 60_000)[0].write_contiguous(&mut out);
+        out
+    };
+    let valid = wire(MsgKind::Data, context, 0, b"valid");
+    let hostile = vec![
+        (0..97u32).map(|i| (i * 193 + 7) as u8).collect(),
+        valid[..mmpi_wire::HEADER_LEN / 2].to_vec(),
+        wire(MsgKind::Data, context ^ 0x5A5A, 0, b"foreign"),
+        // Its own sequence number: a forged one that collides with real
+        // traffic would shadow it as a duplicate, as any forgery can.
+        wire(MsgKind::Nack, context, 1, b""),
+    ];
+    (hostile, valid)
+}
+
+#[test]
+fn udp_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
+    const TAG: u32 = 5;
+    let cfg = UdpConfig::loopback(46_400).with_repair();
+    let (hostile, valid) = hostile_datagrams(cfg.context, TAG);
+    let mut comm = UdpComm::new(1, 2, cfg).unwrap();
+    let req = comm.post_recv(Some(0), TAG);
+    let stranger = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    for bytes in hostile.iter().chain([&valid]) {
+        stranger.send_to(bytes, "127.0.0.1:46401").unwrap();
+    }
+    // One socket, one queue: the valid datagram is read last.
+    let got = comm.wait_deadline(req, Duration::from_secs(5)).unwrap();
+    assert_eq!(got.expect("delivered after the noise").payload, b"valid");
+    assert_eq!(comm.outstanding_recvs(), 0);
+    let stats = comm.repair_stats();
+    assert_eq!((stats.nacks_received, stats.retransmits_sent), (0, 0));
+}
+
+#[test]
+fn sim_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
+    const TAG: u32 = 5;
+    let cfg = SimCommConfig::default().with_repair();
+    let (hostile, valid) = hostile_datagrams(cfg.context, TAG);
+    let cluster = ClusterConfig::new(2, NetParams::fast_ethernet_switch(), 3);
+    let report = run_cluster(&cluster, |mut proc| {
+        if proc.rank() == 0 {
+            // A raw rank: no endpoint, just a socket to shout from.
+            let socket = proc.bind(cfg.port);
+            for bytes in hostile.iter().chain([&valid]) {
+                let to = DatagramDst::Unicast(HostId(1));
+                proc.send(socket, to, cfg.port, SharedPayload::from(bytes.clone()));
+                proc.compute(SimDuration::from_micros(200));
+            }
+            return None;
+        }
+        let mut comm = SimComm::new(proc, 2, cfg.clone());
+        let req = comm.post_recv(Some(0), TAG);
+        let other = comm.recv_match_timeout(0, TAG + 1, Duration::from_micros(900));
+        assert!(other.unwrap().is_none(), "nothing hostile matched");
+        // The four hostile datagrams have come and gone; `req` is as it was.
+        assert_eq!(comm.outstanding_recvs(), 1);
+        let got = comm.wait(req).unwrap();
+        assert_eq!(comm.outstanding_recvs(), 0);
+        let stats = comm.repair_stats();
+        assert_eq!((stats.nacks_received, stats.retransmits_sent), (0, 0));
+        Some(got.payload)
+    })
+    .unwrap();
+    assert_eq!(report.outputs[1].as_deref(), Some(&b"valid"[..]));
 }

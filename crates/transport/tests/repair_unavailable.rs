@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use mmpi_transport::testing::ScriptedPump;
-use mmpi_transport::{EndpointCore, RecvError, RepairConfig};
+use mmpi_transport::{EndpointCore, Nanos, RecvError, RepairConfig, WaitKind};
 use mmpi_wire::{Bytes, Message, MsgKind, SendDst};
 
 /// A 2-rank harness: rank 0 (the sender) and rank 1 (the receiver),
@@ -35,7 +35,15 @@ fn recv_within(
     timeout: Duration,
 ) -> Result<Option<Message>, RecvError> {
     let req = core.post_recv(io, src, tag);
-    core.wait_req_deadline(io, req, timeout)
+    let deadline = io.clock().saturating_add(timeout.as_nanos() as Nanos);
+    core.block(io, &WaitKind::Until(req, deadline));
+    match core.test_claimed(req) {
+        Some(done) => done.map(Some),
+        None => {
+            core.cancel_req(req);
+            Ok(None)
+        }
+    }
 }
 
 /// Encode + record a send on `core` *without* delivering it (the "lost

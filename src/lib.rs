@@ -13,8 +13,9 @@
 //!   retransmit ring with acknowledged-frontier release, built as a
 //!   zero-copy `Bytes` datagram path (`docs/PERFORMANCE.md`).
 //! * [`transport`] — the request-based [`transport::Comm`] abstraction
-//!   (posted receives + progress engine, `docs/API.md`) and its
-//!   simulator, real-UDP-multicast and in-memory implementations, plus
+//!   (posted receives + progress engine, `docs/API.md`) and its one
+//!   implementation over simulator, real-UDP-multicast and in-memory
+//!   backends (`docs/API.md`, "Backends"), plus
 //!   the NACK/retransmit repair loop, the adaptive control plane
 //!   (per-peer RTT estimation, ring GC, send-window back-pressure —
 //!   `docs/PROTOCOL.md` §9), the membership layer (heartbeat
@@ -70,8 +71,14 @@
 //!                    │         │               · api / config / inbox /
 //!                    │         │                 pump: the Comm trait,
 //!                    │         │                 RepairConfig, matching
-//!                    │         │                 and dedup, what a
-//!                    │         │                 backend provides
+//!                    │         │                 and dedup, what the
+//!                    │         │                 engine asks of a pump
+//!                    │         │               · endpoint: Endpoint<B>,
+//!                    │         │                 the one impl Comm; the
+//!                    │         │                 three are its aliases
+//!                    │         │                 over a Backend (reach
+//!                    │         │                 core + pump, block,
+//!                    │         │                 pass time)
 //!                    │         │               · engine (EndpointCore):
 //!                    │         │                 posted recvs, one
 //!                    │         │                 progress engine (test /

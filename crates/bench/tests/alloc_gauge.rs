@@ -8,21 +8,31 @@
 //!   payload-sized memory; and
 //! * evicting a record releases the message's buffers — shared `Bytes`
 //!   views in the ring do not leak (live bytes return to baseline); and
-//! * ingesting a session message whose frontiers are all unchanged costs
-//!   a gossip-armed endpoint not one allocation more than an endpoint
-//!   with the gossip plane off.
+//! * the delivery path above `wire` holds its budget as exact counts
+//!   (`docs/PERFORMANCE.md`, "Who allocates, layer by layer"): an `Advr`
+//!   costs its payload and its datagram and nothing else, its fan-out
+//!   shares the payload, an overheard NACK and an unchanged session
+//!   message are ingested without allocating, a unicast datagram crosses
+//!   a `World` switch for the price of its own `Arc`; and
+//! * a forged chunk header cannot make the assembler reserve memory in
+//!   proportion to what it claims.
 //!
 //! Everything runs inside one `#[test]` so no concurrent test thread
-//! perturbs the counters.
+//! perturbs the counters. To see where a count comes from, wrap any
+//! statement of the path in [`allocs_of`] and print what it returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mmpi_netsim::ids::{DatagramDst, HostId, UdpPort};
+use mmpi_netsim::params::NetParams;
+use mmpi_netsim::world::{StepOutcome, World};
+use mmpi_netsim::SharedPayload;
 use mmpi_transport::testing::ScriptedPump;
 use mmpi_transport::{EndpointCore, RepairConfig};
 use mmpi_wire::{
-    split_message, AckHorizonPayload, Assembler, Bytes, MsgKind, RetransmitBuffer, SendDst,
-    SourceHorizon,
+    split_message, AckHorizonPayload, Assembler, Bytes, Datagram, Header, MsgKind, NackPayload,
+    RetransmitBuffer, SendDst, SeqRange, SourceHorizon, DEFAULT_RETRANSMIT_CAP,
 };
 
 struct Gauge;
@@ -60,14 +70,17 @@ unsafe impl GlobalAlloc for Gauge {
 #[global_allocator]
 static GAUGE: Gauge = Gauge;
 
+/// Allocations of one run of `f`.
+fn allocs_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 /// Mean allocations per call of `f` over `iters` calls (warm-up first).
 fn allocs_per(iters: u64, mut f: impl FnMut()) -> u64 {
     f();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..iters {
-        f();
-    }
-    (ALLOCS.load(Ordering::Relaxed) - before) / iters
+    allocs_of(|| (0..iters).for_each(|_| f())) / iters
 }
 
 fn split_assemble_allocs(chunk: usize) -> u64 {
@@ -85,43 +98,192 @@ fn split_assemble_allocs(chunk: usize) -> u64 {
     })
 }
 
-/// Allocations per ingested session message — rank 1 of 8 repeating the
-/// same seven frontiers — at an endpoint armed with `cfg`, the scripted
-/// pump's own queueing included (it is the same on every call).
-fn session_message_allocs(cfg: RepairConfig) -> u64 {
+/// Allocations of one run of `f` in steady state: 64 runs, which must all
+/// cost the same.
+fn steady_allocs(mut f: impl FnMut()) -> u64 {
+    let first = allocs_of(&mut f);
+    for _ in 1..64 {
+        assert_eq!(allocs_of(&mut f), first, "the count must be a constant");
+    }
+    first
+}
+
+/// Allocations of one group send of a 1 KiB payload at rank 0 of `n`, the
+/// gossip plane armed and warm: the retransmit ring full (every record
+/// evicts one) and every peer advertised to before.
+fn gossip_send_allocs(n: usize) -> u64 {
+    let cfg = RepairConfig::sim_default().with_gossip();
+    let mut core = EndpointCore::new(0, 0, n, 60_000, Some(cfg));
+    let mut io = ScriptedPump::new();
+    let payload = Bytes::from(vec![0x3Cu8; 1024]);
+    for _ in 0..2 * DEFAULT_RETRANSMIT_CAP {
+        core.mcast_message(&mut io, 7, MsgKind::Data, &payload);
+    }
+    steady_allocs(|| {
+        core.mcast_message(&mut io, 7, MsgKind::Data, &payload);
+    })
+}
+
+/// Per-call allocations of ingesting `calls` copies of one control
+/// message — `payload`, from rank 1, each under its own sequence number —
+/// at rank 0 of 8 armed with `cfg`, one `progress` pass each. Queueing the
+/// message is outside the count; taking it off the socket, the inbox and
+/// the plane that consumes it are inside.
+fn control_ingest_allocs(
+    cfg: RepairConfig,
+    kind: MsgKind,
+    first_seq: u64,
+    payload: &[u8],
+    calls: u64,
+) -> Vec<u64> {
     let mut core = EndpointCore::new(0, 0, 8, 60_000, Some(cfg));
     let mut io = ScriptedPump::new();
-    let payload = AckHorizonPayload {
+    let mut ingest = |k: u64| {
+        io.inject_message(kind, 1, 9, first_seq + k, payload);
+        allocs_of(|| core.progress(&mut io))
+    };
+    // Warm: queues, maps and the planes' own state.
+    for k in 0..600 {
+        ingest(k);
+    }
+    (600..600 + calls).map(ingest).collect()
+}
+
+/// Allocations of one 1 KiB unicast datagram crossing a two-host switched
+/// `World` end to end — sent, fragmented (one frame), serialized onto the
+/// uplink, forwarded, delivered, popped — after the world has carried a
+/// few. The payload handle is the caller's and is not counted.
+fn world_crossing_allocs() -> u64 {
+    const PORT: UdpPort = UdpPort(4400);
+    let mut world = World::new(2, NetParams::fast_ethernet_switch(), 7);
+    let sockets = [world.bind(HostId(0), PORT), world.bind(HostId(1), PORT)];
+    let wire = split_message(
+        MsgKind::Data,
+        0,
+        0,
+        7,
+        1,
+        &Bytes::from(vec![9u8; 1024]),
+        60_000,
+    );
+    let cross = |world: &mut World| {
+        let payload = SharedPayload::pair(wire[0].header().clone(), wire[0].payload().clone());
+        let dst = DatagramDst::Unicast(HostId(1));
+        let at = world.now();
+        world.send_datagram(HostId(0), PORT, dst, PORT, payload, at, false, false);
+        while !matches!(world.step(), StepOutcome::Quiescent) {}
+        let (_, dg) = world
+            .try_pop_buffered(HostId(1), sockets[1])
+            .expect("a lossless switch delivers");
+        assert_eq!(dg.payload.len(), wire[0].len());
+    };
+    for _ in 0..16 {
+        cross(&mut world);
+    }
+    steady_allocs(|| cross(&mut world))
+}
+
+#[test]
+fn datagram_path_allocation_budget() {
+    // --- an `Advr` costs its payload and its datagram ------------------
+    // One peer. The group send itself is 4: `split_message`'s three (the
+    // header buffer, its shared handle, the `Vec` of datagram views) and
+    // the ring record's `Vec` of views. The `Advr` it triggers is 5: the
+    // digest payload's buffer and shared handle, and `split_message`'s
+    // three again. The id list, its sort, the ranges and the digest bytes
+    // are scratch the plane owns.
+    assert_eq!(gossip_send_allocs(2), 4 + 5);
+    // 31 peers, one id: the payload is encoded once and every peer gets a
+    // handle to it, so each further `Advr` is its datagram alone.
+    let fan_out = gossip_send_allocs(32) - 4;
+    assert_eq!(fan_out, 2 + 31 * 3);
+    assert!(fan_out <= 31 * 5);
+
+    // --- an unchanged session message is ingested in place -------------
+    let session = AckHorizonPayload {
         probe_ts: 1,
         echoes: vec![],
         acks: (1..8)
             .map(|src| SourceHorizon {
                 src,
                 hwm: 5,
-                missing: vec![],
+                missing: vec![SeqRange { start: 2, end: 3 }],
             })
             .collect(),
         member: None,
     }
     .encode();
-    let mut seq = 1u64 << 63;
-    allocs_per(500, || {
-        seq += 1;
-        io.inject_message(MsgKind::AckHorizon, 1, 0, seq, &payload);
-        core.progress(&mut io);
-    })
-}
-
-#[test]
-fn datagram_path_allocation_budget() {
-    // --- an unchanged session message costs the gossip plane nothing --
     let horizons_only =
         RepairConfig::sim_default().with_horizon_interval(std::time::Duration::from_millis(8));
-    let plain = session_message_allocs(horizons_only);
-    let gossip = session_message_allocs(horizons_only.with_gossip());
-    assert_eq!(
-        gossip, plain,
-        "the gossip plane allocates on a session message that changes no frontier"
+    for cfg in [horizons_only, horizons_only.with_gossip()] {
+        let per_call = control_ingest_allocs(cfg, MsgKind::AckHorizon, 1 << 63, &session, 64);
+        assert!(
+            per_call.iter().all(|&c| c == 0),
+            "a session message that changes no frontier allocated: {per_call:?}"
+        );
+    }
+
+    // --- an overheard NACK is ingested in place ------------------------
+    // Addressed to rank 2, heard at rank 0: the suppression memory takes
+    // its target and tag, nobody takes its ranges. The one allocation
+    // allowed in the window is not the NACK's: a NACK has a data sequence
+    // number, and the inbox's per-source seen-set (a `HashSet` that grows
+    // for the life of the endpoint — ROADMAP item 7) may double once.
+    let nack = NackPayload {
+        target: 2,
+        missing: (0..8)
+            .map(|k| SeqRange {
+                start: 10 * k,
+                end: 10 * k + 3,
+            })
+            .collect(),
+    }
+    .encode();
+    let per_call = control_ingest_allocs(RepairConfig::sim_default(), MsgKind::Nack, 0, &nack, 64);
+    assert!(
+        per_call.iter().filter(|&&c| c != 0).count() <= 1,
+        "an overheard NACK allocated: {per_call:?}"
+    );
+
+    // --- a datagram crosses a switch for the price of its own `Arc` ----
+    assert_eq!(world_crossing_allocs(), 1);
+
+    // --- a forged header reserves a constant, not its claim -------------
+    // `chunk_count = msg_len = u32::MAX`, no bytes: 4 GiB of message and
+    // as many chunks, by a header that is 40 bytes long. What the
+    // assembler may hold for it is the one reassembly buffer it reserves
+    // for any multi-chunk message, a datagram's worth at most.
+    let forged = |seq: u64, chunk_index: u32, chunk_len: u32| {
+        let header = Header {
+            kind: MsgKind::Data,
+            context: 0,
+            src_rank: 1,
+            tag: 7,
+            seq,
+            msg_len: u32::MAX,
+            chunk_index,
+            chunk_count: u32::MAX,
+            chunk_len,
+        }
+        .encode_array();
+        Datagram::from_parts(
+            Bytes::copy_from_slice(&header),
+            Bytes::from(vec![0u8; chunk_len as usize]),
+        )
+    };
+    let mut asm = Assembler::new();
+    let live_before = LIVE.load(Ordering::Relaxed);
+    for seq in 0..64 {
+        // Refused outright: an empty non-final chunk.
+        assert!(asm.feed(&forged(seq, 0, 0)).is_err());
+        // Taken for a chunk of a message that will never complete: one
+        // byte a chunk, the last-but-one of four billion.
+        assert!(asm.feed(&forged(seq, u32::MAX - 2, 1)).unwrap().is_none());
+    }
+    let pinned = LIVE.load(Ordering::Relaxed).saturating_sub(live_before);
+    assert!(
+        pinned <= 64 * (64 * 1024 + 1024),
+        "64 forged headers pinned {pinned} B"
     );
 
     // --- constant allocations per message, independent of chunking ----

@@ -23,11 +23,34 @@ use crate::ids::{DatagramDst, GroupId, HostId, UdpPort};
 ///
 /// The simulator only ever needs lengths (for timing and buffer
 /// accounting); protocol code above reconstructs its wire view from the
-/// segments without a copy. `clone` is a few reference-count bumps.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// segments without a copy. `clone` is a few reference-count bumps. The
+/// header view plus payload view of a wire datagram — everything the
+/// transport sends — are held inline ([`SharedPayload::pair`]), so
+/// wrapping a datagram for the simulator allocates nothing.
+#[derive(Clone, Debug)]
 pub struct SharedPayload {
-    segments: Vec<Bytes>,
+    segments: Segments,
     len: usize,
+}
+
+#[derive(Clone, Debug)]
+enum Segments {
+    Two([Bytes; 2]),
+    Many(Vec<Bytes>),
+}
+
+impl PartialEq for SharedPayload {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
+    }
+}
+
+impl Eq for SharedPayload {}
+
+impl Default for SharedPayload {
+    fn default() -> Self {
+        SharedPayload::from_segments(Vec::new())
+    }
 }
 
 impl SharedPayload {
@@ -41,7 +64,20 @@ impl SharedPayload {
     /// view followed by an empty payload view).
     pub fn from_segments(segments: Vec<Bytes>) -> Self {
         let len = segments.iter().map(Bytes::len).sum();
-        SharedPayload { segments, len }
+        SharedPayload {
+            segments: Segments::Many(segments),
+            len,
+        }
+    }
+
+    /// The two-segment payload of a wire datagram: `header` followed by
+    /// `body`, held inline.
+    pub fn pair(header: Bytes, body: Bytes) -> Self {
+        let len = header.len() + body.len();
+        SharedPayload {
+            segments: Segments::Two([header, body]),
+            len,
+        }
     }
 
     /// Total payload length in bytes.
@@ -56,14 +92,17 @@ impl SharedPayload {
 
     /// The underlying shared segments.
     pub fn segments(&self) -> &[Bytes] {
-        &self.segments
+        match &self.segments {
+            Segments::Two(s) => s,
+            Segments::Many(s) => s,
+        }
     }
 
     /// Flatten into one freshly allocated `Vec` (tests and tracing; the
     /// data path never calls this).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
-        for s in &self.segments {
+        for s in self.segments() {
             v.extend_from_slice(s);
         }
         v
@@ -74,7 +113,7 @@ impl std::ops::Index<usize> for SharedPayload {
     type Output = u8;
     fn index(&self, index: usize) -> &u8 {
         let mut i = index;
-        for s in &self.segments {
+        for s in self.segments() {
             if i < s.len() {
                 return &s[i];
             }
@@ -195,32 +234,34 @@ impl Frame {
 }
 
 /// Split a datagram into its frames under the given MTU, using the IP
-/// fragmentation rules from [`crate::params::IpParams`].
+/// fragmentation rules from [`crate::params::IpParams`]. The frames take
+/// the ids `first_frame_id..`, in fragment order; the iterator's `len()`
+/// says how many that is. Lazy, so the one-fragment common case builds
+/// its frame straight into the NIC queue.
 pub fn fragment_datagram(
     datagram: Arc<Datagram>,
     ip: &crate::params::IpParams,
     mtu: u32,
-    mut next_frame_id: impl FnMut() -> u64,
-) -> Vec<Frame> {
+    first_frame_id: u64,
+) -> impl ExactSizeIterator<Item = Frame> {
     let len = datagram.len();
     let count = ip.fragments_for(len, mtu);
     let dst = match datagram.dst {
         DatagramDst::Unicast(h) => FrameDst::Unicast(h),
         DatagramDst::Multicast(g) => FrameDst::Multicast(g),
     };
-    (0..count)
-        .map(|index| Frame {
-            id: next_frame_id(),
-            src: datagram.src_host,
-            dst,
-            mac_payload: ip.fragment_mac_payload(len, mtu, index),
-            payload: FramePayload::Fragment {
-                datagram: Arc::clone(&datagram),
-                index,
-                count,
-            },
-        })
-        .collect()
+    let ip = ip.clone();
+    (0..count).map(move |index| Frame {
+        id: first_frame_id + u64::from(index),
+        src: datagram.src_host,
+        dst,
+        mac_payload: ip.fragment_mac_payload(len, mtu, index),
+        payload: FramePayload::Fragment {
+            datagram: Arc::clone(&datagram),
+            index,
+            count,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -242,30 +283,26 @@ mod tests {
 
     #[test]
     fn small_datagram_is_one_frame() {
-        let mut id = 0u64;
-        let frames = fragment_datagram(
+        let frames: Vec<Frame> = fragment_datagram(
             dg(100, DatagramDst::Unicast(HostId(1))),
             &IpParams::default(),
             1500,
-            || {
-                id += 1;
-                id
-            },
-        );
+            7,
+        )
+        .collect();
         assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].id, 7);
         assert_eq!(frames[0].mac_payload, 20 + 8 + 100);
         assert!(matches!(frames[0].dst, FrameDst::Unicast(HostId(1))));
     }
 
     #[test]
     fn large_datagram_fragments_and_shares_payload() {
-        let mut id = 0u64;
         let d = dg(5000, DatagramDst::Multicast(GroupId(3)));
-        let frames = fragment_datagram(d.clone(), &IpParams::default(), 1500, || {
-            id += 1;
-            id
-        });
+        let frames = fragment_datagram(d.clone(), &IpParams::default(), 1500, 1);
         assert_eq!(frames.len(), 4); // paper: 5000/1500 + 1
+        let frames: Vec<Frame> = frames.collect();
+        assert_eq!(frames[3].id, 4);
         for (i, f) in frames.iter().enumerate() {
             assert!(matches!(f.dst, FrameDst::Multicast(GroupId(3))));
             match &f.payload {

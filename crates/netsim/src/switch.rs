@@ -7,7 +7,7 @@
 //! reports and forwards multicast frames only to member ports; an unmanaged
 //! one floods them everywhere.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::frame::Frame;
 use crate::ids::{GroupId, HostId, SwitchPort};
@@ -52,21 +52,15 @@ impl OutPort {
     }
 }
 
-/// Where a frame must be forwarded.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ForwardSet {
-    /// Output ports to enqueue on.
-    pub ports: Vec<SwitchPort>,
-}
-
 /// Switch state: forwarding tables (MAC learning + IGMP-snooped group
 /// membership) plus per-port output queues.
 #[derive(Debug)]
 pub struct Switch {
     /// MAC learning table: station -> port.
     mac_table: HashMap<HostId, SwitchPort>,
-    /// IGMP-snooped group membership: group -> member ports.
-    group_table: HashMap<GroupId, HashSet<SwitchPort>>,
+    /// IGMP-snooped group membership: group -> member ports, ascending
+    /// (the order frames are forwarded in).
+    group_table: HashMap<GroupId, Vec<SwitchPort>>,
     /// Flood multicast instead of snooping.
     flood_multicast: bool,
     /// Forward no multicast frames at all (see
@@ -115,60 +109,47 @@ impl Switch {
 
     /// Record an IGMP join snooped on `port`.
     pub fn snoop_join(&mut self, group: GroupId, port: SwitchPort) {
-        self.group_table.entry(group).or_default().insert(port);
+        let members = self.group_table.entry(group).or_default();
+        if let Err(at) = members.binary_search(&port) {
+            members.insert(at, port);
+        }
     }
 
     /// Record an IGMP leave snooped on `port`.
     pub fn snoop_leave(&mut self, group: GroupId, port: SwitchPort) {
         if let Some(members) = self.group_table.get_mut(&group) {
-            members.remove(&port);
+            members.retain(|p| *p != port);
             if members.is_empty() {
                 self.group_table.remove(&group);
             }
         }
     }
 
-    /// Ports currently subscribed to `group`.
-    pub fn group_members(&self, group: GroupId) -> Vec<SwitchPort> {
-        let mut v: Vec<SwitchPort> = self
-            .group_table
-            .get(&group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
+    /// Ports currently subscribed to `group`, ascending.
+    pub fn group_members(&self, group: GroupId) -> &[SwitchPort] {
+        self.group_table.get(&group).map_or(&[], Vec::as_slice)
     }
 
-    /// Compute the forwarding set for `frame` arriving on `in_port`.
-    pub fn forward_set(&self, frame: &Frame, in_port: SwitchPort) -> ForwardSet {
+    /// Compute the forwarding set for `frame` arriving on `in_port`: the
+    /// output ports to enqueue it on, ascending, appended to `out` — the
+    /// caller's buffer, so that forwarding a frame (one port, for a known
+    /// unicast) allocates nothing.
+    pub fn forward_into(&self, frame: &Frame, in_port: SwitchPort, out: &mut Vec<SwitchPort>) {
         use crate::frame::FrameDst::*;
-        let all_but_ingress = || -> Vec<SwitchPort> {
-            (0..self.ports.len() as u32)
-                .map(SwitchPort)
-                .filter(|p| *p != in_port)
-                .collect()
-        };
-        let ports = match frame.dst {
+        let all_ports = || (0..self.ports.len() as u32).map(SwitchPort);
+        let elsewhere = |p: &SwitchPort| *p != in_port;
+        match frame.dst {
             Unicast(host) => match self.mac_table.get(&host) {
-                Some(&p) if p != in_port => vec![p],
-                Some(_) => vec![], // destined back out the ingress port: filter
-                None => all_but_ingress(), // unknown unicast: flood
+                // Destined back out the ingress port: filtered.
+                Some(&p) => out.extend(Some(p).filter(elsewhere)),
+                None => out.extend(all_ports().filter(elsewhere)), // unknown unicast: flood
             },
-            Multicast(group) => {
-                if self.unicast_only {
-                    Vec::new()
-                } else if self.flood_multicast {
-                    all_but_ingress()
-                } else {
-                    self.group_members(group)
-                        .into_iter()
-                        .filter(|p| *p != in_port)
-                        .collect()
-                }
+            Multicast(_) if self.unicast_only => {}
+            Multicast(group) if !self.flood_multicast => {
+                out.extend(self.group_members(group).iter().copied().filter(elsewhere));
             }
-            Broadcast => all_but_ingress(),
-        };
-        ForwardSet { ports }
+            Multicast(_) | Broadcast => out.extend(all_ports().filter(elsewhere)),
+        }
     }
 
     /// Try to enqueue `frame` on `port`. Returns `Ok(kick)` where `kick` is
@@ -201,6 +182,13 @@ mod tests {
     use super::*;
     use crate::frame::{FrameDst, FramePayload};
 
+    /// The forwarding set as its own `Vec`.
+    fn forward_set(sw: &Switch, frame: &Frame, in_port: SwitchPort) -> Vec<SwitchPort> {
+        let mut ports = Vec::new();
+        sw.forward_into(frame, in_port, &mut ports);
+        ports
+    }
+
     fn frame(dst: FrameDst, bytes: u32) -> Frame {
         Frame {
             id: 0,
@@ -216,7 +204,7 @@ mod tests {
         let mut sw = Switch::new(4, 1 << 20, false);
         sw.learn(HostId(2), SwitchPort(2));
         let f = frame(FrameDst::Unicast(HostId(2)), 100);
-        assert_eq!(sw.forward_set(&f, SwitchPort(0)).ports, vec![SwitchPort(2)]);
+        assert_eq!(forward_set(&sw, &f, SwitchPort(0)), vec![SwitchPort(2)]);
     }
 
     #[test]
@@ -224,7 +212,7 @@ mod tests {
         let sw = Switch::new(3, 1 << 20, false);
         let f = frame(FrameDst::Unicast(HostId(9)), 100);
         assert_eq!(
-            sw.forward_set(&f, SwitchPort(1)).ports,
+            forward_set(&sw, &f, SwitchPort(1)),
             vec![SwitchPort(0), SwitchPort(2)]
         );
     }
@@ -234,7 +222,7 @@ mod tests {
         let mut sw = Switch::new(2, 1 << 20, false);
         sw.learn(HostId(1), SwitchPort(1));
         let f = frame(FrameDst::Unicast(HostId(1)), 64);
-        assert!(sw.forward_set(&f, SwitchPort(1)).ports.is_empty());
+        assert!(forward_set(&sw, &f, SwitchPort(1)).is_empty());
     }
 
     #[test]
@@ -244,9 +232,9 @@ mod tests {
         sw.snoop_join(GroupId(5), SwitchPort(3));
         let f = frame(FrameDst::Multicast(GroupId(5)), 100);
         // Ingress port 1 is excluded even though it is a member.
-        assert_eq!(sw.forward_set(&f, SwitchPort(1)).ports, vec![SwitchPort(3)]);
+        assert_eq!(forward_set(&sw, &f, SwitchPort(1)), vec![SwitchPort(3)]);
         assert_eq!(
-            sw.forward_set(&f, SwitchPort(0)).ports,
+            forward_set(&sw, &f, SwitchPort(0)),
             vec![SwitchPort(1), SwitchPort(3)]
         );
     }
@@ -255,7 +243,7 @@ mod tests {
     fn multicast_without_members_goes_nowhere() {
         let sw = Switch::new(4, 1 << 20, false);
         let f = frame(FrameDst::Multicast(GroupId(9)), 100);
-        assert!(sw.forward_set(&f, SwitchPort(0)).ports.is_empty());
+        assert!(forward_set(&sw, &f, SwitchPort(0)).is_empty());
     }
 
     #[test]
@@ -263,7 +251,7 @@ mod tests {
         let sw = Switch::new(3, 1 << 20, true);
         let f = frame(FrameDst::Multicast(GroupId(9)), 100);
         assert_eq!(
-            sw.forward_set(&f, SwitchPort(2)).ports,
+            forward_set(&sw, &f, SwitchPort(2)),
             vec![SwitchPort(0), SwitchPort(1)]
         );
     }

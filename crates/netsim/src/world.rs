@@ -125,6 +125,8 @@ pub struct World {
     /// Frames parked by a topology hold, in arrival order: (src, dst, frame).
     held: Vec<(HostId, HostId, Frame)>,
     completions: Vec<Completion>,
+    /// Scratch: the output ports of the frame being forwarded.
+    forward_ports: Vec<SwitchPort>,
     trace: Option<Trace>,
 }
 
@@ -179,6 +181,7 @@ impl World {
             topo,
             held: Vec::new(),
             completions: Vec::new(),
+            forward_ports: Vec::new(),
             trace: None,
         }
     }
@@ -272,7 +275,7 @@ impl World {
             mac_payload: 46,
             payload: FramePayload::IgmpJoin { group },
         };
-        self.enqueue_frames_at(host, vec![frame], at);
+        self.enqueue_frames_at(host, [frame], at);
     }
 
     /// Inject a datagram send: the host stack finishes send-side processing
@@ -419,9 +422,17 @@ impl World {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.handle(event);
+        // Most events complete nothing: hand out the buffer only when it
+        // holds something, or every such step would drop its capacity
+        // and the next completion allocate it again.
+        let completions = if self.completions.is_empty() {
+            Vec::new()
+        } else {
+            std::mem::take(&mut self.completions)
+        };
         StepOutcome::Advanced {
             now: self.now,
-            completions: std::mem::take(&mut self.completions),
+            completions,
         }
     }
 
@@ -434,18 +445,9 @@ impl World {
     fn handle(&mut self, event: Event) {
         match event {
             Event::DatagramReady { host, datagram } => {
-                let mut next_id = self.next_frame_id;
-                let frames = fragment_datagram(
-                    datagram,
-                    &self.params.ip,
-                    self.params.ethernet.mtu_bytes,
-                    || {
-                        let id = next_id;
-                        next_id += 1;
-                        id
-                    },
-                );
-                self.next_frame_id = next_id;
+                let mtu = self.params.ethernet.mtu_bytes;
+                let frames = fragment_datagram(datagram, &self.params.ip, mtu, self.next_frame_id);
+                self.next_frame_id += frames.len() as u64;
                 let at = self.now;
                 self.enqueue_frames_at(host, frames, at);
             }
@@ -519,7 +521,12 @@ impl World {
     }
 
     /// Hand frames to a host NIC at time `at`, kicking transmission if idle.
-    fn enqueue_frames_at(&mut self, host: HostId, frames: Vec<Frame>, at: SimTime) {
+    fn enqueue_frames_at(
+        &mut self,
+        host: HostId,
+        frames: impl IntoIterator<Item = Frame>,
+        at: SimTime,
+    ) {
         debug_assert!(at >= self.now);
         let nic = &mut self.hosts[host.index()].nic;
         let mut kick = false;
@@ -751,10 +758,12 @@ impl World {
             self.stats.unicast_only_drops += 1;
             return;
         }
-        let targets = sw.forward_set(&frame, in_port).ports;
-        for port in targets {
+        let mut ports = std::mem::take(&mut self.forward_ports);
+        sw.forward_into(&frame, in_port, &mut ports);
+        for port in ports.drain(..) {
             self.port_enqueue_frame(frame.clone(), port);
         }
+        self.forward_ports = ports;
     }
 
     /// Enqueue on a single output port, kicking transmission if idle.

@@ -194,9 +194,15 @@ impl EndpointCore {
         }
     }
 
-    /// Repair counters of this endpoint so far.
+    /// Repair counters of this endpoint so far, with what the inbox
+    /// dropped on the way in: datagrams the wire layer refused join the
+    /// control payloads the planes refused in `malformed_dropped`.
     pub fn repair_stats(&self) -> RepairStats {
-        self.rstats
+        RepairStats {
+            malformed_dropped: self.rstats.malformed_dropped + self.inbox.malformed_dropped(),
+            foreign_dropped: self.inbox.foreign_dropped(),
+            ..self.rstats
+        }
     }
 
     /// Wire bytes of unacknowledged `Data` traffic in the retransmit ring.

@@ -62,6 +62,9 @@ pub struct Inbox {
     repair_relevant: u64,
     dropped_duplicates: u64,
     dropped_foreign: u64,
+    /// Datagrams the wire layer refused: too short for a header, a bad
+    /// magic/version/kind, or chunking no sender produces.
+    dropped_malformed: u64,
 }
 
 impl Inbox {
@@ -87,25 +90,21 @@ impl Inbox {
             repair_relevant: 0,
             dropped_duplicates: 0,
             dropped_foreign: 0,
+            dropped_malformed: 0,
         }
     }
 
     /// Feed one wire datagram (already in header-view/payload-view form —
-    /// zero-copy). Malformed datagrams are rejected — an unreliable
-    /// network may hand us anything.
+    /// zero-copy). Malformed datagrams are rejected and counted
+    /// ([`Inbox::malformed_dropped`]) — an unreliable network may hand us
+    /// anything.
     pub fn ingest_wire(
         &mut self,
         datagram: &Datagram,
         via_multicast: bool,
     ) -> Result<(), WireError> {
-        match self.assembler.feed(datagram) {
-            Ok(Some(m)) => {
-                self.ingest_message(m, via_multicast);
-                Ok(())
-            }
-            Ok(None) => Ok(()),
-            Err(e) => Err(e),
-        }
+        let fed = self.feed(datagram, via_multicast);
+        self.count_refusal(fed)
     }
 
     /// Feed raw contiguous datagram bytes (one socket read);
@@ -116,8 +115,34 @@ impl Inbox {
         bytes: &Bytes,
         via_multicast: bool,
     ) -> Result<(), WireError> {
-        let dg = Datagram::from_contiguous(bytes.clone())?;
-        self.ingest_wire(&dg, via_multicast)
+        let fed =
+            Datagram::from_contiguous(bytes.clone()).and_then(|dg| self.feed(&dg, via_multicast));
+        self.count_refusal(fed)
+    }
+
+    /// Feed a datagram as the shared segments a zero-copy fabric delivered
+    /// ([`Datagram::from_segments`]).
+    pub fn ingest_segments(
+        &mut self,
+        segments: &[Bytes],
+        via_multicast: bool,
+    ) -> Result<(), WireError> {
+        let fed = Datagram::from_segments(segments).and_then(|dg| self.feed(&dg, via_multicast));
+        self.count_refusal(fed)
+    }
+
+    fn feed(&mut self, datagram: &Datagram, via_multicast: bool) -> Result<(), WireError> {
+        if let Some(m) = self.assembler.feed(datagram)? {
+            self.ingest_message(m, via_multicast);
+        }
+        Ok(())
+    }
+
+    /// Every way in ends here, so each datagram the wire layer refuses is
+    /// counted once.
+    fn count_refusal(&mut self, fed: Result<(), WireError>) -> Result<(), WireError> {
+        self.dropped_malformed += u64::from(fed.is_err());
+        fed
     }
 
     /// Feed an already-decoded message. `via_multicast` enables the
@@ -450,5 +475,11 @@ impl Inbox {
     /// Messages for other communicators dropped so far.
     pub fn foreign_dropped(&self) -> u64 {
         self.dropped_foreign
+    }
+
+    /// Datagrams the wire layer refused so far (see
+    /// [`Inbox::ingest_wire`]).
+    pub fn malformed_dropped(&self) -> u64 {
+        self.dropped_malformed
     }
 }

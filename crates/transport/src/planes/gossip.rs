@@ -3,11 +3,18 @@
 //! ring or the relay store, and the retry rotation over known holders.
 //! Everything iterated into wire bytes is `BTreeMap`/`Vec`-backed — replay
 //! determinism forbids hash-order output.
+//!
+//! The plane sends ≈ 640 `Advr`s a collective at N=32 and ingests as many,
+//! so both directions work in place: digests and frontiers are read off
+//! the received payload through `mmpi_wire`'s views, and what is sent is
+//! encoded in scratch the state owns ([`DigestScratch`]) — an `Advr`
+//! allocates its payload and `split_message`'s datagram, nothing else.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use mmpi_wire::{
-    split_message, GossipDigest, Message, MsgKind, SeenTable, SeqRange, SourceDigest, SourceHorizon,
+    split_message, Bytes, GossipDigestView, Message, MsgKind, SeenTable, SeqRange, SourceHorizon,
+    SourceHorizonView, MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
 };
 
 use super::horizon::HorizonState;
@@ -63,6 +70,10 @@ pub(crate) struct GossipState {
     /// The horizon plane's feed and what [`GossipState::gc`] still owes
     /// for it.
     acked: AckBook,
+    /// Where outgoing digests are built.
+    digests: DigestScratch,
+    /// Scratch: the ids one pass of [`GossipState::service`] newly relays.
+    relayed: Vec<(u32, u64)>,
 }
 
 /// Every peer's latest frontier per source — the GC quorum for the relay
@@ -144,75 +155,132 @@ impl AckBook {
     }
 }
 
-/// The contiguous prefix `f` acknowledges: everything below its first
-/// hole, up to `hwm` without one; `None` when seq 0 is itself a hole.
-fn acked_prefix(f: &SourceHorizon) -> Option<u64> {
-    match f.missing.iter().map(|r| r.start).min() {
+/// The contiguous prefix a frontier acknowledges: everything below its
+/// first hole, up to `hwm` without one; `None` when seq 0 is itself a hole.
+fn acked_prefix(hwm: u64, holes: impl Iterator<Item = SeqRange>) -> Option<u64> {
+    match holes.map(|r| r.start).min() {
         Some(first) => first.checked_sub(1),
-        None => Some(f.hwm),
+        None => Some(hwm),
     }
 }
 
-/// Intern a flat id list into wire digests: group by source, coalesce
-/// into ranges, and split across as many digests as the codec caps
-/// require — never silently dropping an id (the encoder's drop-tail rule
-/// is a backstop, not the plan).
-fn digests_of(ids: &[(u32, u64)]) -> Vec<GossipDigest> {
-    let mut by_src: BTreeMap<u32, Vec<SeqRange>> = BTreeMap::new();
-    for &(src, seq) in ids {
-        by_src.entry(src).or_default().push(SeqRange {
-            start: seq,
-            end: seq,
-        });
-    }
-    let mut out = Vec::new();
-    let mut cur: Vec<SourceDigest> = Vec::new();
-    for (src, ranges) in by_src {
-        for chunk in mmpi_wire::compact_ranges(ranges).chunks(mmpi_wire::MAX_DIGEST_RANGES) {
-            if cur.len() == mmpi_wire::MAX_DIGEST_SOURCES {
-                out.push(GossipDigest {
-                    entries: std::mem::take(&mut cur),
-                });
+/// The buffers an outgoing digest is built in, owned by the plane and
+/// cleared, not dropped, between sends: the id list (filled by the sender,
+/// sorted here in place), the payload bytes, and the payloads of the last
+/// list encoded — a pass that advertises one id to 31 peers encodes it
+/// once and hands every peer a handle to the same bytes.
+#[derive(Debug, Default)]
+struct DigestScratch {
+    /// The ids to send next; [`DigestScratch::send`] consumes them.
+    ids: Vec<(u32, u64)>,
+    buf: Vec<u8>,
+    /// The sorted id list `payloads` encodes.
+    encoded: Vec<(u32, u64)>,
+    payloads: Vec<Bytes>,
+}
+
+impl DigestScratch {
+    /// Intern `ids` into wire digests: group by source, coalesce into
+    /// ranges, and split across as many digests as the codec caps require
+    /// — never silently dropping an id (the decoder's caps are a backstop,
+    /// not the plan). Byte for byte what `GossipDigest::encode` makes of
+    /// the same ids (the tests hold it to that), written straight into one
+    /// buffer: each count is patched in once its run is known.
+    fn encode(&mut self) {
+        const RANGE_CAP: u16 = MAX_DIGEST_RANGES as u16;
+        const SOURCE_CAP: u16 = MAX_DIGEST_SOURCES as u16;
+        let DigestScratch {
+            ids,
+            buf,
+            encoded,
+            payloads,
+        } = self;
+        ids.sort_unstable();
+        ids.dedup();
+        if ids == encoded {
+            return;
+        }
+        encoded.clone_from(ids);
+        payloads.clear();
+        let mut flush = |buf: &mut Vec<u8>, entries: u16| {
+            buf[..2].copy_from_slice(&entries.to_le_bytes());
+            payloads.push(Bytes::copy_from_slice(buf));
+            buf.clear();
+        };
+        buf.clear();
+        let mut entries = 0;
+        let mut rest = ids.iter().copied().peekable();
+        while let Some(&(src, _)) = rest.peek() {
+            if entries == SOURCE_CAP {
+                flush(buf, entries);
+                entries = 0;
             }
-            cur.push(SourceDigest {
-                src,
-                ranges: chunk.to_vec(),
-            });
+            if buf.is_empty() {
+                buf.extend_from_slice(&[0; 2]); // entry count
+            }
+            // One entry: up to `RANGE_CAP` ranges of `src`. A source with
+            // more takes the next entry as well.
+            buf.extend_from_slice(&src.to_le_bytes());
+            let count_at = buf.len();
+            buf.extend_from_slice(&[0; 2]);
+            let mut ranges = 0;
+            while ranges < RANGE_CAP {
+                let Some((_, start)) = rest.next_if(|&(s, _)| s == src) else {
+                    break;
+                };
+                let mut end = start;
+                while let Some((_, next)) =
+                    rest.next_if(|&(s, seq)| s == src && end.checked_add(1) == Some(seq))
+                {
+                    end = next;
+                }
+                buf.extend_from_slice(&start.to_le_bytes());
+                buf.extend_from_slice(&end.to_le_bytes());
+                ranges += 1;
+            }
+            buf[count_at..count_at + 2].copy_from_slice(&ranges.to_le_bytes());
+            entries += 1;
+        }
+        if entries > 0 {
+            flush(buf, entries);
         }
     }
-    if !cur.is_empty() {
-        out.push(GossipDigest { entries: cur });
-    }
-    out
-}
 
-/// Unicast one digest per [`digests_of`] chunk of `ids` to `peer`, as
-/// `kind` (`Advr` or `Want`) in the control sequence space.
-fn send_digests<P: RepairPort>(
-    enc: &mut Encoder,
-    io: &mut P,
-    kind: MsgKind,
-    peer: usize,
-    ids: &[(u32, u64)],
-) -> u64 {
-    let digests = digests_of(ids);
-    for d in &digests {
-        let seq = enc.control_seq();
-        let dgs = enc.encode(0, kind, &d.encode(), seq);
-        io.send_encoded(peer, &dgs);
+    /// Unicast `self.ids` to `peer` as `kind` (`Advr` or `Want`), one
+    /// message per digest, each under its own sequence number of the
+    /// control space. Returns how many went out; leaves `ids` empty.
+    fn send<P: RepairPort>(
+        &mut self,
+        enc: &mut Encoder,
+        io: &mut P,
+        kind: MsgKind,
+        peer: usize,
+    ) -> u64 {
+        if self.ids.is_empty() {
+            return 0;
+        }
+        self.encode();
+        self.ids.clear();
+        for payload in &self.payloads {
+            let seq = enc.control_seq();
+            let dgs = enc.encode(0, kind, payload, seq);
+            io.send_encoded(peer, &dgs);
+        }
+        self.payloads.len() as u64
     }
-    digests.len() as u64
 }
 
 impl GossipState {
     pub(crate) fn new(n: usize) -> Self {
         GossipState {
-            peer_seen: vec![SeenTable::new(); n],
-            advertised: vec![SeenTable::new(); n],
+            peer_seen: vec![SeenTable::new(n); n],
+            advertised: vec![SeenTable::new(n); n],
             relay: BTreeMap::new(),
             relay_order: VecDeque::new(),
             wanted: BTreeMap::new(),
             acked: AckBook::new(n),
+            digests: DigestScratch::default(),
+            relayed: Vec::new(),
         }
     }
 
@@ -239,7 +307,7 @@ impl GossipState {
         //    answerable here and is advertised onward — the epidemic
         //    relay that lets a peer partitioned from the origin pull
         //    from whoever it *can* reach.
-        let mut fresh: Vec<(u32, u64)> = Vec::new();
+        let mut fresh = std::mem::take(&mut self.relayed);
         while let Some(m) = cx.inbox.take_data_log() {
             let src = m.src_rank;
             if src as usize >= n {
@@ -255,19 +323,21 @@ impl GossipState {
         }
         if !fresh.is_empty() {
             self.advertise(cx, io, &fresh, member);
+            fresh.clear();
         }
-        // 2. Queued gossip control.
+        self.relayed = fresh;
+        // 2. Queued gossip control, read in place off the payload.
         while let Some(msg) = cx.inbox.take_gossip() {
             let peer = msg.src_rank as usize;
-            if peer >= n || peer == me {
-                continue; // stray traffic on a real port
+            if peer == me {
+                continue;
             }
-            let Ok(digest) = GossipDigest::decode(&msg.payload) else {
-                continue; // malformed stray traffic
+            let Some(digest) = cx.admit(msg.src_rank, GossipDigestView::parse(&msg.payload)) else {
+                continue;
             };
             match msg.kind {
-                MsgKind::Advr => self.ingest_advr(cx, io, horizon, peer, &digest),
-                MsgKind::Want => self.answer_want(cx, io, peer, &digest),
+                MsgKind::Advr => self.ingest_advr(cx, io, horizon, peer, digest),
+                MsgKind::Want => self.answer_want(cx, io, peer, digest),
                 _ => {}
             }
         }
@@ -311,7 +381,6 @@ impl GossipState {
             if p == cx.enc.rank || membership::is_dead(member, p) {
                 continue;
             }
-            let mut fresh: Vec<(u32, u64)> = Vec::new();
             for &(src, seq) in ids {
                 if src as usize == p || self.peer_seen[p].contains(src, seq) {
                     continue; // the origin, or a peer already known to hold it
@@ -320,9 +389,9 @@ impl GossipState {
                     continue; // already advertised to this peer
                 }
                 self.acked.mark(src);
-                fresh.push((src, seq));
+                self.digests.ids.push((src, seq));
             }
-            cx.stats.advrs_sent += send_digests(cx.enc, io, MsgKind::Advr, p, &fresh);
+            cx.stats.advrs_sent += self.digests.send(cx.enc, io, MsgKind::Advr, p);
         }
     }
 
@@ -338,13 +407,12 @@ impl GossipState {
         io: &mut P,
         horizon: &HorizonState,
         peer: usize,
-        digest: &GossipDigest,
+        digest: GossipDigestView<'_>,
     ) {
         let me = cx.enc.rank as u32;
         let now = io.now();
-        let mut missing: Vec<(u32, u64)> = Vec::new();
-        for e in &digest.entries {
-            for r in &e.ranges {
+        for e in digest.entries() {
+            for r in e.ranges {
                 // Bound the walk: a corrupt range cannot spin us.
                 let end = r.end.min(r.start.saturating_add(4096));
                 for s in r.start..=end {
@@ -372,11 +440,11 @@ impl GossipState {
                             at: now + retry,
                         },
                     );
-                    missing.push((e.src, s));
+                    self.digests.ids.push((e.src, s));
                 }
             }
         }
-        cx.stats.wants_sent += send_digests(cx.enc, io, MsgKind::Want, peer, &missing);
+        cx.stats.wants_sent += self.digests.send(cx.enc, io, MsgKind::Want, peer);
     }
 
     /// Answer one peer's pull: our own traffic replays out of the
@@ -392,11 +460,11 @@ impl GossipState {
         cx: &mut Ctx<'_>,
         io: &mut P,
         peer: usize,
-        digest: &GossipDigest,
+        digest: GossipDigestView<'_>,
     ) {
         let me = cx.enc.rank as u32;
-        for e in &digest.entries {
-            for r in &e.ranges {
+        for e in digest.entries() {
+            for r in e.ranges {
                 let end = r.end.min(r.start.saturating_add(4096));
                 for s in r.start..=end {
                     if e.src == me {
@@ -476,7 +544,8 @@ impl GossipState {
             per_peer.entry(peer).or_default().push(key);
         }
         for (peer, ids) in per_peer {
-            cx.stats.wants_sent += send_digests(cx.enc, io, MsgKind::Want, peer, &ids);
+            self.digests.ids.extend_from_slice(&ids);
+            cx.stats.wants_sent += self.digests.send(cx.enc, io, MsgKind::Want, peer);
         }
     }
 
@@ -499,9 +568,15 @@ impl GossipState {
     /// its acknowledged prefix — and the GC quorum for the relay store
     /// and the tables. A frontier equal to the one already stored (almost
     /// every one: a session message repeats all of them each period)
-    /// costs one comparison; one naming a source outside the group is
-    /// stray or hostile traffic and is ignored.
-    pub(crate) fn note_frontiers(&mut self, peer: usize, acks: &[SourceHorizon]) {
+    /// costs one comparison against the bytes it arrived in; one naming a
+    /// source outside the group is stray or hostile traffic and is
+    /// ignored. A frontier is copied out of the payload only when it is
+    /// stored.
+    pub(crate) fn note_frontiers<'a>(
+        &mut self,
+        peer: usize,
+        acks: impl Iterator<Item = SourceHorizonView<'a>>,
+    ) {
         let book = &mut self.acked;
         for f in acks {
             let src = f.src as usize;
@@ -513,12 +588,9 @@ impl GossipState {
                 row.frontier.resize(book.n, None);
                 row.prefix.resize(book.n, 0);
             }
-            let prefix = acked_prefix(f);
+            let prefix = acked_prefix(f.hwm, f.missing.iter());
             let stored = &mut row.frontier[src];
-            if stored
-                .as_ref()
-                .is_some_and(|old| old.hwm == f.hwm && old.missing == f.missing)
-            {
+            if stored.as_ref().is_some_and(|old| f.same_as(old)) {
                 if let Some(end) = prefix {
                     book.skipped.push((peer as u32, f.src, end));
                     if book.floor[src] < book.released[src] {
@@ -531,8 +603,8 @@ impl GossipState {
                 self.peer_seen[peer].note_range(f.src, SeqRange { start: 0, end });
             }
             match stored {
-                Some(old) => old.clone_from(f),
-                None => *stored = Some(f.clone()),
+                Some(old) => f.store_into(old),
+                None => *stored = Some(f.to_owned()),
             }
             row.prefix[src] = prefix.unwrap_or(0);
             book.dirty[src] = true;
@@ -630,7 +702,7 @@ impl GossipState {
     fn note_frontiers_reference(&mut self, peer: usize, acks: &[SourceHorizon]) {
         let n = self.acked.n;
         for f in acks.iter().filter(|f| (f.src as usize) < n) {
-            if let Some(end) = acked_prefix(f) {
+            if let Some(end) = acked_prefix(f.hwm, f.missing.iter().copied()) {
                 self.peer_seen[peer].note_range(f.src, SeqRange { start: 0, end });
             }
             let row = &mut self.acked.rows[peer].frontier;
@@ -689,7 +761,10 @@ impl GossipState {
 
 #[cfg(test)]
 mod tests {
-    use mmpi_wire::{Bytes, RepairStats, RetransmitBuffer};
+    use mmpi_wire::{
+        AckHorizonPayload, AckHorizonView, GossipDigest, RepairStats, RetransmitBuffer,
+        SourceDigest,
+    };
     use proptest::prelude::*;
 
     use super::*;
@@ -745,12 +820,22 @@ mod tests {
             }
         }
 
+        /// Feed one session message's frontiers: the oracle takes them
+        /// as given, the plane as it meets them — a view of the payload.
         fn frontiers(&mut self, peer: usize, acks: &[SourceHorizon]) {
             if self.reference {
                 self.g.note_frontiers_reference(peer, acks);
-            } else {
-                self.g.note_frontiers(peer, acks);
+                return;
             }
+            let payload = AckHorizonPayload {
+                probe_ts: 0,
+                echoes: vec![],
+                acks: acks.to_vec(),
+                member: None,
+            }
+            .encode();
+            let view = AckHorizonView::parse(&payload).expect("own encoding");
+            self.g.note_frontiers(peer, view.acks());
         }
 
         fn gc(&mut self) {
@@ -798,8 +883,10 @@ mod tests {
                             }],
                         }],
                     };
+                    let payload = digest.encode();
+                    let view = GossipDigestView::parse(&payload).expect("own encoding");
                     self.g
-                        .ingest_advr(&mut cx, &mut self.io, &self.horizon, peer, &digest);
+                        .ingest_advr(&mut cx, &mut self.io, &self.horizon, peer, view);
                 }
                 3 => {
                     let ids = [(b % n as u32, s)];
@@ -835,8 +922,69 @@ mod tests {
         }
     }
 
+    /// The digest interner [`DigestScratch::encode`] replaced — a map of
+    /// per-source range lists, compacted, chunked and handed to the owned
+    /// encoder — kept as its oracle.
+    fn digests_of(ids: &[(u32, u64)]) -> Vec<GossipDigest> {
+        let mut by_src: BTreeMap<u32, Vec<SeqRange>> = BTreeMap::new();
+        for &(src, seq) in ids {
+            by_src.entry(src).or_default().push(SeqRange {
+                start: seq,
+                end: seq,
+            });
+        }
+        let mut out = Vec::new();
+        let mut cur: Vec<SourceDigest> = Vec::new();
+        for (src, ranges) in by_src {
+            for chunk in mmpi_wire::compact_ranges(ranges).chunks(MAX_DIGEST_RANGES) {
+                if cur.len() == MAX_DIGEST_SOURCES {
+                    out.push(GossipDigest {
+                        entries: std::mem::take(&mut cur),
+                    });
+                }
+                cur.push(SourceDigest {
+                    src,
+                    ranges: chunk.to_vec(),
+                });
+            }
+        }
+        if !cur.is_empty() {
+            out.push(GossipDigest { entries: cur });
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scratch encoder writes the bytes the owned encoder wrote:
+        /// over random id lists — duplicates, runs, `u64::MAX`, more
+        /// ranges than one entry and more entries than one digest holds —
+        /// and with whatever the scratch last encoded still in it.
+        #[test]
+        fn scratch_digests_are_byte_identical_to_the_owned_encoder(
+            lists in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u32..24, prop_oneof![0u64..40, (0u64..3).prop_map(|k| u64::MAX - k)], 1u64..4),
+                    0..120,
+                ),
+                1..4,
+            ),
+        ) {
+            let mut scratch = DigestScratch::default();
+            for list in lists {
+                // `stride` spreads a source's seqs out, so that some lists
+                // are mostly runs and some mostly isolated ids.
+                let ids: Vec<(u32, u64)> = list
+                    .iter()
+                    .map(|&(src, seq, stride)| (src, seq.saturating_mul(stride)))
+                    .collect();
+                let want: Vec<Bytes> = digests_of(&ids).iter().map(GossipDigest::encode).collect();
+                scratch.ids.clone_from(&ids);
+                scratch.encode();
+                prop_assert_eq!(&scratch.payloads, &want);
+            }
+        }
 
         /// The equivalence oracle: over random histories of relay inserts,
         /// `Advr` ingests, advertisements, session messages (repeated,

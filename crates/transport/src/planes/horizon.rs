@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use mmpi_wire::{
-    AckHorizonPayload, HorizonEcho, MsgKind, SendDst, SourceHorizon, MAX_HORIZON_ACKS,
-    MAX_HORIZON_ECHOES,
+    AckHorizonPayload, AckHorizonView, HorizonEcho, MsgKind, SendDst, SourceHorizon,
+    MAX_HORIZON_ACKS, MAX_HORIZON_ECHOES,
 };
 
 use super::gossip::GossipState;
@@ -183,7 +183,10 @@ impl HorizonState {
     /// peer's probe for echoing, fold any echo of *our* probe into that
     /// peer's RTT estimator, adopt the peer's advertised frontier for
     /// our traffic (monotone by high-water mark — a reordered stale
-    /// horizon cannot regress it), then garbage-collect the ring.
+    /// horizon cannot regress it), then garbage-collect the ring. The
+    /// payload is read in place: a frontier is copied out only when it
+    /// differs from the one stored, so a session message that changes
+    /// nothing — most of them — allocates nothing.
     fn ingest<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -195,33 +198,33 @@ impl HorizonState {
         let mut applied = false;
         while let Some(m) = cx.inbox.take_horizon() {
             let peer = m.src_rank;
-            if peer as usize >= cx.enc.n || peer == me {
+            if peer == me {
                 continue;
             }
-            let Ok(p) = AckHorizonPayload::decode(&m.payload) else {
+            let Some(p) = cx.admit(peer, AckHorizonView::parse(&m.payload)) else {
                 continue;
             };
             let now = io.now();
             cx.stats.horizons_received += 1;
             applied = true;
             self.owed.insert(peer, (p.probe_ts, now));
-            for e in &p.echoes {
+            for e in p.echoes() {
                 if e.peer == me {
                     let rtt = now.saturating_sub(e.ts).saturating_sub(e.hold_ns);
                     self.rtt[peer as usize].observe(rtt);
                     cx.stats.rtt_samples += 1;
                 }
             }
-            if let Some(f) = p.acks.iter().find(|a| a.src == me) {
+            if let Some(f) = p.acks().find(|a| a.src == me) {
                 match &mut self.frontier[peer as usize] {
                     Some(old) if f.hwm < old.hwm => {} // reordered, stale
-                    Some(old) if f.hwm == old.hwm && f.missing == old.missing => {}
-                    Some(old) => old.clone_from(f),
-                    slot => *slot = Some(f.clone()),
+                    Some(old) if f.same_as(old) => {}
+                    Some(old) => f.store_into(old),
+                    slot => *slot = Some(f.to_owned()),
                 }
             }
             if let Some(g) = gossip.as_deref_mut() {
-                g.note_frontiers(peer as usize, &p.acks);
+                g.note_frontiers(peer as usize, p.acks());
             }
         }
         if applied {

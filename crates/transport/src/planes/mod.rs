@@ -19,7 +19,9 @@
 //! touch. `docs/PROTOCOL.md` ("Where each plane lives") has the map and the
 //! fixed service order.
 
-use mmpi_wire::{split_message, Bytes, Datagram, MsgKind, RepairStats, RetransmitBuffer};
+use mmpi_wire::{
+    split_message, Bytes, Datagram, MsgKind, RepairStats, RetransmitBuffer, WireError,
+};
 
 use crate::api::Tag;
 use crate::config::RepairConfig;
@@ -146,6 +148,23 @@ pub(crate) struct Ctx<'a> {
     pub(crate) inbox: &'a mut Inbox,
     pub(crate) rtx: &'a mut RetransmitBuffer,
     pub(crate) stats: &'a mut RepairStats,
+}
+
+impl Ctx<'_> {
+    /// The door every plane's control traffic comes through: `parsed` is
+    /// the payload of a message from rank `sender`, viewed in place. A
+    /// payload that does not decode or a rank outside the group is stray
+    /// traffic on a real port (neither can happen on the closed simulated
+    /// fabric): counted, and `None`.
+    pub(crate) fn admit<T>(&mut self, sender: u32, parsed: Result<T, WireError>) -> Option<T> {
+        match parsed {
+            Ok(view) if (sender as usize) < self.enc.n => Some(view),
+            _ => {
+                self.stats.malformed_dropped += 1;
+                None
+            }
+        }
+    }
 }
 
 /// The armed repair loop: its tuning and the state of its planes. SRM

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use mmpi_netsim::rng::SplitMix64;
-use mmpi_wire::{MsgKind, NackPayload, SendDst, UnavailPayload, NACK_TARGET_ANY};
+use mmpi_wire::{MsgKind, NackPayload, NackView, SendDst, UnavailPayload, NACK_TARGET_ANY};
 
 use super::horizon::HorizonState;
 use super::membership::{self, MemberState};
@@ -108,13 +108,10 @@ impl SrmState {
         let me = cx.enc.rank as u32;
         while let Some(nack) = cx.inbox.take_nack() {
             let requester = nack.src_rank;
-            if requester as usize >= cx.enc.n {
-                // Malformed rank (stray traffic on a real port; cannot
-                // happen on the closed simulated fabric): ignore.
+            // Read in place: a solicit this endpoint only overhears costs
+            // it no allocation.
+            let Some(payload) = cx.admit(requester, NackView::parse(&nack.payload)) else {
                 continue;
-            }
-            let Ok(payload) = NackPayload::decode(&nack.payload) else {
-                continue; // malformed stray traffic
             };
             let now = io.now();
             // Every foreign solicit — whoever it targets, ourselves and

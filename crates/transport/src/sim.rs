@@ -191,15 +191,13 @@ pub struct SimIo<W> {
 /// A wire datagram as simulator payload segments (header view + payload
 /// view — refcount bumps only).
 fn segments(d: &Datagram) -> SharedPayload {
-    SharedPayload::from_segments(vec![d.header().clone(), d.payload().clone()])
+    SharedPayload::pair(d.header().clone(), d.payload().clone())
 }
 
 fn ingest(core: &mut EndpointCore, dg: &mmpi_netsim::Datagram) {
-    // Malformed datagrams are impossible on the simulated fabric, but
-    // the inbox API reports them; keep UDP's ignore semantics.
-    if let Ok(wire) = Datagram::from_segments(dg.payload.segments()) {
-        let _ = core.inbox.ingest_wire(&wire, false);
-    }
+    // Only a raw rank can put a malformed datagram on the simulated
+    // fabric; the inbox counts and reports them, and like UDP we go on.
+    let _ = core.inbox.ingest_segments(dg.payload.segments(), false);
 }
 
 fn transmit<W: Wire>(io: &mut SimIo<W>, dst: DatagramDst, dgs: &[Datagram]) {

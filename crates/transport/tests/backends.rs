@@ -318,7 +318,9 @@ fn request_contract_holds_on_every_backend() {
 
 /// What a stranger can put on a live endpoint's port: noise, a datagram
 /// cut off inside its header, a well-formed message of somebody else's
-/// communicator, and a NACK with no body. `valid` is what the endpoint is
+/// communicator, a NACK with no body, and a forged chunk header — forty
+/// bytes claiming the first of four billion chunks of a 4 GiB message,
+/// which used to reserve the 4 GiB. `valid` is what the endpoint is
 /// actually waiting for, from rank 0.
 fn hostile_datagrams(context: u32, tag: u32) -> (Vec<Vec<u8>>, Vec<u8>) {
     let wire = |kind, context, seq, payload: &[u8]| {
@@ -335,8 +337,30 @@ fn hostile_datagrams(context: u32, tag: u32) -> (Vec<Vec<u8>>, Vec<u8>) {
         // Its own sequence number: a forged one that collides with real
         // traffic would shadow it as a duplicate, as any forgery can.
         wire(MsgKind::Nack, context, 1, b""),
+        mmpi_wire::Header {
+            kind: MsgKind::Data,
+            context,
+            src_rank: 0,
+            tag,
+            seq: 2,
+            msg_len: u32::MAX,
+            chunk_index: 0,
+            chunk_count: u32::MAX,
+            chunk_len: 0,
+        }
+        .encode_array()
+        .to_vec(),
     ];
     (hostile, valid)
+}
+
+/// Every datagram of [`hostile_datagrams`] is dropped exactly once, under
+/// the counter that says why: the foreign communicator's message as
+/// foreign, the other four as malformed — the noise, the cut header and
+/// the forged chunking by the wire layer, the empty NACK by the SRM plane.
+fn assert_hostile_datagrams_counted(stats: &mmpi_wire::RepairStats) {
+    assert_eq!((stats.malformed_dropped, stats.foreign_dropped), (4, 1));
+    assert_eq!((stats.nacks_received, stats.retransmits_sent), (0, 0));
 }
 
 #[test]
@@ -354,8 +378,7 @@ fn udp_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
     let got = comm.wait_deadline(req, Duration::from_secs(5)).unwrap();
     assert_eq!(got.expect("delivered after the noise").payload, b"valid");
     assert_eq!(comm.outstanding_recvs(), 0);
-    let stats = comm.repair_stats();
-    assert_eq!((stats.nacks_received, stats.retransmits_sent), (0, 0));
+    assert_hostile_datagrams_counted(&comm.repair_stats());
 }
 
 #[test]
@@ -379,12 +402,11 @@ fn sim_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
         let req = comm.post_recv(Some(0), TAG);
         let other = comm.recv_match_timeout(0, TAG + 1, Duration::from_micros(900));
         assert!(other.unwrap().is_none(), "nothing hostile matched");
-        // The four hostile datagrams have come and gone; `req` is as it was.
+        // The five hostile datagrams have come and gone; `req` is as it was.
         assert_eq!(comm.outstanding_recvs(), 1);
         let got = comm.wait(req).unwrap();
         assert_eq!(comm.outstanding_recvs(), 0);
-        let stats = comm.repair_stats();
-        assert_eq!((stats.nacks_received, stats.retransmits_sent), (0, 0));
+        assert_hostile_datagrams_counted(&comm.repair_stats());
         Some(got.payload)
     })
     .unwrap();

@@ -11,11 +11,13 @@
 //! of one per-message header buffer, and a payload slice of the caller's
 //! message — so [`split_message`] copies **no payload bytes** and heap
 //! allocation per message is constant regardless of chunk count.
-//! Reassembly writes each chunk once into a single preallocated buffer;
+//! Reassembly writes each chunk once into a single buffer (reserved up
+//! front for messages up to a datagram's size, grown with the arrivals
+//! beyond that — never with a header's claim);
 //! single-chunk messages (the common case at the paper's sizes) are
 //! returned as zero-copy slices of the received datagram.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::{Bytes, BytesMut};
@@ -232,6 +234,12 @@ pub fn split_message(
     out
 }
 
+/// The largest reassembly buffer reserved on a header's say-so — one
+/// maximal UDP datagram's worth. A longer message grows its buffer as
+/// its chunks arrive (doubling, never past the claimed length), so what
+/// a forged `msg_len` can pin is this constant, not the claim.
+const RESERVE_ON_CLAIM: usize = 64 * 1024;
+
 #[derive(Debug)]
 struct Partial {
     kind: MsgKind,
@@ -239,27 +247,99 @@ struct Partial {
     tag: u32,
     msg_len: u32,
     chunk_count: u32,
-    received: Vec<bool>,
-    remaining: u32,
-    /// Reassembly buffer. For in-order arrival (the overwhelmingly common
-    /// case) chunks are appended into reserved capacity — no zero-fill
-    /// pass; the first out-of-order chunk zero-extends to full length and
-    /// later chunks write at their offsets.
+    /// Payload bytes every chunk but the last carries ([`chunk_stride`]).
+    stride: u32,
+    /// Chunks `0..next` are in `buffer`.
+    next: u32,
+    /// The message's contiguous prefix. In-order arrival (the
+    /// overwhelmingly common case) appends each chunk once into reserved
+    /// capacity — no zero-fill pass.
     buffer: Vec<u8>,
+    /// Chunks that arrived ahead of the prefix, as views of their
+    /// datagrams; each is appended when `next` reaches it. What is held
+    /// is what was received: no chunk index reserves anything.
+    ahead: BTreeMap<u32, Bytes>,
+}
+
+/// The payload bytes every non-final chunk of `h`'s message carries,
+/// worked out from this one chunk (`h.chunk_count > 1`): its own length,
+/// or for the final chunk — which may legitimately arrive first — what it
+/// leaves the others. `Err` for a chunking [`split_message`] cannot have
+/// produced: an empty non-final chunk, or a count the message length does
+/// not fill (so `chunk_count <= msg_len`, whatever the header claims).
+fn chunk_stride(h: &Header) -> Result<u32, WireError> {
+    let last = h.chunk_count - 1;
+    let stride = if h.chunk_index < last {
+        h.chunk_len
+    } else {
+        let others = h
+            .msg_len
+            .checked_sub(h.chunk_len)
+            .ok_or(WireError::InconsistentMessage)?;
+        if others % last != 0 {
+            return Err(WireError::InconsistentMessage);
+        }
+        others / last
+    };
+    // The final chunk carries between one byte and a full stride.
+    let (stride64, msg_len) = (u64::from(stride), u64::from(h.msg_len));
+    let filled = u64::from(last) * stride64 < msg_len;
+    if stride == 0 || !filled || msg_len > u64::from(h.chunk_count) * stride64 {
+        return Err(WireError::InconsistentMessage);
+    }
+    Ok(stride)
 }
 
 impl Partial {
-    /// Place `chunk` at `off`, growing by append when it lands exactly at
-    /// the current end.
-    fn place(&mut self, off: usize, chunk: &[u8]) {
-        if off == self.buffer.len() {
-            self.buffer.extend_from_slice(chunk);
-        } else {
-            if self.buffer.len() < self.msg_len as usize {
-                self.buffer.resize(self.msg_len as usize, 0);
-            }
-            self.buffer[off..off + chunk.len()].copy_from_slice(chunk);
+    fn new(h: &Header, stride: u32) -> Self {
+        Partial {
+            kind: h.kind,
+            context: h.context,
+            tag: h.tag,
+            msg_len: h.msg_len,
+            chunk_count: h.chunk_count,
+            stride,
+            next: 0,
+            buffer: Vec::with_capacity((h.msg_len as usize).min(RESERVE_ON_CLAIM)),
+            ahead: BTreeMap::new(),
         }
+    }
+
+    /// Take one chunk of this message. `Ok(true)` when it completed it.
+    fn accept(&mut self, h: &Header, stride: u32, chunk: &Bytes) -> Result<bool, WireError> {
+        if (self.chunk_count, self.msg_len, self.stride) != (h.chunk_count, h.msg_len, stride) {
+            return Err(WireError::InconsistentMessage);
+        }
+        let index = h.chunk_index;
+        if index != self.next {
+            if index > self.next {
+                // A duplicate keeps the view already held.
+                self.ahead.entry(index).or_insert_with(|| chunk.clone());
+            }
+            return Ok(false);
+        }
+        self.append(chunk);
+        while !self.ahead.is_empty() {
+            let Some(held) = self.ahead.remove(&self.next) else {
+                break;
+            };
+            self.append(&held);
+        }
+        Ok(self.next == self.chunk_count)
+    }
+
+    /// Append chunk `next`. The strides checked on the way in keep the
+    /// total at or under `msg_len`.
+    fn append(&mut self, chunk: &[u8]) {
+        let want = self.buffer.len() + chunk.len();
+        if want > self.buffer.capacity() {
+            let cap = (2 * self.buffer.capacity())
+                .min(self.msg_len as usize)
+                .max(want);
+            self.buffer.reserve_exact(cap - self.buffer.len());
+        }
+        self.buffer.extend_from_slice(chunk);
+        self.next += 1;
     }
 }
 
@@ -268,13 +348,16 @@ impl Partial {
 /// Keyed by `(src_rank, seq)`, so interleaved messages from many senders
 /// assemble independently. Duplicate chunks (e.g. from multicast
 /// retransmission) are ignored. Each arriving chunk is copied exactly
-/// once into a single per-message buffer (appended for in-order arrival,
-/// written at its offset otherwise).
+/// once into a single per-message buffer (appended on arrival when it is
+/// the next one, held as a view of its datagram until then otherwise).
 ///
 /// The message currently streaming in sits in a dedicated `current` slot:
 /// the usual case — all chunks of one message arriving back to back —
 /// costs no hash-map work at all; interleaved messages spill to the map
 /// and swap back in on their next chunk.
+///
+/// Header fields are the sender's claims: nothing is allocated in
+/// proportion to one (`RESERVE_ON_CLAIM`, `docs/INVARIANTS.md`).
 #[derive(Debug, Default)]
 pub struct Assembler {
     current: Option<((u32, u64), Partial)>,
@@ -304,70 +387,36 @@ impl Assembler {
                 payload: chunk.clone(),
             }));
         }
-        if h.chunk_len > h.msg_len {
-            return Err(WireError::InconsistentMessage);
-        }
+        let stride = chunk_stride(&h)?;
         let key = (h.src_rank, h.seq);
         // Bring the message into the `current` slot (no map traffic when
         // it is already there).
-        match &self.current {
-            Some((k, _)) if *k == key => {}
-            _ => {
-                let incoming = self.partial.remove(&key).unwrap_or_else(|| Partial {
-                    kind: h.kind,
-                    context: h.context,
-                    tag: h.tag,
-                    msg_len: h.msg_len,
-                    chunk_count: h.chunk_count,
-                    received: vec![false; h.chunk_count as usize],
-                    remaining: h.chunk_count,
-                    buffer: Vec::with_capacity(h.msg_len as usize),
-                });
-                if let Some((k, p)) = self.current.replace((key, incoming)) {
+        let entry = match &mut self.current {
+            Some((k, p)) if *k == key => p,
+            slot => {
+                let incoming = self
+                    .partial
+                    .remove(&key)
+                    .unwrap_or_else(|| Partial::new(&h, stride));
+                if let Some((k, p)) = slot.take() {
                     self.partial.insert(k, p);
                 }
+                &mut slot.insert((key, incoming)).1
             }
-        }
-        let entry = &mut self.current.as_mut().expect("just installed").1;
-        if entry.chunk_count != h.chunk_count || entry.msg_len != h.msg_len {
-            return Err(WireError::InconsistentMessage);
-        }
-        let idx = h.chunk_index as usize;
-        if entry.received[idx] {
-            return Ok(None); // duplicate chunk
-        }
-        // All chunks but the last carry the same (maximum) chunk size; the
-        // offset of chunk i is i * first_chunk_size. Derive it from any
-        // non-final chunk, or from msg_len when chunk_count divides evenly.
-        let off = if h.chunk_index + 1 < h.chunk_count {
-            let off = idx * h.chunk_len as usize;
-            if off + chunk.len() > entry.msg_len as usize {
-                return Err(WireError::InconsistentMessage);
-            }
-            off
-        } else {
-            // Final chunk: offset = msg_len - chunk_len.
-            let off = h.msg_len as usize - h.chunk_len as usize;
-            if h.chunk_count > 1 && !off.is_multiple_of(h.chunk_count as usize - 1) {
-                return Err(WireError::InconsistentMessage);
-            }
-            off
         };
-        entry.received[idx] = true;
-        entry.remaining -= 1;
-        entry.place(off, chunk);
-        if entry.remaining > 0 {
+        if !entry.accept(&h, stride, chunk)? {
             return Ok(None);
         }
-        let (key, p) = self.current.take().expect("checked above");
-        Ok(Some(Message {
-            kind: p.kind,
-            context: p.context,
+        let done = Message {
+            kind: entry.kind,
+            context: entry.context,
             src_rank: key.0,
-            tag: p.tag,
+            tag: entry.tag,
             seq: key.1,
-            payload: Bytes::from(p.buffer),
-        }))
+            payload: Bytes::from(std::mem::take(&mut entry.buffer)),
+        };
+        self.current = None;
+        Ok(Some(done))
     }
 
     /// Number of messages still being assembled.

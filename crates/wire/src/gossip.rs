@@ -14,16 +14,18 @@
 //! The [`SeenTable`] is the receiver-side half: one per peer, recording
 //! which ids that peer is known to hold (from its advertisements and its
 //! ACK-horizon frontiers), so re-advertising is suppressed and pulls are
-//! routed to a peer that can actually answer. Tables are `BTreeMap`-backed
-//! — digests iterate into wire bytes, and replay determinism forbids
-//! hash-order output.
-
-use std::collections::BTreeMap;
+//! routed to a peer that can actually answer. Tables are dense rows
+//! indexed by source — digests iterate into wire bytes in source order,
+//! and replay determinism forbids hash-order output.
+//!
+//! Like the NACK codec, a digest decodes two ways: [`GossipDigestView`]
+//! reads a validated payload in place (what the gossip plane ingests),
+//! [`GossipDigest::decode`] collects the view into `Vec`s.
 
 use bytes::{Bytes, BytesMut};
 
 use crate::error::WireError;
-use crate::nack::{read_ranges, SeqRange};
+use crate::nack::{RangesView, SeqRange};
 use crate::read::Reader;
 
 /// Cap on per-source entries in one encoded digest. Entries beyond the
@@ -148,20 +150,121 @@ impl GossipDigest {
         buf.freeze()
     }
 
-    /// Decode a gossip digest payload.
+    /// Decode a gossip digest payload: [`GossipDigestView::parse`],
+    /// collected.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let entries = GossipDigestView::parse(bytes)?
+            .entries()
+            .map(|e| SourceDigest {
+                src: e.src,
+                ranges: e.ranges.to_vec(),
+            })
+            .collect();
+        Ok(GossipDigest { entries })
+    }
+}
+
+/// One entry of a [`GossipDigestView`]: a [`SourceDigest`] whose ranges
+/// are still on the wire.
+#[derive(Clone, Copy, Debug)]
+pub struct SourceDigestView<'a> {
+    /// Rank whose per-sender sequence space the ranges index.
+    pub src: u32,
+    /// Inclusive seq ranges ([`SourceDigest::ranges`]).
+    pub ranges: RangesView<'a>,
+}
+
+/// An `Advr`/`Want` payload read in place. `parse` walks and validates
+/// every entry once; [`GossipDigestView::entries`] then reads them off the
+/// payload bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct GossipDigestView<'a> {
+    count: usize,
+    /// The entries, each `SOURCE_FIXED` bytes plus its ranges.
+    entries: &'a [u8],
+}
+
+impl<'a> GossipDigestView<'a> {
+    /// Validate a gossip digest payload and view it.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let count = r.u16()? as usize;
         r.counted(count, MAX_DIGEST_SOURCES, SOURCE_FIXED)?;
-        let mut entries = Vec::with_capacity(count);
+        let entries = r.rest();
         for _ in 0..count {
-            let src = r.u32()?;
-            let nr = r.u16()? as usize;
-            let ranges = read_ranges(&mut r, nr, MAX_DIGEST_RANGES)?;
-            entries.push(SourceDigest { src, ranges });
+            read_entry(&mut r)?;
         }
-        Ok(GossipDigest { entries })
+        Ok(GossipDigestView { count, entries })
     }
+
+    /// Per-source entries, in wire order.
+    pub fn entries(&self) -> DigestEntryIter<'a> {
+        DigestEntryIter {
+            r: Reader::new(self.entries),
+            left: self.count,
+        }
+    }
+}
+
+/// Read one digest entry.
+fn read_entry<'a>(r: &mut Reader<'a>) -> Result<SourceDigestView<'a>, WireError> {
+    let src = r.u32()?;
+    let count = r.u16()? as usize;
+    let ranges = RangesView::read(r, count, MAX_DIGEST_RANGES)?;
+    Ok(SourceDigestView { src, ranges })
+}
+
+/// Iterator over the entries of a [`GossipDigestView`].
+#[derive(Clone, Debug)]
+pub struct DigestEntryIter<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> Iterator for DigestEntryIter<'a> {
+    type Item = SourceDigestView<'a>;
+
+    fn next(&mut self) -> Option<SourceDigestView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        read_entry(&mut self.r).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for DigestEntryIter<'_> {}
+
+/// Merge `range` into `ranges` — sorted, disjoint and coalesced before
+/// and after. Returns `true` when at least one seq of it was new.
+pub(crate) fn merge_range(ranges: &mut Vec<SeqRange>, range: SeqRange) -> bool {
+    if range.start > range.end {
+        return false;
+    }
+    // Only the run `lo..hi` of ranges that overlap or abut `range` changes.
+    let lo = ranges.partition_point(|r| r.end.saturating_add(1) < range.start);
+    let hi = lo + ranges[lo..].partition_point(|r| r.start <= range.end.saturating_add(1));
+    if lo == hi {
+        if ranges.capacity() == 0 {
+            // Most lists stay one coalesced range for life: do not let
+            // `insert` reserve four slots for it.
+            *ranges = vec![range];
+        } else {
+            ranges.insert(lo, range);
+        }
+        return true;
+    }
+    let merged = SeqRange {
+        start: range.start.min(ranges[lo].start),
+        end: range.end.max(ranges[hi - 1].end),
+    };
+    if hi - lo == 1 && merged == ranges[lo] {
+        return false; // covered
+    }
+    ranges[lo] = merged;
+    ranges.drain(lo + 1..hi);
+    true
 }
 
 /// Which interned message ids one peer is known to hold: per source, the
@@ -169,15 +272,45 @@ impl GossipDigest {
 /// digests and its ACK-horizon frontiers; consulted before advertising to
 /// that peer (suppression) and when routing a `Want` to a peer that can
 /// answer it. GC'd by the AckHorizon plane via [`SeenTable::release_below`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Dense: one row per source, indexed by rank, so a lookup is an index and
+/// a note allocates only when a row first holds a range or outgrows its
+/// buffer (a row the GC emptied keeps its buffer). The table is built for
+/// a group of `sources` ranks and holds nothing until the first note; ids
+/// of a source outside the group — stray or hostile traffic — are refused
+/// rather than given a row.
+#[derive(Clone, Debug)]
 pub struct SeenTable {
-    map: BTreeMap<u32, Vec<SeqRange>>,
+    sources: usize,
+    /// `rows[src]`, grown to `src + 1` by the first note of `src`.
+    rows: Vec<Vec<SeqRange>>,
 }
 
+impl PartialEq for SeenTable {
+    /// Two tables are equal when they hold the same ids: rows never
+    /// noted and rows emptied again do not tell them apart.
+    fn eq(&self, other: &Self) -> bool {
+        self.held().eq(other.held())
+    }
+}
+
+impl Eq for SeenTable {}
+
 impl SeenTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty table for the sources `0..sources`.
+    pub fn new(sources: usize) -> Self {
+        SeenTable {
+            sources,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The non-empty rows, in source order.
+    fn held(&self) -> impl Iterator<Item = (u32, &[SeqRange])> {
+        (0u32..)
+            .zip(&self.rows)
+            .filter(|(_, row)| !row.is_empty())
+            .map(|(src, row)| (src, row.as_slice()))
     }
 
     /// Record that the peer holds `(src, seq)`. Returns `true` when the
@@ -193,73 +326,50 @@ impl SeenTable {
     }
 
     /// Record that the peer holds every id of `(src, range)`. Returns
-    /// `true` when at least one id was new.
+    /// `true` when at least one id was new (never for a source outside
+    /// the group: it is not recorded).
     pub fn note_range(&mut self, src: u32, range: SeqRange) -> bool {
-        if range.start > range.end {
+        let src = src as usize;
+        if src >= self.sources || range.start > range.end {
             return false;
         }
-        let ranges = self.map.entry(src).or_default();
-        // Merge in place — the stored list is already canonical, so only
-        // the run `lo..hi` of ranges that overlap or abut `range` changes.
-        let lo = ranges.partition_point(|r| r.end.saturating_add(1) < range.start);
-        let hi = lo + ranges[lo..].partition_point(|r| r.start <= range.end.saturating_add(1));
-        if lo == hi {
-            if ranges.is_empty() {
-                // Most lists stay one coalesced range for life: do not
-                // let `insert` reserve four slots for it.
-                *ranges = vec![range];
-            } else {
-                ranges.insert(lo, range);
-            }
-            return true;
+        if self.rows.len() <= src {
+            self.rows.resize_with(src + 1, Vec::new);
         }
-        let merged = SeqRange {
-            start: range.start.min(ranges[lo].start),
-            end: range.end.max(ranges[hi - 1].end),
-        };
-        if hi - lo == 1 && merged == ranges[lo] {
-            return false; // covered
-        }
-        ranges[lo] = merged;
-        ranges.drain(lo + 1..hi);
-        true
+        merge_range(&mut self.rows[src], range)
     }
 
     /// True when the peer is known to hold `(src, seq)`.
     pub fn contains(&self, src: u32, seq: u64) -> bool {
-        self.map
-            .get(&src)
-            .is_some_and(|rs| rs.iter().any(|r| r.contains(seq)))
+        self.rows
+            .get(src as usize)
+            .is_some_and(|row| row.iter().any(|r| r.contains(seq)))
     }
 
     /// Drop all recorded ids of `src` at or below `floor` — the
     /// AckHorizon-plane GC hook: once the whole group acknowledged a
     /// prefix, remembering who holds it buys nothing.
     pub fn release_below(&mut self, src: u32, floor: u64) {
-        let Some(ranges) = self.map.get_mut(&src) else {
+        let Some(row) = self.rows.get_mut(src as usize) else {
             return;
         };
-        ranges.retain_mut(|r| {
+        row.retain_mut(|r| {
             if r.end <= floor {
                 return false;
             }
             r.start = r.start.max(floor.saturating_add(1));
             true
         });
-        if ranges.is_empty() {
-            self.map.remove(&src);
-        }
     }
 
     /// The table's contents as a digest (for re-advertising).
     pub fn digest(&self) -> GossipDigest {
         GossipDigest {
             entries: self
-                .map
-                .iter()
-                .map(|(&src, ranges)| SourceDigest {
+                .held()
+                .map(|(src, row)| SourceDigest {
                     src,
-                    ranges: ranges.clone(),
+                    ranges: row.to_vec(),
                 })
                 .collect(),
         }
@@ -267,12 +377,12 @@ impl SeenTable {
 
     /// Stored range count across sources (bookkeeping bound checks).
     pub fn range_count(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
-    /// True when nothing has been recorded.
+    /// True when nothing is recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.rows.iter().all(Vec::is_empty)
     }
 }
 
@@ -359,7 +469,7 @@ mod tests {
 
     #[test]
     fn seen_table_notes_and_coalesces() {
-        let mut t = SeenTable::new();
+        let mut t = SeenTable::new(8);
         assert!(t.note(0, 1));
         assert!(t.note(0, 2), "new id");
         assert!(!t.note(0, 1), "already known");
@@ -371,7 +481,7 @@ mod tests {
 
     #[test]
     fn seen_table_release_below_gcs() {
-        let mut t = SeenTable::new();
+        let mut t = SeenTable::new(8);
         t.note_range(0, r(0, 10));
         t.note_range(1, r(5, 5));
         t.release_below(0, 7);
@@ -384,12 +494,116 @@ mod tests {
 
     #[test]
     fn seen_table_digest_roundtrips_through_wire() {
-        let mut t = SeenTable::new();
+        let mut t = SeenTable::new(8);
         t.note_range(2, r(0, 3));
         t.note(5, 9);
         let d = t.digest();
         let dec = GossipDigest::decode(&d.encode()).unwrap();
         assert!(dec.contains(2, 0) && dec.contains(2, 3) && dec.contains(5, 9));
         assert!(!dec.contains(2, 4));
+    }
+
+    /// A source outside the group the table was built for gets no row.
+    #[test]
+    fn seen_table_refuses_sources_outside_the_group() {
+        let mut t = SeenTable::new(4);
+        assert!(!t.note(4, 1) && !t.note_range(u32::MAX, r(0, 9)));
+        assert!(t.is_empty() && !t.contains(4, 1) && !t.contains(u32::MAX, 3));
+        t.release_below(u32::MAX, 5);
+        assert_eq!(t.rows.capacity(), 0, "nothing was allocated for them");
+        assert!(t.note(3, 1));
+    }
+
+    /// The `BTreeMap` table the dense one replaced, kept as its oracle.
+    #[derive(Default)]
+    struct MapTable {
+        map: std::collections::BTreeMap<u32, Vec<SeqRange>>,
+    }
+
+    impl MapTable {
+        fn note_range(&mut self, src: u32, range: SeqRange) -> bool {
+            if range.start > range.end {
+                return false;
+            }
+            let ranges = self.map.entry(src).or_default();
+            let covered = ranges
+                .iter()
+                .any(|m| m.start <= range.start && range.end <= m.end);
+            ranges.push(range);
+            *ranges = compact_ranges(std::mem::take(ranges));
+            !covered
+        }
+
+        fn contains(&self, src: u32, seq: u64) -> bool {
+            self.map
+                .get(&src)
+                .is_some_and(|rs| rs.iter().any(|r| r.contains(seq)))
+        }
+
+        fn release_below(&mut self, src: u32, floor: u64) {
+            let Some(ranges) = self.map.get_mut(&src) else {
+                return;
+            };
+            ranges.retain_mut(|r| {
+                if r.end <= floor {
+                    return false;
+                }
+                r.start = r.start.max(floor.saturating_add(1));
+                true
+            });
+            if ranges.is_empty() {
+                self.map.remove(&src);
+            }
+        }
+
+        fn digest(&self) -> GossipDigest {
+            GossipDigest {
+                entries: self
+                    .map
+                    .iter()
+                    .map(|(&src, ranges)| SourceDigest {
+                        src,
+                        ranges: ranges.clone(),
+                    })
+                    .collect(),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Dense rows ≡ the map, over random histories of notes, range
+        /// notes, releases and digests: the same answers and, after every
+        /// step, the same digest, emptiness and range count.
+        #[test]
+        fn dense_seen_table_matches_the_map(
+            ops in proptest::collection::vec((0u8..4, 0u32..6, 0u64..24, 0u64..6), 0..80),
+        ) {
+            const SOURCES: usize = 6;
+            let mut dense = SeenTable::new(SOURCES);
+            let mut map = MapTable::default();
+            for (kind, src, a, b) in ops {
+                match kind {
+                    0 => proptest::prop_assert_eq!(
+                        dense.note(src, a),
+                        map.note_range(src, r(a, a))
+                    ),
+                    1 => proptest::prop_assert_eq!(
+                        dense.note_range(src, r(a, a + b)),
+                        map.note_range(src, r(a, a + b))
+                    ),
+                    2 => {
+                        dense.release_below(src, a);
+                        map.release_below(src, a);
+                    }
+                    _ => proptest::prop_assert_eq!(dense.contains(src, a), map.contains(src, a)),
+                }
+                proptest::prop_assert_eq!(dense.digest(), map.digest());
+                proptest::prop_assert_eq!(dense.is_empty(), map.map.is_empty());
+                proptest::prop_assert_eq!(
+                    dense.range_count(),
+                    map.map.values().map(Vec::len).sum::<usize>()
+                );
+            }
+        }
     }
 }

@@ -37,13 +37,15 @@ pub use assemble::{split_message, Assembler, Datagram, Message};
 pub use bytes::{Bytes, BytesMut};
 pub use error::WireError;
 pub use gossip::{
-    compact_ranges, GossipDigest, SeenTable, SourceDigest, MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
+    compact_ranges, GossipDigest, GossipDigestView, SeenTable, SourceDigest, SourceDigestView,
+    MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
 };
 pub use header::{Header, MsgKind, HEADER_LEN, MAGIC, VERSION};
 pub use member::{FailureAnnouncePayload, HeartbeatPayload, HEARTBEAT_LEN, MAX_ANNOUNCE_RANKS};
 pub use nack::{
-    AckHorizonPayload, HorizonEcho, NackPayload, SeqRange, SourceHorizon, UnavailPayload,
-    MAX_HORIZON_ACKS, MAX_HORIZON_ECHOES, MAX_HORIZON_HOLES, MAX_NACK_RANGES, NACK_TARGET_ANY,
+    AckHorizonPayload, AckHorizonView, HorizonEcho, NackPayload, NackView, RangesView, SeqRange,
+    SourceHorizon, SourceHorizonView, UnavailPayload, MAX_HORIZON_ACKS, MAX_HORIZON_ECHOES,
+    MAX_HORIZON_HOLES, MAX_NACK_RANGES, NACK_TARGET_ANY,
 };
 pub use retransmit::{RepairStats, RetransmitBuffer, SendDst, SentRecord, DEFAULT_RETRANSMIT_CAP};
 

@@ -18,6 +18,14 @@
 //! The codecs are deliberately tiny, fixed little-endian layouts, read
 //! through one checked cursor (`read::Reader`) — the decoders are total
 //! on hostile bytes.
+//!
+//! Each payload decodes two ways. A *view* ([`NackView`],
+//! [`AckHorizonView`]) validates the whole payload once and then reads
+//! fields and ranges in place, straight off the received bytes: the
+//! repair planes consume these, so a payload an endpoint only looks at —
+//! an overheard NACK, a session message that changes no frontier — costs
+//! no allocation. The owned `decode`s collect a view into `Vec`s; the
+//! wire format is the same either way.
 
 use bytes::{Bytes, BytesMut};
 
@@ -104,31 +112,120 @@ impl NackPayload {
         buf.freeze()
     }
 
-    /// Decode a NACK payload.
+    /// Decode a NACK payload: [`NackView::parse`], collected.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let target = r.u32()?;
-        let count = r.u16()? as usize;
-        let missing = read_ranges(&mut r, count, MAX_NACK_RANGES)?;
-        Ok(NackPayload { target, missing })
+        let view = NackView::parse(bytes)?;
+        Ok(NackPayload {
+            target: view.target,
+            missing: view.missing.to_vec(),
+        })
     }
 }
 
-/// Read `count` (at most `cap`) encoded [`SeqRange`]s.
-pub(crate) fn read_ranges(
-    r: &mut Reader<'_>,
-    count: usize,
-    cap: usize,
-) -> Result<Vec<SeqRange>, WireError> {
-    r.counted(count, cap, RANGE_LEN)?;
-    let mut ranges = Vec::with_capacity(count);
-    for _ in 0..count {
-        ranges.push(SeqRange {
-            start: r.u64()?,
-            end: r.u64()?,
-        });
+/// A run of encoded [`SeqRange`]s inside a received payload. Only a
+/// view's `parse` makes one, after checking the count in front of the run
+/// against its protocol cap and the bytes present, so reading it cannot
+/// fail.
+#[derive(Clone, Copy, Debug)]
+pub struct RangesView<'a> {
+    /// Exactly `len() * RANGE_LEN` bytes.
+    bytes: &'a [u8],
+}
+
+impl<'a> RangesView<'a> {
+    /// Read a count-prefixed run: `count` (at most `cap`) encoded ranges.
+    pub(crate) fn read(r: &mut Reader<'a>, count: usize, cap: usize) -> Result<Self, WireError> {
+        r.counted(count, cap, RANGE_LEN)?;
+        Ok(RangesView {
+            bytes: r.bytes(count * RANGE_LEN)?,
+        })
     }
-    Ok(ranges)
+
+    /// Number of ranges in the run.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / RANGE_LEN
+    }
+
+    /// True when the run holds no range.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The ranges, decoded one at a time off the payload bytes.
+    pub fn iter(&self) -> RangeIter<'a> {
+        RangeIter(self.bytes.chunks_exact(RANGE_LEN))
+    }
+
+    /// The ranges as an owned list.
+    pub fn to_vec(&self) -> Vec<SeqRange> {
+        self.bytes.chunks_exact(RANGE_LEN).map(range_of).collect()
+    }
+
+    /// True when the run is exactly `ranges`, in order.
+    pub fn eq_ranges(&self, ranges: &[SeqRange]) -> bool {
+        self.len() == ranges.len() && self.iter().eq(ranges.iter().copied())
+    }
+}
+
+/// Decode one `RANGE_LEN`-byte entry of a validated run.
+fn range_of(entry: &[u8]) -> SeqRange {
+    let mut r = Reader::new(entry);
+    SeqRange {
+        start: r.u64().unwrap_or_default(),
+        end: r.u64().unwrap_or_default(),
+    }
+}
+
+impl<'a> IntoIterator for RangesView<'a> {
+    type Item = SeqRange;
+    type IntoIter = RangeIter<'a>;
+    fn into_iter(self) -> RangeIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`RangesView`].
+#[derive(Clone, Debug)]
+pub struct RangeIter<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for RangeIter<'_> {
+    type Item = SeqRange;
+
+    fn next(&mut self) -> Option<SeqRange> {
+        self.0.next().map(range_of)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RangeIter<'_> {}
+
+/// A [`crate::MsgKind::Nack`] payload read in place: what
+/// [`NackPayload::decode`] returns, minus the `Vec`.
+#[derive(Clone, Copy, Debug)]
+pub struct NackView<'a> {
+    /// Rank whose traffic is solicited, or [`NACK_TARGET_ANY`].
+    pub target: u32,
+    /// The requester's missing ranges ([`NackPayload::missing`]).
+    pub missing: RangesView<'a>,
+}
+
+impl<'a> NackView<'a> {
+    /// Validate a NACK payload and view it.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(bytes);
+        let target = r.u32()?;
+        let count = r.u16()? as usize;
+        let missing = RangesView::read(&mut r, count, MAX_NACK_RANGES)?;
+        Ok(NackView { target, missing })
+    }
+
+    /// [`NackPayload::covers`].
+    pub fn covers(&self, seq: u64) -> bool {
+        self.missing.is_empty() || self.missing.iter().any(|r| r.contains(seq))
+    }
 }
 
 /// Decoded body of a [`crate::MsgKind::Unavail`] datagram: the responder's
@@ -277,42 +374,186 @@ impl AckHorizonPayload {
         buf.freeze()
     }
 
-    /// Decode an ACK-horizon payload.
+    /// Decode an ACK-horizon payload: the [`AckHorizonView`] of it,
+    /// collected — the frontiers during the view's one validating walk.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut acks = Vec::with_capacity(MAX_HORIZON_ACKS);
+        let view = AckHorizonView::walk(bytes, |ack| acks.push(ack.to_owned()))?;
+        Ok(AckHorizonPayload {
+            probe_ts: view.probe_ts,
+            echoes: view.echoes().collect(),
+            acks,
+            member: view.member,
+        })
+    }
+}
+
+/// One frontier entry of an [`AckHorizonView`]: a [`SourceHorizon`] whose
+/// holes are still on the wire.
+#[derive(Clone, Copy, Debug)]
+pub struct SourceHorizonView<'a> {
+    /// The sender whose traffic this frontier describes.
+    pub src: u32,
+    /// Highest sequence number received from `src`.
+    pub hwm: u64,
+    /// Holes at or below `hwm` ([`SourceHorizon::missing`]).
+    pub missing: RangesView<'a>,
+}
+
+impl SourceHorizonView<'_> {
+    /// The frontier as an owned [`SourceHorizon`]. One with holes gets
+    /// room for every hole a frontier can carry, so that a stored one is
+    /// overwritten in place ([`SourceHorizonView::store_into`]) for good.
+    pub fn to_owned(&self) -> SourceHorizon {
+        let mut missing = Vec::new();
+        if !self.missing.is_empty() {
+            missing.reserve_exact(MAX_HORIZON_HOLES);
+            missing.extend(self.missing);
+        }
+        SourceHorizon {
+            src: self.src,
+            hwm: self.hwm,
+            missing,
+        }
+    }
+
+    /// True when `stored` is this frontier (same high-water mark, same
+    /// holes; the source is the caller's key).
+    pub fn same_as(&self, stored: &SourceHorizon) -> bool {
+        self.hwm == stored.hwm && self.missing.eq_ranges(&stored.missing)
+    }
+
+    /// Overwrite `stored` with this frontier, reusing its hole buffer.
+    pub fn store_into(&self, stored: &mut SourceHorizon) {
+        stored.src = self.src;
+        stored.hwm = self.hwm;
+        stored.missing.clear();
+        stored.missing.extend(self.missing);
+    }
+}
+
+/// A [`crate::MsgKind::AckHorizon`] payload read in place. `parse` walks
+/// and validates every entry once; the accessors then read the echoes and
+/// frontiers off the payload bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct AckHorizonView<'a> {
+    /// The sender's clock when the message was built.
+    pub probe_ts: u64,
+    /// Optional liveness trailer ([`AckHorizonPayload::member`]).
+    pub member: Option<HeartbeatPayload>,
+    /// `echo count * ECHO_LEN` bytes.
+    echoes: &'a [u8],
+    ack_count: usize,
+    /// The frontier entries, each `ACK_FIXED` bytes plus its holes.
+    acks: &'a [u8],
+}
+
+impl<'a> AckHorizonView<'a> {
+    /// Validate an ACK-horizon payload and view it.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        Self::walk(bytes, |_| ())
+    }
+
+    /// [`AckHorizonView::parse`], showing `each_ack` every frontier entry
+    /// as the walk validates it.
+    fn walk(
+        bytes: &'a [u8],
+        mut each_ack: impl FnMut(SourceHorizonView<'a>),
+    ) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let probe_ts = r.u64()?;
         let echo_count = r.u16()? as usize;
         let ack_count = r.u16()? as usize;
         r.counted(echo_count, MAX_HORIZON_ECHOES, ECHO_LEN)?;
-        let mut echoes = Vec::with_capacity(echo_count);
-        for _ in 0..echo_count {
-            echoes.push(HorizonEcho {
-                peer: r.u32()?,
-                ts: r.u64()?,
-                hold_ns: r.u64()?,
-            });
-        }
+        let echoes = r.bytes(echo_count * ECHO_LEN)?;
         r.counted(ack_count, MAX_HORIZON_ACKS, ACK_FIXED)?;
-        let mut acks = Vec::with_capacity(ack_count);
+        let acks_from = r.rest();
         for _ in 0..ack_count {
-            let src = r.u32()?;
-            let hwm = r.u64()?;
-            let holes = r.u16()? as usize;
-            let missing = read_ranges(&mut r, holes, MAX_HORIZON_HOLES)?;
-            acks.push(SourceHorizon { src, hwm, missing });
+            each_ack(read_ack(&mut r)?);
         }
+        let acks = acks_from
+            .get(..acks_from.len() - r.rest().len())
+            .unwrap_or_default();
         let member = if r.rest().len() >= HEARTBEAT_LEN {
             Some(HeartbeatPayload::decode(r.rest())?)
         } else {
             None
         };
-        Ok(AckHorizonPayload {
+        Ok(AckHorizonView {
             probe_ts,
-            echoes,
-            acks,
             member,
+            echoes,
+            ack_count,
+            acks,
         })
     }
+
+    /// Echoes of peers' recent probe timestamps.
+    pub fn echoes(&self) -> EchoIter<'a> {
+        EchoIter(Reader::new(self.echoes))
+    }
+
+    /// Per-source delivery frontiers, in wire order.
+    pub fn acks(&self) -> AckIter<'a> {
+        AckIter {
+            r: Reader::new(self.acks),
+            left: self.ack_count,
+        }
+    }
+}
+
+/// Iterator over the echoes of an [`AckHorizonView`].
+#[derive(Clone, Debug)]
+pub struct EchoIter<'a>(Reader<'a>);
+
+impl Iterator for EchoIter<'_> {
+    type Item = HorizonEcho;
+
+    fn next(&mut self) -> Option<HorizonEcho> {
+        Some(HorizonEcho {
+            peer: self.0.u32().ok()?,
+            ts: self.0.u64().ok()?,
+            hold_ns: self.0.u64().ok()?,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.0.rest().len() / ECHO_LEN;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for EchoIter<'_> {}
+
+/// Iterator over the frontier entries of an [`AckHorizonView`].
+#[derive(Clone, Debug)]
+pub struct AckIter<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> Iterator for AckIter<'a> {
+    type Item = SourceHorizonView<'a>;
+
+    fn next(&mut self) -> Option<SourceHorizonView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        read_ack(&mut self.r).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for AckIter<'_> {}
+
+/// Read one frontier entry.
+fn read_ack<'a>(r: &mut Reader<'a>) -> Result<SourceHorizonView<'a>, WireError> {
+    let src = r.u32()?;
+    let hwm = r.u64()?;
+    let holes = r.u16()? as usize;
+    let missing = RangesView::read(r, holes, MAX_HORIZON_HOLES)?;
+    Ok(SourceHorizonView { src, hwm, missing })
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use crate::error::WireError;
 /// A cursor over a received payload. Every read checks the bytes it
 /// takes, so a decoder built on it is total: hostile or truncated input
 /// ends in [`WireError::Truncated`], never in a panic.
+#[derive(Clone, Debug)]
 pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     off: usize,
@@ -50,6 +51,22 @@ impl<'a> Reader<'a> {
             None => Err(WireError::Truncated {
                 got,
                 need: self.off.saturating_add(N),
+            }),
+        }
+    }
+
+    /// The next `n` bytes, borrowed from the payload — how a view keeps
+    /// a run of entries to read later without copying them out.
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let end = self.off.saturating_add(n);
+        match self.bytes.get(self.off..end) {
+            Some(run) => {
+                self.off = end;
+                Ok(run)
+            }
+            None => Err(WireError::Truncated {
+                got: self.bytes.len(),
+                need: end,
             }),
         }
     }

@@ -163,11 +163,10 @@ impl RetransmitBuffer {
     /// declare its tag unrecoverable.
     pub fn release_acked(&mut self, mut acked: impl FnMut(&SentRecord) -> bool) -> u64 {
         let mut freed = 0;
-        while let Some(front) = self.ring.front() {
-            if !acked(front) {
+        while self.ring.front().is_some_and(&mut acked) {
+            let Some(old) = self.ring.pop_front() else {
                 break;
-            }
-            let old = self.ring.pop_front().expect("front just observed");
+            };
             self.data_bytes -= Self::charged_bytes(&old);
             freed += 1;
         }
@@ -246,7 +245,7 @@ impl Default for RetransmitBuffer {
 
 /// Counters kept by a transport's repair loop (per endpoint; summed into
 /// the run-level `WorldStats` by the harness).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// NACKs this endpoint sent (timeout-driven solicitations).
     pub nacks_sent: u64,
@@ -305,9 +304,58 @@ pub struct RepairStats {
     /// held the payload — the epidemic plane's duplicate-suppression win
     /// (each skipped pull is a payload that did not cross the link again).
     pub duplicate_payloads_avoided: u64,
+    /// Control messages (`Nack`, `AckHorizon`, `Advr`, `Want`) a plane
+    /// dropped at ingest: a payload that does not decode, or a sender
+    /// rank outside the group. Stray or hostile traffic on a real port;
+    /// always zero on the closed simulated fabric.
+    pub malformed_dropped: u64,
+    /// Messages dropped for carrying another communicator's context
+    /// (the inbox's count, folded into the endpoint's snapshot).
+    pub foreign_dropped: u64,
     /// Highest membership epoch this endpoint committed (merged by max —
     /// an epoch is a water mark, not a count).
     pub epoch: u64,
+}
+
+impl std::fmt::Debug for RepairStats {
+    /// The derived rendering — with the two drop counters shown only when
+    /// they counted something. The recorded replay fingerprints
+    /// (`tests/determinism.rs`) hash this rendering of lossy simulated
+    /// runs, where nothing is ever malformed or foreign: such a run must
+    /// go on rendering exactly as it did before the counters existed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = f.debug_struct("RepairStats");
+        s.field("nacks_sent", &self.nacks_sent)
+            .field("nacks_received", &self.nacks_received)
+            .field("retransmits_sent", &self.retransmits_sent)
+            .field("unanswered_nacks", &self.unanswered_nacks)
+            .field("nacks_suppressed", &self.nacks_suppressed)
+            .field("nacks_overheard", &self.nacks_overheard)
+            .field("repairs_suppressed", &self.repairs_suppressed)
+            .field("unavailable_sent", &self.unavailable_sent)
+            .field("horizons_sent", &self.horizons_sent)
+            .field("horizons_received", &self.horizons_received)
+            .field("acked_records_freed", &self.acked_records_freed)
+            .field("rtt_samples", &self.rtt_samples)
+            .field("send_window_stalls", &self.send_window_stalls)
+            .field("heartbeats_sent", &self.heartbeats_sent)
+            .field("suspicions", &self.suspicions)
+            .field("failures_confirmed", &self.failures_confirmed)
+            .field("advrs_sent", &self.advrs_sent)
+            .field("wants_sent", &self.wants_sent)
+            .field("pulls_answered", &self.pulls_answered)
+            .field(
+                "duplicate_payloads_avoided",
+                &self.duplicate_payloads_avoided,
+            );
+        if self.malformed_dropped != 0 {
+            s.field("malformed_dropped", &self.malformed_dropped);
+        }
+        if self.foreign_dropped != 0 {
+            s.field("foreign_dropped", &self.foreign_dropped);
+        }
+        s.field("epoch", &self.epoch).finish()
+    }
 }
 
 impl RepairStats {
@@ -333,6 +381,8 @@ impl RepairStats {
         self.wants_sent += other.wants_sent;
         self.pulls_answered += other.pulls_answered;
         self.duplicate_payloads_avoided += other.duplicate_payloads_avoided;
+        self.malformed_dropped += other.malformed_dropped;
+        self.foreign_dropped += other.foreign_dropped;
         self.epoch = self.epoch.max(other.epoch);
     }
 }
@@ -439,6 +489,18 @@ mod tests {
     }
 
     #[test]
+    fn stats_render_the_drop_counters_only_when_set() {
+        let quiet = format!("{:?}", RepairStats::default());
+        assert!(quiet.starts_with("RepairStats { nacks_sent: 0, nacks_received: 0,"));
+        assert!(quiet.ends_with("duplicate_payloads_avoided: 0, epoch: 0 }"));
+        let noisy = RepairStats {
+            malformed_dropped: 2,
+            ..RepairStats::default()
+        };
+        assert!(format!("{noisy:?}").ends_with("malformed_dropped: 2, epoch: 0 }"));
+    }
+
+    #[test]
     fn stats_merge_sums() {
         let mut a = RepairStats {
             nacks_sent: 1,
@@ -461,6 +523,8 @@ mod tests {
             wants_sent: 18,
             pulls_answered: 19,
             duplicate_payloads_avoided: 20,
+            malformed_dropped: 22,
+            foreign_dropped: 23,
             epoch: 21,
         };
         a.merge(&a.clone());
@@ -483,6 +547,7 @@ mod tests {
         assert_eq!(a.wants_sent, 36);
         assert_eq!(a.pulls_answered, 38);
         assert_eq!(a.duplicate_payloads_avoided, 40);
+        assert_eq!((a.malformed_dropped, a.foreign_dropped), (44, 46));
         assert_eq!(a.epoch, 21, "epoch merges by max, not sum");
     }
 

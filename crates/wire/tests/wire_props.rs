@@ -5,13 +5,72 @@
 use proptest::prelude::*;
 
 use mmpi_wire::{
-    split_message, AckHorizonPayload, Assembler, Bytes, Datagram, FailureAnnouncePayload, Header,
-    HeartbeatPayload, HorizonEcho, MsgKind, NackPayload, SeqRange, SourceHorizon, UnavailPayload,
+    split_message, AckHorizonPayload, AckHorizonView, Assembler, Bytes, Datagram,
+    FailureAnnouncePayload, GossipDigestView, Header, HeartbeatPayload, HorizonEcho, MsgKind,
+    NackPayload, NackView, SeqRange, SourceHorizon, UnavailPayload, WireError,
 };
 
-/// Run every payload decoder over `bytes`: none may panic, and whatever
-/// one accepts must re-encode (no internal inconsistency).
+/// The in-place views against the owned decoders, on any bytes: both
+/// refuse them with the same error, or both accept and every field the
+/// view reads off the payload is the field the owned decode collected.
+fn views_agree_with_owned_decodes(bytes: &[u8]) {
+    match (NackView::parse(bytes), NackPayload::decode(bytes)) {
+        (Ok(view), Ok(owned)) => {
+            assert_eq!(view.target, owned.target);
+            assert!(view.missing.eq_ranges(&owned.missing));
+            assert_eq!(view.missing.len(), owned.missing.len());
+            for seq in [0, 4, 9, u64::MAX] {
+                assert_eq!(view.covers(seq), owned.covers(seq));
+            }
+        }
+        (Err(v), Err(o)) => assert_eq!(v, o),
+        (v, o) => panic!("NACK view {v:?} but owned {o:?}"),
+    }
+    match (
+        AckHorizonView::parse(bytes),
+        AckHorizonPayload::decode(bytes),
+    ) {
+        (Ok(view), Ok(owned)) => {
+            assert_eq!((view.probe_ts, view.member), (owned.probe_ts, owned.member));
+            assert_eq!(view.echoes().len(), owned.echoes.len());
+            assert!(view.echoes().eq(owned.echoes.iter().copied()));
+            assert_eq!(view.acks().len(), owned.acks.len());
+            for (a, o) in view.acks().zip(&owned.acks) {
+                assert_eq!((a.src, a.hwm), (o.src, o.hwm));
+                assert!(a.same_as(o) && a.to_owned() == *o);
+                // `store_into` leaves what `to_owned` makes, whatever
+                // the slot held before.
+                let mut slot = SourceHorizon {
+                    src: 0,
+                    hwm: 0,
+                    missing: vec![SeqRange { start: 1, end: 1 }; 7],
+                };
+                a.store_into(&mut slot);
+                assert_eq!(&slot, o);
+            }
+        }
+        (Err(v), Err(o)) => assert_eq!(v, o),
+        (v, o) => panic!("horizon view {v:?} but owned {o:?}"),
+    }
+    match (GossipDigestView::parse(bytes), GossipDigest::decode(bytes)) {
+        (Ok(view), Ok(owned)) => {
+            assert_eq!(view.entries().len(), owned.entries.len());
+            for (e, o) in view.entries().zip(&owned.entries) {
+                assert_eq!(e.src, o.src);
+                assert!(e.ranges.eq_ranges(&o.ranges));
+                assert_eq!(e.ranges.to_vec(), o.ranges);
+            }
+        }
+        (Err(v), Err(o)) => assert_eq!(v, o),
+        (v, o) => panic!("digest view {v:?} but owned {o:?}"),
+    }
+}
+
+/// Run every payload decoder over `bytes`: none may panic, whatever one
+/// accepts must re-encode (no internal inconsistency), and the views
+/// must say what the owned decoders say.
 fn decode_as_every_payload(bytes: &[u8]) {
+    views_agree_with_owned_decodes(bytes);
     if let Ok(p) = NackPayload::decode(bytes) {
         let _ = p.encode();
     }
@@ -75,7 +134,51 @@ fn valid_payloads() -> Vec<Bytes> {
         }
         .encode(),
         UnavailPayload { tag_floor: 40 }.encode(),
+        GossipDigest {
+            entries: vec![
+                SourceDigest {
+                    src: 1,
+                    ranges: vec![SeqRange { start: 0, end: 4 }, SeqRange { start: 7, end: 7 }],
+                },
+                SourceDigest {
+                    src: 6,
+                    ranges: vec![SeqRange {
+                        start: 100,
+                        end: u64::MAX,
+                    }],
+                },
+            ],
+        }
+        .encode(),
     ]
+}
+
+/// A chunk datagram whose header says whatever the caller likes, with a
+/// payload as long as the header claims (so only the chunking can be
+/// wrong with it).
+fn chunk_claiming(
+    seq: u64,
+    msg_len: u32,
+    chunk_index: u32,
+    chunk_count: u32,
+    chunk_len: u32,
+) -> Datagram {
+    let header = Header {
+        kind: MsgKind::Data,
+        context: 0,
+        src_rank: 1,
+        tag: 7,
+        seq,
+        msg_len,
+        chunk_index,
+        chunk_count,
+        chunk_len,
+    }
+    .encode_array();
+    Datagram::from_parts(
+        Bytes::copy_from_slice(&header),
+        Bytes::from(vec![0xEEu8; chunk_len as usize]),
+    )
 }
 
 fn kind_strategy() -> impl Strategy<Value = MsgKind> {
@@ -184,6 +287,83 @@ proptest! {
         }
     }
 
+    /// The views on valid payloads of every shape the caps allow: they
+    /// read back exactly what was encoded, as the owned decoders do.
+    #[test]
+    fn views_read_valid_payloads_field_for_field(
+        target in any::<u32>(),
+        missing in proptest::collection::vec(range_strategy(), 0..12),
+        probe_ts in any::<u64>(),
+        echoes in proptest::collection::vec((any::<u32>(), any::<u64>(), any::<u64>()), 0..20),
+        acks in proptest::collection::vec(
+            (any::<u32>(), any::<u64>(), proptest::collection::vec(range_strategy(), 0..6)),
+            0..36,
+        ),
+        beacon in (any::<bool>(), any::<u32>(), any::<u32>()),
+        digest in digest_strategy(),
+    ) {
+        let nack = NackPayload { target, missing }.encode();
+        let view = NackView::parse(&nack).unwrap();
+        prop_assert_eq!(view.target, target);
+        views_agree_with_owned_decodes(&nack);
+
+        let horizon = AckHorizonPayload {
+            probe_ts,
+            echoes: echoes
+                .into_iter()
+                .map(|(peer, ts, hold_ns)| HorizonEcho { peer, ts, hold_ns })
+                .collect(),
+            acks: acks
+                .into_iter()
+                .map(|(src, hwm, missing)| SourceHorizon { src, hwm, missing })
+                .collect(),
+            member: beacon.0.then_some(HeartbeatPayload {
+                epoch: beacon.1,
+                incarnation: beacon.2,
+            }),
+        }
+        .encode();
+        let view = AckHorizonView::parse(&horizon).unwrap();
+        prop_assert_eq!(view.probe_ts, probe_ts);
+        views_agree_with_owned_decodes(&horizon);
+
+        let digest = digest.encode();
+        prop_assert!(GossipDigestView::parse(&digest).is_ok());
+        views_agree_with_owned_decodes(&digest);
+    }
+
+    /// A header is forty bytes of claims. Whatever it claims about the
+    /// message it is a chunk of — the forged `chunk_count = msg_len =
+    /// u32::MAX` first of all — the assembler refuses it or holds the
+    /// chunk; it never panics, and it accepts no chunking a sender could
+    /// not have produced: more chunks than bytes, an empty chunk that is
+    /// not the last, a last chunk longer than the others.
+    #[test]
+    fn forged_chunk_headers_are_refused_not_trusted(
+        msg_len in prop_oneof![0u32..4096, Just(u32::MAX), any::<u32>()],
+        chunk_count in prop_oneof![2u32..64, Just(u32::MAX), any::<u32>()],
+        chunk_index in prop_oneof![0u32..64, any::<u32>()],
+        chunk_len in 0u32..600,
+        last in any::<bool>(),
+    ) {
+        let chunk_count = chunk_count.max(2);
+        let chunk_index = if last { chunk_count - 1 } else { chunk_index % chunk_count };
+        let mut asm = Assembler::new();
+        let fed = asm.feed(&chunk_claiming(3, msg_len, chunk_index, chunk_count, chunk_len));
+        match fed {
+            Err(e) => prop_assert_eq!(e, WireError::InconsistentMessage),
+            Ok(done) => {
+                prop_assert!(done.is_none(), "one chunk of several cannot complete a message");
+                prop_assert!(chunk_count <= msg_len, "more chunks than bytes");
+                prop_assert!(chunk_len >= 1 && chunk_len < msg_len);
+                prop_assert_eq!(asm.pending(), 1);
+            }
+        }
+        // The measured case (ISSUE 23): 8 GiB reserved per datagram.
+        let forged = chunk_claiming(4, u32::MAX, 0, u32::MAX, 0);
+        prop_assert_eq!(asm.feed(&forged), Err(WireError::InconsistentMessage));
+    }
+
     #[test]
     fn truncating_a_valid_datagram_errors_not_panics(
         payload in proptest::collection::vec(any::<u8>(), 1..1000),
@@ -205,6 +385,22 @@ proptest! {
 // ---- Advr/Want digest codec (`docs/PROTOCOL.md` §11) ----
 
 use mmpi_wire::gossip::{compact_ranges, GossipDigest, SourceDigest, MAX_DIGEST_RANGES};
+
+/// A late chunk never costs more than the chunks in hand: what arrives
+/// ahead of the prefix is held as views, and a chunk index a million
+/// chunks on reserves nothing for the chunks in between.
+#[test]
+fn a_chunk_far_ahead_is_held_not_made_room_for() {
+    let mut asm = Assembler::new();
+    // 2^20 chunks of 4 bytes; the last but one arrives first.
+    let far = chunk_claiming(9, 4 << 20, (1 << 20) - 2, 1 << 20, 4);
+    assert_eq!(asm.feed(&far), Ok(None));
+    assert_eq!(asm.feed(&far), Ok(None), "a duplicate of a held chunk");
+    assert_eq!(asm.pending(), 1);
+    // Chunks of the same message must agree on its shape.
+    let other_stride = chunk_claiming(9, 4 << 20, 0, 1 << 20, 3);
+    assert_eq!(asm.feed(&other_stride), Err(WireError::InconsistentMessage));
+}
 
 fn range_strategy() -> impl Strategy<Value = SeqRange> {
     (0u64..500, 0u64..40).prop_map(|(start, span)| SeqRange {
@@ -312,7 +508,7 @@ proptest! {
     fn seen_table_note_range_matches_compaction(
         notes in proptest::collection::vec((range_strategy(), any::<bool>()), 0..40),
     ) {
-        let mut table = mmpi_wire::SeenTable::new();
+        let mut table = mmpi_wire::SeenTable::new(8);
         let mut model: Vec<SeqRange> = Vec::new();
         for (r, high) in notes {
             let r = if high {

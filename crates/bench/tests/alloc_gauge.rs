@@ -15,7 +15,7 @@
 //!   message are ingested without allocating, a unicast datagram crosses
 //!   a `World` switch for the price of its own `Arc`; and
 //! * a forged chunk header cannot make the assembler reserve memory in
-//!   proportion to what it claims.
+//!   proportion to what it claims, nor a forged `(src, seq)` the inbox.
 //!
 //! Everything runs inside one `#[test]` so no concurrent test thread
 //! perturbs the counters. To see where a count comes from, wrap any
@@ -225,10 +225,8 @@ fn datagram_path_allocation_budget() {
 
     // --- an overheard NACK is ingested in place ------------------------
     // Addressed to rank 2, heard at rank 0: the suppression memory takes
-    // its target and tag, nobody takes its ranges. The one allocation
-    // allowed in the window is not the NACK's: a NACK has a data sequence
-    // number, and the inbox's per-source seen-set (a `HashSet` that grows
-    // for the life of the endpoint — ROADMAP item 7) may double once.
+    // its target and tag, nobody takes its ranges. A NACK has a data
+    // sequence number, and recording that is a bit in the source's row.
     let nack = NackPayload {
         target: 2,
         missing: (0..8)
@@ -241,7 +239,7 @@ fn datagram_path_allocation_budget() {
     .encode();
     let per_call = control_ingest_allocs(RepairConfig::sim_default(), MsgKind::Nack, 0, &nack, 64);
     assert!(
-        per_call.iter().filter(|&&c| c != 0).count() <= 1,
+        per_call.iter().all(|&c| c == 0),
         "an overheard NACK allocated: {per_call:?}"
     );
 
@@ -284,6 +282,46 @@ fn datagram_path_allocation_budget() {
     assert!(
         pinned <= 64 * (64 * 1024 + 1024),
         "64 forged headers pinned {pinned} B"
+    );
+
+    // --- a forged `(src, seq)` costs an entry, not a table to its index -
+    // Nothing authenticates a sender: rank `u32::MAX`, or message number
+    // `1 << 62`, is accepted like any other. What the endpoint may keep
+    // for it — the message itself is taken out again here — is an entry
+    // in the inbox's sparse fallback (`docs/INVARIANTS.md` §6): 1 KiB
+    // for the first of each kind together, B-tree nodes and all, and
+    // under 128 B for each one after them.
+    let mut core = EndpointCore::new(0, 0, 8, 60_000, Some(RepairConfig::sim_default()));
+    let mut io = ScriptedPump::new();
+    let mut accept = |src: u32, seq: u64| {
+        io.inject_message(MsgKind::Data, src, 9, seq, b"forged");
+        core.progress(&mut io);
+        let taken = core
+            .inbox
+            .take_match(None, 9)
+            .expect("accepted, as any message is");
+        assert_eq!((taken.src_rank, taken.seq), (src, seq));
+    };
+    // Warm: the queues, and one real source.
+    (0..64).for_each(|seq| accept(1, seq));
+    let live_before = LIVE.load(Ordering::Relaxed);
+    accept(u32::MAX, 3);
+    accept(1, 1 << 62);
+    let pinned = LIVE.load(Ordering::Relaxed).saturating_sub(live_before);
+    assert!(pinned <= 1024, "two forgeries pinned {pinned} B");
+    for k in 0..64 {
+        accept(u32::MAX - 1 - k, (1 << 62) + u64::from(k));
+        accept(1, (1 << 61) + 10_000 * u64::from(k));
+    }
+    let pinned = LIVE.load(Ordering::Relaxed).saturating_sub(live_before);
+    assert!(pinned <= 130 * 128, "130 forgeries pinned {pinned} B");
+    // The largest dense index: the row table grows to it — 1 024 rows of
+    // 48 B — once.
+    accept(1023, 0);
+    let pinned = LIVE.load(Ordering::Relaxed).saturating_sub(live_before);
+    assert!(
+        pinned <= 130 * 128 + 1024 * 48 + 1024,
+        "a forged rank 1023 pinned {pinned} B"
     );
 
     // --- constant allocations per message, independent of chunking ----

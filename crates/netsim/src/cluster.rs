@@ -109,6 +109,9 @@ pub struct RunReport<R> {
     pub outputs: Vec<R>,
     /// What the rounds did with the receives that blocked.
     pub handoff: HandoffStats,
+    /// `World` events handled by the whole run ([`World::events_handled`]),
+    /// the settling of in-flight traffic after the last rank included.
+    pub events_handled: u64,
 }
 
 /// Where the completions of blocked receives (a datagram, or the timeout)
@@ -276,6 +279,7 @@ where
         stats: sim.world.stats().clone(),
         outputs,
         handoff: sim.handoff,
+        events_handled: sim.world.events_handled(),
     })
 }
 
@@ -545,9 +549,10 @@ impl Cluster {
                         timer,
                         served,
                     } => (socket, timer, served),
-                    // Spurious: the rank is not blocked (cannot happen —
-                    // deliveries only complete posted receives, and a timer
-                    // outlives only a completed receive). Ignore defensively.
+                    // The rank is not blocked: an earlier completion of
+                    // this batch answered it (a released hold can hand one
+                    // host several frames in one event). A timer never gets
+                    // here — completing the receive emptied its slot.
                     other => {
                         sim.status[i] = other;
                         continue;
@@ -572,26 +577,18 @@ impl Cluster {
                         + hp.recv_per_byte * dg.payload.len() as u64;
                     Some(dg)
                 }
+                // The host's one timer slot holds the timeout of the
+                // receive the rank is blocked in, and nothing else.
                 Completion::TimerFired {
                     host,
                     socket: s,
                     token,
                     at,
-                } if timer == Some(token) => {
-                    debug_assert_eq!(s, Some(socket));
+                } => {
+                    debug_assert_eq!((s, Some(token)), (Some(socket), timer));
                     sim.world.cancel_recv(host, socket);
                     sim.local[i] = sim.local[i].max(at);
                     None
-                }
-                // Stale timer of an already-completed receive; lazily
-                // cancelled. The rank goes on waiting for its current one.
-                Completion::TimerFired { .. } => {
-                    sim.status[i] = RankStatus::BlockedRecv {
-                        socket,
-                        timer,
-                        served,
-                    };
-                    continue;
                 }
             };
             match served {

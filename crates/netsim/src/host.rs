@@ -23,8 +23,9 @@ use crate::time::SimTime;
 pub struct Socket {
     /// Bound local port.
     pub port: UdpPort,
-    /// Multicast groups this socket has joined.
-    pub groups: HashSet<GroupId>,
+    /// Multicast groups this socket has joined (no duplicates): a
+    /// handful at most, scanned once per multicast datagram.
+    pub groups: Vec<GroupId>,
     /// Buffered datagrams: (arrival time, datagram).
     rx: VecDeque<(SimTime, Arc<Datagram>)>,
     /// Bytes currently buffered.
@@ -37,7 +38,7 @@ impl Socket {
     fn new(port: UdpPort) -> Self {
         Socket {
             port,
-            groups: HashSet::new(),
+            groups: Vec::new(),
             rx: VecDeque::new(),
             rx_bytes: 0,
             recv_posted: false,
@@ -100,9 +101,6 @@ pub struct HostStack {
     reassembly: HashMap<u64, Reassembly>,
     rx_buffer_limit: usize,
     strict_posted_recv: bool,
-    /// Tokens of lazily cancelled timers (the timer event is left in the
-    /// queue and swallowed when it fires).
-    cancelled_timers: HashSet<u64>,
     /// Payload-crossing tracker ([`NetParams::track_payload_crossings`]):
     /// `(src_rank, seq, chunk_index)` of every `mcast-mpi` Data chunk that
     /// has crossed this host's link, or `None` when tracking is off.
@@ -121,7 +119,6 @@ impl HostStack {
             reassembly: HashMap::new(),
             rx_buffer_limit,
             strict_posted_recv,
-            cancelled_timers: HashSet::new(),
             crossing_seen: None,
         }
     }
@@ -168,17 +165,6 @@ impl HostStack {
         Some(!seen.insert((src_rank, seq, chunk_index)))
     }
 
-    /// Lazily cancel the timer scheduled with `token` on this host.
-    pub fn cancel_timer(&mut self, token: u64) {
-        self.cancelled_timers.insert(token);
-    }
-
-    /// Consume a cancellation: true when `token` was cancelled (the
-    /// pending timer event must be swallowed, not fired).
-    pub fn take_timer_cancellation(&mut self, token: u64) -> bool {
-        self.cancelled_timers.remove(&token)
-    }
-
     /// Bind a new socket on `port`. Ports need not be unique across hosts,
     /// only within one (mirroring real UDP).
     pub fn bind(&mut self, port: UdpPort) -> SocketId {
@@ -205,14 +191,17 @@ impl HostStack {
     /// Subscribe `socket` to `group`: updates both the socket-level
     /// membership and the NIC address filter.
     pub fn join_group(&mut self, socket: SocketId, group: GroupId) {
-        self.sockets[socket.index()].groups.insert(group);
+        let groups = &mut self.sockets[socket.index()].groups;
+        if !groups.contains(&group) {
+            groups.push(group);
+        }
         self.nic.join(group);
     }
 
     /// Unsubscribe `socket` from `group`. The NIC filter entry is removed
     /// only when no other socket still belongs to the group.
     pub fn leave_group(&mut self, socket: SocketId, group: GroupId) {
-        self.sockets[socket.index()].groups.remove(&group);
+        self.sockets[socket.index()].groups.retain(|g| *g != group);
         if !self.sockets.iter().any(|s| s.groups.contains(&group)) {
             self.nic.leave(group);
         }

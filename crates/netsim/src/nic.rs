@@ -4,8 +4,9 @@
 //! multicast address filter, and — on the hub fabric — the CSMA/CD
 //! transmit-attempt state (attempt counter for binary exponential backoff).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
+use crate::event::TxLine;
 use crate::frame::Frame;
 use crate::ids::GroupId;
 
@@ -14,13 +15,15 @@ use crate::ids::GroupId;
 pub struct Nic {
     /// Outbound frames, in order.
     tx_queue: VecDeque<Frame>,
-    /// True while the NIC is serializing a frame (switch mode) or has a
-    /// frame submitted to hub arbitration (hub mode).
-    pub tx_busy: bool,
+    /// Busy while the NIC is serializing a frame (switch mode) or has a
+    /// frame submitted to hub arbitration (hub mode). Settle it
+    /// ([`crate::event::EventQueue::settle`]) before [`Nic::enqueue`].
+    pub tx: TxLine,
     /// CSMA/CD attempt count for the head-of-line frame (hub mode).
     pub attempts: u32,
-    /// Multicast groups whose frames the address filter accepts.
-    groups: HashSet<GroupId>,
+    /// Multicast groups whose frames the address filter accepts: a
+    /// handful at most, scanned once per multicast frame.
+    groups: Vec<GroupId>,
 }
 
 impl Nic {
@@ -33,7 +36,7 @@ impl Nic {
     /// the caller should kick off transmission.
     pub fn enqueue(&mut self, frame: Frame) -> bool {
         self.tx_queue.push_back(frame);
-        !self.tx_busy
+        !self.tx.busy
     }
 
     /// Look at the head-of-line frame without removing it.
@@ -55,12 +58,14 @@ impl Nic {
 
     /// Join a multicast group (address-filter level).
     pub fn join(&mut self, group: GroupId) {
-        self.groups.insert(group);
+        if !self.is_member(group) {
+            self.groups.push(group);
+        }
     }
 
     /// Leave a multicast group.
     pub fn leave(&mut self, group: GroupId) {
-        self.groups.remove(&group);
+        self.groups.retain(|g| *g != group);
     }
 
     /// True if the address filter accepts frames for `group`.
@@ -89,7 +94,7 @@ mod tests {
     fn enqueue_reports_idle_transition() {
         let mut nic = Nic::new();
         assert!(nic.enqueue(frame(1)), "idle NIC should need a kick");
-        nic.tx_busy = true;
+        nic.tx.busy = true;
         assert!(!nic.enqueue(frame(2)), "busy NIC should not");
         assert_eq!(nic.queue_len(), 2);
     }

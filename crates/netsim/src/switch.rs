@@ -9,6 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::event::TxLine;
 use crate::frame::Frame;
 use crate::ids::{GroupId, HostId, SwitchPort};
 
@@ -19,8 +20,9 @@ pub struct OutPort {
     queue: VecDeque<Frame>,
     /// Queued MAC-payload bytes (for tail-drop accounting).
     queued_bytes: usize,
-    /// True while serializing a frame onto the host link.
-    pub tx_busy: bool,
+    /// Busy while serializing a frame onto the host link. Settle it
+    /// ([`crate::event::EventQueue::settle`]) before [`OutPort::enqueue`].
+    pub tx: TxLine,
 }
 
 impl OutPort {
@@ -36,7 +38,7 @@ impl OutPort {
         }
         self.queue.push_back(frame);
         self.queued_bytes += fbytes;
-        Ok(!self.tx_busy)
+        Ok(!self.tx.busy)
     }
 
     /// Dequeue the next frame for transmission.
@@ -56,8 +58,8 @@ impl OutPort {
 /// membership) plus per-port output queues.
 #[derive(Debug)]
 pub struct Switch {
-    /// MAC learning table: station -> port.
-    mac_table: HashMap<HostId, SwitchPort>,
+    /// MAC learning table: station -> port, indexed by station.
+    mac_table: Vec<Option<SwitchPort>>,
     /// IGMP-snooped group membership: group -> member ports, ascending
     /// (the order frames are forwarded in).
     group_table: HashMap<GroupId, Vec<SwitchPort>>,
@@ -76,7 +78,7 @@ impl Switch {
     /// A switch with `n_ports` host ports.
     pub fn new(n_ports: usize, buffer_limit: usize, flood_multicast: bool) -> Self {
         Switch {
-            mac_table: HashMap::new(),
+            mac_table: Vec::new(),
             group_table: HashMap::new(),
             flood_multicast,
             unicast_only: false,
@@ -104,7 +106,10 @@ impl Switch {
 
     /// Learn that `host` is reachable via `port` (called on every ingress).
     pub fn learn(&mut self, host: HostId, port: SwitchPort) {
-        self.mac_table.insert(host, port);
+        if host.index() >= self.mac_table.len() {
+            self.mac_table.resize(host.index() + 1, None);
+        }
+        self.mac_table[host.index()] = Some(port);
     }
 
     /// Record an IGMP join snooped on `port`.
@@ -139,9 +144,9 @@ impl Switch {
         let all_ports = || (0..self.ports.len() as u32).map(SwitchPort);
         let elsewhere = |p: &SwitchPort| *p != in_port;
         match frame.dst {
-            Unicast(host) => match self.mac_table.get(&host) {
+            Unicast(host) => match self.mac_table.get(host.index()).copied().flatten() {
                 // Destined back out the ingress port: filtered.
-                Some(&p) => out.extend(Some(p).filter(elsewhere)),
+                Some(p) => out.extend(Some(p).filter(elsewhere)),
                 None => out.extend(all_ports().filter(elsewhere)), // unknown unicast: flood
             },
             Multicast(_) if self.unicast_only => {}
@@ -281,7 +286,7 @@ mod tests {
     #[test]
     fn enqueue_reports_busy_port() {
         let mut sw = Switch::new(1, 1 << 20, false);
-        sw.port_mut(SwitchPort(0)).tx_busy = true;
+        sw.port_mut(SwitchPort(0)).tx.busy = true;
         assert_eq!(
             sw.enqueue(SwitchPort(0), frame(FrameDst::Broadcast, 64)),
             Ok(false)

@@ -127,6 +127,8 @@ pub struct World {
     completions: Vec<Completion>,
     /// Scratch: the output ports of the frame being forwarded.
     forward_ports: Vec<SwitchPort>,
+    /// Events popped so far.
+    events_handled: u64,
     trace: Option<Trace>,
 }
 
@@ -182,6 +184,7 @@ impl World {
             held: Vec::new(),
             completions: Vec::new(),
             forward_ports: Vec::new(),
+            events_handled: 0,
             trace: None,
         }
     }
@@ -200,6 +203,14 @@ impl World {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Events handled so far — one per [`World::step`] that found the
+    /// queue non-empty. A pure function of `(calls, params, seed)`, like
+    /// the clock; kept out of [`NetStats`], whose rendering replay
+    /// fingerprints hash.
+    pub fn events_handled(&self) -> u64 {
+        self.events_handled
     }
 
     /// Number of hosts.
@@ -349,8 +360,12 @@ impl World {
     /// rank's local clock when it called `recv`). Until that instant the
     /// socket counts as *not ready* — under the strict posted-receive model
     /// a datagram delivered earlier is lost, exactly the paper's hazard.
+    ///
+    /// The pending post lives in the host's slot of the queue
+    /// (`docs/SIMULATOR.md`, "One slot per host"): a host has one receive
+    /// waiting to be posted at a time.
     pub fn schedule_post_recv(&mut self, host: HostId, socket: SocketId, at: SimTime) {
-        self.queue.schedule(at, Event::PostRecv { host, socket });
+        self.queue.schedule_post_recv(host, socket, at);
     }
 
     /// Take the datagram that satisfied a [`Completion::RecvReady`] and
@@ -370,7 +385,9 @@ impl World {
         self.host_mut(host).socket_mut(socket).recv_posted = false;
     }
 
-    /// Schedule a timer on `host` that fires at `at` with `token`.
+    /// Schedule `host`'s timer to fire at `at` with `token`. A host has
+    /// one timer slot: scheduling while one is armed **re-arms** it, and
+    /// the earlier timer never fires.
     pub fn schedule_timer(
         &mut self,
         host: HostId,
@@ -378,20 +395,13 @@ impl World {
         token: u64,
         at: SimTime,
     ) {
-        self.queue.schedule(
-            at,
-            Event::Timer {
-                host,
-                socket,
-                token,
-            },
-        );
+        self.queue.schedule_timer(host, socket, token, at);
     }
 
-    /// Lazily cancel a timer previously scheduled on `host`. The pending
-    /// event stays queued and is swallowed when it fires.
+    /// Cancel `host`'s timer if it is still the one scheduled with
+    /// `token`: the slot is emptied, nothing is left to fire.
     pub fn cancel_timer(&mut self, host: HostId, token: u64) {
-        self.host_mut(host).cancel_timer(token);
+        self.queue.cancel_timer(host, token);
     }
 
     /// Advance until at least one completion is ready (returned) or
@@ -421,6 +431,7 @@ impl World {
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
+        self.events_handled += 1;
         self.handle(event);
         // Most events complete nothing: hand out the buffer only when it
         // holds something, or every such step would drop its capacity
@@ -490,15 +501,13 @@ impl World {
                 socket,
                 token,
             } => {
-                if !self.hosts[host.index()].take_timer_cancellation(token) {
-                    let at = self.now;
-                    self.completions.push(Completion::TimerFired {
-                        host,
-                        socket,
-                        token,
-                        at,
-                    });
-                }
+                let at = self.now;
+                self.completions.push(Completion::TimerFired {
+                    host,
+                    socket,
+                    token,
+                    at,
+                });
             }
         }
     }
@@ -529,6 +538,7 @@ impl World {
     ) {
         debug_assert!(at >= self.now);
         let nic = &mut self.hosts[host.index()].nic;
+        self.queue.settle(&mut nic.tx, Event::NicTxNext { host });
         let mut kick = false;
         for f in frames {
             kick |= nic.enqueue(f);
@@ -536,7 +546,7 @@ impl World {
         if !kick {
             return;
         }
-        nic.tx_busy = true;
+        nic.tx.busy = true;
         match &mut self.fabric {
             Fabric::Hub(hub) => {
                 if let Some(fire_at) = hub.request(host, at) {
@@ -610,7 +620,7 @@ impl World {
                         if self.hosts[host.index()].nic.head().is_some() {
                             self.queue.schedule(jam_end, Event::NicRetry { host });
                         } else {
-                            self.hosts[host.index()].nic.tx_busy = false;
+                            self.hosts[host.index()].nic.tx.busy = false;
                         }
                         continue;
                     }
@@ -655,7 +665,7 @@ impl World {
                 self.queue.schedule(fire_at, Event::HubArbitrate);
             }
         } else {
-            self.hosts[src.index()].nic.tx_busy = false;
+            self.hosts[src.index()].nic.tx.busy = false;
             // Other stations may be waiting on the medium.
             let Fabric::Hub(hub) = &mut self.fabric else {
                 unreachable!();
@@ -679,10 +689,9 @@ impl World {
     /// Begin serializing the next queued frame on a host uplink.
     fn nic_tx_next(&mut self, host: HostId) {
         let Some(frame) = self.hosts[host.index()].nic.pop_head() else {
-            self.hosts[host.index()].nic.tx_busy = false;
+            self.hosts[host.index()].nic.tx.busy = false;
             return;
         };
-        self.hosts[host.index()].nic.tx_busy = true;
         let eth = &self.params.ethernet;
         let wire = eth.frame_wire_time(frame.mac_payload);
         let wire_bytes = (eth.preamble_bytes
@@ -722,7 +731,10 @@ impl World {
                 in_port: SwitchPort(host.0),
             },
         );
-        self.queue.schedule(next_at, Event::NicTxNext { host });
+        let nic = &mut self.hosts[host.index()].nic;
+        let waiting = nic.head().is_some();
+        self.queue
+            .schedule_go_idle(&mut nic.tx, next_at, waiting, Event::NicTxNext { host });
     }
 
     fn switch_ingress(&mut self, frame: Frame, in_port: SwitchPort) {
@@ -771,6 +783,8 @@ impl World {
         let Fabric::Switch(sw) = &mut self.fabric else {
             unreachable!();
         };
+        self.queue
+            .settle(&mut sw.port_mut(port).tx, Event::PortTxNext { port });
         match sw.enqueue(port, frame) {
             Ok(true) => self.port_tx_next(port),
             Ok(false) => {}
@@ -784,17 +798,22 @@ impl World {
             unreachable!();
         };
         let Some(frame) = sw.dequeue(port) else {
-            sw.port_mut(port).tx_busy = false;
+            sw.port_mut(port).tx.busy = false;
             return;
         };
-        sw.port_mut(port).tx_busy = true;
         let eth = &self.params.ethernet;
         let wire = eth.frame_wire_time(frame.mac_payload);
         let delivered_at = self.now + wire + eth.prop_delay;
         let next_at = self.now + wire + eth.ifg_time();
         self.queue
             .schedule(delivered_at, Event::PortDelivered { frame, port });
-        self.queue.schedule(next_at, Event::PortTxNext { port });
+        let waiting = sw.queue_len(port) > 0;
+        self.queue.schedule_go_idle(
+            &mut sw.port_mut(port).tx,
+            next_at,
+            waiting,
+            Event::PortTxNext { port },
+        );
     }
 
     fn port_delivered(&mut self, frame: Frame, port: SwitchPort) {

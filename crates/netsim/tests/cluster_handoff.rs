@@ -713,3 +713,77 @@ fn two_hundred_back_to_back_n32_served_runs() {
         }
     });
 }
+
+/// Three bcast / barrier / allgather cycles in raw datagrams, every wait a
+/// served [`Gather`] under a timeout: what the lossy N=64 ladder workload
+/// asks of the `World`, without a repair plane above it. Returns how many
+/// datagrams the rank saw.
+fn lossy_n64_cycle(mut p: SimProcess) -> usize {
+    let (n, rank) = (64, p.rank());
+    let s = p.bind(PORT);
+    p.join_group(s, GROUP);
+    let group = DatagramDst::Multicast(GROUP);
+    let mut seen = 0;
+    let mut gather = |p: &mut SimProcess, want: usize, timeout: u64| {
+        let got = Gather::with_timeout(want, Some(us(timeout)), 1).run(p, s, true);
+        seen += got.iter().filter(|&&src| src != usize::MAX).count();
+    };
+    for round in 0..3 {
+        // Bcast: the root multicasts, the others wait for it.
+        if rank == (round * 7) % n {
+            p.send(s, group, PORT, vec![round as u8; 1000]);
+        } else {
+            gather(&mut p, 1, 2000);
+        }
+        // Barrier: a scout each to rank 0, its release to everyone.
+        if rank == 0 {
+            gather(&mut p, n - 1, 300);
+            p.send(s, group, PORT, vec![0xBA; 40]);
+        } else {
+            p.send(
+                s,
+                DatagramDst::Unicast(HostId(0)),
+                PORT,
+                vec![rank as u8; 40],
+            );
+            gather(&mut p, 1, 2000);
+        }
+        // Allgather: a block from everyone to everyone, in rank order —
+        // a rank sends once it has one from each rank below it (or has
+        // waited 400 us in vain). Like the NACKs and repairs of the real
+        // workload, most frames find every port idle and every other rank
+        // parked.
+        gather(&mut p, rank, 400);
+        p.send(s, group, PORT, vec![rank as u8; 200]);
+        gather(&mut p, n - 1 - rank, 400);
+    }
+    seen
+}
+
+/// The event loop's saving as an exact count, beside the hand-off's. Both
+/// follow from the order of `World` events alone. The parent of PR 24
+/// handled **36 031** events for this run: 6 784 `PortTxNext` and 385
+/// `NicTxNext` that found nothing to dequeue and only cleared a busy flag,
+/// 4 244 receive timeouts that `cancel_timer` had left queued to fire into
+/// nothing, and the 24 618 below. The first three kinds are gone
+/// (`docs/SIMULATOR.md`, "Event order"); every other event happens at the
+/// same virtual nanosecond in the same order, so the hand-off counts, the
+/// losses and what each rank saw are the parent's. (With the repair plane
+/// on top — `tests/determinism.rs`, the same cycle as real collectives —
+/// it is 220 014 → 121 788.)
+#[test]
+fn lossy_n64_cycle_handles_only_events_that_do_something() {
+    within(60, || {
+        let params = NetParams::fast_ethernet_switch().with_loss(0.05);
+        let cfg = ClusterConfig::new(64, params, 0x5E12_7ED1).with_start_skew(us(50));
+        let report = run_cluster(&cfg, lossy_n64_cycle).expect("every wait has a timeout");
+        let seen: usize = report.outputs.iter().sum();
+        assert_eq!((seen, report.stats.injected_frame_losses), (10_791, 624));
+        let want = HandoffStats {
+            answered: 684,
+            stepped_inline: 3_702,
+        };
+        assert_eq!(report.handoff, want);
+        assert_eq!(report.events_handled, 24_618);
+    });
+}

@@ -1,10 +1,112 @@
 //! Receive-side bookkeeping shared by every transport ([`Inbox`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mmpi_wire::{Assembler, Bytes, Datagram, Message, MsgKind, SeqRange, SourceHorizon, WireError};
 
 use crate::api::{Tag, FIRE_AND_FORGET_TAG};
+
+/// Sources below this get a dense [`SourceRow`], indexed by rank; the
+/// rest — no sender is authenticated, so `src_rank` is whatever a
+/// datagram claims — go to an ordered map. Growing the dense table to a
+/// claimed index costs at most `DENSE_SOURCES` rows, once
+/// (`docs/INVARIANTS.md` §6).
+const DENSE_SOURCES: u32 = 1024;
+
+/// How far past the end of a row's bitmap an accepted sequence number may
+/// extend it, in sequence numbers: one accepted message grows the row by
+/// at most `DENSE_REACH / 8` bytes. A sequence number further out goes to
+/// the sparse set, so a forged `seq = 1 << 62` costs one set entry, not a
+/// bitmap up to it.
+const DENSE_REACH: u64 = 4096;
+
+/// What the inbox knows about one source.
+#[derive(Debug, Default)]
+struct SourceRow {
+    /// High-water mark of accepted data-space sequence numbers (bounds
+    /// the [`Inbox::missing_from`] walk); `None` before the first.
+    hwm: Option<u64>,
+    /// Count of every message accepted past the context and self-echo
+    /// filters — the liveness signal the membership layer diffs: *any*
+    /// traffic from a peer proves it alive, so heartbeats are only spent
+    /// when a peer has nothing else to say.
+    activity: u64,
+    /// Bit `s` is set once data-space sequence number `s` was accepted.
+    /// Grows with the traffic, a bit per sequence number.
+    bits: Vec<u64>,
+}
+
+impl SourceRow {
+    fn bit(&self, seq: u64) -> bool {
+        usize::try_from(seq / 64)
+            .ok()
+            .and_then(|word| self.bits.get(word))
+            .is_some_and(|word| word >> (seq % 64) & 1 == 1)
+    }
+}
+
+/// Per-source receive history: dense rows for the ranks and sequence
+/// numbers real traffic uses, an ordered sparse fallback for whatever else
+/// a datagram names. Which of the two holds an entry is invisible from
+/// outside.
+#[derive(Debug, Default)]
+struct SeenRows {
+    /// Indexed by `src_rank`, for sources below [`DENSE_SOURCES`]; grows
+    /// to the highest source heard.
+    rows: Vec<SourceRow>,
+    /// Sources at or above [`DENSE_SOURCES`] (their `bits` stay empty).
+    far_rows: BTreeMap<u32, SourceRow>,
+    /// Accepted `(src, seq)` that no bitmap took: a far source, or a
+    /// sequence number more than [`DENSE_REACH`] past its row's end.
+    far_seqs: BTreeSet<(u32, u64)>,
+}
+
+impl SeenRows {
+    fn row(&self, src: u32) -> Option<&SourceRow> {
+        if src < DENSE_SOURCES {
+            self.rows.get(src as usize)
+        } else {
+            self.far_rows.get(&src)
+        }
+    }
+
+    fn row_mut(&mut self, src: u32) -> &mut SourceRow {
+        if src < DENSE_SOURCES {
+            let i = src as usize;
+            if i >= self.rows.len() {
+                self.rows.resize_with(i + 1, SourceRow::default);
+            }
+            &mut self.rows[i]
+        } else {
+            self.far_rows.entry(src).or_default()
+        }
+    }
+
+    fn contains(&self, src: u32, seq: u64) -> bool {
+        self.row(src).is_some_and(|row| row.bit(seq))
+            || (!self.far_seqs.is_empty() && self.far_seqs.contains(&(src, seq)))
+    }
+
+    /// Record `(src, seq)` as accepted; false if it already was.
+    fn insert(&mut self, src: u32, seq: u64) -> bool {
+        if self.contains(src, seq) {
+            return false;
+        }
+        let row = self.row_mut(src);
+        row.hwm = Some(row.hwm.map_or(seq, |hwm| hwm.max(seq)));
+        let dense_end = (row.bits.len() as u64).saturating_mul(64);
+        if src < DENSE_SOURCES && seq.saturating_sub(dense_end) < DENSE_REACH {
+            let word = (seq / 64) as usize; // < (len + DENSE_REACH / 64): fits
+            if word >= row.bits.len() {
+                row.bits.resize(word + 1, 0);
+            }
+            row.bits[word] |= 1 << (seq % 64);
+        } else {
+            self.far_seqs.insert((src, seq));
+        }
+        true
+    }
+}
 
 /// Receive-side bookkeeping shared by every transport: reassembly,
 /// context filtering, duplicate suppression, tag matching, and NACK
@@ -29,15 +131,9 @@ pub struct Inbox {
     log_data: bool,
     data_log: VecDeque<Message>,
     assembler: Assembler,
-    seen: HashMap<u32, HashSet<u64>>,
-    /// Per-source high-water mark of accepted seqs (bounds the
-    /// [`Inbox::missing_from`] walk without scanning the seen-set).
-    seen_max: HashMap<u32, u64>,
-    /// Per-source count of every message accepted past the context and
-    /// self-echo filters — the liveness signal the membership layer
-    /// diffs: *any* traffic from a peer proves it alive, so heartbeats
-    /// are only spent when a peer has nothing else to say.
-    activity: HashMap<u32, u64>,
+    /// Per-source history: accepted sequence numbers, high-water mark,
+    /// activity count.
+    seen: SeenRows,
     /// The context this inbox matched before an epoch rebase
     /// ([`Inbox::rebase`]). Repair-plane traffic (NACKs, Unavail,
     /// horizons, membership) from the previous epoch is still honored —
@@ -82,9 +178,7 @@ impl Inbox {
             log_data: false,
             data_log: VecDeque::new(),
             assembler: Assembler::new(),
-            seen: HashMap::new(),
-            seen_max: HashMap::new(),
-            activity: HashMap::new(),
+            seen: SeenRows::default(),
             prev_context: None,
             next_context: None,
             repair_relevant: 0,
@@ -183,7 +277,7 @@ impl Inbox {
         if via_multicast && m.src_rank == self.rank {
             return; // our own multicast echoed back
         }
-        *self.activity.entry(m.src_rank).or_default() += 1;
+        self.seen.row_mut(m.src_rank).activity += 1;
         if m.tag == FIRE_AND_FORGET_TAG {
             return; // modelled ack traffic: wire-visible, never matched
         }
@@ -235,15 +329,10 @@ impl Inbox {
             self.horizons.push_back(m);
             return;
         }
-        let seqs = self.seen.entry(m.src_rank).or_default();
-        if !seqs.insert(m.seq) {
+        if !self.seen.insert(m.src_rank, m.seq) {
             self.dropped_duplicates += 1;
             return;
         }
-        self.seen_max
-            .entry(m.src_rank)
-            .and_modify(|mx| *mx = (*mx).max(m.seq))
-            .or_insert(m.seq);
         if m.kind == MsgKind::Nack {
             // Repair solicitation: divert to the transport's repair loop.
             // The tag field names the traffic being re-requested, so a
@@ -319,13 +408,13 @@ impl Inbox {
     /// pulled payload is delivered through the same dedup, so an id in
     /// here is an id this endpoint, or its application, has).
     pub fn has_seen(&self, src: u32, seq: u64) -> bool {
-        self.seen.get(&src).is_some_and(|s| s.contains(&seq))
+        self.seen.contains(src, seq)
     }
 
     /// Messages accepted from `src` so far (the liveness counter the
     /// membership layer snapshots and diffs).
     pub fn activity_of(&self, src: u32) -> u64 {
-        self.activity.get(&src).copied().unwrap_or(0)
+        self.seen.row(src).map_or(0, |row| row.activity)
     }
 
     /// Ingested datagrams other than pure-liveness traffic (see the
@@ -385,19 +474,21 @@ impl Inbox {
         /// Sequence distance below the high-water mark inside which
         /// holes are reported precisely (≥ any sane retransmit ring).
         const PRECISE_WINDOW: u64 = 1024;
-        let (Some(seen), Some(&max)) = (self.seen.get(&src), self.seen_max.get(&src)) else {
+        let Some((row, max)) = self.seen.row(src).and_then(|row| Some((row, row.hwm?))) else {
             // Nothing received from this source yet: everything missing.
             return vec![SeqRange {
                 start: 0,
                 end: u64::MAX,
             }];
         };
+        let sparse = !self.seen.far_seqs.is_empty();
+        let seen = |s| row.bit(s) || (sparse && self.seen.far_seqs.contains(&(src, s)));
         let wstart = max.saturating_sub(PRECISE_WINDOW);
         let mut out = Vec::new();
         // A hole open on entry covers everything below the window.
         let mut hole_start = (wstart > 0).then_some(0u64);
         for s in wstart..=max {
-            match (seen.contains(&s), hole_start) {
+            match (seen(s), hole_start) {
                 (true, Some(start)) => {
                     out.push(SeqRange { start, end: s - 1 });
                     hole_start = None;
@@ -417,15 +508,18 @@ impl Inbox {
         out
     }
 
-    /// Every source this inbox has accepted traffic from, sorted — the
-    /// deterministic iteration order the ACK-horizon builder needs (the
-    /// seen-sets themselves are hash maps).
+    /// Every source this inbox has accepted sequenced traffic from,
+    /// ascending — the deterministic iteration order the ACK-horizon
+    /// builder needs.
     pub fn sources(&self) -> Vec<u32> {
-        // mmpi-lint: allow(hash-iter) — collected then sorted; hash
-        // order never escapes this function.
-        let mut v: Vec<u32> = self.seen_max.keys().copied().collect();
-        v.sort_unstable();
-        v
+        let heard = |(src, row): (u32, &SourceRow)| row.hwm.map(|_| src);
+        let far = self.seen.far_rows.iter().map(|(&src, row)| (src, row));
+        // One allocation: a filtered iterator would grow the list by
+        // doubling, once per session message.
+        let mut out = Vec::with_capacity(self.seen.rows.len() + self.seen.far_rows.len());
+        out.extend((0u32..).zip(&self.seen.rows).filter_map(heard));
+        out.extend(far.filter_map(heard));
+        out
     }
 
     /// This inbox's delivery frontier for `src`, as advertised in an
@@ -435,7 +529,7 @@ impl Inbox {
     /// which can only under-acknowledge). `None` before anything was
     /// accepted from `src`.
     pub fn frontier_of(&self, src: u32) -> Option<SourceHorizon> {
-        let &hwm = self.seen_max.get(&src)?;
+        let hwm = self.seen.row(src)?.hwm?;
         let mut missing = self.missing_from(src);
         missing.retain(|r| r.start <= hwm);
         for r in &mut missing {
@@ -481,5 +575,210 @@ impl Inbox {
     /// [`Inbox::ingest_wire`]).
     pub fn malformed_dropped(&self) -> u64 {
         self.dropped_malformed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{HashMap, HashSet};
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The hash-keyed history the dense rows replaced, kept as the oracle:
+    /// a seen-set, a high-water mark and an activity count per source, each
+    /// in its own map.
+    #[derive(Default)]
+    struct MapSeen {
+        seen: HashMap<u32, HashSet<u64>>,
+        seen_max: HashMap<u32, u64>,
+        activity: HashMap<u32, u64>,
+        dropped_duplicates: u64,
+    }
+
+    impl MapSeen {
+        /// What `Inbox::ingest_message` did with a message of this inbox's
+        /// context that is not its own echo.
+        fn ingest(&mut self, kind: MsgKind, src: u32, seq: u64) {
+            *self.activity.entry(src).or_default() += 1;
+            if kind == MsgKind::Heartbeat {
+                return; // diverted before the sequence tracking
+            }
+            if !self.seen.entry(src).or_default().insert(seq) {
+                self.dropped_duplicates += 1;
+                return;
+            }
+            self.seen_max
+                .entry(src)
+                .and_modify(|mx| *mx = (*mx).max(seq))
+                .or_insert(seq);
+        }
+
+        fn has_seen(&self, src: u32, seq: u64) -> bool {
+            self.seen.get(&src).is_some_and(|s| s.contains(&seq))
+        }
+
+        fn activity_of(&self, src: u32) -> u64 {
+            self.activity.get(&src).copied().unwrap_or(0)
+        }
+
+        fn missing_from(&self, src: u32) -> Vec<SeqRange> {
+            const PRECISE_WINDOW: u64 = 1024;
+            let (Some(seen), Some(&max)) = (self.seen.get(&src), self.seen_max.get(&src)) else {
+                return vec![SeqRange {
+                    start: 0,
+                    end: u64::MAX,
+                }];
+            };
+            let wstart = max.saturating_sub(PRECISE_WINDOW);
+            let mut out = Vec::new();
+            let mut hole_start = (wstart > 0).then_some(0u64);
+            for s in wstart..=max {
+                match (seen.contains(&s), hole_start) {
+                    (true, Some(start)) => {
+                        out.push(SeqRange { start, end: s - 1 });
+                        hole_start = None;
+                    }
+                    (false, None) => hole_start = Some(s),
+                    _ => {}
+                }
+            }
+            if max < u64::MAX {
+                out.push(SeqRange {
+                    start: max + 1,
+                    end: u64::MAX,
+                });
+            }
+            out
+        }
+
+        fn sources(&self) -> Vec<u32> {
+            let mut v: Vec<u32> = self.seen_max.keys().copied().collect();
+            v.sort_unstable();
+            v
+        }
+
+        fn frontier_of(&self, src: u32) -> Option<SourceHorizon> {
+            let &hwm = self.seen_max.get(&src)?;
+            let mut missing = self.missing_from(src);
+            missing.retain(|r| r.start <= hwm);
+            for r in &mut missing {
+                r.end = r.end.min(hwm);
+            }
+            Some(SourceHorizon { src, hwm, missing })
+        }
+    }
+
+    fn message(kind: MsgKind, src: u32, seq: u64) -> Message {
+        Message {
+            kind,
+            context: 0,
+            src_rank: src,
+            tag: 5,
+            seq,
+            payload: Bytes::new(),
+        }
+    }
+
+    /// Sources: the ranks of a small world, the last dense index, the
+    /// first sparse one, and `u32::MAX`.
+    fn source() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            0u32..4,
+            0u32..4,
+            Just(DENSE_SOURCES - 1),
+            Just(DENSE_SOURCES),
+            Just(u32::MAX),
+        ]
+    }
+
+    /// One ingest: `(kind, src, base, run)` accepts `run` consecutive
+    /// sequence numbers from `base`. Bases cluster low (duplicates, holes,
+    /// the gaps a source's unicasts to other ranks leave), step past the
+    /// 1 024-wide precise window and the bitmap's reach, and include the
+    /// ends of the sequence space.
+    fn ingest() -> impl Strategy<Value = (MsgKind, u32, u64, u64)> {
+        let kind = prop_oneof![
+            Just(MsgKind::Data),
+            Just(MsgKind::Data),
+            Just(MsgKind::Nack),
+            Just(MsgKind::Heartbeat),
+        ];
+        let base = prop_oneof![
+            0u64..48,
+            0u64..48,
+            (0u64..6).prop_map(|k| k * 700),
+            (0u64..4).prop_map(|k| DENSE_REACH - 2 + k),
+            (0u64..4).prop_map(|k| 3 * DENSE_REACH + k),
+            Just(1u64 << 62),
+            (0u64..3).prop_map(|k| u64::MAX - k),
+        ];
+        (kind, source(), base, 1u64..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Dense rows and their sparse fallback answer as the maps did —
+        /// accept or duplicate, `has_seen`, `missing_from`, `frontier_of`,
+        /// `sources`, `activity_of` — over random ingest histories.
+        #[test]
+        fn dense_rows_answer_as_the_maps_did(
+            history in proptest::collection::vec(ingest(), 1..60),
+        ) {
+            let mut inbox = Inbox::new(0, 9);
+            let mut oracle = MapSeen::default();
+            let mut named: Vec<(u32, u64)> = Vec::new();
+            for (kind, src, base, run) in history {
+                for seq in (base..=base.saturating_add(run - 1)).take(run as usize) {
+                    inbox.ingest_message(message(kind, src, seq), false);
+                    oracle.ingest(kind, src, seq);
+                    prop_assert_eq!(inbox.duplicates_dropped(), oracle.dropped_duplicates);
+                }
+                named.push((src, base));
+                named.push((src, base.saturating_add(run)));
+                for &(src, seq) in &named {
+                    prop_assert_eq!(inbox.has_seen(src, seq), oracle.has_seen(src, seq));
+                    prop_assert_eq!(inbox.has_seen(src ^ 1, seq), oracle.has_seen(src ^ 1, seq));
+                }
+                prop_assert_eq!(inbox.sources(), oracle.sources());
+                prop_assert_eq!(inbox.activity_of(src), oracle.activity_of(src));
+                prop_assert_eq!(inbox.missing_from(src), oracle.missing_from(src));
+                prop_assert_eq!(inbox.frontier_of(src), oracle.frontier_of(src));
+            }
+            for src in [0, 1, 2, 3, 7, DENSE_SOURCES - 1, DENSE_SOURCES, u32::MAX] {
+                prop_assert_eq!(inbox.activity_of(src), oracle.activity_of(src));
+                prop_assert_eq!(inbox.missing_from(src), oracle.missing_from(src));
+                prop_assert_eq!(inbox.frontier_of(src), oracle.frontier_of(src));
+            }
+        }
+    }
+
+    /// What a forged `(src, seq)` may cost: a sparse entry, never a table
+    /// sized by what it claims.
+    #[test]
+    fn a_far_source_or_sequence_number_goes_to_the_sparse_set() {
+        let mut inbox = Inbox::new(0, 9);
+        inbox.ingest_message(message(MsgKind::Data, 1, 0), false);
+        inbox.ingest_message(message(MsgKind::Data, 1, 1 << 62), false);
+        inbox.ingest_message(message(MsgKind::Data, u32::MAX, 3), false);
+        inbox.ingest_message(message(MsgKind::Heartbeat, u32::MAX - 1, 0), false);
+        assert_eq!(inbox.seen.rows.len(), 2);
+        assert_eq!(inbox.seen.rows[1].bits.len(), 1);
+        assert_eq!(inbox.seen.far_seqs.len(), 2);
+        assert_eq!(inbox.seen.far_rows.len(), 2);
+        // The answers do not say where an entry lives.
+        assert!(inbox.has_seen(1, 1 << 62) && inbox.has_seen(u32::MAX, 3));
+        assert_eq!(inbox.sources(), vec![1, u32::MAX]);
+        assert_eq!(inbox.activity_of(u32::MAX - 1), 1);
+        // Both are duplicates the second time.
+        inbox.ingest_message(message(MsgKind::Data, 1, 1 << 62), false);
+        inbox.ingest_message(message(MsgKind::Data, u32::MAX, 3), false);
+        assert_eq!(inbox.duplicates_dropped(), 2);
+        // Within reach the row grows by what the step covers, no more.
+        inbox.ingest_message(message(MsgKind::Data, 1, DENSE_REACH + 63), false);
+        assert_eq!(inbox.seen.rows[1].bits.len() as u64, DENSE_REACH / 64 + 1);
+        assert_eq!(inbox.seen.far_seqs.len(), 2);
     }
 }

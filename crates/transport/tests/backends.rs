@@ -320,16 +320,22 @@ fn request_contract_holds_on_every_backend() {
 /// cut off inside its header, a well-formed message of somebody else's
 /// communicator, a NACK with no body, and a forged chunk header — forty
 /// bytes claiming the first of four billion chunks of a 4 GiB message,
-/// which used to reserve the 4 GiB. `valid` is what the endpoint is
-/// actually waiting for, from rank 0.
+/// which used to reserve the 4 GiB. Then two forgeries that are
+/// well-formed and, nothing authenticating a sender, accepted: a message
+/// naming rank `u32::MAX` as its source and one numbered `1 << 62`, under
+/// [`forged_tag`] so that they match no receive of the test — what they may
+/// not do is size a table by what they claim (`docs/INVARIANTS.md` §6).
+/// `valid` is what the endpoint is actually waiting for, from rank 0.
 fn hostile_datagrams(context: u32, tag: u32) -> (Vec<Vec<u8>>, Vec<u8>) {
-    let wire = |kind, context, seq, payload: &[u8]| {
+    let wire_from = |kind, context, src, tag, seq, payload: &[u8]| {
         let mut out = Vec::new();
         let payload = Bytes::copy_from_slice(payload);
-        split_message(kind, context, 0, tag, seq, &payload, 60_000)[0].write_contiguous(&mut out);
+        split_message(kind, context, src, tag, seq, &payload, 60_000)[0].write_contiguous(&mut out);
         out
     };
+    let wire = |kind, context, seq, payload: &[u8]| wire_from(kind, context, 0, tag, seq, payload);
     let valid = wire(MsgKind::Data, context, 0, b"valid");
+    let forged = forged_tag(tag);
     let hostile = vec![
         (0..97u32).map(|i| (i * 193 + 7) as u8).collect(),
         valid[..mmpi_wire::HEADER_LEN / 2].to_vec(),
@@ -350,14 +356,35 @@ fn hostile_datagrams(context: u32, tag: u32) -> (Vec<Vec<u8>>, Vec<u8>) {
         }
         .encode_array()
         .to_vec(),
+        wire_from(MsgKind::Data, context, u32::MAX, forged, 3, b"far source"),
+        wire_from(MsgKind::Data, context, 0, forged, 1 << 62, b"far seq"),
     ];
     (hostile, valid)
 }
 
-/// Every datagram of [`hostile_datagrams`] is dropped exactly once, under
-/// the counter that says why: the foreign communicator's message as
-/// foreign, the other four as malformed — the noise, the cut header and
-/// the forged chunking by the wire layer, the empty NACK by the SRM plane.
+/// The tag the two accepted forgeries of [`hostile_datagrams`] carry.
+fn forged_tag(tag: u32) -> u32 {
+    tag + 2
+}
+
+/// The two forgeries were accepted and filed like any message, in arrival
+/// order: an any-source receive on their tag finds them.
+fn assert_forgeries_accepted(comm: &mut impl Comm, tag: u32) {
+    for (src, seq, payload) in [(u32::MAX, 3, &b"far source"[..]), (0, 1 << 62, b"far seq")] {
+        let req = comm.post_recv(None, forged_tag(tag));
+        let got = comm.test(req).expect("already buffered").unwrap();
+        assert_eq!(
+            (got.src_rank, got.seq, &got.payload[..]),
+            (src, seq, payload)
+        );
+    }
+}
+
+/// The first five datagrams of [`hostile_datagrams`] are dropped exactly
+/// once each, under the counter that says why: the foreign communicator's
+/// message as foreign, the other four as malformed — the noise, the cut
+/// header and the forged chunking by the wire layer, the empty NACK by the
+/// SRM plane. The two forgeries behind them count as neither.
 fn assert_hostile_datagrams_counted(stats: &mmpi_wire::RepairStats) {
     assert_eq!((stats.malformed_dropped, stats.foreign_dropped), (4, 1));
     assert_eq!((stats.nacks_received, stats.retransmits_sent), (0, 0));
@@ -379,6 +406,7 @@ fn udp_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
     assert_eq!(got.expect("delivered after the noise").payload, b"valid");
     assert_eq!(comm.outstanding_recvs(), 0);
     assert_hostile_datagrams_counted(&comm.repair_stats());
+    assert_forgeries_accepted(&mut comm, TAG);
 }
 
 #[test]
@@ -400,13 +428,14 @@ fn sim_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
         }
         let mut comm = SimComm::new(proc, 2, cfg.clone());
         let req = comm.post_recv(Some(0), TAG);
-        let other = comm.recv_match_timeout(0, TAG + 1, Duration::from_micros(900));
+        let other = comm.recv_match_timeout(0, TAG + 1, Duration::from_micros(1300));
         assert!(other.unwrap().is_none(), "nothing hostile matched");
-        // The five hostile datagrams have come and gone; `req` is as it was.
+        // The seven hostile datagrams have come and gone; `req` is as it was.
         assert_eq!(comm.outstanding_recvs(), 1);
         let got = comm.wait(req).unwrap();
         assert_eq!(comm.outstanding_recvs(), 0);
         assert_hostile_datagrams_counted(&comm.repair_stats());
+        assert_forgeries_accepted(&mut comm, TAG);
         Some(got.payload)
     })
     .unwrap();

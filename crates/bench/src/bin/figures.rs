@@ -188,7 +188,10 @@ fn main() {
             spec.xaxis.values().len(),
             args.trials
         );
-        #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench harness: wall time is the measurement"
+        )]
         let t0 = std::time::Instant::now();
         let data = run_figure(spec, args.trials);
         eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
@@ -239,7 +242,10 @@ fn loss_figure(args: &Args) {
         "running figloss ({} rates x {trials} trials, n={n}, {bytes} B)...",
         loss_figure_rates().len()
     );
-    #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench harness: wall time is the measurement"
+    )]
     let t0 = std::time::Instant::now();
     let base = loss_figure_base(n, bytes).with_trials(trials);
     let rows = loss_sweep(&base, &loss_figure_rates());
@@ -270,7 +276,10 @@ fn loss_figure(args: &Args) {
     // traffic sub-linear in N.
     let scale_ns = [4usize, 8, 16, 32];
     eprintln!("running repair scale sweep (n in {scale_ns:?}, 10% loss)...");
-    #[allow(clippy::disallowed_methods)] // bench harness: wall time is the measurement
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench harness: wall time is the measurement"
+    )]
     let t0 = std::time::Instant::now();
     let scale_rows = scale_sweep(
         &loss_figure_base(n, bytes)

@@ -49,13 +49,15 @@ unsafe impl GlobalAlloc for Gauge {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) } // SAFETY: forwarded contract.
+        // SAFETY: forwarded contract.
+        unsafe { System.alloc(layout) }
     }
 
     // SAFETY: see `alloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) } // SAFETY: forwarded contract.
+        // SAFETY: forwarded contract.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     // SAFETY: see `alloc`.
@@ -63,7 +65,8 @@ unsafe impl GlobalAlloc for Gauge {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) } // SAFETY: forwarded contract.
+        // SAFETY: forwarded contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

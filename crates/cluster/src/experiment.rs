@@ -89,12 +89,6 @@ pub struct Experiment {
     /// multicast (enables the repair loop with
     /// `RepairConfig::with_gossip` on every endpoint).
     pub gossip: bool,
-    /// Virtual-time cap per trial; `None` keeps the cluster default
-    /// (60 s). Set a small cap when a trial is *expected* to fail — e.g.
-    /// a multicast workload on a unicast-only fabric — so
-    /// [`try_run_trial`] reports the failure quickly instead of spinning
-    /// the repair loop for a minute of virtual time.
-    pub time_limit: Option<SimDuration>,
 }
 
 impl Experiment {
@@ -110,7 +104,6 @@ impl Experiment {
             drop_prob: 0.0,
             unicast_only: false,
             gossip: false,
-            time_limit: None,
         }
     }
 
@@ -142,12 +135,6 @@ impl Experiment {
     /// Builder-style epidemic dissemination (Advr/Want gossip plane).
     pub fn with_gossip(mut self) -> Self {
         self.gossip = true;
-        self
-    }
-
-    /// Builder-style virtual-time cap per trial.
-    pub fn with_time_limit(mut self, limit: SimDuration) -> Self {
-        self.time_limit = Some(limit);
         self
     }
 }
@@ -189,11 +176,8 @@ pub fn try_run_trial(exp: &Experiment, trial: usize) -> Result<(f64, WorldStats)
     if exp.unicast_only {
         params = params.with_unicast_only();
     }
-    let mut cluster =
+    let cluster =
         ClusterConfig::new(exp.n, params, exp.seed + trial as u64).with_start_skew(exp.start_skew);
-    if let Some(limit) = exp.time_limit {
-        cluster.time_limit = limit;
-    }
     let mut comm_cfg = SimCommConfig::default();
     if exp.drop_prob > 0.0 || exp.gossip {
         // Reseed the randomized NACK backoff per trial so trials draw

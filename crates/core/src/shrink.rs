@@ -109,11 +109,6 @@ impl<C: Comm> ShrunkComm<C> {
         ShrunkComm { parent, map, epoch }
     }
 
-    /// Parent rank of survivor `rank`.
-    pub fn parent_rank_of(&self, rank: usize) -> usize {
-        self.map.members[rank]
-    }
-
     /// The survivor list (parent ranks, sorted).
     pub fn members(&self) -> &[usize] {
         &self.map.members

@@ -183,11 +183,6 @@ impl HostStack {
         &mut self.sockets[id.index()]
     }
 
-    /// Number of sockets bound.
-    pub fn socket_count(&self) -> usize {
-        self.sockets.len()
-    }
-
     /// Subscribe `socket` to `group`: updates both the socket-level
     /// membership and the NIC address filter.
     pub fn join_group(&mut self, socket: SocketId, group: GroupId) {

@@ -87,11 +87,6 @@ impl Switch {
         }
     }
 
-    /// Number of ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Enable (or disable) unicast-only mode: multicast frames get an
     /// empty forwarding set. Callers count the suppressed frames
     /// themselves (per ingress frame, not per port).

@@ -213,19 +213,9 @@ impl World {
         self.events_handled
     }
 
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Statistics collected so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Mutable statistics (e.g. to reset after warm-up).
-    pub fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
     }
 
     /// Model parameters.

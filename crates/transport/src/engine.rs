@@ -326,23 +326,22 @@ impl EndpointCore {
         Ok(())
     }
 
-    /// True when another `Data` send fits the send window. Always true
+    /// True when another `Data` send fits the send window.
+    pub fn send_window_open(&self) -> bool {
+        self.send_window_closed().is_none()
+    }
+
+    /// The horizon interval a sender waits on while the send window is
+    /// closed; `None` when another `Data` send fits. Always `None`
     /// without a configured window — and without a horizon interval,
     /// whose session messages are the only thing that could ever open a
     /// closed window again.
-    pub fn send_window_open(&self) -> bool {
-        match &self.repair {
-            Some(Repair {
-                cfg:
-                    RepairConfig {
-                        send_window: Some(w),
-                        horizon_interval: Some(_),
-                        ..
-                    },
-                ..
-            }) => self.rtx.data_bytes() <= *w,
-            _ => true,
+    fn send_window_closed(&self) -> Option<Nanos> {
+        let Repair { cfg, .. } = self.repair.as_ref()?;
+        if self.rtx.data_bytes() <= cfg.send_window? {
+            return None;
         }
+        cfg.effective_horizon_interval(self.enc.n).map(dur_nanos)
     }
 
     /// Block until the send window opens: progress the engine (which
@@ -352,16 +351,10 @@ impl EndpointCore {
     /// blocked endpoints keep exchanging session messages — the window
     /// cannot deadlock on itself.
     fn wait_for_send_window<P: RepairPump>(&mut self, io: &mut P) {
-        if self.send_window_open() {
+        let Some(interval) = self.send_window_closed() else {
             return;
-        }
+        };
         self.rstats.send_window_stalls += 1;
-        let interval = self
-            .repair
-            .as_ref()
-            .and_then(|r| r.cfg.effective_horizon_interval(self.enc.n))
-            .map(dur_nanos)
-            .expect("window closed implies horizon interval set");
         loop {
             self.advance(io);
             if self.send_window_open() {

@@ -653,6 +653,7 @@ mod tests {
             out
         }
 
+        #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
         fn sources(&self) -> Vec<u32> {
             let mut v: Vec<u32> = self.seen_max.keys().copied().collect();
             v.sort_unstable();

@@ -44,6 +44,16 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Protocol paths surface errors; the reviewed exceptions carry an
+// `#[expect]` at their site (docs/INVARIANTS.md §4).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo
+)]
 
 pub mod api;
 pub mod config;
@@ -67,9 +77,7 @@ pub use engine::EndpointCore;
 pub use inbox::Inbox;
 pub use mem::{run_mem_world, MemComm};
 pub use pump::{Nanos, RepairPort, RepairPump, WaitKind, WaitPoll};
-pub use sim::{
-    run_sim_world, run_sim_world_stats, RepairStatsSink, SimComm, SimCommConfig, WorldStats,
-};
+pub use sim::{run_sim_world, run_sim_world_stats, SimComm, SimCommConfig, WorldStats};
 pub use udp::{multicast_available, multicast_available_cached, run_udp_world, UdpComm, UdpConfig};
 
 /// The engine-level unit tests, over [`testing::ScriptedPump`]. The

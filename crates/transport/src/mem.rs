@@ -58,6 +58,10 @@ impl RepairPump for MemIo {
                 Ok(d) => {
                     let _ = core.inbox.ingest_wire(&d, false);
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "reviewed: a lone rank blocked in recv with every sender gone can never wake; abort instead of hanging"
+                )]
                 Err(_) => panic!("all senders disconnected: lone rank blocked in recv"),
             },
             Some(at) => {
@@ -149,9 +153,10 @@ impl MemComm {
                         rank,
                         senders: senders.clone(),
                         rx,
-                        // Real-threads backend: recv deadlines are wall-clock
-                        // waits (lint.toml carries the budget).
-                        #[allow(clippy::disallowed_methods)]
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "MemComm is a real-threads backend; its recv deadlines are wall-clock waits, not simulated time"
+                        )]
                         epoch: Instant::now(),
                     },
                     core: EndpointCore::new(context, rank, n, mmpi_wire::DEFAULT_MAX_CHUNK, None),
@@ -175,6 +180,10 @@ where
             .into_iter()
             .map(|c| scope.spawn(move || f(c)))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "reviewed: the world join re-raises a rank thread's panic"
+        )]
         handles
             .into_iter()
             .map(|h| h.join().expect("rank thread panicked"))

@@ -57,29 +57,11 @@ use crate::{
     Backend, EndpointCore, Nanos, RecvReq, RepairConfig, RepairPort, RepairPump, WaitKind, WaitPoll,
 };
 
-/// Thread-safe accumulator the ranks of one run flush their
-/// [`RepairStats`] into (each rank adds its totals when its endpoint
-/// drops). Totals are order-independent sums, so the aggregate is as
-/// deterministic as the per-rank counters.
-#[derive(Debug, Default)]
-pub struct RepairStatsSink(Mutex<RepairStats>);
-
-impl RepairStatsSink {
-    fn totals(&self) -> MutexGuard<'_, RepairStats> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Add one endpoint's counters (sums; `epoch` is a high-water mark,
-    /// see [`RepairStats::merge`]).
-    pub fn add(&self, s: &RepairStats) {
-        self.totals().merge(s);
-    }
-
-    /// Current totals.
-    pub fn snapshot(&self) -> RepairStats {
-        *self.totals()
-    }
-}
+/// Where the ranks of a [`run_sim_world_stats`] run flush their
+/// [`RepairStats`] (each rank merges its totals when its endpoint drops).
+/// Totals are order-independent sums, so the aggregate is as deterministic
+/// as the per-rank counters.
+type StatsSink = Arc<Mutex<RepairStats>>;
 
 /// Network + repair statistics of one simulated run, the unit the
 /// experiment tables report: fabric-level drops alongside the protocol's
@@ -117,9 +99,6 @@ pub struct SimCommConfig {
     /// whenever the cluster's [`mmpi_netsim::params::FaultParams`] inject
     /// loss, or the collectives will block forever on a dropped datagram.
     pub repair: Option<RepairConfig>,
-    /// Where ranks flush their repair counters on drop (see
-    /// [`run_sim_world_stats`], which wires this automatically).
-    pub stats_sink: Option<Arc<RepairStatsSink>>,
 }
 
 impl Default for SimCommConfig {
@@ -130,7 +109,6 @@ impl Default for SimCommConfig {
             context: 0,
             max_chunk: mmpi_wire::DEFAULT_MAX_CHUNK,
             repair: None,
-            stats_sink: None,
         }
     }
 }
@@ -374,7 +352,7 @@ pub struct SimBackend {
     endpoint: Arc<Endpoint>,
     /// `endpoint` again, as [`SimProcess::recv_served`] takes it.
     served: Arc<dyn Served>,
-    stats_sink: Option<Arc<RepairStatsSink>>,
+    stats_sink: Option<StatsSink>,
     multicast_capable: bool,
 }
 
@@ -439,7 +417,10 @@ impl Drop for SimBackend {
     /// include it.
     fn drop(&mut self) {
         if let Some(sink) = &self.stats_sink {
-            sink.add(&self.peek(EndpointCore::repair_stats));
+            let stats = self.peek(EndpointCore::repair_stats);
+            sink.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .merge(&stats);
         }
     }
 }
@@ -471,7 +452,7 @@ impl SimComm {
             io: SimIo { wire: proc, link },
             served: Arc::clone(&endpoint) as Arc<dyn Served>,
             endpoint,
-            stats_sink: cfg.stats_sink,
+            stats_sink: None,
             multicast_capable: true,
         })
     }
@@ -501,6 +482,21 @@ where
     F: Fn(SimComm) -> R + Sync,
     R: Send,
 {
+    run_world(cluster, comm_cfg, None, f)
+}
+
+/// [`run_sim_world`], with every rank flushing its repair counters into
+/// `sink` when its endpoint drops.
+fn run_world<F, R>(
+    cluster: &ClusterConfig,
+    comm_cfg: &SimCommConfig,
+    sink: Option<&StatsSink>,
+    f: F,
+) -> Result<RunReport<R>, SimError>
+where
+    F: Fn(SimComm) -> R + Sync,
+    R: Send,
+{
     let n = cluster.n;
     // A unicast-only switch drops every multicast frame, so selectors
     // should know not to build multicast-shaped plans that only the
@@ -509,6 +505,7 @@ where
     run_cluster(cluster, move |proc| {
         let mut comm = SimComm::new(proc, n, comm_cfg.clone());
         comm.0.multicast_capable = multicast_capable;
+        comm.0.stats_sink = sink.cloned();
         f(comm)
     })
 }
@@ -527,19 +524,11 @@ where
     F: Fn(SimComm) -> R + Sync,
     R: Send,
 {
-    // Reuse a caller-supplied sink rather than silently replacing it
-    // (the returned totals then include whatever that sink had already
-    // accumulated — e.g. across several runs sharing one sink).
-    let sink = match &comm_cfg.stats_sink {
-        Some(s) => Arc::clone(s),
-        None => Arc::new(RepairStatsSink::default()),
-    };
-    let mut cfg = comm_cfg.clone();
-    cfg.stats_sink = Some(Arc::clone(&sink));
-    let report = run_sim_world(cluster, &cfg, f)?;
+    let sink = StatsSink::default();
+    let report = run_world(cluster, comm_cfg, Some(&sink), f)?;
     let stats = WorldStats {
         net: report.stats.clone(),
-        repair: sink.snapshot(),
+        repair: *sink.lock().unwrap_or_else(PoisonError::into_inner),
     };
     Ok((report, stats))
 }

@@ -117,6 +117,10 @@ impl RepairPump for ScriptedPump {
         match until {
             // Nothing queued: the wait elapses in full.
             Some(at) => self.clock.set(self.clock.get().max(at)),
+            #[expect(
+                clippy::panic,
+                reason = "reviewed: the scripted test pump panics instead of hanging when a script blocks with nothing queued and no deadline"
+            )]
             None => panic!("blocking receive with nothing queued would hang"),
         }
     }

@@ -351,9 +351,10 @@ impl UdpComm {
                 turn: 0,
                 rx_buf: vec![0u8; 65_536],
                 scratch: Vec::new(),
-                // Real-network backend: the repair pump's time base is
-                // wall time by definition (lint.toml carries the budget).
-                #[allow(clippy::disallowed_methods)]
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the real-UDP repair pump is wall time by definition: RTT samples, NACK pacing and readiness-wait timeouts measure the actual network"
+                )]
                 epoch: Instant::now(),
             },
             core,
@@ -387,6 +388,10 @@ where
             .into_iter()
             .map(|c| scope.spawn(move || f(c)))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "reviewed: the world join re-raises a rank thread's panic; socket errors never panic (module docs, \"Errors\")"
+        )]
         handles
             .into_iter()
             .map(|h| h.join().expect("rank thread panicked"))

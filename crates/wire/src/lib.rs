@@ -23,6 +23,16 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Protocol paths surface errors; a decoder is total on hostile bytes
+// (docs/INVARIANTS.md §4).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo
+)]
 
 pub mod assemble;
 pub mod error;

@@ -30,7 +30,7 @@ fn bench(algo: BcastAlgorithm, base_port: u16, bytes: usize, reps: usize) -> f64
             } else {
                 vec![0; bytes]
             };
-            #[allow(clippy::disallowed_methods)] // live-network demo: wall time
+            #[expect(clippy::disallowed_methods, reason = "live-network demo: wall time")]
             let t0 = Instant::now();
             expect_coll(comm.bcast(0, &mut buf));
             samples.push(t0.elapsed().as_secs_f64() * 1e6);

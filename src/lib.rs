@@ -32,13 +32,13 @@
 //! * [`cluster`] — SPMD experiment harness (trials, statistics, CSV,
 //!   loss sweeps with drop/NACK/retransmit columns).
 //!
-//! A seventh crate sits outside the dependency graph entirely:
-//! `crates/analysis` (`mmpi-analysis`) is the enforcement layer — the
-//! `mmpi-lint` binary that checks the workspace against the invariant
-//! rules in the root `lint.toml` (SAFETY comments on every `unsafe`,
-//! wall-clock/hash-iter/ambient-RNG/panic bans with exact exception
-//! budgets). It depends on no workspace crate and nothing depends on
-//! it; `docs/INVARIANTS.md` is its human-readable half.
+//! The invariants the crates keep — no wall clock, hash order or ambient
+//! randomness in replay-critical code, no panics on protocol paths, a
+//! SAFETY argument on every `unsafe` — are compiler lints: the root
+//! `Cargo.toml`'s `[workspace.lints]`, `clippy.toml`, and one
+//! `#[expect(lint, reason)]` per reviewed exception, checked by
+//! `cargo clippy --workspace --all-targets -- -D warnings`
+//! (`docs/INVARIANTS.md`).
 //!
 //! # Crate graph
 //!

@@ -180,7 +180,10 @@ fn live_drop_of_a_repair_armed_endpoint_takes_its_drain_grace() {
     let cfg = UdpConfig::loopback(50_600).with_repair();
     let grace = cfg.repair.unwrap().effective_drain_grace(2);
     let comm = UdpComm::new(0, 2, cfg).unwrap();
-    #[allow(clippy::disallowed_methods)] // a live-socket teardown is wall time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a live-socket teardown is wall time"
+    )]
     let t0 = std::time::Instant::now();
     drop(comm);
     let took = t0.elapsed();

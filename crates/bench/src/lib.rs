@@ -2,11 +2,9 @@
 //!
 //! * `cargo run -p mmpi-bench --release --bin figures` regenerates every
 //!   figure of the paper (tables + CSV + shape checks).
-//! * `cargo bench -p mmpi-bench` runs the two criterion benches that are
-//!   not ladder rungs: one group per paper figure, and blocking vs
-//!   request-based collectives over `MemComm` (`overlap`). Everything
-//!   else is measured by the benchmark ladder (`ladder/`,
-//!   `docs/PERFORMANCE.md`).
+//! * Performance is measured by the benchmark ladder (`ladder/`,
+//!   `docs/PERFORMANCE.md`); `tests/alloc_gauge.rs` holds the allocation
+//!   budget of the delivery path as exact counts.
 
 // Bench *library* code is unsafe-free; the GlobalAlloc instrumentation
 // lives in bins/tests, which carry their own SAFETY comments.

@@ -5,9 +5,11 @@
 //!   `K` processes run `log2 K` rounds of pairwise exchange (recursive
 //!   doubling), then the extra processes are released. Message count
 //!   `2(N-K) + K*log2(K)`.
-//! * [`barrier_mcast_binary`] — the paper's replacement: `N-1` scouts are
-//!   reduced to rank 0 along a binomial tree, then **one** empty multicast
-//!   releases everybody — two phases fewer than MPICH.
+//! * [`BarrierAlgorithm::McastBinary`] — the paper's replacement: `N-1`
+//!   scouts are reduced to rank 0 along a binomial tree, then **one**
+//!   empty multicast releases everybody — two phases fewer than MPICH.
+//!   A request machine ([`crate::request::IbarrierRequest`]); [`barrier`]
+//!   waits on one.
 //! * [`barrier_mcast_linear`] — same with linear scout gathering.
 
 use std::time::Duration;
@@ -15,7 +17,8 @@ use std::time::Duration;
 use mmpi_transport::{Comm, RecvError};
 use mmpi_wire::{Bytes, MsgKind};
 
-use crate::bcast::{scout_reduce_binomial, scout_reduce_linear};
+use crate::bcast::scout_reduce_linear;
+use crate::request::{CollRequest, IbarrierRequest};
 use crate::tags::{OpTags, Phase};
 
 /// Barrier algorithm selector.
@@ -45,7 +48,7 @@ pub fn barrier<C: Comm>(
 ) -> Result<(), RecvError> {
     match algo {
         BarrierAlgorithm::Mpich => barrier_mpich(c, mpich_layer, tags),
-        BarrierAlgorithm::McastBinary => barrier_mcast_binary(c, tags),
+        BarrierAlgorithm::McastBinary => IbarrierRequest::new(c, tags).wait(c),
         BarrierAlgorithm::McastLinear => barrier_mcast_linear(c, tags),
         BarrierAlgorithm::Dissemination => barrier_dissemination(c, tags),
     }
@@ -118,22 +121,6 @@ pub fn barrier_mpich<C: Comm>(c: &mut C, layer: Duration, tags: OpTags) -> Resul
     if rank + k < n {
         c.compute(layer);
         c.send_kind(rank + k, release, MsgKind::Release, &Bytes::new());
-    }
-    Ok(())
-}
-
-/// The paper's multicast barrier: binomial scout reduction to rank 0,
-/// then a single empty multicast release.
-pub fn barrier_mcast_binary<C: Comm>(c: &mut C, tags: OpTags) -> Result<(), RecvError> {
-    if c.size() == 1 {
-        return Ok(());
-    }
-    scout_reduce_binomial(c, tags, 0)?;
-    let release = tags.tag(Phase::Release);
-    if c.rank() == 0 {
-        c.mcast_kind(release, MsgKind::Release, &Bytes::new());
-    } else {
-        c.recv_match(0, release)?;
     }
     Ok(())
 }

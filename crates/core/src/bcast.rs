@@ -1,12 +1,16 @@
 //! Broadcast algorithms.
 //!
-//! * [`bcast_mpich_binomial`] — the MPICH baseline the paper compares
-//!   against (its Fig. 2): a binomial tree of point-to-point sends, so the
-//!   data crosses the wire `N-1` times.
-//! * [`bcast_mcast_binary`] — the paper's *binary algorithm* (Fig. 3):
-//!   empty scout messages are reduced to the root along a binomial tree
-//!   (`N-1` scouts in `ceil(log2 N)` rounds), proving every receiver is
-//!   ready, then the root sends the data **once** via IP multicast.
+//! * [`BcastAlgorithm::MpichBinomial`] — the MPICH baseline the paper
+//!   compares against (its Fig. 2): a binomial tree of point-to-point
+//!   sends, so the data crosses the wire `N-1` times.
+//! * [`BcastAlgorithm::McastBinary`] — the paper's *binary algorithm*
+//!   (Fig. 3): empty scout messages are reduced to the root along a
+//!   binomial tree (`N-1` scouts in `ceil(log2 N)` rounds), proving every
+//!   receiver is ready, then the root sends the data **once** via IP
+//!   multicast.
+//!
+//!   These two, and [`BcastAlgorithm::ScatterAllgather`], are request
+//!   machines ([`crate::request::IbcastRequest`]); [`bcast`] waits on one.
 //! * [`bcast_mcast_linear`] — the paper's *linear algorithm* (Fig. 4):
 //!   every receiver sends its scout straight to the root, which ingests
 //!   them one at a time (`N-1` sequential steps), then multicasts.
@@ -34,6 +38,7 @@ use std::time::Duration;
 use mmpi_transport::{Comm, RecvError};
 use mmpi_wire::{Bytes, MsgKind};
 
+use crate::request::{CollRequest, IbcastRequest};
 use crate::tags::{OpTags, Phase};
 
 /// Broadcast algorithm selector.
@@ -111,7 +116,8 @@ pub(crate) fn tcp_acks_for(len: usize) -> u32 {
 /// Dispatch a broadcast with the chosen algorithm.
 ///
 /// On the root, `buf` is the message; on other ranks its contents are
-/// replaced with the broadcast payload.
+/// replaced with the broadcast payload. After an error its contents are
+/// unspecified.
 ///
 /// Like `MPI_Bcast`, [`BcastAlgorithm::Auto`] requires every rank to know
 /// the message size: pass a `buf` of the correct length on receivers too
@@ -125,128 +131,35 @@ pub fn bcast<C: Comm>(
     root: usize,
     buf: &mut Vec<u8>,
 ) -> Result<(), RecvError> {
-    match algo {
-        BcastAlgorithm::MpichBinomial => {
-            bcast_mpich_binomial(c, cfg.mpich_layer_overhead, tags, root, buf)
+    let algo = match algo {
+        // No multicast on this fabric: a multicast-shaped plan would
+        // deliver nothing and stall until the repair plane rebuilt every
+        // message. Epidemic dissemination is the design answer here
+        // (docs/PROTOCOL.md §11).
+        BcastAlgorithm::Auto if !c.multicast_capable() => BcastAlgorithm::Gossip,
+        BcastAlgorithm::Auto if buf.len() >= cfg.auto_crossover_bytes && c.size() > 2 => {
+            BcastAlgorithm::McastBinary
         }
-        BcastAlgorithm::McastBinary => bcast_mcast_binary(c, tags, root, buf),
+        BcastAlgorithm::Auto => BcastAlgorithm::MpichBinomial,
+        explicit => explicit,
+    };
+    match algo {
         BcastAlgorithm::McastLinear => bcast_mcast_linear(c, tags, root, buf),
         BcastAlgorithm::PvmAck => bcast_pvm_ack(c, cfg, tags, root, buf),
         BcastAlgorithm::FlatTree => bcast_flat_tree(c, tags, root, buf),
         BcastAlgorithm::Chain => {
             crate::bcast_ext::bcast_chain(c, cfg.chain_segment_bytes, tags, root, buf)
         }
-        BcastAlgorithm::ScatterAllgather => {
-            crate::bcast_ext::bcast_scatter_allgather(c, tags, root, buf)
-        }
         BcastAlgorithm::Gossip => bcast_gossip(c, tags, root, buf),
-        BcastAlgorithm::Auto => {
-            if !c.multicast_capable() {
-                // No multicast on this fabric: a multicast-shaped plan
-                // would deliver nothing and stall until the repair plane
-                // rebuilt every message. Epidemic dissemination is the
-                // design answer here (docs/PROTOCOL.md §11).
-                bcast_gossip(c, tags, root, buf)
-            } else if buf.len() >= cfg.auto_crossover_bytes && c.size() > 2 {
-                bcast_mcast_binary(c, tags, root, buf)
-            } else {
-                bcast_mpich_binomial(c, cfg.mpich_layer_overhead, tags, root, buf)
-            }
+        // MpichBinomial, McastBinary and ScatterAllgather: the machine,
+        // waited on.
+        machine => {
+            let layer = cfg.mpich_layer_overhead;
+            let req = IbcastRequest::new(c, machine, layer, tags, root, std::mem::take(buf));
+            *buf = req.wait(c)?;
+            Ok(())
         }
     }
-}
-
-/// The MPICH binomial-tree broadcast (paper Fig. 2).
-///
-/// With `relrank = (rank - root) mod N`: a process receives from the
-/// sub-tree root that owns it (lowest set bit of `relrank`), then fans out
-/// to `relrank + mask` for descending `mask`. `N-1` point-to-point data
-/// messages in `ceil(log2 N)` rounds.
-///
-/// `layer` is the extra per-message software cost of MPICH's protocol
-/// layering (see [`BcastConfig::mpich_layer_overhead`]), charged on each
-/// send and each receive.
-pub fn bcast_mpich_binomial<C: Comm>(
-    c: &mut C,
-    layer: Duration,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    if n == 1 {
-        return Ok(());
-    }
-    let tag = tags.tag(Phase::Data);
-    let relrank = (rank + n - root) % n;
-
-    // Receive from the parent (unless root).
-    let mut mask = 1usize;
-    while mask < n {
-        if relrank & mask != 0 {
-            let src = (rank + n - mask) % n;
-            *buf = c.recv(src, tag)?;
-            c.compute(layer);
-            // MPICH-1.x ran its p2p channel over TCP: model the kernel's
-            // acknowledgement traffic (one ack per two MSS segments).
-            c.tcp_ack_model(src, tcp_acks_for(buf.len()));
-            break;
-        }
-        mask <<= 1;
-    }
-    // Forward to children in descending-mask order. Import the buffer
-    // into shared wire form once; every child send slices it. Leaf
-    // ranks (mask already 0) skip the import entirely.
-    mask >>= 1;
-    if mask > 0 {
-        let wire = Bytes::from(&*buf);
-        while mask > 0 {
-            if relrank + mask < n {
-                let dst = (rank + mask) % n;
-                c.compute(layer);
-                c.send_kind(dst, tag, MsgKind::Data, &wire);
-            }
-            mask >>= 1;
-        }
-    }
-    Ok(())
-}
-
-/// Reduce one empty scout per non-root process to the root along a
-/// binomial tree. Returns once the caller's sub-tree is drained (the root
-/// returns only after all `N-1` scouts arrived).
-///
-/// The paper's Fig. 3 draws a slightly different (irregular) edge set for
-/// seven processes; we use the standard binomial reduction, which has the
-/// same message count (`N-1`) and the same `ceil(log2 N)` depth the text
-/// claims.
-pub(crate) fn scout_reduce_binomial<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-) -> Result<(), RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    let tag = tags.tag(Phase::Scout);
-    let relrank = (rank + n - root) % n;
-    let mut mask = 1usize;
-    while mask < n {
-        if relrank & mask == 0 {
-            // Expect a scout from the child at relrank + mask, if it exists.
-            if relrank + mask < n {
-                let src = (rank + mask) % n;
-                c.recv_match(src, tag)?;
-            }
-        } else {
-            // Send our (sub-tree's) scout to the parent and stop.
-            let dst = (rank + n - mask) % n;
-            c.send_kind(dst, tag, MsgKind::Scout, &Bytes::new());
-            return Ok(());
-        }
-        mask <<= 1;
-    }
-    Ok(())
 }
 
 /// Every non-root process sends a scout directly to the root; the root
@@ -264,27 +177,6 @@ pub(crate) fn scout_reduce_linear<C: Comm>(
         }
     } else {
         c.send_kind(root, tag, MsgKind::Scout, &Bytes::new());
-    }
-    Ok(())
-}
-
-/// The paper's binary algorithm: binomial scout reduction, then one
-/// multicast carrying the data.
-pub fn bcast_mcast_binary<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    if c.size() == 1 {
-        return Ok(());
-    }
-    scout_reduce_binomial(c, tags, root)?;
-    let tag = tags.tag(Phase::Data);
-    if c.rank() == root {
-        c.mcast_kind(tag, MsgKind::Data, &Bytes::from(&*buf));
-    } else {
-        *buf = c.recv_match(root, tag)?.into_vec();
     }
     Ok(())
 }

@@ -7,9 +7,11 @@
 //! * [`bcast_chain`] — pipelined chain: the message is cut into segments
 //!   that stream down the rank chain, overlapping transfers; asymptotically
 //!   `(N-2+S)·t_seg` for `S` segments instead of `(N-1)·t_msg`.
-//! * [`bcast_scatter_allgather`] — van de Geijn's large-message broadcast:
-//!   scatter distinct blocks from the root, then a ring allgather; each
-//!   byte crosses any link at most twice regardless of `N`.
+//! * [`crate::BcastAlgorithm::ScatterAllgather`] — van de Geijn's
+//!   large-message broadcast: scatter distinct blocks from the root, then
+//!   a ring allgather; each byte crosses any link at most twice
+//!   regardless of `N`. A request machine
+//!   ([`crate::request::IbcastRequest`]).
 //!
 //! Both are pure point-to-point pipelines of tag-matched receives, so on
 //! a lossy fabric they recover through the transport's NACK/retransmit
@@ -101,77 +103,11 @@ pub fn bcast_chain<C: Comm>(
     Ok(())
 }
 
-/// Van de Geijn broadcast: scatter `N` blocks from the root, then ring
-/// allgather so every rank ends with the whole message.
-pub fn bcast_scatter_allgather<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    let n = c.size();
-    if n == 1 {
-        return Ok(());
-    }
-    let rank = c.rank();
-    let scatter_tag = tags.tag(Phase::Data);
-    let ring_tag = tags.tag(Phase::Exchange);
-
-    // Root computes block boundaries; receivers learn the total length
-    // from their scattered block header (4-byte LE total length prefix on
-    // each block keeps every rank's arithmetic consistent).
-    let mut my_block: Vec<u8>;
-    let total: usize;
-    if rank == root {
-        total = buf.len();
-        let per = total.div_ceil(n).max(1);
-        my_block = Vec::new();
-        for i in 0..n {
-            let lo = (i * per).min(total);
-            let hi = ((i + 1) * per).min(total);
-            let mut block = Vec::with_capacity(8 + hi - lo);
-            block.extend_from_slice(&(total as u32).to_le_bytes());
-            block.extend_from_slice(&(lo as u32).to_le_bytes());
-            block.extend_from_slice(&buf[lo..hi]);
-            let dst = (root + i) % n;
-            if dst == root {
-                my_block = block;
-            } else {
-                c.send(dst, scatter_tag, &block);
-            }
-        }
-    } else {
-        my_block = c.recv(root, scatter_tag)?;
-        total = u32::from_le_bytes(my_block[0..4].try_into().unwrap()) as usize;
-    }
-
-    // Ring allgather. Forwarding is decided by block identity, not
-    // receive order: under the repair loop a recovered block can arrive
-    // after blocks sent later, so every received block travels on
-    // except the one the successor itself started with (the shared
-    // [`crate::ring::SuccessorSkip`] rule).
-    let mut out = vec![0u8; total];
-    crate::ring::place_block(&mut out, &my_block);
-    let next = (rank + 1) % n;
-    let prev = (rank + n - 1) % n;
-    let mut skip = crate::ring::SuccessorSkip::new(n, root, next, total);
-    c.send(next, ring_tag, &my_block);
-    for _ in 0..n - 1 {
-        let travelling = c.recv(prev, ring_tag)?;
-        let lo = u32::from_le_bytes(travelling[4..8].try_into().unwrap());
-        if !skip.should_skip(lo) {
-            c.send(next, ring_tag, &travelling);
-        }
-        crate::ring::place_block(&mut out, &travelling);
-    }
-    *buf = out;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tags::OpCode;
+    use crate::{BcastAlgorithm, CollRequest, Communicator};
     use mmpi_transport::run_mem_world;
 
     fn tags() -> OpTags {
@@ -222,13 +158,15 @@ mod tests {
             for len in [0usize, 1, n - 1, 1000, 9999] {
                 let payload: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
                 let want = payload.clone();
-                let out = run_mem_world(n, 0, move |mut c| {
-                    let mut buf = if c.rank() == 0 {
+                let out = run_mem_world(n, 0, move |c| {
+                    let mut comm =
+                        Communicator::new(c).with_bcast(BcastAlgorithm::ScatterAllgather);
+                    let mut buf = if comm.rank() == 0 {
                         payload.clone()
                     } else {
                         Vec::new()
                     };
-                    bcast_scatter_allgather(&mut c, tags(), 0, &mut buf).unwrap();
+                    comm.bcast(0, &mut buf).unwrap();
                     buf
                 });
                 for (r, o) in out.iter().enumerate() {
@@ -240,14 +178,14 @@ mod tests {
 
     #[test]
     fn scatter_allgather_nonzero_root() {
-        let out = run_mem_world(6, 0, |mut c| {
-            let mut buf = if c.rank() == 4 {
+        let out = run_mem_world(6, 0, |c| {
+            let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::ScatterAllgather);
+            let buf = if comm.rank() == 4 {
                 (0..7777u32).map(|i| i as u8).collect()
             } else {
                 Vec::new()
             };
-            bcast_scatter_allgather(&mut c, tags(), 4, &mut buf).unwrap();
-            buf
+            comm.ibcast(4, buf).wait(comm.transport_mut()).unwrap()
         });
         let want: Vec<u8> = (0..7777u32).map(|i| i as u8).collect();
         assert!(out.iter().all(|o| o == &want));

@@ -13,8 +13,7 @@ use mmpi_transport::{Comm, RecvError};
 use crate::barrier::{barrier, BarrierAlgorithm};
 use crate::bcast::{bcast, BcastAlgorithm, BcastConfig};
 use crate::coll::{self, Combine};
-use crate::many_to_many;
-use crate::request::{IallgatherRequest, IbarrierRequest, IbcastRequest};
+use crate::request::{CollRequest, IallgatherRequest, IbarrierRequest, IbcastRequest};
 use crate::tags::{OpCode, OpTags};
 
 /// Allgather algorithm selector.
@@ -146,9 +145,11 @@ impl<C: Comm> Communicator<C> {
     /// [`crate::request::CollRequest::poll`] against the transport
     /// (`comm.transport_mut()`) and resolves to the broadcast buffer.
     /// Supported shapes: the MPICH binomial tree for
-    /// [`BcastAlgorithm::MpichBinomial`], the overlapped scatter +
-    /// ring-allgather for [`BcastAlgorithm::ScatterAllgather`], and the
-    /// paper's scout-reduce + multicast for every other selector.
+    /// [`BcastAlgorithm::MpichBinomial`], the scatter + ring-allgather for
+    /// [`BcastAlgorithm::ScatterAllgather`], and the paper's scouts and
+    /// one multicast for every other selector. For `MpichBinomial`,
+    /// `McastBinary` and `ScatterAllgather` this is the machine the
+    /// blocking [`Communicator::bcast`] waits on.
     pub fn ibcast(&mut self, root: usize, buf: Vec<u8>) -> IbcastRequest {
         let tags = self.next_tags(OpCode::Bcast);
         let algo = self.bcast_algo;
@@ -227,21 +228,20 @@ impl<C: Comm> Communicator<C> {
         let algo = self.allgather_algo;
         let tags = self.next_tags(OpCode::Allgather);
         match algo {
-            AllgatherAlgorithm::Ring => many_to_many::allgather_ring(&mut self.comm, tags, send),
-            AllgatherAlgorithm::Multicast => {
-                many_to_many::allgather_mcast(&mut self.comm, tags, send)
-            }
             AllgatherAlgorithm::GatherBcast => self.allgather_gather_bcast(tags, send),
+            machine => {
+                IallgatherRequest::new(&mut self.comm, machine, tags, send).wait(&mut self.comm)
+            }
         }
     }
 
     /// MPI_Iallgather: nonblocking allgather. Consumes one op slot; the
-    /// state machine keeps every per-peer receive posted at once (the
-    /// overlap rework — see `crate::request`). Uses the overlapped ring
-    /// for [`AllgatherAlgorithm::Ring`] and
-    /// [`AllgatherAlgorithm::GatherBcast`] (the latter has no nonblocking
-    /// shape of its own; the result is identical), and the rank-ordered
-    /// multicast exchange for [`AllgatherAlgorithm::Multicast`].
+    /// returned machine (see `crate::request`) is the one
+    /// [`Communicator::allgather`] waits on. Uses the ring for
+    /// [`AllgatherAlgorithm::Ring`] and [`AllgatherAlgorithm::GatherBcast`]
+    /// (the latter has no nonblocking shape of its own; the result is
+    /// identical), and the rank-ordered multicast exchange for
+    /// [`AllgatherAlgorithm::Multicast`].
     pub fn iallgather(&mut self, send: &[u8]) -> IallgatherRequest {
         let algo = self.allgather_algo;
         let tags = self.next_tags(OpCode::Allgather);

@@ -2,94 +2,37 @@
 //! work ("it is possible this may occur in many-to-many communications
 //! and needs to be examined further"), implemented and measurable.
 //!
-//! * [`allgather_ring`] — the classic point-to-point ring: `N-1` steps,
-//!   each byte crosses every link once.
-//! * [`allgather_mcast`] — every rank multicasts its block **once**, in
-//!   rank order. `N` multicast sends replace `N(N-1)` point-to-point
-//!   transfers. Ordering gives the §4 safety property: rank `i+1` cannot
-//!   multicast before it received rank `i`'s block, so receivers are
-//!   provably inside the collective when each datagram lands.
+//! * [`AllgatherAlgorithm::Ring`] — the classic point-to-point ring:
+//!   `N-1` steps, each byte crosses every link once.
+//! * [`AllgatherAlgorithm::Multicast`] — every rank multicasts its block
+//!   **once**, in rank order. `N` multicast sends replace `N(N-1)`
+//!   point-to-point transfers. Ordering gives the §4 safety property: rank
+//!   `i+1` cannot multicast before it received rank `i`'s block, so
+//!   receivers are provably inside the collective when each datagram
+//!   lands.
+//!
+//!   Both allgathers are request machines
+//!   ([`crate::request::IallgatherRequest`]);
+//!   [`crate::Communicator::allgather`] waits on one.
 //! * [`alltoall_mcast_naive`] — an *intentionally bad* idea kept for the
 //!   ablation bench: all-to-all where each personalized payload still has
 //!   to be multicast to everyone (receivers discard the parts not
 //!   addressed to them). Demonstrates where multicast does **not** help.
 //!
-//! Under injected loss, [`allgather_mcast`]'s rank-ordered rounds are the
-//! stress case for the transport's NACK/retransmit repair: a receiver
+//! Under injected loss, the multicast allgather's rank-ordered rounds are
+//! the stress case for the transport's NACK/retransmit repair: a receiver
 //! can spend several repair timeouts recovering round `i` before it even
 //! asks for round `i+1`, which is why finished endpoints keep answering
 //! NACKs through a drain grace period (see `RepairConfig::drain_grace`
 //! in `mmpi-transport` and the walkthrough in `docs/PROTOCOL.md`).
+//!
+//! [`AllgatherAlgorithm::Ring`]: crate::AllgatherAlgorithm::Ring
+//! [`AllgatherAlgorithm::Multicast`]: crate::AllgatherAlgorithm::Multicast
 
 use mmpi_transport::{Comm, RecvError};
 use mmpi_wire::{Bytes, MsgKind};
 
 use crate::tags::{OpTags, Phase};
-
-/// Ring allgather: each rank contributes `mine`; returns all blocks
-/// indexed by rank.
-pub fn allgather_ring<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    mine: &[u8],
-) -> Result<Vec<Vec<u8>>, RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    let tag = tags.tag(Phase::Exchange);
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-    out[rank] = mine.to_vec();
-    if n == 1 {
-        return Ok(out);
-    }
-    let next = (rank + 1) % n;
-    let prev = (rank + n - 1) % n;
-    // Each block is prefixed with its owner, both to stay robust to
-    // equal-length content and to decide forwarding by *identity*:
-    // under the repair loop a NACK-recovered block can arrive after
-    // blocks sent later, so "forward all but the last received" would
-    // withhold the wrong block from the successor. Every received
-    // block except the successor's own travels on.
-    let mut own = Vec::with_capacity(4 + mine.len());
-    own.extend_from_slice(&(rank as u32).to_le_bytes());
-    own.extend_from_slice(mine);
-    c.send(next, tag, &own);
-    for _ in 0..n - 1 {
-        let travelling = c.recv(prev, tag)?;
-        let owner = u32::from_le_bytes(travelling[0..4].try_into().unwrap()) as usize;
-        if owner != next {
-            c.send(next, tag, &travelling);
-        }
-        out[owner] = travelling[4..].to_vec();
-    }
-    Ok(out)
-}
-
-/// Multicast allgather: rank `i` multicasts its block in round `i`.
-///
-/// `N` multicast datagrams total. The sequencing (each rank waits for all
-/// earlier blocks before sending its own) is both the correctness
-/// argument under the posted-receive model and natural flow control.
-pub fn allgather_mcast<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    mine: &[u8],
-) -> Result<Vec<Vec<u8>>, RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    let tag = tags.tag(Phase::Data);
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-    for (i, slot) in out.iter_mut().enumerate() {
-        if i == rank {
-            *slot = mine.to_vec();
-            if n > 1 {
-                c.mcast_kind(tag, MsgKind::Data, &Bytes::from(mine));
-            }
-        } else {
-            *slot = c.recv_match(i, tag)?.into_vec();
-        }
-    }
-    Ok(out)
-}
 
 /// All-to-all where every personalized message is multicast to the whole
 /// group and receivers keep only their slice. Wire cost per rank: one
@@ -141,6 +84,7 @@ pub fn alltoall_mcast_naive<C: Comm>(
 mod tests {
     use super::*;
     use crate::tags::OpCode;
+    use crate::{AllgatherAlgorithm, CollRequest, Communicator};
     use mmpi_transport::run_mem_world;
 
     fn tags() -> OpTags {
@@ -154,9 +98,10 @@ mod tests {
     #[test]
     fn ring_allgather_matches_expectation() {
         for n in [1usize, 2, 3, 5, 8] {
-            let out = run_mem_world(n, 0, move |mut c| {
-                let mine = block(c.rank(), n);
-                allgather_ring(&mut c, tags(), &mine).unwrap()
+            let out = run_mem_world(n, 0, move |c| {
+                let mut comm = Communicator::new(c).with_allgather(AllgatherAlgorithm::Ring);
+                let mine = block(comm.rank(), n);
+                comm.allgather(&mine).unwrap()
             });
             for (r, parts) in out.iter().enumerate() {
                 for (src, p) in parts.iter().enumerate() {
@@ -169,9 +114,10 @@ mod tests {
     #[test]
     fn mcast_allgather_matches_expectation() {
         for n in [1usize, 2, 4, 7] {
-            let out = run_mem_world(n, 0, move |mut c| {
-                let mine = block(c.rank(), n);
-                allgather_mcast(&mut c, tags(), &mine).unwrap()
+            let out = run_mem_world(n, 0, move |c| {
+                let mut comm = Communicator::new(c).with_allgather(AllgatherAlgorithm::Multicast);
+                let mine = block(comm.rank(), n);
+                comm.iallgather(&mine).wait(comm.transport_mut()).unwrap()
             });
             for parts in &out {
                 for (src, p) in parts.iter().enumerate() {
@@ -201,9 +147,14 @@ mod tests {
 
     #[test]
     fn mcast_allgather_empty_blocks() {
-        let out = run_mem_world(3, 0, |mut c| {
-            let mine = if c.rank() == 1 { vec![5u8] } else { Vec::new() };
-            allgather_mcast(&mut c, tags(), &mine).unwrap()
+        let out = run_mem_world(3, 0, |c| {
+            let mut comm = Communicator::new(c).with_allgather(AllgatherAlgorithm::Multicast);
+            let mine = if comm.rank() == 1 {
+                vec![5u8]
+            } else {
+                Vec::new()
+            };
+            comm.allgather(&mine).unwrap()
         });
         for parts in &out {
             assert_eq!(parts[0], Vec::<u8>::new());

@@ -1,177 +1,317 @@
-//! Nonblocking collectives: `MPI_Ibcast` / `MPI_Ibarrier` /
-//! `MPI_Iallgather`-style state machines over the transport's request
-//! layer.
+//! Collectives as request machines: `MPI_Ibcast` / `MPI_Ibarrier` /
+//! `MPI_Iallgather`, and — waited on — the blocking calls as well.
 //!
-//! Each machine is created by its [`crate::Communicator`] entry point
+//! Each machine-backed algorithm exists once, here, as a resumable
+//! machine that walks the algorithm's phases in the paper's order: the
+//! binomial scout reduction claims its children one at a time in
+//! ascending-mask order, the data (or release) receive is posted only
+//! after this rank's scout went up, the multicast allgather walks the
+//! ranks in order, and the rings post one receive per step. A machine
+//! therefore holds at most one posted receive ([`CollRequest::pending`]),
+//! posted exactly where the algorithm receives. That is what lets the
+//! blocking [`crate::Communicator`] calls for these algorithms be
+//! `I…Request::new(..).wait(c)` without moving a virtual time, a count
+//! or a replay constant.
+//!
+//! A machine is created by its `Communicator` entry point
 //! (`ibcast`/`ibarrier`/`iallgather`), which consumes one operation slot
 //! exactly like the blocking call — nonblocking and blocking collectives
 //! can be mixed freely as long as every rank issues the same sequence
-//! (the MPI "safe program" requirement). Construction posts the
-//! operation's receives and fires its first sends; afterwards the caller
-//! drives the machine with [`CollRequest::poll`] (nonblocking) or
-//! [`CollRequest::wait`] (which parks in [`Comm::progress_block`]
-//! between polls, so simulator virtual time advances correctly), doing
-//! its own work in between — the compute/communication overlap the
-//! blocking API cannot express.
+//! (the MPI "safe program" requirement). Construction fires the first
+//! sends and posts the first receive; afterwards the caller drives the
+//! machine with [`CollRequest::poll`] while doing its own work — the
+//! compute/communication overlap the blocking API cannot express — or
+//! finishes it with [`CollRequest::wait`]. Several operations can be in
+//! flight on one communicator at once (distinct op slots keep their tag
+//! spaces disjoint). The rings forward each claimed block to the
+//! successor as the shared [`Bytes`] view it arrived in — no per-hop
+//! copy.
 //!
-//! Beyond overlap with *computation*, the machines overlap
-//! *communication with communication*:
-//!
-//! * every per-peer receive of an operation is posted **upfront**, so
-//!   with repair armed the transport solicits retransmissions for all of
-//!   them concurrently instead of head-of-line-blocking on one;
-//! * the ring machines ([`IallgatherRequest`] with the ring algorithm,
-//!   [`IbcastRequest`] with scatter–allgather) forward each claimed
-//!   block to the successor as the shared [`Bytes`] view it arrived in —
-//!   no per-hop copy, unlike the blocking formulations, which re-import
-//!   every travelling block (`benches/overlap.rs` measures the gap);
-//! * several operations can be in flight on one communicator at once
-//!   (distinct op slots keep their tag spaces disjoint).
-//!
-//! On unrecoverable loss (`RecvError`), a machine cancels its remaining
-//! posted receives and surfaces the error; polling it again afterwards
-//! is a programming error and panics.
+//! On unrecoverable loss (`RecvError`) the failing receive was the
+//! machine's only one, so nothing is left to cancel; polling the machine
+//! again afterwards is a programming error and panics.
 
+use std::mem;
+use std::slice;
 use std::time::Duration;
 
 use mmpi_transport::{CancelSink, Comm, RecvError, RecvReq, Tag};
-use mmpi_wire::{Bytes, MsgKind};
+use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast::{tcp_acks_for, BcastAlgorithm};
 use crate::communicator::AllgatherAlgorithm;
+use crate::ring::{place_block, SuccessorSkip};
 use crate::tags::{OpTags, Phase};
 use crate::tree;
 
 /// A nonblocking collective in flight: poll it to completion, then take
-/// the output. `wait` is the blocking convenience (poll + park loop).
+/// the output — or [`CollRequest::wait`] for it.
 pub trait CollRequest {
     /// What the operation resolves to.
     type Output;
 
-    /// Drive the state machine as far as currently possible without
-    /// blocking. `Ok(true)` once the operation is complete (the output
-    /// is then available via [`CollRequest::take_output`] — or keep it
-    /// simple and use [`CollRequest::wait`]).
-    ///
-    /// Implementation contract: a poll must **claim every completed
-    /// receive the operation has posted** before returning `Ok(false)`
-    /// (stashing data it cannot use yet) — [`CollRequest::wait`] parks
-    /// until one of [`CollRequest::pending`] completes, so a completion
-    /// the poll keeps skipping would turn that park into a spin that,
-    /// on the simulator, also freezes virtual time and with it the
-    /// repair timers the operation may be waiting on.
-    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError>;
+    /// The claim-only step: if the operation's posted receive has
+    /// completed, claim it and run the algorithm on to its next receive
+    /// (which it posts) or to completion. Runs no progress pass.
+    /// `Ok(true)` once the operation is complete (the output is then
+    /// available via [`CollRequest::take_output`]).
+    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError>;
+
+    /// Drive the operation as far as currently possible without
+    /// blocking: one [`Comm::progress`] pass, then
+    /// [`CollRequest::poll_claimed`].
+    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+        c.progress();
+        self.poll_claimed(c)
+    }
 
     /// Take the completed operation's output. Panics if the operation
     /// has not completed (or the output was already taken).
     fn take_output(&mut self) -> Self::Output;
 
-    /// The transport requests this operation is currently blocked on —
-    /// what [`CollRequest::wait`] parks against. Empty once complete.
-    fn pending(&self) -> Vec<RecvReq>;
+    /// The one receive this operation is blocked on — what
+    /// [`CollRequest::wait`] parks against. `None` once complete.
+    fn pending(&self) -> Option<RecvReq>;
 
-    /// Abandon an in-flight operation, cancelling its posted receives
+    /// Abandon an in-flight operation, cancelling its posted receive
     /// immediately. Dropping an incomplete machine instead is also safe:
-    /// its `Drop` impl pushes the outstanding handles into the
-    /// endpoint's [`CancelSink`] and the progress engine cancels them on
-    /// its next pass — `cancel` just does it now, without waiting for
-    /// that pass.
+    /// its `Drop` pushes the outstanding handle into the endpoint's
+    /// [`CancelSink`] and the progress engine cancels it on its next
+    /// pass — `cancel` just does it now, without waiting for that pass.
     fn cancel<C: Comm>(self, c: &mut C)
     where
         Self: Sized,
     {
-        for r in self.pending() {
+        if let Some(r) = self.pending() {
             c.cancel_recv(r);
         }
     }
 
-    /// Drive to completion, parking in [`Comm::wait_ready`] on this
-    /// operation's own posted receives between polls — so the backend's
-    /// time model advances while this rank has nothing to do, and an
-    /// *unrelated* operation's parked completion cannot make the wait
-    /// spin.
+    /// Drive to completion: claim, else park in [`Comm::wait_ready`] on
+    /// the one posted receive. These are the calls a blocking `recv`
+    /// makes, so a waited machine moves the backend's time model exactly
+    /// as a blocking formulation would, and an *unrelated* operation's
+    /// parked completion cannot make the wait spin.
     fn wait<C: Comm>(mut self, c: &mut C) -> Result<Self::Output, RecvError>
     where
         Self: Sized,
     {
-        loop {
-            if self.poll(c)? {
-                return Ok(self.take_output());
+        while !self.poll_claimed(c)? {
+            let req = self
+                .pending()
+                .expect("an incomplete machine holds a posted receive");
+            c.wait_ready(slice::from_ref(&req));
+        }
+        Ok(self.take_output())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The machine shared by every request type
+// ---------------------------------------------------------------------
+
+/// Where an algorithm stands once it has run as far as it can without a
+/// message: blocked on the one receive it just posted, or done.
+#[derive(Debug)]
+enum Next<O> {
+    Recv(RecvReq),
+    Done(O),
+}
+
+/// One collective algorithm as phases: `start` runs from the call to
+/// its first receive, `resume` from that receive's message to the next.
+trait Phases: std::fmt::Debug {
+    type Output: std::fmt::Debug;
+    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Self::Output>;
+    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Self::Output>;
+}
+
+/// An algorithm's phases with the lifecycle every request shares. `Drop`
+/// hands a still-posted receive to the endpoint's cancel sink (a `Drop`
+/// has no `&mut Comm`); the progress engine cancels it on its next pass.
+#[derive(Debug)]
+struct Machine<P: Phases> {
+    life: Life<P>,
+    sink: CancelSink,
+}
+
+#[derive(Debug)]
+enum Life<P: Phases> {
+    Blocked(P, RecvReq),
+    Complete(P::Output),
+    Claimed,
+    Failed,
+}
+
+impl<P: Phases> Machine<P> {
+    fn start<C: Comm>(c: &mut C, mut phases: P) -> Self {
+        let life = match phases.start(c) {
+            Next::Recv(req) => Life::Blocked(phases, req),
+            Next::Done(out) => Life::Complete(out),
+        };
+        Machine {
+            life,
+            sink: c.cancel_sink(),
+        }
+    }
+
+    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+        let (phases, req) = match &mut self.life {
+            Life::Blocked(phases, req) => (phases, req),
+            Life::Complete(_) => return Ok(true),
+            Life::Claimed => panic!("collective request polled after its output was taken"),
+            Life::Failed => panic!("collective request polled after it failed"),
+        };
+        let next = match c.test_claimed(*req) {
+            None => return Ok(false),
+            Some(Ok(m)) => phases.resume(c, m),
+            Some(Err(e)) => {
+                self.life = Life::Failed;
+                return Err(e);
             }
-            let reqs = self.pending();
-            if reqs.is_empty() {
-                // Between claims and completion (cannot normally happen:
-                // an incomplete machine is blocked on something); fall
-                // back to a generic blocking pass rather than spin.
-                c.progress_block();
-            } else {
-                c.wait_ready(&reqs);
+        };
+        // Only a progress pass completes a receive, so the one just
+        // posted has nothing to claim yet.
+        Ok(match next {
+            Next::Recv(posted) => {
+                *req = posted;
+                false
             }
+            Next::Done(out) => {
+                self.life = Life::Complete(out);
+                true
+            }
+        })
+    }
+
+    fn take_output(&mut self) -> P::Output {
+        match mem::replace(&mut self.life, Life::Claimed) {
+            Life::Complete(out) => out,
+            other => panic!("collective output taken before completion ({other:?})"),
+        }
+    }
+
+    fn pending(&self) -> Option<RecvReq> {
+        match self.life {
+            Life::Blocked(_, req) => Some(req),
+            _ => None,
+        }
+    }
+}
+
+impl<P: Phases> Drop for Machine<P> {
+    fn drop(&mut self) {
+        if let Some(req) = self.pending() {
+            self.sink.push(req);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Scout reduction (shared by ibcast-mcast and ibarrier)
+// Scouted multicast (the paper's Bcast and Barrier)
 // ---------------------------------------------------------------------
 
-/// The binomial scout reduction as a sub-machine: all child scouts are
-/// posted at once (claimed in any order — overlap the blocking version's
-/// strict mask order cannot have), then one scout goes to the parent.
+/// The binomial scout reduction towards `root` (the paper's Fig. 3):
+/// this rank claims its children's empty scouts one at a time in
+/// ascending-mask order, then sends one scout to its parent — `N-1`
+/// scouts in `ceil(log2 N)` rounds. (The paper draws a slightly
+/// different, irregular edge set for seven processes; the standard
+/// binomial reduction has the same message count and depth.)
 #[derive(Debug)]
 struct ScoutReduce {
     tag: Tag,
-    parent: Option<usize>,
-    child_reqs: Vec<RecvReq>,
-    done: bool,
+    root: usize,
+    /// The next round's mask.
+    mask: usize,
 }
 
 impl ScoutReduce {
-    fn new<C: Comm>(c: &mut C, tags: OpTags, root: usize) -> Self {
-        let n = c.size();
-        let rank = c.rank();
-        let tag = tags.tag(Phase::Scout);
-        let child_reqs = tree::binomial_children(rank, n, root)
-            .into_iter()
-            .map(|src| c.post_recv(Some(src), tag))
-            .collect();
-        ScoutReduce {
-            tag,
-            parent: tree::binomial_parent(rank, n, root),
-            child_reqs,
-            done: n == 1,
+    /// Run the reduction on from the current round: post the next
+    /// child's scout receive, or — every child having reported — send
+    /// this subtree's scout to the parent (unless root) and return
+    /// `None`, after which it must not be called again.
+    fn next<C: Comm>(&mut self, c: &mut C) -> Option<RecvReq> {
+        let (n, rank) = (c.size(), c.rank());
+        let relrank = (rank + n - self.root) % n;
+        while self.mask < n {
+            let mask = self.mask;
+            self.mask <<= 1;
+            if relrank & mask != 0 {
+                c.send_kind(
+                    (rank + n - mask) % n,
+                    self.tag,
+                    MsgKind::Scout,
+                    &Bytes::new(),
+                );
+                return None;
+            }
+            if relrank + mask < n {
+                return Some(c.post_recv(Some((rank + mask) % n), self.tag));
+            }
+        }
+        None
+    }
+}
+
+/// Scouts up a binomial tree, then one multicast down from its root:
+/// the broadcast's binary algorithm (the payload, `MsgKind::Data`) and
+/// the barrier (an empty `MsgKind::Release` from rank 0).
+#[derive(Debug)]
+struct Scouted {
+    scout: ScoutReduce,
+    tag: Tag,
+    kind: MsgKind,
+    /// The root's payload.
+    buf: Vec<u8>,
+    /// Past the scout phase: the posted receive is the multicast's.
+    awaiting_multicast: bool,
+}
+
+impl Scouted {
+    fn new(tags: OpTags, root: usize, phase: Phase, kind: MsgKind, buf: Vec<u8>) -> Self {
+        Scouted {
+            scout: ScoutReduce {
+                tag: tags.tag(Phase::Scout),
+                root,
+                mask: 1,
+            },
+            tag: tags.tag(phase),
+            kind,
+            buf,
+            awaiting_multicast: false,
         }
     }
 
-    /// Claim-only poll (the owning machine's poll ran the progress pass).
-    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        if self.done {
-            return Ok(true);
+    fn advance<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        if let Some(req) = self.scout.next(c) {
+            return Next::Recv(req);
         }
-        let mut i = 0;
-        while i < self.child_reqs.len() {
-            let req = self.child_reqs[i];
-            match c.test_claimed(req) {
-                None => i += 1,
-                Some(Ok(_)) => {
-                    self.child_reqs.swap_remove(i);
-                }
-                Some(Err(e)) => {
-                    self.child_reqs.swap_remove(i);
-                    for r in self.child_reqs.drain(..) {
-                        c.cancel_recv(r);
-                    }
-                    return Err(e);
-                }
-            }
+        let root = self.scout.root;
+        if c.rank() == root {
+            c.mcast_kind(self.tag, self.kind, &Bytes::from(&self.buf));
+            return Next::Done(mem::take(&mut self.buf));
         }
-        if self.child_reqs.is_empty() {
-            if let Some(p) = self.parent {
-                c.send_kind(p, self.tag, MsgKind::Scout, &Bytes::new());
-            }
-            self.done = true;
+        self.awaiting_multicast = true;
+        Next::Recv(c.post_recv(Some(root), self.tag))
+    }
+}
+
+impl Phases for Scouted {
+    type Output = Vec<u8>;
+
+    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        if c.size() == 1 {
+            return Next::Done(mem::take(&mut self.buf));
         }
-        Ok(self.done)
+        self.advance(c)
+    }
+
+    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+        if self.awaiting_multicast {
+            Next::Done(m.into_vec())
+        } else {
+            self.advance(c)
+        }
     }
 }
 
@@ -179,132 +319,31 @@ impl ScoutReduce {
 // Ibarrier
 // ---------------------------------------------------------------------
 
-/// Nonblocking barrier: the paper's scout reduction to rank 0 followed
-/// by one multicast release.
+/// Nonblocking barrier: the paper's scout reduction to rank 0, then one
+/// multicast release.
 #[derive(Debug)]
-pub struct IbarrierRequest {
-    state: BarrierState,
-    sink: CancelSink,
-}
-
-#[derive(Debug)]
-enum BarrierState {
-    Running {
-        scout: ScoutReduce,
-        release_tag: Tag,
-        /// Posted release receive (non-rank-0 only).
-        release_req: Option<RecvReq>,
-    },
-    Complete,
-    Claimed,
-    Failed,
-}
+pub struct IbarrierRequest(Machine<Scouted>);
 
 impl IbarrierRequest {
     pub(crate) fn new<C: Comm>(c: &mut C, tags: OpTags) -> Self {
-        if c.size() == 1 {
-            return IbarrierRequest {
-                state: BarrierState::Complete,
-                sink: c.cancel_sink(),
-            };
-        }
-        let release_tag = tags.tag(Phase::Release);
-        // Post the release receive alongside the scout machinery: with
-        // repair armed both phases solicit concurrently.
-        let release_req = (c.rank() != 0).then(|| c.post_recv(Some(0), release_tag));
-        let scout = ScoutReduce::new(c, tags, 0);
-        IbarrierRequest {
-            state: BarrierState::Running {
-                scout,
-                release_tag,
-                release_req,
-            },
-            sink: c.cancel_sink(),
-        }
-    }
-}
-
-impl Drop for IbarrierRequest {
-    fn drop(&mut self) {
-        // Deferred cancel of an abandoned operation: push the
-        // outstanding receives into the endpoint's sink; the progress
-        // engine cancels them on its next pass (no-op for handles
-        // already cancelled explicitly).
-        let reqs = self.pending();
-        if !reqs.is_empty() {
-            self.sink.push_all(reqs);
-        }
+        let phases = Scouted::new(tags, 0, Phase::Release, MsgKind::Release, Vec::new());
+        IbarrierRequest(Machine::start(c, phases))
     }
 }
 
 impl CollRequest for IbarrierRequest {
     type Output = ();
 
-    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        c.progress();
-        match &mut self.state {
-            BarrierState::Complete => Ok(true),
-            BarrierState::Claimed => panic!("ibarrier polled after its output was taken"),
-            BarrierState::Failed => panic!("ibarrier polled after it failed"),
-            BarrierState::Running {
-                scout,
-                release_tag,
-                release_req,
-            } => {
-                let release_tag = *release_tag;
-                match scout.poll(c) {
-                    Ok(true) => {}
-                    Ok(false) => return Ok(false),
-                    Err(e) => {
-                        if let Some(r) = release_req.take() {
-                            c.cancel_recv(r);
-                        }
-                        self.state = BarrierState::Failed;
-                        return Err(e);
-                    }
-                }
-                match release_req {
-                    None => {
-                        // Rank 0: every scout arrived — release the world.
-                        c.mcast_kind(release_tag, MsgKind::Release, &Bytes::new());
-                        self.state = BarrierState::Complete;
-                        Ok(true)
-                    }
-                    Some(req) => match c.test_claimed(*req) {
-                        None => Ok(false),
-                        Some(Ok(_)) => {
-                            self.state = BarrierState::Complete;
-                            Ok(true)
-                        }
-                        Some(Err(e)) => {
-                            self.state = BarrierState::Failed;
-                            Err(e)
-                        }
-                    },
-                }
-            }
-        }
+    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+        self.0.poll_claimed(c)
     }
 
     fn take_output(&mut self) {
-        match std::mem::replace(&mut self.state, BarrierState::Claimed) {
-            BarrierState::Complete => (),
-            other => panic!("ibarrier output taken before completion ({other:?})"),
-        }
+        self.0.take_output();
     }
 
-    fn pending(&self) -> Vec<RecvReq> {
-        match &self.state {
-            BarrierState::Running {
-                scout, release_req, ..
-            } => scout
-                .child_reqs
-                .iter()
-                .copied()
-                .chain(release_req.iter().copied())
-                .collect(),
-            _ => Vec::new(),
-        }
+    fn pending(&self) -> Option<RecvReq> {
+        self.0.pending()
     }
 }
 
@@ -313,37 +352,24 @@ impl CollRequest for IbarrierRequest {
 // ---------------------------------------------------------------------
 
 /// Nonblocking broadcast. The shape follows the communicator's
-/// configured algorithm: MPICH binomial tree, overlapped
-/// scatter–ring-allgather, or (for every other selector) the paper's
-/// scout-reduce + single multicast.
+/// configured algorithm: MPICH binomial tree, scatter + ring allgather,
+/// or (for every other selector) the paper's scouts + one multicast.
 #[derive(Debug)]
-pub struct IbcastRequest {
-    state: BcastState,
-    sink: CancelSink,
-}
+pub struct IbcastRequest(Machine<Bcast>);
 
 #[derive(Debug)]
-enum BcastState {
-    Mcast {
-        scout: ScoutReduce,
-        data_tag: Tag,
-        /// Root: the payload to multicast once the scouts are in.
-        send_buf: Option<Vec<u8>>,
-        /// Non-root: the posted data receive.
-        data_req: Option<RecvReq>,
-    },
+enum Bcast {
+    Scouted(Scouted),
+    /// MPICH's binomial tree (paper Fig. 2): receive from the parent,
+    /// then fan out. `N-1` point-to-point data messages in
+    /// `ceil(log2 N)` rounds, each charged `layer` on both sides.
     Binomial {
         tag: Tag,
         layer: Duration,
-        /// Posted receive from the parent (non-root only).
-        parent_req: RecvReq,
-        /// Relative-rank children, descending mask order.
-        children: Vec<usize>,
+        root: usize,
+        buf: Vec<u8>,
     },
-    Scatter(Box<ScatterAllgather>),
-    Complete(Vec<u8>),
-    Claimed,
-    Failed,
+    Scatter(ScatterAllgather),
 }
 
 impl IbcastRequest {
@@ -355,67 +381,82 @@ impl IbcastRequest {
         root: usize,
         buf: Vec<u8>,
     ) -> Self {
-        let n = c.size();
-        let rank = c.rank();
-        if n == 1 {
-            return IbcastRequest {
-                state: BcastState::Complete(buf),
-                sink: c.cancel_sink(),
-            };
-        }
-        let state = match algo {
-            BcastAlgorithm::MpichBinomial => {
-                let tag = tags.tag(Phase::Data);
-                if rank == root {
-                    // Root: every send fires at post time; complete.
-                    let wire = Bytes::from(&buf);
-                    for dst in tree::binomial_children(rank, n, root) {
-                        c.compute(layer);
-                        c.send_kind(dst, tag, MsgKind::Data, &wire);
-                    }
-                    BcastState::Complete(buf)
-                } else {
-                    let parent =
-                        tree::binomial_parent(rank, n, root).expect("non-root rank has a parent");
-                    BcastState::Binomial {
-                        tag,
-                        layer,
-                        parent_req: c.post_recv(Some(parent), tag),
-                        children: tree::binomial_children(rank, n, root),
-                    }
-                }
-            }
-            BcastAlgorithm::ScatterAllgather => {
-                BcastState::Scatter(Box::new(ScatterAllgather::new(c, tags, root, buf)))
-            }
-            _ => {
-                // The paper's binary shape for every multicast-capable
-                // selector (and the linear/flat/auto variants — the data
-                // movement is identical for the nonblocking caller).
-                let data_tag = tags.tag(Phase::Data);
-                let data_req = (rank != root).then(|| c.post_recv(Some(root), data_tag));
-                let scout = ScoutReduce::new(c, tags, root);
-                BcastState::Mcast {
-                    scout,
-                    data_tag,
-                    send_buf: (rank == root).then_some(buf),
-                    data_req,
-                }
-            }
+        let phases = match algo {
+            BcastAlgorithm::MpichBinomial => Bcast::Binomial {
+                tag: tags.tag(Phase::Data),
+                layer,
+                root,
+                buf,
+            },
+            BcastAlgorithm::ScatterAllgather => Bcast::Scatter(ScatterAllgather {
+                tags,
+                root,
+                buf,
+                ring: None,
+            }),
+            // The paper's binary shape for every other selector (the data
+            // movement is identical for the nonblocking caller).
+            _ => Bcast::Scouted(Scouted::new(tags, root, Phase::Data, MsgKind::Data, buf)),
         };
-        IbcastRequest {
-            state,
-            sink: c.cancel_sink(),
-        }
+        IbcastRequest(Machine::start(c, phases))
     }
 }
 
-impl Drop for IbcastRequest {
-    fn drop(&mut self) {
-        // Deferred cancel (see `IbarrierRequest`'s `Drop`).
-        let reqs = self.pending();
-        if !reqs.is_empty() {
-            self.sink.push_all(reqs);
+/// MPICH's fan-out: send `buf` to this rank's children in descending-mask
+/// order, charging the layering cost per send. The buffer is imported
+/// into wire form once, and only if there is a child.
+fn fan_out<C: Comm>(c: &mut C, tag: Tag, layer: Duration, root: usize, buf: &[u8]) {
+    let mut wire = None;
+    for dst in tree::binomial_children(c.rank(), c.size(), root) {
+        let wire = wire.get_or_insert_with(|| Bytes::from(buf));
+        c.compute(layer);
+        c.send_kind(dst, tag, MsgKind::Data, wire);
+    }
+}
+
+impl Phases for Bcast {
+    type Output = Vec<u8>;
+
+    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        match self {
+            Bcast::Scouted(s) => s.start(c),
+            Bcast::Binomial {
+                tag,
+                layer,
+                root,
+                buf,
+            } => match tree::binomial_parent(c.rank(), c.size(), *root) {
+                Some(parent) => Next::Recv(c.post_recv(Some(parent), *tag)),
+                None => {
+                    fan_out(c, *tag, *layer, *root, buf);
+                    Next::Done(mem::take(buf))
+                }
+            },
+            Bcast::Scatter(s) => s.start(c),
+        }
+    }
+
+    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+        match self {
+            Bcast::Scouted(s) => s.resume(c, m),
+            Bcast::Binomial {
+                tag,
+                layer,
+                root,
+                buf,
+            } => {
+                let src = m.src_rank as usize;
+                // The payload replaces (and frees) the receiver's own
+                // buffer before the fan-out copies it.
+                *buf = m.into_vec();
+                c.compute(*layer);
+                // MPICH-1.x ran its p2p channel over TCP: model the
+                // kernel's acknowledgement traffic.
+                c.tcp_ack_model(src, tcp_acks_for(buf.len()));
+                fan_out(c, *tag, *layer, *root, buf);
+                Next::Done(mem::take(buf))
+            }
+            Bcast::Scatter(s) => s.resume(c, m),
         }
     }
 }
@@ -423,304 +464,113 @@ impl Drop for IbcastRequest {
 impl CollRequest for IbcastRequest {
     type Output = Vec<u8>;
 
-    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        c.progress();
-        match &mut self.state {
-            BcastState::Complete(_) => Ok(true),
-            BcastState::Claimed => panic!("ibcast polled after its output was taken"),
-            BcastState::Failed => panic!("ibcast polled after it failed"),
-            BcastState::Mcast {
-                scout,
-                data_tag,
-                send_buf,
-                data_req,
-            } => {
-                let data_tag = *data_tag;
-                match scout.poll(c) {
-                    Ok(true) => {}
-                    Ok(false) => return Ok(false),
-                    Err(e) => {
-                        if let Some(r) = data_req.take() {
-                            c.cancel_recv(r);
-                        }
-                        self.state = BcastState::Failed;
-                        return Err(e);
-                    }
-                }
-                match data_req {
-                    None => {
-                        let buf = send_buf.take().expect("root buffer present");
-                        c.mcast_kind(data_tag, MsgKind::Data, &Bytes::from(&buf));
-                        self.state = BcastState::Complete(buf);
-                        Ok(true)
-                    }
-                    Some(req) => match c.test_claimed(*req) {
-                        None => Ok(false),
-                        Some(Ok(m)) => {
-                            self.state = BcastState::Complete(m.into_vec());
-                            Ok(true)
-                        }
-                        Some(Err(e)) => {
-                            self.state = BcastState::Failed;
-                            Err(e)
-                        }
-                    },
-                }
-            }
-            BcastState::Binomial {
-                tag,
-                layer,
-                parent_req,
-                children,
-            } => match c.test_claimed(*parent_req) {
-                None => Ok(false),
-                Some(Ok(m)) => {
-                    let (tag, layer) = (*tag, *layer);
-                    let src = m.src_rank as usize;
-                    let buf = m.into_vec();
-                    c.compute(layer);
-                    c.tcp_ack_model(src, tcp_acks_for(buf.len()));
-                    let children = std::mem::take(children);
-                    let wire = Bytes::from(&buf);
-                    for dst in children {
-                        c.compute(layer);
-                        c.send_kind(dst, tag, MsgKind::Data, &wire);
-                    }
-                    self.state = BcastState::Complete(buf);
-                    Ok(true)
-                }
-                Some(Err(e)) => {
-                    self.state = BcastState::Failed;
-                    Err(e)
-                }
-            },
-            BcastState::Scatter(sm) => match sm.poll(c) {
-                Ok(Some(out)) => {
-                    self.state = BcastState::Complete(out);
-                    Ok(true)
-                }
-                Ok(None) => Ok(false),
-                Err(e) => {
-                    self.state = BcastState::Failed;
-                    Err(e)
-                }
-            },
-        }
+    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+        self.0.poll_claimed(c)
     }
 
     fn take_output(&mut self) -> Vec<u8> {
-        match std::mem::replace(&mut self.state, BcastState::Claimed) {
-            BcastState::Complete(buf) => buf,
-            other => panic!("ibcast output taken before completion ({other:?})"),
-        }
+        self.0.take_output()
     }
 
-    fn pending(&self) -> Vec<RecvReq> {
-        match &self.state {
-            BcastState::Mcast {
-                scout, data_req, ..
-            } => scout
-                .child_reqs
-                .iter()
-                .copied()
-                .chain(data_req.iter().copied())
-                .collect(),
-            BcastState::Binomial { parent_req, .. } => vec![*parent_req],
-            BcastState::Scatter(sm) => sm.pending(),
-            _ => Vec::new(),
-        }
+    fn pending(&self) -> Option<RecvReq> {
+        self.0.pending()
     }
 }
 
 // ---------------------------------------------------------------------
-// Overlapped scatter + ring allgather (van de Geijn, request-based)
+// Scatter + ring allgather (van de Geijn)
 // ---------------------------------------------------------------------
 
-/// The request-based rework of `bcast_scatter_allgather`: every ring
-/// receive is posted upfront, each claimed block is placed into the
-/// output and forwarded to the successor **as the shared view it
-/// arrived in** (the blocking version re-imports every travelling
-/// block), and the scatter receive overlaps with the ring posts.
-/// Wire-compatible with the blocking formulation: same tags, same
-/// `[total, offset, data]` block framing.
-///
-/// Forwarding is decided by block *identity*, never by claim order:
-/// with repair armed, a NACK-recovered block completes after blocks
-/// that arrived intact, so "forward all but the last claimed" would
-/// withhold the wrong block from the successor. Each rank forwards
-/// every claimed block except the one the successor itself owns,
-/// identified by its offset (tied offsets only occur between empty —
-/// hence interchangeable — trailing blocks, where skipping the first
-/// match is equivalent).
+/// Van de Geijn's large-message broadcast: the root scatters `N` blocks
+/// framed `[total u32, offset u32, data]`, then the blocks travel the
+/// rank ring so every rank ends with the whole message — each byte
+/// crosses any link at most twice regardless of `N`. A rank enters the
+/// ring once its own block is in hand and then receives one block from
+/// its predecessor per step, forwarding every block but the successor's
+/// own (the [`SuccessorSkip`] rule: the offset is the block's identity,
+/// since a NACK-repaired block completes after blocks sent later).
 #[derive(Debug)]
 struct ScatterAllgather {
-    n: usize,
-    next: usize,
-    ring_tag: Tag,
-    /// Non-root until its scatter block arrives.
-    scatter_req: Option<RecvReq>,
-    /// Ring receives from the predecessor, in step order.
-    ring_reqs: std::collections::VecDeque<RecvReq>,
-    /// Ring blocks claimed so far.
-    claimed: usize,
+    tags: OpTags,
     root: usize,
-    /// The shared withhold-from-successor rule (armed once `total` is
-    /// known — see [`crate::ring::SuccessorSkip`]).
-    skip: Option<crate::ring::SuccessorSkip>,
-    /// Ring blocks claimed before our own scatter block arrived (the
-    /// predecessor can enter its ring first, and under loss our scatter
-    /// block can be the one needing repair). Claimed eagerly — a poll
-    /// must never leave a completed receive unclaimed, or
-    /// [`CollRequest::wait`]'s readiness park degenerates into a spin —
-    /// and replayed once the ring is entered.
-    early: Vec<mmpi_wire::Message>,
-    out: Option<Vec<u8>>,
+    /// The root's message (consumed by the scatter).
+    buf: Vec<u8>,
+    /// Set once this rank entered the ring.
+    ring: Option<ScatterRing>,
+}
+
+#[derive(Debug)]
+struct ScatterRing {
+    skip: SuccessorSkip,
+    out: Vec<u8>,
+    /// Ring blocks still to come.
+    left: usize,
 }
 
 impl ScatterAllgather {
-    fn new<C: Comm>(c: &mut C, tags: OpTags, root: usize, buf: Vec<u8>) -> Self {
-        let n = c.size();
-        let rank = c.rank();
-        let scatter_tag = tags.tag(Phase::Data);
-        let ring_tag = tags.tag(Phase::Exchange);
-        let next = (rank + 1) % n;
-        let prev = (rank + n - 1) % n;
-
-        // Post everything this rank will ever receive, before any send:
-        // the repair engine then solicits for all of it concurrently.
-        let scatter_req = (rank != root).then(|| c.post_recv(Some(root), scatter_tag));
-        let ring_reqs: std::collections::VecDeque<RecvReq> = (0..n - 1)
-            .map(|_| c.post_recv(Some(prev), ring_tag))
-            .collect();
-
-        let mut sm = ScatterAllgather {
-            n,
-            next,
-            ring_tag,
-            scatter_req,
-            ring_reqs,
-            claimed: 0,
-            root,
-            skip: None,
-            early: Vec::new(),
-            out: None,
+    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        let (n, rank) = (c.size(), c.rank());
+        if n == 1 {
+            return Next::Done(mem::take(&mut self.buf));
+        }
+        let scatter_tag = self.tags.tag(Phase::Data);
+        if rank != self.root {
+            return Next::Recv(c.post_recv(Some(self.root), scatter_tag));
+        }
+        let buf = mem::take(&mut self.buf);
+        let total = buf.len();
+        let per = total.div_ceil(n).max(1);
+        let block = |i: usize| {
+            let lo = (i * per).min(total);
+            let hi = ((i + 1) * per).min(total);
+            let mut block = Vec::with_capacity(8 + hi - lo);
+            block.extend_from_slice(&(total as u32).to_le_bytes());
+            block.extend_from_slice(&(lo as u32).to_le_bytes());
+            block.extend_from_slice(&buf[lo..hi]);
+            block
         };
-
-        if rank == root {
-            // Scatter: frame and send every block, keep our own.
-            let total = buf.len();
-            let per = total.div_ceil(n).max(1);
-            let mut my_block = Vec::new();
-            for i in 0..n {
-                let lo = (i * per).min(total);
-                let hi = ((i + 1) * per).min(total);
-                let mut block = Vec::with_capacity(8 + hi - lo);
-                block.extend_from_slice(&(total as u32).to_le_bytes());
-                block.extend_from_slice(&(lo as u32).to_le_bytes());
-                block.extend_from_slice(&buf[lo..hi]);
-                let dst = (root + i) % n;
-                if dst == rank {
-                    my_block = block;
-                } else {
-                    c.send(dst, scatter_tag, &block);
-                }
-            }
-            sm.enter_ring(c, total, &my_block);
+        // Block `i` goes to `root + i`; the root keeps block 0.
+        for i in 1..n {
+            c.send((self.root + i) % n, scatter_tag, block(i));
         }
-        sm
+        self.enter_ring(c, &Bytes::from(block(0)))
     }
 
-    /// Own block in hand (scattered or locally built): allocate the
-    /// output, compute which block offset belongs to the successor,
-    /// place ours, and send it on its way around the ring.
-    fn enter_ring<C: Comm>(&mut self, c: &mut C, total: usize, my_block: &[u8]) {
-        self.skip = Some(crate::ring::SuccessorSkip::new(
-            self.n, self.root, self.next, total,
-        ));
+    /// Own block in hand: allocate the output, place the block and send
+    /// it around the ring, then post the first ring receive.
+    fn enter_ring<C: Comm>(&mut self, c: &mut C, own: &Bytes) -> Next<Vec<u8>> {
+        let (n, rank) = (c.size(), c.rank());
+        let next = (rank + 1) % n;
+        let total = u32::from_le_bytes(own[0..4].try_into().unwrap()) as usize;
         let mut out = vec![0u8; total];
-        crate::ring::place_block(&mut out, my_block);
-        self.out = Some(out);
-        c.send(self.next, self.ring_tag, my_block);
-        // Replay ring blocks that beat our scatter block here.
-        for m in std::mem::take(&mut self.early) {
-            self.process_ring_block(c, &m);
-        }
+        place_block(&mut out, own);
+        let ring_tag = self.tags.tag(Phase::Exchange);
+        c.send_kind(next, ring_tag, MsgKind::Data, own);
+        self.ring = Some(ScatterRing {
+            skip: SuccessorSkip::new(n, self.root, next, total),
+            out,
+            left: n - 1,
+        });
+        Next::Recv(c.post_recv(Some((rank + n - 1) % n), ring_tag))
     }
 
-    /// Place one claimed ring block and forward it unless it is the
-    /// successor's own (see the forwarding rules in the type docs).
-    fn process_ring_block<C: Comm>(&mut self, c: &mut C, m: &mmpi_wire::Message) {
-        self.claimed += 1;
-        let lo = u32::from_le_bytes(m.payload[4..8].try_into().unwrap());
-        if !self.skip.as_mut().expect("ring entered").should_skip(lo) {
-            // Zero-copy forward of the shared arrival view.
-            c.send_kind(self.next, self.ring_tag, MsgKind::Data, &m.payload);
+    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+        let Some(ring) = &mut self.ring else {
+            return self.enter_ring(c, &m.payload);
+        };
+        let (n, rank) = (c.size(), c.rank());
+        let ring_tag = self.tags.tag(Phase::Exchange);
+        if !ring
+            .skip
+            .should_skip(place_block(&mut ring.out, &m.payload))
+        {
+            c.send_kind((rank + 1) % n, ring_tag, MsgKind::Data, &m.payload);
         }
-        crate::ring::place_block(self.out.as_mut().expect("ring entered"), &m.payload);
-    }
-
-    fn pending(&self) -> Vec<RecvReq> {
-        self.scatter_req
-            .iter()
-            .copied()
-            .chain(self.ring_reqs.iter().copied())
-            .collect()
-    }
-
-    fn cancel_all<C: Comm>(&mut self, c: &mut C) {
-        if let Some(r) = self.scatter_req.take() {
-            c.cancel_recv(r);
+        ring.left -= 1;
+        if ring.left == 0 {
+            return Next::Done(mem::take(&mut ring.out));
         }
-        for r in self.ring_reqs.drain(..) {
-            c.cancel_recv(r);
-        }
-    }
-
-    /// `Ok(Some(buf))` when the full message has been assembled.
-    /// Claim-only (the owning machine's poll ran the progress pass).
-    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<Option<Vec<u8>>, RecvError> {
-        if let Some(req) = self.scatter_req {
-            match c.test_claimed(req) {
-                None => {}
-                Some(Ok(m)) => {
-                    self.scatter_req = None;
-                    let block = m.into_vec();
-                    let total = u32::from_le_bytes(block[0..4].try_into().unwrap()) as usize;
-                    self.enter_ring(c, total, &block);
-                }
-                Some(Err(e)) => {
-                    self.scatter_req = None;
-                    self.cancel_all(c);
-                    return Err(e);
-                }
-            }
-        }
-        // Claim whatever ring blocks have completed — even before our
-        // scatter block arrives (stashing them until the ring is
-        // entered). Identity-based forwarding: skip exactly the block
-        // owned by the successor, whatever order the blocks complete in.
-        while let Some(&front) = self.ring_reqs.front() {
-            match c.test_claimed(front) {
-                None => break,
-                Some(Ok(m)) => {
-                    self.ring_reqs.pop_front();
-                    if self.out.is_some() {
-                        self.process_ring_block(c, &m);
-                    } else {
-                        self.early.push(m);
-                    }
-                }
-                Some(Err(e)) => {
-                    self.ring_reqs.pop_front();
-                    self.cancel_all(c);
-                    return Err(e);
-                }
-            }
-        }
-        if self.out.is_some() && self.claimed == self.n - 1 {
-            return Ok(Some(self.out.take().expect("assembled")));
-        }
-        Ok(None)
+        Next::Recv(c.post_recv(Some((rank + n - 1) % n), ring_tag))
     }
 }
 
@@ -728,37 +578,31 @@ impl ScatterAllgather {
 // Iallgather
 // ---------------------------------------------------------------------
 
-/// Nonblocking allgather: the overlapped ring (every receive posted
-/// upfront, claimed blocks forwarded as shared views) or the
-/// rank-ordered multicast exchange, per the communicator's configured
-/// algorithm.
+/// Nonblocking allgather: the ring or the rank-ordered multicast
+/// exchange, per the communicator's configured algorithm.
 #[derive(Debug)]
-pub struct IallgatherRequest {
-    state: AllgatherState,
-    sink: CancelSink,
-}
+pub struct IallgatherRequest(Machine<Allgather>);
 
+/// The two allgathers (the paper's §5 future work, many-to-many):
+///
+/// * the ring — owner-prefixed blocks travel the rank ring, one receive
+///   from the predecessor per step, `N-1` steps, each byte crossing every
+///   link once;
+/// * the multicast exchange — every rank multicasts its block **once**,
+///   in rank order: a rank receives each lower rank's block in turn,
+///   then multicasts its own, so `N` multicasts replace `N(N-1)`
+///   point-to-point transfers. The ordering is the paper's §4 safety
+///   argument: rank `i+1` cannot multicast before it received rank `i`'s
+///   block, so receivers are provably inside the collective.
 #[derive(Debug)]
-enum AllgatherState {
-    Ring {
-        next: usize,
-        tag: Tag,
-        ring_reqs: std::collections::VecDeque<RecvReq>,
-        claimed: usize,
-        out: Vec<Vec<u8>>,
-    },
-    Mcast {
-        tag: Tag,
-        /// `reqs[i]` is the posted receive for rank `i`'s block.
-        reqs: Vec<Option<RecvReq>>,
-        remaining: usize,
-        /// Our block, multicast once every lower rank's block is in.
-        mine: Option<Vec<u8>>,
-        out: Vec<Vec<u8>>,
-    },
-    Complete(Vec<Vec<u8>>),
-    Claimed,
-    Failed,
+struct Allgather {
+    /// The ring, or else the rank-ordered multicast.
+    ring: bool,
+    tag: Tag,
+    /// Every rank's block; this rank's own is in place from the start.
+    out: Vec<Vec<u8>>,
+    /// Ring: blocks still to come. Multicast: the rank whose turn it is.
+    step: usize,
 }
 
 impl IallgatherRequest {
@@ -768,195 +612,95 @@ impl IallgatherRequest {
         tags: OpTags,
         mine: &[u8],
     ) -> Self {
-        let n = c.size();
-        let rank = c.rank();
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[rank] = mine.to_vec();
-        if n == 1 {
-            return IallgatherRequest {
-                state: AllgatherState::Complete(out),
-                sink: c.cancel_sink(),
-            };
-        }
-        let state = match algo {
-            // GatherBcast has no nonblocking shape of its own; the
-            // overlapped ring produces the identical result.
-            AllgatherAlgorithm::Ring | AllgatherAlgorithm::GatherBcast => {
-                let tag = tags.tag(Phase::Exchange);
-                let next = (rank + 1) % n;
-                let prev = (rank + n - 1) % n;
-                let ring_reqs = (0..n - 1).map(|_| c.post_recv(Some(prev), tag)).collect();
-                // Owner-prefixed travelling block, as in the blocking ring.
-                let mut block = Vec::with_capacity(4 + mine.len());
-                block.extend_from_slice(&(rank as u32).to_le_bytes());
-                block.extend_from_slice(mine);
-                c.send(next, tag, &block);
-                AllgatherState::Ring {
-                    next,
-                    tag,
-                    ring_reqs,
-                    claimed: 0,
-                    out,
-                }
-            }
-            AllgatherAlgorithm::Multicast => {
-                let tag = tags.tag(Phase::Data);
-                let reqs: Vec<Option<RecvReq>> = (0..n)
-                    .map(|i| (i != rank).then(|| c.post_recv(Some(i), tag)))
-                    .collect();
-                let mut state = AllgatherState::Mcast {
-                    tag,
-                    reqs,
-                    remaining: n - 1,
-                    mine: Some(mine.to_vec()),
-                    out,
-                };
-                // Rank 0 owes the first block and owes nobody a wait.
-                if rank == 0 {
-                    if let AllgatherState::Mcast { tag, mine, .. } = &mut state {
-                        c.mcast_kind(*tag, MsgKind::Data, &Bytes::from(&mine.take().unwrap()[..]));
-                    }
-                }
-                state
-            }
+        // GatherBcast has no nonblocking shape of its own; the ring
+        // produces the identical result.
+        let ring = algo != AllgatherAlgorithm::Multicast;
+        let mut out = vec![Vec::new(); c.size()];
+        out[c.rank()] = mine.to_vec();
+        let phases = Allgather {
+            ring,
+            tag: tags.tag(if ring { Phase::Exchange } else { Phase::Data }),
+            out,
+            step: 0,
         };
-        IallgatherRequest {
-            state,
-            sink: c.cancel_sink(),
-        }
+        IallgatherRequest(Machine::start(c, phases))
     }
 }
 
-impl Drop for IallgatherRequest {
-    fn drop(&mut self) {
-        // Deferred cancel (see `IbarrierRequest`'s `Drop`).
-        let reqs = self.pending();
-        if !reqs.is_empty() {
-            self.sink.push_all(reqs);
+impl Allgather {
+    /// Walk the ranks in order from the current turn: multicast our own
+    /// block when its turn comes, post the next other rank's receive, or
+    /// finish.
+    fn take_turns<C: Comm>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
+        let rank = c.rank();
+        while self.step < self.out.len() {
+            if self.step != rank {
+                return Next::Recv(c.post_recv(Some(self.step), self.tag));
+            }
+            c.mcast_kind(self.tag, MsgKind::Data, &Bytes::from(&self.out[rank]));
+            self.step += 1;
         }
+        Next::Done(mem::take(&mut self.out))
+    }
+}
+
+impl Phases for Allgather {
+    type Output = Vec<Vec<u8>>;
+
+    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
+        let (n, rank) = (c.size(), c.rank());
+        if n == 1 {
+            return Next::Done(mem::take(&mut self.out));
+        }
+        if !self.ring {
+            return self.take_turns(c);
+        }
+        let mine = &self.out[rank];
+        let mut own = Vec::with_capacity(4 + mine.len());
+        own.extend_from_slice(&(rank as u32).to_le_bytes());
+        own.extend_from_slice(mine);
+        c.send((rank + 1) % n, self.tag, own);
+        self.step = n - 1;
+        Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
+    }
+
+    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
+        if !self.ring {
+            self.out[self.step] = m.into_vec();
+            self.step += 1;
+            return self.take_turns(c);
+        }
+        let (n, rank) = (c.size(), c.rank());
+        let next = (rank + 1) % n;
+        let owner = u32::from_le_bytes(m.payload[0..4].try_into().unwrap()) as usize;
+        // Forward by identity, not arrival order: a NACK-recovered block
+        // completes after blocks sent later, so every block travels on
+        // except the successor's own, which it started with.
+        if owner != next {
+            c.send_kind(next, self.tag, MsgKind::Data, &m.payload);
+        }
+        self.out[owner] = m.payload[4..].to_vec();
+        self.step -= 1;
+        if self.step == 0 {
+            return Next::Done(mem::take(&mut self.out));
+        }
+        Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
     }
 }
 
 impl CollRequest for IallgatherRequest {
     type Output = Vec<Vec<u8>>;
 
-    fn poll<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        c.progress();
-        match &mut self.state {
-            AllgatherState::Complete(_) => Ok(true),
-            AllgatherState::Claimed => panic!("iallgather polled after its output was taken"),
-            AllgatherState::Failed => panic!("iallgather polled after it failed"),
-            AllgatherState::Ring {
-                next,
-                tag,
-                ring_reqs,
-                claimed,
-                out,
-            } => {
-                let n = out.len();
-                while let Some(&front) = ring_reqs.front() {
-                    match c.test_claimed(front) {
-                        None => break,
-                        Some(Ok(m)) => {
-                            ring_reqs.pop_front();
-                            *claimed += 1;
-                            let owner =
-                                u32::from_le_bytes(m.payload[0..4].try_into().unwrap()) as usize;
-                            // Identity-based forwarding: with repair
-                            // armed a recovered block completes after
-                            // blocks that arrived intact, so claim
-                            // order is not step order — forward every
-                            // block except the successor's own (which
-                            // it started with), whatever order they
-                            // complete in.
-                            if owner != *next {
-                                // Zero-copy forward of the arrival view.
-                                c.send_kind(*next, *tag, MsgKind::Data, &m.payload);
-                            }
-                            out[owner] = m.payload[4..].to_vec();
-                        }
-                        Some(Err(e)) => {
-                            ring_reqs.pop_front();
-                            for r in ring_reqs.drain(..) {
-                                c.cancel_recv(r);
-                            }
-                            self.state = AllgatherState::Failed;
-                            return Err(e);
-                        }
-                    }
-                }
-                if *claimed == n - 1 {
-                    let out = std::mem::take(out);
-                    self.state = AllgatherState::Complete(out);
-                    return Ok(true);
-                }
-                Ok(false)
-            }
-            AllgatherState::Mcast {
-                tag,
-                reqs,
-                remaining,
-                mine,
-                out,
-            } => {
-                let rank = c.rank();
-                loop {
-                    let mut progressed = false;
-                    for i in 0..reqs.len() {
-                        let Some(req) = reqs[i] else { continue };
-                        match c.test_claimed(req) {
-                            None => {}
-                            Some(Ok(m)) => {
-                                reqs[i] = None;
-                                *remaining -= 1;
-                                out[i] = m.into_vec();
-                                progressed = true;
-                            }
-                            Some(Err(e)) => {
-                                reqs[i] = None;
-                                for r in reqs.iter_mut().filter_map(Option::take) {
-                                    c.cancel_recv(r);
-                                }
-                                self.state = AllgatherState::Failed;
-                                return Err(e);
-                            }
-                        }
-                    }
-                    // Rank-ordered safety: multicast our block only once
-                    // every lower rank's block has arrived (they are
-                    // provably inside the collective — the paper's §4
-                    // argument, unchanged).
-                    if mine.is_some() && reqs[..rank].iter().all(Option::is_none) {
-                        c.mcast_kind(*tag, MsgKind::Data, &Bytes::from(&mine.take().unwrap()[..]));
-                        progressed = true;
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                if *remaining == 0 && mine.is_none() {
-                    let out = std::mem::take(out);
-                    self.state = AllgatherState::Complete(out);
-                    return Ok(true);
-                }
-                Ok(false)
-            }
-        }
+    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+        self.0.poll_claimed(c)
     }
 
     fn take_output(&mut self) -> Vec<Vec<u8>> {
-        match std::mem::replace(&mut self.state, AllgatherState::Claimed) {
-            AllgatherState::Complete(out) => out,
-            other => panic!("iallgather output taken before completion ({other:?})"),
-        }
+        self.0.take_output()
     }
 
-    fn pending(&self) -> Vec<RecvReq> {
-        match &self.state {
-            AllgatherState::Ring { ring_reqs, .. } => ring_reqs.iter().copied().collect(),
-            AllgatherState::Mcast { reqs, .. } => reqs.iter().filter_map(|r| *r).collect(),
-            _ => Vec::new(),
-        }
+    fn pending(&self) -> Option<RecvReq> {
+        self.0.pending()
     }
 }
 
@@ -1038,8 +782,8 @@ mod tests {
     #[test]
     fn dropped_machine_cancels_outstanding_receives_via_sink() {
         // Abandoning a half-finished machine must not leak its posted
-        // receives: `Drop` pushes them into the endpoint's cancel sink
-        // and the next progress pass retires them.
+        // receive: `Drop` pushes it into the endpoint's cancel sink and
+        // the next progress pass retires it.
         let out = run_mem_world(2, 0, |mut c| {
             let req = IbarrierRequest::new(&mut c, OpTags::new(OpCode::Barrier, 0));
             // Rank 0 posted the scout receive, rank 1 the release receive.
@@ -1053,9 +797,11 @@ mod tests {
 
     #[test]
     fn dropped_ring_machine_cancels_all_posted_receives() {
-        // The allgather ring posts n-1 receives upfront; dropping it
-        // unpolled must retire every one of them (and a fresh identical
-        // operation afterwards still completes — no traffic was stolen).
+        // The ring posts one receive per step, so construction leaves
+        // exactly the first step's receive outstanding (not one per
+        // step); dropping the machine unpolled must retire it (and a
+        // fresh identical operation afterwards still completes — no
+        // traffic was stolen).
         let out = run_mem_world(4, 0, |mut c| {
             let mine = [c.rank() as u8; 2];
             let abandoned = IallgatherRequest::new(
@@ -1064,7 +810,7 @@ mod tests {
                 OpTags::new(OpCode::Allgather, 0),
                 &mine,
             );
-            assert_eq!(c.outstanding_recvs(), 3);
+            assert_eq!(c.outstanding_recvs(), 1);
             drop(abandoned);
             c.progress();
             let after_drop = c.outstanding_recvs();

@@ -1,29 +1,28 @@
-//! Shared ring-allgather block arithmetic: framing placement and the
+//! Block arithmetic of the scatter + ring-allgather broadcast
+//! (`request::ScatterAllgather`): framing placement and the
 //! identity-based forwarding decision.
 //!
-//! Both the blocking `bcast_ext::bcast_scatter_allgather` and the
-//! request-based `request::ScatterAllgather` machine move
-//! `[total, offset, data]`-framed blocks around the rank ring and must
-//! withhold exactly one received block from the successor — the block
-//! the successor itself started with. The decision lives here once, so
-//! the two formulations cannot drift on its subtle parts: the offset is
-//! the block's identity (claim/receive order is *not*, because a
-//! NACK-repaired block completes after blocks that arrived intact), and
-//! offset ties only occur between empty trailing blocks, where the
-//! *last* matching claim is the one withheld (skipping the first would
-//! starve the ring when every block is empty).
+//! The ring moves `[total, offset, data]`-framed blocks and each rank
+//! must withhold exactly one received block from the successor — the
+//! block the successor itself started with. Its subtle parts, kept apart
+//! with their own test: the offset is the block's identity (receive
+//! order is *not*, because a NACK-repaired block completes after blocks
+//! that arrived intact), and offset ties only occur between empty
+//! trailing blocks, where the *last* matching claim is the one withheld
+//! (skipping the first would starve the ring when every block is empty).
 
 /// Place one framed block (`[total u32, offset u32, data]`) into the
-/// assembled output buffer.
-pub(crate) fn place_block(out: &mut [u8], block: &[u8]) {
-    let lo = u32::from_le_bytes(block[4..8].try_into().unwrap()) as usize;
+/// assembled output buffer; returns the block's offset.
+pub(crate) fn place_block(out: &mut [u8], block: &[u8]) -> u32 {
+    let lo = u32::from_le_bytes(block[4..8].try_into().unwrap());
     let data = &block[8..];
-    out[lo..lo + data.len()].copy_from_slice(data);
+    out[lo as usize..lo as usize + data.len()].copy_from_slice(data);
+    lo
 }
 
-/// The withhold-from-successor decision for one rank of the scatter
-/// ring: feed it every received block's offset; exactly one returns
-/// `true` over the n-1 receives.
+/// The withhold-from-successor decision for one rank of the ring: feed
+/// it every received block's offset; exactly one returns `true` over
+/// the n-1 receives.
 #[derive(Debug)]
 pub(crate) struct SuccessorSkip {
     next_lo: u32,

@@ -1,13 +1,10 @@
-//! Binomial-tree arithmetic shared by the collective formulations.
-//!
-//! The blocking algorithms (`bcast_mpich_binomial`,
-//! `scout_reduce_binomial`, `coll::reduce`) carry the relative-rank /
-//! mask derivation inline, interleaved with their sends and receives;
-//! the request-based state machines in [`crate::request`] need the same
-//! neighbourhood *up front* (to post every receive at construction), so
-//! it lives here as pure functions of `(rank, n, root)`.
+//! Binomial-tree arithmetic of MPICH's broadcast (paper Fig. 2), as pure
+//! functions of `(rank, n, root)`: with `relrank = (rank - root) mod N`,
+//! a rank receives from the subtree root that owns it (the lowest set
+//! bit of `relrank` below) and fans out to `relrank + mask` for
+//! descending `mask`.
 
-/// The parent `rank` reports to in the binomial tree rooted at `root`
+/// The parent `rank` receives from in the binomial tree rooted at `root`
 /// (`None` for the root itself): the rank at distance `lowest set bit
 /// of relrank` below.
 pub(crate) fn binomial_parent(rank: usize, n: usize, root: usize) -> Option<usize> {
@@ -19,24 +16,18 @@ pub(crate) fn binomial_parent(rank: usize, n: usize, root: usize) -> Option<usiz
     Some((rank + n - mask) % n)
 }
 
-/// The children `rank` owns in the binomial tree rooted at `root`, in
-/// descending-mask order (the blocking fan-out order). Ascending-mask
-/// order — the blocking *reduction* order — is the reverse.
-pub(crate) fn binomial_children(rank: usize, n: usize, root: usize) -> Vec<usize> {
+/// The children `rank` sends to in the binomial tree rooted at `root`,
+/// in descending-mask order (the fan-out order).
+pub(crate) fn binomial_children(rank: usize, n: usize, root: usize) -> impl Iterator<Item = usize> {
     let relrank = (rank + n - root) % n;
     let mut mask = 1usize;
     while mask < n && relrank & mask == 0 {
         mask <<= 1;
     }
-    let mut children = Vec::new();
-    let mut m = mask >> 1;
-    while m > 0 {
-        if relrank + m < n {
-            children.push((rank + m) % n);
-        }
-        m >>= 1;
-    }
-    children
+    std::iter::successors(Some(mask >> 1), |m| Some(m >> 1))
+        .take_while(|&m| m > 0)
+        .filter(move |&m| relrank + m < n)
+        .map(move |m| (rank + m) % n)
 }
 
 #[cfg(test)]
@@ -56,7 +47,7 @@ mod tests {
                         None => assert_eq!(rank, root, "only the root lacks a parent"),
                         Some(p) => {
                             assert!(
-                                binomial_children(p, n, root).contains(&rank),
+                                binomial_children(p, n, root).any(|c| c == rank),
                                 "n={n} root={root}: {p} must list {rank} as child"
                             );
                             edges += 1;

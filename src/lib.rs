@@ -26,7 +26,7 @@
 //!   (`docs/PROTOCOL.md` §11).
 //! * [`core`] — the paper's contribution: broadcast and barrier over IP
 //!   multicast, plus the MPICH point-to-point baselines, the
-//!   nonblocking `ibcast`/`ibarrier`/`iallgather` state machines, and
+//!   `ibcast`/`ibarrier`/`iallgather` request machines, and
 //!   the ULFM-style `PeerFailed` → `shrink()` → retry recovery
 //!   (`docs/API.md`).
 //! * [`cluster`] — SPMD experiment harness (trials, statistics, CSV,
@@ -54,16 +54,16 @@
 //!                        │
 //!        ┌───────────────┼────────────────┐
 //!        ▼               ▼                │
-//!   mmpi-bench ───► mmpi-cluster          │   figures, benches,
-//!        │               │                │   loss-sweep tables
+//!   mmpi-bench ───► mmpi-cluster          │   figures, allocation
+//!        │               │                │   gauge, loss-sweep tables
 //!        │               ▼                ▼
 //!        └─────────► mmpi-core ──────────────  collective algorithms
 //!                        │                     (loss-oblivious), typed
 //!                        │                     RecvError results, and
-//!                        │                     nonblocking ibcast /
-//!                        │                     ibarrier / iallgather
-//!                        │                     (overlapped ring, zero-
-//!                        │                     copy step forwarding),
+//!                        │                     ibcast / ibarrier /
+//!                        │                     iallgather machines
+//!                        │                     (the blocking calls
+//!                        │                     wait on them),
 //!                        │                     ULFM shrink/leave over
 //!                        │                     survivor-agreement votes
 //!                        ▼

@@ -11,7 +11,7 @@ use mcast_mpi::netsim::ids::HostId;
 use mcast_mpi::netsim::params::{FaultParams, NetParams};
 use mcast_mpi::netsim::time::{SimDuration, SimTime};
 use mcast_mpi::netsim::topology::TopologyScript;
-use mcast_mpi::transport::{run_mem_world, run_sim_world_stats, Comm, SimCommConfig};
+use mcast_mpi::transport::{run_mem_world, run_sim_world_stats, Comm, RepairConfig, SimCommConfig};
 
 /// Every multicast-family collective the paper cares about; returns a
 /// digest all backends must agree on.
@@ -185,6 +185,62 @@ fn ring_workload<C: Comm>(c: C) -> u64 {
     let out = req.wait(comm.transport_mut()).unwrap();
     digest += out.iter().map(|&b| b as u64).sum::<u64>();
     digest
+}
+
+/// One multicast allgather of `[rank; 3]` blocks at 5 % loss, through
+/// `iallgather(..).wait(..)` or the blocking `allgather`, under a 2 s
+/// virtual time limit. Returns each rank's parts, the makespan in
+/// nanoseconds and the `World` events handled.
+fn mcast_allgather_at_five_percent(n: usize, nonblocking: bool) -> (Vec<Vec<Vec<u8>>>, u64, u64) {
+    let mut cluster = lossy_cluster(n, 0.05, 0x5E12_7ED1);
+    cluster.time_limit = SimDuration::from_secs(2);
+    let cfg = SimCommConfig {
+        repair: Some(RepairConfig::sim_default().with_seed(11)),
+        ..Default::default()
+    };
+    let (report, _) = run_sim_world_stats(&cluster, &cfg, move |c| {
+        let mut comm = Communicator::new(c);
+        let mine = [comm.rank() as u8; 3];
+        if nonblocking {
+            comm.iallgather(&mine).wait(comm.transport_mut()).unwrap()
+        } else {
+            comm.allgather(&mine).unwrap()
+        }
+    })
+    .unwrap_or_else(|e| panic!("n={n} nonblocking={nonblocking}: {e:?}"));
+    (
+        report.outputs,
+        report.makespan.as_nanos(),
+        report.events_handled,
+    )
+}
+
+/// The multicast `iallgather` livelock regression. When the request
+/// machine posted all `N-1` receives upfront, every one solicited repair
+/// at once, and at N ≥ 24 under 5 % loss the waited machine never
+/// completed: it ran into the 2 s virtual time limit, while the blocking
+/// allgather finished in a fraction of that. The machine now posts its
+/// receives in rank order, one at a time, so the request path is the
+/// blocking path: identical parts, makespan and event count.
+#[test]
+fn mcast_iallgather_completes_under_five_percent_loss() {
+    for (n, makespan_ns, events) in [
+        (24usize, 219_078_753u64, 4_076u64),
+        (32, 295_842_137, 8_227),
+    ] {
+        let (parts, end, handled) = mcast_allgather_at_five_percent(n, true);
+        for (rank, got) in parts.iter().enumerate() {
+            let want: Vec<Vec<u8>> = (0..n).map(|src| vec![src as u8; 3]).collect();
+            assert_eq!(got, &want, "n={n} rank={rank}");
+        }
+        assert_eq!(
+            (end, handled),
+            (makespan_ns, events),
+            "n={n}: virtual makespan and World events"
+        );
+        let (_, blocking_end, blocking_handled) = mcast_allgather_at_five_percent(n, false);
+        assert_eq!((end, handled), (blocking_end, blocking_handled), "n={n}");
+    }
 }
 
 /// The chain-bcast ordering regression (this PR's bugfix): the pipelined
@@ -404,7 +460,7 @@ fn drain_grace_scales_with_group_size() {
     let n = 16;
     let run = |pinned: bool| {
         let mut cfg = SimCommConfig::default();
-        let mut rc = mcast_mpi::transport::RepairConfig::sim_default();
+        let mut rc = RepairConfig::sim_default();
         if pinned {
             rc.drain_grace_cap = rc.drain_grace;
         }

@@ -31,11 +31,11 @@
 //! machine's only one, so nothing is left to cancel; polling the machine
 //! again afterwards is a programming error and panics.
 
+use std::any::Any;
 use std::mem;
-use std::slice;
 use std::time::Duration;
 
-use mmpi_transport::{CancelSink, Comm, RecvError, RecvReq, Tag};
+use mmpi_transport::{CancelSink, ClaimStep, Comm, RecvError, RecvReq, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast::{tcp_acks_for, BcastAlgorithm};
@@ -87,21 +87,23 @@ pub trait CollRequest {
         }
     }
 
-    /// Drive to completion: claim, else park in [`Comm::wait_ready`] on
-    /// the one posted receive. These are the calls a blocking `recv`
-    /// makes, so a waited machine moves the backend's time model exactly
-    /// as a blocking formulation would, and an *unrelated* operation's
-    /// parked completion cannot make the wait spin.
+    /// This operation as the object-safe step [`Comm::wait_op`] repeats:
+    /// [`CollRequest::poll_claimed`] over a `dyn Comm`.
+    fn claim_step(&mut self) -> &mut dyn ClaimStep;
+
+    /// Drive to completion: [`Comm::wait_op`] — claim, else wait on the
+    /// one posted receive. By default that is [`Comm::wait_ready`], the
+    /// calls a blocking `recv` makes, so a waited machine moves the
+    /// backend's time model exactly as a blocking formulation would, and
+    /// an *unrelated* operation's parked completion cannot make the wait
+    /// spin. The simulator's `SimComm` parks its rank once for the whole
+    /// operation instead: the round closer takes the claim steps between
+    /// the receives, making the same calls.
     fn wait<C: Comm>(mut self, c: &mut C) -> Result<Self::Output, RecvError>
     where
         Self: Sized,
     {
-        while !self.poll_claimed(c)? {
-            let req = self
-                .pending()
-                .expect("an incomplete machine holds a posted receive");
-            c.wait_ready(slice::from_ref(&req));
-        }
+        c.wait_op(self.claim_step())?;
         Ok(self.take_output())
     }
 }
@@ -122,8 +124,8 @@ enum Next<O> {
 /// its first receive, `resume` from that receive's message to the next.
 trait Phases: std::fmt::Debug {
     type Output: std::fmt::Debug;
-    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Self::Output>;
-    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Self::Output>;
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Self::Output>;
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Self::Output>;
 }
 
 /// An algorithm's phases with the lifecycle every request shares. `Drop`
@@ -144,7 +146,7 @@ enum Life<P: Phases> {
 }
 
 impl<P: Phases> Machine<P> {
-    fn start<C: Comm>(c: &mut C, mut phases: P) -> Self {
+    fn start<C: Comm + ?Sized>(c: &mut C, mut phases: P) -> Self {
         let life = match phases.start(c) {
             Next::Recv(req) => Life::Blocked(phases, req),
             Next::Done(out) => Life::Complete(out),
@@ -155,7 +157,7 @@ impl<P: Phases> Machine<P> {
         }
     }
 
-    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+    fn poll_claimed<C: Comm + ?Sized>(&mut self, c: &mut C) -> Result<bool, RecvError> {
         let (phases, req) = match &mut self.life {
             Life::Blocked(phases, req) => (phases, req),
             Life::Complete(_) => return Ok(true),
@@ -199,6 +201,38 @@ impl<P: Phases> Machine<P> {
     }
 }
 
+impl<P> ClaimStep for Machine<P>
+where
+    P: Phases + Send + 'static,
+    P::Output: Send,
+{
+    fn claim(&mut self, c: &mut dyn Comm) -> Result<Option<RecvReq>, RecvError> {
+        Ok(if self.poll_claimed(c)? {
+            None
+        } else {
+            self.pending()
+        })
+    }
+
+    fn vacant(&self) -> Box<dyn ClaimStep> {
+        Box::new(Machine::<P> {
+            life: Life::Claimed,
+            sink: self.sink.clone(),
+        })
+    }
+
+    fn exchange(&mut self, other: &mut dyn ClaimStep) -> bool {
+        let other: &mut dyn Any = other;
+        match other.downcast_mut::<Self>() {
+            Some(other) => {
+                mem::swap(self, other);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
 impl<P: Phases> Drop for Machine<P> {
     fn drop(&mut self) {
         if let Some(req) = self.pending() {
@@ -230,7 +264,7 @@ impl ScoutReduce {
     /// child's scout receive, or — every child having reported — send
     /// this subtree's scout to the parent (unless root) and return
     /// `None`, after which it must not be called again.
-    fn next<C: Comm>(&mut self, c: &mut C) -> Option<RecvReq> {
+    fn next<C: Comm + ?Sized>(&mut self, c: &mut C) -> Option<RecvReq> {
         let (n, rank) = (c.size(), c.rank());
         let relrank = (rank + n - self.root) % n;
         while self.mask < n {
@@ -282,7 +316,7 @@ impl Scouted {
         }
     }
 
-    fn advance<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+    fn advance<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
         if let Some(req) = self.scout.next(c) {
             return Next::Recv(req);
         }
@@ -299,14 +333,14 @@ impl Scouted {
 impl Phases for Scouted {
     type Output = Vec<u8>;
 
-    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
         if c.size() == 1 {
             return Next::Done(mem::take(&mut self.buf));
         }
         self.advance(c)
     }
 
-    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
         if self.awaiting_multicast {
             Next::Done(m.into_vec())
         } else {
@@ -344,6 +378,10 @@ impl CollRequest for IbarrierRequest {
 
     fn pending(&self) -> Option<RecvReq> {
         self.0.pending()
+    }
+
+    fn claim_step(&mut self) -> &mut dyn ClaimStep {
+        &mut self.0
     }
 }
 
@@ -405,7 +443,7 @@ impl IbcastRequest {
 /// MPICH's fan-out: send `buf` to this rank's children in descending-mask
 /// order, charging the layering cost per send. The buffer is imported
 /// into wire form once, and only if there is a child.
-fn fan_out<C: Comm>(c: &mut C, tag: Tag, layer: Duration, root: usize, buf: &[u8]) {
+fn fan_out<C: Comm + ?Sized>(c: &mut C, tag: Tag, layer: Duration, root: usize, buf: &[u8]) {
     let mut wire = None;
     for dst in tree::binomial_children(c.rank(), c.size(), root) {
         let wire = wire.get_or_insert_with(|| Bytes::from(buf));
@@ -417,7 +455,7 @@ fn fan_out<C: Comm>(c: &mut C, tag: Tag, layer: Duration, root: usize, buf: &[u8
 impl Phases for Bcast {
     type Output = Vec<u8>;
 
-    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
         match self {
             Bcast::Scouted(s) => s.start(c),
             Bcast::Binomial {
@@ -436,7 +474,7 @@ impl Phases for Bcast {
         }
     }
 
-    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
         match self {
             Bcast::Scouted(s) => s.resume(c, m),
             Bcast::Binomial {
@@ -475,6 +513,10 @@ impl CollRequest for IbcastRequest {
     fn pending(&self) -> Option<RecvReq> {
         self.0.pending()
     }
+
+    fn claim_step(&mut self) -> &mut dyn ClaimStep {
+        &mut self.0
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -508,7 +550,7 @@ struct ScatterRing {
 }
 
 impl ScatterAllgather {
-    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
         let (n, rank) = (c.size(), c.rank());
         if n == 1 {
             return Next::Done(mem::take(&mut self.buf));
@@ -531,14 +573,15 @@ impl ScatterAllgather {
         };
         // Block `i` goes to `root + i`; the root keeps block 0.
         for i in 1..n {
-            c.send((self.root + i) % n, scatter_tag, block(i));
+            let part = Bytes::from(block(i));
+            c.send_kind((self.root + i) % n, scatter_tag, MsgKind::Data, &part);
         }
         self.enter_ring(c, &Bytes::from(block(0)))
     }
 
     /// Own block in hand: allocate the output, place the block and send
     /// it around the ring, then post the first ring receive.
-    fn enter_ring<C: Comm>(&mut self, c: &mut C, own: &Bytes) -> Next<Vec<u8>> {
+    fn enter_ring<C: Comm + ?Sized>(&mut self, c: &mut C, own: &Bytes) -> Next<Vec<u8>> {
         let (n, rank) = (c.size(), c.rank());
         let next = (rank + 1) % n;
         let total = u32::from_le_bytes(own[0..4].try_into().unwrap()) as usize;
@@ -554,7 +597,7 @@ impl ScatterAllgather {
         Next::Recv(c.post_recv(Some((rank + n - 1) % n), ring_tag))
     }
 
-    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
         let Some(ring) = &mut self.ring else {
             return self.enter_ring(c, &m.payload);
         };
@@ -631,7 +674,7 @@ impl Allgather {
     /// Walk the ranks in order from the current turn: multicast our own
     /// block when its turn comes, post the next other rank's receive, or
     /// finish.
-    fn take_turns<C: Comm>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
+    fn take_turns<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
         let rank = c.rank();
         while self.step < self.out.len() {
             if self.step != rank {
@@ -647,7 +690,7 @@ impl Allgather {
 impl Phases for Allgather {
     type Output = Vec<Vec<u8>>;
 
-    fn start<C: Comm>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
         let (n, rank) = (c.size(), c.rank());
         if n == 1 {
             return Next::Done(mem::take(&mut self.out));
@@ -659,12 +702,12 @@ impl Phases for Allgather {
         let mut own = Vec::with_capacity(4 + mine.len());
         own.extend_from_slice(&(rank as u32).to_le_bytes());
         own.extend_from_slice(mine);
-        c.send((rank + 1) % n, self.tag, own);
+        c.send_kind((rank + 1) % n, self.tag, MsgKind::Data, &Bytes::from(own));
         self.step = n - 1;
         Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
     }
 
-    fn resume<C: Comm>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
         if !self.ring {
             self.out[self.step] = m.into_vec();
             self.step += 1;
@@ -701,6 +744,10 @@ impl CollRequest for IallgatherRequest {
 
     fn pending(&self) -> Option<RecvReq> {
         self.0.pending()
+    }
+
+    fn claim_step(&mut self) -> &mut dyn ClaimStep {
+        &mut self.0
     }
 }
 

@@ -651,16 +651,16 @@ impl Cluster {
     }
 }
 
-/// What a [`Served::step`] may do in its rank's name: read the rank's clock
-/// and send. The round closer hands it out while it holds the simulation
-/// lock; every call is the `World` call the rank's own request would have
-/// been, with the same charges to the rank's local clock.
+/// What a [`Served::step`] may do in its rank's name: read the rank's clock,
+/// send, and compute. The round closer hands it out while it holds the
+/// simulation lock; every call is the `World` call the rank's own request
+/// would have been, with the same charges to the rank's local clock.
 pub struct RankPort<'a> {
     cluster: &'a Cluster,
     sim: &'a mut Sim,
     rank: usize,
-    /// The first send that failed the run (time limit). Later sends are
-    /// dropped and the closer aborts the round when the step returns.
+    /// The first request that failed the run (time limit). Later requests
+    /// are dropped and the closer aborts the round when the step returns.
     failed: Option<SimError>,
 }
 
@@ -683,16 +683,43 @@ impl RankPort<'_> {
         dst_port: u16,
         payload: impl Into<SharedPayload>,
     ) {
-        if self.failed.is_some() {
-            return;
-        }
-        let req = Request::Send {
+        self.apply(Request::Send {
             socket,
             dst,
             dst_port: UdpPort(dst_port),
             payload: payload.into(),
             kernel: false,
-        };
+        });
+    }
+
+    /// [`SimProcess::send_kernel`], from the stepped rank.
+    pub fn send_kernel(
+        &mut self,
+        socket: SocketId,
+        dst: DatagramDst,
+        dst_port: u16,
+        payload: impl Into<SharedPayload>,
+    ) {
+        self.apply(Request::Send {
+            socket,
+            dst,
+            dst_port: UdpPort(dst_port),
+            payload: payload.into(),
+            kernel: true,
+        });
+    }
+
+    /// [`SimProcess::compute`], for the stepped rank.
+    pub fn compute(&mut self, dur: SimDuration) {
+        self.apply(Request::Compute { dur });
+    }
+
+    /// Apply a request that never blocks, as the rank's own thread would
+    /// have had it applied.
+    fn apply(&mut self, req: Request) {
+        if self.failed.is_some() {
+            return;
+        }
         if let Err(err) = self.cluster.apply(self.sim, self.rank, req) {
             self.failed = Some(err);
         }

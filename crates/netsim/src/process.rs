@@ -8,10 +8,16 @@
 //! here. The same collective-operation code therefore runs unmodified on
 //! this handle and on a real UDP transport — only the handle differs.
 //!
-//! A rank whose receive is one turn of a longer wait loop (ingest, look,
-//! receive again) can leave the loop body behind as a [`Served`] when it
-//! parks in [`SimProcess::recv_served`]: the round closer then runs the
-//! body for it and wakes the rank's thread only once the loop is over.
+//! A rank whose receive is one turn of a longer loop (ingest, look, maybe
+//! send or compute, receive again) can leave the loop body behind as a
+//! [`Served`] when it parks in [`SimProcess::recv_served`]: the round
+//! closer then runs the body for it and wakes the rank's thread only once
+//! the loop is over. The body acts in the rank's name through a
+//! [`RankPort`], whose `send`, `send_kernel` and `compute` are the
+//! requests of this handle the rank's thread would have posted. A body can
+//! be a whole waited collective: `mmpi-transport`'s `SimComm` parks one
+//! with its request machine and lets the closer run every phase between
+//! the receives.
 
 use std::fmt;
 use std::sync::Arc;
@@ -113,8 +119,9 @@ pub struct AbortUnwind;
 /// without the simulation lock (the closer holds it).
 pub trait Served: Send + Sync {
     /// The parked receive finished with `datagram` (`None`: its timeout
-    /// ran out). Consume it, send through `port` whatever the rank would
-    /// have sent next, and say whether the rank receives again or wakes.
+    /// ran out). Consume it, send or compute through `port` whatever the
+    /// rank would have next, and say whether the rank receives again or
+    /// wakes.
     fn step(&self, port: &mut RankPort<'_>, datagram: Option<Arc<Datagram>>) -> Step;
 }
 

@@ -9,10 +9,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use mmpi_netsim::cluster::{run_cluster, ClusterConfig, HandoffStats};
+use mmpi_netsim::cluster::{run_cluster, ClusterConfig, HandoffStats, RunReport};
 use mmpi_netsim::ids::{DatagramDst, GroupId, HostId, SocketId};
 use mmpi_netsim::params::NetParams;
-use mmpi_netsim::time::SimDuration;
+use mmpi_netsim::time::{SimDuration, SimTime};
 use mmpi_netsim::{Datagram, RankPort, Served, ServedRecv, SimError, SimProcess, Step};
 
 const PORT: u16 = 5000;
@@ -785,5 +785,156 @@ fn lossy_n64_cycle_handles_only_events_that_do_something() {
         };
         assert_eq!(report.handoff, want);
         assert_eq!(report.events_handled, 24_618);
+    });
+}
+
+// ---------------------------------------------------------------------
+// The closer's twins of `SimProcess::{compute, send_kernel}`: a step may
+// do what the MPICH tree's receiver does between two receives.
+// ---------------------------------------------------------------------
+
+/// What a rank does in its own name, from its own thread or — stepped —
+/// from the closer's.
+trait Hands {
+    fn now(&self) -> SimTime;
+    fn compute(&mut self, dur: SimDuration);
+    fn send(&mut self, s: SocketId, dst: DatagramDst, payload: Vec<u8>);
+    fn send_kernel(&mut self, s: SocketId, dst: DatagramDst, payload: Vec<u8>);
+}
+
+impl Hands for SimProcess {
+    fn now(&self) -> SimTime {
+        SimProcess::now(self)
+    }
+    fn compute(&mut self, dur: SimDuration) {
+        SimProcess::compute(self, dur);
+    }
+    fn send(&mut self, s: SocketId, dst: DatagramDst, payload: Vec<u8>) {
+        SimProcess::send(self, s, dst, PORT, payload);
+    }
+    fn send_kernel(&mut self, s: SocketId, dst: DatagramDst, payload: Vec<u8>) {
+        SimProcess::send_kernel(self, s, dst, PORT, payload);
+    }
+}
+
+impl Hands for RankPort<'_> {
+    fn now(&self) -> SimTime {
+        RankPort::now(self)
+    }
+    fn compute(&mut self, dur: SimDuration) {
+        RankPort::compute(self, dur);
+    }
+    fn send(&mut self, s: SocketId, dst: DatagramDst, payload: Vec<u8>) {
+        RankPort::send(self, s, dst, PORT, payload);
+    }
+    fn send_kernel(&mut self, s: SocketId, dst: DatagramDst, payload: Vec<u8>) {
+        RankPort::send_kernel(self, s, dst, PORT, payload);
+    }
+}
+
+/// `RING_N` ranks pass a token around the ring `RING_LAPS` times. On each
+/// token a rank charges a layering cost, acknowledges the sender with
+/// kernel traffic and passes the token on; the loop ends with its
+/// `RING_LAPS`-th token. Records each token's hop and the rank's clock.
+struct TokenRing {
+    socket: SocketId,
+    seen: Mutex<Vec<(u8, u64)>>,
+}
+
+const RING_N: usize = 8;
+const RING_LAPS: usize = 4;
+const TOKEN: u8 = 0x70;
+
+impl TokenRing {
+    fn turn(&self, hands: &mut dyn Hands, rank: usize, datagram: Option<Arc<Datagram>>) -> Step {
+        let d = datagram.expect("no timeout was set");
+        let bytes = d.payload.to_vec();
+        if bytes[0] != TOKEN {
+            // Somebody's acknowledgement: filed away.
+            return Step::Park(None);
+        }
+        let hop = bytes[1];
+        hands.compute(us(5 + (hop % 3) as u64));
+        let from = DatagramDst::Unicast(d.src_host);
+        hands.send_kernel(self.socket, from, vec![0xAC; 40]);
+        if usize::from(hop) < RING_N * RING_LAPS {
+            let next = DatagramDst::Unicast(HostId(((rank + 1) % RING_N) as u32));
+            hands.send(self.socket, next, vec![TOKEN, hop + 1, 0, 0, 0, 0, 0, 0]);
+        }
+        let mut seen = self.seen.lock().unwrap();
+        seen.push((hop, hands.now().as_nanos()));
+        if seen.len() == RING_LAPS {
+            Step::Done
+        } else {
+            Step::Park(None)
+        }
+    }
+}
+
+impl Served for TokenRing {
+    fn step(&self, port: &mut RankPort<'_>, datagram: Option<Arc<Datagram>>) -> Step {
+        let rank = port.rank();
+        self.turn(port, rank, datagram)
+    }
+}
+
+fn token_ring(served: bool) -> RunReport<Vec<(u8, u64)>> {
+    let cfg = ClusterConfig::new(RING_N, NetParams::fast_ethernet_switch(), 0x70C3)
+        .with_start_skew(us(30));
+    run_cluster(&cfg, move |mut p| {
+        let rank = p.rank();
+        let socket = p.bind(PORT);
+        let ring = Arc::new(TokenRing {
+            socket,
+            seen: Mutex::new(Vec::new()),
+        });
+        if rank == 0 {
+            let next = DatagramDst::Unicast(HostId(1));
+            p.send(socket, next, PORT, vec![TOKEN, 1, 0, 0, 0, 0, 0, 0]);
+        }
+        let handle: Arc<dyn Served> = Arc::clone(&ring) as Arc<dyn Served>;
+        let mut next = Step::Park(None);
+        while let Step::Park(timeout) = next {
+            next = if served {
+                match p.recv_served(socket, timeout, &handle) {
+                    ServedRecv::Stepped => Step::Done,
+                    ServedRecv::Woken(d) => ring.turn(&mut p, rank, d),
+                }
+            } else {
+                let d = p.recv(socket);
+                ring.turn(&mut p, rank, Some(d))
+            };
+        }
+        let seen = ring.seen.lock().unwrap().clone();
+        seen
+    })
+    .expect("the token makes every lap")
+}
+
+/// `RankPort::compute` and `RankPort::send_kernel` are the requests the
+/// rank's own thread would have posted, applied the way they would have
+/// been: a step that computes and acknowledges in kernel traffic leaves
+/// every local clock, every network counter and the `World`'s event count
+/// where the same program run on the rank's own thread leaves them.
+#[test]
+fn a_step_computes_and_sends_kernel_traffic_like_the_rank_itself() {
+    within(20, || {
+        let (plain, stepped) = (token_ring(false), token_ring(true));
+        assert_eq!(plain.outputs[3].len(), RING_LAPS);
+        assert_eq!(
+            plain.stats.kernel_datagrams_sent,
+            (RING_N * RING_LAPS) as u64
+        );
+        assert_eq!(stepped.outputs, plain.outputs);
+        assert_eq!(stepped.completion_times, plain.completion_times);
+        assert_eq!(format!("{:?}", stepped.stats), format!("{:?}", plain.stats));
+        assert_eq!(stepped.events_handled, plain.events_handled);
+        assert_eq!(plain.handoff.stepped_inline, 0);
+        assert!(stepped.handoff.stepped_inline > 0, "{:?}", stepped.handoff);
+        assert_eq!(
+            stepped.handoff.answered + stepped.handoff.stepped_inline,
+            plain.handoff.answered,
+            "the same completions, handed over differently"
+        );
     });
 }

@@ -42,7 +42,9 @@
 //! drift. A walkthrough of a posted receive's lifecycle through the
 //! engine is in `docs/API.md`.
 
+use std::any::Any;
 use std::fmt;
+use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -212,6 +214,29 @@ impl SendReq {
     }
 }
 
+/// A waited operation, as the one step [`Comm::wait_op`] repeats:
+/// `mmpi-core`'s request machines. Object-safe, so a backend can hold the
+/// operation while its caller sleeps and take the steps itself — the
+/// simulator's round closer does, between the receives of a parked rank
+/// (`docs/SIMULATOR.md`, "Served waits").
+pub trait ClaimStep: Any + Send {
+    /// Claim the operation's posted receive if it has completed and run
+    /// the operation on to its next receive, which it posts, or to its
+    /// end. Returns the receive the operation is now blocked on, `None`
+    /// once it is complete. Makes no blocking call and runs no progress
+    /// pass, so whoever takes the step, the backend sees the same calls.
+    fn claim(&mut self, c: &mut dyn Comm) -> Result<Option<RecvReq>, RecvError>;
+
+    /// A spent operation of this type: the slot a backend moves this one
+    /// into ([`ClaimStep::exchange`]) while it holds it, kept for the next
+    /// operation of the type.
+    fn vacant(&self) -> Box<dyn ClaimStep>;
+
+    /// Swap with `other` if it is of this type; `false` (and nothing
+    /// moved) otherwise.
+    fn exchange(&mut self, other: &mut dyn ClaimStep) -> bool;
+}
+
 /// Message tag. Collectives encode (operation, phase, round) in it.
 pub type Tag = u32;
 
@@ -330,7 +355,7 @@ pub trait Comm {
     /// Block until `req` completes and claim it. Provided:
     /// [`Comm::wait_any`] over the one request.
     fn wait(&mut self, req: RecvReq) -> Result<Message, RecvError> {
-        self.wait_any(std::slice::from_ref(&req)).map(|(_, m)| m)
+        self.wait_any(slice::from_ref(&req)).map(|(_, m)| m)
     }
 
     /// Block until `req` completes or `timeout` elapses. `Ok(None)` means
@@ -367,6 +392,23 @@ pub trait Comm {
                 }
             }
         }
+    }
+
+    /// Drive a waited operation to its end: take its claim step, and while
+    /// it is blocked, [`Comm::wait_ready`] on the one receive it posted —
+    /// the calls a blocking `recv` makes, so waiting an operation moves a
+    /// backend's time model as a blocking formulation would. A backend may
+    /// take the steps itself while the caller sleeps (the simulator does);
+    /// it makes the same calls. On `Err` the operation failed and is not
+    /// stepped again.
+    fn wait_op(&mut self, op: &mut dyn ClaimStep) -> Result<(), RecvError>
+    where
+        Self: Sized,
+    {
+        while let Some(req) = op.claim(self)? {
+            self.wait_ready(slice::from_ref(&req));
+        }
+        Ok(())
     }
 
     /// Abandon a posted receive: its handle is retired and its repair

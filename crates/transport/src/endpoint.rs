@@ -9,11 +9,12 @@
 //! monomorphised, and a call through it costs what the hand-written
 //! forwarder it replaced did.
 
+use std::slice;
 use std::time::Duration;
 
 use mmpi_wire::{Bytes, Message, MsgKind, RepairStats};
 
-use crate::api::{CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag};
+use crate::api::{CancelSink, ClaimStep, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag};
 use crate::engine::EndpointCore;
 use crate::pump::{dur_nanos, Nanos, RepairPump, WaitKind};
 
@@ -42,6 +43,18 @@ pub trait Backend {
     /// instead and lets the round closer take the turns.
     fn block(&mut self, kind: WaitKind<'_>) {
         self.with(|core, io| core.block(io, &kind));
+    }
+
+    /// Block until `req`, the receive `op` is blocked on, completes — one
+    /// wait of [`Comm::wait_op`]. `Ok(false)`: the claim is the caller's.
+    /// `Ok(true)`: the backend took `op`'s claim steps itself and ran it
+    /// to its end; `Err`: it failed on one of them. The default is
+    /// [`Backend::block`] on `req`, leaving every step to the caller; the
+    /// simulator lends `op` to the round closer with the parked rank.
+    fn block_op(&mut self, req: RecvReq, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
+        let _ = op;
+        self.block(WaitKind::AnyOf(slice::from_ref(&req)));
+        Ok(false)
     }
 
     /// Whether one group send reaches the group as one fabric multicast
@@ -178,6 +191,17 @@ impl<B: Backend> Comm for Endpoint<B> {
         let deadline = self.0.with(|core, io| core.arm_deadline(io, req, timeout));
         self.0.block(WaitKind::Until(req, deadline));
         self.0.with(|core, _| core.claim_by_deadline(req))
+    }
+
+    fn wait_op(&mut self, op: &mut dyn ClaimStep) -> Result<(), RecvError> {
+        while let Some(req) = op.claim(self)? {
+            self.0
+                .peek(|core| core.expect_posted(slice::from_ref(&req)));
+            if self.0.block_op(req, op)? {
+                break;
+            }
+        }
+        Ok(())
     }
 
     fn cancel_recv(&mut self, req: RecvReq) {

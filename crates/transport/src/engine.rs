@@ -331,6 +331,14 @@ impl EndpointCore {
         self.send_window_closed().is_none()
     }
 
+    /// Whether a `Data` send can ever block here: a send window is
+    /// configured, with the horizon that opens it again.
+    pub(crate) fn data_sends_may_block(&self) -> bool {
+        self.repair.as_ref().is_some_and(|Repair { cfg, .. }| {
+            cfg.send_window.is_some() && cfg.effective_horizon_interval(self.enc.n).is_some()
+        })
+    }
+
     /// The horizon interval a sender waits on while the send window is
     /// closed; `None` when another `Data` send fits. Always `None`
     /// without a configured window — and without a horizon interval,

@@ -69,7 +69,8 @@ pub mod testing;
 pub mod udp;
 
 pub use api::{
-    CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag, FIRE_AND_FORGET_TAG,
+    CancelSink, ClaimStep, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag,
+    FIRE_AND_FORGET_TAG,
 };
 pub use config::{MembershipConfig, RepairConfig};
 pub use endpoint::{Backend, Endpoint};

@@ -32,14 +32,21 @@
 //! loop itself: it parks in [`SimProcess::recv_served`] and leaves the
 //! endpoint behind as a [`Served`], so the thread that closes the round
 //! takes the turns and the rank's own thread wakes once, when the wait is
-//! over (`docs/SIMULATOR.md`, "Served waits"). That is why the endpoint
-//! sits in an `Arc<Mutex<_>>`. **Lock order:** a round closer takes the
-//! simulation lock, then the endpoint of a rank parked in `recv_served`;
-//! the owner releases its endpoint before it parks there. The owner does
-//! hold the endpoint across its other requests (sends, the drain's and the
-//! send window's plain receives), which is safe because a closer only ever
+//! over (`docs/SIMULATOR.md`, "Served waits"). A waited collective
+//! ([`Comm::wait_op`], [`Backend::block_op`]) goes further: the rank lends
+//! the closer its request machine with the park, and the closer runs the
+//! machine's claim steps between the receives over `Stepped` — the rank's
+//! core and the closer's port as an [`crate::Endpoint`] — so the thread
+//! wakes once per collective. That is why the endpoint sits in an
+//! `Arc<Mutex<_>>`. **Lock order:** a round closer takes the simulation
+//! lock, then the endpoint of a rank parked in `recv_served`; the owner
+//! releases its endpoint before it parks there. The owner does hold the
+//! endpoint across its other requests (sends, the drain's and the send
+//! window's plain receives), which is safe because a closer only ever
 //! touches the endpoint of a rank parked *served*.
 
+use std::mem::ManuallyDrop;
+use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -54,7 +61,8 @@ use mmpi_wire::{Bytes, Datagram, MsgKind, RepairStats};
 #[cfg(doc)]
 use crate::Comm;
 use crate::{
-    Backend, EndpointCore, Nanos, RecvReq, RepairConfig, RepairPort, RepairPump, WaitKind, WaitPoll,
+    Backend, ClaimStep, EndpointCore, Nanos, RecvError, RecvReq, RepairConfig, RepairPort,
+    RepairPump, WaitKind, WaitPoll,
 };
 
 /// Where the ranks of a [`run_sim_world_stats`] run flush their
@@ -129,8 +137,8 @@ struct Link {
     group: GroupId,
 }
 
-/// A rank's local clock and send path: its own [`SimProcess`], or the
-/// [`RankPort`] of a round closer stepping it.
+/// A rank's local clock and the requests of it that never block: its own
+/// [`SimProcess`], or the [`RankPort`] of a round closer stepping it.
 ///
 /// Every clock read is the rank's *local* virtual clock, which runs ahead
 /// of the world's global `now` by the software overheads the rank has been
@@ -138,6 +146,14 @@ struct Link {
 trait Wire {
     fn now(&self) -> SimTime;
     fn send(&mut self, socket: SocketId, dst: DatagramDst, port: u16, payload: SharedPayload);
+    fn send_kernel(
+        &mut self,
+        socket: SocketId,
+        dst: DatagramDst,
+        port: u16,
+        payload: SharedPayload,
+    );
+    fn compute(&mut self, dur: SimDuration);
 }
 
 impl Wire for SimProcess {
@@ -146,6 +162,18 @@ impl Wire for SimProcess {
     }
     fn send(&mut self, socket: SocketId, dst: DatagramDst, port: u16, payload: SharedPayload) {
         SimProcess::send(self, socket, dst, port, payload);
+    }
+    fn send_kernel(
+        &mut self,
+        socket: SocketId,
+        dst: DatagramDst,
+        port: u16,
+        payload: SharedPayload,
+    ) {
+        SimProcess::send_kernel(self, socket, dst, port, payload);
+    }
+    fn compute(&mut self, dur: SimDuration) {
+        SimProcess::compute(self, dur);
     }
 }
 
@@ -156,14 +184,46 @@ impl Wire for &mut RankPort<'_> {
     fn send(&mut self, socket: SocketId, dst: DatagramDst, port: u16, payload: SharedPayload) {
         RankPort::send(self, socket, dst, port, payload);
     }
+    fn send_kernel(
+        &mut self,
+        socket: SocketId,
+        dst: DatagramDst,
+        port: u16,
+        payload: SharedPayload,
+    ) {
+        RankPort::send_kernel(self, socket, dst, port, payload);
+    }
+    fn compute(&mut self, dur: SimDuration) {
+        RankPort::compute(self, dur);
+    }
 }
 
-/// The simulator half of the endpoint: a `Wire` and the addressing.
-/// Over the rank's own process handle it is the full [`RepairPump`]; over
-/// a closer's borrowed [`RankPort`] only the [`RepairPort`].
+/// The simulator half of the endpoint: a `Wire` and the addressing. Over
+/// the rank's own process handle it is the full [`RepairPump`]; over a
+/// closer's borrowed [`RankPort`] it cannot receive.
 pub struct SimIo<W> {
     wire: W,
     link: Link,
+}
+
+/// [`Backend::pass_time`] on the simulator.
+fn pass_time<W: Wire>(io: &mut SimIo<W>, nanos: Nanos) -> Nanos {
+    io.wire.compute(SimDuration::from_nanos(nanos));
+    nanos
+}
+
+/// [`Backend::tcp_ack_model`] on the simulator: `count` kernel-sent acks to
+/// `dst`.
+fn tcp_acks<W: Wire>(core: &mut EndpointCore, io: &mut SimIo<W>, dst: usize, count: u32) {
+    assert!(dst < core.size(), "rank {dst} out of range");
+    let Link { socket, port, .. } = io.link;
+    for _ in 0..count {
+        let seq = core.fresh_seq();
+        let dgs = core.encode(crate::FIRE_AND_FORGET_TAG, MsgKind::Ack, &Bytes::new(), seq);
+        for d in &dgs {
+            io.wire.send_kernel(socket, unicast(dst), port, segments(d));
+        }
+    }
 }
 
 /// A wire datagram as simulator payload segments (header view + payload
@@ -188,9 +248,34 @@ fn unicast(dst: usize) -> DatagramDst {
     DatagramDst::Unicast(HostId(dst as u32))
 }
 
-impl RepairPort for SimIo<&mut RankPort<'_>> {
+/// A stepped rank cannot receive: its thread is parked in the receive the
+/// closer is serving. Nothing a closer runs gets here — turns and claim
+/// steps make no blocking call, a lent operation's sends cannot meet a
+/// closed send window ([`EndpointState::serve`]), and the [`Stepped`] view
+/// never drains.
+#[expect(
+    clippy::panic,
+    reason = "a receive on the closer's thread would be a contract breach of `ClaimStep::claim`"
+)]
+fn cannot_receive() -> ! {
+    panic!("a rank stepped by the round closer cannot receive")
+}
+
+impl RepairPump for SimIo<&mut RankPort<'_>> {
     fn now(&mut self) -> Nanos {
         self.wire.now().as_nanos()
+    }
+
+    fn pump_one(&mut self, _core: &mut EndpointCore, _until: Option<Nanos>) {
+        cannot_receive()
+    }
+
+    fn pump_ready(&mut self, _core: &mut EndpointCore) -> bool {
+        cannot_receive()
+    }
+
+    fn pump_drain(&mut self, _core: &mut EndpointCore, _quiet: Duration) -> bool {
+        cannot_receive()
     }
 
     fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
@@ -268,6 +353,15 @@ struct EndpointState {
     core: EndpointCore,
     parked: Parked,
     reqs: Vec<RecvReq>,
+    /// The operation a rank parked in [`Backend::block_op`] lent the
+    /// closer together with its wait.
+    lent: Option<Box<dyn ClaimStep>>,
+    /// How the closer's claim steps ended the lent operation; `None` while
+    /// it runs, and when the claim of a finished wait is left to the owner.
+    ended: Option<Result<(), RecvError>>,
+    /// A slot per operation type lent before, reused by the next operation
+    /// of the type: a lent operation is moved, not boxed.
+    spare: Vec<Box<dyn ClaimStep>>,
 }
 
 impl EndpointState {
@@ -281,6 +375,30 @@ impl EndpointState {
             WaitKind::Until(req, deadline) => Parked::Until(req, deadline),
             WaitKind::AnyPosted => Parked::AnyPosted,
         };
+    }
+
+    /// Move `op` into the closer's reach: into the spare slot of its type
+    /// (`exchange` swaps with that one only), or a new slot the first time.
+    fn lend(&mut self, op: &mut dyn ClaimStep) {
+        let slot = match self.spare.iter_mut().position(|s| op.exchange(&mut **s)) {
+            Some(i) => self.spare.swap_remove(i),
+            None => {
+                let mut slot = op.vacant();
+                op.exchange(&mut *slot);
+                slot
+            }
+        };
+        self.lent = Some(slot);
+    }
+
+    /// Move the lent operation back into `op`, and say how the closer
+    /// ended it, if it did.
+    fn reclaim(&mut self, op: &mut dyn ClaimStep) -> Option<Result<(), RecvError>> {
+        if let Some(mut slot) = self.lent.take() {
+            op.exchange(&mut *slot);
+            self.spare.push(slot);
+        }
+        self.ended.take()
     }
 
     /// Take turns of the parked wait for as long as that needs no receive:
@@ -318,12 +436,54 @@ impl EndpointState {
             }
         }
     }
+
+    /// A closer's share of the parked wait: its turns, through `port`, and
+    /// when the wait of a lent operation is over, the operation's claim step
+    /// too — over [`Stepped`], so it makes the calls the owner's thread
+    /// would have made — and the wait on the receive that step posted.
+    /// [`Step::Done`] wakes the owner: its wait is over, the lent operation
+    /// ended, or the claim is handed back because the operation's sends
+    /// could block on the send window, which only the owner's thread can
+    /// wait out.
+    fn serve(&mut self, port: &mut RankPort<'_>, link: Link, multicast_capable: bool) -> Step {
+        loop {
+            let step = self.turn(&mut SimIo {
+                wire: &mut *port,
+                link,
+            });
+            if step != Step::Done {
+                return step;
+            }
+            let Some(op) = &mut self.lent else {
+                return step;
+            };
+            if self.core.data_sends_may_block() {
+                return step;
+            }
+            let mut c = ManuallyDrop::new(crate::Endpoint(Stepped {
+                core: &mut self.core,
+                io: SimIo {
+                    wire: &mut *port,
+                    link,
+                },
+                multicast_capable,
+            }));
+            match op.claim(&mut *c) {
+                Ok(Some(next)) => self.park(WaitKind::AnyOf(slice::from_ref(&next))),
+                ended => {
+                    self.ended = Some(ended.map(|_| ()));
+                    return step;
+                }
+            }
+        }
+    }
 }
 
 /// One rank's endpoint, reachable from its own [`SimComm`] and — while the
 /// rank is parked in a served wait — from the round closer.
 struct Endpoint {
     link: Link,
+    multicast_capable: bool,
     state: Mutex<EndpointState>,
 }
 
@@ -337,11 +497,49 @@ impl Endpoint {
 impl Served for Endpoint {
     fn step(&self, port: &mut RankPort<'_>, datagram: Option<Arc<mmpi_netsim::Datagram>>) -> Step {
         let mut state = self.lock();
-        if let Some(dg) = &datagram {
-            ingest(&mut state.core, dg);
+        // Dropped once ingested: a claim step below may take the message
+        // out of the inbox, and `Message::into_vec` copies a payload whose
+        // datagram is still alive.
+        if let Some(dg) = datagram {
+            ingest(&mut state.core, &dg);
         }
-        let link = self.link;
-        state.turn(&mut SimIo { wire: port, link })
+        state.serve(port, self.link, self.multicast_capable)
+    }
+}
+
+/// What a round closer runs a lent operation's claim step over: the
+/// stepped rank's core and the closer's port, behind the one `Comm` glue
+/// ([`crate::Endpoint`]), so every call is the one the owner's thread
+/// makes and reaches the `World` as the request it would have posted
+/// ([`RankPort`]). It is never dropped — a drop would drain — and cannot
+/// receive.
+struct Stepped<'a, 'p> {
+    core: &'a mut EndpointCore,
+    io: SimIo<&'a mut RankPort<'p>>,
+    multicast_capable: bool,
+}
+
+impl<'a, 'p> Backend for Stepped<'a, 'p> {
+    type Pump = SimIo<&'a mut RankPort<'p>>;
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut EndpointCore, &mut Self::Pump) -> R) -> R {
+        f(&mut *self.core, &mut self.io)
+    }
+
+    fn peek<R>(&self, f: impl FnOnce(&EndpointCore) -> R) -> R {
+        f(&*self.core)
+    }
+
+    fn multicast_capable(&self) -> bool {
+        self.multicast_capable
+    }
+
+    fn pass_time(&mut self, nanos: Nanos) -> Nanos {
+        pass_time(&mut self.io, nanos)
+    }
+
+    fn tcp_ack_model(&mut self, dst: usize, count: u32) {
+        tcp_acks(&mut *self.core, &mut self.io, dst, count);
     }
 }
 
@@ -353,7 +551,39 @@ pub struct SimBackend {
     /// `endpoint` again, as [`SimProcess::recv_served`] takes it.
     served: Arc<dyn Served>,
     stats_sink: Option<StatsSink>,
-    multicast_capable: bool,
+}
+
+impl SimBackend {
+    /// The first turns of `kind` are taken here; once one needs a receive,
+    /// the rank parks *served* with the endpoint unlocked (and `op`, if
+    /// any, lent to the closer), and wakes either because a closer's step
+    /// ended the wait or — the closer answered several ranks at once — with
+    /// the receive's result to take the next turns itself. `Some` when the
+    /// closer ran `op` to its end.
+    fn park_served(
+        &mut self,
+        kind: WaitKind<'_>,
+        mut op: Option<&mut dyn ClaimStep>,
+    ) -> Option<Result<(), RecvError>> {
+        let mut state = self.endpoint.lock();
+        state.park(kind);
+        while let Step::Park(timeout) = state.turn(&mut self.io) {
+            if let Some(op) = op.as_deref_mut() {
+                state.lend(op);
+            }
+            drop(state);
+            let socket = self.io.link.socket;
+            let woke = self.io.wire.recv_served(socket, timeout, &self.served);
+            state = self.endpoint.lock();
+            let ended = op.as_deref_mut().and_then(|op| state.reclaim(op));
+            match woke {
+                ServedRecv::Stepped => return ended,
+                ServedRecv::Woken(Some(dg)) => ingest(&mut state.core, &dg),
+                ServedRecv::Woken(None) => {}
+            }
+        }
+        None
+    }
 }
 
 impl Backend for SimBackend {
@@ -367,48 +597,32 @@ impl Backend for SimBackend {
         f(&self.endpoint.lock().core)
     }
 
-    /// The first turns are taken here; once one needs a receive, the rank
-    /// parks *served* with the endpoint unlocked, and wakes either because
-    /// a closer's turn ended the wait or — the closer answered several
-    /// ranks at once — with the receive's result to take the next turns
-    /// itself.
     fn block(&mut self, kind: WaitKind<'_>) {
-        let mut state = self.endpoint.lock();
-        state.park(kind);
-        while let Step::Park(timeout) = state.turn(&mut self.io) {
-            drop(state);
-            let socket = self.io.link.socket;
-            let woke = self.io.wire.recv_served(socket, timeout, &self.served);
-            state = self.endpoint.lock();
-            match woke {
-                ServedRecv::Stepped => return,
-                ServedRecv::Woken(Some(dg)) => ingest(&mut state.core, &dg),
-                ServedRecv::Woken(None) => {}
-            }
+        self.park_served(kind, None);
+    }
+
+    /// The wait on `req` parks with `op` lent to the round closer, which
+    /// runs `op`'s claim steps between the receives: the thread wakes once
+    /// the operation is over, or with the claim still to take when the
+    /// closer had to wake it (several ranks answered at once, or sends that
+    /// may block).
+    fn block_op(&mut self, req: RecvReq, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
+        match self.park_served(WaitKind::AnyOf(slice::from_ref(&req)), Some(op)) {
+            Some(ended) => ended.map(|()| true),
+            None => Ok(false),
         }
     }
 
     fn multicast_capable(&self) -> bool {
-        self.multicast_capable
+        self.endpoint.multicast_capable
     }
 
     fn pass_time(&mut self, nanos: Nanos) -> Nanos {
-        self.io.wire.compute(SimDuration::from_nanos(nanos));
-        nanos
+        pass_time(&mut self.io, nanos)
     }
 
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
-        self.with(|core, io| {
-            assert!(dst < core.size(), "rank {dst} out of range");
-            for _ in 0..count {
-                let seq = core.fresh_seq();
-                let dgs = core.encode(crate::FIRE_AND_FORGET_TAG, MsgKind::Ack, &Bytes::new(), seq);
-                for d in &dgs {
-                    io.wire
-                        .send_kernel(io.link.socket, unicast(dst), io.link.port, segments(d));
-                }
-            }
-        });
+        self.with(|core, io| tcp_acks(core, io, dst, count));
     }
 }
 
@@ -432,7 +646,11 @@ impl SimComm {
     /// Wrap a rank's process handle: binds the port and joins the group.
     /// [`Comm::multicast_capable`] reads `true`; [`run_sim_world`] derives
     /// it from the fabric instead.
-    pub fn new(mut proc: SimProcess, n: usize, cfg: SimCommConfig) -> Self {
+    pub fn new(proc: SimProcess, n: usize, cfg: SimCommConfig) -> Self {
+        SimComm::open(proc, n, cfg, true)
+    }
+
+    fn open(mut proc: SimProcess, n: usize, cfg: SimCommConfig, multicast_capable: bool) -> Self {
         let socket = proc.bind(cfg.port);
         proc.join_group(socket, cfg.group);
         let link = Link {
@@ -442,10 +660,14 @@ impl SimComm {
         };
         let endpoint = Arc::new(Endpoint {
             link,
+            multicast_capable,
             state: Mutex::new(EndpointState {
                 core: EndpointCore::new(cfg.context, proc.rank(), n, cfg.max_chunk, cfg.repair),
                 parked: Parked::AnyPosted,
                 reqs: Vec::new(),
+                lent: None,
+                ended: None,
+                spare: Vec::new(),
             }),
         });
         crate::Endpoint(SimBackend {
@@ -453,7 +675,6 @@ impl SimComm {
             served: Arc::clone(&endpoint) as Arc<dyn Served>,
             endpoint,
             stats_sink: None,
-            multicast_capable: true,
         })
     }
 
@@ -503,8 +724,7 @@ where
     // repair plane would ever deliver.
     let multicast_capable = !cluster.params.is_unicast_only();
     run_cluster(cluster, move |proc| {
-        let mut comm = SimComm::new(proc, n, comm_cfg.clone());
-        comm.0.multicast_capable = multicast_capable;
+        let mut comm = SimComm::open(proc, n, comm_cfg.clone(), multicast_capable);
         comm.0.stats_sink = sink.cloned();
         f(comm)
     })

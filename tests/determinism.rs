@@ -282,6 +282,19 @@ fn served_waits_replay_the_recorded_runs() {
 /// that do something and are all that is handled now (−44.6 %;
 /// `docs/SIMULATOR.md`, "Event order"), with the hand-off counts where
 /// they were.
+///
+/// Since a waited collective lends its request machine to the closer with
+/// the park, the closer also takes the claim steps between the receives of
+/// a collective, and a rank's thread wakes once per collective: `answered`
+/// went 11 872 → 1 616. Of the 11 872, 10 832 were the end of a completed
+/// `Comm`-level wait (one per scout, data, release or allgather-block
+/// receive) and 1 040 the receives of the drop-time drain, which still
+/// receives for itself. Of the 1 616, 576 are the per-collective wakes —
+/// 64 ranks × 9 collectives, exactly one each — and the same 1 040 are the
+/// drain's. The 10 256 completions that no longer wake a thread are
+/// stepped inline instead (38 322 → 48 578): every completion is handed
+/// over one way or the other, and the `World` — its 121 788 events, and
+/// every replay constant above — does not notice which.
 #[test]
 fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
     use mcast_mpi::transport::RepairConfig;
@@ -311,12 +324,17 @@ fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
         "hand-off and event counts replay exactly"
     );
     let want = mcast_mpi::netsim::cluster::HandoffStats {
-        answered: 11_872,
-        stepped_inline: 38_322,
+        answered: 1_616,
+        stepped_inline: 48_578,
     };
     assert_eq!((handoff, events), (want, 121_788));
     assert!(
-        handoff.stepped_inline >= 3 * handoff.answered,
-        "the closer should take most turns of a lossy N=64 wait: {handoff:?}"
+        handoff.answered < 11_872,
+        "a waited collective must wake its rank less often than once per wait: {handoff:?}"
+    );
+    assert_eq!(
+        handoff.answered + handoff.stepped_inline,
+        11_872 + 38_322,
+        "the same completions, handed over differently"
     );
 }

@@ -14,10 +14,6 @@
 //!   Both allgathers are request machines
 //!   ([`crate::request::IallgatherRequest`]);
 //!   [`crate::Communicator::allgather`] waits on one.
-//! * [`alltoall_mcast_naive`] — an *intentionally bad* idea kept for the
-//!   ablation bench: all-to-all where each personalized payload still has
-//!   to be multicast to everyone (receivers discard the parts not
-//!   addressed to them). Demonstrates where multicast does **not** help.
 //!
 //! Under injected loss, the multicast allgather's rank-ordered rounds are
 //! the stress case for the transport's NACK/retransmit repair: a receiver
@@ -29,67 +25,10 @@
 //! [`AllgatherAlgorithm::Ring`]: crate::AllgatherAlgorithm::Ring
 //! [`AllgatherAlgorithm::Multicast`]: crate::AllgatherAlgorithm::Multicast
 
-use mmpi_transport::{Comm, RecvError};
-use mmpi_wire::{Bytes, MsgKind};
-
-use crate::tags::{OpTags, Phase};
-
-/// All-to-all where every personalized message is multicast to the whole
-/// group and receivers keep only their slice. Wire cost per rank: one
-/// multicast of the *entire* `N`-part buffer — worse than pairwise
-/// exchange unless messages are tiny. Kept as a negative result for the
-/// ablation bench.
-pub fn alltoall_mcast_naive<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    sends: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    assert_eq!(sends.len(), n);
-    let tag = tags.tag(Phase::Data);
-    // Frame all N parts into one buffer.
-    let mut framed = Vec::new();
-    for p in sends {
-        framed.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        framed.extend_from_slice(p);
-    }
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-    #[allow(clippy::needless_range_loop)] // `out[i]` is written in two arms
-    for i in 0..n {
-        let buf = if i == rank {
-            out[i] = sends[rank].clone();
-            if n > 1 {
-                c.mcast_kind(tag, MsgKind::Data, &Bytes::from(&framed));
-            }
-            continue;
-        } else {
-            c.recv_match(i, tag)?.into_vec()
-        };
-        // Extract only the part addressed to us.
-        let mut off = 0usize;
-        for slot in 0..n {
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-            off += 4;
-            if slot == rank {
-                out[i] = buf[off..off + len].to_vec();
-            }
-            off += len;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::tags::OpCode;
     use crate::{AllgatherAlgorithm, CollRequest, Communicator};
     use mmpi_transport::run_mem_world;
-
-    fn tags() -> OpTags {
-        OpTags::new(OpCode::Allgather, 0)
-    }
 
     fn block(rank: usize, n: usize) -> Vec<u8> {
         vec![rank as u8 + 1; (rank * 5) % (n + 3) + 1]
@@ -122,24 +61,6 @@ mod tests {
             for parts in &out {
                 for (src, p) in parts.iter().enumerate() {
                     assert_eq!(p, &block(src, n));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn naive_mcast_alltoall_is_correct_if_wasteful() {
-        for n in [1usize, 2, 4, 6] {
-            let out = run_mem_world(n, 0, move |mut c| {
-                let me = c.rank();
-                let sends: Vec<Vec<u8>> = (0..n)
-                    .map(|dst| format!("{me}=>{dst}").into_bytes())
-                    .collect();
-                alltoall_mcast_naive(&mut c, tags(), &sends).unwrap()
-            });
-            for (me, got) in out.iter().enumerate() {
-                for (src, p) in got.iter().enumerate() {
-                    assert_eq!(p, format!("{src}=>{me}").as_bytes(), "n={n}");
                 }
             }
         }

@@ -61,23 +61,19 @@ pub struct ClusterConfig {
     /// — models the OS scheduling skew responsible for the scatter in the
     /// paper's plots. Zero disables skew.
     pub start_skew_max: SimDuration,
-    /// Deliver multicast datagrams back to the sending socket
-    /// (IP_MULTICAST_LOOP). The paper's collectives do not rely on it.
-    pub multicast_loopback: bool,
     /// Abort if virtual time passes this limit (livelock guard).
     pub time_limit: SimDuration,
 }
 
 impl ClusterConfig {
     /// A cluster of `n` ranks with the given network parameters and seed,
-    /// no start skew, loopback off, 60 s virtual time limit.
+    /// no start skew, 60 s virtual time limit.
     pub fn new(n: usize, params: NetParams, seed: u64) -> Self {
         ClusterConfig {
             n,
             params,
             seed,
             start_skew_max: SimDuration::ZERO,
-            multicast_loopback: false,
             time_limit: SimDuration::from_secs(60),
         }
     }
@@ -172,7 +168,6 @@ pub(crate) struct Cluster {
     /// response, so a round wakes exactly the ranks it answered.
     wake: Vec<Condvar>,
     host: HostParams,
-    multicast_loopback: bool,
     time_limit: SimTime,
 }
 
@@ -228,7 +223,6 @@ where
         }),
         wake: (0..n).map(|_| Condvar::new()).collect(),
         host: config.params.host.clone(),
-        multicast_loopback: config.multicast_loopback,
         time_limit: SimTime::ZERO + config.time_limit,
     });
     let outputs: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -268,6 +262,10 @@ where
         .iter()
         .copied()
         .fold(SimTime::ZERO, SimTime::max);
+    #[expect(
+        clippy::expect_used,
+        reason = "a rank that did not finish normally panicked, and a panic aborts the run before this point"
+    )]
     let outputs: Vec<R> = outputs
         .into_inner()
         .into_iter()
@@ -408,17 +406,19 @@ impl Cluster {
         rank: usize,
         req: Request,
     ) -> Result<Option<Response>, SimError> {
-        let Sim {
-            world,
-            status,
-            local,
-            next_token,
-            ..
-        } = sim;
         let hp = &self.host;
         let host = HostId(rank as u32);
+        let Sim { world, local, .. } = sim;
         let now = &mut local[rank];
         let resp = match req {
+            Request::Recv {
+                socket,
+                timeout,
+                served,
+            } => {
+                let buffered = self.recv(sim, rank, socket, timeout, served)?;
+                return Ok(buffered.map(|dg| Response::Datagram(Some(dg))));
+            }
             Request::Bind { port } => Response::Socket(world.bind(host, port)),
             Request::JoinQuiet { socket, group } => {
                 world.join_group_quiet(host, socket, group);
@@ -451,58 +451,70 @@ impl Cluster {
                     hp.o_send + hp.send_per_byte * len
                 };
                 let src_port = world.host(host).socket(socket).port;
-                world.send_datagram(
-                    host,
-                    src_port,
-                    dst,
-                    dst_port,
-                    payload,
-                    *now,
-                    self.multicast_loopback,
-                    kernel,
-                );
+                // No multicast loopback: the paper's collectives never
+                // receive their own multicasts.
+                world.send_datagram(host, src_port, dst, dst_port, payload, *now, false, kernel);
                 Response::Done
             }
-            Request::Recv {
-                socket,
-                timeout,
-                served,
-            } => {
-                // Ranks only run while the world is paused, so any
-                // buffered datagram arrived at or before the rank's
-                // local time — it can complete the receive directly.
-                if let Some((_arrived, dg)) = world.try_pop_buffered(host, socket) {
-                    *now += hp.o_recv + hp.recv_per_byte * dg.payload.len() as u64;
-                    Response::Datagram(Some(dg))
-                } else {
-                    // The receive becomes *posted* at the rank's local
-                    // time, not at the (earlier) world time — crucial
-                    // for the strict posted-receive loss model.
-                    world.schedule_post_recv(host, socket, *now);
-                    let timer = timeout.map(|t| {
-                        let token = *next_token;
-                        *next_token += 1;
-                        world.schedule_timer(host, Some(socket), token, *now + t);
-                        token
-                    });
-                    status[rank] = RankStatus::BlockedRecv {
-                        socket,
-                        timer,
-                        served,
-                    };
-                    return Ok(None);
-                }
-            }
         };
-        // The world clock only moves while every rank is blocked, so a rank
-        // that never blocks (a compute or send loop beside a blocked peer)
-        // must be held to the limit on its own clock.
-        if *now > self.time_limit {
+        self.within_limit(*now)?;
+        Ok(Some(resp))
+    }
+
+    /// Apply a receive on `socket` at `rank`'s local time: the datagram
+    /// that completes it from the socket buffer, or `None` when nothing is
+    /// buffered and the rank now blocks — the receive posted in the
+    /// `World`, with its timeout.
+    fn recv(
+        &self,
+        sim: &mut Sim,
+        rank: usize,
+        socket: SocketId,
+        timeout: Option<SimDuration>,
+        served: Option<Arc<dyn Served>>,
+    ) -> Result<Option<Arc<Datagram>>, SimError> {
+        let hp = &self.host;
+        let host = HostId(rank as u32);
+        let now = &mut sim.local[rank];
+        // Ranks only run while the world is paused, so any buffered
+        // datagram arrived at or before the rank's local time — it can
+        // complete the receive directly.
+        if let Some((_arrived, dg)) = sim.world.try_pop_buffered(host, socket) {
+            *now += hp.o_recv + hp.recv_per_byte * dg.payload.len() as u64;
+            self.within_limit(*now)?;
+            return Ok(Some(dg));
+        }
+        // The receive becomes *posted* at the rank's local time, not at the
+        // (earlier) world time — crucial for the strict posted-receive loss
+        // model.
+        sim.world.schedule_post_recv(host, socket, *now);
+        let timer = timeout.map(|t| {
+            let token = sim.next_token;
+            sim.next_token += 1;
+            sim.world
+                .schedule_timer(host, Some(socket), token, *now + t);
+            token
+        });
+        sim.status[rank] = RankStatus::BlockedRecv {
+            socket,
+            timer,
+            served,
+        };
+        Ok(None)
+    }
+
+    /// Fail the run once `now` — the world clock after an advance, or a
+    /// rank's clock after a request that charged it — is past the limit.
+    /// The world clock only moves while every rank is blocked, so a rank
+    /// that never blocks (a compute or send loop beside a blocked peer)
+    /// must be held to the limit on its own clock.
+    fn within_limit(&self, now: SimTime) -> Result<(), SimError> {
+        if now > self.time_limit {
             return Err(SimError::TimeLimitExceeded {
                 limit: self.time_limit,
             });
         }
-        Ok(Some(resp))
+        Ok(())
     }
 
     /// Advance the network to its next batch of completions and answer —
@@ -529,11 +541,7 @@ impl Cluster {
             }
             StepOutcome::Advanced { now, completions } => (now, completions),
         };
-        if now > self.time_limit {
-            return Err(SimError::TimeLimitExceeded {
-                limit: self.time_limit,
-            });
-        }
+        self.within_limit(now)?;
         // The rank a lone completion answers would be the only one running,
         // and each of its requests would close a round by itself: running
         // its receive loop right here makes the same `World` calls in the
@@ -568,6 +576,10 @@ impl Cluster {
                     if let Some(tok) = timer {
                         sim.world.cancel_timer(host, tok);
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a `RecvReady` is reported only for a socket with a datagram buffered, and nothing runs in between"
+                    )]
                     let (_arrived, dg) = sim
                         .world
                         .take_recv(host, socket)
@@ -634,14 +646,9 @@ impl Cluster {
             // have posted, applied the way it would have been: from the
             // socket buffer if something is waiting (the next turn of the
             // loop), else posted in the `World` with its timer.
-            let again = Request::Recv {
-                socket,
-                timeout,
-                served: Some(Arc::clone(&served)),
-            };
-            match self.apply(sim, rank, again)? {
-                Some(Response::Datagram(buffered)) => datagram = buffered,
-                Some(other) => unreachable!("a receive answered {other:?}"),
+            let again = Some(Arc::clone(&served));
+            match self.recv(sim, rank, socket, timeout, again)? {
+                Some(buffered) => datagram = Some(buffered),
                 None => {
                     sim.handoff.stepped_inline += 1;
                     return Ok(());

@@ -10,57 +10,19 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::frame::{Datagram, Frame};
-use crate::ids::{HostId, SocketId, SwitchPort};
+use crate::hub::HubEvent;
+use crate::ids::{HostId, SocketId};
+use crate::switch::SwitchEvent;
 use crate::time::SimTime;
 
-/// Everything that can happen inside the simulated network.
+/// Everything that can happen inside the simulated network: one variant
+/// per fabric for its frame path, then what every fabric shares.
 #[derive(Debug)]
 pub enum Event {
-    /// Hub: the medium is (about to be) free — pick the next transmitter
-    /// among contending NICs, or detect a collision.
-    HubArbitrate,
-    /// Hub: the last bit of a frame has propagated to every station.
-    HubFrameDelivered {
-        /// The frame that finished.
-        frame: Frame,
-    },
-    /// Hub: a NIC's collision backoff expired; it contends again.
-    NicRetry {
-        /// The backing-off station.
-        host: HostId,
-    },
-    /// Switch mode: a NIC finished serializing (frame + IFG) and may start
-    /// its next queued frame.
-    NicTxNext {
-        /// The transmitting station.
-        host: HostId,
-    },
-    /// Switch mode: the last bit of a host's frame arrived at the switch.
-    SwitchIngress {
-        /// The received frame.
-        frame: Frame,
-        /// Ingress port.
-        in_port: SwitchPort,
-    },
-    /// Switch: forwarding latency elapsed; enqueue on output port(s).
-    SwitchForward {
-        /// The frame to forward.
-        frame: Frame,
-        /// Ingress port (excluded from flooding).
-        in_port: SwitchPort,
-    },
-    /// Switch: the last bit of a frame arrived at the host on `port`.
-    PortDelivered {
-        /// The delivered frame.
-        frame: Frame,
-        /// Egress port it was sent from.
-        port: SwitchPort,
-    },
-    /// Switch: an output port finished (frame + IFG) and may dequeue.
-    PortTxNext {
-        /// The now-idle port.
-        port: SwitchPort,
-    },
+    /// A step of the hub's frame path ([`crate::hub`]).
+    Hub(HubEvent),
+    /// A step of the switch's frame path ([`crate::switch`]).
+    Switch(SwitchEvent),
     /// A host's protocol stack finished the send-side processing of a
     /// datagram; hand its fragments to the NIC.
     DatagramReady {
@@ -248,10 +210,8 @@ impl HostSlots {
     /// Take the entry at heap position `pos` out: whose it was, and what
     /// it fires with.
     fn remove_at(&mut self, pos: usize) -> (HostId, Slot) {
-        let (_, host) = self.heap[pos];
-        let last = self.heap.pop().expect("an armed slot is in the heap");
+        let (_, host) = self.heap.swap_remove(pos);
         if pos < self.heap.len() {
-            self.heap[pos] = last;
             self.sift(pos);
         }
         let slot = &mut self.slots[host as usize];
@@ -404,6 +364,10 @@ impl EventQueue {
             Source::Heap => self.heap.pop()?.event,
             Source::Post => {
                 let (host, slot) = self.posts.remove_at(0);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`schedule_post_recv` is the only writer of the post slots, and it always names the socket"
+                )]
                 let socket = slot.socket.expect("a posted receive names its socket");
                 Event::PostRecv { host, socket }
             }
@@ -434,6 +398,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SwitchPort;
     use proptest::prelude::*;
 
     fn timer(token: u64) -> Event {
@@ -449,6 +414,14 @@ mod tests {
             Event::Timer { token, .. } => token,
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The main heap moves events by value: one variant per fabric must
+    /// not make them bigger than the flat enum the split replaced.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_event_is_no_bigger_than_the_flat_enum_was() {
+        assert!(size_of::<Event>() <= 56);
     }
 
     #[test]
@@ -751,7 +724,10 @@ mod tests {
     impl<Q: Queue + Default> Model<Q> {
         fn new() -> Self {
             let mut q = Q::default();
-            q.schedule(SimTime::ZERO + dur(HORIZON), Event::HubArbitrate);
+            q.schedule(
+                SimTime::ZERO + dur(HORIZON),
+                Event::Hub(HubEvent::Arbitrate),
+            );
             Model {
                 q,
                 now: SimTime::ZERO,
@@ -774,9 +750,9 @@ mod tests {
             // The frame's delivery takes a sequence number first, as in
             // `World::port_tx_next`.
             self.q.schedule(self.now + dur(WIRE), Event::TopologyWake);
-            let event = Event::PortTxNext {
+            let event = Event::Switch(SwitchEvent::PortTxNext {
                 port: SwitchPort(port),
-            };
+            });
             self.q
                 .go_idle(&mut p.tx, self.now + dur(WIRE + IFG), waiting, event);
             self.note("tx", port, u64::from(waiting));
@@ -784,9 +760,9 @@ mod tests {
 
         fn enqueue(&mut self, port: u32) {
             let p = &mut self.ports[port as usize];
-            let event = Event::PortTxNext {
+            let event = Event::Switch(SwitchEvent::PortTxNext {
                 port: SwitchPort(port),
-            };
+            });
             self.q.settle(&mut p.tx, event);
             let busy = p.tx.busy;
             self.note("enqueue sees busy", port, u64::from(busy));
@@ -806,8 +782,10 @@ mod tests {
             match *op {
                 Op::Frame { port, delay } => {
                     let host = HostId(port);
-                    self.q
-                        .schedule(self.now + dur(delay), Event::NicRetry { host });
+                    self.q.schedule(
+                        self.now + dur(delay),
+                        Event::Hub(HubEvent::NicRetry { host }),
+                    );
                 }
                 Op::Enqueue { port } => self.enqueue(port),
                 Op::Block {
@@ -863,16 +841,16 @@ mod tests {
             assert!(at >= self.now, "time went backwards");
             self.now = at;
             match event {
-                Event::NicRetry { host } => self.enqueue(host.0),
+                Event::Hub(HubEvent::NicRetry { host }) => self.enqueue(host.0),
                 Event::TopologyWake => self.note("delivered", 0, 0),
-                Event::HubArbitrate => {
+                Event::Hub(HubEvent::Arbitrate) => {
                     self.note("horizon", 0, 0);
                     if self.horizon {
                         self.q
-                            .schedule(self.now + dur(HORIZON), Event::HubArbitrate);
+                            .schedule(self.now + dur(HORIZON), Event::Hub(HubEvent::Arbitrate));
                     }
                 }
-                Event::PortTxNext { port } => {
+                Event::Switch(SwitchEvent::PortTxNext { port }) => {
                     let p = &mut self.ports[port.index()];
                     if p.queued > 0 {
                         p.queued -= 1;

@@ -111,6 +111,10 @@ impl SharedPayload {
 
 impl std::ops::Index<usize> for SharedPayload {
     type Output = u8;
+    #[expect(
+        clippy::panic,
+        reason = "`Index` has no error path: out of bounds panics, as slice indexing does"
+    )]
     fn index(&self, index: usize) -> &u8 {
         let mut i = index;
         for s in self.segments() {
@@ -183,13 +187,10 @@ pub enum FramePayload {
         count: u32,
     },
     /// An IGMP membership report (join) — lets the switch snoop groups.
+    /// (A runtime leave is not modelled: groups are left at setup time,
+    /// [`crate::world::World::leave_group_quiet`].)
     IgmpJoin {
         /// Group being joined.
-        group: GroupId,
-    },
-    /// An IGMP leave message.
-    IgmpLeave {
-        /// Group being left.
         group: GroupId,
     },
 }

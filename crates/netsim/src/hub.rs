@@ -6,6 +6,12 @@
 //! simultaneously collide, jam, and retry after truncated binary exponential
 //! backoff.
 //!
+//! This module owns the hub's whole frame path: arbitration, the collision
+//! backoff (drawn from the hub's own seeded stream) and delivery to every
+//! station. The [`World`](crate::world::World) hands it the [`HubEvent`]s
+//! and the state every fabric shares; the last hop onto each station's
+//! link is the world's.
+//!
 //! ## Model simplifications (documented deviations)
 //!
 //! Collisions are detected at arbitration instants: whenever the medium
@@ -18,8 +24,31 @@
 //! algorithm steps making several stations transmit at once (its §4
 //! six-process anomaly) — while keeping the simulation deterministic.
 
+use crate::event::Event;
+use crate::frame::Frame;
 use crate::ids::HostId;
+use crate::rng::SplitMix64;
 use crate::time::SimTime;
+use crate::trace::TraceEvent;
+use crate::world::Core;
+
+/// A step of the hub's frame path.
+#[derive(Debug)]
+pub enum HubEvent {
+    /// The medium is (about to be) free — pick the next transmitter among
+    /// contending NICs, or detect a collision.
+    Arbitrate,
+    /// The last bit of a frame has propagated to every station.
+    FrameDelivered {
+        /// The frame that finished.
+        frame: Frame,
+    },
+    /// A NIC's collision backoff expired; it contends again.
+    NicRetry {
+        /// The backing-off station.
+        host: HostId,
+    },
+}
 
 /// Arbitration outcome at a medium-free instant.
 #[derive(Debug, PartialEq, Eq)]
@@ -39,18 +68,21 @@ pub struct Hub {
     waiters: Vec<HostId>,
     /// The medium is occupied (transmission or jam + inter-frame gap)
     /// until this instant.
-    pub busy_until: SimTime,
-    /// An `Event::HubArbitrate` is already scheduled for this instant.
-    pub arbitrate_scheduled_at: Option<SimTime>,
+    busy_until: SimTime,
+    /// A [`HubEvent::Arbitrate`] is already scheduled for this instant.
+    arbitrate_scheduled_at: Option<SimTime>,
+    /// Collision backoff draws.
+    rng: SplitMix64,
 }
 
 impl Hub {
-    /// New idle hub.
-    pub fn new() -> Self {
+    /// New idle hub whose collision backoff draws from `seed`.
+    pub fn new(seed: u64) -> Self {
         Hub {
             waiters: Vec::new(),
             busy_until: SimTime::ZERO,
             arbitrate_scheduled_at: None,
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -85,27 +117,136 @@ impl Hub {
             // the transmission-complete path schedules a fresh arbitration.
             return Arbitration::Idle;
         }
-        match self.waiters.len() {
-            0 => Arbitration::Idle,
-            1 => Arbitration::Winner(self.waiters.pop().expect("len checked")),
+        match self.waiters[..] {
+            [] => Arbitration::Idle,
+            [winner] => {
+                self.waiters.clear();
+                Arbitration::Winner(winner)
+            }
             _ => Arbitration::Collision(std::mem::take(&mut self.waiters)),
         }
-    }
-
-    /// Number of stations waiting for the medium.
-    pub fn waiting(&self) -> usize {
-        self.waiters.len()
     }
 
     /// True if any station is waiting.
     pub fn has_waiters(&self) -> bool {
         !self.waiters.is_empty()
     }
-}
 
-impl Default for Hub {
-    fn default() -> Self {
-        Self::new()
+    /// `host`'s NIC was handed frames at `at`: if it was idle it starts
+    /// contending for the medium.
+    pub(crate) fn enqueue_frames_at(
+        &mut self,
+        core: &mut Core,
+        host: HostId,
+        frames: impl IntoIterator<Item = Frame>,
+        at: SimTime,
+    ) {
+        if core.nic_enqueue(host, frames) {
+            self.contend(core, host, at);
+        }
+    }
+
+    /// Handle one step of the frame path.
+    pub(crate) fn handle(&mut self, core: &mut Core, event: HubEvent) {
+        match event {
+            HubEvent::Arbitrate => self.arbitrate_medium(core),
+            HubEvent::FrameDelivered { frame } => self.frame_delivered(core, frame),
+            HubEvent::NicRetry { host } => {
+                let now = core.now;
+                self.contend(core, host, now);
+            }
+        }
+    }
+
+    /// `host` wants the medium at `at`: schedule the arbitration that
+    /// will see it, unless one already will.
+    fn contend(&mut self, core: &mut Core, host: HostId, at: SimTime) {
+        if let Some(fire_at) = self.request(host, at) {
+            core.queue
+                .schedule(fire_at, Event::Hub(HubEvent::Arbitrate));
+        }
+    }
+
+    fn arbitrate_medium(&mut self, core: &mut Core) {
+        let now = core.now;
+        match self.arbitrate(now) {
+            Arbitration::Idle => {}
+            Arbitration::Winner(host) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a station requests the medium only with a frame queued, and only its own win or abandonment takes the frame"
+                )]
+                let frame = core.hosts[host.index()]
+                    .nic
+                    .pop_head()
+                    .expect("winner must have a queued frame");
+                let eth = &core.params.ethernet;
+                let wire = eth.frame_wire_time(frame.mac_payload);
+                let delivered_at = now + wire + eth.prop_delay;
+                self.busy_until = now + wire + eth.ifg_time();
+                core.tx_start(host, &frame);
+                core.queue
+                    .schedule(delivered_at, Event::Hub(HubEvent::FrameDelivered { frame }));
+            }
+            Arbitration::Collision(hosts) => {
+                core.stats.collisions += 1;
+                core.trace_push(TraceEvent::Collision {
+                    stations: hosts.clone(),
+                });
+                let eth = &core.params.ethernet;
+                // The medium is garbage for one slot (jam).
+                let jam_end = now + eth.slot_time;
+                self.busy_until = jam_end;
+                for host in hosts {
+                    let nic = &mut core.hosts[host.index()].nic;
+                    nic.attempts += 1;
+                    if nic.attempts >= eth.max_attempts {
+                        // Excessive collisions: drop the frame.
+                        nic.pop_head();
+                        core.stats.excessive_collision_drops += 1;
+                        if nic.head().is_some() {
+                            let retry = Event::Hub(HubEvent::NicRetry { host });
+                            core.queue.schedule(jam_end, retry);
+                        } else {
+                            nic.tx.busy = false;
+                        }
+                        continue;
+                    }
+                    let exp = nic.attempts.min(eth.max_backoff_exp);
+                    let slots = self.rng.next_below(1u64 << exp);
+                    let retry_at = jam_end + eth.slot_time * slots;
+                    let retry = Event::Hub(HubEvent::NicRetry { host });
+                    core.queue.schedule(retry_at, retry);
+                }
+            }
+        }
+    }
+
+    fn frame_delivered(&mut self, core: &mut Core, frame: Frame) {
+        let src = frame.src;
+        for i in 0..core.hosts.len() {
+            let host = HostId(i as u32);
+            if host != src && frame.accepted_by(host, |g| core.hosts[i].nic.is_member(g)) {
+                core.link_deliver(host, &frame);
+            }
+        }
+        // The sender's NIC contends again if it has more frames.
+        let nic = &mut core.hosts[src.index()].nic;
+        if nic.head().is_some() {
+            let now = core.now;
+            self.contend(core, src, now);
+            return;
+        }
+        nic.tx.busy = false;
+        // Other stations may be waiting on the medium.
+        if self.has_waiters() {
+            let fire_at = self.busy_until;
+            if self.arbitrate_scheduled_at.is_none_or(|t| t > fire_at) {
+                self.arbitrate_scheduled_at = Some(fire_at);
+                core.queue
+                    .schedule(fire_at, Event::Hub(HubEvent::Arbitrate));
+            }
+        }
     }
 }
 
@@ -115,7 +256,7 @@ mod tests {
 
     #[test]
     fn single_requester_wins() {
-        let mut hub = Hub::new();
+        let mut hub = Hub::new(0);
         let t = SimTime::from_micros(1);
         assert_eq!(hub.request(HostId(0), t), Some(t));
         assert_eq!(hub.arbitrate(t), Arbitration::Winner(HostId(0)));
@@ -124,7 +265,7 @@ mod tests {
 
     #[test]
     fn simultaneous_requesters_collide() {
-        let mut hub = Hub::new();
+        let mut hub = Hub::new(0);
         let t = SimTime::from_micros(1);
         assert_eq!(hub.request(HostId(0), t), Some(t));
         // Second request at the same instant: arbitration already scheduled.
@@ -140,7 +281,7 @@ mod tests {
 
     #[test]
     fn busy_medium_defers_request() {
-        let mut hub = Hub::new();
+        let mut hub = Hub::new(0);
         hub.busy_until = SimTime::from_micros(100);
         let t = SimTime::from_micros(10);
         // Arbitration must fire when the medium frees, not now.
@@ -149,7 +290,7 @@ mod tests {
 
     #[test]
     fn stale_arbitration_is_idle() {
-        let mut hub = Hub::new();
+        let mut hub = Hub::new(0);
         let t0 = SimTime::from_micros(1);
         hub.request(HostId(0), t0);
         // A transmission claimed the medium after this event was scheduled.
@@ -160,16 +301,16 @@ mod tests {
 
     #[test]
     fn duplicate_request_not_double_counted() {
-        let mut hub = Hub::new();
+        let mut hub = Hub::new(0);
         let t = SimTime::from_micros(1);
         hub.request(HostId(0), t);
         hub.request(HostId(0), t);
-        assert_eq!(hub.waiting(), 1);
+        assert_eq!(hub.waiters.len(), 1);
     }
 
     #[test]
     fn empty_arbitration_is_idle() {
-        let mut hub = Hub::new();
+        let mut hub = Hub::new(0);
         assert_eq!(hub.arbitrate(SimTime::ZERO), Arbitration::Idle);
     }
 }

@@ -28,7 +28,8 @@
 //! ## The event loop
 //!
 //! [`world::World`] is one single-threaded discrete-event loop over a
-//! `(time, sequence)`-ordered queue; both fabrics run on it. Scheduled
+//! `(time, sequence)`-ordered queue; both fabrics run on it, each owning
+//! its frame path and its events ([`hub`], [`switch`]). Scheduled
 //! link faults — holds, partitions, heals — are described by a
 //! [`topology::TopologyScript`]. The event model, the rank hand-off and
 //! the determinism contract are documented in `docs/SIMULATOR.md`.
@@ -57,6 +58,16 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Simulator paths surface errors; the reviewed exceptions carry an
+// `#[expect]` at their site (docs/INVARIANTS.md §4).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo
+)]
 
 pub mod cluster;
 pub mod error;

@@ -25,9 +25,9 @@
 //! | `per_link_extra_delay` | list of `(host, delay)` | empty | extra latency on frames arriving at `host` |
 //! | `topology` | scheduled ops | empty | scripted holds / partitions / heals ([`TopologyScript`]) |
 //!
-//! The separate, older [`NetParams::frame_loss_prob`] models hardware bit
-//! errors (one roll per frame, not per link) and is kept for the paper's
-//! §2 ablations; new scenario code should prefer [`FaultParams`].
+//! [`FaultParams`] is the simulator's one loss model: the fabrics
+//! themselves are lossless apart from what they model physically
+//! (collisions on the hub, tail drop at a switch port).
 
 use crate::ids::HostId;
 use crate::time::SimDuration;
@@ -92,9 +92,14 @@ impl EthernetParams {
     /// inter-frame gap (accounted separately so back-to-back frames space
     /// correctly).
     pub fn frame_wire_time(&self, payload: u32) -> SimDuration {
+        self.byte_time(u64::from(self.frame_wire_bytes(payload)))
+    }
+
+    /// Bytes a frame carrying `payload` MAC-payload bytes puts on the
+    /// wire: preamble + header + padded payload + FCS (no gap).
+    pub fn frame_wire_bytes(&self, payload: u32) -> u32 {
         let padded = payload.max(self.min_payload_bytes);
-        let total = self.preamble_bytes + self.mac_header_bytes + padded + self.fcs_bytes;
-        self.byte_time(total as u64)
+        self.preamble_bytes + self.mac_header_bytes + padded + self.fcs_bytes
     }
 
     /// The inter-frame gap duration.
@@ -223,15 +228,12 @@ pub struct SwitchParams {
     /// Per-output-port FIFO capacity in bytes; overflowing frames are
     /// dropped (tail drop).
     pub port_buffer_bytes: usize,
-    /// When true the switch floods multicast frames to all ports instead of
-    /// using IGMP-snooped membership (an unmanaged switch).
-    pub flood_multicast: bool,
     /// When true the fabric forwards **no** multicast frames at all —
     /// they are dropped at the switch and tallied in
     /// [`crate::stats::NetStats::unicast_only_drops`]. Models networks
     /// with multicast routing disabled (most WANs, many cloud fabrics),
     /// the regime the epidemic Advr/Want dissemination plane exists for
-    /// (`docs/PROTOCOL.md` §11). Overrides `flood_multicast`.
+    /// (`docs/PROTOCOL.md` §11).
     pub unicast_only: bool,
 }
 
@@ -241,7 +243,6 @@ impl Default for SwitchParams {
             mode: SwitchMode::StoreAndForward,
             forwarding_latency: SimDuration::from_micros(10),
             port_buffer_bytes: 512 * 1024,
-            flood_multicast: false,
             unicast_only: false,
         }
     }
@@ -362,9 +363,6 @@ pub struct NetParams {
     pub host: HostParams,
     /// Hub or switch.
     pub fabric: FabricKind,
-    /// Probability that any individual frame is lost on the wire
-    /// (hardware-level loss; the paper assumes 0 and so do the defaults).
-    pub frame_loss_prob: f64,
     /// Injected faults: per-link loss, duplication, reordering, partitions
     /// (all off by default; see [`FaultParams`]).
     pub faults: FaultParams,
@@ -383,7 +381,6 @@ impl Default for NetParams {
             ip: IpParams::default(),
             host: HostParams::default(),
             fabric: FabricKind::Switch(SwitchParams::default()),
-            frame_loss_prob: 0.0,
             faults: FaultParams::default(),
             track_payload_crossings: false,
         }
@@ -427,6 +424,10 @@ impl NetParams {
     ///
     /// On a hub fabric — a shared hub is physical broadcast, there is no
     /// switch to filter at.
+    #[expect(
+        clippy::panic,
+        reason = "a builder misuse at setup time, before any simulation runs: a hub has no switch to filter at"
+    )]
     pub fn with_unicast_only(mut self) -> Self {
         match &mut self.fabric {
             FabricKind::Switch(sp) => sp.unicast_only = true,

@@ -200,7 +200,7 @@ impl SimProcess {
             port: UdpPort(port),
         }) {
             Response::Socket(s) => s,
-            other => unreachable!("bad response {other:?}"),
+            other => bad_response(&other),
         }
     }
 
@@ -270,8 +270,7 @@ impl SimProcess {
             served: None,
         }) {
             Response::Datagram(Some(d)) => d,
-            Response::Datagram(None) => unreachable!("no timeout was set"),
-            other => unreachable!("bad response {other:?}"),
+            other => bad_response(&other),
         }
     }
 
@@ -287,7 +286,7 @@ impl SimProcess {
             served: None,
         }) {
             Response::Datagram(d) => d,
-            other => unreachable!("bad response {other:?}"),
+            other => bad_response(&other),
         }
     }
 
@@ -312,7 +311,7 @@ impl SimProcess {
         }) {
             Response::Stepped => ServedRecv::Stepped,
             Response::Datagram(d) => ServedRecv::Woken(d),
-            other => unreachable!("bad response {other:?}"),
+            other => bad_response(&other),
         }
     }
 
@@ -320,4 +319,14 @@ impl SimProcess {
     pub fn compute(&mut self, dur: SimDuration) {
         self.call(Request::Compute { dur });
     }
+}
+
+/// A request was answered with a response of another kind (a receive
+/// without a timeout with `None`, say).
+#[expect(
+    clippy::unreachable,
+    reason = "`Cluster` answers each request with its own kind of response: a bind with a socket, a receive with a datagram (or `None` only under a timeout, or `Stepped` only when served)"
+)]
+fn bad_response(resp: &Response) -> ! {
+    unreachable!("bad response {resp:?}")
 }

@@ -174,7 +174,7 @@ mod tests {
             .records()
             .map(|(_, e)| match e {
                 TraceEvent::Delivered { frame, .. } => *frame,
-                _ => unreachable!(),
+                other => panic!("unexpected {other:?}"),
             })
             .collect();
         assert_eq!(frames, vec![2, 3, 4]);

@@ -7,8 +7,13 @@
 //!
 //! The world is a single-threaded discrete-event loop: one global
 //! `(time, sequence)`-ordered queue, advanced one event at a time by
-//! [`World::step`] (the model is in `docs/SIMULATOR.md`). Both fabrics —
-//! the CSMA/CD hub and the switch — run on it.
+//! [`World::step`] (the model is in `docs/SIMULATOR.md`). It is two parts:
+//! the core every fabric shares — queue, hosts, statistics, trace, the
+//! last hop onto a host's link and the completions — and the fabric,
+//! which is decided once, in [`World::new`]. The hub ([`crate::hub`]) and
+//! the switch ([`crate::switch`]) each own their frame path and their
+//! events ([`Event::Hub`], [`Event::Switch`]); [`World::step`] hands a
+//! fabric's events to it.
 //!
 //! Fault injection hooks in at the last hop: every frame that survives
 //! the fabric passes through a per-link dice roll
@@ -23,11 +28,11 @@ use std::sync::Arc;
 use crate::event::{Event, EventQueue};
 use crate::frame::{fragment_datagram, Datagram, Frame, FramePayload, SharedPayload};
 use crate::host::{Delivery, DeliveryFailure, HostStack};
-use crate::hub::{Arbitration, Hub};
+use crate::hub::Hub;
 use crate::ids::{DatagramDst, GroupId, HostId, SocketId, SwitchPort, UdpPort};
 use crate::params::{FabricKind, NetParams};
 use crate::rng::SplitMix64;
-use crate::stats::NetStats;
+use crate::stats::{FrameClass, NetStats};
 use crate::switch::Switch;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::TopoCursor;
@@ -85,23 +90,36 @@ pub enum StepOutcome {
 }
 
 /// Statistics class of a frame.
-fn frame_class(frame: &Frame) -> crate::stats::FrameClass {
+fn frame_class(frame: &Frame) -> FrameClass {
     match &frame.payload {
-        FramePayload::Fragment { datagram, .. } => {
-            if datagram.kernel {
-                crate::stats::FrameClass::KernelAck
-            } else {
-                crate::stats::FrameClass::Data
-            }
-        }
-        _ => crate::stats::FrameClass::Control,
+        FramePayload::Fragment { datagram, .. } if datagram.kernel => FrameClass::KernelAck,
+        FramePayload::Fragment { .. } => FrameClass::Data,
+        FramePayload::IgmpJoin { .. } => FrameClass::Control,
     }
 }
 
-/// The fabric connecting hosts.
+/// The fabric connecting hosts: it owns its frame path, from a NIC's
+/// transmit queue to the far end of the last link.
 enum Fabric {
     Hub(Hub),
     Switch(Switch),
+}
+
+impl Fabric {
+    /// `host`'s NIC was handed `frames` at `at`; start it if it was idle.
+    fn enqueue_frames_at(
+        &mut self,
+        core: &mut Core,
+        host: HostId,
+        frames: impl IntoIterator<Item = Frame>,
+        at: SimTime,
+    ) {
+        debug_assert!(at >= core.now);
+        match self {
+            Fabric::Hub(hub) => hub.enqueue_frames_at(core, host, frames, at),
+            Fabric::Switch(sw) => sw.enqueue_frames_at(core, host, frames, at),
+        }
+    }
 }
 
 /// Salt decorrelating the fault-injection RNG stream from the
@@ -111,13 +129,21 @@ const FAULT_RNG_SALT: u64 = 0xFA17_ED11_FA17_ED11;
 
 /// The simulated network.
 pub struct World {
-    now: SimTime,
-    queue: EventQueue,
-    hosts: Vec<HostStack>,
+    core: Core,
     fabric: Fabric,
-    params: NetParams,
-    stats: NetStats,
-    rng: SplitMix64,
+}
+
+/// What every fabric shares: the clock and the event queue, the hosts,
+/// the statistics and the trace, and the last hop of a frame onto a
+/// host's link — topology script, injected faults, reassembly, delivery
+/// and the completions it produces. A fabric's frame path
+/// ([`crate::hub`], [`crate::switch`]) works on it.
+pub(crate) struct Core {
+    pub(crate) now: SimTime,
+    pub(crate) queue: EventQueue,
+    pub(crate) hosts: Vec<HostStack>,
+    pub(crate) params: NetParams,
+    pub(crate) stats: NetStats,
     fault_rng: SplitMix64,
     next_datagram_id: u64,
     next_frame_id: u64,
@@ -125,8 +151,6 @@ pub struct World {
     /// Frames parked by a topology hold, in arrival order: (src, dst, frame).
     held: Vec<(HostId, HostId, Frame)>,
     completions: Vec<Completion>,
-    /// Scratch: the output ports of the frame being forwarded.
-    forward_ports: Vec<SwitchPort>,
     /// Events popped so far.
     events_handled: u64,
     trace: Option<Trace>,
@@ -149,18 +173,8 @@ impl World {
             })
             .collect();
         let fabric = match &params.fabric {
-            FabricKind::Hub => Fabric::Hub(Hub::new()),
-            FabricKind::Switch(sp) => {
-                let mut sw = Switch::new(n, sp.port_buffer_bytes, sp.flood_multicast);
-                sw.set_unicast_only(sp.unicast_only);
-                // Static star topology: port i <-> host i. Pre-populate the
-                // learning table (a warm ARP/MAC cache) so the first unicast
-                // of a run is not flooded to every port.
-                for i in 0..n as u32 {
-                    sw.learn(HostId(i), SwitchPort(i));
-                }
-                Fabric::Switch(sw)
-            }
+            FabricKind::Hub => Fabric::Hub(Hub::new(seed)),
+            FabricKind::Switch(sp) => Fabric::Switch(Switch::new(n, sp)),
         };
         let mut queue = EventQueue::new();
         let topo = TopoCursor::new(&params.faults.topology);
@@ -169,40 +183,38 @@ impl World {
         for at in params.faults.topology.op_times() {
             queue.schedule(at, Event::TopologyWake);
         }
-        World {
+        let core = Core {
             now: SimTime::ZERO,
             queue,
             hosts,
-            fabric,
             params,
             stats: NetStats::new(n),
-            rng: SplitMix64::new(seed),
             fault_rng: SplitMix64::new(seed ^ FAULT_RNG_SALT),
             next_datagram_id: 0,
             next_frame_id: 0,
             topo,
             held: Vec::new(),
             completions: Vec::new(),
-            forward_ports: Vec::new(),
             events_handled: 0,
             trace: None,
-        }
+        };
+        World { core, fabric }
     }
 
     /// Enable event tracing with a bounded ring buffer (debugging and
     /// fine-grained model validation; off by default).
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.core.trace = Some(Trace::new(capacity));
     }
 
     /// The trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.core.trace.as_ref()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Events handled so far — one per [`World::step`] that found the
@@ -210,46 +222,39 @@ impl World {
     /// the clock; kept out of [`NetStats`], whose rendering replay
     /// fingerprints hash.
     pub fn events_handled(&self) -> u64 {
-        self.events_handled
+        self.core.events_handled
     }
 
     /// Statistics collected so far.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Model parameters.
     pub fn params(&self) -> &NetParams {
-        &self.params
+        &self.core.params
     }
 
     /// Access a host (tests, the round closer).
     pub fn host(&self, h: HostId) -> &HostStack {
-        &self.hosts[h.index()]
+        &self.core.hosts[h.index()]
     }
 
     /// Mutable access to a host (the round closer).
     pub fn host_mut(&mut self, h: HostId) -> &mut HostStack {
-        &mut self.hosts[h.index()]
+        &mut self.core.hosts[h.index()]
     }
 
     /// Bind a UDP socket on `host`.
     pub fn bind(&mut self, host: HostId, port: UdpPort) -> SocketId {
-        self.hosts[host.index()].bind(port)
-    }
-
-    fn trace_push(&mut self, event: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            let now = self.now;
-            t.push(now, event);
-        }
+        self.core.hosts[host.index()].bind(port)
     }
 
     /// Setup-time multicast join: updates the host filter *and* the switch
     /// membership table instantly, without IGMP traffic. Models groups
     /// joined before the timed region, as MPI process groups are.
     pub fn join_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
-        self.hosts[host.index()].join_group(socket, group);
+        self.core.hosts[host.index()].join_group(socket, group);
         if let Fabric::Switch(sw) = &mut self.fabric {
             sw.snoop_join(group, SwitchPort(host.0));
         }
@@ -257,7 +262,7 @@ impl World {
 
     /// Setup-time leave (inverse of [`World::join_group_quiet`]).
     pub fn leave_group_quiet(&mut self, host: HostId, socket: SocketId, group: GroupId) {
-        let h = &mut self.hosts[host.index()];
+        let h = &mut self.core.hosts[host.index()];
         h.leave_group(socket, group);
         let still_member = h.nic.is_member(group);
         if let (Fabric::Switch(sw), false) = (&mut self.fabric, still_member) {
@@ -268,15 +273,16 @@ impl World {
     /// Runtime multicast join: joins locally and emits an IGMP membership
     /// report frame on the wire at time `at` so a managed switch can snoop.
     pub fn join_group_igmp(&mut self, host: HostId, socket: SocketId, group: GroupId, at: SimTime) {
-        self.hosts[host.index()].join_group(socket, group);
+        let core = &mut self.core;
+        core.hosts[host.index()].join_group(socket, group);
         let frame = Frame {
-            id: self.fresh_frame_id(),
+            id: core.fresh_frame_id(),
             src: host,
             dst: crate::frame::FrameDst::Broadcast,
             mac_payload: 46,
             payload: FramePayload::IgmpJoin { group },
         };
-        self.enqueue_frames_at(host, [frame], at);
+        self.fabric.enqueue_frames_at(core, host, [frame], at);
     }
 
     /// Inject a datagram send: the host stack finishes send-side processing
@@ -294,8 +300,9 @@ impl World {
         multicast_loopback: bool,
         kernel: bool,
     ) -> u64 {
-        let id = self.next_datagram_id;
-        self.next_datagram_id += 1;
+        let core = &mut self.core;
+        let id = core.next_datagram_id;
+        core.next_datagram_id += 1;
         let datagram = Arc::new(Datagram {
             id,
             src_host: host,
@@ -306,23 +313,23 @@ impl World {
             kernel,
         });
         if kernel {
-            self.stats.kernel_datagrams_sent += 1;
+            core.stats.kernel_datagrams_sent += 1;
         } else {
-            self.stats.datagrams_sent += 1;
+            core.stats.datagrams_sent += 1;
             match dst {
-                DatagramDst::Multicast(_) => self.stats.mcast_datagrams_sent += 1,
-                DatagramDst::Unicast(_) => self.stats.unicast_datagrams_sent += 1,
+                DatagramDst::Multicast(_) => core.stats.mcast_datagrams_sent += 1,
+                DatagramDst::Unicast(_) => core.stats.unicast_datagrams_sent += 1,
             }
         }
         match dst {
             DatagramDst::Unicast(d) if d == host => {
                 // Self-send never touches the wire.
-                self.queue
+                core.queue
                     .schedule(at, Event::LoopbackDelivery { host, datagram });
             }
             _ => {
                 if multicast_loopback && matches!(dst, DatagramDst::Multicast(_)) {
-                    self.queue.schedule(
+                    core.queue.schedule(
                         at,
                         Event::LoopbackDelivery {
                             host,
@@ -330,7 +337,7 @@ impl World {
                         },
                     );
                 }
-                self.queue
+                core.queue
                     .schedule(at, Event::DatagramReady { host, datagram });
             }
         }
@@ -355,7 +362,7 @@ impl World {
     /// (`docs/SIMULATOR.md`, "One slot per host"): a host has one receive
     /// waiting to be posted at a time.
     pub fn schedule_post_recv(&mut self, host: HostId, socket: SocketId, at: SimTime) {
-        self.queue.schedule_post_recv(host, socket, at);
+        self.core.queue.schedule_post_recv(host, socket, at);
     }
 
     /// Take the datagram that satisfied a [`Completion::RecvReady`] and
@@ -385,13 +392,13 @@ impl World {
         token: u64,
         at: SimTime,
     ) {
-        self.queue.schedule_timer(host, socket, token, at);
+        self.core.queue.schedule_timer(host, socket, token, at);
     }
 
     /// Cancel `host`'s timer if it is still the one scheduled with
     /// `token`: the slot is emptied, nothing is left to fire.
     pub fn cancel_timer(&mut self, host: HostId, token: u64) {
-        self.queue.cancel_timer(host, token);
+        self.core.queue.cancel_timer(host, token);
     }
 
     /// Advance until at least one completion is ready (returned) or
@@ -408,32 +415,96 @@ impl World {
     /// Give a drained [`StepOutcome::Advanced::completions`] back, so the
     /// next batch does not allocate its own.
     pub fn recycle_completions(&mut self, mut spent: Vec<Completion>) {
-        if self.completions.capacity() == 0 {
+        if self.core.completions.capacity() == 0 {
             spent.clear();
-            self.completions = spent;
+            self.core.completions = spent;
         }
     }
 
     /// Process exactly one event.
     pub fn step(&mut self) -> StepOutcome {
-        let Some((at, event)) = self.queue.pop() else {
+        let Some((at, event)) = self.core.queue.pop() else {
             return StepOutcome::Quiescent;
         };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.events_handled += 1;
+        debug_assert!(at >= self.core.now, "time went backwards");
+        self.core.now = at;
+        self.core.events_handled += 1;
         self.handle(event);
         // Most events complete nothing: hand out the buffer only when it
         // holds something, or every such step would drop its capacity
         // and the next completion allocate it again.
-        let completions = if self.completions.is_empty() {
+        let completions = if self.core.completions.is_empty() {
             Vec::new()
         } else {
-            std::mem::take(&mut self.completions)
+            std::mem::take(&mut self.core.completions)
         };
         StepOutcome::Advanced {
-            now: self.now,
+            now: self.core.now,
             completions,
+        }
+    }
+
+    /// Dispatch one event: a fabric's to its frame path, the rest to the
+    /// core.
+    fn handle(&mut self, event: Event) {
+        let core = &mut self.core;
+        match (event, &mut self.fabric) {
+            (Event::Switch(e), Fabric::Switch(sw)) => sw.handle(core, e),
+            (Event::Hub(e), Fabric::Hub(hub)) => hub.handle(core, e),
+            #[expect(
+                clippy::unreachable,
+                reason = "only a fabric schedules its own events, and a world has one fabric for life"
+            )]
+            (Event::Hub(_) | Event::Switch(_), _) => unreachable!("event of another fabric"),
+            (Event::DatagramReady { host, datagram }, fabric) => {
+                let mtu = core.params.ethernet.mtu_bytes;
+                let frames = fragment_datagram(datagram, &core.params.ip, mtu, core.next_frame_id);
+                core.next_frame_id += frames.len() as u64;
+                let at = core.now;
+                fabric.enqueue_frames_at(core, host, frames, at);
+            }
+            (Event::LoopbackDelivery { host, datagram }, _) => {
+                core.deliver_datagram(host, datagram);
+            }
+            (Event::LinkRedeliver { host, frame }, _) => core.receive_frame(host, &frame),
+            (Event::TopologyWake, _) => {
+                let now = core.now;
+                let released = core.topo.advance_to(now);
+                core.apply_releases(released);
+            }
+            (Event::PostRecv { host, socket }, _) => {
+                let sock = core.hosts[host.index()].socket_mut(socket);
+                sock.recv_posted = true;
+                if sock.buffered() > 0 {
+                    let at = core.now;
+                    core.completions
+                        .push(Completion::RecvReady { host, socket, at });
+                }
+            }
+            (
+                Event::Timer {
+                    host,
+                    socket,
+                    token,
+                },
+                _,
+            ) => {
+                let at = core.now;
+                core.completions.push(Completion::TimerFired {
+                    host,
+                    socket,
+                    token,
+                    at,
+                });
+            }
+        }
+    }
+}
+
+impl Core {
+    pub(crate) fn trace_push(&mut self, event: TraceEvent) {
+        if let Some(t) = &mut self.trace {
+            t.push(self.now, event);
         }
     }
 
@@ -443,63 +514,36 @@ impl World {
         id
     }
 
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::DatagramReady { host, datagram } => {
-                let mtu = self.params.ethernet.mtu_bytes;
-                let frames = fragment_datagram(datagram, &self.params.ip, mtu, self.next_frame_id);
-                self.next_frame_id += frames.len() as u64;
-                let at = self.now;
-                self.enqueue_frames_at(host, frames, at);
-            }
-            Event::LoopbackDelivery { host, datagram } => {
-                self.deliver_datagram(host, datagram);
-            }
-            Event::HubArbitrate => self.hub_arbitrate(),
-            Event::HubFrameDelivered { frame } => self.hub_frame_delivered(frame),
-            Event::NicRetry { host } => {
-                let now = self.now;
-                let Fabric::Hub(hub) = &mut self.fabric else {
-                    unreachable!("NicRetry only occurs on the hub fabric");
-                };
-                if let Some(fire_at) = hub.request(host, now) {
-                    self.queue.schedule(fire_at, Event::HubArbitrate);
-                }
-            }
-            Event::NicTxNext { host } => self.nic_tx_next(host),
-            Event::SwitchIngress { frame, in_port } => self.switch_ingress(frame, in_port),
-            Event::SwitchForward { frame, in_port } => self.switch_forward(frame, in_port),
-            Event::PortDelivered { frame, port } => self.port_delivered(frame, port),
-            Event::PortTxNext { port } => self.port_tx_next(port),
-            Event::LinkRedeliver { host, frame } => self.receive_frame(host, &frame),
-            Event::TopologyWake => {
-                let now = self.now;
-                let released = self.topo.advance_to(now);
-                self.apply_releases(released);
-            }
-            Event::PostRecv { host, socket } => {
-                let sock = self.hosts[host.index()].socket_mut(socket);
-                sock.recv_posted = true;
-                if sock.buffered() > 0 {
-                    let at = self.now;
-                    self.completions
-                        .push(Completion::RecvReady { host, socket, at });
-                }
-            }
-            Event::Timer {
-                host,
-                socket,
-                token,
-            } => {
-                let at = self.now;
-                self.completions.push(Completion::TimerFired {
-                    host,
-                    socket,
-                    token,
-                    at,
-                });
-            }
+    /// Queue `frames` on `host`'s NIC. True when the NIC was idle: the
+    /// caller starts it, and it counts as busy from now on.
+    pub(crate) fn nic_enqueue(
+        &mut self,
+        host: HostId,
+        frames: impl IntoIterator<Item = Frame>,
+    ) -> bool {
+        let nic = &mut self.hosts[host.index()].nic;
+        let mut kick = false;
+        for f in frames {
+            kick |= nic.enqueue(f);
         }
+        nic.tx.busy |= kick;
+        kick
+    }
+
+    /// `frame` starts onto the wire from `host`: count it and trace it.
+    pub(crate) fn tx_start(&mut self, host: HostId, frame: &Frame) {
+        let wire_bytes = self.params.ethernet.frame_wire_bytes(frame.mac_payload);
+        self.stats.record_frame_sent(
+            host,
+            frame.mac_payload,
+            u64::from(wire_bytes),
+            frame_class(frame),
+        );
+        self.trace_push(TraceEvent::TxStart {
+            src: host,
+            frame: frame.id,
+            bytes: frame.mac_payload,
+        });
     }
 
     /// Re-deliver frames parked under the just-released holds, in arrival
@@ -519,308 +563,6 @@ impl World {
         }
     }
 
-    /// Hand frames to a host NIC at time `at`, kicking transmission if idle.
-    fn enqueue_frames_at(
-        &mut self,
-        host: HostId,
-        frames: impl IntoIterator<Item = Frame>,
-        at: SimTime,
-    ) {
-        debug_assert!(at >= self.now);
-        let nic = &mut self.hosts[host.index()].nic;
-        self.queue.settle(&mut nic.tx, Event::NicTxNext { host });
-        let mut kick = false;
-        for f in frames {
-            kick |= nic.enqueue(f);
-        }
-        if !kick {
-            return;
-        }
-        nic.tx.busy = true;
-        match &mut self.fabric {
-            Fabric::Hub(hub) => {
-                if let Some(fire_at) = hub.request(host, at) {
-                    self.queue.schedule(fire_at, Event::HubArbitrate);
-                }
-            }
-            Fabric::Switch(_) => {
-                // Start serializing the head frame onto the uplink at `at`.
-                self.queue.schedule(at, Event::NicTxNext { host });
-            }
-        }
-    }
-
-    // --- hub fabric -----------------------------------------------------
-
-    fn hub_arbitrate(&mut self) {
-        let now = self.now;
-        let Fabric::Hub(hub) = &mut self.fabric else {
-            unreachable!("HubArbitrate only occurs on the hub fabric");
-        };
-        match hub.arbitrate(now) {
-            Arbitration::Idle => {}
-            Arbitration::Winner(host) => {
-                let frame = self.hosts[host.index()]
-                    .nic
-                    .pop_head()
-                    .expect("winner must have a queued frame");
-                let eth = self.params.ethernet.clone();
-                let wire = eth.frame_wire_time(frame.mac_payload);
-                let wire_bytes = (eth.preamble_bytes
-                    + eth.mac_header_bytes
-                    + frame.mac_payload.max(eth.min_payload_bytes)
-                    + eth.fcs_bytes) as u64;
-                let class = frame_class(&frame);
-                self.stats
-                    .record_frame_sent(host, frame.mac_payload, wire_bytes, class);
-                self.trace_push(TraceEvent::TxStart {
-                    src: host,
-                    frame: frame.id,
-                    bytes: frame.mac_payload,
-                });
-                let delivered_at = now + wire + eth.prop_delay;
-                let Fabric::Hub(hub) = &mut self.fabric else {
-                    unreachable!();
-                };
-                hub.busy_until = now + wire + eth.ifg_time();
-                self.queue
-                    .schedule(delivered_at, Event::HubFrameDelivered { frame });
-            }
-            Arbitration::Collision(hosts) => {
-                self.stats.collisions += 1;
-                self.trace_push(TraceEvent::Collision {
-                    stations: hosts.clone(),
-                });
-                let eth = self.params.ethernet.clone();
-                // The medium is garbage for one slot (jam).
-                let jam_end = now + eth.slot_time;
-                {
-                    let Fabric::Hub(hub) = &mut self.fabric else {
-                        unreachable!();
-                    };
-                    hub.busy_until = jam_end;
-                }
-                for host in hosts {
-                    let nic = &mut self.hosts[host.index()].nic;
-                    nic.attempts += 1;
-                    if nic.attempts >= eth.max_attempts {
-                        // Excessive collisions: drop the frame.
-                        nic.pop_head();
-                        self.stats.excessive_collision_drops += 1;
-                        if self.hosts[host.index()].nic.head().is_some() {
-                            self.queue.schedule(jam_end, Event::NicRetry { host });
-                        } else {
-                            self.hosts[host.index()].nic.tx.busy = false;
-                        }
-                        continue;
-                    }
-                    let exp = nic.attempts.min(eth.max_backoff_exp);
-                    let slots = self.rng.next_below(1u64 << exp);
-                    let retry_at = jam_end + eth.slot_time * slots;
-                    self.queue.schedule(retry_at, Event::NicRetry { host });
-                }
-            }
-        }
-    }
-
-    fn hub_frame_delivered(&mut self, frame: Frame) {
-        let src = frame.src;
-        let lost = self.params.frame_loss_prob > 0.0 && {
-            let p = self.params.frame_loss_prob;
-            self.rng.coin(p)
-        };
-        if lost {
-            self.stats.injected_frame_losses += 1;
-        } else {
-            let n = self.hosts.len();
-            for i in 0..n {
-                let host = HostId(i as u32);
-                if host == src {
-                    continue;
-                }
-                let accepted = frame.accepted_by(host, |g| self.hosts[i].nic.is_member(g));
-                if accepted {
-                    self.link_deliver(host, &frame);
-                }
-            }
-        }
-        // The sender's NIC contends again if it has more frames.
-        let more = self.hosts[src.index()].nic.head().is_some();
-        if more {
-            let now = self.now;
-            let Fabric::Hub(hub) = &mut self.fabric else {
-                unreachable!();
-            };
-            if let Some(fire_at) = hub.request(src, now) {
-                self.queue.schedule(fire_at, Event::HubArbitrate);
-            }
-        } else {
-            self.hosts[src.index()].nic.tx.busy = false;
-            // Other stations may be waiting on the medium.
-            let Fabric::Hub(hub) = &mut self.fabric else {
-                unreachable!();
-            };
-            if hub.has_waiters() {
-                let fire_at = hub.busy_until;
-                if hub
-                    .arbitrate_scheduled_at
-                    .map(|t| t > fire_at)
-                    .unwrap_or(true)
-                {
-                    hub.arbitrate_scheduled_at = Some(fire_at);
-                    self.queue.schedule(fire_at, Event::HubArbitrate);
-                }
-            }
-        }
-    }
-
-    // --- switch fabric ---------------------------------------------------
-
-    /// Begin serializing the next queued frame on a host uplink.
-    fn nic_tx_next(&mut self, host: HostId) {
-        let Some(frame) = self.hosts[host.index()].nic.pop_head() else {
-            self.hosts[host.index()].nic.tx.busy = false;
-            return;
-        };
-        let eth = &self.params.ethernet;
-        let wire = eth.frame_wire_time(frame.mac_payload);
-        let wire_bytes = (eth.preamble_bytes
-            + eth.mac_header_bytes
-            + frame.mac_payload.max(eth.min_payload_bytes)
-            + eth.fcs_bytes) as u64;
-        let class = frame_class(&frame);
-        // Cut-through switches start forwarding once the header is in;
-        // store-and-forward waits for the whole frame.
-        let ingress_after = match &self.params.fabric {
-            FabricKind::Switch(sp) => match sp.mode {
-                crate::params::SwitchMode::StoreAndForward => wire,
-                crate::params::SwitchMode::CutThrough { header_bytes } => {
-                    eth.byte_time(u64::from((eth.preamble_bytes + header_bytes).min(
-                        eth.preamble_bytes
-                            + eth.mac_header_bytes
-                            + frame.mac_payload.max(eth.min_payload_bytes)
-                            + eth.fcs_bytes,
-                    )))
-                }
-            },
-            FabricKind::Hub => wire,
-        };
-        let ingress_at = self.now + ingress_after + eth.prop_delay;
-        let next_at = self.now + wire + eth.ifg_time();
-        self.stats
-            .record_frame_sent(host, frame.mac_payload, wire_bytes, class);
-        self.trace_push(TraceEvent::TxStart {
-            src: host,
-            frame: frame.id,
-            bytes: frame.mac_payload,
-        });
-        self.queue.schedule(
-            ingress_at,
-            Event::SwitchIngress {
-                frame,
-                in_port: SwitchPort(host.0),
-            },
-        );
-        let nic = &mut self.hosts[host.index()].nic;
-        let waiting = nic.head().is_some();
-        self.queue
-            .schedule_go_idle(&mut nic.tx, next_at, waiting, Event::NicTxNext { host });
-    }
-
-    fn switch_ingress(&mut self, frame: Frame, in_port: SwitchPort) {
-        let latency = match &self.params.fabric {
-            FabricKind::Switch(sp) => sp.forwarding_latency,
-            FabricKind::Hub => unreachable!("switch event on hub fabric"),
-        };
-        let Fabric::Switch(sw) = &mut self.fabric else {
-            unreachable!();
-        };
-        sw.learn(frame.src, in_port);
-        match &frame.payload {
-            FramePayload::IgmpJoin { group } => {
-                // Snooped and consumed by the managed switch.
-                sw.snoop_join(*group, in_port);
-            }
-            FramePayload::IgmpLeave { group } => {
-                sw.snoop_leave(*group, in_port);
-            }
-            FramePayload::Fragment { .. } => {
-                let at = self.now + latency;
-                self.queue
-                    .schedule(at, Event::SwitchForward { frame, in_port });
-            }
-        }
-    }
-
-    fn switch_forward(&mut self, frame: Frame, in_port: SwitchPort) {
-        let Fabric::Switch(sw) = &mut self.fabric else {
-            unreachable!();
-        };
-        if sw.unicast_only() && matches!(frame.dst, crate::frame::FrameDst::Multicast(_)) {
-            self.stats.unicast_only_drops += 1;
-            return;
-        }
-        let mut ports = std::mem::take(&mut self.forward_ports);
-        sw.forward_into(&frame, in_port, &mut ports);
-        for port in ports.drain(..) {
-            self.port_enqueue_frame(frame.clone(), port);
-        }
-        self.forward_ports = ports;
-    }
-
-    /// Enqueue on a single output port, kicking transmission if idle.
-    fn port_enqueue_frame(&mut self, frame: Frame, port: SwitchPort) {
-        let Fabric::Switch(sw) = &mut self.fabric else {
-            unreachable!();
-        };
-        self.queue
-            .settle(&mut sw.port_mut(port).tx, Event::PortTxNext { port });
-        match sw.enqueue(port, frame) {
-            Ok(true) => self.port_tx_next(port),
-            Ok(false) => {}
-            Err(()) => self.stats.switch_buffer_drops += 1,
-        }
-    }
-
-    /// Begin serializing the next queued frame on a switch output port.
-    fn port_tx_next(&mut self, port: SwitchPort) {
-        let Fabric::Switch(sw) = &mut self.fabric else {
-            unreachable!();
-        };
-        let Some(frame) = sw.dequeue(port) else {
-            sw.port_mut(port).tx.busy = false;
-            return;
-        };
-        let eth = &self.params.ethernet;
-        let wire = eth.frame_wire_time(frame.mac_payload);
-        let delivered_at = self.now + wire + eth.prop_delay;
-        let next_at = self.now + wire + eth.ifg_time();
-        self.queue
-            .schedule(delivered_at, Event::PortDelivered { frame, port });
-        let waiting = sw.queue_len(port) > 0;
-        self.queue.schedule_go_idle(
-            &mut sw.port_mut(port).tx,
-            next_at,
-            waiting,
-            Event::PortTxNext { port },
-        );
-    }
-
-    fn port_delivered(&mut self, frame: Frame, port: SwitchPort) {
-        let host = HostId(port.0);
-        if self.params.frame_loss_prob > 0.0 {
-            let p = self.params.frame_loss_prob;
-            if self.rng.coin(p) {
-                self.stats.injected_frame_losses += 1;
-                return;
-            }
-        }
-        let accepted = frame.accepted_by(host, |g| self.hosts[host.index()].nic.is_member(g));
-        if accepted {
-            self.link_deliver(host, &frame);
-        }
-    }
-
     // --- reception -------------------------------------------------------
 
     /// Last hop of a frame onto `host`'s link: advance the topology
@@ -832,7 +574,7 @@ impl World {
     /// perturbs which frames the probabilistic knobs hit). Inert fault
     /// params take the zero-draw fast path, so fault-free runs are
     /// byte-identical to pre-fault-injection ones.
-    fn link_deliver(&mut self, host: HostId, frame: &Frame) {
+    pub(crate) fn link_deliver(&mut self, host: HostId, frame: &Frame) {
         if self.params.faults.is_inert() {
             self.receive_frame(host, frame);
             return;

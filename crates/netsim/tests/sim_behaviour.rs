@@ -339,8 +339,7 @@ fn self_send_uses_loopback_not_wire() {
 
 #[test]
 fn injected_frame_loss_drops_traffic() {
-    let mut params = NetParams::fast_ethernet_switch();
-    params.frame_loss_prob = 1.0;
+    let params = NetParams::fast_ethernet_switch().with_loss(1.0);
     let cfg = ClusterConfig::new(2, params, 1);
     let report = run_cluster(&cfg, |mut p| {
         let s = p.bind(PORT);

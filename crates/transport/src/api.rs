@@ -53,11 +53,11 @@ use mmpi_wire::{Bytes, Message, MsgKind};
 #[cfg(doc)]
 use crate::config::RepairConfig;
 
-/// Typed unrecoverable-loss errors a repair-enabled receive can surface
-/// (see [`Comm::recv_checked`]). The blocking conveniences
-/// ([`Comm::recv_match`] & co.) panic on these instead — an unrecoverable
-/// loss inside a collective has no sane continuation — so only code that
-/// opts into the checked API needs to handle them.
+/// Typed unrecoverable-loss errors a repair-enabled receive can surface.
+/// Every receive returns them — [`Comm::wait`], [`Comm::wait_deadline`],
+/// the blocking conveniences ([`Comm::recv_match`] & co.) and the
+/// collectives built on them — so an unrecoverable loss ends the
+/// operation instead of re-soliciting forever.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecvError {
     /// The awaited sender answered our NACK with `MsgKind::Unavail`: the
@@ -497,22 +497,6 @@ pub trait Comm {
     ) -> Result<Option<Message>, RecvError> {
         let req = self.post_recv(None, tag);
         self.wait_deadline(req, timeout)
-    }
-
-    /// Blocking receive behind one optional-source, optional-timeout
-    /// entry point (kept for compatibility; new code can post and wait
-    /// directly).
-    fn recv_checked(
-        &mut self,
-        src: Option<usize>,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<Option<Message>, RecvError> {
-        let req = self.post_recv(src, tag);
-        match timeout {
-            None => self.wait(req).map(Some),
-            Some(t) => self.wait_deadline(req, t),
-        }
     }
 
     /// Model `d` of local computation (advances virtual time in the

@@ -360,7 +360,7 @@ fn overheard_any_source_solicit_suppresses_our_own() {
 /// End-to-end on the simulator: a one-shot partition hides rank 0's
 /// sends from rank 1 long enough for a tiny retransmit ring to evict the
 /// first one; after the cut heals, rank 1's NACK is answered with the
-/// eviction advertisement and `recv_checked` surfaces the typed error in
+/// eviction advertisement and the timed wait surfaces the typed error in
 /// bounded time.
 #[test]
 fn sim_partition_provokes_eviction_and_typed_error() {
@@ -399,7 +399,8 @@ fn sim_partition_provokes_eviction_and_typed_error() {
             } else {
                 // Wake after the cut heals and ask for the evicted tag.
                 c.compute(Duration::from_millis(6));
-                c.recv_checked(Some(0), 10, Some(Duration::from_millis(100)))
+                let req = c.post_recv(Some(0), 10);
+                c.wait_deadline(req, Duration::from_millis(100))
             }
         })
         .expect("sim run failed");

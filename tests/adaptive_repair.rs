@@ -290,8 +290,9 @@ fn adaptive_drain_grace_recovers_stragglers_at_n128() {
             // Staggered wakeup: the last rank posts its receive well
             // past any fixed small constant.
             c.compute(Duration::from_micros(500) * c.rank() as u32);
+            let req = c.post_recv(Some(0), FINAL);
             matches!(
-                c.recv_checked(Some(0), FINAL, Some(Duration::from_millis(300))),
+                c.wait_deadline(req, Duration::from_millis(300)),
                 Ok(Some(_))
             )
         }

@@ -477,10 +477,9 @@ fn drain_grace_scales_with_group_size() {
                 // recoveries of the documented worst case: the last rank
                 // posts its receive 75 ms in — past the old 50 ms grace.
                 c.compute(std::time::Duration::from_millis(5) * c.rank() as u32);
-                matches!(
-                    c.recv_checked(Some(0), FINAL, Some(std::time::Duration::from_millis(300))),
-                    Ok(Some(_))
-                )
+                let req = c.post_recv(Some(0), FINAL);
+                let timeout = std::time::Duration::from_millis(300);
+                matches!(c.wait_deadline(req, timeout), Ok(Some(_)))
             }
         })
         .expect("drain scenario must not deadlock");

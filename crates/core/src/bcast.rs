@@ -8,17 +8,24 @@
 //!   binomial tree (`N-1` scouts in `ceil(log2 N)` rounds), proving every
 //!   receiver is ready, then the root sends the data **once** via IP
 //!   multicast.
-//!
-//!   These two, and [`BcastAlgorithm::ScatterAllgather`], are request
-//!   machines ([`crate::request::IbcastRequest`]); [`bcast`] waits on one.
-//! * [`bcast_mcast_linear`] — the paper's *linear algorithm* (Fig. 4):
-//!   every receiver sends its scout straight to the root, which ingests
-//!   them one at a time (`N-1` sequential steps), then multicasts.
+//! * [`BcastAlgorithm::McastLinear`] — the paper's *linear algorithm*
+//!   (Fig. 4): every receiver sends its scout straight to the root, which
+//!   claims them one at a time (`N-1` sequential steps), then multicasts.
+//! * [`BcastAlgorithm::Gossip`] — no scouts: the root's group send at
+//!   once, disseminated by the transport's gossip plane.
+//! * [`BcastAlgorithm::FlatTree`] — naive root-sends-to-everyone baseline.
+//! * [`BcastAlgorithm::Chain`] and [`BcastAlgorithm::ScatterAllgather`] —
+//!   the pipelined shapes of [`crate::bcast_ext`].
 //! * [`bcast_pvm_ack`] — the sender-initiated reliable multicast of
 //!   Dunigan & Hall's PVM work (the paper's ref \[2\]): multicast first,
 //!   then retransmit until every receiver acknowledges. Implemented as an
 //!   ablation baseline; the paper notes this approach did not pay off.
-//! * [`bcast_flat_tree`] — naive root-sends-to-everyone baseline.
+//!
+//! Every algorithm but `PvmAck` is one request machine (`Bcast`,
+//! driven by [`crate::request::IbcastRequest`]), which
+//! [`crate::Communicator::bcast`] waits on. `PvmAck` stays a function
+//! over `post_recv` and `wait_deadline`: its retransmit timer is not a
+//! receive a machine could wait on.
 //!
 //! # Behaviour under loss
 //!
@@ -33,13 +40,16 @@
 //! sender-initiated ack/retransmit machinery (the ablation baseline) and
 //! works with or without transport repair.
 
+use std::mem;
 use std::time::Duration;
 
-use mmpi_transport::{Comm, RecvError};
-use mmpi_wire::{Bytes, MsgKind};
+use mmpi_transport::{Comm, RecvError, Tag};
+use mmpi_wire::{Bytes, Message, MsgKind};
 
-use crate::request::{CollRequest, IbcastRequest};
+use crate::bcast_ext::{Chain, ScatterAllgather};
+use crate::request::{Next, Phases, Scouted, Scouts};
 use crate::tags::{OpTags, Phase};
+use crate::tree;
 
 /// Broadcast algorithm selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,11 +60,16 @@ pub enum BcastAlgorithm {
     McastBinary,
     /// Scouts straight to the root, then one multicast.
     McastLinear,
-    /// Multicast + ack/retransmit (PVM-style, sender-initiated).
+    /// Multicast + ack/retransmit (PVM-style, sender-initiated). Only the
+    /// blocking `bcast` runs it; a machine — `ibcast`, and the broadcast
+    /// stage of `allreduce` and of the `GatherBcast` allgather — runs
+    /// [`McastBinary`]'s shape instead.
+    ///
+    /// [`McastBinary`]: BcastAlgorithm::McastBinary
     PvmAck,
     /// Root unicasts to every receiver directly.
     FlatTree,
-    /// Pipelined chain with segmentation (see `bcast_ext::bcast_chain`).
+    /// Pipelined chain with segmentation (see `bcast_ext::Chain`).
     Chain,
     /// Van de Geijn scatter + ring allgather (large-message baseline).
     ScatterAllgather,
@@ -113,132 +128,167 @@ pub(crate) fn tcp_acks_for(len: usize) -> u32 {
     (len / 1460) as u32 + 1
 }
 
-/// Dispatch a broadcast with the chosen algorithm.
-///
-/// On the root, `buf` is the message; on other ranks its contents are
-/// replaced with the broadcast payload. After an error its contents are
-/// unspecified.
-///
-/// Like `MPI_Bcast`, [`BcastAlgorithm::Auto`] requires every rank to know
-/// the message size: pass a `buf` of the correct length on receivers too
-/// (MPI programs know the count everywhere). The explicit algorithms are
-/// lenient — a receiver may pass an empty buffer.
-pub fn bcast<C: Comm>(
-    c: &mut C,
-    algo: BcastAlgorithm,
-    cfg: &BcastConfig,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    let algo = match algo {
-        // No multicast on this fabric: a multicast-shaped plan would
-        // deliver nothing and stall until the repair plane rebuilt every
-        // message. Epidemic dissemination is the design answer here
-        // (docs/PROTOCOL.md §11).
-        BcastAlgorithm::Auto if !c.multicast_capable() => BcastAlgorithm::Gossip,
-        BcastAlgorithm::Auto if buf.len() >= cfg.auto_crossover_bytes && c.size() > 2 => {
-            BcastAlgorithm::McastBinary
-        }
-        BcastAlgorithm::Auto => BcastAlgorithm::MpichBinomial,
-        explicit => explicit,
-    };
-    match algo {
-        BcastAlgorithm::McastLinear => bcast_mcast_linear(c, tags, root, buf),
-        BcastAlgorithm::PvmAck => bcast_pvm_ack(c, cfg, tags, root, buf),
-        BcastAlgorithm::FlatTree => bcast_flat_tree(c, tags, root, buf),
-        BcastAlgorithm::Chain => {
-            crate::bcast_ext::bcast_chain(c, cfg.chain_segment_bytes, tags, root, buf)
-        }
-        BcastAlgorithm::Gossip => bcast_gossip(c, tags, root, buf),
-        // MpichBinomial, McastBinary and ScatterAllgather: the machine,
-        // waited on.
-        machine => {
-            let layer = cfg.mpich_layer_overhead;
-            let req = IbcastRequest::new(c, machine, layer, tags, root, std::mem::take(buf));
-            *buf = req.wait(c)?;
-            Ok(())
+/// Every broadcast's machine, in the shape its selector names.
+pub(crate) enum Bcast {
+    /// Scouts, then one multicast: `McastBinary`, `McastLinear`, `Gossip`
+    /// (no scouts), and `PvmAck`'s nonblocking shape.
+    Scouted(Scouted),
+    /// MPICH's binomial tree (paper Fig. 2): receive from the parent,
+    /// then fan out. `N-1` point-to-point data messages in
+    /// `ceil(log2 N)` rounds, each charged `layer` on both sides.
+    Binomial {
+        tag: Tag,
+        layer: Duration,
+        root: usize,
+        buf: Vec<u8>,
+    },
+    /// The root unicasts the whole message to every other rank.
+    Flat {
+        tag: Tag,
+        root: usize,
+        buf: Vec<u8>,
+    },
+    Chain(Chain),
+    Scatter(ScatterAllgather),
+}
+
+impl Bcast {
+    /// The machine for `algo`, with `Auto` lowered for this fabric and
+    /// `buf`'s length.
+    pub(crate) fn new<C: Comm + ?Sized>(
+        c: &C,
+        algo: BcastAlgorithm,
+        cfg: &BcastConfig,
+        tags: OpTags,
+        root: usize,
+        buf: Vec<u8>,
+    ) -> Self {
+        let algo = match algo {
+            // No multicast on this fabric: a multicast-shaped plan would
+            // deliver nothing and stall until the repair plane rebuilt
+            // every message. Epidemic dissemination is the design answer
+            // here (docs/PROTOCOL.md §11).
+            BcastAlgorithm::Auto if !c.multicast_capable() => BcastAlgorithm::Gossip,
+            BcastAlgorithm::Auto if buf.len() >= cfg.auto_crossover_bytes && c.size() > 2 => {
+                BcastAlgorithm::McastBinary
+            }
+            BcastAlgorithm::Auto => BcastAlgorithm::MpichBinomial,
+            explicit => explicit,
+        };
+        let tag = tags.tag(Phase::Data);
+        let scouted = |scouts, buf| {
+            Bcast::Scouted(Scouted::new(
+                scouts,
+                tags,
+                root,
+                Phase::Data,
+                MsgKind::Data,
+                buf,
+            ))
+        };
+        match algo {
+            BcastAlgorithm::MpichBinomial => Bcast::Binomial {
+                tag,
+                layer: cfg.mpich_layer_overhead,
+                root,
+                buf,
+            },
+            BcastAlgorithm::FlatTree => Bcast::Flat { tag, root, buf },
+            BcastAlgorithm::Chain => {
+                Bcast::Chain(Chain::new(tag, cfg.chain_segment_bytes, root, buf))
+            }
+            BcastAlgorithm::ScatterAllgather => {
+                Bcast::Scatter(ScatterAllgather::new(tags, root, buf))
+            }
+            BcastAlgorithm::McastLinear => scouted(Scouts::Linear, buf),
+            BcastAlgorithm::Gossip => scouted(Scouts::None, buf),
+            // McastBinary, and PvmAck as a machine.
+            _ => scouted(Scouts::Binomial, buf),
         }
     }
 }
 
-/// Every non-root process sends a scout directly to the root; the root
-/// receives them one at a time (`N-1` sequential receive steps).
-pub(crate) fn scout_reduce_linear<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-) -> Result<(), RecvError> {
-    let n = c.size();
-    let tag = tags.tag(Phase::Scout);
-    if c.rank() == root {
-        for _ in 1..n {
-            c.recv_any(tag)?;
+/// MPICH's fan-out: send `buf` to this rank's children in descending-mask
+/// order, charging the layering cost per send. The buffer is imported
+/// into wire form once, and only if there is a child.
+fn fan_out<C: Comm + ?Sized>(c: &mut C, tag: Tag, layer: Duration, root: usize, buf: &[u8]) {
+    let mut wire = None;
+    for dst in tree::binomial_children(c.rank(), c.size(), root) {
+        let wire = wire.get_or_insert_with(|| Bytes::from(buf));
+        c.compute(layer);
+        c.send_kind(dst, tag, MsgKind::Data, wire);
+    }
+}
+
+impl Phases for Bcast {
+    type Output = Vec<u8>;
+
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        match self {
+            Bcast::Scouted(s) => s.start(c),
+            Bcast::Binomial {
+                tag,
+                layer,
+                root,
+                buf,
+            } => match tree::binomial_parent(c.rank(), c.size(), *root) {
+                Some(parent) => Next::Recv(c.post_recv(Some(parent), *tag)),
+                None => {
+                    fan_out(c, *tag, *layer, *root, buf);
+                    Next::Done(mem::take(buf))
+                }
+            },
+            Bcast::Flat { tag, root, buf } => {
+                if c.rank() != *root {
+                    return Next::Recv(c.post_recv(Some(*root), *tag));
+                }
+                let wire = Bytes::from(&*buf);
+                for dst in (0..c.size()).filter(|dst| dst != root) {
+                    c.send_kind(dst, *tag, MsgKind::Data, &wire);
+                }
+                Next::Done(mem::take(buf))
+            }
+            Bcast::Chain(s) => s.start(c),
+            Bcast::Scatter(s) => s.start(c),
         }
-    } else {
-        c.send_kind(root, tag, MsgKind::Scout, &Bytes::new());
     }
-    Ok(())
-}
 
-/// The paper's linear algorithm: direct scouts to the root, then one
-/// multicast carrying the data.
-pub fn bcast_mcast_linear<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    if c.size() == 1 {
-        return Ok(());
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+        match self {
+            Bcast::Scouted(s) => s.resume(c, m),
+            Bcast::Binomial {
+                tag,
+                layer,
+                root,
+                buf,
+            } => {
+                let src = m.src_rank as usize;
+                // The payload replaces (and frees) the receiver's own
+                // buffer before the fan-out copies it.
+                *buf = m.into_vec();
+                c.compute(*layer);
+                // MPICH-1.x ran its p2p channel over TCP: model the
+                // kernel's acknowledgement traffic.
+                c.tcp_ack_model(src, tcp_acks_for(buf.len()));
+                fan_out(c, *tag, *layer, *root, buf);
+                Next::Done(mem::take(buf))
+            }
+            Bcast::Flat { .. } => Next::Done(m.into_vec()),
+            Bcast::Chain(s) => s.resume(c, m),
+            Bcast::Scatter(s) => s.resume(c, m),
+        }
     }
-    scout_reduce_linear(c, tags, root)?;
-    let tag = tags.tag(Phase::Data);
-    if c.rank() == root {
-        c.mcast_kind(tag, MsgKind::Data, &Bytes::from(&*buf));
-    } else {
-        *buf = c.recv_match(root, tag)?.into_vec();
-    }
-    Ok(())
-}
-
-/// Epidemic broadcast over the gossip dissemination plane.
-///
-/// No scout phase: the root hands the payload to the group send
-/// immediately. Under `Dissemination::Gossip` that records the message
-/// and advertises its id to live peers; a receiver that has not yet
-/// posted its receive still pulls the payload later via `Want`, so the
-/// lazy-push plane itself covers late receivers (the role scouts play
-/// for raw multicast). Under `Dissemination::Multicast` (or no repair
-/// plane at all, as on the `mem` backend) this is a bare multicast of a
-/// recorded, repairable message — still correct because the transport
-/// delivery is lossless or repaired.
-pub fn bcast_gossip<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    if c.size() == 1 {
-        return Ok(());
-    }
-    let tag = tags.tag(Phase::Data);
-    if c.rank() == root {
-        c.mcast_kind(tag, MsgKind::Data, &Bytes::from(&*buf));
-    } else {
-        *buf = c.recv_match(root, tag)?.into_vec();
-    }
-    Ok(())
 }
 
 /// Sender-initiated reliable multicast (PVM-style, the paper's ref \[2\]):
 /// multicast immediately, collect acks, retransmit the same sequence
 /// number until every receiver has acknowledged.
 ///
-/// # Panics
+/// # Errors
 ///
-/// On the root, if some receiver never acknowledges within
-/// `cfg.max_retransmits` rounds.
+/// On the root, [`RecvError::Unreachable`] if some receiver has not
+/// acknowledged after `cfg.max_retransmits` retransmissions: `src` is the
+/// lowest such rank, `rounds` the first send plus every retransmission.
 pub fn bcast_pvm_ack<C: Comm>(
     c: &mut C,
     cfg: &BcastConfig,
@@ -252,58 +302,33 @@ pub fn bcast_pvm_ack<C: Comm>(
     }
     let data_tag = tags.tag(Phase::Data);
     let ack_tag = tags.tag(Phase::Ack);
-    if c.rank() == root {
-        // Written into wire form once; every retransmission re-slices it.
-        let wire = Bytes::from(&*buf);
-        let seq = c.mcast_kind(data_tag, MsgKind::Data, &wire);
-        let mut acked = vec![false; n];
-        acked[root] = true;
-        let mut missing = n - 1;
-        let mut rounds = 0;
-        while missing > 0 {
-            match c.recv_any_timeout(ack_tag, cfg.ack_timeout)? {
-                Some(m) => {
-                    let src = m.src_rank as usize;
-                    if !acked[src] {
-                        acked[src] = true;
-                        missing -= 1;
-                    }
-                }
-                None => {
-                    rounds += 1;
-                    assert!(
-                        rounds <= cfg.max_retransmits,
-                        "pvm-ack broadcast: {missing} receivers never acknowledged"
-                    );
-                    c.mcast_resend(data_tag, MsgKind::Data, &wire, seq);
-                }
-            }
-        }
-    } else {
-        *buf = c.recv_match(root, data_tag)?.into_vec();
+    if c.rank() != root {
+        let data = c.post_recv(Some(root), data_tag);
+        *buf = c.wait(data)?.into_vec();
         c.send_kind(root, ack_tag, MsgKind::Ack, &Bytes::new());
+        return Ok(());
     }
-    Ok(())
-}
-
-/// Naive flat tree: the root unicasts the full message to every receiver.
-pub fn bcast_flat_tree<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    let n = c.size();
-    let tag = tags.tag(Phase::Data);
-    if c.rank() == root {
-        let wire = Bytes::from(&*buf);
-        for dst in 0..n {
-            if dst != root {
-                c.send_kind(dst, tag, MsgKind::Data, &wire);
+    // Written into wire form once; every retransmission re-slices it.
+    let wire = Bytes::from(&*buf);
+    let seq = c.mcast_kind(data_tag, MsgKind::Data, &wire);
+    let mut acked = vec![false; n];
+    acked[root] = true;
+    let mut rounds = 0;
+    while let Some(silent) = acked.iter().position(|&a| !a) {
+        let ack = c.post_recv(None, ack_tag);
+        match c.wait_deadline(ack, cfg.ack_timeout)? {
+            Some(m) => acked[m.src_rank as usize] = true,
+            None if rounds == cfg.max_retransmits => {
+                return Err(RecvError::Unreachable {
+                    src: silent as u32,
+                    rounds: rounds + 1,
+                });
+            }
+            None => {
+                rounds += 1;
+                c.mcast_resend(data_tag, MsgKind::Data, &wire, seq);
             }
         }
-    } else {
-        *buf = c.recv(root, tag)?;
     }
     Ok(())
 }

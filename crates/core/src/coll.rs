@@ -2,17 +2,27 @@
 //!
 //! The paper's future-work section points at many-to-one and many-to-many
 //! operations; these are the standard point-to-point formulations plus
-//! multicast-assisted composites (`allreduce`/`allgather` reuse whichever
-//! broadcast algorithm the communicator is configured with, so a multicast
-//! broadcast accelerates them too).
+//! multicast-assisted composites (`allreduce` and the gather + broadcast
+//! allgather reuse whichever broadcast algorithm the communicator is
+//! configured with, so a multicast broadcast accelerates them too). Each
+//! is a request machine, waited on: `Gather`, `Reduce`, and the
+//! two-stage `ThenBcast` the composites share.
 //!
-//! Reductions operate on raw byte buffers with a caller-supplied
-//! associative combine function (e.g. [`combine_u64_sum`]) — MPI datatype
-//! machinery is out of scope for this reproduction.
+//! Reductions operate on raw byte buffers with an associative combine
+//! function (e.g. [`combine_u64_sum`]) — MPI datatype machinery is out of
+//! scope for this reproduction. Like `MPI_Op_create`, an operation is a
+//! function, not a closure over the caller's state: the machine carries
+//! it to whichever thread takes its steps.
 
-use mmpi_transport::{Comm, RecvError};
+use std::mem;
 
+use mmpi_transport::{Comm, Tag};
+use mmpi_wire::{Bytes, Message, MsgKind};
+
+use crate::bcast::{Bcast, BcastAlgorithm, BcastConfig};
+use crate::request::{Next, Phases};
 use crate::tags::{OpTags, Phase};
+use crate::tree::{self, Reduction};
 
 /// An associative combine for reductions: folds `other` into `acc`.
 pub type Combine = dyn Fn(&mut Vec<u8>, &[u8]) + Sync;
@@ -20,151 +30,195 @@ pub type Combine = dyn Fn(&mut Vec<u8>, &[u8]) + Sync;
 /// Element-wise sum of little-endian `u64` vectors.
 #[allow(clippy::ptr_arg)] // must match the `Combine` closure type
 pub fn combine_u64_sum(acc: &mut Vec<u8>, other: &[u8]) {
-    assert_eq!(acc.len(), other.len(), "reduce buffers must match");
-    for (a, o) in acc.chunks_exact_mut(8).zip(other.chunks_exact(8)) {
-        let s = u64::from_le_bytes(a.try_into().unwrap())
-            .wrapping_add(u64::from_le_bytes(o.try_into().unwrap()));
-        a.copy_from_slice(&s.to_le_bytes());
-    }
+    combine_u64(acc, other, u64::wrapping_add);
 }
 
 /// Element-wise maximum of little-endian `u64` vectors.
 #[allow(clippy::ptr_arg)] // must match the `Combine` closure type
 pub fn combine_u64_max(acc: &mut Vec<u8>, other: &[u8]) {
+    combine_u64(acc, other, u64::max);
+}
+
+/// Fold `other` into `acc` with `op`, one little-endian `u64` at a time.
+fn combine_u64(acc: &mut [u8], other: &[u8], op: fn(u64, u64) -> u64) {
     assert_eq!(acc.len(), other.len(), "reduce buffers must match");
     for (a, o) in acc.chunks_exact_mut(8).zip(other.chunks_exact(8)) {
-        let m = u64::from_le_bytes(a.try_into().unwrap())
-            .max(u64::from_le_bytes(o.try_into().unwrap()));
-        a.copy_from_slice(&m.to_le_bytes());
+        let (x, y) = (std::array::from_fn(|i| a[i]), std::array::from_fn(|i| o[i]));
+        a.copy_from_slice(&op(u64::from_le_bytes(x), u64::from_le_bytes(y)).to_le_bytes());
     }
 }
 
-/// Gather each rank's buffer to `root`. Returns `Some(buffers)` (indexed
-/// by rank) on the root, `None` elsewhere.
-pub fn gather<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
+/// The gather: every other rank sends its buffer to the root, which
+/// claims them one at a time from any source; the root's output holds
+/// every rank's buffer, by rank.
+pub(crate) struct Gather {
+    tag: Tag,
     root: usize,
-    send: &[u8],
-) -> Result<Option<Vec<Vec<u8>>>, RecvError> {
-    let n = c.size();
-    let tag = tags.tag(Phase::Data);
-    if c.rank() == root {
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[root] = send.to_vec();
-        for _ in 0..n - 1 {
-            let m = c.recv_any(tag)?;
-            let src = m.src_rank as usize;
-            out[src] = m.into_vec();
+    mine: Vec<u8>,
+    /// The root's buffers by rank.
+    out: Vec<Vec<u8>>,
+    /// Buffers the root still waits for.
+    left: usize,
+}
+
+impl Gather {
+    pub(crate) fn new(tags: OpTags, root: usize, mine: &[u8]) -> Self {
+        Gather {
+            tag: tags.tag(Phase::Data),
+            root,
+            mine: mine.to_vec(),
+            out: Vec::new(),
+            left: 0,
         }
-        Ok(Some(out))
-    } else {
-        c.send(root, tag, send);
-        Ok(None)
+    }
+
+    fn next<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Option<Vec<Vec<u8>>>> {
+        if self.left == 0 {
+            return Next::Done(Some(mem::take(&mut self.out)));
+        }
+        Next::Recv(c.post_recv(None, self.tag))
     }
 }
 
-/// Scatter per-rank buffers from `root`. On the root, `chunks` must hold
-/// one buffer per rank; elsewhere it is ignored. Returns this rank's
-/// buffer.
-pub fn scatter<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
+impl Phases for Gather {
+    type Output = Option<Vec<Vec<u8>>>;
+
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Self::Output> {
+        let mine = mem::take(&mut self.mine);
+        if c.rank() != self.root {
+            c.send_kind(self.root, self.tag, MsgKind::Data, &Bytes::from(mine));
+            return Next::Done(None);
+        }
+        self.out = vec![Vec::new(); c.size()];
+        self.out[self.root] = mine;
+        self.left = c.size() - 1;
+        self.next(c)
+    }
+
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Self::Output> {
+        self.left -= 1;
+        let src = m.src_rank as usize;
+        self.out[src] = m.into_vec();
+        self.next(c)
+    }
+}
+
+/// The reduction up the binomial tree with the associative `combine`:
+/// children's contributions claimed one at a time in ascending-mask order
+/// and folded in, then the subtree's result sent to the parent; the root's
+/// output is the result.
+pub(crate) struct Reduce {
+    tag: Tag,
     root: usize,
-    chunks: Option<&[Vec<u8>]>,
-) -> Result<Vec<u8>, RecvError> {
-    let n = c.size();
-    let tag = tags.tag(Phase::Data);
-    if c.rank() == root {
-        let chunks = chunks.expect("root must supply chunks");
-        assert_eq!(chunks.len(), n, "one chunk per rank");
-        for (dst, chunk) in chunks.iter().enumerate() {
-            if dst != root {
-                c.send(dst, tag, chunk);
+    acc: Vec<u8>,
+    /// The next round's mask.
+    mask: usize,
+    combine: &'static Combine,
+}
+
+impl Reduce {
+    pub(crate) fn new(tags: OpTags, root: usize, data: Vec<u8>, combine: &'static Combine) -> Self {
+        Reduce {
+            tag: tags.tag(Phase::Data),
+            root,
+            acc: data,
+            mask: 1,
+            combine,
+        }
+    }
+}
+
+impl Phases for Reduce {
+    type Output = Option<Vec<u8>>;
+
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Option<Vec<u8>>> {
+        match tree::binomial_reduction(c.rank(), c.size(), self.root, &mut self.mask) {
+            Reduction::Child(src) => Next::Recv(c.post_recv(Some(src), self.tag)),
+            Reduction::Parent(dst) => {
+                let acc = Bytes::from(mem::take(&mut self.acc));
+                c.send_kind(dst, self.tag, MsgKind::Data, &acc);
+                Next::Done(None)
             }
+            Reduction::Root => Next::Done(Some(mem::take(&mut self.acc))),
         }
-        Ok(chunks[root].clone())
-    } else {
-        c.recv(root, tag)
+    }
+
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Option<Vec<u8>>> {
+        (self.combine)(&mut self.acc, &m.payload);
+        self.start(c)
     }
 }
 
-/// Reduce every rank's `data` to `root` along a binomial tree with the
-/// associative `combine`. Returns `Some(result)` on the root.
-pub fn reduce<C: Comm>(
-    c: &mut C,
+/// `allreduce` and the gather + broadcast allgather: a first stage that
+/// leaves its result on rank 0 (the reduction, the gather), then a
+/// broadcast of that result from rank 0 with the communicator's broadcast
+/// algorithm, on the first stage's tags. `pack` turns the first stage's
+/// output into the broadcast buffer (empty off rank 0).
+pub(crate) struct ThenBcast<A: Phases> {
+    stage: Stage<A>,
+    algo: BcastAlgorithm,
+    cfg: BcastConfig,
     tags: OpTags,
-    root: usize,
-    data: Vec<u8>,
-    combine: &Combine,
-) -> Result<Option<Vec<u8>>, RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    let tag = tags.tag(Phase::Data);
-    let relrank = (rank + n - root) % n;
-    let mut acc = data;
-    let mut mask = 1usize;
-    while mask < n {
-        if relrank & mask == 0 {
-            if relrank + mask < n {
-                let src = (rank + mask) % n;
-                let m = c.recv_match(src, tag)?;
-                combine(&mut acc, &m.payload);
+    pack: fn(A::Output) -> Vec<u8>,
+}
+
+enum Stage<A> {
+    First(A),
+    Bcast(Bcast),
+}
+
+impl<A: Phases> ThenBcast<A> {
+    pub(crate) fn new(
+        first: A,
+        (algo, cfg): (BcastAlgorithm, &BcastConfig),
+        tags: OpTags,
+        pack: fn(A::Output) -> Vec<u8>,
+    ) -> Self {
+        ThenBcast {
+            stage: Stage::First(first),
+            algo,
+            cfg: cfg.clone(),
+            tags,
+            pack,
+        }
+    }
+
+    /// Carry a step of the first stage on: once it is done, start the
+    /// broadcast of what it produced.
+    fn then<C: Comm + ?Sized>(&mut self, c: &mut C, first: Next<A::Output>) -> Next<Vec<u8>> {
+        let out = match first {
+            Next::Recv(req) => return Next::Recv(req),
+            Next::Done(out) => out,
+        };
+        let mut bcast = Bcast::new(c, self.algo, &self.cfg, self.tags, 0, (self.pack)(out));
+        let next = bcast.start(c);
+        self.stage = Stage::Bcast(bcast);
+        next
+    }
+}
+
+impl<A: Phases> Phases for ThenBcast<A> {
+    type Output = Vec<u8>;
+
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        match &mut self.stage {
+            Stage::First(a) => {
+                let first = a.start(c);
+                self.then(c, first)
             }
-        } else {
-            let dst = (rank + n - mask) % n;
-            c.send(dst, tag, &acc);
-            return Ok(None);
+            Stage::Bcast(b) => b.start(c),
         }
-        mask <<= 1;
     }
-    Ok(Some(acc))
-}
 
-/// Inclusive prefix scan along the rank chain: rank `i` ends with the
-/// combination of ranks `0..=i`.
-pub fn scan<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    data: Vec<u8>,
-    combine: &Combine,
-) -> Result<Vec<u8>, RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    let tag = tags.tag(Phase::Data);
-    let mut acc = data;
-    if rank > 0 {
-        let prefix = c.recv(rank - 1, tag)?;
-        let mine = std::mem::replace(&mut acc, prefix);
-        combine(&mut acc, &mine);
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+        match &mut self.stage {
+            Stage::First(a) => {
+                let first = a.resume(c, m);
+                self.then(c, first)
+            }
+            Stage::Bcast(b) => b.resume(c, m),
+        }
     }
-    if rank + 1 < n {
-        c.send(rank + 1, tag, &acc);
-    }
-    Ok(acc)
-}
-
-/// All-to-all personalized exchange: `sends[j]` goes to rank `j`; returns
-/// the buffers received (indexed by source). Pairwise rounds: in round
-/// `k`, send to `(rank+k) % n` and receive from `(rank-k) % n`.
-pub fn alltoall<C: Comm>(
-    c: &mut C,
-    tags: OpTags,
-    sends: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, RecvError> {
-    let n = c.size();
-    let rank = c.rank();
-    assert_eq!(sends.len(), n, "one buffer per destination");
-    let tag = tags.tag(Phase::Exchange);
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-    out[rank] = sends[rank].clone();
-    for k in 1..n {
-        let dst = (rank + k) % n;
-        let src = (rank + n - k) % n;
-        c.send(dst, tag, &sends[dst]);
-        out[src] = c.recv(src, tag)?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

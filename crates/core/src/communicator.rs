@@ -8,12 +8,15 @@
 //! requirement the paper's §4 discusses; the deterministic tag scheme
 //! depends on it.
 
+use std::mem;
+
 use mmpi_transport::{Comm, RecvError};
 
-use crate::barrier::{barrier, BarrierAlgorithm};
-use crate::bcast::{bcast, BcastAlgorithm, BcastConfig};
-use crate::coll::{self, Combine};
-use crate::request::{CollRequest, IallgatherRequest, IbarrierRequest, IbcastRequest};
+use crate::barrier::{Barrier, BarrierAlgorithm};
+use crate::bcast::{bcast_pvm_ack, Bcast, BcastAlgorithm, BcastConfig};
+use crate::coll::{Combine, Gather, Reduce, ThenBcast};
+use crate::many_to_many::Allgather;
+use crate::request::{CollRequest, IallgatherRequest, IbarrierRequest, IbcastRequest, Machine};
 use crate::tags::{OpCode, OpTags};
 
 /// Allgather algorithm selector.
@@ -60,12 +63,10 @@ impl<C: Comm> Communicator<C> {
     /// Wrap with the MPICH baseline algorithms (point-to-point only).
     pub fn new_mpich(comm: C) -> Self {
         Communicator {
-            comm,
-            op_seq: 0,
             bcast_algo: BcastAlgorithm::MpichBinomial,
             barrier_algo: BarrierAlgorithm::Mpich,
-            bcast_cfg: BcastConfig::default(),
             allgather_algo: AllgatherAlgorithm::GatherBcast,
+            ..Communicator::new(comm)
         }
     }
 
@@ -121,14 +122,18 @@ impl<C: Comm> Communicator<C> {
     /// MPI_Bcast: broadcast `buf` from `root` to all ranks, using the
     /// communicator's configured algorithm.
     pub fn bcast(&mut self, root: usize, buf: &mut Vec<u8>) -> Result<(), RecvError> {
-        let tags = self.next_tags(OpCode::Bcast);
-        let algo = self.bcast_algo;
-        let cfg = self.bcast_cfg.clone();
-        bcast(&mut self.comm, algo, &cfg, tags, root, buf)
+        self.bcast_with(self.bcast_algo, root, buf)
     }
 
     /// MPI_Bcast with an explicit algorithm (still consumes one op slot,
     /// so mixed-algorithm programs remain tag-safe).
+    ///
+    /// On the root, `buf` is the message; on other ranks its contents are
+    /// replaced with the broadcast payload. Like `MPI_Bcast`,
+    /// [`BcastAlgorithm::Auto`] requires every rank to know the message
+    /// size: pass a `buf` of the correct length on receivers too (MPI
+    /// programs know the count everywhere). The explicit algorithms are
+    /// lenient — a receiver may pass an empty buffer.
     pub fn bcast_with(
         &mut self,
         algo: BcastAlgorithm,
@@ -136,65 +141,65 @@ impl<C: Comm> Communicator<C> {
         buf: &mut Vec<u8>,
     ) -> Result<(), RecvError> {
         let tags = self.next_tags(OpCode::Bcast);
-        let cfg = self.bcast_cfg.clone();
-        bcast(&mut self.comm, algo, &cfg, tags, root, buf)
+        let c = &mut self.comm;
+        if algo == BcastAlgorithm::PvmAck {
+            return bcast_pvm_ack(c, &self.bcast_cfg, tags, root, buf);
+        }
+        let phases = Bcast::new(c, algo, &self.bcast_cfg, tags, root, mem::take(buf));
+        // On an error `buf` is left empty.
+        *buf = IbcastRequest::new(c, phases).wait(c)?;
+        Ok(())
     }
 
     /// MPI_Ibcast: nonblocking broadcast. Consumes one op slot like
     /// [`Communicator::bcast`]; the returned state machine is driven with
     /// [`crate::request::CollRequest::poll`] against the transport
-    /// (`comm.transport_mut()`) and resolves to the broadcast buffer.
-    /// Supported shapes: the MPICH binomial tree for
-    /// [`BcastAlgorithm::MpichBinomial`], the scatter + ring-allgather for
-    /// [`BcastAlgorithm::ScatterAllgather`], and the paper's scouts and
-    /// one multicast for every other selector. For `MpichBinomial`,
-    /// `McastBinary` and `ScatterAllgather` this is the machine the
-    /// blocking [`Communicator::bcast`] waits on.
+    /// (`comm.transport_mut()`) and resolves to the broadcast buffer. It
+    /// is the configured algorithm's machine — the one
+    /// [`Communicator::bcast`] waits on, `Auto`'s lowering included —
+    /// except for [`BcastAlgorithm::PvmAck`], whose retransmit timer is
+    /// not a receive: it runs `McastBinary`'s scouts and one multicast.
     pub fn ibcast(&mut self, root: usize, buf: Vec<u8>) -> IbcastRequest {
         let tags = self.next_tags(OpCode::Bcast);
-        let algo = self.bcast_algo;
-        let layer = self.bcast_cfg.mpich_layer_overhead;
-        IbcastRequest::new(&mut self.comm, algo, layer, tags, root, buf)
+        let phases = Bcast::new(
+            &self.comm,
+            self.bcast_algo,
+            &self.bcast_cfg,
+            tags,
+            root,
+            buf,
+        );
+        IbcastRequest::new(&mut self.comm, phases)
     }
 
     /// MPI_Barrier: block until every rank has entered the barrier.
     pub fn barrier(&mut self) -> Result<(), RecvError> {
-        let tags = self.next_tags(OpCode::Barrier);
-        let algo = self.barrier_algo;
-        let layer = self.bcast_cfg.mpich_layer_overhead;
-        barrier(&mut self.comm, algo, layer, tags)
+        self.barrier_with(self.barrier_algo)
     }
 
     /// MPI_Barrier with an explicit algorithm.
     pub fn barrier_with(&mut self, algo: BarrierAlgorithm) -> Result<(), RecvError> {
-        let tags = self.next_tags(OpCode::Barrier);
-        let layer = self.bcast_cfg.mpich_layer_overhead;
-        barrier(&mut self.comm, algo, layer, tags)
+        self.ibarrier_with(algo).wait(&mut self.comm)
     }
 
-    /// MPI_Ibarrier: nonblocking barrier (the paper's scout-reduce +
-    /// multicast-release shape, regardless of the blocking selector).
-    /// Consumes one op slot.
+    /// MPI_Ibarrier: nonblocking barrier in the configured algorithm —
+    /// the machine [`Communicator::barrier`] waits on. Consumes one op
+    /// slot.
     pub fn ibarrier(&mut self) -> IbarrierRequest {
+        self.ibarrier_with(self.barrier_algo)
+    }
+
+    fn ibarrier_with(&mut self, algo: BarrierAlgorithm) -> IbarrierRequest {
         let tags = self.next_tags(OpCode::Barrier);
-        IbarrierRequest::new(&mut self.comm, tags)
+        let layer = self.bcast_cfg.mpich_layer_overhead;
+        IbarrierRequest::new(&mut self.comm, Barrier::new(algo, layer, tags))
     }
 
     /// MPI_Gather: collect every rank's buffer at `root` (returns `Some`
     /// on the root).
     pub fn gather(&mut self, root: usize, send: &[u8]) -> Result<Option<Vec<Vec<u8>>>, RecvError> {
         let tags = self.next_tags(OpCode::Gather);
-        coll::gather(&mut self.comm, tags, root, send)
-    }
-
-    /// MPI_Scatter: distribute per-rank buffers from `root`.
-    pub fn scatter(
-        &mut self,
-        root: usize,
-        chunks: Option<&[Vec<u8>]>,
-    ) -> Result<Vec<u8>, RecvError> {
-        let tags = self.next_tags(OpCode::Scatter);
-        coll::scatter(&mut self.comm, tags, root, chunks)
+        Machine::run(&mut self.comm, Gather::new(tags, root, send))
     }
 
     /// MPI_Reduce: combine every rank's buffer at `root` (returns `Some`
@@ -203,95 +208,41 @@ impl<C: Comm> Communicator<C> {
         &mut self,
         root: usize,
         data: Vec<u8>,
-        combine: &Combine,
+        combine: &'static Combine,
     ) -> Result<Option<Vec<u8>>, RecvError> {
         let tags = self.next_tags(OpCode::Reduce);
-        coll::reduce(&mut self.comm, tags, root, data, combine)
+        Machine::run(&mut self.comm, Reduce::new(tags, root, data, combine))
     }
 
     /// MPI_Allreduce: reduce to rank 0, then broadcast the result with the
     /// configured broadcast algorithm — so multicast accelerates this
     /// many-to-many operation too (the paper's future-work direction).
-    pub fn allreduce(&mut self, data: Vec<u8>, combine: &Combine) -> Result<Vec<u8>, RecvError> {
+    pub fn allreduce(
+        &mut self,
+        data: Vec<u8>,
+        combine: &'static Combine,
+    ) -> Result<Vec<u8>, RecvError> {
         let tags = self.next_tags(OpCode::Allreduce);
-        let reduced = coll::reduce(&mut self.comm, tags, 0, data, combine)?;
-        let mut buf = reduced.unwrap_or_default();
-        let algo = self.bcast_algo;
-        let cfg = self.bcast_cfg.clone();
-        bcast(&mut self.comm, algo, &cfg, tags, 0, &mut buf)?;
-        Ok(buf)
+        let reduce = Reduce::new(tags, 0, data, combine);
+        let bcast = (self.bcast_algo, &self.bcast_cfg);
+        let phases = ThenBcast::new(reduce, bcast, tags, Option::unwrap_or_default);
+        Machine::run(&mut self.comm, phases)
     }
 
     /// MPI_Allgather: gather everyone's buffer everywhere, with the
     /// configured [`AllgatherAlgorithm`].
     pub fn allgather(&mut self, send: &[u8]) -> Result<Vec<Vec<u8>>, RecvError> {
-        let algo = self.allgather_algo;
-        let tags = self.next_tags(OpCode::Allgather);
-        match algo {
-            AllgatherAlgorithm::GatherBcast => self.allgather_gather_bcast(tags, send),
-            machine => {
-                IallgatherRequest::new(&mut self.comm, machine, tags, send).wait(&mut self.comm)
-            }
-        }
+        self.iallgather(send).wait(&mut self.comm)
     }
 
-    /// MPI_Iallgather: nonblocking allgather. Consumes one op slot; the
-    /// returned machine (see `crate::request`) is the one
-    /// [`Communicator::allgather`] waits on. Uses the ring for
-    /// [`AllgatherAlgorithm::Ring`] and [`AllgatherAlgorithm::GatherBcast`]
-    /// (the latter has no nonblocking shape of its own; the result is
-    /// identical), and the rank-ordered multicast exchange for
-    /// [`AllgatherAlgorithm::Multicast`].
+    /// MPI_Iallgather: nonblocking allgather in the configured
+    /// [`AllgatherAlgorithm`] — the machine [`Communicator::allgather`]
+    /// waits on; `GatherBcast`'s broadcast stage runs the configured
+    /// broadcast's machine. Consumes one op slot.
     pub fn iallgather(&mut self, send: &[u8]) -> IallgatherRequest {
-        let algo = self.allgather_algo;
         let tags = self.next_tags(OpCode::Allgather);
-        IallgatherRequest::new(&mut self.comm, algo, tags, send)
-    }
-
-    /// Gather-to-0 + broadcast of the framed concatenation.
-    fn allgather_gather_bcast(
-        &mut self,
-        tags: OpTags,
-        send: &[u8],
-    ) -> Result<Vec<Vec<u8>>, RecvError> {
-        let n = self.comm.size();
-        let gathered = coll::gather(&mut self.comm, tags, 0, send)?;
-        // Frame the concatenation so variable-length buffers survive.
-        let mut buf = gathered
-            .map(|parts| {
-                let mut enc = Vec::new();
-                for p in &parts {
-                    enc.extend_from_slice(&(p.len() as u32).to_le_bytes());
-                    enc.extend_from_slice(p);
-                }
-                enc
-            })
-            .unwrap_or_default();
-        let algo = self.bcast_algo;
-        let cfg = self.bcast_cfg.clone();
-        bcast(&mut self.comm, algo, &cfg, tags, 0, &mut buf)?;
-        // Decode.
-        let mut out = Vec::with_capacity(n);
-        let mut off = 0usize;
-        while off < buf.len() {
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-            off += 4;
-            out.push(buf[off..off + len].to_vec());
-            off += len;
-        }
-        assert_eq!(out.len(), n, "allgather decoded wrong part count");
-        Ok(out)
-    }
-
-    /// MPI_Alltoall: personalized exchange; `sends[j]` goes to rank `j`.
-    pub fn alltoall(&mut self, sends: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RecvError> {
-        let tags = self.next_tags(OpCode::Alltoall);
-        coll::alltoall(&mut self.comm, tags, sends)
-    }
-
-    /// MPI_Scan: inclusive prefix combine along ranks.
-    pub fn scan(&mut self, data: Vec<u8>, combine: &Combine) -> Result<Vec<u8>, RecvError> {
-        let tags = self.next_tags(OpCode::Scan);
-        coll::scan(&mut self.comm, tags, data, combine)
+        let bcast = (self.bcast_algo, &self.bcast_cfg);
+        let phases = Allgather::new(&self.comm, self.allgather_algo, bcast, tags, send);
+        IallgatherRequest::new(&mut self.comm, phases)
     }
 }

@@ -79,6 +79,11 @@ impl Mapping {
                 rank: self.local_rank(rank),
                 epoch,
             },
+            // Only members are waited for, so only a member goes silent.
+            RecvError::Unreachable { src, rounds } => RecvError::Unreachable {
+                src: self.local_rank(src),
+                rounds,
+            },
         }
     }
 

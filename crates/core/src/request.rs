@@ -1,19 +1,26 @@
 //! Collectives as request machines: `MPI_Ibcast` / `MPI_Ibarrier` /
-//! `MPI_Iallgather`, and — waited on — the blocking calls as well.
+//! `MPI_Iallgather`, and — waited on — every blocking collective as well.
 //!
-//! Each machine-backed algorithm exists once, here, as a resumable
-//! machine that walks the algorithm's phases in the paper's order: the
-//! binomial scout reduction claims its children one at a time in
-//! ascending-mask order, the data (or release) receive is posted only
-//! after this rank's scout went up, the multicast allgather walks the
-//! ranks in order, and the rings post one receive per step. A machine
-//! therefore holds at most one posted receive ([`CollRequest::pending`]),
-//! posted exactly where the algorithm receives. That is what lets the
-//! blocking [`crate::Communicator`] calls for these algorithms be
-//! `I…Request::new(..).wait(c)` without moving a virtual time, a count
-//! or a replay constant.
+//! Each algorithm exists once, as a resumable machine (`Phases`, run by
+//! `Machine`) that walks the algorithm's phases in the paper's order:
+//! scouts are claimed one at a time (up the binomial tree in
+//! ascending-mask order, or at the root from any source), the data (or
+//! release) receive is posted only after this rank's scout went up, the
+//! multicast allgather walks the ranks in order, and the rings, chains
+//! and trees post one receive per step. A machine therefore holds at most
+//! one posted receive ([`CollRequest::pending`]), posted exactly where the
+//! algorithm receives. That is what lets every blocking
+//! [`crate::Communicator`] collective be a machine, waited on, without
+//! moving a virtual time, a count or a replay constant. The one exception
+//! is [`crate::bcast::bcast_pvm_ack`], whose retransmit timer is not a
+//! receive.
 //!
-//! A machine is created by its `Communicator` entry point
+//! The machines live with their algorithms (`bcast`, `bcast_ext`,
+//! `barrier`, `coll`, `many_to_many`); this module holds the machinery,
+//! the paper's scouted multicast that the broadcast and the barrier
+//! share, and the three public requests.
+//!
+//! A request is created by its `Communicator` entry point
 //! (`ibcast`/`ibarrier`/`iallgather`), which consumes one operation slot
 //! exactly like the blocking call — nonblocking and blocking collectives
 //! can be mixed freely as long as every rank issues the same sequence
@@ -23,26 +30,24 @@
 //! compute/communication overlap the blocking API cannot express — or
 //! finishes it with [`CollRequest::wait`]. Several operations can be in
 //! flight on one communicator at once (distinct op slots keep their tag
-//! spaces disjoint). The rings forward each claimed block to the
-//! successor as the shared [`Bytes`] view it arrived in — no per-hop
-//! copy.
+//! spaces disjoint).
 //!
 //! On unrecoverable loss (`RecvError`) the failing receive was the
 //! machine's only one, so nothing is left to cancel; polling the machine
 //! again afterwards is a programming error and panics.
 
 use std::any::Any;
+use std::fmt;
 use std::mem;
-use std::time::Duration;
 
 use mmpi_transport::{CancelSink, ClaimStep, Comm, RecvError, RecvReq, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
-use crate::bcast::{tcp_acks_for, BcastAlgorithm};
-use crate::communicator::AllgatherAlgorithm;
-use crate::ring::{place_block, SuccessorSkip};
+use crate::barrier::Barrier;
+use crate::bcast::Bcast;
+use crate::many_to_many::Allgather;
 use crate::tags::{OpTags, Phase};
-use crate::tree;
+use crate::tree::{self, Reduction};
 
 /// A nonblocking collective in flight: poll it to completion, then take
 /// the output — or [`CollRequest::wait`] for it.
@@ -93,7 +98,7 @@ pub trait CollRequest {
 
     /// Drive to completion: [`Comm::wait_op`] — claim, else wait on the
     /// one posted receive. By default that is [`Comm::wait_ready`], the
-    /// calls a blocking `recv` makes, so a waited machine moves the
+    /// calls a blocking receive makes, so a waited machine moves the
     /// backend's time model exactly as a blocking formulation would, and
     /// an *unrelated* operation's parked completion cannot make the wait
     /// spin. The simulator's `SimComm` parks its rank once for the whole
@@ -109,21 +114,30 @@ pub trait CollRequest {
 }
 
 // ---------------------------------------------------------------------
-// The machine shared by every request type
+// The machine shared by every collective
 // ---------------------------------------------------------------------
 
 /// Where an algorithm stands once it has run as far as it can without a
 /// message: blocked on the one receive it just posted, or done.
-#[derive(Debug)]
-enum Next<O> {
+pub(crate) enum Next<O> {
     Recv(RecvReq),
     Done(O),
 }
 
+impl<O> Next<O> {
+    /// The same step, with the output (if done) passed through `f`.
+    pub(crate) fn map<P>(self, f: impl FnOnce(O) -> P) -> Next<P> {
+        match self {
+            Next::Recv(req) => Next::Recv(req),
+            Next::Done(out) => Next::Done(f(out)),
+        }
+    }
+}
+
 /// One collective algorithm as phases: `start` runs from the call to
 /// its first receive, `resume` from that receive's message to the next.
-trait Phases: std::fmt::Debug {
-    type Output: std::fmt::Debug;
+pub(crate) trait Phases: Send + 'static {
+    type Output: Send;
     fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Self::Output>;
     fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Self::Output>;
 }
@@ -131,13 +145,11 @@ trait Phases: std::fmt::Debug {
 /// An algorithm's phases with the lifecycle every request shares. `Drop`
 /// hands a still-posted receive to the endpoint's cancel sink (a `Drop`
 /// has no `&mut Comm`); the progress engine cancels it on its next pass.
-#[derive(Debug)]
-struct Machine<P: Phases> {
+pub(crate) struct Machine<P: Phases> {
     life: Life<P>,
     sink: CancelSink,
 }
 
-#[derive(Debug)]
 enum Life<P: Phases> {
     Blocked(P, RecvReq),
     Complete(P::Output),
@@ -155,6 +167,13 @@ impl<P: Phases> Machine<P> {
             life,
             sink: c.cancel_sink(),
         }
+    }
+
+    /// Start `phases` and wait them to the end: a blocking collective.
+    pub(crate) fn run<C: Comm>(c: &mut C, phases: P) -> Result<P::Output, RecvError> {
+        let mut machine = Machine::start(c, phases);
+        c.wait_op(&mut machine)?;
+        Ok(machine.take_output())
     }
 
     fn poll_claimed<C: Comm + ?Sized>(&mut self, c: &mut C) -> Result<bool, RecvError> {
@@ -189,7 +208,7 @@ impl<P: Phases> Machine<P> {
     fn take_output(&mut self) -> P::Output {
         match mem::replace(&mut self.life, Life::Claimed) {
             Life::Complete(out) => out,
-            other => panic!("collective output taken before completion ({other:?})"),
+            _ => panic!("collective output taken before completion, or twice"),
         }
     }
 
@@ -201,11 +220,15 @@ impl<P: Phases> Machine<P> {
     }
 }
 
-impl<P> ClaimStep for Machine<P>
-where
-    P: Phases + Send + 'static,
-    P::Output: Send,
-{
+impl<P: Phases> fmt::Debug for Machine<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Machine")
+            .field("pending", &self.pending())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<P: Phases> ClaimStep for Machine<P> {
     fn claim(&mut self, c: &mut dyn Comm) -> Result<Option<RecvReq>, RecvError> {
         Ok(if self.poll_claimed(c)? {
             None
@@ -245,54 +268,34 @@ impl<P: Phases> Drop for Machine<P> {
 // Scouted multicast (the paper's Bcast and Barrier)
 // ---------------------------------------------------------------------
 
-/// The binomial scout reduction towards `root` (the paper's Fig. 3):
-/// this rank claims its children's empty scouts one at a time in
-/// ascending-mask order, then sends one scout to its parent — `N-1`
-/// scouts in `ceil(log2 N)` rounds. (The paper draws a slightly
-/// different, irregular edge set for seven processes; the standard
-/// binomial reduction has the same message count and depth.)
-#[derive(Debug)]
-struct ScoutReduce {
-    tag: Tag,
+/// How the scouts reach the root before its one multicast.
+pub(crate) enum Scouts {
+    /// Up a binomial tree (the paper's binary algorithm, Fig. 3): a rank
+    /// claims its children's scouts one at a time in ascending-mask
+    /// order, then sends one to its parent — `N-1` scouts in
+    /// `ceil(log2 N)` rounds. (The paper draws a slightly different,
+    /// irregular edge set for seven processes; the standard binomial
+    /// reduction has the same message count and depth.)
+    Binomial,
+    /// Straight to the root, which claims them one at a time from any
+    /// source (the paper's linear algorithm, Fig. 4): `N-1` sequential
+    /// steps.
+    Linear,
+    /// No scouts: the root sends at once (the gossip broadcast, whose
+    /// lazy-push plane covers receivers that are not ready yet).
+    None,
+}
+
+/// Scouts to the root, then one multicast down from it: the broadcast's
+/// multicast algorithms (the payload, `MsgKind::Data`) and the
+/// multicast barriers (an empty `MsgKind::Release` from rank 0).
+pub(crate) struct Scouted {
+    scouts: Scouts,
+    scout_tag: Tag,
     root: usize,
-    /// The next round's mask.
-    mask: usize,
-}
-
-impl ScoutReduce {
-    /// Run the reduction on from the current round: post the next
-    /// child's scout receive, or — every child having reported — send
-    /// this subtree's scout to the parent (unless root) and return
-    /// `None`, after which it must not be called again.
-    fn next<C: Comm + ?Sized>(&mut self, c: &mut C) -> Option<RecvReq> {
-        let (n, rank) = (c.size(), c.rank());
-        let relrank = (rank + n - self.root) % n;
-        while self.mask < n {
-            let mask = self.mask;
-            self.mask <<= 1;
-            if relrank & mask != 0 {
-                c.send_kind(
-                    (rank + n - mask) % n,
-                    self.tag,
-                    MsgKind::Scout,
-                    &Bytes::new(),
-                );
-                return None;
-            }
-            if relrank + mask < n {
-                return Some(c.post_recv(Some((rank + mask) % n), self.tag));
-            }
-        }
-        None
-    }
-}
-
-/// Scouts up a binomial tree, then one multicast down from its root:
-/// the broadcast's binary algorithm (the payload, `MsgKind::Data`) and
-/// the barrier (an empty `MsgKind::Release` from rank 0).
-#[derive(Debug)]
-struct Scouted {
-    scout: ScoutReduce,
+    /// The scouts' round: the binomial mask, or the linear root's count
+    /// of claimed scouts plus one.
+    step: usize,
     tag: Tag,
     kind: MsgKind,
     /// The root's payload.
@@ -302,13 +305,19 @@ struct Scouted {
 }
 
 impl Scouted {
-    fn new(tags: OpTags, root: usize, phase: Phase, kind: MsgKind, buf: Vec<u8>) -> Self {
+    pub(crate) fn new(
+        scouts: Scouts,
+        tags: OpTags,
+        root: usize,
+        phase: Phase,
+        kind: MsgKind,
+        buf: Vec<u8>,
+    ) -> Self {
         Scouted {
-            scout: ScoutReduce {
-                tag: tags.tag(Phase::Scout),
-                root,
-                mask: 1,
-            },
+            scouts,
+            scout_tag: tags.tag(Phase::Scout),
+            root,
+            step: 1,
             tag: tags.tag(phase),
             kind,
             buf,
@@ -316,17 +325,43 @@ impl Scouted {
         }
     }
 
+    /// Run the scout phase on from the current step: post the next scout
+    /// receive, or — every scout this rank waits for being in — send
+    /// this rank's own (unless root) and return `None`, after which it
+    /// must not be called again.
+    fn next_scout<C: Comm + ?Sized>(&mut self, c: &mut C) -> Option<RecvReq> {
+        let (n, rank) = (c.size(), c.rank());
+        let up = match self.scouts {
+            Scouts::Binomial => {
+                match tree::binomial_reduction(rank, n, self.root, &mut self.step) {
+                    Reduction::Child(src) => return Some(c.post_recv(Some(src), self.scout_tag)),
+                    Reduction::Parent(dst) => Some(dst),
+                    Reduction::Root => None,
+                }
+            }
+            Scouts::Linear if rank != self.root => Some(self.root),
+            Scouts::Linear if self.step < n => {
+                self.step += 1;
+                return Some(c.post_recv(None, self.scout_tag));
+            }
+            Scouts::Linear | Scouts::None => None,
+        };
+        if let Some(dst) = up {
+            c.send_kind(dst, self.scout_tag, MsgKind::Scout, &Bytes::new());
+        }
+        None
+    }
+
     fn advance<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
-        if let Some(req) = self.scout.next(c) {
+        if let Some(req) = self.next_scout(c) {
             return Next::Recv(req);
         }
-        let root = self.scout.root;
-        if c.rank() == root {
+        if c.rank() == self.root {
             c.mcast_kind(self.tag, self.kind, &Bytes::from(&self.buf));
             return Next::Done(mem::take(&mut self.buf));
         }
         self.awaiting_multicast = true;
-        Next::Recv(c.post_recv(Some(root), self.tag))
+        Next::Recv(c.post_recv(Some(self.root), self.tag))
     }
 }
 
@@ -350,421 +385,118 @@ impl Phases for Scouted {
 }
 
 // ---------------------------------------------------------------------
-// Ibarrier
+// The public requests
 // ---------------------------------------------------------------------
 
-/// Nonblocking barrier: the paper's scout reduction to rank 0, then one
-/// multicast release.
-#[derive(Debug)]
-pub struct IbarrierRequest(Machine<Scouted>);
+/// A public request: a [`CollRequest`] over one `Machine`, started by
+/// the `Communicator` entry points.
+macro_rules! request {
+    ($(#[$doc:meta])* $name:ident($phases:ty) -> $out:ty) => {
+        $(#[$doc])*
+        #[derive(Debug)]
+        pub struct $name(Machine<$phases>);
 
-impl IbarrierRequest {
-    pub(crate) fn new<C: Comm>(c: &mut C, tags: OpTags) -> Self {
-        let phases = Scouted::new(tags, 0, Phase::Release, MsgKind::Release, Vec::new());
-        IbarrierRequest(Machine::start(c, phases))
-    }
-}
-
-impl CollRequest for IbarrierRequest {
-    type Output = ();
-
-    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        self.0.poll_claimed(c)
-    }
-
-    fn take_output(&mut self) {
-        self.0.take_output();
-    }
-
-    fn pending(&self) -> Option<RecvReq> {
-        self.0.pending()
-    }
-
-    fn claim_step(&mut self) -> &mut dyn ClaimStep {
-        &mut self.0
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ibcast
-// ---------------------------------------------------------------------
-
-/// Nonblocking broadcast. The shape follows the communicator's
-/// configured algorithm: MPICH binomial tree, scatter + ring allgather,
-/// or (for every other selector) the paper's scouts + one multicast.
-#[derive(Debug)]
-pub struct IbcastRequest(Machine<Bcast>);
-
-#[derive(Debug)]
-enum Bcast {
-    Scouted(Scouted),
-    /// MPICH's binomial tree (paper Fig. 2): receive from the parent,
-    /// then fan out. `N-1` point-to-point data messages in
-    /// `ceil(log2 N)` rounds, each charged `layer` on both sides.
-    Binomial {
-        tag: Tag,
-        layer: Duration,
-        root: usize,
-        buf: Vec<u8>,
-    },
-    Scatter(ScatterAllgather),
-}
-
-impl IbcastRequest {
-    pub(crate) fn new<C: Comm>(
-        c: &mut C,
-        algo: BcastAlgorithm,
-        layer: Duration,
-        tags: OpTags,
-        root: usize,
-        buf: Vec<u8>,
-    ) -> Self {
-        let phases = match algo {
-            BcastAlgorithm::MpichBinomial => Bcast::Binomial {
-                tag: tags.tag(Phase::Data),
-                layer,
-                root,
-                buf,
-            },
-            BcastAlgorithm::ScatterAllgather => Bcast::Scatter(ScatterAllgather {
-                tags,
-                root,
-                buf,
-                ring: None,
-            }),
-            // The paper's binary shape for every other selector (the data
-            // movement is identical for the nonblocking caller).
-            _ => Bcast::Scouted(Scouted::new(tags, root, Phase::Data, MsgKind::Data, buf)),
-        };
-        IbcastRequest(Machine::start(c, phases))
-    }
-}
-
-/// MPICH's fan-out: send `buf` to this rank's children in descending-mask
-/// order, charging the layering cost per send. The buffer is imported
-/// into wire form once, and only if there is a child.
-fn fan_out<C: Comm + ?Sized>(c: &mut C, tag: Tag, layer: Duration, root: usize, buf: &[u8]) {
-    let mut wire = None;
-    for dst in tree::binomial_children(c.rank(), c.size(), root) {
-        let wire = wire.get_or_insert_with(|| Bytes::from(buf));
-        c.compute(layer);
-        c.send_kind(dst, tag, MsgKind::Data, wire);
-    }
-}
-
-impl Phases for Bcast {
-    type Output = Vec<u8>;
-
-    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
-        match self {
-            Bcast::Scouted(s) => s.start(c),
-            Bcast::Binomial {
-                tag,
-                layer,
-                root,
-                buf,
-            } => match tree::binomial_parent(c.rank(), c.size(), *root) {
-                Some(parent) => Next::Recv(c.post_recv(Some(parent), *tag)),
-                None => {
-                    fan_out(c, *tag, *layer, *root, buf);
-                    Next::Done(mem::take(buf))
-                }
-            },
-            Bcast::Scatter(s) => s.start(c),
-        }
-    }
-
-    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
-        match self {
-            Bcast::Scouted(s) => s.resume(c, m),
-            Bcast::Binomial {
-                tag,
-                layer,
-                root,
-                buf,
-            } => {
-                let src = m.src_rank as usize;
-                // The payload replaces (and frees) the receiver's own
-                // buffer before the fan-out copies it.
-                *buf = m.into_vec();
-                c.compute(*layer);
-                // MPICH-1.x ran its p2p channel over TCP: model the
-                // kernel's acknowledgement traffic.
-                c.tcp_ack_model(src, tcp_acks_for(buf.len()));
-                fan_out(c, *tag, *layer, *root, buf);
-                Next::Done(mem::take(buf))
+        impl $name {
+            pub(crate) fn new<C: Comm>(c: &mut C, phases: $phases) -> Self {
+                $name(Machine::start(c, phases))
             }
-            Bcast::Scatter(s) => s.resume(c, m),
         }
-    }
-}
 
-impl CollRequest for IbcastRequest {
-    type Output = Vec<u8>;
+        impl CollRequest for $name {
+            type Output = $out;
 
-    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        self.0.poll_claimed(c)
-    }
-
-    fn take_output(&mut self) -> Vec<u8> {
-        self.0.take_output()
-    }
-
-    fn pending(&self) -> Option<RecvReq> {
-        self.0.pending()
-    }
-
-    fn claim_step(&mut self) -> &mut dyn ClaimStep {
-        &mut self.0
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scatter + ring allgather (van de Geijn)
-// ---------------------------------------------------------------------
-
-/// Van de Geijn's large-message broadcast: the root scatters `N` blocks
-/// framed `[total u32, offset u32, data]`, then the blocks travel the
-/// rank ring so every rank ends with the whole message — each byte
-/// crosses any link at most twice regardless of `N`. A rank enters the
-/// ring once its own block is in hand and then receives one block from
-/// its predecessor per step, forwarding every block but the successor's
-/// own (the [`SuccessorSkip`] rule: the offset is the block's identity,
-/// since a NACK-repaired block completes after blocks sent later).
-#[derive(Debug)]
-struct ScatterAllgather {
-    tags: OpTags,
-    root: usize,
-    /// The root's message (consumed by the scatter).
-    buf: Vec<u8>,
-    /// Set once this rank entered the ring.
-    ring: Option<ScatterRing>,
-}
-
-#[derive(Debug)]
-struct ScatterRing {
-    skip: SuccessorSkip,
-    out: Vec<u8>,
-    /// Ring blocks still to come.
-    left: usize,
-}
-
-impl ScatterAllgather {
-    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
-        let (n, rank) = (c.size(), c.rank());
-        if n == 1 {
-            return Next::Done(mem::take(&mut self.buf));
-        }
-        let scatter_tag = self.tags.tag(Phase::Data);
-        if rank != self.root {
-            return Next::Recv(c.post_recv(Some(self.root), scatter_tag));
-        }
-        let buf = mem::take(&mut self.buf);
-        let total = buf.len();
-        let per = total.div_ceil(n).max(1);
-        let block = |i: usize| {
-            let lo = (i * per).min(total);
-            let hi = ((i + 1) * per).min(total);
-            let mut block = Vec::with_capacity(8 + hi - lo);
-            block.extend_from_slice(&(total as u32).to_le_bytes());
-            block.extend_from_slice(&(lo as u32).to_le_bytes());
-            block.extend_from_slice(&buf[lo..hi]);
-            block
-        };
-        // Block `i` goes to `root + i`; the root keeps block 0.
-        for i in 1..n {
-            let part = Bytes::from(block(i));
-            c.send_kind((self.root + i) % n, scatter_tag, MsgKind::Data, &part);
-        }
-        self.enter_ring(c, &Bytes::from(block(0)))
-    }
-
-    /// Own block in hand: allocate the output, place the block and send
-    /// it around the ring, then post the first ring receive.
-    fn enter_ring<C: Comm + ?Sized>(&mut self, c: &mut C, own: &Bytes) -> Next<Vec<u8>> {
-        let (n, rank) = (c.size(), c.rank());
-        let next = (rank + 1) % n;
-        let total = u32::from_le_bytes(own[0..4].try_into().unwrap()) as usize;
-        let mut out = vec![0u8; total];
-        place_block(&mut out, own);
-        let ring_tag = self.tags.tag(Phase::Exchange);
-        c.send_kind(next, ring_tag, MsgKind::Data, own);
-        self.ring = Some(ScatterRing {
-            skip: SuccessorSkip::new(n, self.root, next, total),
-            out,
-            left: n - 1,
-        });
-        Next::Recv(c.post_recv(Some((rank + n - 1) % n), ring_tag))
-    }
-
-    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
-        let Some(ring) = &mut self.ring else {
-            return self.enter_ring(c, &m.payload);
-        };
-        let (n, rank) = (c.size(), c.rank());
-        let ring_tag = self.tags.tag(Phase::Exchange);
-        if !ring
-            .skip
-            .should_skip(place_block(&mut ring.out, &m.payload))
-        {
-            c.send_kind((rank + 1) % n, ring_tag, MsgKind::Data, &m.payload);
-        }
-        ring.left -= 1;
-        if ring.left == 0 {
-            return Next::Done(mem::take(&mut ring.out));
-        }
-        Next::Recv(c.post_recv(Some((rank + n - 1) % n), ring_tag))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Iallgather
-// ---------------------------------------------------------------------
-
-/// Nonblocking allgather: the ring or the rank-ordered multicast
-/// exchange, per the communicator's configured algorithm.
-#[derive(Debug)]
-pub struct IallgatherRequest(Machine<Allgather>);
-
-/// The two allgathers (the paper's §5 future work, many-to-many):
-///
-/// * the ring — owner-prefixed blocks travel the rank ring, one receive
-///   from the predecessor per step, `N-1` steps, each byte crossing every
-///   link once;
-/// * the multicast exchange — every rank multicasts its block **once**,
-///   in rank order: a rank receives each lower rank's block in turn,
-///   then multicasts its own, so `N` multicasts replace `N(N-1)`
-///   point-to-point transfers. The ordering is the paper's §4 safety
-///   argument: rank `i+1` cannot multicast before it received rank `i`'s
-///   block, so receivers are provably inside the collective.
-#[derive(Debug)]
-struct Allgather {
-    /// The ring, or else the rank-ordered multicast.
-    ring: bool,
-    tag: Tag,
-    /// Every rank's block; this rank's own is in place from the start.
-    out: Vec<Vec<u8>>,
-    /// Ring: blocks still to come. Multicast: the rank whose turn it is.
-    step: usize,
-}
-
-impl IallgatherRequest {
-    pub(crate) fn new<C: Comm>(
-        c: &mut C,
-        algo: AllgatherAlgorithm,
-        tags: OpTags,
-        mine: &[u8],
-    ) -> Self {
-        // GatherBcast has no nonblocking shape of its own; the ring
-        // produces the identical result.
-        let ring = algo != AllgatherAlgorithm::Multicast;
-        let mut out = vec![Vec::new(); c.size()];
-        out[c.rank()] = mine.to_vec();
-        let phases = Allgather {
-            ring,
-            tag: tags.tag(if ring { Phase::Exchange } else { Phase::Data }),
-            out,
-            step: 0,
-        };
-        IallgatherRequest(Machine::start(c, phases))
-    }
-}
-
-impl Allgather {
-    /// Walk the ranks in order from the current turn: multicast our own
-    /// block when its turn comes, post the next other rank's receive, or
-    /// finish.
-    fn take_turns<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
-        let rank = c.rank();
-        while self.step < self.out.len() {
-            if self.step != rank {
-                return Next::Recv(c.post_recv(Some(self.step), self.tag));
+            fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
+                self.0.poll_claimed(c)
             }
-            c.mcast_kind(self.tag, MsgKind::Data, &Bytes::from(&self.out[rank]));
-            self.step += 1;
+
+            fn take_output(&mut self) -> $out {
+                self.0.take_output()
+            }
+
+            fn pending(&self) -> Option<RecvReq> {
+                self.0.pending()
+            }
+
+            fn claim_step(&mut self) -> &mut dyn ClaimStep {
+                &mut self.0
+            }
         }
-        Next::Done(mem::take(&mut self.out))
-    }
+    };
 }
 
-impl Phases for Allgather {
-    type Output = Vec<Vec<u8>>;
-
-    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
-        let (n, rank) = (c.size(), c.rank());
-        if n == 1 {
-            return Next::Done(mem::take(&mut self.out));
-        }
-        if !self.ring {
-            return self.take_turns(c);
-        }
-        let mine = &self.out[rank];
-        let mut own = Vec::with_capacity(4 + mine.len());
-        own.extend_from_slice(&(rank as u32).to_le_bytes());
-        own.extend_from_slice(mine);
-        c.send_kind((rank + 1) % n, self.tag, MsgKind::Data, &Bytes::from(own));
-        self.step = n - 1;
-        Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
-    }
-
-    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
-        if !self.ring {
-            self.out[self.step] = m.into_vec();
-            self.step += 1;
-            return self.take_turns(c);
-        }
-        let (n, rank) = (c.size(), c.rank());
-        let next = (rank + 1) % n;
-        let owner = u32::from_le_bytes(m.payload[0..4].try_into().unwrap()) as usize;
-        // Forward by identity, not arrival order: a NACK-recovered block
-        // completes after blocks sent later, so every block travels on
-        // except the successor's own, which it started with.
-        if owner != next {
-            c.send_kind(next, self.tag, MsgKind::Data, &m.payload);
-        }
-        self.out[owner] = m.payload[4..].to_vec();
-        self.step -= 1;
-        if self.step == 0 {
-            return Next::Done(mem::take(&mut self.out));
-        }
-        Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
-    }
+request! {
+    /// Nonblocking broadcast, in the communicator's configured algorithm
+    /// (`Auto` lowered first). `PvmAck` runs `McastBinary`'s shape here:
+    /// its retransmit timer is not a receive a machine could wait on.
+    IbcastRequest(Bcast) -> Vec<u8>
 }
 
-impl CollRequest for IallgatherRequest {
-    type Output = Vec<Vec<u8>>;
+request! {
+    /// Nonblocking barrier, in the communicator's configured algorithm.
+    IbarrierRequest(Barrier) -> ()
+}
 
-    fn poll_claimed<C: Comm>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        self.0.poll_claimed(c)
-    }
-
-    fn take_output(&mut self) -> Vec<Vec<u8>> {
-        self.0.take_output()
-    }
-
-    fn pending(&self) -> Option<RecvReq> {
-        self.0.pending()
-    }
-
-    fn claim_step(&mut self) -> &mut dyn ClaimStep {
-        &mut self.0
-    }
+request! {
+    /// Nonblocking allgather, in the communicator's configured algorithm;
+    /// `GatherBcast`'s broadcast stage runs the configured broadcast.
+    IallgatherRequest(Allgather) -> Vec<Vec<u8>>
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::tags::OpCode;
+    use crate::{AllgatherAlgorithm, BarrierAlgorithm, BcastAlgorithm, BcastConfig};
     use mmpi_transport::run_mem_world;
+
+    fn ibarrier<C: Comm>(c: &mut C, algo: BarrierAlgorithm, seq: u32) -> IbarrierRequest {
+        let tags = OpTags::new(OpCode::Barrier, seq);
+        IbarrierRequest::new(c, Barrier::new(algo, Duration::ZERO, tags))
+    }
+
+    fn ibcast<C: Comm>(
+        c: &mut C,
+        algo: BcastAlgorithm,
+        seq: u32,
+        root: usize,
+        buf: Vec<u8>,
+    ) -> IbcastRequest {
+        let tags = OpTags::new(OpCode::Bcast, seq);
+        let phases = Bcast::new(c, algo, &BcastConfig::default(), tags, root, buf);
+        IbcastRequest::new(c, phases)
+    }
+
+    fn iallgather_of<C: Comm>(
+        c: &mut C,
+        algo: AllgatherAlgorithm,
+        bcast: BcastAlgorithm,
+        seq: u32,
+        mine: &[u8],
+    ) -> IallgatherRequest {
+        let tags = OpTags::new(OpCode::Allgather, seq);
+        let phases = Allgather::new(c, algo, (bcast, &BcastConfig::default()), tags, mine);
+        IallgatherRequest::new(c, phases)
+    }
+
+    fn iallgather<C: Comm>(c: &mut C, algo: AllgatherAlgorithm, seq: u32) -> IallgatherRequest {
+        let mine = [c.rank() as u8; 2];
+        iallgather_of(c, algo, BcastAlgorithm::McastBinary, seq, &mine)
+    }
 
     #[test]
     fn ibarrier_completes_everywhere() {
-        for n in [1usize, 2, 5, 8] {
-            let out = run_mem_world(n, 0, |mut c| {
-                let req = IbarrierRequest::new(&mut c, OpTags::new(OpCode::Barrier, 0));
-                req.wait(&mut c).is_ok()
-            });
-            assert!(out.iter().all(|&ok| ok), "n={n}");
+        for algo in [
+            BarrierAlgorithm::McastBinary,
+            BarrierAlgorithm::McastLinear,
+            BarrierAlgorithm::Mpich,
+        ] {
+            for n in [1usize, 2, 5, 8] {
+                let out =
+                    run_mem_world(n, 0, |mut c| ibarrier(&mut c, algo, 0).wait(&mut c).is_ok());
+                assert!(out.iter().all(|&ok| ok), "{algo:?} n={n}");
+            }
         }
     }
 
@@ -772,8 +504,13 @@ mod tests {
     fn ibcast_matches_blocking_for_all_shapes() {
         for algo in [
             BcastAlgorithm::McastBinary,
+            BcastAlgorithm::McastLinear,
             BcastAlgorithm::MpichBinomial,
             BcastAlgorithm::ScatterAllgather,
+            BcastAlgorithm::FlatTree,
+            BcastAlgorithm::Chain,
+            BcastAlgorithm::Gossip,
+            BcastAlgorithm::PvmAck,
         ] {
             for n in [1usize, 2, 3, 5, 8] {
                 for len in [0usize, 1, 1000, 9000] {
@@ -785,15 +522,7 @@ mod tests {
                         } else {
                             Vec::new()
                         };
-                        let req = IbcastRequest::new(
-                            &mut c,
-                            algo,
-                            Duration::ZERO,
-                            OpTags::new(OpCode::Bcast, 0),
-                            2 % n,
-                            buf,
-                        );
-                        req.wait(&mut c).unwrap()
+                        ibcast(&mut c, algo, 0, 2 % n, buf).wait(&mut c).unwrap()
                     });
                     for (r, o) in out.iter().enumerate() {
                         assert_eq!(o, &want, "{algo:?} n={n} len={len} rank={r}");
@@ -809,17 +538,43 @@ mod tests {
             for n in [1usize, 2, 4, 7] {
                 let out = run_mem_world(n, 0, move |mut c| {
                     let mine = vec![c.rank() as u8 + 1; (c.rank() * 3) % 5 + 1];
-                    let req = IallgatherRequest::new(
-                        &mut c,
-                        algo,
-                        OpTags::new(OpCode::Allgather, 0),
-                        &mine,
-                    );
+                    let req = iallgather_of(&mut c, algo, BcastAlgorithm::McastBinary, 0, &mine);
                     req.wait(&mut c).unwrap()
                 });
                 for parts in &out {
                     for (src, p) in parts.iter().enumerate() {
                         assert_eq!(p, &vec![src as u8 + 1; (src * 3) % 5 + 1], "{algo:?} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gather + broadcast allgather runs whichever broadcast it is
+    /// given as its second stage.
+    #[test]
+    fn gather_bcast_iallgather_runs_every_bcast_shape() {
+        for bcast in [
+            BcastAlgorithm::MpichBinomial,
+            BcastAlgorithm::McastBinary,
+            BcastAlgorithm::McastLinear,
+            BcastAlgorithm::FlatTree,
+            BcastAlgorithm::Chain,
+            BcastAlgorithm::ScatterAllgather,
+            BcastAlgorithm::Gossip,
+            BcastAlgorithm::Auto,
+        ] {
+            for n in [1usize, 3, 6] {
+                let out = run_mem_world(n, 0, move |mut c| {
+                    let mine = [c.rank() as u8; 2];
+                    let req =
+                        iallgather_of(&mut c, AllgatherAlgorithm::GatherBcast, bcast, 0, &mine);
+                    req.wait(&mut c).unwrap()
+                });
+                for parts in &out {
+                    assert_eq!(parts.len(), n, "{bcast:?} n={n}");
+                    for (src, p) in parts.iter().enumerate() {
+                        assert_eq!(p, &[src as u8; 2], "{bcast:?} n={n}");
                     }
                 }
             }
@@ -832,7 +587,7 @@ mod tests {
         // receive: `Drop` pushes it into the endpoint's cancel sink and
         // the next progress pass retires it.
         let out = run_mem_world(2, 0, |mut c| {
-            let req = IbarrierRequest::new(&mut c, OpTags::new(OpCode::Barrier, 0));
+            let req = ibarrier(&mut c, BarrierAlgorithm::McastBinary, 0);
             // Rank 0 posted the scout receive, rank 1 the release receive.
             assert_eq!(c.outstanding_recvs(), 1);
             drop(req);
@@ -850,13 +605,7 @@ mod tests {
         // fresh identical operation afterwards still completes — no
         // traffic was stolen).
         let out = run_mem_world(4, 0, |mut c| {
-            let mine = [c.rank() as u8; 2];
-            let abandoned = IallgatherRequest::new(
-                &mut c,
-                AllgatherAlgorithm::Ring,
-                OpTags::new(OpCode::Allgather, 0),
-                &mine,
-            );
+            let abandoned = iallgather(&mut c, AllgatherAlgorithm::Ring, 0);
             assert_eq!(c.outstanding_recvs(), 1);
             drop(abandoned);
             c.progress();
@@ -864,12 +613,7 @@ mod tests {
             // The abandoned op's first-step block is in flight toward the
             // successor, but its op slot is dead; a fresh slot must be
             // unaffected.
-            let req = IallgatherRequest::new(
-                &mut c,
-                AllgatherAlgorithm::Ring,
-                OpTags::new(OpCode::Allgather, 1),
-                &mine,
-            );
+            let req = iallgather(&mut c, AllgatherAlgorithm::Ring, 1);
             let parts = req.wait(&mut c).unwrap();
             for (src, p) in parts.iter().enumerate() {
                 assert_eq!(p, &[src as u8; 2]);
@@ -890,21 +634,8 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let mut a = IbcastRequest::new(
-                &mut c,
-                BcastAlgorithm::McastBinary,
-                Duration::ZERO,
-                OpTags::new(OpCode::Bcast, 0),
-                0,
-                bcast_buf,
-            );
-            let mine = [c.rank() as u8; 2];
-            let mut b = IallgatherRequest::new(
-                &mut c,
-                AllgatherAlgorithm::Ring,
-                OpTags::new(OpCode::Allgather, 1),
-                &mine,
-            );
+            let mut a = ibcast(&mut c, BcastAlgorithm::McastBinary, 0, 0, bcast_buf);
+            let mut b = iallgather(&mut c, AllgatherAlgorithm::Ring, 1);
             let (mut a_done, mut b_done) = (false, false);
             while !(a_done && b_done) {
                 if !a_done {

@@ -1,5 +1,5 @@
 //! Block arithmetic of the scatter + ring-allgather broadcast
-//! (`request::ScatterAllgather`): framing placement and the
+//! (`bcast_ext::ScatterAllgather`): framing placement and the
 //! identity-based forwarding decision.
 //!
 //! The ring moves `[total, offset, data]`-framed blocks and each rank
@@ -11,19 +11,24 @@
 //! trailing blocks, where the *last* matching claim is the one withheld
 //! (skipping the first would starve the ring when every block is empty).
 
+/// The little-endian `u32` at `at` of a frame header, as a length or an
+/// index.
+pub(crate) fn le_u32(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize
+}
+
 /// Place one framed block (`[total u32, offset u32, data]`) into the
 /// assembled output buffer; returns the block's offset.
 pub(crate) fn place_block(out: &mut [u8], block: &[u8]) -> u32 {
-    let lo = u32::from_le_bytes(block[4..8].try_into().unwrap());
+    let lo = le_u32(block, 4);
     let data = &block[8..];
-    out[lo as usize..lo as usize + data.len()].copy_from_slice(data);
-    lo
+    out[lo..lo + data.len()].copy_from_slice(data);
+    lo as u32
 }
 
 /// The withhold-from-successor decision for one rank of the ring: feed
 /// it every received block's offset; exactly one returns `true` over
 /// the n-1 receives.
-#[derive(Debug)]
 pub(crate) struct SuccessorSkip {
     next_lo: u32,
     matches_left: usize,

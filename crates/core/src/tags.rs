@@ -17,7 +17,8 @@
 
 use mmpi_transport::Tag;
 
-/// Operation codes.
+/// Operation codes. Each keeps its value, so no wire tag moves when one
+/// goes; 4, 7 and 8 (scatter, all-to-all and scan) are retired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
@@ -27,16 +28,10 @@ pub enum OpCode {
     Barrier = 2,
     /// Gather to root.
     Gather = 3,
-    /// Scatter from root.
-    Scatter = 4,
     /// Reduce to root.
     Reduce = 5,
     /// All-gather.
     Allgather = 6,
-    /// All-to-all personalized exchange.
-    Alltoall = 7,
-    /// Inclusive prefix scan.
-    Scan = 8,
     /// Reduce + broadcast (allreduce).
     Allreduce = 9,
 }
@@ -53,7 +48,7 @@ pub enum Phase {
     Ack = 2,
     /// Barrier / broadcast release.
     Release = 3,
-    /// Pairwise exchange (recursive doubling, all-to-all rounds).
+    /// Pairwise exchange (recursive doubling) and ring steps.
     Exchange = 4,
 }
 
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn seq_wraps_into_high_bits() {
-        let t = OpTags::new(OpCode::Scan, 0x00FF_FFFF);
+        let t = OpTags::new(OpCode::Allreduce, 0x00FF_FFFF);
         // Wrapping shift must not panic and phase bits stay intact.
         assert_eq!(t.tag(Phase::Data) & 0xF, 0);
     }

@@ -1,8 +1,9 @@
-//! Binomial-tree arithmetic of MPICH's broadcast (paper Fig. 2), as pure
-//! functions of `(rank, n, root)`: with `relrank = (rank - root) mod N`,
-//! a rank receives from the subtree root that owns it (the lowest set
-//! bit of `relrank` below) and fans out to `relrank + mask` for
-//! descending `mask`.
+//! Binomial-tree arithmetic of MPICH's broadcast (paper Fig. 2) and of
+//! the reductions up the same tree, as pure functions of
+//! `(rank, n, root)`: with `relrank = (rank - root) mod N`, a rank
+//! receives from the subtree root that owns it (the lowest set bit of
+//! `relrank` below) and fans out to `relrank + mask` for descending
+//! `mask`; a reduction runs the edges the other way, ascending `mask`.
 
 /// The parent `rank` receives from in the binomial tree rooted at `root`
 /// (`None` for the root itself): the rank at distance `lowest set bit
@@ -28,6 +29,39 @@ pub(crate) fn binomial_children(rank: usize, n: usize, root: usize) -> impl Iter
         .take_while(|&m| m > 0)
         .filter(move |&m| relrank + m < n)
         .map(move |m| (rank + m) % n)
+}
+
+/// Where a binomial reduction towards `root` goes next.
+pub(crate) enum Reduction {
+    /// Receive this child's contribution.
+    Child(usize),
+    /// Send the subtree's to this parent; the rank's last step.
+    Parent(usize),
+    /// Every child is in, and this rank is the root.
+    Root,
+}
+
+/// The reduction's next step from round `mask` on (1 to start), advancing
+/// `mask` past it: children in ascending-mask order, then the parent —
+/// `N-1` messages in `ceil(log2 N)` rounds.
+pub(crate) fn binomial_reduction(
+    rank: usize,
+    n: usize,
+    root: usize,
+    mask: &mut usize,
+) -> Reduction {
+    let relrank = (rank + n - root) % n;
+    while *mask < n {
+        let m = *mask;
+        *mask <<= 1;
+        if relrank & m != 0 {
+            return Reduction::Parent((rank + n - m) % n);
+        }
+        if relrank + m < n {
+            return Reduction::Child((rank + m) % n);
+        }
+    }
+    Reduction::Root
 }
 
 #[cfg(test)]

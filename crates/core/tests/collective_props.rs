@@ -16,9 +16,6 @@ enum Op {
     Allreduce { value: u64 },
     Allgather { algo: u8, len: usize },
     Gather { root: usize, len: usize },
-    Scatter { len: usize },
-    Scan { value: u64 },
-    Alltoall { len: usize },
 }
 
 fn bcast_algo(i: u8) -> BcastAlgorithm {
@@ -34,11 +31,10 @@ fn bcast_algo(i: u8) -> BcastAlgorithm {
 }
 
 fn barrier_algo(i: u8) -> BarrierAlgorithm {
-    match i % 4 {
+    match i % 3 {
         0 => BarrierAlgorithm::Mpich,
         1 => BarrierAlgorithm::McastBinary,
-        2 => BarrierAlgorithm::McastLinear,
-        _ => BarrierAlgorithm::Dissemination,
+        _ => BarrierAlgorithm::McastLinear,
     }
 }
 
@@ -61,9 +57,6 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
         any::<u64>().prop_map(|value| Op::Allreduce { value }),
         (any::<u8>(), 0usize..500).prop_map(|(algo, len)| Op::Allgather { algo, len }),
         (0..n, 0usize..500).prop_map(|(root, len)| Op::Gather { root, len }),
-        (1usize..300).prop_map(|len| Op::Scatter { len }),
-        any::<u64>().prop_map(|value| Op::Scan { value }),
-        (0usize..200).prop_map(|len| Op::Alltoall { len }),
     ]
 }
 
@@ -75,7 +68,6 @@ fn program(n: usize) -> impl Strategy<Value = Vec<Op>> {
 /// on (collected per rank, compared rank-by-rank against the model).
 fn execute(mut comm: Communicator<mmpi_transport::MemComm>, ops: &[Op]) -> Vec<u64> {
     let me = comm.rank();
-    let n = comm.size();
     let mut digest = Vec::new();
     for op in ops {
         match op {
@@ -122,35 +114,6 @@ fn execute(mut comm: Communicator<mmpi_transport::MemComm>, ops: &[Op]) -> Vec<u
                     None => 0,
                 });
             }
-            Op::Scatter { len } => {
-                let chunks: Option<Vec<Vec<u8>>> =
-                    (me == 0).then(|| (0..n).map(|r| vec![r as u8; *len]).collect());
-                let got = comm.scatter(0, chunks.as_deref()).unwrap();
-                digest.push(got.len() as u64 * (got.first().copied().unwrap_or(0) as u64 + 1));
-            }
-            Op::Scan { value } => {
-                let s = comm
-                    .scan(
-                        value.wrapping_add(me as u64).to_le_bytes().to_vec(),
-                        &combine_u64_sum,
-                    )
-                    .unwrap();
-                digest.push(u64::from_le_bytes(s[..8].try_into().unwrap()));
-            }
-            Op::Alltoall { len } => {
-                let sends: Vec<Vec<u8>> =
-                    (0..n).map(|dst| vec![(me * n + dst) as u8; *len]).collect();
-                let got = comm.alltoall(&sends).unwrap();
-                digest.push(
-                    got.iter()
-                        .enumerate()
-                        .map(|(src, p)| {
-                            assert_eq!(p, &vec![(src * n + me) as u8; *len]);
-                            p.len() as u64
-                        })
-                        .sum(),
-                );
-            }
         }
     }
     digest
@@ -178,16 +141,6 @@ fn model(n: usize, me: usize, ops: &[Op]) -> Vec<u64> {
             Op::Gather { root, len } => {
                 digest.push(if me == *root { (n * len) as u64 } else { 0 });
             }
-            Op::Scatter { len } => {
-                digest.push(*len as u64 * (me as u64 + 1));
-            }
-            Op::Scan { value } => {
-                let total: u64 = (0..=me as u64)
-                    .map(|r| value.wrapping_add(r))
-                    .fold(0u64, u64::wrapping_add);
-                digest.push(total);
-            }
-            Op::Alltoall { len } => digest.push((n * len) as u64),
         }
     }
     digest

@@ -10,10 +10,9 @@
 //! [`Comm::wait_any`]). The engine advances *every* outstanding request
 //! at once — matching, reassembly, and (with repair armed) the NACK
 //! solicitation deadlines of all posted receives, not just the one the
-//! caller happens to be blocked on. The blocking calls of the original
-//! API ([`Comm::recv_match`] & co.) survive as thin post-and-wait
-//! conveniences, now returning the typed [`RecvError`] instead of
-//! panicking. One implementation of a collective algorithm runs over:
+//! caller happens to be blocked on. A blocking receive is a post and a
+//! wait; completion is a `Result` carrying the typed [`RecvError`], never
+//! a panic. One implementation of a collective algorithm runs over:
 //!
 //! * [`crate::sim::SimComm`] — the deterministic network simulator,
 //! * [`crate::udp::UdpComm`] — real UDP + IP multicast sockets,
@@ -55,9 +54,8 @@ use crate::config::RepairConfig;
 
 /// Typed unrecoverable-loss errors a repair-enabled receive can surface.
 /// Every receive returns them — [`Comm::wait`], [`Comm::wait_deadline`],
-/// the blocking conveniences ([`Comm::recv_match`] & co.) and the
-/// collectives built on them — so an unrecoverable loss ends the
-/// operation instead of re-soliciting forever.
+/// [`Comm::wait_any`] and the collectives built on them — so an
+/// unrecoverable loss ends the operation instead of re-soliciting forever.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecvError {
     /// The awaited sender answered our NACK with `MsgKind::Unavail`: the
@@ -84,6 +82,16 @@ pub enum RecvError {
         /// The liveness epoch in which the failure was observed.
         epoch: u32,
     },
+    /// An operation that retransmits on its own gave up: `src` answered
+    /// none of its `rounds` sends (the first and every retransmission).
+    /// `mmpi-core`'s PVM-style acknowledged broadcast returns it on the
+    /// root instead of retransmitting forever.
+    Unreachable {
+        /// The lowest rank that never answered.
+        src: u32,
+        /// The unanswered rounds.
+        rounds: u32,
+    },
 }
 
 impl fmt::Display for RecvError {
@@ -104,6 +112,11 @@ impl fmt::Display for RecvError {
                 "peer failed: rank {rank} was declared dead in liveness epoch \
                  {epoch}; shrink the communicator to the survivor group and \
                  retry the operation"
+            ),
+            RecvError::Unreachable { src, rounds } => write!(
+                f,
+                "peer unreachable: rank {src} answered none of {rounds} rounds; \
+                 it never entered the operation or every round was lost"
             ),
         }
     }
@@ -159,11 +172,6 @@ impl CancelSink {
     /// Register a receive handle for deferred cancellation.
     pub fn push(&self, req: RecvReq) {
         self.handles().push(req);
-    }
-
-    /// Register every handle in `reqs` for deferred cancellation.
-    pub fn push_all(&self, reqs: impl IntoIterator<Item = RecvReq>) {
-        self.handles().extend(reqs);
     }
 
     /// Take every deferred handle (the engine's half).
@@ -461,44 +469,6 @@ pub trait Comm {
         Ok(self.post_mcast(tag, payload))
     }
 
-    // ------------------------------------------------------------------
-    // Blocking conveniences: thin post-and-wait wrappers (compatibility
-    // with the original blocking API, now Result-typed).
-    // ------------------------------------------------------------------
-
-    /// Block until a message from `src` with `tag` arrives.
-    fn recv_match(&mut self, src: usize, tag: Tag) -> Result<Message, RecvError> {
-        let req = self.post_recv(Some(src), tag);
-        self.wait(req)
-    }
-
-    /// Like [`Comm::recv_match`] with a timeout (`Ok(None)` on expiry).
-    fn recv_match_timeout(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        let req = self.post_recv(Some(src), tag);
-        self.wait_deadline(req, timeout)
-    }
-
-    /// Block until a message with `tag` arrives from any source.
-    fn recv_any(&mut self, tag: Tag) -> Result<Message, RecvError> {
-        let req = self.post_recv(None, tag);
-        self.wait(req)
-    }
-
-    /// Like [`Comm::recv_any`] with a timeout (`Ok(None)` on expiry).
-    fn recv_any_timeout(
-        &mut self,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        let req = self.post_recv(None, tag);
-        self.wait_deadline(req, timeout)
-    }
-
     /// Model `d` of local computation (advances virtual time in the
     /// simulator; sleeps on real transports).
     fn compute(&mut self, d: Duration);
@@ -569,13 +539,6 @@ pub trait Comm {
         let payload = payload.into();
         self.mcast_kind(tag, MsgKind::Data, &payload)
     }
-
-    /// Convenience: receive and return just the payload, as an owned
-    /// `Vec` (free when the message owns its buffer, one copy when it is
-    /// a zero-copy slice of a larger receive buffer).
-    fn recv(&mut self, src: usize, tag: Tag) -> Result<Vec<u8>, RecvError> {
-        self.recv_match(src, tag).map(Message::into_vec)
-    }
 }
 
 #[cfg(test)]
@@ -595,7 +558,7 @@ mod tests {
         });
         assert!(held.join().is_err());
         sink.push(RecvReq(7));
-        sink.push_all([RecvReq(8)]);
+        sink.push(RecvReq(8));
         assert!(!sink.is_empty());
         assert_eq!(sink.drain(), vec![RecvReq(7), RecvReq(8)]);
     }

@@ -194,17 +194,34 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Comm;
-    use mmpi_wire::{Bytes, MsgKind};
+    use crate::{Comm, RecvError};
+    use mmpi_wire::{Bytes, Message, MsgKind};
+
+    /// A blocking receive: a post, then a wait.
+    fn recv(c: &mut MemComm, src: usize, tag: u32) -> Message {
+        let req = c.post_recv(Some(src), tag);
+        c.wait(req).unwrap()
+    }
+
+    /// [`recv`] with a timeout (`Ok(None)` on expiry).
+    fn recv_timeout(
+        c: &mut MemComm,
+        src: usize,
+        tag: u32,
+        timeout: Duration,
+    ) -> Result<Option<Message>, RecvError> {
+        let req = c.post_recv(Some(src), tag);
+        c.wait_deadline(req, timeout)
+    }
 
     #[test]
     fn two_rank_ping_pong() {
         let out = run_mem_world(2, 0, |mut c| {
             if c.rank() == 0 {
                 c.send(1, 1, b"ping");
-                c.recv(1, 2).unwrap()
+                recv(&mut c, 1, 2).into_vec()
             } else {
-                let m = c.recv(0, 1).unwrap();
+                let m = recv(&mut c, 0, 1).into_vec();
                 assert_eq!(m, b"ping");
                 c.send(0, 2, b"pong");
                 m
@@ -220,7 +237,7 @@ mod tests {
                 c.mcast(9, b"hello");
                 b"hello".to_vec()
             } else {
-                c.recv(0, 9).unwrap()
+                recv(&mut c, 0, 9).into_vec()
             }
         });
         assert!(out.iter().all(|o| o == b"hello"));
@@ -238,7 +255,7 @@ mod tests {
                 c.rebase_epoch(1);
                 c.send(1, 5, b"after");
             } else {
-                let got = c.recv_match_timeout(0, 5, Duration::from_secs(10));
+                let got = recv_timeout(&mut c, 0, 5, Duration::from_secs(10));
                 assert_eq!(got.unwrap().expect("dropped as foreign").payload, b"after");
                 c.rebase_epoch(1);
             }
@@ -259,7 +276,7 @@ mod tests {
                 c.mcast_kind(9, MsgKind::Data, &payload);
                 Vec::new()
             } else {
-                c.recv(0, 9).unwrap()
+                recv(&mut c, 0, 9).into_vec()
             }
         });
         assert!(out[1..].iter().all(|o| *o == expect));
@@ -272,7 +289,7 @@ mod tests {
                 // Never send.
                 true
             } else {
-                c.recv_match_timeout(0, 1, Duration::from_millis(20))
+                recv_timeout(&mut c, 0, 1, Duration::from_millis(20))
                     .unwrap()
                     .is_none()
             }
@@ -292,12 +309,12 @@ mod tests {
                 c.send(1, 4, b"done");
                 0
             } else {
-                c.recv(0, 3).unwrap();
-                c.recv(0, 4).unwrap();
+                recv(&mut c, 0, 3).into_vec();
+                recv(&mut c, 0, 4).into_vec();
                 // Only the tag-3 original should have matched; duplicates
                 // are suppressed, so nothing else with tag 3 is pending.
                 usize::from(
-                    c.recv_match_timeout(0, 3, Duration::from_millis(10))
+                    recv_timeout(&mut c, 0, 3, Duration::from_millis(10))
                         .unwrap()
                         .is_some(),
                 )
@@ -315,7 +332,7 @@ mod tests {
                 c.send(1, 1, &payload);
                 Vec::new()
             } else {
-                c.recv(0, 1).unwrap()
+                recv(&mut c, 0, 1).into_vec()
             }
         });
         assert_eq!(out[1], expect);
@@ -330,8 +347,8 @@ mod tests {
                 Vec::new()
             } else {
                 // Receive in reverse tag order.
-                let b = c.recv(0, 20).unwrap();
-                let a = c.recv(0, 10).unwrap();
+                let b = recv(&mut c, 0, 20).into_vec();
+                let a = recv(&mut c, 0, 10).into_vec();
                 [a, b].concat()
             }
         });
@@ -421,7 +438,7 @@ mod tests {
                 // same traffic through a fresh request: nothing is lost.
                 let stale = c.post_recv(Some(0), 9);
                 c.cancel_recv(stale);
-                let m = c.recv_match(0, 9).unwrap();
+                let m = recv(&mut c, 0, 9);
                 assert_eq!(m.payload, b"payload");
                 true
             }

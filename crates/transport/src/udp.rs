@@ -430,18 +430,19 @@ pub fn multicast_available(base_port: u16) -> bool {
     cfg.repair = None;
     let probe = std::panic::catch_unwind(|| {
         run_udp_world(2, &cfg, |mut c| {
+            let heard = |c: &mut UdpComm, src, tag| {
+                let req = c.post_recv(Some(src), tag);
+                matches!(
+                    c.wait_deadline(req, Duration::from_millis(500)),
+                    Ok(Some(_))
+                )
+            };
             if c.rank() == 0 {
                 c.mcast(1, b"probe");
                 // Wait for the ack so rank 1 has time to receive.
-                matches!(
-                    c.recv_match_timeout(1, 2, Duration::from_millis(500)),
-                    Ok(Some(_))
-                )
+                heard(&mut c, 1, 2)
             } else {
-                let ok = matches!(
-                    c.recv_match_timeout(0, 1, Duration::from_millis(500)),
-                    Ok(Some(_))
-                );
+                let ok = heard(&mut c, 0, 1);
                 c.send(0, 2, b"ok");
                 ok
             }

@@ -12,7 +12,13 @@ use mmpi_transport::{
     multicast_available_cached, run_mem_world, run_sim_world, run_sim_world_stats, run_udp_world,
     Comm, SimComm, SimCommConfig, UdpComm, UdpConfig,
 };
-use mmpi_wire::{split_message, Bytes, MsgKind};
+use mmpi_wire::{split_message, Bytes, Message, MsgKind};
+
+/// A blocking receive: a post, then a wait.
+fn recv<C: Comm>(c: &mut C, src: Option<usize>, tag: u32) -> Message {
+    let req = c.post_recv(src, tag);
+    c.wait(req).unwrap()
+}
 
 /// The SPMD program used across backends: rank 0 multicasts, everyone
 /// acks, rank 0 reports the ack count.
@@ -22,11 +28,11 @@ fn mcast_and_ack<C: Comm>(mut c: C) -> usize {
     if c.rank() == 0 {
         c.mcast(TAG_DATA, &[0xAB; 2000]);
         (1..c.size())
-            .map(|_| c.recv_any(TAG_ACK).unwrap())
+            .map(|_| recv(&mut c, None, TAG_ACK))
             .filter(|m| m.payload == b"ok")
             .count()
     } else {
-        let m = c.recv_match(0, TAG_DATA).unwrap();
+        let m = recv(&mut c, Some(0), TAG_DATA);
         assert_eq!(m.payload, vec![0xAB; 2000]);
         c.send(0, TAG_ACK, b"ok");
         0
@@ -69,9 +75,9 @@ fn udp_unicast_works_even_without_multicast() {
     let outputs = run_udp_world(2, &cfg, |mut c| {
         if c.rank() == 0 {
             c.send(1, 7, b"hello");
-            c.recv(1, 8).unwrap()
+            recv(&mut c, Some(1), 8).into_vec()
         } else {
-            let m = c.recv(0, 7).unwrap();
+            let m = recv(&mut c, Some(0), 7).into_vec();
             c.send(0, 8, &m);
             m
         }
@@ -85,7 +91,7 @@ fn sim_recv_any_collects_from_all_sources_in_arrival_order() {
     let cluster = ClusterConfig::new(4, NetParams::fast_ethernet_switch(), 7);
     let report = run_sim_world(&cluster, &SimCommConfig::default(), |mut c| {
         if c.rank() == 0 {
-            let mut seen: Vec<u32> = (1..4).map(|_| c.recv_any(3).unwrap().src_rank).collect();
+            let mut seen: Vec<u32> = (1..4).map(|_| recv(&mut c, None, 3).src_rank).collect();
             seen.sort();
             seen
         } else {
@@ -103,9 +109,8 @@ fn sim_recv_timeout_expires_in_virtual_time() {
     let report = run_sim_world(&cluster, &SimCommConfig::default(), |mut c| {
         if c.rank() == 1 {
             let before = c.now();
-            let got = c
-                .recv_match_timeout(0, 9, Duration::from_millis(2))
-                .unwrap();
+            let req = c.post_recv(Some(0), 9);
+            let got = c.wait_deadline(req, Duration::from_millis(2)).unwrap();
             assert!(got.is_none());
             (c.now() - before).as_nanos()
         } else {
@@ -130,7 +135,7 @@ fn sim_messages_larger_than_chunk_limit_assemble() {
             c.send(1, 1, &payload);
             true
         } else {
-            c.recv(0, 1).unwrap() == expect
+            recv(&mut c, Some(0), 1).into_vec() == expect
         }
     })
     .unwrap();
@@ -215,7 +220,7 @@ fn request_contract<C: Comm>(mut c: C) {
         for tag in [
             UNRELATED, TARGET, LATE, SECOND, FIRST, POLLED, UNPOSTED, IDLE,
         ] {
-            c.recv_match(1, GO).unwrap();
+            recv(&mut c, Some(1), GO);
             // Rank 1 is inside its wait by the time this arrives (on the
             // simulator: provably; on real threads: all but surely).
             c.compute(PAUSE);
@@ -223,7 +228,7 @@ fn request_contract<C: Comm>(mut c: C) {
         }
         return;
     }
-    let payload_of = |m: mmpi_wire::Message| u32::from_le_bytes(m.payload[..4].try_into().unwrap());
+    let payload_of = |m: Message| u32::from_le_bytes(m.payload[..4].try_into().unwrap());
 
     // `wait_ready` names its set: it returns when `unrelated` completes,
     // claims nothing, and then parks for `target` although `unrelated`
@@ -428,7 +433,8 @@ fn sim_endpoint_drops_hostile_datagrams_and_keeps_receiving() {
         }
         let mut comm = SimComm::new(proc, 2, cfg.clone());
         let req = comm.post_recv(Some(0), TAG);
-        let other = comm.recv_match_timeout(0, TAG + 1, Duration::from_micros(1300));
+        let other = comm.post_recv(Some(0), TAG + 1);
+        let other = comm.wait_deadline(other, Duration::from_micros(1300));
         assert!(other.unwrap().is_none(), "nothing hostile matched");
         // The seven hostile datagrams have come and gone; `req` is as it was.
         assert_eq!(comm.outstanding_recvs(), 1);

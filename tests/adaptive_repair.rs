@@ -226,7 +226,8 @@ fn send_window_prevents_unavailable_where_capacity_eviction_fails() {
             } else {
                 let mut unavailable = 0u64;
                 for _ in 0..MSGS {
-                    match c.recv_match(0, TAG) {
+                    let req = c.post_recv(Some(0), TAG);
+                    match c.wait(req) {
                         Ok(_) => {}
                         Err(RecvError::Unavailable { .. }) => unavailable += 1,
                         Err(e) => panic!("unexpected recv error: {e:?}"),

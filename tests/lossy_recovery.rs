@@ -272,17 +272,18 @@ fn chain_bcast_survives_heavy_loss() {
 /// Backend-generic body of [`chain_bcast_survives_heavy_loss`]: two
 /// pipelined chains (zero and nonzero root, distinct op slots), digest
 /// weighted by byte position.
-fn chain_workload<C: Comm>(mut c: C) -> u64 {
-    use mcast_mpi::core::bcast_ext::bcast_chain;
-    use mcast_mpi::core::{OpCode, OpTags};
+fn chain_workload<C: Comm>(c: C) -> u64 {
+    use mcast_mpi::core::BcastAlgorithm;
 
-    let me = c.rank();
+    let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::Chain);
+    let me = comm.rank();
     let mut buf = if me == 0 {
         (0..5000u32).map(|i| (i % 251) as u8).collect()
     } else {
         Vec::new()
     };
-    bcast_chain(&mut c, 512, OpTags::new(OpCode::Bcast, 0), 0, &mut buf).unwrap();
+    comm.bcast_cfg.chain_segment_bytes = 512;
+    comm.bcast(0, &mut buf).unwrap();
     let digest: u64 = buf
         .iter()
         .enumerate()
@@ -294,7 +295,8 @@ fn chain_workload<C: Comm>(mut c: C) -> u64 {
     } else {
         Vec::new()
     };
-    bcast_chain(&mut c, 300, OpTags::new(OpCode::Bcast, 1), 2, &mut buf2).unwrap();
+    comm.bcast_cfg.chain_segment_bytes = 300;
+    comm.bcast(2, &mut buf2).unwrap();
     digest
         + buf2
             .iter()

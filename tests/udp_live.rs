@@ -260,12 +260,16 @@ fn live_burst_waits_in_the_kernel_buffer_for_a_busy_receiver() {
                 c.mcast(7, vec![i as u8; 60_000]);
             }
             // Hold the endpoint open until the receiver is done with it.
-            let done = c.recv_match_timeout(1, 8, Duration::from_secs(5));
+            let done = c.post_recv(Some(1), 8);
+            let done = c.wait_deadline(done, Duration::from_secs(5));
             return Ok(usize::from(matches!(done, Ok(Some(_)))));
         }
         std::thread::sleep(Duration::from_millis(50));
         let got = (0..BURST)
-            .map_while(|_| c.recv_match_timeout(0, 7, Duration::from_secs(1)).ok()?)
+            .map_while(|_| {
+                let req = c.post_recv(Some(0), 7);
+                c.wait_deadline(req, Duration::from_secs(1)).ok()?
+            })
             .filter(|m| m.payload.len() == 60_000)
             .count();
         c.send(0, 8, b"done");

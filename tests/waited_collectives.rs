@@ -156,10 +156,27 @@ fn program<C: Comm>(comm: &mut Communicator<C>, p: Program) -> u64 {
     acc
 }
 
+/// Which algorithms the communicator runs.
+#[derive(Clone, Copy)]
+enum Algos {
+    /// The paper's barrier and multicast allgather, with this broadcast.
+    Bcast(BcastAlgorithm),
+    /// `Communicator::new_mpich`: MPICH's binomial broadcast and barrier,
+    /// and the gather + broadcast allgather.
+    Mpich,
+}
+
+fn communicator<C: Comm>(c: C, algos: Algos) -> Communicator<C> {
+    match algos {
+        Algos::Bcast(bcast) => Communicator::new(c).with_bcast(bcast),
+        Algos::Mpich => Communicator::new_mpich(c),
+    }
+}
+
 fn run(
     cluster: &ClusterConfig,
     repair: Option<RepairConfig>,
-    bcast: BcastAlgorithm,
+    algos: Algos,
     p: Program,
     default_loop: bool,
 ) -> (RunReport<u64>, WorldStats) {
@@ -169,9 +186,9 @@ fn run(
     };
     run_sim_world_stats(cluster, &comm_cfg, |c| {
         if default_loop {
-            program(&mut Communicator::new(DefaultLoop(c)).with_bcast(bcast), p)
+            program(&mut communicator(DefaultLoop(c), algos), p)
         } else {
-            program(&mut Communicator::new(c).with_bcast(bcast), p)
+            program(&mut communicator(c, algos), p)
         }
     })
     .expect("every collective completes")
@@ -182,11 +199,21 @@ fn run(
 fn both_ways(
     cluster: &ClusterConfig,
     repair: Option<RepairConfig>,
-    bcast: BcastAlgorithm,
+    algos: Algos,
     p: Program,
 ) -> (HandoffStats, HandoffStats, WorldStats) {
-    let (plain, plain_stats) = run(cluster, repair, bcast, p, true);
-    let (lent, lent_stats) = run(cluster, repair, bcast, p, false);
+    both_ways_report(cluster, repair, algos, p).0
+}
+
+/// [`both_ways`], with the override's report.
+fn both_ways_report(
+    cluster: &ClusterConfig,
+    repair: Option<RepairConfig>,
+    algos: Algos,
+    p: Program,
+) -> ((HandoffStats, HandoffStats, WorldStats), RunReport<u64>) {
+    let (plain, plain_stats) = run(cluster, repair, algos, p, true);
+    let (lent, lent_stats) = run(cluster, repair, algos, p, false);
     assert_eq!(lent.completion_times, plain.completion_times);
     assert_eq!(lent.outputs, plain.outputs);
     assert_eq!(format!("{lent_stats:?}"), format!("{plain_stats:?}"));
@@ -196,7 +223,7 @@ fn both_ways(
         plain.handoff.answered + plain.handoff.stepped_inline,
         "the same completions, handed over differently"
     );
-    (lent.handoff, plain.handoff, lent_stats)
+    ((lent.handoff, plain.handoff, lent_stats), lent)
 }
 
 fn skewed(n: usize, params: NetParams, seed: u64) -> ClusterConfig {
@@ -220,7 +247,7 @@ fn switch_n64_lossy_srm_cycle() {
     let (lent, plain, stats) = both_ways(
         &skewed(64, switch, 0x5E12_7ED1),
         Some(RepairConfig::sim_default().with_seed(11)),
-        BcastAlgorithm::McastBinary,
+        Algos::Bcast(BcastAlgorithm::McastBinary),
         Program::Cycles { n: 3, size: 3000 },
     );
     assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
@@ -240,7 +267,7 @@ fn hub_n8_cycle() {
     let (lent, plain, stats) = both_ways(
         &skewed(8, hub, 0x5E12_7ED2),
         Some(RepairConfig::sim_default().with_seed(12)),
-        BcastAlgorithm::McastBinary,
+        Algos::Bcast(BcastAlgorithm::McastBinary),
         Program::Cycles { n: 4, size: 3000 },
     );
     assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
@@ -257,7 +284,7 @@ fn mpich_binomial_bcast_n8() {
     let (lent, plain, stats) = both_ways(
         &skewed(8, NetParams::fast_ethernet_switch(), 0x5E12_7ED4),
         None,
-        BcastAlgorithm::MpichBinomial,
+        Algos::Bcast(BcastAlgorithm::MpichBinomial),
         Program::Bcasts { n: 12 },
     );
     assert!(
@@ -279,9 +306,54 @@ fn send_window_hands_claims_back_to_the_thread() {
     let (lent, plain, stats) = both_ways(
         &skewed(8, NetParams::fast_ethernet_switch(), 0x5E12_7ED5),
         Some(repair),
-        BcastAlgorithm::McastBinary,
+        Algos::Bcast(BcastAlgorithm::McastBinary),
         Program::Bcasts { n: 12 },
     );
     assert!(stats.repair.send_window_stalls > 0, "the window throttled");
     assert_eq!((lent, plain), (handoff(195, 273), handoff(195, 273)));
+}
+
+/// The MPICH family: the binomial broadcast, the three-phase barrier and
+/// the gather + broadcast allgather. A barrier rank receives up to
+/// `log2 N + 1` times and the allgather's two stages chain, so the closer
+/// takes 46 more of the steps (92 answered, against the default loop's
+/// 138). `events_handled` = 2 775 is what the blocking barrier and
+/// allgather bodies these machines replaced handled in this run: the
+/// machines make the same calls.
+#[test]
+fn mpich_family_cycle_n8() {
+    let ((lent, plain, stats), report) = both_ways_report(
+        &skewed(8, NetParams::fast_ethernet_switch(), 0x5E12_7ED6),
+        None,
+        Algos::Mpich,
+        Program::Cycles { n: 4, size: 3000 },
+    );
+    assert!(
+        stats.net.kernel_datagrams_sent > 0,
+        "TCP acks were modelled"
+    );
+    assert_eq!(report.events_handled, 2_775);
+    assert_eq!((lent, plain), (handoff(92, 234), handoff(138, 188)));
+}
+
+/// The gossip broadcast on a unicast-only fabric at 5 % loss: a receiver
+/// has one receive per broadcast, so it parks once either way, and the
+/// pulls that heal the losses happen inside that one wait — the hand-off
+/// is the same both ways, and the blocking body's before the port.
+/// `events_handled` = 18 926 is that blocking body's count for this run.
+#[test]
+fn gossip_bcast_n16_unicast_only_lossy() {
+    let fabric = NetParams::fast_ethernet_switch()
+        .with_unicast_only()
+        .with_loss(0.05);
+    let ((lent, plain, stats), report) = both_ways_report(
+        &skewed(16, fabric, 0x5E12_7ED7),
+        Some(RepairConfig::sim_default().with_seed(13).with_gossip()),
+        Algos::Bcast(BcastAlgorithm::Gossip),
+        Program::Bcasts { n: 12 },
+    );
+    assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
+    assert!(stats.repair.wants_sent > 0, "receivers pulled");
+    assert_eq!(report.events_handled, 18_926);
+    assert_eq!((lent, plain), (handoff(196, 1_221), handoff(196, 1_221)));
 }

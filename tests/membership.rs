@@ -127,14 +127,31 @@ fn kill_run(n: usize, victim: usize, seed: u64) -> (Vec<KillOutcome>, Vec<SimTim
         "the shrink must have committed epoch 1"
     );
     let times = report.completion_times.clone();
-    let fingerprint = format!("{:?}{:?}", stats.net, stats.repair);
-    (report.outputs, times, fingerprint)
+    (report.outputs, times, format!("{stats:?}"))
 }
+
+/// FNV-1a over the rendered parts of a run's outcome.
+fn digest(parts: &[String]) -> u64 {
+    parts
+        .iter()
+        .flat_map(|p| p.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `digest` of `kill_run(8, 4, 3)`'s outputs, completion times and
+/// `WorldStats`, captured before sub-communicators became views inside
+/// the endpoint: the kill, the agreement round, the shrunk
+/// communicator's retry and its barriers put the same bytes on the
+/// fabric at the same virtual instants.
+const SHRINK_KILL_N8: u64 = 0x9445_8ad7_c39d_d84c;
 
 /// Full verification of one kill scenario: run it, check every
 /// survivor against the lossless mem ground truth, and (optionally)
-/// re-run the whole thing to pin byte-identical replay.
-fn kill_case(n: usize, seed: u64, replay: bool) {
+/// re-run the whole thing to pin byte-identical replay. Returns the
+/// run's `digest`.
+fn kill_case(n: usize, seed: u64, replay: bool) -> u64 {
     let victim = n / 2;
     let survivors_expected: Vec<usize> = (0..n).filter(|&p| p != victim).collect();
     // The ground truth: the same survivor world on the lossless mem
@@ -176,6 +193,11 @@ fn kill_case(n: usize, seed: u64, replay: bool) {
         assert_eq!(times, t2, "completion times must replay (n={n})");
         assert_eq!(fingerprint, f2, "WorldStats must replay (n={n})");
     }
+    digest(&[
+        format!("{outputs:?}"),
+        format!("{times:?}"),
+        fingerprint,
+    ])
 }
 
 /// The acceptance gate: kill a rank mid-`iallgather` at 10% loss.
@@ -185,7 +207,9 @@ fn kill_case(n: usize, seed: u64, replay: bool) {
 /// whole failure/shrink/retry run replays byte-identically.
 #[test]
 fn kill_mid_iallgather_survivors_shrink_and_retry() {
-    kill_case(8, 3, true);
+    let n8 = kill_case(8, 3, true);
+    println!("SHRINK_KILL_N8: {n8:#018x}");
+    assert_eq!(n8, SHRINK_KILL_N8);
     kill_case(16, 3, true);
 }
 

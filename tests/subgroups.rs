@@ -4,12 +4,28 @@
 use mcast_mpi::core::{combine_u64_sum, BcastAlgorithm, Communicator, GroupComm};
 use mcast_mpi::netsim::cluster::ClusterConfig;
 use mcast_mpi::netsim::params::NetParams;
-use mcast_mpi::transport::{run_sim_world, Comm, SimCommConfig};
+use mcast_mpi::transport::{run_sim_world, run_sim_world_stats, Comm, SimCommConfig};
+
+/// FNV-1a over the rendered parts of a run's outcome.
+fn digest(parts: &[String]) -> u64 {
+    parts
+        .iter()
+        .flat_map(|p| p.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `digest` of the parity run's outputs, completion times and
+/// `WorldStats`, captured before sub-communicators became views inside
+/// the endpoint: two concurrent groups put the same unicast fan-out on
+/// the switch at the same virtual instants.
+const SUBGROUP_PARITY_N6: u64 = 0xde47_d29c_b090_b265;
 
 #[test]
 fn parity_groups_run_concurrently_on_the_switch() {
     let cluster = ClusterConfig::new(6, NetParams::fast_ethernet_switch(), 41);
-    let report = run_sim_world(&cluster, &SimCommConfig::default(), |mut c| {
+    let (report, stats) = run_sim_world_stats(&cluster, &SimCommConfig::default(), |mut c| {
         let colors: Vec<u32> = (0..6).map(|r| (r % 2) as u32).collect();
         let group = GroupComm::split(&mut c, &colors, 5);
         let mut comm = Communicator::new(group);
@@ -24,6 +40,13 @@ fn parity_groups_run_concurrently_on_the_switch() {
     // Evens: 0+2+4 = 6; odds: 1+3+5 = 9.
     assert_eq!(report.outputs, vec![6, 9, 6, 9, 6, 9]);
     assert_eq!(report.stats.total_drops(), 0);
+    let d = digest(&[
+        format!("{:?}", report.outputs),
+        format!("{:?}", report.completion_times),
+        format!("{stats:?}"),
+    ]);
+    println!("SUBGROUP_PARITY_N6: {d:#018x}");
+    assert_eq!(d, SUBGROUP_PARITY_N6);
 }
 
 #[test]

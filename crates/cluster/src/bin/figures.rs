@@ -1,10 +1,10 @@
 //! Regenerate every figure of the paper.
 //!
 //! ```text
-//! cargo run -p mmpi-bench --release --bin figures             # all figures
-//! cargo run -p mmpi-bench --release --bin figures -- --fig 7  # one figure
-//! cargo run -p mmpi-bench --release --bin figures -- --trials 5
-//! cargo run -p mmpi-bench --release --bin figures -- --out target/figures
+//! cargo run -p mmpi-cluster --release --bin figures             # all figures
+//! cargo run -p mmpi-cluster --release --bin figures -- --fig 7  # one figure
+//! cargo run -p mmpi-cluster --release --bin figures -- --trials 5
+//! cargo run -p mmpi-cluster --release --bin figures -- --out target/figures
 //! ```
 //!
 //! Prints the median latency per point (the line the paper draws) as a

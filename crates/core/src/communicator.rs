@@ -35,7 +35,7 @@ pub enum AllgatherAlgorithm {
 /// Collective operations bound to a transport endpoint.
 pub struct Communicator<C: Comm> {
     comm: C,
-    op_seq: u32,
+    pub(crate) op_seq: u32,
     /// Broadcast algorithm used by [`Communicator::bcast`].
     pub bcast_algo: BcastAlgorithm,
     /// Barrier algorithm used by [`Communicator::barrier`].

@@ -48,6 +48,16 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Collectives surface errors; the reviewed exceptions carry an
+// `#[expect]` at their site (docs/INVARIANTS.md §4).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo
+)]
 
 pub mod barrier;
 pub mod bcast;
@@ -69,7 +79,6 @@ pub use coll::{combine_u64_max, combine_u64_sum, Combine};
 pub use communicator::{AllgatherAlgorithm, Communicator};
 pub use group::GroupComm;
 pub use request::{CollRequest, IallgatherRequest, IbarrierRequest, IbcastRequest};
-pub use shrink::ShrunkComm;
 pub use tags::{OpCode, OpTags, Phase};
 
 /// Re-export of the transport's typed unrecoverable-loss error — what
@@ -81,6 +90,10 @@ pub use mmpi_transport::RecvError;
 /// continuation. The panic message carries the error's source rank, tag,
 /// and eviction floor (via [`RecvError`]'s `Display`). Library code
 /// propagates the typed error instead of calling this.
+#[expect(
+    clippy::panic,
+    reason = "reviewed: the program-boundary unwrap of a collective"
+)]
 pub fn expect_coll<T>(result: Result<T, RecvError>) -> T {
     result.unwrap_or_else(|e| panic!("collective failed with unrecoverable loss: {e}"))
 }

@@ -176,6 +176,10 @@ impl<P: Phases> Machine<P> {
         Ok(machine.take_output())
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "reviewed: polling a spent request is a caller bug"
+    )]
     fn poll_claimed<C: Comm + ?Sized>(&mut self, c: &mut C) -> Result<bool, RecvError> {
         let (phases, req) = match &mut self.life {
             Life::Blocked(phases, req) => (phases, req),
@@ -205,6 +209,10 @@ impl<P: Phases> Machine<P> {
         })
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "reviewed: the output exists once, after completion"
+    )]
     fn take_output(&mut self) -> P::Output {
         match mem::replace(&mut self.life, Life::Claimed) {
             Life::Complete(out) => out,

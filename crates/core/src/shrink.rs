@@ -6,10 +6,12 @@
 //! [`RecvError::PeerFailed`]. Recovery follows the MPI ULFM recipe:
 //! every survivor calls [`Communicator::shrink`], which runs one
 //! deterministic agreement round over the overheard failure sets and
-//! rebuilds the group as a [`ShrunkComm`] with compacted ranks and a
-//! bumped liveness epoch. The epoch is stamped into the transport's
-//! message context ([`Comm::rebase_epoch`]), so stragglers from the old
-//! group can never match new-epoch receives.
+//! narrows the endpoint's view to the survivors
+//! ([`Endpoint::shrink_to`]): compacted ranks, a fresh tag space and a
+//! bumped liveness epoch, on the same endpoint — not a wrapper around
+//! it, so a survivor's collectives wait like the world's. The epoch is
+//! stamped into the transport's message context ([`Comm::rebase_epoch`]),
+//! so stragglers from the old group can never match new-epoch receives.
 //!
 //! ## The agreement round
 //!
@@ -38,13 +40,11 @@
 //! so heartbeats always outrun them.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 
-use mmpi_transport::{CancelSink, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag};
-use mmpi_wire::{Bytes, Message, MsgKind};
+use mmpi_transport::{Backend, Comm, Endpoint, RecvError, RecvReq, Tag};
+use mmpi_wire::{Bytes, MsgKind};
 
 use crate::communicator::Communicator;
-use crate::group::Mapping;
 
 /// Tag space reserved for shrink votes, far above the collective
 /// op-sequence layout (`crate::tags`) and distinct from the group shift
@@ -72,186 +72,18 @@ fn encode_vote(epoch: u32, failed: &BTreeSet<u32>) -> Bytes {
 }
 
 fn decode_vote(payload: &[u8]) -> Vec<u32> {
-    if payload.len() < 8 {
+    let [_, _, _, _, c0, c1, c2, c3, failed @ ..] = payload else {
         return Vec::new();
-    }
-    let count = u32::from_le_bytes(payload[4..8].try_into().expect("checked")) as usize;
-    payload[8..]
+    };
+    let count = u32::from_le_bytes([*c0, *c1, *c2, *c3]) as usize;
+    failed
         .chunks_exact(4)
         .take(count)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunked")))
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect()
 }
 
-/// A communicator transport over the survivors of a failed group.
-///
-/// Like [`crate::GroupComm`] this translates member ranks to parent
-/// (pre-shrink) ranks and shifts the tag space (one shared mapping does
-/// both for the two of them) — but it *owns* the
-/// parent transport (the old communicator is consumed; there is nothing
-/// to go back to), and it keeps real multicast: every non-member is
-/// dead or departed, so a wire-level multicast reaches exactly the
-/// members and cannot grow a bystander's inbox.
-pub struct ShrunkComm<C: Comm> {
-    parent: C,
-    /// Survivors' parent ranks ↔ new ranks, and this epoch's tag shift.
-    map: Mapping,
-    /// The liveness epoch this group was formed in.
-    epoch: u32,
-}
-
-impl<C: Comm> ShrunkComm<C> {
-    fn new(parent: C, members: Vec<usize>, epoch: u32) -> Self {
-        // Epoch in the high bits: tags of successive shrinks differ
-        // even on transports whose context never changes.
-        let tag_shift = 0x2000_0000u32.wrapping_add(epoch.wrapping_shl(16));
-        let map = Mapping::new(members, parent.rank(), tag_shift);
-        ShrunkComm { parent, map, epoch }
-    }
-
-    /// The survivor list (parent ranks, sorted).
-    pub fn members(&self) -> &[usize] {
-        &self.map.members
-    }
-
-    /// The epoch this group was formed in.
-    pub fn formed_epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// The underlying (pre-shrink) transport.
-    pub fn parent(&self) -> &C {
-        &self.parent
-    }
-}
-
-impl<C: Comm> Comm for ShrunkComm<C> {
-    fn rank(&self) -> usize {
-        self.map.my_rank
-    }
-
-    fn size(&self) -> usize {
-        self.map.members.len()
-    }
-
-    fn context(&self) -> u32 {
-        self.parent.context()
-    }
-
-    fn multicast_capable(&self) -> bool {
-        self.parent.multicast_capable()
-    }
-
-    fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        let t = self.map.shift(tag);
-        self.parent
-            .send_kind(self.map.members[dst], t, kind, payload)
-    }
-
-    fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        // Real multicast (see type docs): the dead can't overhear.
-        self.parent.mcast_kind(self.map.shift(tag), kind, payload)
-    }
-
-    fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        self.parent
-            .mcast_resend(self.map.shift(tag), kind, payload, seq);
-    }
-
-    fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        let world = src.map(|s| self.map.members[s]);
-        self.parent.post_recv(world, self.map.shift(tag))
-    }
-
-    fn progress(&mut self) {
-        self.parent.progress();
-    }
-
-    fn progress_block(&mut self) {
-        self.parent.progress_block();
-    }
-
-    fn wait_ready(&mut self, reqs: &[RecvReq]) {
-        self.parent.wait_ready(reqs);
-    }
-
-    fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        let done = self.parent.test_claimed(req)?;
-        Some(self.map.local_result(done))
-    }
-
-    fn wait_deadline(
-        &mut self,
-        req: RecvReq,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        let done = self.parent.wait_deadline(req, timeout);
-        self.map.local_timed(done)
-    }
-
-    fn cancel_recv(&mut self, req: RecvReq) {
-        self.parent.cancel_recv(req);
-    }
-
-    fn cancel_sink(&self) -> CancelSink {
-        self.parent.cancel_sink()
-    }
-
-    fn try_post_send(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<SendReq, SendWindowFull> {
-        let t = self.map.shift(tag);
-        self.parent.try_post_send(self.map.members[dst], t, payload)
-    }
-
-    fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        self.parent.try_post_mcast(self.map.shift(tag), payload)
-    }
-
-    fn compute(&mut self, d: Duration) {
-        self.parent.compute(d);
-    }
-
-    fn tcp_ack_model(&mut self, dst: usize, count: u32) {
-        self.parent.tcp_ack_model(self.map.members[dst], count);
-    }
-
-    fn failed_peers(&self) -> Vec<usize> {
-        // Failures since the shrink, in survivor coordinates.
-        self.map.local_peers(self.parent.failed_peers())
-    }
-
-    fn departed_peers(&self) -> Vec<usize> {
-        self.map.local_peers(self.parent.departed_peers())
-    }
-
-    fn epoch(&self) -> u32 {
-        // On transports without membership `rebase_epoch` is a no-op
-        // and the parent still reports 0; the formed epoch is the floor
-        // so repeated shrinks keep advancing regardless.
-        self.parent.epoch().max(self.epoch)
-    }
-
-    // Unlike a borrowed group view, the shrunk transport owns its
-    // parent, so lifecycle calls forward: a further failure can be
-    // survived by shrinking again, and a survivor can leave.
-    fn leave(&mut self) {
-        self.parent.leave();
-    }
-
-    fn rebase_epoch(&mut self, epoch: u32) {
-        self.parent.rebase_epoch(epoch);
-    }
-
-    fn declare_failed(&mut self, rank: usize) {
-        self.parent.declare_failed(self.map.members[rank]);
-    }
-}
-
-impl<C: Comm> Communicator<C> {
+impl<B: Backend> Communicator<Endpoint<B>> {
     /// Rebuild the group after a failure (`MPI_Comm_shrink`): run the
     /// survivor-agreement round (module docs) and return a communicator
     /// over the survivors with compacted ranks and a bumped epoch.
@@ -259,12 +91,9 @@ impl<C: Comm> Communicator<C> {
     /// Every survivor must call this collectively, like any other
     /// collective — typically from the error path of a collective that
     /// returned [`RecvError::PeerFailed`]. Algorithm selections carry
-    /// over to the new communicator. Errors other than peer failures
-    /// (unrecoverable loss) propagate.
-    pub fn shrink(mut self) -> Result<Communicator<ShrunkComm<C>>, RecvError> {
-        let (bcast_algo, barrier_algo, allgather_algo) =
-            (self.bcast_algo, self.barrier_algo, self.allgather_algo);
-        let bcast_cfg = self.bcast_cfg.clone();
+    /// over to the new communicator, whose op sequence starts again at 0.
+    /// Errors other than peer failures (unrecoverable loss) propagate.
+    pub fn shrink(mut self) -> Result<Self, RecvError> {
         let t = self.transport_mut();
         let me = t.rank();
         let n = t.size();
@@ -314,14 +143,16 @@ impl<C: Comm> Communicator<C> {
         let epoch = epoch0.wrapping_add(1);
         t.rebase_epoch(epoch);
         let survivors: Vec<usize> = (0..n).filter(|&p| !failed.contains(&(p as u32))).collect();
-        let mut comm = Communicator::new(ShrunkComm::new(self.into_transport(), survivors, epoch));
-        comm.bcast_algo = bcast_algo;
-        comm.barrier_algo = barrier_algo;
-        comm.bcast_cfg = bcast_cfg;
-        comm.allgather_algo = allgather_algo;
-        Ok(comm)
+        // The epoch in the tag shift's high bits: the tags of successive
+        // shrinks differ even on transports whose context never changes.
+        let tag_shift = 0x2000_0000u32.wrapping_add(epoch.wrapping_shl(16));
+        t.shrink_to(&survivors, tag_shift, epoch);
+        self.op_seq = 0;
+        Ok(self)
     }
+}
 
+impl<C: Comm> Communicator<C> {
     /// Graceful departure (drain-on-leave, `docs/API.md`): announce,
     /// flush the retransmit ring, and retire the endpoint. The
     /// communicator is consumed — there is no rejoining. Survivors see
@@ -335,6 +166,8 @@ impl<C: Comm> Communicator<C> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::{combine_u64_sum, Communicator};
     use mmpi_transport::run_mem_world;
@@ -402,11 +235,19 @@ mod tests {
     #[test]
     fn repeated_shrink_bumps_epoch_and_separates_tag_spaces() {
         let out = run_mem_world(3, 0, |c| {
-            let comm = Communicator::new(c).shrink().unwrap();
-            let t1 = comm.transport().map.tag_shift;
-            let comm2 = comm.shrink().unwrap();
-            let t2 = comm2.transport().map.tag_shift;
-            assert_ne!(t1, t2);
+            let mut comm = Communicator::new(c).shrink().unwrap();
+            if comm.rank() == 0 {
+                comm.transport_mut().send(1, 5, b"first");
+            }
+            let mut comm2 = comm.shrink().unwrap();
+            if comm2.rank() == 1 {
+                // Rank 0's tag-5 message came in ahead of its second vote
+                // (channels are FIFO), yet tag 5 of the second shrink
+                // cannot match it.
+                let t = comm2.transport_mut();
+                let req = t.post_recv(Some(0), 5);
+                assert_eq!(t.wait_deadline(req, Duration::ZERO), Ok(None));
+            }
             (comm2.transport().formed_epoch(), comm2.size())
         });
         assert_eq!(out, vec![(2, 3); 3]);

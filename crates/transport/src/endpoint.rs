@@ -7,7 +7,9 @@
 //! [`Endpoint`]s over their backend — type aliases, so the surface cannot
 //! differ between them. The glue is generic, not dynamic: each alias is
 //! monomorphised, and a call through it costs what the hand-written
-//! forwarder it replaced did.
+//! forwarder it replaced did. A sub-communicator is the same glue under
+//! the endpoint's view (`view.rs`): ranks and tags are translated where
+//! receives are posted, sends go out and completions are claimed.
 
 use std::slice;
 use std::time::Duration;
@@ -75,24 +77,32 @@ pub trait Backend {
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
         let _ = (dst, count);
     }
+
+    /// The [`Endpoint`] over this backend is dropped. A backend that owns
+    /// its endpoint drains it: a peer may still be missing this rank's
+    /// *final* message, so the endpoint keeps answering repair requests
+    /// until the link has been quiet for the grace period
+    /// ([`EndpointCore::drain`]; a no-op with repair off). The drain is
+    /// skipped while unwinding — a panicking rank must not linger, and on
+    /// the simulator every blocking call would re-panic. A backend that
+    /// borrows the endpoint gives it back instead.
+    fn close(&mut self) {
+        if !std::thread::panicking() {
+            self.with(|core, io| core.drain(io));
+        }
+    }
 }
 
 /// One rank's communicator over backend `B` — the type behind
-/// [`crate::MemComm`], [`crate::UdpComm`] and [`crate::SimComm`].
-///
-/// Dropping it drains: a peer may still be missing this rank's *final*
-/// message, so the endpoint keeps answering repair requests until the link
-/// has been quiet for the grace period ([`EndpointCore::drain`]; a no-op
-/// with repair off). The drain is skipped while unwinding — a panicking
-/// rank must not linger, and on the simulator every blocking call would
-/// re-panic.
+/// [`crate::MemComm`], [`crate::UdpComm`], [`crate::SimComm`] and a
+/// [`crate::GroupComm`] split off any of them. Dropping it closes the
+/// backend ([`Backend::close`]): an owned endpoint drains, a borrowed one
+/// is given back.
 pub struct Endpoint<B: Backend>(pub(crate) B);
 
 impl<B: Backend> Drop for Endpoint<B> {
     fn drop(&mut self) {
-        if !std::thread::panicking() {
-            self.0.with(|core, io| core.drain(io));
-        }
+        self.0.close();
     }
 }
 
@@ -126,15 +136,26 @@ impl<B: Backend> Endpoint<B> {
     pub fn drain_grace(&self) -> Duration {
         self.0.peek(EndpointCore::drain_grace)
     }
+
+    /// Under a borrowed group, the other members a group send goes to one
+    /// unicast each, in rank order (`view.rs`); `None` when a group send
+    /// is one fabric multicast.
+    fn fan_out(&self) -> Option<impl Iterator<Item = usize>> {
+        self.0.peek(|core| {
+            let me = core.view.rank(core.rank());
+            let peers = (0..core.view.size(core.size())).filter(move |&r| r != me);
+            core.view.is_group().then_some(peers)
+        })
+    }
 }
 
 impl<B: Backend> Comm for Endpoint<B> {
     fn rank(&self) -> usize {
-        self.0.peek(EndpointCore::rank)
+        self.0.peek(|core| core.view.rank(core.rank()))
     }
 
     fn size(&self) -> usize {
-        self.0.peek(EndpointCore::size)
+        self.0.peek(|core| core.view.size(core.size()))
     }
 
     fn context(&self) -> u32 {
@@ -146,22 +167,35 @@ impl<B: Backend> Comm for Endpoint<B> {
     }
 
     fn send_kind(&mut self, dst: usize, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.0
-            .with(|core, io| core.send_message(io, dst, tag, kind, payload))
+        self.0.with(|core, io| {
+            core.send_message(io, core.view.world(dst), core.view.tag(tag), kind, payload)
+        })
     }
 
     fn mcast_kind(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes) -> u64 {
-        self.0
-            .with(|core, io| core.mcast_message(io, tag, kind, payload))
+        match self.fan_out() {
+            Some(peers) => peers.fold(0, |_, r| self.send_kind(r, tag, kind, payload)),
+            None => self
+                .0
+                .with(|core, io| core.mcast_message(io, core.view.tag(tag), kind, payload)),
+        }
     }
 
     fn mcast_resend(&mut self, tag: Tag, kind: MsgKind, payload: &Bytes, seq: u64) {
-        self.0
-            .with(|core, io| core.mcast_resend_message(io, tag, kind, payload, seq));
+        if self.fan_out().is_some() {
+            // A fan-out goes again, under fresh sequence numbers.
+            self.mcast_kind(tag, kind, payload);
+        } else {
+            self.0.with(|core, io| {
+                core.mcast_resend_message(io, core.view.tag(tag), kind, payload, seq)
+            });
+        }
     }
 
     fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq {
-        self.0.with(|core, io| core.post_recv(io, src, tag))
+        self.0.with(|core, io| {
+            core.post_recv(io, src.map(|s| core.view.world(s)), core.view.tag(tag))
+        })
     }
 
     fn progress(&mut self) {
@@ -180,7 +214,8 @@ impl<B: Backend> Comm for Endpoint<B> {
     }
 
     fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        self.0.with(|core, _| core.test_claimed(req))
+        self.0
+            .with(|core, _| core.test_claimed(req).map(|r| core.view.local(r)))
     }
 
     fn wait_deadline(
@@ -190,7 +225,10 @@ impl<B: Backend> Comm for Endpoint<B> {
     ) -> Result<Option<Message>, RecvError> {
         let deadline = self.0.with(|core, io| core.arm_deadline(io, req, timeout));
         self.0.block(WaitKind::Until(req, deadline));
-        self.0.with(|core, _| core.claim_by_deadline(req))
+        self.0.with(|core, _| {
+            let done = core.claim_by_deadline(req).transpose();
+            done.map(|r| core.view.local(r)).transpose()
+        })
     }
 
     fn wait_op(&mut self, op: &mut dyn ClaimStep) -> Result<(), RecvError> {
@@ -219,14 +257,24 @@ impl<B: Backend> Comm for Endpoint<B> {
         payload: &Bytes,
     ) -> Result<SendReq, SendWindowFull> {
         self.0
-            .with(|core, io| core.try_send_message(io, dst, tag, payload))
+            .with(|core, io| {
+                core.try_send_message(io, core.view.world(dst), core.view.tag(tag), payload)
+            })
             .map(SendReq::completed)
     }
 
     fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        self.0
-            .with(|core, io| core.try_mcast_message(io, tag, payload))
-            .map(SendReq::completed)
+        match self.fan_out() {
+            // Give up on the first full window; the copies already sent
+            // stand, as in a blocked fan-out interrupted mid-loop.
+            Some(mut peers) => peers.try_fold(SendReq::default(), |_, r| {
+                self.try_post_send(r, tag, payload)
+            }),
+            None => self
+                .0
+                .with(|core, io| core.try_mcast_message(io, core.view.tag(tag), payload))
+                .map(SendReq::completed),
+        }
     }
 
     fn compute(&mut self, d: Duration) {
@@ -247,31 +295,46 @@ impl<B: Backend> Comm for Endpoint<B> {
     }
 
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
+        let dst = self.0.peek(|core| core.view.world(dst));
         self.0.tcp_ack_model(dst, count);
     }
 
     fn failed_peers(&self) -> Vec<usize> {
-        self.0.peek(EndpointCore::failed_peers)
+        self.0
+            .peek(|core| core.view.local_peers(core.failed_peers()))
     }
 
     fn departed_peers(&self) -> Vec<usize> {
-        self.0.peek(EndpointCore::departed_peers)
+        self.0
+            .peek(|core| core.view.local_peers(core.departed_peers()))
     }
 
     fn epoch(&self) -> u32 {
-        self.0.peek(EndpointCore::epoch)
+        self.0.peek(|core| core.view.epoch(core.epoch()))
     }
 
+    // A borrowed group keeps `leave` and `rebase_epoch` no-ops: departing
+    // or re-contexting the parent endpoint from inside one would outlive
+    // the group.
     fn leave(&mut self) {
-        self.0.with(|core, io| core.leave(io));
+        self.0.with(|core, io| {
+            if !core.view.is_group() {
+                core.leave(io);
+            }
+        });
     }
 
     fn rebase_epoch(&mut self, epoch: u32) {
-        self.0.with(|core, _| core.rebase_epoch(epoch));
+        self.0.with(|core, _| {
+            if !core.view.is_group() {
+                core.rebase_epoch(epoch);
+            }
+        });
     }
 
     fn declare_failed(&mut self, rank: usize) {
-        self.0.with(|core, _| core.force_fail(rank));
+        self.0
+            .with(|core, _| core.force_fail(core.view.world(rank)));
     }
 }
 

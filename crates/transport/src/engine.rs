@@ -18,6 +18,7 @@ use crate::inbox::Inbox;
 use crate::planes::membership::MemberState;
 use crate::planes::{Ctx, Encoder, Repair};
 use crate::pump::{deadline_after, dur_nanos, Nanos, RepairPort, RepairPump, WaitKind, WaitPoll};
+use crate::view::View;
 
 /// One posted receive in the endpoint's request table: its matcher, its
 /// private NACK solicitation deadline, and — once the progress engine
@@ -63,6 +64,10 @@ pub struct EndpointCore {
     /// Posted receives, in post order (the matching priority).
     pending: Vec<PendingRecv>,
     next_req: u64,
+    /// What the communicator over this endpoint sees of it: the world, or
+    /// a sub-communicator. Only the `Comm` glue reads it; everything here
+    /// speaks world ranks and wire tags.
+    pub(crate) view: View,
 }
 
 /// The message context of `epoch` for a communicator whose epoch-0
@@ -113,6 +118,7 @@ impl EndpointCore {
             cancels: CancelSink::new(),
             pending: Vec::new(),
             next_req: 0,
+            view: View::default(),
         }
     }
 

@@ -27,6 +27,7 @@
 //! | [`inbox`] | [`Inbox`]: reassembly, dedup, tag matching, control-traffic diversion |
 //! | [`pump`] | [`RepairPump`]/[`RepairPort`] — what the engine asks of a backend |
 //! | [`engine`] | [`EndpointCore`]: send paths, request table, progress engine, the one wait loop, drain |
+//! | [`view`] | sub-communicators as views inside the endpoint: [`GroupComm`] and the shrunk survivors |
 //! | `planes::{srm, horizon, membership, gossip}` | the repair loop's four planes, module-private, each reached through a few entry points |
 //!
 //! The sim and UDP backends optionally run the NACK/retransmit repair
@@ -67,6 +68,7 @@ pub mod sim;
 #[doc(hidden)]
 pub mod testing;
 pub mod udp;
+pub mod view;
 
 pub use api::{
     CancelSink, ClaimStep, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag,
@@ -80,6 +82,7 @@ pub use mem::{run_mem_world, MemComm};
 pub use pump::{Nanos, RepairPort, RepairPump, WaitKind, WaitPoll};
 pub use sim::{run_sim_world, run_sim_world_stats, SimComm, SimCommConfig, WorldStats};
 pub use udp::{multicast_available, multicast_available_cached, run_udp_world, UdpComm, UdpConfig};
+pub use view::{Borrowed, GroupComm};
 
 /// The engine-level unit tests, over [`testing::ScriptedPump`]. The
 /// module path `comm::tests` is the one these tests have had since the

@@ -45,7 +45,6 @@
 //! window's plain receives), which is safe because a closer only ever
 //! touches the endpoint of a rank parked *served*.
 
-use std::mem::ManuallyDrop;
 use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -251,8 +250,8 @@ fn unicast(dst: usize) -> DatagramDst {
 /// A stepped rank cannot receive: its thread is parked in the receive the
 /// closer is serving. Nothing a closer runs gets here — turns and claim
 /// steps make no blocking call, a lent operation's sends cannot meet a
-/// closed send window ([`EndpointState::serve`]), and the [`Stepped`] view
-/// never drains.
+/// closed send window ([`EndpointState::serve`]), and closing the
+/// [`Stepped`] endpoint does not drain.
 #[expect(
     clippy::panic,
     reason = "a receive on the closer's thread would be a contract breach of `ClaimStep::claim`"
@@ -460,7 +459,7 @@ impl EndpointState {
             if self.core.data_sends_may_block() {
                 return step;
             }
-            let mut c = ManuallyDrop::new(crate::Endpoint(Stepped {
+            let claimed = op.claim(&mut crate::Endpoint(Stepped {
                 core: &mut self.core,
                 io: SimIo {
                     wire: &mut *port,
@@ -468,7 +467,7 @@ impl EndpointState {
                 },
                 multicast_capable,
             }));
-            match op.claim(&mut *c) {
+            match claimed {
                 Ok(Some(next)) => self.park(WaitKind::AnyOf(slice::from_ref(&next))),
                 ended => {
                     self.ended = Some(ended.map(|_| ()));
@@ -511,8 +510,8 @@ impl Served for Endpoint {
 /// stepped rank's core and the closer's port, behind the one `Comm` glue
 /// ([`crate::Endpoint`]), so every call is the one the owner's thread
 /// makes and reaches the `World` as the request it would have posted
-/// ([`RankPort`]). It is never dropped — a drop would drain — and cannot
-/// receive.
+/// ([`RankPort`]), translated by the rank's view. Closing it does
+/// nothing — the endpoint stays the rank's — and it cannot receive.
 struct Stepped<'a, 'p> {
     core: &'a mut EndpointCore,
     io: SimIo<&'a mut RankPort<'p>>,
@@ -541,6 +540,8 @@ impl<'a, 'p> Backend for Stepped<'a, 'p> {
     fn tcp_ack_model(&mut self, dst: usize, count: u32) {
         tcp_acks(&mut *self.core, &mut self.io, dst, count);
     }
+
+    fn close(&mut self) {}
 }
 
 /// The simulator [`Backend`]: the rank's process handle, and its endpoint

@@ -50,14 +50,14 @@
 //! losses `netsim`'s fault layer injects:
 //!
 //! ```text
-//!                    mcast-mpi (umbrella: root tests/ + examples/)
-//!                        │
-//!        ┌───────────────┼────────────────┐
-//!        ▼               ▼                │
-//!   mmpi-bench ───► mmpi-cluster          │   figures, allocation
-//!        │               │                │   gauge, loss-sweep tables
-//!        │               ▼                ▼
-//!        └─────────► mmpi-core ──────────────  collective algorithms
+//!                    mcast-mpi (umbrella: root tests/ + examples/,
+//!                        │      the allocation gauge among them)
+//!                        ├────────────────┐
+//!                        ▼                │
+//!                   mmpi-cluster          │   experiments, loss-sweep
+//!                        │                │   tables, the figures binary
+//!                        ▼                ▼
+//!                    mmpi-core ──────────────  collective algorithms
 //!                        │                     (loss-oblivious), typed
 //!                        │                     RecvError results, and
 //!                        │                     ibcast / ibarrier /
@@ -78,7 +78,12 @@
 //!                    │         │                 three are its aliases
 //!                    │         │                 over a Backend (reach
 //!                    │         │                 core + pump, block,
-//!                    │         │                 pass time)
+//!                    │         │                 pass time, close)
+//!                    │         │               · view: a sub-communicator
+//!                    │         │                 (GroupComm, the shrunk
+//!                    │         │                 survivors) is the
+//!                    │         │                 endpoint under a view:
+//!                    │         │                 members, tag shift
 //!                    │         │               · engine (EndpointCore):
 //!                    │         │                 posted recvs, one
 //!                    │         │                 progress engine (test /
@@ -155,7 +160,7 @@
 //! Regenerate the paper's figures (tables + CSV + shape checks):
 //!
 //! ```text
-//! cargo run -p mmpi-bench --release --bin figures
+//! cargo run -p mmpi-cluster --release --bin figures
 //! ```
 
 #![forbid(unsafe_code)]

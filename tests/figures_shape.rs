@@ -1,6 +1,6 @@
 //! Reduced-size regeneration of every paper figure, asserting the shape
 //! criteria from DESIGN.md §6. The full-resolution sweep is
-//! `cargo run -p mmpi-bench --release --bin figures`.
+//! `cargo run -p mmpi-cluster --release --bin figures`.
 
 use mcast_mpi::cluster::figures::{
     crossover_point, fig07, fig08, fig09, fig10, fig11, fig12, fig13, run_figure, FigureData,

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use mcast_mpi::core::{expect_coll, AllgatherAlgorithm, Communicator, ShrunkComm};
+use mcast_mpi::core::{expect_coll, AllgatherAlgorithm, Communicator};
 use mcast_mpi::netsim::cluster::ClusterConfig;
 use mcast_mpi::netsim::ids::HostId;
 use mcast_mpi::netsim::params::{FaultParams, NetParams};
@@ -193,11 +193,7 @@ fn kill_case(n: usize, seed: u64, replay: bool) -> u64 {
         assert_eq!(times, t2, "completion times must replay (n={n})");
         assert_eq!(fingerprint, f2, "WorldStats must replay (n={n})");
     }
-    digest(&[
-        format!("{outputs:?}"),
-        format!("{times:?}"),
-        fingerprint,
-    ])
+    digest(&[format!("{outputs:?}"), format!("{times:?}"), fingerprint])
 }
 
 /// The acceptance gate: kill a rank mid-`iallgather` at 10% loss.
@@ -321,7 +317,7 @@ fn graceful_leave_beats_silent_crash_for_survivors() {
                 // Survivors regroup. With the announce in flight this needs
                 // no failure detection at all; without it, the shrink's
                 // vote round leans on the detector confirming the corpse.
-                let comm: Communicator<ShrunkComm<SimComm>> =
+                let comm: Communicator<SimComm> =
                     comm.shrink().expect("survivor agreement must complete");
                 assert_eq!(
                     comm.size(),
@@ -330,7 +326,7 @@ fn graceful_leave_beats_silent_crash_for_survivors() {
                     comm.transport().members()
                 );
                 assert!(
-                    comm.transport().parent().drain_grace() < grace_full,
+                    comm.transport().drain_grace() < grace_full,
                     "rank {me}: the dead rank must stop counting toward drain grace"
                 );
                 let mut comm = comm;

@@ -7,11 +7,13 @@
 //! [`DefaultLoop`], a pass-through `Comm` that keeps the trait's default
 //! `wait_op` loop (claim, else `wait_ready` on the one posted receive) —
 //! and both runs must agree on every local clock, every output, the
-//! network and repair counters and the number of `World` events.
+//! network and repair counters and the number of `World` events. A
+//! sub-communicator (a `GroupComm`, a shrunk communicator) is the same
+//! endpoint under a view, so its collectives park once too.
 
 use std::time::Duration;
 
-use mcast_mpi::core::{BcastAlgorithm, Communicator};
+use mcast_mpi::core::{BcastAlgorithm, CollRequest, Communicator, GroupComm};
 use mcast_mpi::netsim::cluster::{ClusterConfig, HandoffStats, RunReport};
 use mcast_mpi::netsim::params::NetParams;
 use mcast_mpi::netsim::SimDuration;
@@ -119,6 +121,8 @@ enum Program {
     Cycles { n: usize, size: usize },
     /// `n` broadcasts of 1 B to 9 KB, two in a row from each root.
     Bcasts { n: usize },
+    /// `n` waited `iallgather`s, each followed by a barrier.
+    Iallgathers { n: usize },
 }
 
 fn digest(acc: u64, bytes: &[u8]) -> u64 {
@@ -152,8 +156,28 @@ fn program<C: Comm>(comm: &mut Communicator<C>, p: Program) -> u64 {
                 acc = digest(acc, &buf);
             }
         }
+        Program::Iallgathers { n: rounds } => {
+            for i in 0..rounds {
+                let req = comm.iallgather(&[rank as u8 ^ i as u8; 300]);
+                let blocks = req.wait(comm.transport_mut()).unwrap();
+                comm.barrier().unwrap();
+                acc = digest(acc, &blocks.concat());
+            }
+        }
     }
     acc
+}
+
+/// Which communicator the ranks run the program on.
+#[derive(Clone, Copy)]
+enum Over {
+    /// The world endpoint.
+    World,
+    /// `GroupComm::split` by rank parity: two concurrent groups.
+    Parity,
+    /// The survivors, after each declared `victim` failed and shrank;
+    /// `victim` crashes at once.
+    Shrunk { victim: usize },
 }
 
 /// Which algorithms the communicator runs.
@@ -173,22 +197,41 @@ fn communicator<C: Comm>(c: C, algos: Algos) -> Communicator<C> {
     }
 }
 
+/// Run `p` over `c`, through [`DefaultLoop`] when `default_loop`.
+fn on<C: Comm>(c: C, algos: Algos, p: Program, default_loop: bool) -> u64 {
+    if default_loop {
+        program(&mut communicator(DefaultLoop(c), algos), p)
+    } else {
+        program(&mut communicator(c, algos), p)
+    }
+}
+
 fn run(
     cluster: &ClusterConfig,
     repair: Option<RepairConfig>,
     algos: Algos,
     p: Program,
+    over: Over,
     default_loop: bool,
 ) -> (RunReport<u64>, WorldStats) {
     let comm_cfg = SimCommConfig {
         repair,
         ..SimCommConfig::default()
     };
-    run_sim_world_stats(cluster, &comm_cfg, |c| {
-        if default_loop {
-            program(&mut communicator(DefaultLoop(c), algos), p)
-        } else {
-            program(&mut communicator(c, algos), p)
+    run_sim_world_stats(cluster, &comm_cfg, |mut c| match over {
+        Over::World => on(c, algos, p, default_loop),
+        Over::Parity => {
+            let colors: Vec<u32> = (0..c.size() as u32).map(|r| r % 2).collect();
+            on(GroupComm::split(&mut c, &colors, 3), algos, p, default_loop)
+        }
+        Over::Shrunk { victim } => {
+            if c.rank() == victim {
+                c.simulate_crash();
+                return 0;
+            }
+            c.declare_failed(victim);
+            let survivors = Communicator::new(c).shrink().unwrap();
+            on(survivors.into_transport(), algos, p, default_loop)
         }
     })
     .expect("every collective completes")
@@ -202,18 +245,19 @@ fn both_ways(
     algos: Algos,
     p: Program,
 ) -> (HandoffStats, HandoffStats, WorldStats) {
-    both_ways_report(cluster, repair, algos, p).0
+    both_ways_report(cluster, repair, algos, p, Over::World).0
 }
 
-/// [`both_ways`], with the override's report.
+/// [`both_ways`] over `over`, with the override's report.
 fn both_ways_report(
     cluster: &ClusterConfig,
     repair: Option<RepairConfig>,
     algos: Algos,
     p: Program,
+    over: Over,
 ) -> ((HandoffStats, HandoffStats, WorldStats), RunReport<u64>) {
-    let (plain, plain_stats) = run(cluster, repair, algos, p, true);
-    let (lent, lent_stats) = run(cluster, repair, algos, p, false);
+    let (plain, plain_stats) = run(cluster, repair, algos, p, over, true);
+    let (lent, lent_stats) = run(cluster, repair, algos, p, over, false);
     assert_eq!(lent.completion_times, plain.completion_times);
     assert_eq!(lent.outputs, plain.outputs);
     assert_eq!(format!("{lent_stats:?}"), format!("{plain_stats:?}"));
@@ -327,6 +371,7 @@ fn mpich_family_cycle_n8() {
         None,
         Algos::Mpich,
         Program::Cycles { n: 4, size: 3000 },
+        Over::World,
     );
     assert!(
         stats.net.kernel_datagrams_sent > 0,
@@ -351,9 +396,59 @@ fn gossip_bcast_n16_unicast_only_lossy() {
         Some(RepairConfig::sim_default().with_seed(13).with_gossip()),
         Algos::Bcast(BcastAlgorithm::Gossip),
         Program::Bcasts { n: 12 },
+        Over::World,
     );
     assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
     assert!(stats.repair.wants_sent > 0, "receivers pulled");
     assert_eq!(report.events_handled, 18_926);
     assert_eq!((lent, plain), (handoff(196, 1_221), handoff(196, 1_221)));
+}
+
+/// Two concurrent parity groups of an 8-rank world on a lossy switch:
+/// each group is the world endpoint under a view, so its machines are lent
+/// to the closer like the world's (122 answered, against the default
+/// loop's 184). `events_handled` = 1 857 and the default loop's hand-off
+/// are what the `GroupComm` wrapper this view replaced handled and handed
+/// off in this run.
+#[test]
+fn parity_split_n8_lossy_srm_cycle() {
+    let switch = NetParams::fast_ethernet_switch().with_loss(0.05);
+    let ((lent, plain, stats), report) = both_ways_report(
+        &skewed(8, switch, 0x5E12_7ED8),
+        Some(RepairConfig::sim_default().with_seed(14)),
+        Algos::Bcast(BcastAlgorithm::McastBinary),
+        Program::Cycles { n: 3, size: 3000 },
+        Over::Parity,
+    );
+    assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
+    assert_eq!(report.events_handled, 1_857);
+    assert!(lent.answered < plain.answered);
+    assert_eq!((lent, plain), (handoff(122, 323), handoff(184, 261)));
+}
+
+/// Seven survivors of an 8-rank world declare rank 5 failed, shrink, and
+/// run waited `iallgather`s and barriers over the shrunk communicator: the
+/// same endpoint under the survivors' view, so the closer runs their
+/// machines too (150 answered, against the default loop's 250).
+/// `events_handled` = 2 742 and the default loop's hand-off are what the
+/// `ShrunkComm` wrapper this view replaced handled and handed off in this
+/// run.
+#[test]
+fn shrunk_n8_iallgather_barrier() {
+    let switch = NetParams::fast_ethernet_switch().with_loss(0.05);
+    let repair = RepairConfig::sim_default()
+        .with_seed(15)
+        .with_membership(Duration::from_millis(4));
+    let ((lent, plain, stats), report) = both_ways_report(
+        &skewed(8, switch, 0x5E12_7ED9),
+        Some(repair),
+        Algos::Bcast(BcastAlgorithm::McastBinary),
+        Program::Iallgathers { n: 3 },
+        Over::Shrunk { victim: 5 },
+    );
+    assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
+    assert_eq!(stats.repair.epoch, 1, "the shrink committed epoch 1");
+    assert_eq!(report.events_handled, 2_742);
+    assert!(lent.answered < plain.answered);
+    assert_eq!((lent, plain), (handoff(150, 541), handoff(250, 441)));
 }

@@ -288,3 +288,27 @@ impl<B: Backend> Backend for Borrowed<'_, B> {
         self.parent.with(|core, _| core.view = view);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Nested views compose as stacked sub-communicators do: members map
+    /// through to world ranks, tag shifts add (wrapping), and a shrink of
+    /// a group stays a group.
+    #[test]
+    fn nested_views_compose_members_and_add_tag_shifts() {
+        // World rank 5 of 8 splits off the odd ranks…
+        let mut v = View::default();
+        v.narrow(5, &[1, 3, 5, 7], 0x4000_0000, None);
+        assert_eq!((v.rank(5), v.size(8), v.world(1)), (2, 4, 3));
+        // …and that group shrinks to its ranks 0, 2 and 3 in epoch 1.
+        v.narrow(5, &[0, 2, 3], 0xF000_0000, Some(1));
+        assert_eq!((v.rank(5), v.size(8)), (1, 3));
+        assert_eq!((0..3).map(|r| v.world(r)).collect::<Vec<_>>(), [1, 5, 7]);
+        assert_eq!(v.tag(7), 0x3000_0007);
+        assert!(v.is_group());
+        assert_eq!((v.epoch(0), v.epoch(4)), (1, 4));
+        assert_eq!(v.local_peers(vec![0, 3, 5, 7]), [1, 2]);
+    }
+}

@@ -4,7 +4,7 @@
 //! group split off it (`MPI_Comm_split`, [`GroupComm`]) and the survivors
 //! of a failure (ULFM's shrink, `mmpi-core`'s `Communicator::shrink`).
 //! Neither is a second implementation of [`Comm`]: each is the world
-//! endpoint under a [`View`] — its members as world ranks, this rank among
+//! endpoint under a `View` — its members as world ranks, this rank among
 //! them, and a tag shift that keeps its traffic apart from every other
 //! communicator's (the MPI context idea, realised with tags because the
 //! wire context id is fixed per transport). The one glue

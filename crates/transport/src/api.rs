@@ -124,11 +124,10 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// `WouldBlock` of the nonblocking send path ([`Comm::try_post_send`] /
-/// [`Comm::try_post_mcast`]): the send window is full — the wire bytes of
-/// unacknowledged `Data` traffic exceed [`RepairConfig::send_window`] —
-/// and one nonblocking progress pass did not open it. Keep progressing
-/// (peers' ACK horizons advance the window) and retry.
+/// The error type of [`Comm::try_post_send`] / [`Comm::try_post_mcast`],
+/// which never return it: there is no send window, so a send never
+/// waits (`docs/PROTOCOL.md` §9.4). Kept so that implementations of the
+/// two methods outside this crate still build; it goes with them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SendWindowFull;
 
@@ -136,8 +135,7 @@ impl fmt::Display for SendWindowFull {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "send window full: unacknowledged bytes exceed the configured \
-             window; progress until peers' ACK horizons advance, then retry"
+            "send window full (never returned: this transport has no send window)"
         )
     }
 }
@@ -209,12 +207,6 @@ pub struct SendReq {
 }
 
 impl SendReq {
-    /// Wrap a completed send's sequence number (used by backends
-    /// implementing the `try_post_*` window paths).
-    pub(crate) fn completed(seq: u64) -> SendReq {
-        SendReq { seq }
-    }
-
     /// The sequence number the posted send used (what
     /// [`Comm::send_kind`] returns on the blocking path).
     pub fn seq(&self) -> u64 {
@@ -431,30 +423,27 @@ pub trait Comm {
     /// Clones share the sink.
     fn cancel_sink(&self) -> CancelSink;
 
-    /// Post a unicast send. Completes immediately (see [`SendReq`]) —
-    /// but with a send window configured ([`RepairConfig::send_window`]),
-    /// *posting itself* blocks while the window is full, progressing the
-    /// engine until peers' ACK horizons open it (the back-pressure that
-    /// keeps a fast sender from outrunning its repair history). Use
-    /// [`Comm::try_post_send`] to get `WouldBlock` instead.
+    /// Post a unicast send. Completes immediately (see [`SendReq`]), and
+    /// posting never waits: a sender that outruns its receivers is
+    /// bounded by the retransmit ring's capacity eviction, answered by
+    /// `Unavail` ([`RecvError::Unavailable`], `docs/PROTOCOL.md` §8.1).
     fn post_send(&mut self, dst: usize, tag: Tag, payload: &Bytes) -> SendReq {
         SendReq {
             seq: self.send_kind(dst, tag, MsgKind::Data, payload),
         }
     }
 
-    /// Post a multicast send. Completes immediately, with the same
-    /// send-window blocking semantics as [`Comm::post_send`].
+    /// Post a multicast send. Completes immediately and never waits, like
+    /// [`Comm::post_send`].
     fn post_mcast(&mut self, tag: Tag, payload: &Bytes) -> SendReq {
         SendReq {
             seq: self.mcast_kind(tag, MsgKind::Data, payload),
         }
     }
 
-    /// Nonblocking [`Comm::post_send`]: with the send window full (after
-    /// one nonblocking progress pass that may open it) returns
-    /// [`SendWindowFull`] instead of blocking. Backends without a send
-    /// window never fail.
+    /// [`Comm::post_send`], which never blocks, so this never fails. Kept
+    /// only so that implementations of it outside this crate still build;
+    /// it goes, with [`SendWindowFull`], once they drop them.
     fn try_post_send(
         &mut self,
         dst: usize,
@@ -464,7 +453,7 @@ pub trait Comm {
         Ok(self.post_send(dst, tag, payload))
     }
 
-    /// Nonblocking [`Comm::post_mcast`] (see [`Comm::try_post_send`]).
+    /// [`Comm::post_mcast`]; never fails (see [`Comm::try_post_send`]).
     fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
         Ok(self.post_mcast(tag, payload))
     }

@@ -1,6 +1,6 @@
 //! Tuning for the repair loop and the planes under it: [`RepairConfig`]
 //! (the NACK/retransmit loop, the ACK-horizon session plane, adaptive
-//! timers, the send window), [`MembershipConfig`] (liveness) and
+//! timers), [`MembershipConfig`] (liveness) and
 //! [`Dissemination`] (multicast or gossip). `docs/PROTOCOL.md` walks
 //! through what each knob drives.
 
@@ -32,7 +32,10 @@ pub struct RepairConfig {
     /// worst case) before it even posts the receive that needs this
     /// endpoint's final message.
     pub drain_grace: Duration,
-    /// Capacity of the sender-side retransmit ring, in messages.
+    /// Capacity of the sender-side retransmit ring, in messages. The one
+    /// bound on a sender that outruns its receivers: the oldest record is
+    /// evicted, and a NACK for it is answered with `Unavail`
+    /// (`docs/PROTOCOL.md` §8.1).
     pub buffer_cap: usize,
     /// Maximum random extra delay added to every solicitation deadline
     /// (uniform in `[0, backoff]`, drawn from a `SplitMix64` stream
@@ -56,9 +59,8 @@ pub struct RepairConfig {
     /// per-source delivery frontiers plus RTT probe/echo timestamps.
     /// Enables retransmit-ring garbage collection (acknowledged history
     /// is freed instead of waiting for capacity eviction), feeds the
-    /// adaptive timers, and is what advances the send window. `None`
-    /// (the default) disables the session-message plane entirely —
-    /// byte-identical to the pre-horizon protocol.
+    /// adaptive timers. `None` (the default) disables the session-message
+    /// plane entirely — byte-identical to the pre-horizon protocol.
     pub horizon_interval: Option<Duration>,
     /// Derive `nack_timeout`/`backoff`/`suppress_window` per peer from
     /// the measured RTT (SRM-style EWMA of srtt/var, clamped to
@@ -68,16 +70,6 @@ pub struct RepairConfig {
     /// exchange has happened. Estimates come from the virtual clock and
     /// the seeded streams, so sim replay stays deterministic.
     pub adaptive: bool,
-    /// Send-window back-pressure: when the wire bytes of
-    /// unacknowledged `Data` traffic held in the retransmit ring exceed
-    /// this, `post_send`/`post_mcast` block (and the `try_post_*`
-    /// request path returns [`crate::SendWindowFull`]) until peers' ACK
-    /// horizons advance. Requires [`RepairConfig::horizon_interval`] —
-    /// without the session messages nothing could ever open the window,
-    /// so the window is ignored. `None` disables back-pressure: a fast
-    /// sender can outrun its own repair history (capacity eviction +
-    /// `Unavail` is then the only bound).
-    pub send_window: Option<usize>,
     /// Membership/liveness layer (`docs/PROTOCOL.md` §10): heartbeats
     /// piggybacked on the ACK-horizon cadence (standalone beacons only
     /// while outbound traffic is quiet), per-peer suspicion timers
@@ -113,7 +105,6 @@ impl RepairConfig {
             seed: 0x5EED_BACC_0FF5,
             horizon_interval: None,
             adaptive: false,
-            send_window: None,
             membership: None,
             dissemination: Dissemination::Multicast,
         }
@@ -156,15 +147,6 @@ impl RepairConfig {
     /// Builder-style: set the ACK-horizon session-message period.
     pub fn with_horizon_interval(mut self, interval: Duration) -> Self {
         self.horizon_interval = Some(interval);
-        self
-    }
-
-    /// Builder-style: arm send-window back-pressure at `bytes` of
-    /// unacknowledged `Data` traffic (enables horizons at the default
-    /// period if no interval was set — the window needs them to open).
-    pub fn with_send_window(mut self, bytes: usize) -> Self {
-        self.arm_horizons();
-        self.send_window = Some(bytes);
         self
     }
 

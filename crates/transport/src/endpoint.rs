@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use mmpi_wire::{Bytes, Message, MsgKind, RepairStats};
 
-use crate::api::{CancelSink, ClaimStep, Comm, RecvError, RecvReq, SendReq, SendWindowFull, Tag};
+use crate::api::{CancelSink, ClaimStep, Comm, RecvError, RecvReq, Tag};
 use crate::engine::EndpointCore;
 use crate::pump::{dur_nanos, Nanos, RepairPump, WaitKind};
 
@@ -248,33 +248,6 @@ impl<B: Backend> Comm for Endpoint<B> {
 
     fn cancel_sink(&self) -> CancelSink {
         self.0.peek(EndpointCore::cancel_sink)
-    }
-
-    fn try_post_send(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<SendReq, SendWindowFull> {
-        self.0
-            .with(|core, io| {
-                core.try_send_message(io, core.view.world(dst), core.view.tag(tag), payload)
-            })
-            .map(SendReq::completed)
-    }
-
-    fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        match self.fan_out() {
-            // Give up on the first full window; the copies already sent
-            // stand, as in a blocked fan-out interrupted mid-loop.
-            Some(mut peers) => peers.try_fold(SendReq::default(), |_, r| {
-                self.try_post_send(r, tag, payload)
-            }),
-            None => self
-                .0
-                .with(|core, io| core.try_mcast_message(io, core.view.tag(tag), payload))
-                .map(SendReq::completed),
-        }
     }
 
     fn compute(&mut self, d: Duration) {

@@ -12,7 +12,7 @@ use mmpi_wire::{
 
 #[cfg(doc)]
 use crate::api::Comm;
-use crate::api::{CancelSink, RecvError, RecvReq, SendWindowFull, Tag};
+use crate::api::{CancelSink, RecvError, RecvReq, Tag};
 use crate::config::RepairConfig;
 use crate::inbox::Inbox;
 use crate::planes::membership::MemberState;
@@ -211,19 +211,18 @@ impl EndpointCore {
         }
     }
 
-    /// Wire bytes of unacknowledged `Data` traffic in the retransmit ring.
+    /// Records held in the retransmit ring.
     #[cfg(test)]
-    pub(crate) fn ring_data_bytes(&self) -> usize {
-        self.rtx.data_bytes()
+    pub(crate) fn ring_len(&self) -> usize {
+        self.rtx.len()
     }
 
     /// The shared unicast send path: allocate a sequence number, encode,
-    /// record for retransmission when armed, hand to the pump. Every
-    /// backend's [`Comm::send_kind`] is this. `Data` sends first block on
-    /// the send window when one is configured (control and repair kinds
-    /// are never gated — gating them would deadlock the very plane that
-    /// opens the window).
-    pub fn send_message<P: RepairPump>(
+    /// record for retransmission when armed, hand to the port. Every
+    /// backend's [`Comm::send_kind`] is this. A send never waits: a
+    /// sender that outruns its receivers is bounded by the ring's
+    /// capacity eviction, answered by `Unavail` (`docs/PROTOCOL.md` §8.1).
+    pub fn send_message<P: RepairPort>(
         &mut self,
         io: &mut P,
         dst: usize,
@@ -232,9 +231,6 @@ impl EndpointCore {
         payload: &Bytes,
     ) -> u64 {
         assert!(dst < self.enc.n, "rank {dst} out of range");
-        if kind == MsgKind::Data {
-            self.wait_for_send_window(io);
-        }
         let seq = self.fresh_seq();
         let dgs = self.encode(tag, kind, payload, seq);
         self.record_if_armed(seq, SendDst::Rank(dst as u32), tag, kind, &dgs);
@@ -256,16 +252,13 @@ impl EndpointCore {
     /// and a compact `Advr` digest is unicast to every live peer instead —
     /// lazy push; the payload itself crosses a link only when a peer
     /// answers with a `Want`.
-    pub fn mcast_message<P: RepairPump>(
+    pub fn mcast_message<P: RepairPort>(
         &mut self,
         io: &mut P,
         tag: Tag,
         kind: MsgKind,
         payload: &Bytes,
     ) -> u64 {
-        if kind == MsgKind::Data {
-            self.wait_for_send_window(io);
-        }
         let seq = self.fresh_seq();
         let dgs = self.encode(tag, kind, payload, seq);
         self.record_if_armed(seq, SendDst::Multicast, tag, kind, &dgs);
@@ -290,97 +283,6 @@ impl EndpointCore {
             m.note_tx(io.now());
         }
         seq
-    }
-
-    /// Nonblocking unicast `Data` send: with the window full after one
-    /// nonblocking progress pass, fail with [`SendWindowFull`] instead
-    /// of blocking — the request-path (`WouldBlock`) surface.
-    pub fn try_send_message<P: RepairPump>(
-        &mut self,
-        io: &mut P,
-        dst: usize,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<u64, SendWindowFull> {
-        self.try_open_send_window(io)?;
-        Ok(self.send_message(io, dst, tag, MsgKind::Data, payload))
-    }
-
-    /// Nonblocking multicast `Data` send (see
-    /// [`EndpointCore::try_send_message`]).
-    pub fn try_mcast_message<P: RepairPump>(
-        &mut self,
-        io: &mut P,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<u64, SendWindowFull> {
-        self.try_open_send_window(io)?;
-        Ok(self.mcast_message(io, tag, MsgKind::Data, payload))
-    }
-
-    /// The window check of the `try_*` sends: one nonblocking progress
-    /// pass may open a closed window; a window still closed after it is
-    /// a counted stall.
-    fn try_open_send_window<P: RepairPump>(&mut self, io: &mut P) -> Result<(), SendWindowFull> {
-        if !self.send_window_open() {
-            self.progress(io);
-            if !self.send_window_open() {
-                self.rstats.send_window_stalls += 1;
-                return Err(SendWindowFull);
-            }
-        }
-        Ok(())
-    }
-
-    /// True when another `Data` send fits the send window.
-    pub fn send_window_open(&self) -> bool {
-        self.send_window_closed().is_none()
-    }
-
-    /// Whether a `Data` send can ever block here: a send window is
-    /// configured, with the horizon that opens it again.
-    pub(crate) fn data_sends_may_block(&self) -> bool {
-        self.repair.as_ref().is_some_and(|Repair { cfg, .. }| {
-            cfg.send_window.is_some() && cfg.effective_horizon_interval(self.enc.n).is_some()
-        })
-    }
-
-    /// The horizon interval a sender waits on while the send window is
-    /// closed; `None` when another `Data` send fits. Always `None`
-    /// without a configured window — and without a horizon interval,
-    /// whose session messages are the only thing that could ever open a
-    /// closed window again.
-    fn send_window_closed(&self) -> Option<Nanos> {
-        let Repair { cfg, .. } = self.repair.as_ref()?;
-        if self.rtx.data_bytes() <= cfg.send_window? {
-            return None;
-        }
-        cfg.effective_horizon_interval(self.enc.n).map(dur_nanos)
-    }
-
-    /// Block until the send window opens: progress the engine (which
-    /// ingests peers' ACK horizons and garbage-collects acknowledged
-    /// ring history) and park on the pump between passes. The park
-    /// deadline includes our own next horizon emission, so mutually
-    /// blocked endpoints keep exchanging session messages — the window
-    /// cannot deadlock on itself.
-    fn wait_for_send_window<P: RepairPump>(&mut self, io: &mut P) {
-        let Some(interval) = self.send_window_closed() else {
-            return;
-        };
-        self.rstats.send_window_stalls += 1;
-        loop {
-            self.advance(io);
-            if self.send_window_open() {
-                return;
-            }
-            let now = io.now();
-            let until = self
-                .park_deadline()
-                .map_or(now + interval, |at| at.min(now + interval))
-                .max(now + 1);
-            io.pump_one(self, Some(until));
-        }
     }
 
     /// Re-send to the group under an explicit (previously used) sequence
@@ -996,11 +898,7 @@ mod tests {
                 + s.unavailable_sent
         };
         let horizon = |s: &RepairStats| {
-            s.horizons_sent
-                + s.horizons_received
-                + s.acked_records_freed
-                + s.rtt_samples
-                + s.send_window_stalls
+            s.horizons_sent + s.horizons_received + s.acked_records_freed + s.rtt_samples
         };
         let member =
             |s: &RepairStats| s.heartbeats_sent + s.suspicions + s.failures_confirmed + s.epoch;

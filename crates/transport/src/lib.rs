@@ -35,11 +35,12 @@
 //! `docs/PROTOCOL.md`), which lets the collectives complete on a fabric
 //! that drops, duplicates or reorders datagrams. On top of it, the
 //! adaptive control plane (`RepairConfig::with_adaptive` /
-//! `with_horizon_interval` / `with_send_window`; `docs/PROTOCOL.md` §9)
-//! adds periodic `AckHorizon` session messages: per-peer RTT estimates
-//! stretch each peer's solicitation timers to its measured link,
-//! acknowledged frontiers garbage-collect the retransmit ring, and a
-//! send window back-pressures senders that outrun their receivers.
+//! `with_horizon_interval`; `docs/PROTOCOL.md` §9) adds periodic
+//! `AckHorizon` session messages: per-peer RTT estimates stretch each
+//! peer's solicitation timers to its measured link, and acknowledged
+//! frontiers garbage-collect the retransmit ring. A sender that outruns
+//! its receivers is bounded by the ring's capacity eviction, answered by
+//! `Unavail` (§8.1); there is no send window (§9.4).
 //! [`sim::run_sim_world_stats`] reports the recovery effort alongside the
 //! network counters as a [`sim::WorldStats`].
 

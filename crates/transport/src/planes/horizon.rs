@@ -242,7 +242,7 @@ impl HorizonState {
     /// capacity eviction floor still backstops them. Confirmed-dead
     /// peers are dropped from the quorum: a corpse will never advance
     /// its frontier, and keeping it in the quorum would pin the ring
-    /// (and a closed send window) forever.
+    /// forever.
     pub(crate) fn gc_ring(&self, cx: &mut Ctx<'_>, member: Option<&MemberState>) {
         let (n, me) = (cx.enc.n, cx.enc.rank);
         let dead = |p: usize| membership::is_dead(member, p);

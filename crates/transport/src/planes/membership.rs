@@ -348,7 +348,7 @@ impl MemberState {
         cx.stats.suspicions += new_suspects;
         cx.stats.failures_confirmed += confirmed.len() as u64;
         // 4. Flood what changed, then re-run ring GC: a dead peer just
-        //    left every ack quorum, which may reopen the send window.
+        //    left every ack quorum, which may free ring history.
         if !confirmed.is_empty() || !adopted.is_empty() {
             self.announce(cx, io, &confirmed, false);
             self.announce(cx, io, &adopted, false);

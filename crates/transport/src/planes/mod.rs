@@ -167,13 +167,12 @@ impl Ctx<'_> {
     }
 }
 
-/// The armed repair loop: its tuning and the state of its planes. SRM
+/// The armed repair loop: its planes, each holding the tuning it reads. SRM
 /// and the horizon plane exist whenever the loop does (the horizon plane
 /// stays inert until [`RepairConfig::horizon_interval`] turns emission
 /// on); membership and gossip only when configured.
 #[derive(Debug)]
 pub(crate) struct Repair {
-    pub(crate) cfg: RepairConfig,
     pub(crate) srm: SrmState,
     pub(crate) horizon: HorizonState,
     pub(crate) member: Option<MemberState>,
@@ -183,7 +182,6 @@ pub(crate) struct Repair {
 impl Repair {
     pub(crate) fn new(cfg: RepairConfig, rank: usize, n: usize, context: u32) -> Self {
         Repair {
-            cfg,
             srm: SrmState::new(&cfg, rank, context),
             horizon: HorizonState::new(&cfg, n),
             member: cfg.membership.map(|mc| MemberState::new(mc, n)),

@@ -41,9 +41,9 @@
 //! `Arc<Mutex<_>>`. **Lock order:** a round closer takes the simulation
 //! lock, then the endpoint of a rank parked in `recv_served`; the owner
 //! releases its endpoint before it parks there. The owner does hold the
-//! endpoint across its other requests (sends, the drain's and the send
-//! window's plain receives), which is safe because a closer only ever
-//! touches the endpoint of a rank parked *served*.
+//! endpoint across its other requests (sends, the drain's plain
+//! receives), which is safe because a closer only ever touches the
+//! endpoint of a rank parked *served*.
 
 use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -249,8 +249,7 @@ fn unicast(dst: usize) -> DatagramDst {
 
 /// A stepped rank cannot receive: its thread is parked in the receive the
 /// closer is serving. Nothing a closer runs gets here — turns and claim
-/// steps make no blocking call, a lent operation's sends cannot meet a
-/// closed send window ([`EndpointState::serve`]), and closing the
+/// steps make no blocking call, a send never waits, and closing the
 /// [`Stepped`] endpoint does not drain.
 #[expect(
     clippy::panic,
@@ -440,10 +439,8 @@ impl EndpointState {
     /// when the wait of a lent operation is over, the operation's claim step
     /// too — over [`Stepped`], so it makes the calls the owner's thread
     /// would have made — and the wait on the receive that step posted.
-    /// [`Step::Done`] wakes the owner: its wait is over, the lent operation
-    /// ended, or the claim is handed back because the operation's sends
-    /// could block on the send window, which only the owner's thread can
-    /// wait out.
+    /// [`Step::Done`] wakes the owner: its wait is over, or the lent
+    /// operation ended.
     fn serve(&mut self, port: &mut RankPort<'_>, link: Link, multicast_capable: bool) -> Step {
         loop {
             let step = self.turn(&mut SimIo {
@@ -456,9 +453,6 @@ impl EndpointState {
             let Some(op) = &mut self.lent else {
                 return step;
             };
-            if self.core.data_sends_may_block() {
-                return step;
-            }
             let claimed = op.claim(&mut crate::Endpoint(Stepped {
                 core: &mut self.core,
                 io: SimIo {

@@ -58,10 +58,9 @@ pub enum MsgKind {
     /// ACK-horizon session message: a receiver's periodic advertisement
     /// of its per-source delivery frontier plus timestamp echoes. Carries
     /// a [`crate::nack::AckHorizonPayload`]; senders use the frontiers to
-    /// garbage-collect acknowledged retransmit-ring history (and to
-    /// release send-window back-pressure) and the echoes to estimate
-    /// per-peer RTT, SRM-session-message style. Consumed by the repair
-    /// loop, never delivered to the application.
+    /// garbage-collect acknowledged retransmit-ring history and the
+    /// echoes to estimate per-peer RTT, SRM-session-message style.
+    /// Consumed by the repair loop, never delivered to the application.
     AckHorizon = 6,
     /// Standalone liveness heartbeat: multicast only while an endpoint's
     /// data/session traffic is quiet, so peers' failure detectors keep

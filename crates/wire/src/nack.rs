@@ -301,10 +301,9 @@ impl SourceHorizon {
 
 /// Decoded body of a [`crate::MsgKind::AckHorizon`] datagram: the
 /// receiver-driven session message that closes the repair loop. It serves
-/// three consumers at once — retransmit-ring garbage collection (the
-/// frontiers say what every peer already holds), send-window
-/// back-pressure (unacknowledged bytes shrink as frontiers advance), and
-/// per-peer RTT estimation (the probe/echo pair).
+/// two consumers at once — retransmit-ring garbage collection (the
+/// frontiers say what every peer already holds) and per-peer RTT
+/// estimation (the probe/echo pair).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AckHorizonPayload {
     /// This endpoint's clock when the message was built; peers echo it

@@ -17,10 +17,10 @@
 //!   implementation over simulator, real-UDP-multicast and in-memory
 //!   backends (`docs/API.md`, "Backends"), plus
 //!   the NACK/retransmit repair loop, the adaptive control plane
-//!   (per-peer RTT estimation, ring GC, send-window back-pressure —
-//!   `docs/PROTOCOL.md` §9), the membership layer (heartbeat
-//!   liveness, suspicion, failure announcement, epoch rebasing —
-//!   `docs/PROTOCOL.md` §10), and the pluggable dissemination seam:
+//!   (per-peer RTT estimation, ring GC — `docs/PROTOCOL.md` §9), the
+//!   membership layer (heartbeat liveness, suspicion, failure
+//!   announcement, epoch rebasing — `docs/PROTOCOL.md` §10), and the
+//!   pluggable dissemination seam:
 //!   the byte-identical `Multicast` default or the epidemic
 //!   `Advr`/`Want` gossip plane for multicast-less networks
 //!   (`docs/PROTOCOL.md` §11).
@@ -103,8 +103,7 @@
 //!                    │         │                 AckHorizon session msgs,
 //!                    │         │                 per-peer RTT timers
 //!                    │         │                 (RFC 6298), ring GC from
-//!                    │         │                 acked frontiers, send-
-//!                    │         │                 window back-pressure
+//!                    │         │                 acked frontiers
 //!                    │         │               · planes::membership:
 //!                    │         │                 heartbeats + suspicion
 //!                    │         │                 timers, PeerFailed,

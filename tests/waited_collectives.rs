@@ -18,8 +18,8 @@ use mcast_mpi::netsim::cluster::{ClusterConfig, HandoffStats, RunReport};
 use mcast_mpi::netsim::params::NetParams;
 use mcast_mpi::netsim::SimDuration;
 use mcast_mpi::transport::{
-    run_sim_world_stats, CancelSink, Comm, RecvError, RecvReq, RepairConfig, SendReq,
-    SendWindowFull, SimCommConfig, Tag, WorldStats,
+    run_sim_world_stats, CancelSink, Comm, RecvError, RecvReq, RepairConfig, SimCommConfig, Tag,
+    WorldStats,
 };
 use mcast_mpi::wire::{Bytes, Message, MsgKind};
 
@@ -76,17 +76,6 @@ impl<C: Comm> Comm for DefaultLoop<C> {
     }
     fn cancel_sink(&self) -> CancelSink {
         self.0.cancel_sink()
-    }
-    fn try_post_send(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        payload: &Bytes,
-    ) -> Result<SendReq, SendWindowFull> {
-        self.0.try_post_send(dst, tag, payload)
-    }
-    fn try_post_mcast(&mut self, tag: Tag, payload: &Bytes) -> Result<SendReq, SendWindowFull> {
-        self.0.try_post_mcast(tag, payload)
     }
     fn compute(&mut self, d: Duration) {
         self.0.compute(d);
@@ -338,23 +327,82 @@ fn mpich_binomial_bcast_n8() {
     assert_eq!((lent, plain), (handoff(84, 91), handoff(84, 91)));
 }
 
-/// With a send window a data send may block until peers' horizons open
-/// it, and only the rank's own thread can receive meanwhile: the closer
-/// hands every claim back, so the hand-off is the default loop's.
+/// ACK horizons every 500 µs over a lossless switch: session messages
+/// interleave with every broadcast, and the closer still runs the lent
+/// machines (104 answered, against the default loop's 176). A send never
+/// waits, so the closer never hands a claim back to the rank's thread.
 #[test]
-fn send_window_hands_claims_back_to_the_thread() {
-    let repair = RepairConfig::sim_default()
-        .with_seed(7)
-        .with_send_window(4 * 1024)
-        .with_horizon_interval(Duration::from_micros(500));
+fn horizons_leave_claims_with_the_closer() {
     let (lent, plain, stats) = both_ways(
         &skewed(8, NetParams::fast_ethernet_switch(), 0x5E12_7ED5),
-        Some(repair),
+        Some(horizons(7)),
         Algos::Bcast(BcastAlgorithm::McastBinary),
         Program::Bcasts { n: 12 },
     );
-    assert!(stats.repair.send_window_stalls > 0, "the window throttled");
-    assert_eq!((lent, plain), (handoff(195, 273), handoff(195, 273)));
+    assert!(stats.repair.horizons_sent > 0, "the session plane ran");
+    assert_eq!((lent, plain), (handoff(104, 307), handoff(176, 235)));
+}
+
+/// The repair loop at `seed` with ACK horizons every 500 µs.
+fn horizons(seed: u64) -> RepairConfig {
+    RepairConfig::sim_default()
+        .with_seed(seed)
+        .with_horizon_interval(Duration::from_micros(500))
+}
+
+/// Twelve binomial broadcasts under 500 µs horizons on a lossless switch
+/// complete at every size, and agree both ways. A receiver's frontier
+/// folds every hole past its fourth into an open-ended tail, so a unicast
+/// record above it is never acknowledged: the deleted send window
+/// deadlocked on this shape at N ≥ 4 (`docs/PROTOCOL.md` §9.4).
+#[test]
+fn mpich_binomial_bcasts_under_horizons_complete_at_every_size() {
+    for n in [3, 4, 8, 16] {
+        let (_, _, stats) = both_ways(
+            &skewed(n, NetParams::fast_ethernet_switch(), 0x5E12_7ED5),
+            Some(horizons(7)),
+            Algos::Bcast(BcastAlgorithm::MpichBinomial),
+            Program::Bcasts { n: 12 },
+        );
+        assert!(
+            stats.repair.horizons_sent > 0,
+            "N={n}: the session plane ran"
+        );
+    }
+}
+
+/// Four 16 KiB broadcast / barrier / allgather cycles under 500 µs
+/// horizons at N=8, with the broadcast `algo`, lossless and at 5 % loss:
+/// shapes the deleted send window deadlocked on.
+fn large_cycles_under_horizons(algo: BcastAlgorithm) {
+    for loss in [0.0, 0.05] {
+        let switch = NetParams::fast_ethernet_switch().with_loss(loss);
+        let (_, _, stats) = both_ways(
+            &skewed(8, switch, 0x5E12_7ED5),
+            Some(horizons(7)),
+            Algos::Bcast(algo),
+            Program::Cycles {
+                n: 4,
+                size: 16 * 1024,
+            },
+        );
+        assert!(stats.repair.horizons_sent > 0, "the session plane ran");
+        assert_eq!(
+            stats.net.injected_frame_losses > 0,
+            loss > 0.0,
+            "the loss model ran at {loss}"
+        );
+    }
+}
+
+#[test]
+fn scatter_allgather_16k_cycles_under_horizons() {
+    large_cycles_under_horizons(BcastAlgorithm::ScatterAllgather);
+}
+
+#[test]
+fn mcast_binary_16k_cycles_under_horizons() {
+    large_cycles_under_horizons(BcastAlgorithm::McastBinary);
 }
 
 /// The MPICH family: the binomial broadcast, the three-phase barrier and

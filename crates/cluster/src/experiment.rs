@@ -162,6 +162,10 @@ pub struct ExperimentResult {
 /// drain the endpoints run after the workload, which is teardown
 /// bookkeeping, not collective latency.
 pub fn run_trial(exp: &Experiment, trial: usize) -> (f64, WorldStats) {
+    #[expect(
+        clippy::expect_used,
+        reason = "reviewed: the panicking form of `try_run_trial`, for callers that treat a failed trial as a bug"
+    )]
     try_run_trial(exp, trial).expect("experiment trial failed")
 }
 

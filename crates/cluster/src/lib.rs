@@ -25,6 +25,16 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The harness surfaces errors; the reviewed exceptions carry an
+// `#[expect]` at their site (docs/INVARIANTS.md §4).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo
+)]
 
 pub mod experiment;
 pub mod figures;

@@ -29,7 +29,7 @@ impl Summary {
     pub fn from_samples(samples: &[f64]) -> Summary {
         assert!(!samples.is_empty(), "cannot summarize zero samples");
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let mean = sorted.iter().sum::<f64>() / n as f64;
         let var = if n > 1 {

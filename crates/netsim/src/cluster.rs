@@ -34,9 +34,7 @@
 //! ("Co-simulation hand-off") has the invariants and the abort protocol.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::error::SimError;
 use crate::frame::{Datagram, SharedPayload};
@@ -237,7 +235,7 @@ where
                     panicked: true,
                 };
                 let out = f(SimProcess::new(Arc::clone(cluster), rank, start));
-                outputs.lock()[rank] = Some(out);
+                outputs.lock().unwrap_or_else(PoisonError::into_inner)[rank] = Some(out);
                 guard.panicked = false;
             })
         };
@@ -250,7 +248,7 @@ where
         }
     });
 
-    let mut sim = cluster.sim.lock();
+    let mut sim = cluster.lock();
     if let Some(err) = sim.abort.take() {
         return Err(err);
     }
@@ -268,6 +266,7 @@ where
     )]
     let outputs: Vec<R> = outputs
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|o| o.expect("every rank finished normally"))
         .collect();
@@ -282,11 +281,20 @@ where
 }
 
 impl Cluster {
+    /// The shared state. A poisoned lock is taken over. No test reaches
+    /// that: `close_round` runs inside `catch_unwind`, so a panic there is
+    /// caught with the guard still held, and `FinishGuard` locks while its
+    /// thread is already unwinding, which `std` does not count as
+    /// poisoning. The recovery only makes this total.
+    fn lock(&self) -> MutexGuard<'_, Sim> {
+        self.sim.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Post `req` for `rank` and block until it is answered. Returns the
     /// answer and the rank's new local time; [`Response::Aborted`] once the
     /// run has failed.
     pub(crate) fn request(&self, rank: usize, req: Request) -> (Response, SimTime) {
-        let mut sim = self.sim.lock();
+        let mut sim = self.lock();
         if sim.abort.is_none() {
             sim.posted.push((rank, req));
             sim = self.stop_running(sim, rank);
@@ -298,13 +306,15 @@ impl Cluster {
             if let Some(resp) = sim.responses[rank].take() {
                 return (resp, sim.local[rank]);
             }
-            self.wake[rank].wait(&mut sim);
+            sim = self.wake[rank]
+                .wait(sim)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// `rank`'s closure returned or unwound.
     fn finish(&self, rank: usize, panicked: bool) {
-        let mut sim = self.sim.lock();
+        let mut sim = self.lock();
         // After an abort the unwinding ranks were parked, not running, and
         // there are no more rounds to close.
         if sim.abort.is_some() {
@@ -364,7 +374,7 @@ impl Cluster {
         if let Some(payload) = unwinding {
             resume_unwind(payload);
         }
-        let mut sim = self.sim.lock();
+        let mut sim = self.lock();
         // Hand the buffer back for the next round, unless a rank woken
         // above has closed one already and left its own.
         if sim.answered.capacity() == 0 {

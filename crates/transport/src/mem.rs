@@ -1,6 +1,6 @@
 //! [`Comm`] over in-process channels — no network model at all.
 //!
-//! [`MemComm`] connects ranks with crossbeam channels: reliable, ordered,
+//! [`MemComm`] connects ranks with std `mpsc` channels: reliable, ordered,
 //! zero latency. It exists so the *correctness* of collective algorithms
 //! can be tested quickly and independently of both the simulator and real
 //! sockets. It still goes through the wire encode/decode path, so header
@@ -15,9 +15,9 @@
 //! over a thin [`RepairPump`] of channel primitives — mem simply never
 //! arms the repair loop, since its fabric is lossless by construction.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mmpi_wire::Datagram;
 
 #[cfg(doc)]
@@ -54,16 +54,13 @@ impl RepairPump for MemIo {
 
     fn pump_one(&mut self, core: &mut EndpointCore, until: Option<u64>) {
         match until {
-            None => match self.rx.recv() {
-                Ok(d) => {
+            None => {
+                // `senders` holds a sender to our own `rx`, so `recv` cannot
+                // see every sender gone while this endpoint lives.
+                if let Ok(d) = self.rx.recv() {
                     let _ = core.inbox.ingest_wire(&d, false);
                 }
-                #[expect(
-                    clippy::panic,
-                    reason = "reviewed: a lone rank blocked in recv with every sender gone can never wake; abort instead of hanging"
-                )]
-                Err(_) => panic!("all senders disconnected: lone rank blocked in recv"),
-            },
+            }
             Some(at) => {
                 let now = self.epoch.elapsed().as_nanos() as u64;
                 if at > now {
@@ -143,7 +140,7 @@ impl MemComm {
     /// Create a fully-connected world of `n` ranks with context id
     /// `context`. Returns one endpoint per rank (hand them to threads).
     pub fn world(n: usize, context: u32) -> Vec<MemComm> {
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         receivers
             .into_iter()
             .enumerate()

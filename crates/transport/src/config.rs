@@ -268,11 +268,13 @@ pub enum Dissemination {
     /// Epidemic lazy-push pull: a group send *records* the payload and
     /// unicasts a compact `Advr` digest to each live peer; peers answer
     /// with `Want` pulls for ids they miss, served unicast out of the
-    /// retransmit ring (origin) or the relay store (receivers re-Advr
-    /// what they hold, so partitioned-from-origin peers pull from any
-    /// reachable relay). Each payload crosses each receiving link at
-    /// most once. Control traffic (horizons, beacons, failure floods,
-    /// NACK solicits) also goes unicast-per-peer — under this plane the
-    /// fabric is assumed to have no working multicast at all.
+    /// retransmit ring (origin) or the relay store (a receiver re-Advrs
+    /// what it accepted to its ⌊log₂(n−1)⌋+1 finger peers, the ranks at
+    /// power-of-two offsets from it, so a peer partitioned from the
+    /// origin pulls from a reachable relay). Each payload crosses each
+    /// receiving link at most once. Control traffic (horizons, beacons,
+    /// failure floods, NACK solicits) also goes unicast-per-peer — under
+    /// this plane the fabric is assumed to have no working multicast at
+    /// all.
     Gossip,
 }

@@ -4,9 +4,11 @@
 //! Everything iterated into wire bytes is `BTreeMap`/`Vec`-backed — replay
 //! determinism forbids hash-order output.
 //!
-//! The plane sends ≈ 640 `Advr`s a collective at N=32 and ingests as many,
-//! so both directions work in place: digests and frontiers are read off
-//! the received payload through `mmpi_wire`'s views, and what is sent is
+//! An origin advertises to every peer, a relay to its ⌊log₂(n−1)⌋+1
+//! finger peers only ([`GossipState::service`]). The plane still sends
+//! ≈ 160 `Advr`s a collective at N=32 and ingests as many, so both
+//! directions work in place: digests and frontiers are read off the
+//! received payload through `mmpi_wire`'s views, and what is sent is
 //! encoded in scratch the state owns ([`DigestScratch`]) — an `Advr`
 //! allocates its payload and `split_message`'s datagram, nothing else.
 
@@ -61,7 +63,9 @@ pub(crate) struct GossipState {
     /// `(src, seq)`; FIFO-evicted at [`RELAY_CAP`] via `relay_order`,
     /// horizon-GC'd first.
     relay: BTreeMap<(u32, u64), Message>,
-    /// Insertion order of `relay` keys (the FIFO eviction queue).
+    /// Insertion order of `relay` keys (the FIFO eviction queue). It may
+    /// still hold keys GC took out of `relay`, after a GC no more of
+    /// them than live ones ([`GossipState::compact_relay_order`]).
     relay_order: VecDeque<(u32, u64)>,
     /// Outstanding pulls by id. One `Want` in flight per id — the inbox
     /// dedups any duplicate answers, but not re-pulling at all is what
@@ -306,7 +310,11 @@ impl GossipState {
         // 1. Relay feed: every payload the inbox accepted becomes
         //    answerable here and is advertised onward — the epidemic
         //    relay that lets a peer partitioned from the origin pull
-        //    from whoever it *can* reach.
+        //    from whoever it *can* reach. The origin told everyone, so a
+        //    relay tells only its finger peers, the `p` with
+        //    `(p − me) mod n` a power of two: ⌊log₂(n−1)⌋+1 of them. A
+        //    rank the origin's `Advr` missed hears from its finger
+        //    predecessors; a dead finger is skipped, not replaced.
         let mut fresh = std::mem::take(&mut self.relayed);
         while let Some(m) = cx.inbox.take_data_log() {
             let src = m.src_rank;
@@ -322,7 +330,8 @@ impl GossipState {
             fresh.push(key);
         }
         if !fresh.is_empty() {
-            self.advertise(cx, io, &fresh, member);
+            let finger = |p: usize| ((p + n - me) % n).is_power_of_two();
+            self.advertise_to(cx, io, &fresh, member, finger);
             fresh.clear();
         }
         self.relayed = fresh;
@@ -365,11 +374,21 @@ impl GossipState {
         }
     }
 
-    /// Unicast an `Advr` digest of `ids` to every live peer that is not
-    /// already known (or already told) to hold them — the lazy-push step
-    /// of a group send, and of the relay. The per-peer `advertised` table
-    /// is what keeps re-sends and relay loops from amplifying: an id is
-    /// pushed at a peer once, ever, per endpoint.
+    /// After a GC: drop the keys it took out of `relay` from the eviction
+    /// queue once they outnumber the live ones. The live keys keep their
+    /// order, and eviction popped a dropped key as a no-op (a key enters
+    /// the store once: the inbox logs each id once), so nothing is
+    /// evicted at another time.
+    fn compact_relay_order(&mut self) {
+        if self.relay_order.len() > 2 * self.relay.len() {
+            let relay = &self.relay;
+            self.relay_order.retain(|k| relay.contains_key(k));
+        }
+    }
+
+    /// The origin's lazy push of a group send: an `Advr` digest of `ids`
+    /// to every live peer, so on a clean fabric each peer is one pull
+    /// round-trip from the payload.
     pub(crate) fn advertise<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -377,8 +396,24 @@ impl GossipState {
         ids: &[(u32, u64)],
         member: Option<&MemberState>,
     ) {
+        self.advertise_to(cx, io, ids, member, |_| true);
+    }
+
+    /// Unicast an `Advr` digest of `ids` to every live peer `to` admits
+    /// that is not already known (or already told) to hold them. The
+    /// per-peer `advertised` table is what keeps re-sends and relay loops
+    /// from amplifying: an id is pushed at a peer once, ever, per
+    /// endpoint.
+    fn advertise_to<P: RepairPort>(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        io: &mut P,
+        ids: &[(u32, u64)],
+        member: Option<&MemberState>,
+        to: impl Fn(usize) -> bool,
+    ) {
         for p in 0..cx.enc.n {
-            if p == cx.enc.rank || membership::is_dead(member, p) {
+            if p == cx.enc.rank || membership::is_dead(member, p) || !to(p) {
                 continue;
             }
             for &(src, seq) in ids {
@@ -634,6 +669,7 @@ impl GossipState {
             }
         }
         self.acked.skipped.clear();
+        self.compact_relay_order();
     }
 
     /// [`GossipState::gc`] for one source: drop its acknowledged relay
@@ -732,6 +768,7 @@ impl GossipState {
         for k in &drop_keys {
             self.relay.remove(k);
         }
+        self.compact_relay_order();
         let srcs: Vec<u32> = (0..n as u32)
             .filter(|&src| (0..n).any(|p| self.acked.frontier(p, src as usize).is_some()))
             .collect();
@@ -1058,6 +1095,77 @@ mod tests {
         }
         assert_eq!(rig.g.acked.quorum_evals, evals);
         assert_eq!(rig.g.acked.skipped.capacity(), scratch);
+    }
+
+    /// Relays go to the finger peers, the power-of-two offsets from
+    /// `me`, less the origin; a dead finger is skipped, not replaced. The
+    /// origin's own `advertise` still reaches every live peer. Who was
+    /// told is read off the `advertised` table.
+    #[test]
+    fn relays_advertise_to_the_fingers_and_origins_to_everyone() {
+        fn told(rig: &Rig, (src, seq): (u32, u64)) -> Vec<usize> {
+            (0..rig.enc.n)
+                .filter(|&p| rig.g.advertised[p].contains(src, seq))
+                .collect()
+        }
+        fn relay(rig: &mut Rig, src: u32, seq: u64) {
+            for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
+                rig.inbox.ingest_wire(&d, false).expect("well-formed");
+            }
+            let mut cx = Ctx {
+                enc: &mut rig.enc,
+                inbox: &mut rig.inbox,
+                rtx: &mut rig.rtx,
+                stats: &mut rig.stats,
+            };
+            let (member, horizon) = (Some(&rig.member), &rig.horizon);
+            rig.g.service(&mut cx, &mut rig.io, horizon, member);
+        }
+        for n in [2usize, 3, 16, 32, 64] {
+            let (me, src) = (n - 1, 0u32);
+            let mut rig = Rig::new(n, me, false);
+            rig.inbox.set_log_data(true);
+            let mut fingers: Vec<usize> = (0..n.ilog2() + 1)
+                .map(|k| 1 << k)
+                .filter(|&d| d < n)
+                .map(|d| (me + d) % n)
+                .collect();
+            assert_eq!(fingers.len() as u32, (n - 1).ilog2() + 1, "n={n}");
+            fingers.sort_unstable();
+            fingers.retain(|&p| p != src as usize);
+            relay(&mut rig, src, 1);
+            assert_eq!(told(&rig, (src, 1)), fingers, "n={n}");
+
+            let own = (me as u32, 5);
+            rig.apply((3, 0, own.0, own.1, 0)); // the origin's `advertise`
+            let everyone: Vec<usize> = (0..n).filter(|&p| p != me).collect();
+            assert_eq!(told(&rig, own), everyone, "n={n}");
+
+            if let Some(&dead) = fingers.first() {
+                rig.member.force_fail(dead);
+                relay(&mut rig, src, 2);
+                fingers.remove(0);
+                assert_eq!(told(&rig, (src, 2)), fingers, "n={n}");
+            }
+        }
+    }
+
+    /// GC empties the relay store while it is under its cap; the keys it
+    /// took must not pile up in the eviction queue.
+    #[test]
+    fn relay_order_stays_within_twice_the_store_under_gc() {
+        for reference in [false, true] {
+            let mut rig = Rig::new(4, 0, reference);
+            for seq in 0..10_000 {
+                rig.apply((0, 0, 0, seq, 0)); // relay (1, seq)
+                let acked = [horizon_of(1, seq, 0)];
+                rig.frontiers(2, &acked);
+                rig.frontiers(3, &acked);
+                rig.gc();
+                let (queued, live) = (rig.g.relay_order.len(), rig.g.relay.len());
+                assert!(live <= 1 && queued <= 2 * live, "{queued}/{live}");
+            }
+        }
     }
 
     /// Frontiers naming sources outside the group — stray or hostile

@@ -211,9 +211,14 @@ fn bcast_barrier_allgather(
 /// with the hand-off. Three shapes: the switch (single-completion rounds,
 /// stepped inline), the hub (every station hears a frame at once: the
 /// multi-completion fallback) and unicast-only gossip.
+///
+/// `SERVED_GOSSIP_N16` was `0xf7ed_58e5_f497_b5f4` until relays stopped
+/// advertising to every peer and took to their log₂ N finger peers
+/// (`docs/PROTOCOL.md` §11.1): a protocol change, so the run's datagrams
+/// differ. Re-recorded once for it; the two SRM runs never arm gossip.
 const SERVED_SWITCH_N64_SRM: u64 = 0x821b_2c9a_830a_464a;
 const SERVED_HUB_N8_SRM: u64 = 0x59a2_ebda_29de_2e3f;
-const SERVED_GOSSIP_N16: u64 = 0xf7ed_58e5_f497_b5f4;
+const SERVED_GOSSIP_N16: u64 = 0x0210_bd7c_bef8_60bd;
 
 #[test]
 fn served_waits_replay_the_recorded_runs() {

@@ -11,8 +11,9 @@ use mcast_mpi::core::{combine_u64_sum, BcastAlgorithm, Communicator};
 use mcast_mpi::netsim::cluster::ClusterConfig;
 use mcast_mpi::netsim::error::SimError;
 use mcast_mpi::netsim::ids::{DatagramDst, GroupId, HostId, UdpPort};
-use mcast_mpi::netsim::params::NetParams;
+use mcast_mpi::netsim::params::{FaultParams, NetParams};
 use mcast_mpi::netsim::time::{SimDuration, SimTime};
+use mcast_mpi::netsim::topology::TopologyScript;
 use mcast_mpi::netsim::world::{StepOutcome, World};
 use mcast_mpi::transport::{run_mem_world, run_sim_world_stats, Comm, RepairConfig, SimCommConfig};
 
@@ -338,6 +339,58 @@ fn gossip_payload_crosses_each_link_at_most_once() {
             "tracking must have observed payload chunks (n={n})"
         );
     }
+}
+
+/// A rank cut off from the origin gets the payload through a relay: at
+/// N=16 on a unicast-only switch, every frame from the root to rank 5 is
+/// held from the start until 1 s. The root's `Advr` to rank 5 is parked
+/// with the rest, so rank 5 can only learn of the payload from the ranks
+/// that pulled it — its finger predecessors relay the `Advr` — and must
+/// pull it from one of them long before the hold is released
+/// (`docs/PROTOCOL.md` §11.1, §11.3).
+#[test]
+fn held_root_link_is_routed_around_by_a_relay() {
+    let (n, root, victim) = (16, 0usize, 5usize);
+    let release = SimTime::from_micros(1_000_000);
+    let (from, to) = (HostId(root as u32), HostId(victim as u32));
+    let faults = FaultParams {
+        topology: TopologyScript::new()
+            .hold(SimTime::ZERO, from, to)
+            .release(release, from, to),
+        ..Default::default()
+    };
+    let params = NetParams::fast_ethernet_switch()
+        .with_unicast_only()
+        .with_faults(faults);
+    let payload: Vec<u8> = (0..2048u32).map(|i| (i * 7 % 251) as u8).collect();
+    let seed = 0x4E1D_0005;
+    let (report, stats) = run_sim_world_stats(
+        &ClusterConfig::new(n, params, seed),
+        &gossip_cfg(seed),
+        |c| {
+            let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::Gossip);
+            let mut buf = if comm.rank() == root {
+                payload.clone()
+            } else {
+                vec![0; payload.len()]
+            };
+            comm.bcast(root, &mut buf).unwrap();
+            (buf, comm.transport().now())
+        },
+    )
+    .unwrap_or_else(|e| panic!("held-link gossip run failed: {e:?}"));
+    assert!(
+        stats.net.frames_held > 0,
+        "the hold parked the root's frames"
+    );
+    for (rank, (got, _)) in report.outputs.iter().enumerate() {
+        assert_eq!(got, &payload, "rank {rank} holds the wrong bytes");
+    }
+    let done = report.outputs[victim].1;
+    assert!(
+        done < release,
+        "the victim waited for the held link: done at {done:?}, released at {release:?}"
+    );
 }
 
 /// The motivating scenario: on a fabric with no multicast routing the

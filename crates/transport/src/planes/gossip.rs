@@ -63,9 +63,9 @@ pub(crate) struct GossipState {
     /// `(src, seq)`; FIFO-evicted at [`RELAY_CAP`] via `relay_order`,
     /// horizon-GC'd first.
     relay: BTreeMap<(u32, u64), Message>,
-    /// Insertion order of `relay` keys (the FIFO eviction queue). It may
-    /// still hold keys GC took out of `relay`, after a GC no more of
-    /// them than live ones ([`GossipState::compact_relay_order`]).
+    /// Insertion order of `relay` keys (the FIFO eviction queue). Keys GC
+    /// took out of `relay` may linger here; after a GC they never
+    /// outnumber the live ones ([`GossipState::compact_relay_order`]).
     relay_order: VecDeque<(u32, u64)>,
     /// Outstanding pulls by id. One `Want` in flight per id — the inbox
     /// dedups any duplicate answers, but not re-pulling at all is what

@@ -121,8 +121,8 @@ pub struct Inbox {
     unavail: VecDeque<Message>,
     horizons: VecDeque<Message>,
     membership: VecDeque<Message>,
-    /// Gossip-plane control (`Advr`/`Want`), diverted like horizons:
-    /// out-of-band sequence space, never application-matchable.
+    /// Gossip-plane control (`Advr`/`Want`/`Served`), diverted like
+    /// horizons: out-of-band sequence space, never application-matchable.
     gossip: VecDeque<Message>,
     /// When set (gossip plane armed), every accepted `Data` message is
     /// also logged here for the endpoint's relay store — receivers
@@ -263,6 +263,7 @@ impl Inbox {
                     | MsgKind::FailureAnnounce
                     | MsgKind::Advr
                     | MsgKind::Want
+                    | MsgKind::Served
             );
             // ...and the *next* epoch's repair plane is already open:
             // mid-shrink, the survivors that rebased first must keep
@@ -293,14 +294,15 @@ impl Inbox {
             }
             return;
         }
-        if matches!(m.kind, MsgKind::Advr | MsgKind::Want) {
+        if matches!(m.kind, MsgKind::Advr | MsgKind::Want | MsgKind::Served) {
             // Gossip-plane control: like horizons and beacons it lives in
             // the out-of-band control sequence space (a lost digest must
             // never become an unanswerable data hole), so it is diverted
             // before the seq tracking. Bounded queue: digests are
             // cumulative — a later `Advr` re-covers anything a shed one
-            // carried — and an unanswered `Want` is re-issued by the
-            // requester's retry timer.
+            // carried — an unanswered `Want` is re-issued by the
+            // requester's retry timer, and a shed `Served` echo only
+            // delays the rotation it would have triggered.
             self.gossip.push_back(m);
             if self.gossip.len() > 256 {
                 self.gossip.pop_front();
@@ -374,8 +376,8 @@ impl Inbox {
         self.nacks.pop_front()
     }
 
-    /// Take the oldest pending gossip control message (`Advr`/`Want`),
-    /// if any.
+    /// Take the oldest pending gossip control message (`Advr`/`Want`/
+    /// `Served`), if any.
     pub fn take_gossip(&mut self) -> Option<Message> {
         self.gossip.pop_front()
     }

@@ -1,6 +1,9 @@
 //! The epidemic dissemination plane (`docs/PROTOCOL.md` §11): `Advr`
 //! digests pushed lazily, `Want` pulls answered out of the retransmit
-//! ring or the relay store, and the retry rotation over known holders.
+//! ring or the relay store — each payload at most once per requester,
+//! a repeated `Want` drawing a `Served` echo instead — and the retry
+//! rule: probe the same holder on an exponential backoff, rotate to the
+//! next known holder when its echo proves the answer lost.
 //! Everything iterated into wire bytes is `BTreeMap`/`Vec`-backed — replay
 //! determinism forbids hash-order output.
 //!
@@ -24,12 +27,12 @@ use super::membership::{self, MemberState};
 use super::{Ctx, Encoder};
 use crate::pump::{Nanos, RepairPort};
 
-/// Re-issue an unanswered `Want` after this many repair timeouts
-/// (`nack_timeout`, or the adaptive per-peer RTO), stretched by the `n/2`
-/// constant-bandwidth-share factor (see [`GossipState::want_retry_after`]),
-/// rotating to a different advertiser when one is known. Keeps a lost pull
-/// from stalling delivery forever without re-pulling answers that are
-/// merely queued behind a collective's fan-in burst.
+/// Probe the holder of an unanswered `Want` after this many repair
+/// timeouts (`nack_timeout`, or the adaptive per-peer RTO), then after
+/// twice as long each time (see [`GossipState::pull_from`]). A probe is
+/// only a `Want` again: the holder answers it with the payload if the
+/// first `Want` was lost, or with a `Served` echo if the payload is
+/// already on its way or was lost.
 const WANT_RETRY_FACTOR: u64 = 2;
 
 /// Capacity of the relay store (messages): payloads this endpoint received
@@ -38,14 +41,19 @@ const WANT_RETRY_FACTOR: u64 = 2;
 /// entries first.
 const RELAY_CAP: usize = mmpi_wire::DEFAULT_RETRANSMIT_CAP;
 
-/// One outstanding gossip pull: the advertiser it was sent to and when
-/// to retry (rotating to another known holder) if no payload lands.
+/// One outstanding gossip pull: the holder it is addressed to, when to
+/// probe that holder again, and when to give up on it.
 #[derive(Clone, Copy, Debug)]
 struct WantPending {
     /// The peer the `Want` was addressed to.
     peer: u32,
-    /// Retry deadline.
+    /// When to probe `peer` again.
     at: Nanos,
+    /// The wait that led to `at`; doubles with each probe.
+    wait: Nanos,
+    /// When to rotate to the next holder though `peer` never echoed: a
+    /// dead or cut-off holder.
+    rotate_at: Nanos,
 }
 
 /// Per-endpoint state of the epidemic dissemination plane.
@@ -58,6 +66,10 @@ pub(crate) struct GossipState {
     /// Per-peer: which ids we already advertised to that peer —
     /// re-advertising is suppressed. GC'd with `peer_seen`.
     advertised: Vec<SeenTable>,
+    /// Per-peer: which payloads we already unicast to that peer in answer
+    /// to a `Want`. A repeated `Want` for one of them draws a `Served`
+    /// echo, never a second payload. GC'd with `peer_seen`.
+    served: Vec<SeenTable>,
     /// Relay store: payloads this endpoint accepted and re-advertises,
     /// so a peer partitioned from the origin can pull from us. Keyed
     /// `(src, seq)`; FIFO-evicted at [`RELAY_CAP`] via `relay_order`,
@@ -67,9 +79,9 @@ pub(crate) struct GossipState {
     /// took out of `relay` may linger here; after a GC they never
     /// outnumber the live ones ([`GossipState::compact_relay_order`]).
     relay_order: VecDeque<(u32, u64)>,
-    /// Outstanding pulls by id. One `Want` in flight per id — the inbox
-    /// dedups any duplicate answers, but not re-pulling at all is what
-    /// keeps each payload to one crossing per link.
+    /// Outstanding pulls by id, one holder at a time. The holder's
+    /// `served` table, not the requester's patience, is what keeps each
+    /// payload to one crossing per link.
     wanted: BTreeMap<(u32, u64), WantPending>,
     /// The horizon plane's feed and what [`GossipState::gc`] still owes
     /// for it.
@@ -250,7 +262,7 @@ impl DigestScratch {
         }
     }
 
-    /// Unicast `self.ids` to `peer` as `kind` (`Advr` or `Want`), one
+    /// Unicast `self.ids` to `peer` as `kind` (`Advr`, `Want` or `Served`), one
     /// message per digest, each under its own sequence number of the
     /// control space. Returns how many went out; leaves `ids` empty.
     fn send<P: RepairPort>(
@@ -279,6 +291,7 @@ impl GossipState {
         GossipState {
             peer_seen: vec![SeenTable::new(n); n],
             advertised: vec![SeenTable::new(n); n],
+            served: vec![SeenTable::new(n); n],
             relay: BTreeMap::new(),
             relay_order: VecDeque::new(),
             wanted: BTreeMap::new(),
@@ -297,8 +310,9 @@ impl GossipState {
 
     /// One pass of the gossip state machine: fold freshly accepted
     /// payloads into the relay store and advertise them, ingest queued
-    /// `Advr`s (pulling what we miss) and `Want`s (answering out of the
-    /// ring or relay), then re-issue expired pulls.
+    /// `Advr`s (pulling what we miss), `Want`s (answering out of the ring
+    /// or relay, or echoing) and `Served` echoes (rotating a pull whose
+    /// answer was lost), then probe or rotate expired pulls.
     pub(crate) fn service<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -347,10 +361,11 @@ impl GossipState {
             match msg.kind {
                 MsgKind::Advr => self.ingest_advr(cx, io, horizon, peer, digest),
                 MsgKind::Want => self.answer_want(cx, io, peer, digest),
+                MsgKind::Served => self.ingest_served(cx, io, horizon, member, peer, digest),
                 _ => {}
             }
         }
-        // 3. Expired pulls rotate to another known holder.
+        // 3. Expired pulls probe their holder, or rotate off a silent one.
         self.retry_wants(cx, io, horizon, member);
     }
 
@@ -467,14 +482,8 @@ impl GossipState {
                     if self.wanted.contains_key(&(e.src, s)) {
                         continue; // pull in flight; `peer` is a known alternate now
                     }
-                    let retry = Self::want_retry_after(cx.enc, horizon, peer);
-                    self.wanted.insert(
-                        (e.src, s),
-                        WantPending {
-                            peer: peer as u32,
-                            at: now + retry,
-                        },
-                    );
+                    let pull = Self::pull_from(cx.enc, horizon, peer, now);
+                    self.wanted.insert((e.src, s), pull);
                     self.digests.ids.push((e.src, s));
                 }
             }
@@ -487,9 +496,12 @@ impl GossipState {
     /// to the requester — never another rank's point-to-point payload),
     /// relayed traffic re-encodes from the relay store under the
     /// *origin's* rank and sequence number, so the requester's dedup and
-    /// matching treat the relayed copy exactly like the original. Ids we
-    /// no longer hold go unanswered — the requester's retry rotates to
-    /// another holder, and the NACK plane backstops it.
+    /// matching treat the relayed copy exactly like the original. Each
+    /// payload goes to a requester once: ids already served are echoed
+    /// back in one `Served` digest, which on a FIFO path lands behind the
+    /// payload it names. Ids we do not hold go unanswered — the
+    /// requester rotates to another holder at its deadline, and the NACK
+    /// plane backstops it.
     fn answer_want<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -502,39 +514,89 @@ impl GossipState {
             for r in e.ranges {
                 let end = r.end.min(r.start.saturating_add(4096));
                 for s in r.start..=end {
-                    if e.src == me {
-                        let answer = cx
-                            .rtx
+                    if self.served[peer].contains(e.src, s) {
+                        self.digests.ids.push((e.src, s));
+                        continue;
+                    }
+                    let answer = if e.src == me {
+                        cx.rtx
                             .find_seq(s)
                             .filter(|rec| rec.matches(peer as u32, rec.tag))
-                            .map(|rec| rec.datagrams.clone());
-                        if let Some(dgs) = answer {
-                            cx.stats.pulls_answered += 1;
-                            io.send_encoded(peer, &dgs);
-                        }
-                    } else if let Some(m) = self.relay.get(&(e.src, s)) {
-                        let dgs = split_message(
-                            m.kind,
-                            m.context,
-                            m.src_rank,
-                            m.tag,
-                            m.seq,
-                            &m.payload,
-                            cx.enc.max_chunk,
-                        );
+                            .map(|rec| rec.datagrams.clone())
+                    } else {
+                        self.relay.get(&(e.src, s)).map(|m| {
+                            split_message(
+                                m.kind,
+                                m.context,
+                                m.src_rank,
+                                m.tag,
+                                m.seq,
+                                &m.payload,
+                                cx.enc.max_chunk,
+                            )
+                        })
+                    };
+                    if let Some(dgs) = answer {
+                        self.served[peer].note(e.src, s);
+                        self.acked.mark(e.src);
                         cx.stats.pulls_answered += 1;
                         io.send_encoded(peer, &dgs);
                     }
                 }
             }
         }
+        cx.stats.echoes_sent += self.digests.send(cx.enc, io, MsgKind::Served, peer);
     }
 
-    /// Retire pulls whose payload landed, then re-issue expired ones —
-    /// rotated to the next live peer known to hold the id, so one slow
-    /// or dead advertiser cannot stall a pull that anyone else could
-    /// answer. An id with no live known holder left is dropped: the
-    /// per-request NACK plane is the backstop for truly lost traffic.
+    /// Fold one holder's echo: an id it names that we still miss, and are
+    /// pulling from that same holder, had its answer sent ahead of the
+    /// echo on the same path — the answer was lost. Rotate that pull to
+    /// the next live holder at once. With no other holder known the pull
+    /// stays on its probe schedule: a later echo rotates it once a relay
+    /// advertises. An echo naming ids we pull from someone else, or hold,
+    /// changes nothing.
+    fn ingest_served<P: RepairPort>(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        io: &mut P,
+        horizon: &HorizonState,
+        member: Option<&MemberState>,
+        peer: usize,
+        digest: GossipDigestView<'_>,
+    ) {
+        let now = io.now();
+        let mut per_peer: BTreeMap<usize, Vec<(u32, u64)>> = BTreeMap::new();
+        for e in digest.entries() {
+            for r in e.ranges {
+                let end = r.end.min(r.start.saturating_add(4096));
+                for s in r.start..=end {
+                    let key = (e.src, s);
+                    let pulling = self
+                        .wanted
+                        .get(&key)
+                        .is_some_and(|w| w.peer as usize == peer);
+                    if !pulling || cx.inbox.has_seen(e.src, s) {
+                        continue;
+                    }
+                    let Some(next) = self.next_holder(cx.enc, member, key, peer, true) else {
+                        continue;
+                    };
+                    self.wanted
+                        .insert(key, Self::pull_from(cx.enc, horizon, next, now));
+                    per_peer.entry(next).or_default().push(key);
+                }
+            }
+        }
+        self.send_wants(cx, io, per_peer);
+    }
+
+    /// Retire pulls whose payload landed, then act on expired ones: probe
+    /// the same holder again, twice as late each time — so a queued
+    /// answer is never pulled twice, and a lost one is re-pulled one
+    /// probe after the loss — or, once the holder has been silent past
+    /// its `n/2`-stretched deadline, rotate to the next live peer known
+    /// to hold the id. An id with no live known holder left is dropped:
+    /// the per-request NACK plane is the backstop for truly lost traffic.
     fn retry_wants<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -551,52 +613,94 @@ impl GossipState {
             return;
         }
         let now = io.now();
-        let expired: Vec<((u32, u64), u32)> = self
+        let expired: Vec<((u32, u64), WantPending)> = self
             .wanted
             .iter()
             .filter(|(_, w)| now >= w.at)
-            .map(|(&k, w)| (k, w.peer))
+            .map(|(&k, &w)| (k, w))
             .collect();
         let mut per_peer: BTreeMap<usize, Vec<(u32, u64)>> = BTreeMap::new();
-        for (key, prev) in expired {
-            let (src, s) = key;
-            // First live holder ranked strictly after the previous
-            // advertiser, wrapping to the smallest — a deterministic
-            // rotation (no RNG: replay must hold).
-            let next = (0..cx.enc.n)
-                .filter(|&p| {
-                    p != cx.enc.rank
-                        && !membership::is_dead(member, p)
-                        && self.peer_seen[p].contains(src, s)
-                })
-                .min_by_key(|&p| (p as u32 <= prev, p));
-            let (Some(peer), Some(w)) = (next, self.wanted.get_mut(&key)) else {
-                self.wanted.remove(&key);
+        for (key, w) in expired {
+            let prev = w.peer as usize;
+            if now < w.rotate_at {
+                // A probe: the same holder, the next step of the backoff.
+                let wait = w.wait.saturating_mul(2);
+                self.wanted.insert(
+                    key,
+                    WantPending {
+                        at: now.saturating_add(wait).min(w.rotate_at),
+                        wait,
+                        ..w
+                    },
+                );
+                per_peer.entry(prev).or_default().push(key);
                 continue;
-            };
-            w.peer = peer as u32;
-            w.at = now + Self::want_retry_after(cx.enc, horizon, peer);
-            per_peer.entry(peer).or_default().push(key);
+            }
+            match self.next_holder(cx.enc, member, key, prev, false) {
+                Some(peer) => {
+                    self.wanted
+                        .insert(key, Self::pull_from(cx.enc, horizon, peer, now));
+                    per_peer.entry(peer).or_default().push(key);
+                }
+                None => {
+                    self.wanted.remove(&key);
+                }
+            }
         }
+        self.send_wants(cx, io, per_peer);
+    }
+
+    /// The first live peer known to hold `key` ranked strictly after
+    /// `prev`, wrapping to the smallest — a deterministic rotation (no
+    /// RNG: replay must hold). `prev` itself comes last, or not at all
+    /// with `skip_prev`.
+    fn next_holder(
+        &self,
+        enc: &Encoder,
+        member: Option<&MemberState>,
+        (src, s): (u32, u64),
+        prev: usize,
+        skip_prev: bool,
+    ) -> Option<usize> {
+        (0..enc.n)
+            .filter(|&p| {
+                p != enc.rank
+                    && !(skip_prev && p == prev)
+                    && !membership::is_dead(member, p)
+                    && self.peer_seen[p].contains(src, s)
+            })
+            .min_by_key(|&p| (p <= prev, p))
+    }
+
+    /// Send one merged `Want` per holder.
+    fn send_wants<P: RepairPort>(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        io: &mut P,
+        per_peer: BTreeMap<usize, Vec<(u32, u64)>>,
+    ) {
         for (peer, ids) in per_peer {
             self.digests.ids.extend_from_slice(&ids);
             cx.stats.wants_sent += self.digests.send(cx.enc, io, MsgKind::Want, peer);
         }
     }
 
-    /// How long an outstanding `Want` waits before rotating to another
-    /// holder: [`WANT_RETRY_FACTOR`] repair timeouts, stretched by `n/2`
-    /// (floor 1×) — the constant-bandwidth-share rule again. A
-    /// collective phase advertises from up to `n-1` origins at once, so
-    /// a pull answer's latency includes the fan-in queue *and* the
-    /// advertiser's service cadence; an unscaled deadline fires while
-    /// the answer is still in flight and the duplicate answer breaks
-    /// the one-crossing-per-link property on a clean fabric. Truly lost
-    /// answers still recover: first by this rotation, ultimately by the
-    /// per-request NACK plane.
-    fn want_retry_after(enc: &Encoder, horizon: &HorizonState, peer: usize) -> Nanos {
+    /// A fresh pull of one id from `peer` at `now`: the first probe after
+    /// T = [`WANT_RETRY_FACTOR`] repair timeouts toward `peer`, the
+    /// rotation after `n/2` × T (floor 1×) — the constant-bandwidth-share
+    /// stretch, which only a holder that never echoes (dead, cut off, or
+    /// no longer holding the id) lets run out; a live holder's echo
+    /// rotates the pull long before it.
+    fn pull_from(enc: &Encoder, horizon: &HorizonState, peer: usize, now: Nanos) -> WantPending {
         let (t, _) = horizon.timers(Some(peer));
-        t.max(1) * WANT_RETRY_FACTOR * (enc.n as u64 / 2).max(1)
+        let wait = t.max(1).saturating_mul(WANT_RETRY_FACTOR);
+        let patience = wait.saturating_mul((enc.n as u64 / 2).max(1));
+        WantPending {
+            peer: peer as u32,
+            at: now.saturating_add(wait),
+            wait,
+            rotate_at: now.saturating_add(patience),
+        }
     }
 
     /// Horizon feed: a frontier is positive knowledge — `peer` *holds*
@@ -724,468 +828,11 @@ impl GossipState {
         for p in 0..n {
             self.peer_seen[p].release_below(src as u32, floor);
             self.advertised[p].release_below(src as u32, floor);
-        }
-    }
-}
-
-/// The feed and the GC as they were before they became incremental, kept
-/// as the oracle the tests below hold [`GossipState::note_frontiers`] and
-/// [`GossipState::gc`] to: every frontier noted and stored, every relay
-/// key and every source scanned, on every call. They read and write
-/// nothing of [`AckBook`] but the stored frontiers.
-#[cfg(test)]
-impl GossipState {
-    fn note_frontiers_reference(&mut self, peer: usize, acks: &[SourceHorizon]) {
-        let n = self.acked.n;
-        for f in acks.iter().filter(|f| (f.src as usize) < n) {
-            if let Some(end) = acked_prefix(f.hwm, f.missing.iter().copied()) {
-                self.peer_seen[peer].note_range(f.src, SeqRange { start: 0, end });
-            }
-            let row = &mut self.acked.rows[peer].frontier;
-            row.resize(n, None);
-            row[f.src as usize] = Some(f.clone());
-        }
-    }
-
-    fn gc_reference(&mut self, enc: &Encoder, member: Option<&MemberState>) {
-        let (me, n) = (enc.rank, enc.n);
-        let dead: Vec<bool> = (0..n).map(|p| membership::is_dead(member, p)).collect();
-        let quorum = |g: &GossipState, src: u32, seq: u64| {
-            (0..n)
-                .filter(|&p| p != me && p != src as usize && !dead[p])
-                .all(|p| {
-                    g.acked
-                        .frontier(p, src as usize)
-                        .is_some_and(|f| f.acks(seq))
-                })
-        };
-        let drop_keys: Vec<(u32, u64)> = self
-            .relay
-            .keys()
-            .filter(|&&(src, seq)| quorum(self, src, seq))
-            .copied()
-            .collect();
-        for k in &drop_keys {
-            self.relay.remove(k);
-        }
-        self.compact_relay_order();
-        let srcs: Vec<u32> = (0..n as u32)
-            .filter(|&src| (0..n).any(|p| self.acked.frontier(p, src as usize).is_some()))
-            .collect();
-        for src in srcs {
-            let floor = (0..n)
-                .filter(|&p| p != me && p != src as usize && !dead[p])
-                .map(|p| {
-                    self.acked.frontier(p, src as usize).map_or(0, |f| {
-                        match f.missing.iter().map(|r| r.start).min() {
-                            Some(first) => first.saturating_sub(1),
-                            None => f.hwm,
-                        }
-                    })
-                })
-                .min()
-                .unwrap_or(0);
-            if floor == 0 {
-                continue;
-            }
-            for p in 0..n {
-                self.peer_seen[p].release_below(src, floor);
-                self.advertised[p].release_below(src, floor);
-            }
+            self.served[p].release_below(src as u32, floor);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use mmpi_wire::{
-        AckHorizonPayload, AckHorizonView, GossipDigest, RepairStats, RetransmitBuffer,
-        SourceDigest,
-    };
-    use proptest::prelude::*;
-
-    use super::*;
-    use crate::config::{MembershipConfig, RepairConfig};
-    use crate::inbox::Inbox;
-    use crate::testing::ScriptedPump;
-
-    /// One gossip plane and everything its entry points borrow.
-    struct Rig {
-        g: GossipState,
-        enc: Encoder,
-        inbox: Inbox,
-        rtx: RetransmitBuffer,
-        stats: RepairStats,
-        horizon: HorizonState,
-        member: MemberState,
-        io: ScriptedPump,
-        /// Drive the full-scan oracle instead of the incremental pair.
-        reference: bool,
-    }
-
-    /// One step of a random history (see [`Rig::apply`]).
-    type Op = (u8, u32, u32, u64, u64);
-
-    fn horizon_of(src: u32, hwm: u64, shape: u64) -> SourceHorizon {
-        let missing = match shape % 4 {
-            0 | 1 => vec![],
-            2 => vec![SeqRange {
-                start: shape % (hwm + 1),
-                end: hwm,
-            }],
-            _ => vec![SeqRange { start: 0, end: 0 }],
-        };
-        SourceHorizon { src, hwm, missing }
-    }
-
-    impl Rig {
-        fn new(n: usize, me: usize, reference: bool) -> Self {
-            let cfg = RepairConfig::sim_default().with_gossip();
-            let hb = MembershipConfig {
-                heartbeat_interval: std::time::Duration::from_millis(2),
-            };
-            Rig {
-                g: GossipState::new(n),
-                enc: Encoder::new(0, me, n, 60_000, true),
-                inbox: Inbox::new(0, me as u32),
-                rtx: RetransmitBuffer::new(8),
-                stats: RepairStats::default(),
-                horizon: HorizonState::new(&cfg, n),
-                member: MemberState::new(hb, n),
-                io: ScriptedPump::new(),
-                reference,
-            }
-        }
-
-        /// Feed one session message's frontiers: the oracle takes them
-        /// as given, the plane as it meets them — a view of the payload.
-        fn frontiers(&mut self, peer: usize, acks: &[SourceHorizon]) {
-            if self.reference {
-                self.g.note_frontiers_reference(peer, acks);
-                return;
-            }
-            let payload = AckHorizonPayload {
-                probe_ts: 0,
-                echoes: vec![],
-                acks: acks.to_vec(),
-                member: None,
-            }
-            .encode();
-            let view = AckHorizonView::parse(&payload).expect("own encoding");
-            self.g.note_frontiers(peer, view.acks());
-        }
-
-        fn gc(&mut self) {
-            if self.reference {
-                self.g.gc_reference(&self.enc, Some(&self.member));
-            } else {
-                self.g.gc(&self.enc, Some(&self.member));
-            }
-        }
-
-        /// Interpret one op. Small value ranges on purpose: repeated and
-        /// regressing frontiers, re-noted ids and emptied quorums must be
-        /// common, not rare.
-        fn apply(&mut self, (kind, a, b, s, t): Op) {
-            let (n, me) = (self.enc.n, self.enc.rank);
-            let peer = 1 + a as usize % (n - 1); // never `me` (rank 0)
-            let mut cx = Ctx {
-                enc: &mut self.enc,
-                inbox: &mut self.inbox,
-                rtx: &mut self.rtx,
-                stats: &mut self.stats,
-            };
-            match kind {
-                0 | 1 => {
-                    let src = 1 + b % (n as u32 - 1);
-                    if !self.g.relay.contains_key(&(src, s)) {
-                        self.g.relay_insert(Message {
-                            kind: MsgKind::Data,
-                            context: 0,
-                            src_rank: src,
-                            tag: 0,
-                            seq: s,
-                            payload: Bytes::new(),
-                        });
-                    }
-                }
-                2 => {
-                    // `b` may name a source outside the group.
-                    let digest = GossipDigest {
-                        entries: vec![SourceDigest {
-                            src: b,
-                            ranges: vec![SeqRange {
-                                start: s,
-                                end: s + t % 3,
-                            }],
-                        }],
-                    };
-                    let payload = digest.encode();
-                    let view = GossipDigestView::parse(&payload).expect("own encoding");
-                    self.g
-                        .ingest_advr(&mut cx, &mut self.io, &self.horizon, peer, view);
-                }
-                3 => {
-                    let ids = [(b % n as u32, s)];
-                    self.g
-                        .advertise(&mut cx, &mut self.io, &ids, Some(&self.member));
-                }
-                4..=8 => {
-                    let acks: Vec<SourceHorizon> = (0..1 + t % 3)
-                        .map(|k| horizon_of((b + k as u32) % (n as u32 + 2), (s + k) % 12, t + k))
-                        .collect();
-                    self.frontiers(peer, &acks);
-                }
-                9 if t < 4 && peer != me => {
-                    self.member.force_fail(peer);
-                }
-                _ => self.gc(),
-            }
-        }
-
-        /// Everything the GC may touch, and everything a divergence in it
-        /// would eventually move on the wire.
-        fn observable(&self) -> impl PartialEq + std::fmt::Debug + '_ {
-            (
-                self.g.relay.keys().collect::<Vec<_>>(),
-                &self.g.relay_order,
-                &self.g.peer_seen,
-                &self.g.advertised,
-                self.g.wanted.keys().collect::<Vec<_>>(),
-                (self.stats.advrs_sent, self.stats.wants_sent),
-                self.stats.duplicate_payloads_avoided,
-                self.io.unicasts_out,
-            )
-        }
-    }
-
-    /// The digest interner [`DigestScratch::encode`] replaced — a map of
-    /// per-source range lists, compacted, chunked and handed to the owned
-    /// encoder — kept as its oracle.
-    fn digests_of(ids: &[(u32, u64)]) -> Vec<GossipDigest> {
-        let mut by_src: BTreeMap<u32, Vec<SeqRange>> = BTreeMap::new();
-        for &(src, seq) in ids {
-            by_src.entry(src).or_default().push(SeqRange {
-                start: seq,
-                end: seq,
-            });
-        }
-        let mut out = Vec::new();
-        let mut cur: Vec<SourceDigest> = Vec::new();
-        for (src, ranges) in by_src {
-            for chunk in mmpi_wire::compact_ranges(ranges).chunks(MAX_DIGEST_RANGES) {
-                if cur.len() == MAX_DIGEST_SOURCES {
-                    out.push(GossipDigest {
-                        entries: std::mem::take(&mut cur),
-                    });
-                }
-                cur.push(SourceDigest {
-                    src,
-                    ranges: chunk.to_vec(),
-                });
-            }
-        }
-        if !cur.is_empty() {
-            out.push(GossipDigest { entries: cur });
-        }
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The scratch encoder writes the bytes the owned encoder wrote:
-        /// over random id lists — duplicates, runs, `u64::MAX`, more
-        /// ranges than one entry and more entries than one digest holds —
-        /// and with whatever the scratch last encoded still in it.
-        #[test]
-        fn scratch_digests_are_byte_identical_to_the_owned_encoder(
-            lists in proptest::collection::vec(
-                proptest::collection::vec(
-                    (0u32..24, prop_oneof![0u64..40, (0u64..3).prop_map(|k| u64::MAX - k)], 1u64..4),
-                    0..120,
-                ),
-                1..4,
-            ),
-        ) {
-            let mut scratch = DigestScratch::default();
-            for list in lists {
-                // `stride` spreads a source's seqs out, so that some lists
-                // are mostly runs and some mostly isolated ids.
-                let ids: Vec<(u32, u64)> = list
-                    .iter()
-                    .map(|&(src, seq, stride)| (src, seq.saturating_mul(stride)))
-                    .collect();
-                let want: Vec<Bytes> = digests_of(&ids).iter().map(GossipDigest::encode).collect();
-                scratch.ids.clone_from(&ids);
-                scratch.encode();
-                prop_assert_eq!(&scratch.payloads, &want);
-            }
-        }
-
-        /// The equivalence oracle: over random histories of relay inserts,
-        /// `Advr` ingests, advertisements, session messages (repeated,
-        /// advancing and stale), failures and GCs, the incremental feed
-        /// and GC leave exactly what the full scan leaves, after every GC.
-        #[test]
-        fn incremental_gc_matches_the_full_scan(
-            ops in proptest::collection::vec(
-                (0u8..12, 0u32..8, 0u32..8, 0u64..12, 0u64..12), 1..120),
-        ) {
-            let mut real = Rig::new(5, 0, false);
-            let mut oracle = Rig::new(5, 0, true);
-            for op in ops {
-                real.apply(op);
-                oracle.apply(op);
-                if op.0 >= 10 {
-                    prop_assert_eq!(real.observable(), oracle.observable());
-                }
-            }
-            real.gc();
-            oracle.gc();
-            prop_assert_eq!(real.observable(), oracle.observable());
-        }
-    }
-
-    /// The corner the `skipped` log exists for: a repeated frontier's
-    /// prefix note is skipped, then a stale frontier later in the same
-    /// batch drags the floor back below what was already released — the
-    /// full scan would have re-noted the repeated prefix first.
-    #[test]
-    fn stale_frontier_replays_the_skipped_prefix_notes() {
-        let full = |src, hwm| SourceHorizon {
-            src,
-            hwm,
-            missing: vec![],
-        };
-        let mut rigs = [Rig::new(4, 0, false), Rig::new(4, 0, true)];
-        for rig in &mut rigs {
-            rig.frontiers(2, &[full(1, 10)]);
-            rig.frontiers(3, &[full(1, 10)]);
-            rig.gc(); // floor 10: everything of source 1 released
-            rig.frontiers(2, &[full(1, 10)]); // repeated
-            rig.frontiers(3, &[full(1, 4)]); // stale
-            rig.gc();
-            assert!(rig.g.peer_seen[2].contains(1, 5), "5..=10 is back");
-            assert!(!rig.g.peer_seen[2].contains(1, 4));
-        }
-        assert_eq!(rigs[0].observable(), rigs[1].observable());
-    }
-
-    /// A session message that changes nothing costs comparisons only: no
-    /// quorum is evaluated and the state-owned scratch does not grow.
-    #[test]
-    fn unchanged_session_message_evaluates_no_quorum() {
-        let n = 32;
-        let mut rig = Rig::new(n, 0, false);
-        let acks: Vec<SourceHorizon> = (1..n as u32).map(|src| horizon_of(src, 7, 0)).collect();
-        for _ in 0..2 {
-            rig.frontiers(1, &acks);
-            rig.gc();
-        }
-        let (evals, scratch) = (rig.g.acked.quorum_evals, rig.g.acked.skipped.capacity());
-        assert_eq!(
-            evals,
-            n as u64 - 1,
-            "the first message dirtied every source"
-        );
-        for _ in 0..100 {
-            rig.frontiers(1, &acks);
-            rig.gc();
-        }
-        assert_eq!(rig.g.acked.quorum_evals, evals);
-        assert_eq!(rig.g.acked.skipped.capacity(), scratch);
-    }
-
-    /// Relays go to the finger peers, the power-of-two offsets from
-    /// `me`, less the origin; a dead finger is skipped, not replaced. The
-    /// origin's own `advertise` still reaches every live peer. Who was
-    /// told is read off the `advertised` table.
-    #[test]
-    fn relays_advertise_to_the_fingers_and_origins_to_everyone() {
-        fn told(rig: &Rig, (src, seq): (u32, u64)) -> Vec<usize> {
-            (0..rig.enc.n)
-                .filter(|&p| rig.g.advertised[p].contains(src, seq))
-                .collect()
-        }
-        fn relay(rig: &mut Rig, src: u32, seq: u64) {
-            for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
-                rig.inbox.ingest_wire(&d, false).expect("well-formed");
-            }
-            let mut cx = Ctx {
-                enc: &mut rig.enc,
-                inbox: &mut rig.inbox,
-                rtx: &mut rig.rtx,
-                stats: &mut rig.stats,
-            };
-            let (member, horizon) = (Some(&rig.member), &rig.horizon);
-            rig.g.service(&mut cx, &mut rig.io, horizon, member);
-        }
-        for n in [2usize, 3, 16, 32, 64] {
-            let (me, src) = (n - 1, 0u32);
-            let mut rig = Rig::new(n, me, false);
-            rig.inbox.set_log_data(true);
-            let mut fingers: Vec<usize> = (0..n.ilog2() + 1)
-                .map(|k| 1 << k)
-                .filter(|&d| d < n)
-                .map(|d| (me + d) % n)
-                .collect();
-            assert_eq!(fingers.len() as u32, (n - 1).ilog2() + 1, "n={n}");
-            fingers.sort_unstable();
-            fingers.retain(|&p| p != src as usize);
-            relay(&mut rig, src, 1);
-            assert_eq!(told(&rig, (src, 1)), fingers, "n={n}");
-
-            let own = (me as u32, 5);
-            rig.apply((3, 0, own.0, own.1, 0)); // the origin's `advertise`
-            let everyone: Vec<usize> = (0..n).filter(|&p| p != me).collect();
-            assert_eq!(told(&rig, own), everyone, "n={n}");
-
-            if let Some(&dead) = fingers.first() {
-                rig.member.force_fail(dead);
-                relay(&mut rig, src, 2);
-                fingers.remove(0);
-                assert_eq!(told(&rig, (src, 2)), fingers, "n={n}");
-            }
-        }
-    }
-
-    /// GC empties the relay store while it is under its cap; the keys it
-    /// took must not pile up in the eviction queue.
-    #[test]
-    fn relay_order_stays_within_twice_the_store_under_gc() {
-        for reference in [false, true] {
-            let mut rig = Rig::new(4, 0, reference);
-            for seq in 0..10_000 {
-                rig.apply((0, 0, 0, seq, 0)); // relay (1, seq)
-                let acked = [horizon_of(1, seq, 0)];
-                rig.frontiers(2, &acked);
-                rig.frontiers(3, &acked);
-                rig.gc();
-                let (queued, live) = (rig.g.relay_order.len(), rig.g.relay.len());
-                assert!(live <= 1 && queued <= 2 * live, "{queued}/{live}");
-            }
-        }
-    }
-
-    /// Frontiers naming sources outside the group — stray or hostile
-    /// traffic — must not grow anything.
-    #[test]
-    fn frontiers_for_sources_outside_the_group_are_ignored() {
-        let n = 4;
-        let mut rig = Rig::new(n, 0, false);
-        for k in 0..1000u32 {
-            let acks: Vec<SourceHorizon> = (0..32)
-                .map(|j| horizon_of(n as u32 + k * 32 + j, 9, 0))
-                .collect();
-            rig.frontiers(1, &acks);
-            rig.gc();
-        }
-        let book = &rig.g.acked;
-        assert!(book
-            .rows
-            .iter()
-            .all(|r| r.frontier.is_empty() && r.prefix.is_empty()));
-        assert!(book.skipped.is_empty() && rig.g.peer_seen.iter().all(SeenTable::is_empty));
-    }
-}
+#[path = "gossip_tests.rs"]
+mod tests;

@@ -6,7 +6,7 @@
 //! | [`srm`] | [`srm::SrmState`] | NACK service, solicit-or-suppress, randomized backoff (`docs/PROTOCOL.md` §8) |
 //! | [`horizon`] | [`horizon::HorizonState`] | ACK-horizon session messages, per-peer RTT, ring GC (§9) |
 //! | [`membership`] | [`membership::MemberState`] | heartbeats, suspicion, failure announces (§10) |
-//! | [`gossip`] | [`gossip::GossipState`] | `Advr`/`Want` dissemination and the relay store (§11) |
+//! | [`gossip`] | [`gossip::GossipState`] | `Advr`/`Want`/`Served` dissemination and the relay store (§11) |
 //!
 //! A plane's fields are private to its module. [`crate::EndpointCore`]
 //! reaches a plane through `new`, `service(cx, io, …)` and
@@ -39,9 +39,9 @@ use membership::MemberState;
 use srm::SrmState;
 
 /// Wire offset of the control sequence space: session traffic (horizons,
-/// heartbeats, failure announces, `Advr`/`Want`) counts from here, data
-/// messages from zero, and the chunk assembler (keyed by `(src, seq)`)
-/// can never confuse the two.
+/// heartbeats, failure announces, `Advr`/`Want`/`Served`) counts from
+/// here, data messages from zero, and the chunk assembler (keyed by
+/// `(src, seq)`) can never confuse the two.
 pub(crate) const CONTROL_SEQ_BASE: u64 = 1 << 63;
 
 /// An endpoint's identity on the wire, its two sequence counters and the

@@ -249,12 +249,12 @@ impl SrmState {
     /// [`HorizonState::timers`] for a directed `src`.
     ///
     /// Under the gossip dissemination plane the deadline is stretched by
-    /// the same `n/2` factor as the `Want` rotation: there, normal
-    /// delivery *is* the Advr→Want→answer pull (plus its fan-in
-    /// queueing), so an unstretched NACK races the pull and its
-    /// retransmission puts a second copy of the payload on a link the
+    /// the same `n/2` factor as a silent holder's `Want` rotation: there,
+    /// normal delivery *is* the Advr→Want→answer pull (plus its fan-in
+    /// queueing and probes), so an unstretched NACK races the pull and
+    /// its retransmission puts a second copy of the payload on a link the
     /// pull already crossed. The NACK plane stays the final backstop —
-    /// it just fires behind the rotation instead of in front of it.
+    /// it just fires behind the pull instead of in front of it.
     pub(crate) fn deadline<P: RepairPort>(
         &mut self,
         enc: &Encoder,

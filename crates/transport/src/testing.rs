@@ -1,8 +1,9 @@
 //! A scripted in-memory [`RepairPump`] for driving bare [`EndpointCore`]s
 //! in tests: a clock that only the script (or a park with nothing queued)
 //! moves, an inbound queue, and an outbound queue that is either counted
-//! and left alone ([`ScriptedPump::new`]) or is the peer's inbound queue
-//! ([`ScriptedPump::pair`]). Datagrams cross as the header-view /
+//! and left alone ([`ScriptedPump::new`]), is the peer's inbound queue
+//! ([`ScriptedPump::pair`]), or is kept for the script to route
+//! ([`ScriptedPump::routed`]). Datagrams cross as the header-view /
 //! payload-view pairs the simulator backend also passes, so the pump
 //! copies nothing. Not part of the supported API.
 
@@ -30,6 +31,8 @@ pub struct ScriptedPump {
     pub unicasts_out: usize,
     /// Datagrams handed to [`RepairPump::send_encoded_mcast`] so far.
     pub mcasts_out: usize,
+    /// Unicasts kept with their destination, on a routed end.
+    sent: Option<Vec<(usize, Datagram)>>,
 }
 
 impl ScriptedPump {
@@ -42,6 +45,7 @@ impl ScriptedPump {
             outbound: None,
             unicasts_out: 0,
             mcasts_out: 0,
+            sent: None,
         }
     }
 
@@ -54,6 +58,26 @@ impl ScriptedPump {
         a.outbound = Some(Rc::clone(&b.inbound));
         b.outbound = Some(Rc::clone(&a.inbound));
         (a, b)
+    }
+
+    /// `n` ends on one clock whose unicasts are kept, with their
+    /// destination, until the script takes them ([`ScriptedPump::take_sent`])
+    /// to deliver, drop or hold — a fabric of any size, routed by hand.
+    pub fn routed(n: usize) -> Vec<Self> {
+        let clock: Rc<Cell<Nanos>> = Rc::default();
+        (0..n)
+            .map(|_| ScriptedPump {
+                clock: Rc::clone(&clock),
+                sent: Some(Vec::new()),
+                ..ScriptedPump::new()
+            })
+            .collect()
+    }
+
+    /// Take the unicasts a routed end sent since the last call, oldest
+    /// first, each with its destination rank. Empty on other ends.
+    pub fn take_sent(&mut self) -> Vec<(usize, Datagram)> {
+        self.sent.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The scripted clock.
@@ -133,8 +157,11 @@ impl RepairPump for ScriptedPump {
         false
     }
 
-    fn send_encoded(&mut self, _dst: usize, datagrams: &[Datagram]) {
+    fn send_encoded(&mut self, dst: usize, datagrams: &[Datagram]) {
         self.unicasts_out += datagrams.len();
+        if let Some(sent) = &mut self.sent {
+            sent.extend(datagrams.iter().map(|d| (dst, d.clone())));
+        }
         self.push(datagrams, false);
     }
 

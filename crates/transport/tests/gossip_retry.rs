@@ -1,0 +1,320 @@
+//! The gossip pull's retry rule, one path at a time (`docs/PROTOCOL.md`
+//! §11.2): a requester probes the holder it pulls from on an exponential
+//! backoff, a holder sends each payload to a requester once and echoes a
+//! repeated `Want` with `Served`, and an echo that arrives while the
+//! payload is still missing rotates the pull to another holder at once.
+//!
+//! Three bare [`EndpointCore`]s of an 8-rank group over
+//! [`ScriptedPump::routed`], routed by hand so that each test loses or
+//! holds exactly the datagram it names (what is sent to the five absent
+//! ranks is dropped). Rank 1 originates one group send, rank 7 pulls it
+//! and relays the advertisement to its finger peer rank 0, and rank 0 is
+//! the requester both advertise to. At N=8 the `n/2` rotation deadline is
+//! 4 T, past the first two probes (T and 3 T).
+
+use mmpi_transport::testing::ScriptedPump;
+use mmpi_transport::{EndpointCore, Nanos, RepairConfig};
+use mmpi_wire::{Bytes, Datagram, GossipDigest, MsgKind};
+
+const N: usize = 8;
+const REQUESTER: usize = 0;
+const ORIGIN: usize = 1;
+const RELAY: usize = 7;
+const PRESENT: [usize; 3] = [REQUESTER, ORIGIN, RELAY];
+const TAG: u32 = 7;
+/// The first probe's delay: `WANT_RETRY_FACTOR` (2) × `nack_timeout`
+/// (2 ms under `sim_default`).
+const T: Nanos = 4_000_000;
+
+/// What the script does with one datagram.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fate {
+    Deliver,
+    Drop,
+    /// Park it, and everything after it on the same link, until
+    /// [`Net::release`]: a FIFO link that stalls.
+    Hold,
+}
+
+/// One datagram a rank handed to the fabric: `(from, to, kind)`.
+type Sent = (usize, usize, MsgKind);
+
+struct Net {
+    /// The endpoint and pump of each rank in [`PRESENT`], in that order.
+    cores: Vec<EndpointCore>,
+    ios: Vec<ScriptedPump>,
+    /// Held links, `(from, to)`, and what is parked on each in send order.
+    held: Vec<((usize, usize), Vec<Datagram>)>,
+    /// Every datagram sent so far between present ranks.
+    log: Vec<Sent>,
+}
+
+fn at(rank: usize) -> Option<usize> {
+    PRESENT.iter().position(|&r| r == rank)
+}
+
+impl Net {
+    fn new() -> Self {
+        let cfg = RepairConfig::sim_default().with_gossip();
+        Net {
+            cores: PRESENT
+                .iter()
+                .map(|&rank| EndpointCore::new(0, rank, N, 60_000, Some(cfg)))
+                .collect(),
+            ios: ScriptedPump::routed(PRESENT.len()),
+            held: Vec::new(),
+            log: Vec::new(),
+        }
+    }
+
+    fn stats(&self, rank: usize) -> mmpi_wire::RepairStats {
+        self.cores[at(rank).expect("present")].repair_stats()
+    }
+
+    /// The origin's group send: under gossip an `Advr` to each peer.
+    fn originate(&mut self) {
+        let i = at(ORIGIN).expect("present");
+        let payload = Bytes::from(vec![0xAB; 512]);
+        self.cores[i].mcast_message(&mut self.ios[i], TAG, MsgKind::Data, &payload);
+    }
+
+    /// Run every rank's progress pass and route what it sent, until
+    /// nothing moves. `fate` sees each datagram not already on a held
+    /// link. Returns what was sent, in order.
+    fn settle(&mut self, mut fate: impl FnMut(&Sent) -> Fate) -> Vec<Sent> {
+        let first = self.log.len();
+        loop {
+            for (core, io) in self.cores.iter_mut().zip(&mut self.ios) {
+                core.progress(io);
+            }
+            let mut moved = false;
+            for (i, &from) in PRESENT.iter().enumerate() {
+                for (to, d) in self.ios[i].take_sent() {
+                    moved = true;
+                    let Some(j) = at(to) else {
+                        continue; // an absent rank
+                    };
+                    let sent = (from, to, kind(&d));
+                    self.log.push(sent);
+                    if let Some((_, parked)) = self.held.iter_mut().find(|(l, _)| *l == (from, to))
+                    {
+                        parked.push(d);
+                        continue;
+                    }
+                    match fate(&sent) {
+                        Fate::Deliver => self.ios[j].inject([d]),
+                        Fate::Drop => {}
+                        Fate::Hold => self.held.push(((from, to), vec![d])),
+                    }
+                }
+            }
+            if !moved {
+                return self.log[first..].to_vec();
+            }
+        }
+    }
+
+    /// Deliver everything parked on `from → to`, in order, reopen the
+    /// link and settle.
+    fn release(&mut self, from: usize, to: usize) -> Vec<Sent> {
+        let held = self.held.iter().position(|(l, _)| *l == (from, to));
+        let (_, parked) = self.held.remove(held.expect("the link is held"));
+        self.ios[at(to).expect("present")].inject(parked);
+        self.settle(|_| Fate::Deliver)
+    }
+
+    /// Move the shared clock, then settle with every datagram delivered.
+    fn settle_at(&mut self, now: Nanos) -> Vec<Sent> {
+        self.ios[0].set_clock(now);
+        self.settle(|_| Fate::Deliver)
+    }
+
+    /// Whether the requester holds the payload: a receive posted now is
+    /// matched at once.
+    fn requester_has(&mut self) -> bool {
+        let (core, io) = (&mut self.cores[0], &mut self.ios[0]);
+        let req = core.post_recv(io, Some(ORIGIN), TAG);
+        core.progress(io);
+        match core.test_claimed(req) {
+            Some(got) => got.is_ok_and(|m| m.payload.len() == 512),
+            None => {
+                core.cancel_req(req);
+                false
+            }
+        }
+    }
+
+    /// How many payloads crossed `from → to` so far.
+    fn payloads(&self, from: usize, to: usize) -> usize {
+        let data = (from, to, MsgKind::Data);
+        self.log.iter().filter(|&&s| s == data).count()
+    }
+}
+
+fn kind(d: &Datagram) -> MsgKind {
+    d.decode().expect("well-formed").kind
+}
+
+/// The requester's pulls and the answers to them, in order.
+fn pulls(log: &[Sent]) -> Vec<Sent> {
+    log.iter()
+        .copied()
+        .filter(|&(from, to, k)| {
+            (from == REQUESTER || to == REQUESTER)
+                && matches!(k, MsgKind::Want | MsgKind::Served | MsgKind::Data)
+        })
+        .collect()
+}
+
+/// The first datagram of kind `k` on `from → to` meets `fate`; every
+/// other one is delivered.
+fn first(from: usize, to: usize, k: MsgKind, fate: Fate) -> impl FnMut(&Sent) -> Fate {
+    let mut armed = true;
+    move |&s| {
+        if armed && s == (from, to, k) {
+            armed = false;
+            fate
+        } else {
+            Fate::Deliver
+        }
+    }
+}
+
+/// The origin sends; the requester pulls from it (its `Advr` came
+/// first), the relay pulls the payload too and advertises it to the
+/// requester. Returns the requester's pulls and answers.
+fn advertised(net: &mut Net, fate: impl FnMut(&Sent) -> Fate) -> Vec<Sent> {
+    net.originate();
+    let log = net.settle(fate);
+    assert!(log.contains(&(RELAY, REQUESTER, MsgKind::Advr)), "{log:?}");
+    assert_eq!(net.payloads(ORIGIN, RELAY), 1);
+    pulls(&log)
+}
+
+const WANT: Sent = (REQUESTER, ORIGIN, MsgKind::Want);
+const ANSWER: Sent = (ORIGIN, REQUESTER, MsgKind::Data);
+const ECHO: Sent = (ORIGIN, REQUESTER, MsgKind::Served);
+
+#[test]
+fn a_lost_want_is_answered_at_the_first_probe() {
+    let mut net = Net::new();
+    let log = advertised(
+        &mut net,
+        first(REQUESTER, ORIGIN, MsgKind::Want, Fate::Drop),
+    );
+    assert_eq!(log, [WANT]);
+    assert!(!net.requester_has());
+
+    assert!(pulls(&net.settle_at(T - 1)).is_empty(), "no probe before T");
+    assert_eq!(pulls(&net.settle_at(T)), [WANT, ANSWER]);
+    assert!(net.requester_has());
+    assert_eq!(net.stats(ORIGIN).echoes_sent, 0);
+}
+
+#[test]
+fn a_lost_answer_draws_an_echo_and_rotates_to_the_other_holder_at_once() {
+    let mut net = Net::new();
+    let log = advertised(
+        &mut net,
+        first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Drop),
+    );
+    assert_eq!(log, [WANT, ANSWER]);
+    assert!(!net.requester_has());
+
+    assert_eq!(
+        pulls(&net.settle_at(T)),
+        [
+            WANT,
+            ECHO,
+            (REQUESTER, RELAY, MsgKind::Want),
+            (RELAY, REQUESTER, MsgKind::Data),
+        ],
+        "the origin echoed instead of re-sending, and the echo moved the pull"
+    );
+    assert!(net.requester_has());
+    let origin = net.stats(ORIGIN);
+    assert_eq!((origin.pulls_answered, origin.echoes_sent), (2, 1));
+}
+
+#[test]
+fn an_answer_delayed_behind_probes_crosses_once() {
+    let mut net = Net::new();
+    let log = advertised(
+        &mut net,
+        first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Hold),
+    );
+    assert_eq!(log, [WANT, ANSWER]);
+    // Probes at T and 3 T (the backoff doubles); each draws an echo,
+    // which queues behind the held answer.
+    for (now, sent) in [(T, &[WANT, ECHO][..]), (2 * T, &[]), (3 * T, &[WANT, ECHO])] {
+        assert_eq!(pulls(&net.settle_at(now)), sent, "at {now}");
+        assert!(!net.requester_has());
+    }
+    let log = net.release(ORIGIN, REQUESTER);
+    assert!(
+        pulls(&log).is_empty(),
+        "echoes behind the payload move nothing: {log:?}"
+    );
+    assert!(net.requester_has());
+    assert_eq!(net.payloads(ORIGIN, REQUESTER), 1);
+    assert_eq!(net.payloads(RELAY, REQUESTER), 0);
+    assert_eq!(net.stats(ORIGIN).echoes_sent, 2);
+    assert!(pulls(&net.settle_at(60 * T)).is_empty(), "the pull retired");
+}
+
+#[test]
+fn a_silent_holder_is_left_at_the_n_over_2_deadline() {
+    let mut net = Net::new();
+    // Nothing the requester sends reaches the origin: a cut-off holder.
+    let cut = |&(from, to, _): &Sent| {
+        if (from, to) == (REQUESTER, ORIGIN) {
+            Fate::Drop
+        } else {
+            Fate::Deliver
+        }
+    };
+    net.originate();
+    net.settle(cut);
+    for (now, sent) in [(T, &[WANT][..]), (3 * T, &[WANT])] {
+        net.ios[0].set_clock(now);
+        assert_eq!(pulls(&net.settle(cut)), sent, "at {now}");
+    }
+    net.ios[0].set_clock(4 * T - 1);
+    assert!(pulls(&net.settle(cut)).is_empty());
+    net.ios[0].set_clock(4 * T);
+    assert_eq!(
+        pulls(&net.settle(cut)),
+        [
+            (REQUESTER, RELAY, MsgKind::Want),
+            (RELAY, REQUESTER, MsgKind::Data),
+        ]
+    );
+    assert!(net.requester_has());
+}
+
+#[test]
+fn a_strangers_echo_changes_nothing() {
+    let mut net = Net::new();
+    let log = advertised(
+        &mut net,
+        first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Hold),
+    );
+    assert_eq!(log, [WANT, ANSWER]);
+    let before = net.stats(REQUESTER);
+    // The relay echoes the id the requester pulls from the origin, and
+    // the origin echoes an id nobody pulls.
+    for (k, (from, seq)) in [(RELAY, 0), (ORIGIN, 5)].into_iter().enumerate() {
+        let digest = GossipDigest::single(ORIGIN as u32, seq).encode();
+        let control = (1 << 63) | (900 + k as u64);
+        net.ios[0].inject_message(MsgKind::Served, from as u32, 0, control, &digest);
+    }
+    assert!(pulls(&net.settle(|_| Fate::Deliver)).is_empty());
+    assert_eq!(net.stats(REQUESTER), before);
+
+    // The pull goes on as if nothing had arrived: its probe is due at T,
+    // to the origin.
+    assert_eq!(pulls(&net.settle_at(T)), [WANT, ECHO]);
+    net.release(ORIGIN, REQUESTER);
+    assert!(net.requester_has());
+    assert_eq!(net.payloads(RELAY, REQUESTER), 0);
+}

@@ -4,8 +4,10 @@
 //! On a fabric without working multicast the transport cannot put one
 //! datagram on the wire and have the switch fan it out; instead each
 //! endpoint *advertises* the message ids it holds ([`crate::MsgKind::Advr`])
-//! and peers *pull* what they are missing ([`crate::MsgKind::Want`]).
-//! Both kinds carry the same payload, a [`GossipDigest`]: message ids
+//! and peers *pull* what they are missing ([`crate::MsgKind::Want`]); a
+//! holder asked again for an id it already sent answers with an echo
+//! ([`crate::MsgKind::Served`]). All three kinds carry the same payload,
+//! a [`GossipDigest`]: message ids
 //! interned as `(src, inclusive seq ranges)` — the identical range form
 //! the NACK codec uses ([`crate::nack::NackPayload`]), so a digest of a
 //! thousand contiguous messages costs sixteen bytes, not a thousand
@@ -78,11 +80,12 @@ pub struct SourceDigest {
     pub ranges: Vec<SeqRange>,
 }
 
-/// Decoded body of a [`crate::MsgKind::Advr`] or [`crate::MsgKind::Want`]
-/// datagram: message ids in interned `(src, seq-range)` form. For an
-/// `Advr` the ids are what the sender *holds and will answer pulls for*;
-/// for a `Want` they are what the sender is *missing and asks the
-/// addressee to unicast back*.
+/// Decoded body of a [`crate::MsgKind::Advr`], [`crate::MsgKind::Want`]
+/// or [`crate::MsgKind::Served`] datagram: message ids in interned
+/// `(src, seq-range)` form. For an `Advr` the ids are what the sender
+/// *holds and will answer pulls for*; for a `Want` they are what the
+/// sender is *missing and asks the addressee to unicast back*; for a
+/// `Served` they are what the sender *already unicast to the addressee*.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GossipDigest {
     /// Per-source entries, sorted by `src` (the encoder's iteration order
@@ -174,7 +177,7 @@ pub struct SourceDigestView<'a> {
     pub ranges: RangesView<'a>,
 }
 
-/// An `Advr`/`Want` payload read in place. `parse` walks and validates
+/// An `Advr`/`Want`/`Served` payload read in place. `parse` walks and validates
 /// every entry once; [`GossipDigestView::entries`] then reads them off the
 /// payload bytes.
 #[derive(Clone, Copy, Debug)]

@@ -88,6 +88,13 @@ pub enum MsgKind {
     /// [`crate::gossip::GossipDigest`]. Consumed by the dissemination
     /// plane, never delivered to the application.
     Want = 10,
+    /// Gossip pull echo: the answer to a `Want` for ids the sender already
+    /// sent the requester once. Sent on the unicast path the payload took,
+    /// so on a FIFO path it arrives behind that payload: a requester still
+    /// missing an echoed id knows the payload was lost. Also a
+    /// [`crate::gossip::GossipDigest`]. Consumed by the dissemination
+    /// plane, never delivered to the application.
+    Served = 11,
 }
 
 impl MsgKind {
@@ -105,6 +112,7 @@ impl MsgKind {
             8 => MsgKind::FailureAnnounce,
             9 => MsgKind::Advr,
             10 => MsgKind::Want,
+            11 => MsgKind::Served,
             other => return Err(WireError::BadKind(other)),
         })
     }
@@ -331,6 +339,7 @@ mod tests {
             MsgKind::FailureAnnounce,
             MsgKind::Advr,
             MsgKind::Want,
+            MsgKind::Served,
         ] {
             assert_eq!(MsgKind::from_u8(kind as u8).unwrap(), kind);
         }

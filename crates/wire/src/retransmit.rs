@@ -275,7 +275,11 @@ pub struct RepairStats {
     /// held the payload — the epidemic plane's duplicate-suppression win
     /// (each skipped pull is a payload that did not cross the link again).
     pub duplicate_payloads_avoided: u64,
-    /// Control messages (`Nack`, `AckHorizon`, `Advr`, `Want`) a plane
+    /// Gossip pull echoes (`MsgKind::Served`) this endpoint sent: answers
+    /// to a `Want` for ids it had already unicast to that requester once.
+    /// Not advertisements — [`RepairStats::advrs_sent`] does not count them.
+    pub echoes_sent: u64,
+    /// Control messages (`Nack`, `AckHorizon`, `Advr`, `Want`, `Served`) a plane
     /// dropped at ingest: a payload that does not decode, or a sender
     /// rank outside the group. Stray or hostile traffic on a real port;
     /// always zero on the closed simulated fabric.
@@ -289,11 +293,12 @@ pub struct RepairStats {
 }
 
 impl std::fmt::Debug for RepairStats {
-    /// The derived rendering — with the two drop counters shown only when
-    /// they counted something. The recorded replay fingerprints
-    /// (`tests/determinism.rs`) hash this rendering of lossy simulated
-    /// runs, where nothing is ever malformed or foreign: such a run must
-    /// go on rendering exactly as it did before the counters existed.
+    /// The derived rendering — with the echo and the two drop counters
+    /// shown only when they counted something. The recorded replay
+    /// fingerprints (`tests/determinism.rs`) hash this rendering of lossy
+    /// simulated runs, where nothing is ever malformed or foreign and no
+    /// multicast run echoes a pull: such a run must go on rendering
+    /// exactly as it did before the counters existed.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = f.debug_struct("RepairStats");
         s.field("nacks_sent", &self.nacks_sent)
@@ -320,6 +325,9 @@ impl std::fmt::Debug for RepairStats {
                 "duplicate_payloads_avoided",
                 &self.duplicate_payloads_avoided,
             );
+        if self.echoes_sent != 0 {
+            s.field("echoes_sent", &self.echoes_sent);
+        }
         if self.malformed_dropped != 0 {
             s.field("malformed_dropped", &self.malformed_dropped);
         }
@@ -352,6 +360,7 @@ impl RepairStats {
         self.wants_sent += other.wants_sent;
         self.pulls_answered += other.pulls_answered;
         self.duplicate_payloads_avoided += other.duplicate_payloads_avoided;
+        self.echoes_sent += other.echoes_sent;
         self.malformed_dropped += other.malformed_dropped;
         self.foreign_dropped += other.foreign_dropped;
         self.epoch = self.epoch.max(other.epoch);
@@ -471,6 +480,18 @@ mod tests {
         assert!(format!("{noisy:?}").ends_with("malformed_dropped: 2, epoch: 0 }"));
     }
 
+    /// A run that never echoed a pull renders as it did before the
+    /// counter existed.
+    #[test]
+    fn stats_render_echoes_only_when_set() {
+        let echoed = RepairStats {
+            echoes_sent: 3,
+            ..RepairStats::default()
+        };
+        assert!(format!("{echoed:?}")
+            .ends_with("duplicate_payloads_avoided: 0, echoes_sent: 3, epoch: 0 }"));
+    }
+
     #[test]
     fn stats_merge_sums() {
         let mut a = RepairStats {
@@ -493,6 +514,7 @@ mod tests {
             wants_sent: 18,
             pulls_answered: 19,
             duplicate_payloads_avoided: 20,
+            echoes_sent: 24,
             malformed_dropped: 22,
             foreign_dropped: 23,
             epoch: 21,
@@ -516,6 +538,7 @@ mod tests {
         assert_eq!(a.wants_sent, 36);
         assert_eq!(a.pulls_answered, 38);
         assert_eq!(a.duplicate_payloads_avoided, 40);
+        assert_eq!(a.echoes_sent, 48);
         assert_eq!((a.malformed_dropped, a.foreign_dropped), (44, 46));
         assert_eq!(a.epoch, 21, "epoch merges by max, not sum");
     }

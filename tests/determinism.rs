@@ -216,9 +216,14 @@ fn bcast_barrier_allgather(
 /// advertising to every peer and took to their log₂ N finger peers
 /// (`docs/PROTOCOL.md` §11.1): a protocol change, so the run's datagrams
 /// differ. Re-recorded once for it; the two SRM runs never arm gossip.
+/// It was `0x0210_bd7c_bef8_60bd` until an unanswered pull took to
+/// probing its holder on an exponential backoff instead of rotating after
+/// `n/2` repair timeouts, and a holder to echoing a repeated `Want` with
+/// `Served` instead of re-sending the payload (§11.2): another protocol
+/// change, re-recorded once for it.
 const SERVED_SWITCH_N64_SRM: u64 = 0x821b_2c9a_830a_464a;
 const SERVED_HUB_N8_SRM: u64 = 0x59a2_ebda_29de_2e3f;
-const SERVED_GOSSIP_N16: u64 = 0x0210_bd7c_bef8_60bd;
+const SERVED_GOSSIP_N16: u64 = 0x8dfc_b8e4_b831_597f;
 
 #[test]
 fn served_waits_replay_the_recorded_runs() {

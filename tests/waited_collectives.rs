@@ -437,7 +437,13 @@ fn mpich_family_cycle_n8() {
 /// with `stepped_inline` 1 221 both ways. Re-recorded once when relays
 /// stopped advertising to every peer and took to their log₂ N finger
 /// peers (`docs/PROTOCOL.md` §11.1): fewer `Advr`s cross the fabric, so
-/// the `World` handles 12 633 events and steps 834 completions inline.
+/// the `World` handles 12 633 events and steps 834 completions inline
+/// (196 answered). Re-recorded once more when an unanswered pull took to
+/// probing its holder on an exponential backoff, and a holder to echoing
+/// a repeated `Want` with `Served` instead of re-sending the payload
+/// (§11.2): probes and echoes are datagrams of their own, so the `World`
+/// handles 15 141 events, answers 225 waits and steps 1 125 completions
+/// inline.
 #[test]
 fn gossip_bcast_n16_unicast_only_lossy() {
     let fabric = NetParams::fast_ethernet_switch()
@@ -452,8 +458,8 @@ fn gossip_bcast_n16_unicast_only_lossy() {
     );
     assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
     assert!(stats.repair.wants_sent > 0, "receivers pulled");
-    assert_eq!(report.events_handled, 12_633);
-    assert_eq!((lent, plain), (handoff(196, 834), handoff(196, 834)));
+    assert_eq!(report.events_handled, 15_141);
+    assert_eq!((lent, plain), (handoff(225, 1_125), handoff(225, 1_125)));
 }
 
 /// Two concurrent parity groups of an 8-rank world on a lossy switch:

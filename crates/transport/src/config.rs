@@ -22,6 +22,10 @@ use std::time::Duration;
 pub struct RepairConfig {
     /// How long a blocked receive waits before (re-)soliciting a
     /// retransmission with a NACK (plus the random [`RepairConfig::backoff`]).
+    /// It is also both suppression windows of `docs/PROTOCOL.md` §8: a
+    /// peer's solicit overheard less than one timeout ago silences our
+    /// own, and a multicast repair sent less than one timeout ago is not
+    /// repeated.
     pub nack_timeout: Duration,
     /// Base quiet period an endpoint keeps servicing NACKs after its
     /// program finished (the drain phase). Every received datagram
@@ -42,11 +46,6 @@ pub struct RepairConfig {
     /// seeded by `seed ^ rank ^ context` — deterministic replay holds).
     /// Zero disables the randomization.
     pub backoff: Duration,
-    /// Suppression window: an overheard solicit for the same traffic
-    /// younger than this cancels our own solicit, and a multicast
-    /// retransmission younger than this is not repeated by the
-    /// responder.
-    pub suppress_window: Duration,
     /// Upper bound on the group-size-scaled drain grace. The scaling is
     /// free in the simulator (virtual time) but on UDP it is wall-clock
     /// spent in every endpoint's destructor, so it must stay bounded no
@@ -62,12 +61,13 @@ pub struct RepairConfig {
     /// adaptive timers. `None` (the default) disables the session-message
     /// plane entirely — byte-identical to the pre-horizon protocol.
     pub horizon_interval: Option<Duration>,
-    /// Derive `nack_timeout`/`backoff`/`suppress_window` per peer from
-    /// the measured RTT (SRM-style EWMA of srtt/var, clamped to
+    /// Derive `nack_timeout` and `backoff` per peer from the measured
+    /// RTT (SRM-style EWMA of srtt/var, clamped to
     /// `[nack_timeout, 16 × nack_timeout]`) instead of using the
-    /// configured constants. Falls back to the constants for peers with
-    /// no samples yet, so enabling this is safe before any horizon
-    /// exchange has happened. Estimates come from the virtual clock and
+    /// configured constants; a peer's timeout is then also the window in
+    /// which an overheard solicit for its traffic silences ours. Falls
+    /// back to the constants for peers with no samples yet, so enabling
+    /// this is safe before any horizon exchange has happened. Estimates come from the virtual clock and
     /// the seeded streams, so sim replay stays deterministic.
     pub adaptive: bool,
     /// Membership/liveness layer (`docs/PROTOCOL.md` §10): heartbeats
@@ -100,7 +100,6 @@ impl RepairConfig {
             drain_grace: Duration::from_millis(50),
             buffer_cap: mmpi_wire::DEFAULT_RETRANSMIT_CAP,
             backoff: Duration::from_millis(2),
-            suppress_window: Duration::from_millis(4),
             drain_grace_cap: Duration::from_secs(1),
             seed: 0x5EED_BACC_0FF5,
             horizon_interval: None,
@@ -118,7 +117,6 @@ impl RepairConfig {
             nack_timeout: Duration::from_millis(40),
             drain_grace: Duration::from_millis(400),
             backoff: Duration::from_millis(40),
-            suppress_window: Duration::from_millis(80),
             ..Self::sim_default()
         }
     }

@@ -17,6 +17,10 @@ use super::Ctx;
 use crate::config::RepairConfig;
 use crate::pump::{dur_nanos, Nanos, RepairPort};
 
+/// How far adaptive timers may stretch a configured timer: a peer's
+/// timeout stays within `[nack_timeout, MAX_STRETCH × nack_timeout]`.
+pub(crate) const MAX_STRETCH: u64 = 16;
+
 /// SRM/RFC-6298-style RTT estimator for one peer: integer-nanosecond
 /// EWMAs `srtt += (sample − srtt)/8`, `rttvar += (|sample − srtt| −
 /// rttvar)/4`, retransmission timeout `srtt + 4·rttvar`. All arithmetic
@@ -282,12 +286,18 @@ impl HorizonState {
         let est = src.and_then(|s| self.rtt.get(s)).and_then(|p| p.timeout());
         match est {
             Some(e) if base_t > 0 => {
-                let t = e.clamp(base_t, base_t.saturating_mul(16));
-                let b = (t.saturating_mul(base_b) / base_t).min(base_b.saturating_mul(16));
+                let t = e.clamp(base_t, base_t.saturating_mul(MAX_STRETCH));
+                let b = (t.saturating_mul(base_b) / base_t).min(base_b.saturating_mul(MAX_STRETCH));
                 (t, b)
             }
             _ => (base_t, base_b),
         }
+    }
+
+    /// Feed `peer`'s estimator one RTT sample, as a horizon echo would.
+    #[cfg(test)]
+    pub(crate) fn observe_rtt(&mut self, peer: usize, sample: Nanos) {
+        self.rtt[peer].observe(sample);
     }
 
     /// The smoothed RTT estimate for `peer`, if any samples exist.
@@ -319,7 +329,7 @@ impl HorizonState {
             return;
         }
         let sample = io.now().saturating_sub(at);
-        let ceiling = dur_nanos(self.cfg.nack_timeout).saturating_mul(16);
+        let ceiling = dur_nanos(self.cfg.nack_timeout).saturating_mul(MAX_STRETCH);
         if sample <= ceiling {
             self.rtt[src as usize].observe(sample);
             cx.stats.rtt_samples += 1;
@@ -348,9 +358,9 @@ impl HorizonState {
         if base_t == 0 {
             return base;
         }
-        let t = w.clamp(base_t, base_t.saturating_mul(16));
+        let t = w.clamp(base_t, base_t.saturating_mul(MAX_STRETCH));
         let b = (t.saturating_mul(dur_nanos(rc.backoff)) / base_t)
-            .min(dur_nanos(rc.backoff).saturating_mul(16));
+            .min(dur_nanos(rc.backoff).saturating_mul(MAX_STRETCH));
         let chained = (t + b).saturating_mul(2 * n_live.max(2) as u64);
         let chained = Duration::from_nanos(chained.min(dur_nanos(rc.drain_grace_cap)));
         rc.drain_grace.max(chained)

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use mmpi_netsim::rng::SplitMix64;
 use mmpi_wire::{MsgKind, NackPayload, NackView, SendDst, UnavailPayload, NACK_TARGET_ANY};
 
-use super::horizon::HorizonState;
+use super::horizon::{HorizonState, MAX_STRETCH};
 use super::membership::{self, MemberState};
 use super::{Ctx, Encoder};
 use crate::api::Tag;
@@ -33,8 +33,8 @@ pub(crate) struct SrmState {
     /// identical delays.
     rng: SplitMix64,
     /// `(target, tag) → when` we last overheard a peer's solicit for that
-    /// traffic. Our own deadline expiring inside the suppression window
-    /// of such an entry is suppressed: the peer's NACK will trigger a
+    /// traffic. Our own deadline expiring less than one solicit timeout
+    /// after such an entry is suppressed: the peer's NACK will trigger a
     /// multicast repair that heals us too.
     heard: HashMap<(u32, Tag), Nanos>,
     /// `seq → when` we last answered with a *multicast* retransmission —
@@ -57,8 +57,14 @@ impl SrmState {
         }
     }
 
-    fn note_heard(&mut self, target: u32, tag: Tag, now: Nanos, window: Nanos) {
-        prune_stale(&mut self.heard, now, window);
+    /// Remember an overheard solicit. Pruning uses the widest window
+    /// [`SrmState::suppressed`] can check with — a peer's timeout
+    /// stretches up to [`MAX_STRETCH`] × `nack_timeout` under adaptive
+    /// timers — so no entry that could still suppress is dropped.
+    fn note_heard(&mut self, target: u32, tag: Tag, now: Nanos) {
+        let stretch = if self.cfg.adaptive { MAX_STRETCH } else { 1 };
+        let widest = dur_nanos(self.cfg.nack_timeout).saturating_mul(stretch);
+        prune_stale(&mut self.heard, now, widest);
         self.heard.insert((target, tag), now);
     }
 
@@ -93,10 +99,13 @@ impl SrmState {
     /// addressed to another rank is only *overheard* (it arms the
     /// suppression memory); one addressed to us answers with a
     /// **multicast** re-send for originally-multicast records — one
-    /// repair heals every stuck receiver, and a responder-side window
-    /// keeps the same loss from being repaired once per requester —
-    /// while unicast records still replay unicast to their requester
-    /// (re-multicasting them would leak point-to-point payload). A NACK
+    /// repair heals every stuck receiver, and a responder-side window of
+    /// one `nack_timeout` keeps the same loss from being repaired once
+    /// per requester. A requester re-solicits no sooner than one timeout
+    /// after its last solicit, so one whose repair was lost is answered
+    /// again at its next solicit. Unicast records still replay unicast to
+    /// their requester (re-multicasting them would leak point-to-point
+    /// payload). A NACK
     /// matching nothing whose tag falls at or below the ring's eviction
     /// floor is answered with `Unavail`, so the requester fails fast
     /// instead of re-soliciting forever. Re-sends always reuse the
@@ -104,7 +113,7 @@ impl SrmState {
     /// dedup the copy) and re-send the recorded views themselves — no
     /// per-record clone.
     pub(crate) fn service<P: RepairPort>(&mut self, cx: &mut Ctx<'_>, io: &mut P) {
-        let window = dur_nanos(self.cfg.suppress_window);
+        let window = dur_nanos(self.cfg.nack_timeout);
         let me = cx.enc.rank as u32;
         while let Some(nack) = cx.inbox.take_nack() {
             let requester = nack.src_rank;
@@ -118,7 +127,7 @@ impl SrmState {
             // any-source included — arms the suppression memory: if we
             // are stuck on the same traffic, the repair it triggers will
             // heal us too, so our own deadline expiry can stay quiet.
-            self.note_heard(payload.target, nack.tag, now, window);
+            self.note_heard(payload.target, nack.tag, now);
             if payload.target != me && payload.target != NACK_TARGET_ANY {
                 // Addressed to another rank: suppression signal only.
                 cx.stats.nacks_overheard += 1;
@@ -274,19 +283,13 @@ impl SrmState {
     }
 
     /// True when our own solicit for `(src, tag)` should be skipped
-    /// because a peer's was overheard inside the suppression window —
-    /// which scales with the adaptive timeout ratio for a directed
-    /// source, so fast links suppress briefly and slow links long
-    /// enough for their slower repairs to land.
+    /// because a peer's was overheard less than one solicit timeout ago
+    /// — `src`'s per-peer timeout under adaptive timers, `nack_timeout`
+    /// otherwise. Only then can its repair still be on its way; an older
+    /// solicit (often one that named traffic not yet sent) has had its
+    /// answer, so waiting on it would strand us.
     fn suppressed(&self, horizon: &HorizonState, now: Nanos, src: Option<usize>, tag: Tag) -> bool {
-        let base_w = dur_nanos(self.cfg.suppress_window);
-        let base_t = dur_nanos(self.cfg.nack_timeout);
-        let window = if self.cfg.adaptive && base_t > 0 {
-            let (t, _) = horizon.timers(src);
-            (base_w.saturating_mul(t) / base_t).max(1)
-        } else {
-            base_w
-        };
+        let (window, _) = horizon.timers(src);
         self.heard_recently(src.map(|s| s as u32), tag, now, window)
     }
 
@@ -307,5 +310,43 @@ impl SrmState {
             self.solicit(cx, io, src, tag, horizon, member);
         }
         self.deadline(cx.enc, io, horizon, src)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Under adaptive timers a peer's timeout stretches up to 16 ×
+    /// `nack_timeout`. Once the overheard-solicit map passes its prune
+    /// bound, pruning with the base timeout would forget a solicit that
+    /// the stretched timeout still counts as fresh.
+    #[test]
+    fn a_full_heard_map_keeps_solicits_a_stretched_timeout_covers() {
+        let cfg = RepairConfig::sim_default().with_adaptive();
+        let t = dur_nanos(cfg.nack_timeout);
+        let mut horizon = HorizonState::new(&cfg, 4);
+        // One sample s sets srtt = s and rttvar = s/2: timeout 3s.
+        horizon.observe_rtt(1, 3 * t);
+        assert_eq!(horizon.timers(Some(1)).0, 9 * t);
+        assert_eq!(horizon.timers(Some(2)).0, t, "no samples: the base");
+
+        let mut srm = SrmState::new(&cfg, 0, 0);
+        srm.note_heard(1, 7, 0);
+        srm.note_heard(2, 7, 0);
+        // Five timeouts later, 200 unrelated solicits trigger pruning.
+        let now = 5 * t;
+        for tag in 100..300 {
+            srm.note_heard(3, tag, now);
+        }
+        assert!(
+            srm.suppressed(&horizon, now, Some(1), 7),
+            "rank 1's 9-timeout window still covers a 5-timeout-old solicit"
+        );
+        assert!(
+            !srm.suppressed(&horizon, now, Some(2), 7),
+            "rank 2 has the base window, which the solicit outlived"
+        );
+        assert!(!srm.suppressed(&horizon, 9 * t, Some(1), 7));
     }
 }

@@ -3,7 +3,7 @@
 //! moves, an inbound queue, and an outbound queue that is either counted
 //! and left alone ([`ScriptedPump::new`]), is the peer's inbound queue
 //! ([`ScriptedPump::pair`]), or is kept for the script to route
-//! ([`ScriptedPump::routed`]). Datagrams cross as the header-view /
+//! ([`ScriptedPump::routed`], unicasts and multicasts apart). Datagrams cross as the header-view /
 //! payload-view pairs the simulator backend also passes, so the pump
 //! copies nothing. Not part of the supported API.
 
@@ -33,6 +33,8 @@ pub struct ScriptedPump {
     pub mcasts_out: usize,
     /// Unicasts kept with their destination, on a routed end.
     sent: Option<Vec<(usize, Datagram)>>,
+    /// Multicasts kept, on a routed end.
+    mcast_sent: Option<Vec<Datagram>>,
 }
 
 impl ScriptedPump {
@@ -46,6 +48,7 @@ impl ScriptedPump {
             unicasts_out: 0,
             mcasts_out: 0,
             sent: None,
+            mcast_sent: None,
         }
     }
 
@@ -63,12 +66,14 @@ impl ScriptedPump {
     /// `n` ends on one clock whose unicasts are kept, with their
     /// destination, until the script takes them ([`ScriptedPump::take_sent`])
     /// to deliver, drop or hold — a fabric of any size, routed by hand.
+    /// Multicasts are kept apart ([`ScriptedPump::take_mcast`]).
     pub fn routed(n: usize) -> Vec<Self> {
         let clock: Rc<Cell<Nanos>> = Rc::default();
         (0..n)
             .map(|_| ScriptedPump {
                 clock: Rc::clone(&clock),
                 sent: Some(Vec::new()),
+                mcast_sent: Some(Vec::new()),
                 ..ScriptedPump::new()
             })
             .collect()
@@ -78,6 +83,15 @@ impl ScriptedPump {
     /// first, each with its destination rank. Empty on other ends.
     pub fn take_sent(&mut self) -> Vec<(usize, Datagram)> {
         self.sent.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Take the multicasts a routed end sent since the last call, oldest
+    /// first. Empty on other ends.
+    pub fn take_mcast(&mut self) -> Vec<Datagram> {
+        self.mcast_sent
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// The scripted clock.
@@ -167,6 +181,9 @@ impl RepairPump for ScriptedPump {
 
     fn send_encoded_mcast(&mut self, datagrams: &[Datagram]) {
         self.mcasts_out += datagrams.len();
+        if let Some(sent) = &mut self.mcast_sent {
+            sent.extend_from_slice(datagrams);
+        }
         self.push(datagrams, true);
     }
 }

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use mmpi_transport::testing::ScriptedPump;
-use mmpi_transport::{EndpointCore, Nanos, RecvError, RepairConfig, WaitKind};
+use mmpi_transport::{EndpointCore, Nanos, RecvError, RecvReq, RepairConfig, WaitKind, WaitPoll};
 use mmpi_wire::{Bytes, Message, MsgKind, SendDst};
 
 /// A 2-rank harness: rank 0 (the sender) and rank 1 (the receiver),
@@ -328,33 +328,76 @@ fn stale_directed_unavail_does_not_fail_any_source_waits() {
     assert!(got.is_none());
 }
 
-/// Overheard *any-source* solicits arm the suppression memory too: a
-/// peer stuck on the same tag stays quiet inside the window instead of
-/// adding its own NACK to the storm.
-#[test]
-fn overheard_any_source_solicit_suppresses_our_own() {
-    // Rank 1 of 3; rank 2 (not wired up — we forge its solicit) NACKs
-    // tag 7 any-source just before rank 1's own deadline expires.
-    let mut core = EndpointCore::new(0, 1, 3, 60_000, Some(RepairConfig::sim_default()));
-    let mut io = ScriptedPump::new();
-
-    // Forge rank 2's multicast any-source NACK for tag 7.
+/// Rank 1 of 3, alone on a scripted pump, waiting any-source on tag 7,
+/// and rank 2's multicast any-source NACK for the same tag, forged.
+fn any_source_waiter() -> (EndpointCore, ScriptedPump, Vec<mmpi_wire::Datagram>) {
+    let core = EndpointCore::new(0, 1, 3, 60_000, Some(RepairConfig::sim_default()));
     let mut peer = EndpointCore::new(0, 2, 3, 60_000, Some(RepairConfig::sim_default()));
     let payload = mmpi_wire::NackPayload::addressed_to(mmpi_wire::NACK_TARGET_ANY).encode();
     let seq = peer.fresh_seq();
-    io.inject(peer.encode(7, MsgKind::Nack, &payload, seq));
+    let solicit = peer.encode(7, MsgKind::Nack, &payload, seq);
+    (core, ScriptedPump::new(), solicit)
+}
 
-    // Rank 1 now waits any-source on the same tag: its deadline expiry
-    // falls inside the suppression window of the overheard solicit.
-    let got = recv_within(&mut core, &mut io, None, 7, Duration::from_millis(4))
-        .expect("nothing unavailable here");
-    assert!(got.is_none());
+/// The solicit deadline a freshly posted receive parks until.
+fn first_deadline(core: &mut EndpointCore, io: &mut ScriptedPump, req: RecvReq) -> Nanos {
+    match core.poll_wait(io, &WaitKind::AnyOf(&[req])) {
+        WaitPoll::Park(Some(at)) => at,
+        other => panic!("a posted receive with repair on parks until its deadline: {other:?}"),
+    }
+}
+
+/// Overheard *any-source* solicits arm the suppression memory too: a
+/// peer stuck on the same tag stays quiet at its deadline, instead of
+/// adding its own NACK to the storm, while the overheard solicit is
+/// younger than one solicit timeout — its repair can still arrive.
+#[test]
+fn overheard_any_source_solicit_suppresses_our_own() {
+    let (mut core, mut io, solicit) = any_source_waiter();
+    let req = core.post_recv(&mut io, None, 7);
+    let deadline = first_deadline(&mut core, &mut io, req);
+
+    // Rank 2 NACKs tag 7 any-source just inside one timeout before rank
+    // 1's own deadline expires.
+    let timeout = RepairConfig::sim_default().nack_timeout.as_nanos() as Nanos;
+    io.set_clock(deadline - timeout + 100_000);
+    io.inject(solicit);
+    core.block(&mut io, &WaitKind::Until(req, deadline + 1));
+    assert!(core.test_claimed(req).is_none(), "nothing can arrive");
     let s = core.repair_stats();
-    assert!(
-        s.nacks_suppressed > 0,
+    assert_eq!(
+        s.nacks_suppressed, 1,
         "the overheard ANY solicit must suppress our own ({s:?})"
     );
     assert_eq!(s.nacks_sent, 0, "no redundant NACK inside the window");
+}
+
+/// A solicit overheard one timeout or more before our deadline no longer
+/// suppresses it: its repair, if there was one, has had its time, and a
+/// solicit for traffic not sent yet draws none. Staying quiet any longer
+/// would strand a receiver that lost the data after that solicit.
+#[test]
+fn an_overheard_solicit_older_than_one_timeout_does_not_suppress() {
+    let (mut core, mut io, solicit) = any_source_waiter();
+    // Heard at t = 0, the instant the receive is posted: the deadline,
+    // one timeout plus the backoff draw later, falls past the window.
+    io.inject(solicit);
+    core.progress(&mut io);
+    let req = core.post_recv(&mut io, None, 7);
+    let deadline = first_deadline(&mut core, &mut io, req);
+    let timeout = RepairConfig::sim_default().nack_timeout.as_nanos() as Nanos;
+    assert!(
+        (timeout..2 * timeout).contains(&deadline),
+        "the deadline falls where a two-timeout window would still suppress: {deadline}"
+    );
+    core.block(&mut io, &WaitKind::Until(req, deadline + 1));
+    assert!(core.test_claimed(req).is_none(), "nothing can arrive");
+    let s = core.repair_stats();
+    assert_eq!(
+        s.nacks_suppressed, 0,
+        "the overheard solicit is stale ({s:?})"
+    );
+    assert_eq!(s.nacks_sent, 1, "our own deadline solicits");
 }
 
 /// End-to-end on the simulator: a one-shot partition hides rank 0's

@@ -305,8 +305,13 @@ fn multicast_dissemination_is_byte_identical_through_the_seam() {
     );
 }
 
-/// Captured from the run above when the dissemination seam landed.
-const MULTICAST_SEAM_FINGERPRINT: u64 = 0x400e_b4e8_1957_be5e;
+/// Captured from the run above when the dissemination seam landed, as
+/// `0x400e_b4e8_1957_be5e`. Re-recorded once when an overheard solicit
+/// came to silence ours, and a multicast repair to hold back its repeat,
+/// for one solicit timeout instead of two (`docs/PROTOCOL.md` §8): the
+/// multicast plane's NACK and retransmit counts moved with the protocol,
+/// the seam did not.
+const MULTICAST_SEAM_FINGERPRINT: u64 = 0xdb0e_3c14_c256_d226;
 
 /// The epidemic efficiency invariant (ISSUE 9): under gossip on a
 /// unicast-only fabric, no payload chunk crosses any single link more

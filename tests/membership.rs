@@ -144,8 +144,12 @@ fn digest(parts: &[String]) -> u64 {
 /// `WorldStats`, captured before sub-communicators became views inside
 /// the endpoint: the kill, the agreement round, the shrunk
 /// communicator's retry and its barriers put the same bytes on the
-/// fabric at the same virtual instants.
-const SHRINK_KILL_N8: u64 = 0x9445_8ad7_c39d_d84c;
+/// fabric at the same virtual instants. It was `0x9445_8ad7_c39d_d84c`
+/// until an overheard solicit came to silence ours, and a multicast repair
+/// to hold back its repeat, for one solicit timeout instead of two
+/// (`docs/PROTOCOL.md` §8): a protocol change that moves the lossy run's
+/// repairs, re-recorded once for it.
+const SHRINK_KILL_N8: u64 = 0xf3e3_b761_0707_d006;
 
 /// Full verification of one kill scenario: run it, check every
 /// survivor against the lossless mem ground truth, and (optionally)

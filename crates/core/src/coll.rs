@@ -16,7 +16,7 @@
 
 use std::mem;
 
-use mmpi_transport::{Comm, Tag};
+use mmpi_transport::{Comm, RecvReq, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast::{Bcast, BcastAlgorithm, BcastConfig};
@@ -186,9 +186,9 @@ impl<A: Phases> ThenBcast<A> {
     /// Carry a step of the first stage on: once it is done, start the
     /// broadcast of what it produced.
     fn then<C: Comm + ?Sized>(&mut self, c: &mut C, first: Next<A::Output>) -> Next<Vec<u8>> {
-        let out = match first {
-            Next::Recv(req) => return Next::Recv(req),
-            Next::Done(out) => out,
+        let out = match first.done() {
+            Ok(out) => out,
+            Err(wait) => return wait,
         };
         let mut bcast = Bcast::new(c, self.algo, &self.cfg, self.tags, 0, (self.pack)(out));
         let next = bcast.start(c);
@@ -217,6 +217,13 @@ impl<A: Phases> Phases for ThenBcast<A> {
                 self.then(c, first)
             }
             Stage::Bcast(b) => b.resume(c, m),
+        }
+    }
+
+    fn posted(&self) -> &[RecvReq] {
+        match &self.stage {
+            Stage::First(a) => a.posted(),
+            Stage::Bcast(b) => b.posted(),
         }
     }
 }

@@ -18,12 +18,15 @@
 //! [`crate::request::IallgatherRequest`]);
 //! [`crate::Communicator::allgather`] waits on it.
 //!
-//! Under injected loss, the multicast allgather's rank-ordered rounds are
-//! the stress case for the transport's NACK/retransmit repair: a receiver
-//! can spend several repair timeouts recovering round `i` before it even
-//! asks for round `i+1`, which is why finished endpoints keep answering
-//! NACKs through a drain grace period (see `RepairConfig::drain_grace`
-//! in `mmpi-transport` and the walkthrough in `docs/PROTOCOL.md`).
+//! Under injected loss, the multicast allgather is the stress case for the
+//! transport's NACK/retransmit repair. The §4 chain needs only that rank
+//! `i+1` multicast after rank `i`'s block reached it, so a rank passes the
+//! turn on its predecessor's block alone: the repairs it still owes for
+//! lower blocks run concurrently, each on its own posted receive's solicit
+//! deadline, instead of one after another on the chain's critical path.
+//! Finished endpoints keep answering NACKs through a drain grace period
+//! for the ranks still repairing (see `RepairConfig::drain_grace` in
+//! `mmpi-transport` and the walkthrough in `docs/PROTOCOL.md`).
 //!
 //! [`AllgatherAlgorithm::Ring`]: crate::AllgatherAlgorithm::Ring
 //! [`AllgatherAlgorithm::Multicast`]: crate::AllgatherAlgorithm::Multicast
@@ -31,7 +34,7 @@
 
 use std::mem;
 
-use mmpi_transport::{Comm, Tag};
+use mmpi_transport::{Comm, RecvReq, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast::{BcastAlgorithm, BcastConfig};
@@ -43,7 +46,8 @@ use crate::tags::{OpTags, Phase};
 
 /// Every allgather's machine.
 pub(crate) enum Allgather {
-    Exchange(Exchange),
+    Ring(Ring),
+    Multicast(Turns),
     GatherBcast(ThenBcast<Gather>),
 }
 
@@ -55,19 +59,28 @@ impl Allgather {
         tags: OpTags,
         mine: &[u8],
     ) -> Self {
-        if algo == AllgatherAlgorithm::GatherBcast {
-            let gather = Gather::new(tags, 0, mine);
-            return Allgather::GatherBcast(ThenBcast::new(gather, bcast, tags, frame));
-        }
-        let ring = algo == AllgatherAlgorithm::Ring;
         let mut out = vec![Vec::new(); c.size()];
         out[c.rank()] = mine.to_vec();
-        Allgather::Exchange(Exchange {
-            ring,
-            tag: tags.tag(if ring { Phase::Exchange } else { Phase::Data }),
-            out,
-            step: 0,
-        })
+        match algo {
+            AllgatherAlgorithm::GatherBcast => {
+                let gather = Gather::new(tags, 0, mine);
+                Allgather::GatherBcast(ThenBcast::new(gather, bcast, tags, frame))
+            }
+            AllgatherAlgorithm::Ring => Allgather::Ring(Ring {
+                tag: tags.tag(Phase::Exchange),
+                out,
+                left: 0,
+            }),
+            AllgatherAlgorithm::Multicast => Allgather::Multicast(Turns {
+                tag: tags.tag(Phase::Data),
+                missing: out.len() - 1,
+                out,
+                posted: Vec::new(),
+                awaited: Vec::new(),
+                next_post: 0,
+                reach: 2,
+            }),
+        }
     }
 }
 
@@ -76,15 +89,24 @@ impl Phases for Allgather {
 
     fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
         match self {
-            Allgather::Exchange(s) => s.start(c),
+            Allgather::Ring(s) => s.start(c),
+            Allgather::Multicast(s) => s.start(c),
             Allgather::GatherBcast(s) => s.start(c).map(unframe),
         }
     }
 
     fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
         match self {
-            Allgather::Exchange(s) => s.resume(c, m),
+            Allgather::Ring(s) => s.resume(c, m),
+            Allgather::Multicast(s) => s.resume(c, m),
             Allgather::GatherBcast(s) => s.resume(c, m).map(unframe),
+        }
+    }
+
+    fn posted(&self) -> &[RecvReq] {
+        match self {
+            Allgather::Multicast(s) => &s.posted,
+            Allgather::Ring(_) | Allgather::GatherBcast(_) => &[],
         }
     }
 }
@@ -111,67 +133,34 @@ fn unframe(buf: Vec<u8>) -> Vec<Vec<u8>> {
     out
 }
 
-/// The two direct exchanges:
-///
-/// * the ring — owner-prefixed blocks travel the rank ring, one receive
-///   from the predecessor per step, `N-1` steps, each byte crossing every
-///   link once; each claimed block is forwarded as the shared [`Bytes`]
-///   view it arrived in — no per-hop copy;
-/// * the multicast exchange — every rank multicasts its block **once**,
-///   in rank order: a rank receives each lower rank's block in turn,
-///   then multicasts its own, so `N` multicasts replace `N(N-1)`
-///   point-to-point transfers. The ordering is the paper's §4 safety
-///   argument: rank `i+1` cannot multicast before it received rank `i`'s
-///   block, so receivers are provably inside the collective.
-pub(crate) struct Exchange {
-    /// The ring, or else the rank-ordered multicast.
-    ring: bool,
+/// The ring: owner-prefixed blocks travel the rank ring, one receive
+/// from the predecessor per step, `N-1` steps, each byte crossing every
+/// link once; each claimed block is forwarded as the shared [`Bytes`] view
+/// it arrived in — no per-hop copy.
+pub(crate) struct Ring {
     tag: Tag,
     /// Every rank's block; this rank's own is in place from the start.
     out: Vec<Vec<u8>>,
-    /// Ring: blocks still to come. Multicast: the rank whose turn it is.
-    step: usize,
+    /// Blocks still to come.
+    left: usize,
 }
 
-impl Exchange {
-    /// Walk the ranks in order from the current turn: multicast our own
-    /// block when its turn comes, post the next other rank's receive, or
-    /// finish.
-    fn take_turns<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
-        let rank = c.rank();
-        while self.step < self.out.len() {
-            if self.step != rank {
-                return Next::Recv(c.post_recv(Some(self.step), self.tag));
-            }
-            c.mcast_kind(self.tag, MsgKind::Data, &Bytes::from(&self.out[rank]));
-            self.step += 1;
-        }
-        Next::Done(mem::take(&mut self.out))
-    }
-
+impl Ring {
     fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
         let (n, rank) = (c.size(), c.rank());
         if n == 1 {
             return Next::Done(mem::take(&mut self.out));
-        }
-        if !self.ring {
-            return self.take_turns(c);
         }
         let mine = &self.out[rank];
         let mut own = Vec::with_capacity(4 + mine.len());
         own.extend_from_slice(&(rank as u32).to_le_bytes());
         own.extend_from_slice(mine);
         c.send_kind((rank + 1) % n, self.tag, MsgKind::Data, &Bytes::from(own));
-        self.step = n - 1;
+        self.left = n - 1;
         Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
     }
 
     fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
-        if !self.ring {
-            self.out[self.step] = m.into_vec();
-            self.step += 1;
-            return self.take_turns(c);
-        }
         let (n, rank) = (c.size(), c.rank());
         let next = (rank + 1) % n;
         let owner = le_u32(&m.payload, 0);
@@ -182,11 +171,95 @@ impl Exchange {
             c.send_kind(next, self.tag, MsgKind::Data, &m.payload);
         }
         self.out[owner] = m.payload[4..].to_vec();
-        self.step -= 1;
-        if self.step == 0 {
+        self.left -= 1;
+        if self.left == 0 {
             return Next::Done(mem::take(&mut self.out));
         }
         Next::Recv(c.post_recv(Some((rank + n - 1) % n), self.tag))
+    }
+}
+
+/// The multicast exchange: every rank multicasts its block **once**, so
+/// `N` multicasts replace `N(N-1)` point-to-point transfers. Rank `r`
+/// multicasts as soon as block `r-1` is in — rank 0 at once — which is
+/// the paper's §4 safety argument: rank `i+1` cannot multicast before it
+/// received rank `i`'s block, so receivers are provably inside the
+/// collective. Blocks are claimed in whatever order they complete.
+///
+/// A rank keeps a receive posted for every block it lacks up to two past
+/// the highest-numbered block it has received or sent (blocks 0 and 1 at
+/// the start), each arming its solicit deadline when posted. Lower blocks
+/// still being repaired stay off the chain's critical path, and the one
+/// block of lookahead keeps a single loss from hiding the next arrival.
+/// Posting every receive up front instead arms `N-1` solicit deadlines
+/// before their blocks exist, and the NACKs they fire swamp the group.
+pub(crate) struct Turns {
+    tag: Tag,
+    /// Every rank's block; this rank's own is in place from the start.
+    out: Vec<Vec<u8>>,
+    /// Blocks still to come.
+    missing: usize,
+    /// The receives posted for blocks not yet in, in post order, which is
+    /// block order…
+    posted: Vec<RecvReq>,
+    /// …and the block each of them is for.
+    awaited: Vec<usize>,
+    /// Every block below this one but our own is in or has a receive
+    /// posted; none above it has.
+    next_post: usize,
+    /// One past the last block to hold a receive for: three past the
+    /// highest-numbered block received or sent.
+    reach: usize,
+}
+
+impl Turns {
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
+        if self.missing == 0 {
+            return Next::Done(mem::take(&mut self.out));
+        }
+        if c.rank() == 0 {
+            self.multicast_own(c);
+        }
+        self.post_reach(c)
+    }
+
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<Vec<u8>>> {
+        let block = m.src_rank as usize;
+        if let Ok(i) = self.awaited.binary_search(&block) {
+            self.awaited.remove(i);
+            self.posted.remove(i);
+        }
+        self.out[block] = m.into_vec();
+        self.missing -= 1;
+        self.reach = self.reach.max(block + 3);
+        if block + 1 == c.rank() {
+            self.multicast_own(c);
+        }
+        self.post_reach(c)
+    }
+
+    fn multicast_own<C: Comm + ?Sized>(&mut self, c: &mut C) {
+        let rank = c.rank();
+        c.mcast_kind(self.tag, MsgKind::Data, &Bytes::from(&self.out[rank]));
+        self.reach = self.reach.max(rank + 3);
+    }
+
+    /// Post a receive for every block up to the reach, then stand blocked
+    /// on the set, or finish.
+    fn post_reach<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<Vec<u8>>> {
+        let (n, rank) = (c.size(), c.rank());
+        while self.next_post < self.reach.min(n) {
+            if self.next_post != rank {
+                self.posted.push(c.post_recv(Some(self.next_post), self.tag));
+                self.awaited.push(self.next_post);
+            }
+            self.next_post += 1;
+        }
+        if self.missing == 0 {
+            Next::Done(mem::take(&mut self.out))
+        } else {
+            Next::Posted
+        }
     }
 }
 

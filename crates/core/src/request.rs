@@ -5,14 +5,16 @@
 //! `Machine`) that walks the algorithm's phases in the paper's order:
 //! scouts are claimed one at a time (up the binomial tree in
 //! ascending-mask order, or at the root from any source), the data (or
-//! release) receive is posted only after this rank's scout went up, the
-//! multicast allgather walks the ranks in order, and the rings, chains
-//! and trees post one receive per step. A machine therefore holds at most
-//! one posted receive ([`CollRequest::pending`]), posted exactly where the
-//! algorithm receives. That is what lets every blocking
-//! [`crate::Communicator`] collective be a machine, waited on, without
-//! moving a virtual time, a count or a replay constant. The one exception
-//! is [`crate::bcast::bcast_pvm_ack`], whose retransmit timer is not a
+//! release) receive is posted only after this rank's scout went up, and
+//! the rings, chains and trees post one receive per step. A machine is
+//! blocked on the *set* of receives it has posted
+//! ([`CollRequest::pending`]): one, held inline, for every algorithm but
+//! the multicast allgather, which keeps one posted for each block it
+//! lacks within a two-block lookahead and claims blocks in whatever order
+//! they complete (`many_to_many.rs`). A wait parks on any receive of the
+//! set. That is what lets every blocking [`crate::Communicator`]
+//! collective be a machine, waited on. The one exception is
+//! [`crate::bcast::bcast_pvm_ack`], whose retransmit timer is not a
 //! receive.
 //!
 //! The machines live with their algorithms (`bcast`, `bcast_ext`,
@@ -32,8 +34,8 @@
 //! flight on one communicator at once (distinct op slots keep their tag
 //! spaces disjoint).
 //!
-//! On unrecoverable loss (`RecvError`) the failing receive was the
-//! machine's only one, so nothing is left to cancel; polling the machine
+//! On unrecoverable loss (`RecvError`) on any receive of the set, the
+//! operation fails and cancels the rest of the set; polling the machine
 //! again afterwards is a programming error and panics.
 
 use std::any::Any;
@@ -74,20 +76,21 @@ pub trait CollRequest {
     /// has not completed (or the output was already taken).
     fn take_output(&mut self) -> Self::Output;
 
-    /// The one receive this operation is blocked on — what
-    /// [`CollRequest::wait`] parks against. `None` once complete.
-    fn pending(&self) -> Option<RecvReq>;
+    /// The posted receives this operation is blocked on — what
+    /// [`CollRequest::wait`] parks against, in post order. One for every
+    /// algorithm but the multicast allgather; empty once complete.
+    fn pending(&self) -> &[RecvReq];
 
-    /// Abandon an in-flight operation, cancelling its posted receive
+    /// Abandon an in-flight operation, cancelling every posted receive
     /// immediately. Dropping an incomplete machine instead is also safe:
-    /// its `Drop` pushes the outstanding handle into the endpoint's
-    /// [`CancelSink`] and the progress engine cancels it on its next
+    /// its `Drop` pushes the outstanding handles into the endpoint's
+    /// [`CancelSink`] and the progress engine cancels them on its next
     /// pass — `cancel` just does it now, without waiting for that pass.
     fn cancel<C: Comm>(self, c: &mut C)
     where
         Self: Sized,
     {
-        if let Some(r) = self.pending() {
+        for &r in self.pending() {
             c.cancel_recv(r);
         }
     }
@@ -97,8 +100,8 @@ pub trait CollRequest {
     fn claim_step(&mut self) -> &mut dyn ClaimStep;
 
     /// Drive to completion: [`Comm::wait_op`] — claim, else wait on the
-    /// one posted receive. By default that is [`Comm::wait_ready`], the
-    /// calls a blocking receive makes, so a waited machine moves the
+    /// posted receives. By default that is [`Comm::wait_ready`], the
+    /// calls a blocking `wait_any` makes, so a waited machine moves the
     /// backend's time model exactly as a blocking formulation would, and
     /// an *unrelated* operation's parked completion cannot make the wait
     /// spin. The simulator's `SimComm` parks its rank once for the whole
@@ -118,49 +121,73 @@ pub trait CollRequest {
 // ---------------------------------------------------------------------
 
 /// Where an algorithm stands once it has run as far as it can without a
-/// message: blocked on the one receive it just posted, or done.
+/// message: blocked on the one receive it just posted, blocked on the set
+/// of receives it holds itself ([`Phases::posted`]), or done.
 pub(crate) enum Next<O> {
     Recv(RecvReq),
+    Posted,
     Done(O),
 }
 
 impl<O> Next<O> {
+    /// The output once done; else the same wait, under any output type.
+    pub(crate) fn done<P>(self) -> Result<O, Next<P>> {
+        match self {
+            Next::Recv(req) => Err(Next::Recv(req)),
+            Next::Posted => Err(Next::Posted),
+            Next::Done(out) => Ok(out),
+        }
+    }
+
     /// The same step, with the output (if done) passed through `f`.
     pub(crate) fn map<P>(self, f: impl FnOnce(O) -> P) -> Next<P> {
-        match self {
-            Next::Recv(req) => Next::Recv(req),
-            Next::Done(out) => Next::Done(f(out)),
-        }
+        self.done().map_or_else(|wait| wait, |out| Next::Done(f(out)))
     }
 }
 
 /// One collective algorithm as phases: `start` runs from the call to
-/// its first receive, `resume` from that receive's message to the next.
+/// its first receive, `resume` from a receive's message to the next.
 pub(crate) trait Phases: Send + 'static {
     type Output: Send;
     fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Self::Output>;
     fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Self::Output>;
+
+    /// The receives a [`Next::Posted`] step left the algorithm blocked on,
+    /// in post order. It holds them itself and forgets each, keeping the
+    /// order of the rest, when `resume` hands it that receive's message.
+    /// An algorithm that only ever returns [`Next::Recv`] holds none.
+    fn posted(&self) -> &[RecvReq] {
+        &[]
+    }
 }
 
 /// An algorithm's phases with the lifecycle every request shares. `Drop`
-/// hands a still-posted receive to the endpoint's cancel sink (a `Drop`
-/// has no `&mut Comm`); the progress engine cancels it on its next pass.
+/// hands still-posted receives to the endpoint's cancel sink (a `Drop`
+/// has no `&mut Comm`); the progress engine cancels them on its next pass.
 pub(crate) struct Machine<P: Phases> {
     life: Life<P>,
     sink: CancelSink,
 }
 
 enum Life<P: Phases> {
-    Blocked(P, RecvReq),
+    Blocked(P, Waiting),
     Complete(P::Output),
     Claimed,
     Failed,
 }
 
+/// What a blocked machine waits on: the one receive of a [`Next::Recv`]
+/// step, held inline, or its phases' [`Phases::posted`] set.
+enum Waiting {
+    One([RecvReq; 1]),
+    Posted,
+}
+
 impl<P: Phases> Machine<P> {
     fn start<C: Comm + ?Sized>(c: &mut C, mut phases: P) -> Self {
         let life = match phases.start(c) {
-            Next::Recv(req) => Life::Blocked(phases, req),
+            Next::Recv(req) => Life::Blocked(phases, Waiting::One([req])),
+            Next::Posted => Life::Blocked(phases, Waiting::Posted),
             Next::Done(out) => Life::Complete(out),
         };
         Machine {
@@ -176,37 +203,54 @@ impl<P: Phases> Machine<P> {
         Ok(machine.take_output())
     }
 
+    /// Claim every completed receive of the set, in post order, running
+    /// the algorithm on from each. Only a progress pass completes a
+    /// receive, so those a step posts have nothing to claim yet: the scan
+    /// ends with the set it started with. A failed receive fails the
+    /// operation and cancels the rest of the set.
     #[expect(
         clippy::panic,
         reason = "reviewed: polling a spent request is a caller bug"
     )]
     fn poll_claimed<C: Comm + ?Sized>(&mut self, c: &mut C) -> Result<bool, RecvError> {
-        let (phases, req) = match &mut self.life {
-            Life::Blocked(phases, req) => (phases, req),
-            Life::Complete(_) => return Ok(true),
+        let mut end = self.pending().len();
+        let mut i = 0;
+        while i < end {
+            let req = self.pending()[i];
+            let Life::Blocked(phases, waiting) = &mut self.life else {
+                break;
+            };
+            let next = match c.test_claimed(req) {
+                None => {
+                    i += 1;
+                    continue;
+                }
+                Some(Ok(m)) => phases.resume(c, m),
+                Some(Err(e)) => {
+                    for &other in self.pending() {
+                        c.cancel_recv(other);
+                    }
+                    self.life = Life::Failed;
+                    return Err(e);
+                }
+            };
+            // The claimed receive has left the set; the rest kept order.
+            end -= 1;
+            *waiting = match next {
+                Next::Recv(posted) => Waiting::One([posted]),
+                Next::Posted => Waiting::Posted,
+                Next::Done(out) => {
+                    self.life = Life::Complete(out);
+                    return Ok(true);
+                }
+            };
+        }
+        match self.life {
+            Life::Blocked(..) => Ok(false),
+            Life::Complete(_) => Ok(true),
             Life::Claimed => panic!("collective request polled after its output was taken"),
             Life::Failed => panic!("collective request polled after it failed"),
-        };
-        let next = match c.test_claimed(*req) {
-            None => return Ok(false),
-            Some(Ok(m)) => phases.resume(c, m),
-            Some(Err(e)) => {
-                self.life = Life::Failed;
-                return Err(e);
-            }
-        };
-        // Only a progress pass completes a receive, so the one just
-        // posted has nothing to claim yet.
-        Ok(match next {
-            Next::Recv(posted) => {
-                *req = posted;
-                false
-            }
-            Next::Done(out) => {
-                self.life = Life::Complete(out);
-                true
-            }
-        })
+        }
     }
 
     #[expect(
@@ -217,13 +261,6 @@ impl<P: Phases> Machine<P> {
         match mem::replace(&mut self.life, Life::Claimed) {
             Life::Complete(out) => out,
             _ => panic!("collective output taken before completion, or twice"),
-        }
-    }
-
-    fn pending(&self) -> Option<RecvReq> {
-        match self.life {
-            Life::Blocked(_, req) => Some(req),
-            _ => None,
         }
     }
 }
@@ -237,12 +274,17 @@ impl<P: Phases> fmt::Debug for Machine<P> {
 }
 
 impl<P: Phases> ClaimStep for Machine<P> {
-    fn claim(&mut self, c: &mut dyn Comm) -> Result<Option<RecvReq>, RecvError> {
-        Ok(if self.poll_claimed(c)? {
-            None
-        } else {
-            self.pending()
-        })
+    fn claim(&mut self, c: &mut dyn Comm) -> Result<&[RecvReq], RecvError> {
+        self.poll_claimed(c)?;
+        Ok(self.pending())
+    }
+
+    fn pending(&self) -> &[RecvReq] {
+        match &self.life {
+            Life::Blocked(_, Waiting::One(req)) => req,
+            Life::Blocked(phases, Waiting::Posted) => phases.posted(),
+            _ => &[],
+        }
     }
 
     fn vacant(&self) -> Box<dyn ClaimStep> {
@@ -266,7 +308,7 @@ impl<P: Phases> ClaimStep for Machine<P> {
 
 impl<P: Phases> Drop for Machine<P> {
     fn drop(&mut self) {
-        if let Some(req) = self.pending() {
+        for &req in self.pending() {
             self.sink.push(req);
         }
     }
@@ -421,7 +463,7 @@ macro_rules! request {
                 self.0.take_output()
             }
 
-            fn pending(&self) -> Option<RecvReq> {
+            fn pending(&self) -> &[RecvReq] {
                 self.0.pending()
             }
 
@@ -629,6 +671,34 @@ mod tests {
             after_drop
         });
         assert_eq!(out, vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn dropped_or_cancelled_mcast_iallgather_retires_its_whole_set() {
+        // The multicast allgather holds a receive posted for every block it
+        // lacks within its lookahead. Half-finish one — every rank but 0
+        // waits for block 0 and claims what arrived — then abandon it: a
+        // drop must retire the whole set by the next progress pass, a
+        // cancel at once.
+        let out = run_mem_world(8, 0, |mut c| {
+            let mut req = iallgather(&mut c, AllgatherAlgorithm::Multicast, 0);
+            if c.rank() > 0 {
+                c.wait_ready(req.pending());
+                assert!(!req.poll_claimed(&mut c).unwrap(), "half-finished");
+            }
+            let posted = req.pending().len();
+            assert!(posted >= 1);
+            assert_eq!(c.outstanding_recvs(), posted);
+            if c.rank() % 2 == 0 {
+                drop(req);
+                c.progress();
+            } else {
+                req.cancel(&mut c);
+            }
+            (posted, c.outstanding_recvs())
+        });
+        assert!(out.iter().any(|&(posted, _)| posted > 1), "{out:?}");
+        assert!(out.iter().all(|&(_, left)| left == 0), "{out:?}");
     }
 
     #[test]

@@ -219,13 +219,24 @@ impl SendReq {
 /// operation while its caller sleeps and take the steps itself — the
 /// simulator's round closer does, between the receives of a parked rank
 /// (`docs/SIMULATOR.md`, "Served waits").
+///
+/// An operation is blocked on a *set* of posted receives: most hold one,
+/// the multicast allgather one per block it still lacks within its
+/// lookahead. A wait parks on any of them ([`Comm::wait_ready`]); a
+/// [`RecvError`] on any fails the operation, which cancels the rest.
 pub trait ClaimStep: Any + Send {
-    /// Claim the operation's posted receive if it has completed and run
-    /// the operation on to its next receive, which it posts, or to its
-    /// end. Returns the receive the operation is now blocked on, `None`
-    /// once it is complete. Makes no blocking call and runs no progress
-    /// pass, so whoever takes the step, the backend sees the same calls.
-    fn claim(&mut self, c: &mut dyn Comm) -> Result<Option<RecvReq>, RecvError>;
+    /// Claim every posted receive of the operation that has completed and
+    /// run the operation on as far as that takes it: to further receives,
+    /// which it posts, or to its end. Returns the posted receives the
+    /// operation is now blocked on ([`ClaimStep::pending`]) — empty once it
+    /// is complete. Makes no blocking call and runs no progress pass, so
+    /// whoever takes the step, the backend sees the same calls. On `Err`
+    /// the operation has failed and cancelled its other receives.
+    fn claim(&mut self, c: &mut dyn Comm) -> Result<&[RecvReq], RecvError>;
+
+    /// The posted receives the operation is blocked on, as the last
+    /// [`ClaimStep::claim`] returned them; empty once complete.
+    fn pending(&self) -> &[RecvReq];
 
     /// A spent operation of this type: the slot a backend moves this one
     /// into ([`ClaimStep::exchange`]) while it holds it, kept for the next
@@ -395,20 +406,23 @@ pub trait Comm {
     }
 
     /// Drive a waited operation to its end: take its claim step, and while
-    /// it is blocked, [`Comm::wait_ready`] on the one receive it posted —
-    /// the calls a blocking `recv` makes, so waiting an operation moves a
-    /// backend's time model as a blocking formulation would. A backend may
-    /// take the steps itself while the caller sleeps (the simulator does);
-    /// it makes the same calls. On `Err` the operation failed and is not
-    /// stepped again.
+    /// it is blocked, [`Comm::wait_ready`] on the receives it is blocked
+    /// on — the calls a blocking `wait_any` makes, so waiting an operation
+    /// moves a backend's time model as a blocking formulation would. A
+    /// backend may take the steps itself while the caller sleeps (the
+    /// simulator does); it makes the same calls. On `Err` the operation
+    /// failed and is not stepped again.
     fn wait_op(&mut self, op: &mut dyn ClaimStep) -> Result<(), RecvError>
     where
         Self: Sized,
     {
-        while let Some(req) = op.claim(self)? {
-            self.wait_ready(slice::from_ref(&req));
+        loop {
+            let reqs = op.claim(self)?;
+            if reqs.is_empty() {
+                return Ok(());
+            }
+            self.wait_ready(reqs);
         }
-        Ok(())
     }
 
     /// Abandon a posted receive: its handle is retired and its repair

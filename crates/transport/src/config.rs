@@ -32,9 +32,9 @@ pub struct RepairConfig {
     /// restarts the clock. The *effective* grace scales with group size
     /// (see [`RepairConfig::effective_drain_grace`]): a straggler can
     /// spend `~n × (nack_timeout + backoff)` chaining through
-    /// earlier-round recoveries (rank-ordered multicast allgather is the
-    /// worst case) before it even posts the receive that needs this
-    /// endpoint's final message.
+    /// recoveries (the multicast allgather, which posts only two blocks
+    /// ahead of the highest one in hand, is the worst case) before it
+    /// even posts the receive that needs this endpoint's final message.
     pub drain_grace: Duration,
     /// Capacity of the sender-side retransmit ring, in messages. The one
     /// bound on a sender that outruns its receivers: the oldest record is

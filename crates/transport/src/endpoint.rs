@@ -11,7 +11,6 @@
 //! the endpoint's view (`view.rs`): ranks and tags are translated where
 //! receives are posted, sends go out and completions are claimed.
 
-use std::slice;
 use std::time::Duration;
 
 use mmpi_wire::{Bytes, Message, MsgKind, RepairStats};
@@ -47,15 +46,15 @@ pub trait Backend {
         self.with(|core, io| core.block(io, &kind));
     }
 
-    /// Block until `req`, the receive `op` is blocked on, completes — one
-    /// wait of [`Comm::wait_op`]. `Ok(false)`: the claim is the caller's.
-    /// `Ok(true)`: the backend took `op`'s claim steps itself and ran it
-    /// to its end; `Err`: it failed on one of them. The default is
-    /// [`Backend::block`] on `req`, leaving every step to the caller; the
-    /// simulator lends `op` to the round closer with the parked rank.
-    fn block_op(&mut self, req: RecvReq, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
-        let _ = op;
-        self.block(WaitKind::AnyOf(slice::from_ref(&req)));
+    /// Block until one of the receives `op` is blocked on
+    /// ([`ClaimStep::pending`]) completes — one wait of [`Comm::wait_op`].
+    /// `Ok(false)`: the claim is the caller's. `Ok(true)`: the backend took
+    /// `op`'s claim steps itself and ran it to its end; `Err`: it failed on
+    /// one of them. The default is [`Backend::block`] on that set, leaving
+    /// every step to the caller; the simulator lends `op` to the round
+    /// closer with the parked rank.
+    fn block_op(&mut self, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
+        self.block(WaitKind::AnyOf(op.pending()));
         Ok(false)
     }
 
@@ -232,14 +231,16 @@ impl<B: Backend> Comm for Endpoint<B> {
     }
 
     fn wait_op(&mut self, op: &mut dyn ClaimStep) -> Result<(), RecvError> {
-        while let Some(req) = op.claim(self)? {
-            self.0
-                .peek(|core| core.expect_posted(slice::from_ref(&req)));
-            if self.0.block_op(req, op)? {
-                break;
+        loop {
+            let reqs = op.claim(self)?;
+            if reqs.is_empty() {
+                return Ok(());
+            }
+            self.0.peek(|core| core.expect_posted(reqs));
+            if self.0.block_op(op)? {
+                return Ok(());
             }
         }
-        Ok(())
     }
 
     fn cancel_recv(&mut self, req: RecvReq) {

@@ -45,7 +45,6 @@
 //! receives), which is safe because a closer only ever touches the
 //! endpoint of a rank parked *served*.
 
-use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -438,9 +437,9 @@ impl EndpointState {
     /// A closer's share of the parked wait: its turns, through `port`, and
     /// when the wait of a lent operation is over, the operation's claim step
     /// too — over [`Stepped`], so it makes the calls the owner's thread
-    /// would have made — and the wait on the receive that step posted.
-    /// [`Step::Done`] wakes the owner: its wait is over, or the lent
-    /// operation ended.
+    /// would have made — and the wait on the receives that step left it
+    /// blocked on. [`Step::Done`] wakes the owner: its wait is over, or the
+    /// lent operation ended.
     fn serve(&mut self, port: &mut RankPort<'_>, link: Link, multicast_capable: bool) -> Step {
         loop {
             let step = self.turn(&mut SimIo {
@@ -462,7 +461,11 @@ impl EndpointState {
                 multicast_capable,
             }));
             match claimed {
-                Ok(Some(next)) => self.park(WaitKind::AnyOf(slice::from_ref(&next))),
+                Ok(next) if !next.is_empty() => {
+                    self.reqs.clear();
+                    self.reqs.extend_from_slice(next);
+                    self.parked = Parked::AnyOf;
+                }
                 ended => {
                     self.ended = Some(ended.map(|_| ()));
                     return step;
@@ -549,19 +552,14 @@ pub struct SimBackend {
 }
 
 impl SimBackend {
-    /// The first turns of `kind` are taken here; once one needs a receive,
-    /// the rank parks *served* with the endpoint unlocked (and `op`, if
-    /// any, lent to the closer), and wakes either because a closer's step
-    /// ended the wait or — the closer answered several ranks at once — with
-    /// the receive's result to take the next turns itself. `Some` when the
-    /// closer ran `op` to its end.
-    fn park_served(
-        &mut self,
-        kind: WaitKind<'_>,
-        mut op: Option<&mut dyn ClaimStep>,
-    ) -> Option<Result<(), RecvError>> {
+    /// The first turns of the wait parked in the endpoint are taken here;
+    /// once one needs a receive, the rank parks *served* with the endpoint
+    /// unlocked (and `op`, if any, lent to the closer), and wakes either
+    /// because a closer's step ended the wait or — the closer answered
+    /// several ranks at once — with the receive's result to take the next
+    /// turns itself. `Some` when the closer ran `op` to its end.
+    fn park_served(&mut self, mut op: Option<&mut dyn ClaimStep>) -> Option<Result<(), RecvError>> {
         let mut state = self.endpoint.lock();
-        state.park(kind);
         while let Step::Park(timeout) = state.turn(&mut self.io) {
             if let Some(op) = op.as_deref_mut() {
                 state.lend(op);
@@ -593,16 +591,18 @@ impl Backend for SimBackend {
     }
 
     fn block(&mut self, kind: WaitKind<'_>) {
-        self.park_served(kind, None);
+        self.endpoint.lock().park(kind);
+        self.park_served(None);
     }
 
-    /// The wait on `req` parks with `op` lent to the round closer, which
-    /// runs `op`'s claim steps between the receives: the thread wakes once
-    /// the operation is over, or with the claim still to take when the
-    /// closer had to wake it (several ranks answered at once, or sends that
-    /// may block).
-    fn block_op(&mut self, req: RecvReq, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
-        match self.park_served(WaitKind::AnyOf(slice::from_ref(&req)), Some(op)) {
+    /// The wait on the receives `op` is blocked on parks with `op` lent to
+    /// the round closer, which runs `op`'s claim steps between the
+    /// receives: the thread wakes once the operation is over, or with the
+    /// claim still to take when the closer had to wake it (several ranks
+    /// answered at once).
+    fn block_op(&mut self, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
+        self.endpoint.lock().park(WaitKind::AnyOf(op.pending()));
+        match self.park_served(Some(op)) {
             Some(ended) => ended.map(|()| true),
             None => Ok(false),
         }

@@ -18,7 +18,7 @@ use std::mem;
 
 use mmpi_wire::Message;
 
-use crate::api::{ClaimStep, Comm, RecvError, RecvReq, Tag};
+use crate::api::{ClaimStep, Comm, RecvError, Tag};
 use crate::endpoint::{Backend, Endpoint};
 use crate::engine::EndpointCore;
 use crate::pump::{Nanos, WaitKind};
@@ -267,8 +267,8 @@ impl<B: Backend> Backend for Borrowed<'_, B> {
         self.parent.block(kind);
     }
 
-    fn block_op(&mut self, req: RecvReq, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
-        self.parent.block_op(req, op)
+    fn block_op(&mut self, op: &mut dyn ClaimStep) -> Result<bool, RecvError> {
+        self.parent.block_op(op)
     }
 
     fn multicast_capable(&self) -> bool {

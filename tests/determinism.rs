@@ -227,9 +227,15 @@ fn bcast_barrier_allgather(
 /// silenced ours, and a multicast repair held back its repeat, for one
 /// solicit timeout instead of two (`docs/PROTOCOL.md` §8): a protocol
 /// change, so the runs' solicits and repairs differ. Re-recorded once for
-/// it; the gossip run's NACKs are unicast and never overheard.
-const SERVED_SWITCH_N64_SRM: u64 = 0xa382_c145_00b1_838f;
-const SERVED_HUB_N8_SRM: u64 = 0x60a0_4dba_dde4_9ef9;
+/// it; the gossip run's NACKs are unicast and never overheard. They were
+/// `0xa382_c145_00b1_838f` and `0x60a0_4dba_dde4_9ef9` until the multicast
+/// allgather came to multicast its block as soon as its predecessor's is
+/// in, and to keep a receive posted for each block it lacks up to two past
+/// the highest in hand (`many_to_many.rs`): its repairs run concurrently
+/// instead of one after another, so the runs' solicits, repairs and times
+/// differ. Re-recorded once for it; the gossip run holds no allgather.
+const SERVED_SWITCH_N64_SRM: u64 = 0x40b0_e92e_26b0_3adf;
+const SERVED_HUB_N8_SRM: u64 = 0x38e7_dc34_72c9_9df9;
 const SERVED_GOSSIP_N16: u64 = 0x8dfc_b8e4_b831_597f;
 
 #[test]
@@ -320,6 +326,15 @@ fn served_waits_replay_the_recorded_runs() {
 /// 1 531 completions are answered — the same 576 per-collective wakes and
 /// 955 drain receives — and 44 840 stepped inline, 46 371 in all (50 194
 /// with the two-timeout window).
+///
+/// Re-recorded once more when the multicast allgather came to multicast
+/// its block as soon as its predecessor's is in, with a receive posted for
+/// each block it lacks up to two past the highest in hand
+/// (`many_to_many.rs`): its receives and their solicit deadlines are
+/// posted earlier and its repairs overlap, so the loss draws and timers
+/// differ. The `World` handles 135 971 events; 1 458 completions are
+/// answered — the same 576 per-collective wakes and 882 drain receives —
+/// and 44 349 stepped inline, 45 807 in all.
 #[test]
 fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
     use mcast_mpi::transport::RepairConfig;
@@ -349,17 +364,17 @@ fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
         "hand-off and event counts replay exactly"
     );
     let want = mcast_mpi::netsim::cluster::HandoffStats {
-        answered: 1_531,
-        stepped_inline: 44_840,
+        answered: 1_458,
+        stepped_inline: 44_349,
     };
-    assert_eq!((handoff, events), (want, 120_727));
+    assert_eq!((handoff, events), (want, 135_971));
     assert!(
         handoff.answered < 11_872,
         "a waited collective must wake its rank less often than once per wait: {handoff:?}"
     );
     assert_eq!(
         handoff.answered + handoff.stepped_inline,
-        46_371,
+        45_807,
         "every completion is handed over one way or the other"
     );
 }

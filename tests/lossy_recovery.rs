@@ -217,20 +217,23 @@ fn mcast_allgather_at_five_percent(n: usize, nonblocking: bool) -> (Vec<Vec<Vec<
 
 /// The multicast `iallgather` livelock regression. When the request
 /// machine posted all `N-1` receives upfront, every one solicited repair
-/// at once, and at N ≥ 24 under 5 % loss the waited machine never
-/// completed: it ran into the 2 s virtual time limit, while the blocking
-/// allgather finished in a fraction of that. The machine now posts its
-/// receives in rank order, one at a time, so the request path is the
-/// blocking path: identical parts, makespan and event count. The pins
-/// were (219 078 753 ns, 4 076) at N=24 and (295 842 137 ns, 8 227) at
-/// N=32 until an overheard solicit came to silence ours, and a multicast
-/// repair to hold back its repeat, for one solicit timeout instead of two
-/// (`docs/PROTOCOL.md` §8); re-recorded once for that protocol change.
+/// before its block existed, and at N ≥ 24 under 5 % loss the waited
+/// machine never completed: it ran into the 2 s virtual time limit. The
+/// machine keeps a receive posted only for the blocks it lacks up to two
+/// past the highest one in hand, and the blocking `allgather` waits on the
+/// same machine: identical parts, makespan and event count. The pins were
+/// (219 078 753 ns, 4 076) at N=24 and (295 842 137 ns, 8 227) at N=32
+/// until an overheard solicit came to silence ours, and a multicast repair
+/// to hold back its repeat, for one solicit timeout instead of two
+/// (`docs/PROTOCOL.md` §8), then (215 620 599 ns, 3 788) and
+/// (293 949 478 ns, 8 663) until the machine came to multicast its block
+/// as soon as its predecessor's is in, repairing the lower blocks it lacks
+/// concurrently instead of one after another; re-recorded once for each.
 #[test]
 fn mcast_iallgather_completes_under_five_percent_loss() {
     for (n, makespan_ns, events) in [
-        (24usize, 215_620_599u64, 3_788u64),
-        (32, 293_949_478, 8_663),
+        (24usize, 198_413_588u64, 3_001u64),
+        (32, 271_100_359, 6_790),
     ] {
         let (parts, end, handled) = mcast_allgather_at_five_percent(n, true);
         for (rank, got) in parts.iter().enumerate() {
@@ -529,4 +532,56 @@ fn one_shot_partition_heals_and_recovers() {
     assert_eq!(report.outputs, mem);
     assert!(stats.net.partition_drops > 0, "the cut must drop frames");
     assert!(stats.repair.retransmits_sent > 0, "healing needs repair");
+}
+
+/// Each rank's virtual clock when its multicast allgather of `[rank; 3]`
+/// blocks returns, at N=8 over a lossless switch with repair armed, under
+/// `faults`.
+fn mcast_allgather_finish_ns(faults: FaultParams) -> Vec<u64> {
+    let params = NetParams::fast_ethernet_switch().with_faults(faults);
+    let cfg = SimCommConfig::default().with_repair();
+    let (report, _) = run_sim_world_stats(&ClusterConfig::new(8, params, 0xC417_0005), &cfg, |c| {
+        let mut comm = Communicator::new(c);
+        let mine = [comm.rank() as u8; 3];
+        let parts = comm.allgather(&mine).unwrap();
+        assert!(parts.iter().enumerate().all(|(src, p)| p == &[src as u8; 3]));
+        comm.transport().now().as_nanos()
+    })
+    .expect("the partitioned allgather must complete");
+    report.outputs
+}
+
+/// The multicast allgather passes the turn on its predecessor's block
+/// alone (the paper's §4 chain), so a repair one rank owes stays off
+/// everybody else's critical path. At N=8 on a lossless switch rank `r`
+/// multicasts at `r × 132.6 µs`; a partition isolates rank 5 from 250 to
+/// 350 µs, while rank 2's block is on the wire. Every other rank finishes
+/// within one `nack_timeout` of the lossless makespan — a machine that
+/// claims blocks 0…r−1 strictly in order before rank r sends cannot,
+/// since rank 5 repairs block 2 before its own turn and the ranks after
+/// it wait for that — and rank 5 within one solicit round (`nack_timeout`
+/// plus the backoff jitter) of the heal.
+#[test]
+fn a_repair_stays_off_the_other_ranks_critical_path() {
+    let repair = RepairConfig::sim_default();
+    let lossless = mcast_allgather_finish_ns(FaultParams::default());
+    let makespan = *lossless.iter().max().unwrap();
+    let heal = SimTime::from_micros(350);
+    let faults = FaultParams {
+        topology: TopologyScript::partition_window(
+            SimTime::from_micros(250),
+            SimDuration::from_micros(100),
+            vec![HostId(5)],
+        ),
+        ..Default::default()
+    };
+    let cut = mcast_allgather_finish_ns(faults);
+    println!("lossless {lossless:?}, rank 5 cut off {cut:?}");
+    let nack = repair.nack_timeout.as_nanos() as u64;
+    for (rank, &end) in cut.iter().enumerate().filter(|&(r, _)| r != 5) {
+        assert!(end < makespan + nack, "rank {rank} ended at {end} ns");
+    }
+    let round = (repair.nack_timeout + repair.backoff).as_nanos() as u64;
+    assert!(cut[5] > makespan + nack, "rank 5 lost block 2: {}", cut[5]);
+    assert!(cut[5] < heal.as_nanos() + round, "rank 5 ended at {}", cut[5]);
 }

@@ -148,8 +148,13 @@ fn digest(parts: &[String]) -> u64 {
 /// until an overheard solicit came to silence ours, and a multicast repair
 /// to hold back its repeat, for one solicit timeout instead of two
 /// (`docs/PROTOCOL.md` §8): a protocol change that moves the lossy run's
-/// repairs, re-recorded once for it.
-const SHRINK_KILL_N8: u64 = 0xf3e3_b761_0707_d006;
+/// repairs, re-recorded once for it. It was `0xf3e3_b761_0707_d006` until
+/// the multicast allgather came to multicast its block as soon as its
+/// predecessor's is in, with a receive posted for each block it lacks up
+/// to two past the highest in hand (`many_to_many.rs`): the interrupted
+/// `iallgather` and its retry post and repair in a different order.
+/// Re-recorded once for it.
+const SHRINK_KILL_N8: u64 = 0xd24f_4adb_8a34_513a;
 
 /// Full verification of one kill scenario: run it, check every
 /// survivor against the lossless mem ground truth, and (optionally)

@@ -16,16 +16,16 @@
 //! * [`BcastAlgorithm::FlatTree`] — naive root-sends-to-everyone baseline.
 //! * [`BcastAlgorithm::Chain`] and [`BcastAlgorithm::ScatterAllgather`] —
 //!   the pipelined shapes of [`crate::bcast_ext`].
-//! * [`bcast_pvm_ack`] — the sender-initiated reliable multicast of
-//!   Dunigan & Hall's PVM work (the paper's ref \[2\]): multicast first,
-//!   then retransmit until every receiver acknowledges. Implemented as an
-//!   ablation baseline; the paper notes this approach did not pay off.
+//! * [`BcastAlgorithm::PvmAck`] — the sender-initiated reliable multicast
+//!   of Dunigan & Hall's PVM work (the paper's ref \[2\]): multicast
+//!   first, then retransmit until every receiver acknowledges. Implemented
+//!   as an ablation baseline; the paper notes this approach did not pay
+//!   off.
 //!
-//! Every algorithm but `PvmAck` is one request machine (`Bcast`,
-//! driven by [`crate::request::IbcastRequest`]), which
-//! [`crate::Communicator::bcast`] waits on. `PvmAck` stays a function
-//! over `post_recv` and `wait_deadline`: its retransmit timer is not a
-//! receive a machine could wait on.
+//! Every algorithm is one request machine (`Bcast`, driven by
+//! [`crate::request::IbcastRequest`]), which [`crate::Communicator::bcast`]
+//! waits on. `PvmAck`'s retransmit timer is its ack receive's expiry
+//! ([`Comm::expire_recv`]).
 //!
 //! # Behaviour under loss
 //!
@@ -36,7 +36,7 @@
 //! The scout phases need no special handling — a lost scout or payload
 //! is re-requested by the blocked receiver and re-sent from the sender's
 //! retransmit ring, with per-sender sequence numbers de-duplicating any
-//! crossed copies. [`bcast_pvm_ack`] is the exception: it carries its own
+//! crossed copies. `PvmAck` is the exception: it carries its own
 //! sender-initiated ack/retransmit machinery (the ablation baseline) and
 //! works with or without transport repair.
 
@@ -47,7 +47,7 @@ use mmpi_transport::{Comm, RecvError, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast_ext::{Chain, ScatterAllgather};
-use crate::request::{Next, Phases, Scouted, Scouts};
+use crate::request::{Next, Phases, Recover, Scouted, Scouts};
 use crate::tags::{OpTags, Phase};
 use crate::tree;
 
@@ -60,12 +60,9 @@ pub enum BcastAlgorithm {
     McastBinary,
     /// Scouts straight to the root, then one multicast.
     McastLinear,
-    /// Multicast + ack/retransmit (PVM-style, sender-initiated). Only the
-    /// blocking `bcast` runs it; a machine — `ibcast`, and the broadcast
-    /// stage of `allreduce` and of the `GatherBcast` allgather — runs
-    /// [`McastBinary`]'s shape instead.
-    ///
-    /// [`McastBinary`]: BcastAlgorithm::McastBinary
+    /// Multicast + ack/retransmit (PVM-style, sender-initiated). The root
+    /// reports a receiver that never acknowledges as
+    /// [`RecvError::Unreachable`].
     PvmAck,
     /// Root unicasts to every receiver directly.
     FlatTree,
@@ -130,8 +127,8 @@ pub(crate) fn tcp_acks_for(len: usize) -> u32 {
 
 /// Every broadcast's machine, in the shape its selector names.
 pub(crate) enum Bcast {
-    /// Scouts, then one multicast: `McastBinary`, `McastLinear`, `Gossip`
-    /// (no scouts), and `PvmAck`'s nonblocking shape.
+    /// Scouts, then one multicast: `McastBinary`, `McastLinear` and
+    /// `Gossip` (no scouts).
     Scouted(Scouted),
     /// MPICH's binomial tree (paper Fig. 2): receive from the parent,
     /// then fan out. `N-1` point-to-point data messages in
@@ -150,6 +147,9 @@ pub(crate) enum Bcast {
     },
     Chain(Chain),
     Scatter(ScatterAllgather),
+    /// Boxed: the ablation's state is the largest, and every broadcast's
+    /// machine is moved at the size of its largest variant.
+    PvmAck(Box<PvmAck>),
 }
 
 impl Bcast {
@@ -200,10 +200,11 @@ impl Bcast {
             BcastAlgorithm::ScatterAllgather => {
                 Bcast::Scatter(ScatterAllgather::new(tags, root, buf))
             }
+            BcastAlgorithm::PvmAck => Bcast::PvmAck(Box::new(PvmAck::new(cfg, tags, root, buf))),
             BcastAlgorithm::McastLinear => scouted(Scouts::Linear, buf),
             BcastAlgorithm::Gossip => scouted(Scouts::None, buf),
-            // McastBinary, and PvmAck as a machine.
-            _ => scouted(Scouts::Binomial, buf),
+            // `Auto` was lowered above.
+            BcastAlgorithm::McastBinary | BcastAlgorithm::Auto => scouted(Scouts::Binomial, buf),
         }
     }
 }
@@ -250,6 +251,7 @@ impl Phases for Bcast {
             }
             Bcast::Chain(s) => s.start(c),
             Bcast::Scatter(s) => s.start(c),
+            Bcast::PvmAck(s) => s.start(c),
         }
     }
 
@@ -276,59 +278,114 @@ impl Phases for Bcast {
             Bcast::Flat { .. } => Next::Done(m.into_vec()),
             Bcast::Chain(s) => s.resume(c, m),
             Bcast::Scatter(s) => s.resume(c, m),
+            Bcast::PvmAck(s) => s.resume(c, m),
+        }
+    }
+
+    fn recover<C: Comm + ?Sized>(&mut self, c: &mut C, e: RecvError) -> Recover<Vec<u8>> {
+        match self {
+            Bcast::PvmAck(s) => s.recover(c, e),
+            _ => Err(e),
         }
     }
 }
 
 /// Sender-initiated reliable multicast (PVM-style, the paper's ref \[2\]):
 /// multicast immediately, collect acks, retransmit the same sequence
-/// number until every receiver has acknowledged.
-///
-/// # Errors
+/// number until every receiver has acknowledged. Each ack receive expires
+/// after `ack_timeout`, and the expiry is the retransmit timer.
 ///
 /// On the root, [`RecvError::Unreachable`] if some receiver has not
-/// acknowledged after `cfg.max_retransmits` retransmissions: `src` is the
+/// acknowledged after `max_retransmits` retransmissions: `src` is the
 /// lowest such rank, `rounds` the first send plus every retransmission.
-pub fn bcast_pvm_ack<C: Comm>(
-    c: &mut C,
-    cfg: &BcastConfig,
-    tags: OpTags,
+pub(crate) struct PvmAck {
+    data_tag: Tag,
+    ack_tag: Tag,
     root: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), RecvError> {
-    let n = c.size();
-    if n == 1 {
-        return Ok(());
-    }
-    let data_tag = tags.tag(Phase::Data);
-    let ack_tag = tags.tag(Phase::Ack);
-    if c.rank() != root {
-        let data = c.post_recv(Some(root), data_tag);
-        *buf = c.wait(data)?.into_vec();
-        c.send_kind(root, ack_tag, MsgKind::Ack, &Bytes::new());
-        return Ok(());
-    }
-    // Written into wire form once; every retransmission re-slices it.
-    let wire = Bytes::from(&*buf);
-    let seq = c.mcast_kind(data_tag, MsgKind::Data, &wire);
-    let mut acked = vec![false; n];
-    acked[root] = true;
-    let mut rounds = 0;
-    while let Some(silent) = acked.iter().position(|&a| !a) {
-        let ack = c.post_recv(None, ack_tag);
-        match c.wait_deadline(ack, cfg.ack_timeout)? {
-            Some(m) => acked[m.src_rank as usize] = true,
-            None if rounds == cfg.max_retransmits => {
-                return Err(RecvError::Unreachable {
-                    src: silent as u32,
-                    rounds: rounds + 1,
-                });
-            }
-            None => {
-                rounds += 1;
-                c.mcast_resend(data_tag, MsgKind::Data, &wire, seq);
-            }
+    ack_timeout: Duration,
+    max_retransmits: u32,
+    /// The root's payload.
+    buf: Vec<u8>,
+    /// The root's payload in wire form, written once; every
+    /// retransmission re-slices it under the first send's `seq`.
+    wire: Bytes,
+    seq: u64,
+    /// The ranks whose ack the root holds (its own included).
+    acked: Vec<bool>,
+    /// Retransmissions so far.
+    rounds: u32,
+}
+
+impl PvmAck {
+    fn new(cfg: &BcastConfig, tags: OpTags, root: usize, buf: Vec<u8>) -> Self {
+        PvmAck {
+            data_tag: tags.tag(Phase::Data),
+            ack_tag: tags.tag(Phase::Ack),
+            root,
+            ack_timeout: cfg.ack_timeout,
+            max_retransmits: cfg.max_retransmits,
+            buf,
+            wire: Bytes::new(),
+            seq: 0,
+            acked: Vec::new(),
+            rounds: 0,
         }
     }
-    Ok(())
+
+    /// The root's next ack receive, armed to expire, or — every receiver
+    /// has acknowledged — the end.
+    fn await_ack<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        if self.acked.iter().all(|&a| a) {
+            return Next::Done(mem::take(&mut self.buf));
+        }
+        let ack = c.post_recv(None, self.ack_tag);
+        c.expire_recv(ack, self.ack_timeout);
+        Next::Recv(ack)
+    }
+}
+
+impl Phases for PvmAck {
+    type Output = Vec<u8>;
+
+    fn start<C: Comm + ?Sized>(&mut self, c: &mut C) -> Next<Vec<u8>> {
+        let n = c.size();
+        if n == 1 {
+            return Next::Done(mem::take(&mut self.buf));
+        }
+        if c.rank() != self.root {
+            return Next::Recv(c.post_recv(Some(self.root), self.data_tag));
+        }
+        self.wire = Bytes::from(&self.buf);
+        self.seq = c.mcast_kind(self.data_tag, MsgKind::Data, &self.wire);
+        self.acked = vec![false; n];
+        self.acked[self.root] = true;
+        self.await_ack(c)
+    }
+
+    fn resume<C: Comm + ?Sized>(&mut self, c: &mut C, m: Message) -> Next<Vec<u8>> {
+        if c.rank() != self.root {
+            let buf = m.into_vec();
+            c.send_kind(self.root, self.ack_tag, MsgKind::Ack, &Bytes::new());
+            return Next::Done(buf);
+        }
+        self.acked[m.src_rank as usize] = true;
+        self.await_ack(c)
+    }
+
+    fn recover<C: Comm + ?Sized>(&mut self, c: &mut C, e: RecvError) -> Recover<Vec<u8>> {
+        // Only the root's ack receives expire.
+        let silent = match (e, self.acked.iter().position(|&a| !a)) {
+            (RecvError::TimedOut, Some(silent)) => silent,
+            _ => return Err(e),
+        };
+        if self.rounds == self.max_retransmits {
+            return Err(RecvError::Unreachable {
+                src: silent as u32,
+                rounds: self.rounds + 1,
+            });
+        }
+        self.rounds += 1;
+        c.mcast_resend(self.data_tag, MsgKind::Data, &self.wire, self.seq);
+        Ok(self.await_ack(c))
+    }
 }

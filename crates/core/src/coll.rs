@@ -16,11 +16,11 @@
 
 use std::mem;
 
-use mmpi_transport::{Comm, RecvReq, Tag};
+use mmpi_transport::{Comm, RecvError, RecvReq, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast::{Bcast, BcastAlgorithm, BcastConfig};
-use crate::request::{Next, Phases};
+use crate::request::{Next, Phases, Recover};
 use crate::tags::{OpTags, Phase};
 use crate::tree::{self, Reduction};
 
@@ -224,6 +224,13 @@ impl<A: Phases> Phases for ThenBcast<A> {
         match &self.stage {
             Stage::First(a) => a.posted(),
             Stage::Bcast(b) => b.posted(),
+        }
+    }
+
+    fn recover<C: Comm + ?Sized>(&mut self, c: &mut C, e: RecvError) -> Recover<Vec<u8>> {
+        match &mut self.stage {
+            Stage::First(_) => Err(e),
+            Stage::Bcast(b) => b.recover(c, e),
         }
     }
 }

@@ -13,7 +13,7 @@ use std::mem;
 use mmpi_transport::{Comm, RecvError};
 
 use crate::barrier::{Barrier, BarrierAlgorithm};
-use crate::bcast::{bcast_pvm_ack, Bcast, BcastAlgorithm, BcastConfig};
+use crate::bcast::{Bcast, BcastAlgorithm, BcastConfig};
 use crate::coll::{Combine, Gather, Reduce, ThenBcast};
 use crate::many_to_many::Allgather;
 use crate::request::{CollRequest, IallgatherRequest, IbarrierRequest, IbcastRequest, Machine};
@@ -142,9 +142,6 @@ impl<C: Comm> Communicator<C> {
     ) -> Result<(), RecvError> {
         let tags = self.next_tags(OpCode::Bcast);
         let c = &mut self.comm;
-        if algo == BcastAlgorithm::PvmAck {
-            return bcast_pvm_ack(c, &self.bcast_cfg, tags, root, buf);
-        }
         let phases = Bcast::new(c, algo, &self.bcast_cfg, tags, root, mem::take(buf));
         // On an error `buf` is left empty.
         *buf = IbcastRequest::new(c, phases).wait(c)?;
@@ -156,9 +153,7 @@ impl<C: Comm> Communicator<C> {
     /// [`crate::request::CollRequest::poll`] against the transport
     /// (`comm.transport_mut()`) and resolves to the broadcast buffer. It
     /// is the configured algorithm's machine — the one
-    /// [`Communicator::bcast`] waits on, `Auto`'s lowering included —
-    /// except for [`BcastAlgorithm::PvmAck`], whose retransmit timer is
-    /// not a receive: it runs `McastBinary`'s scouts and one multicast.
+    /// [`Communicator::bcast`] waits on, `Auto`'s lowering included.
     pub fn ibcast(&mut self, root: usize, buf: Vec<u8>) -> IbcastRequest {
         let tags = self.next_tags(OpCode::Bcast);
         let phases = Bcast::new(

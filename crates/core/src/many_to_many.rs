@@ -34,13 +34,13 @@
 
 use std::mem;
 
-use mmpi_transport::{Comm, RecvReq, Tag};
+use mmpi_transport::{Comm, RecvError, RecvReq, Tag};
 use mmpi_wire::{Bytes, Message, MsgKind};
 
 use crate::bcast::{BcastAlgorithm, BcastConfig};
 use crate::coll::{Gather, ThenBcast};
 use crate::communicator::AllgatherAlgorithm;
-use crate::request::{Next, Phases};
+use crate::request::{Next, Phases, Recover};
 use crate::ring::le_u32;
 use crate::tags::{OpTags, Phase};
 
@@ -107,6 +107,13 @@ impl Phases for Allgather {
         match self {
             Allgather::Multicast(s) => &s.posted,
             Allgather::Ring(_) | Allgather::GatherBcast(_) => &[],
+        }
+    }
+
+    fn recover<C: Comm + ?Sized>(&mut self, c: &mut C, e: RecvError) -> Recover<Vec<Vec<u8>>> {
+        match self {
+            Allgather::GatherBcast(s) => s.recover(c, e).map(|next| next.map(unframe)),
+            Allgather::Ring(_) | Allgather::Multicast(_) => Err(e),
         }
     }
 }
@@ -250,7 +257,8 @@ impl Turns {
         let (n, rank) = (c.size(), c.rank());
         while self.next_post < self.reach.min(n) {
             if self.next_post != rank {
-                self.posted.push(c.post_recv(Some(self.next_post), self.tag));
+                self.posted
+                    .push(c.post_recv(Some(self.next_post), self.tag));
                 self.awaited.push(self.next_post);
             }
             self.next_post += 1;

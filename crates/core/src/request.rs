@@ -13,9 +13,10 @@
 //! lacks within a two-block lookahead and claims blocks in whatever order
 //! they complete (`many_to_many.rs`). A wait parks on any receive of the
 //! set. That is what lets every blocking [`crate::Communicator`]
-//! collective be a machine, waited on. The one exception is
-//! [`crate::bcast::bcast_pvm_ack`], whose retransmit timer is not a
-//! receive.
+//! collective be a machine, waited on. A timer is a receive too: the
+//! PVM-style broadcast arms its ack receives to expire
+//! ([`Comm::expire_recv`]) and retransmits from the expiry
+//! (`Phases::recover`).
 //!
 //! The machines live with their algorithms (`bcast`, `bcast_ext`,
 //! `barrier`, `coll`, `many_to_many`); this module holds the machinery,
@@ -34,7 +35,8 @@
 //! flight on one communicator at once (distinct op slots keep their tag
 //! spaces disjoint).
 //!
-//! On unrecoverable loss (`RecvError`) on any receive of the set, the
+//! On a `RecvError` on any receive of the set that the algorithm does not
+//! recover from — unrecoverable loss, or a timeout it did not arm — the
 //! operation fails and cancels the rest of the set; polling the machine
 //! again afterwards is a programming error and panics.
 
@@ -141,9 +143,14 @@ impl<O> Next<O> {
 
     /// The same step, with the output (if done) passed through `f`.
     pub(crate) fn map<P>(self, f: impl FnOnce(O) -> P) -> Next<P> {
-        self.done().map_or_else(|wait| wait, |out| Next::Done(f(out)))
+        self.done()
+            .map_or_else(|wait| wait, |out| Next::Done(f(out)))
     }
 }
+
+/// What [`Phases::recover`] returns: the step the algorithm carried on
+/// to, or the error the operation fails with.
+pub(crate) type Recover<O> = Result<Next<O>, RecvError>;
 
 /// One collective algorithm as phases: `start` runs from the call to
 /// its first receive, `resume` from a receive's message to the next.
@@ -158,6 +165,13 @@ pub(crate) trait Phases: Send + 'static {
     /// An algorithm that only ever returns [`Next::Recv`] holds none.
     fn posted(&self) -> &[RecvReq] {
         &[]
+    }
+
+    /// A receive of the algorithm's failed with `e`: carry on from it (the
+    /// expiry of a deadline it armed, say) as `resume` does from a
+    /// message, or give up with an error, which fails the operation.
+    fn recover<C: Comm + ?Sized>(&mut self, _c: &mut C, e: RecvError) -> Recover<Self::Output> {
+        Err(e)
     }
 }
 
@@ -206,8 +220,9 @@ impl<P: Phases> Machine<P> {
     /// Claim every completed receive of the set, in post order, running
     /// the algorithm on from each. Only a progress pass completes a
     /// receive, so those a step posts have nothing to claim yet: the scan
-    /// ends with the set it started with. A failed receive fails the
-    /// operation and cancels the rest of the set.
+    /// ends with the set it started with. A failed receive goes to
+    /// [`Phases::recover`]; if that gives up, the operation fails and
+    /// cancels the rest of the set.
     #[expect(
         clippy::panic,
         reason = "reviewed: polling a spent request is a caller bug"
@@ -226,13 +241,16 @@ impl<P: Phases> Machine<P> {
                     continue;
                 }
                 Some(Ok(m)) => phases.resume(c, m),
-                Some(Err(e)) => {
-                    for &other in self.pending() {
-                        c.cancel_recv(other);
+                Some(Err(e)) => match phases.recover(c, e) {
+                    Ok(next) => next,
+                    Err(e) => {
+                        for &other in self.pending() {
+                            c.cancel_recv(other);
+                        }
+                        self.life = Life::Failed;
+                        return Err(e);
                     }
-                    self.life = Life::Failed;
-                    return Err(e);
-                }
+                },
             };
             // The claimed receive has left the set; the rest kept order.
             end -= 1;
@@ -476,8 +494,7 @@ macro_rules! request {
 
 request! {
     /// Nonblocking broadcast, in the communicator's configured algorithm
-    /// (`Auto` lowered first). `PvmAck` runs `McastBinary`'s shape here:
-    /// its retransmit timer is not a receive a machine could wait on.
+    /// (`Auto` lowered first).
     IbcastRequest(Bcast) -> Vec<u8>
 }
 

@@ -52,10 +52,11 @@ use mmpi_wire::{Bytes, Message, MsgKind};
 #[cfg(doc)]
 use crate::config::RepairConfig;
 
-/// Typed unrecoverable-loss errors a repair-enabled receive can surface.
-/// Every receive returns them — [`Comm::wait`], [`Comm::wait_deadline`],
-/// [`Comm::wait_any`] and the collectives built on them — so an
-/// unrecoverable loss ends the operation instead of re-soliciting forever.
+/// Typed unrecoverable-loss errors a repair-enabled receive can surface,
+/// and the expiry of a receive's deadline. Every receive returns them —
+/// [`Comm::wait`], [`Comm::wait_any`] and the collectives built on them —
+/// so an unrecoverable loss ends the operation instead of re-soliciting
+/// forever.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecvError {
     /// The awaited sender answered our NACK with `MsgKind::Unavail`: the
@@ -92,6 +93,10 @@ pub enum RecvError {
         /// The unanswered rounds.
         rounds: u32,
     },
+    /// The deadline [`Comm::expire_recv`] armed on the receive passed
+    /// before a message matched it. [`Comm::wait_deadline`] returns it as
+    /// `Ok(None)`; `mmpi-core`'s PVM-style broadcast retransmits on it.
+    TimedOut,
 }
 
 impl fmt::Display for RecvError {
@@ -118,6 +123,7 @@ impl fmt::Display for RecvError {
                 "peer unreachable: rank {src} answered none of {rounds} rounds; \
                  it never entered the operation or every round was lost"
             ),
+            RecvError::TimedOut => f.write_str("receive timed out before a message matched it"),
         }
     }
 }
@@ -316,9 +322,8 @@ pub trait Comm {
     /// Post a receive for `(src, tag)` (`src = None` matches any source)
     /// and return its handle. Posting never blocks and never fails; the
     /// request is completed by the progress engine and claimed through
-    /// [`Comm::test`], [`Comm::wait`], [`Comm::wait_deadline`] or
-    /// [`Comm::wait_any`]. With repair armed, the post also arms the
-    /// request's NACK solicitation deadline.
+    /// [`Comm::test`], [`Comm::wait`] or [`Comm::wait_any`]. With repair
+    /// armed, the post also arms the request's NACK solicitation deadline.
     fn post_recv(&mut self, src: Option<usize>, tag: Tag) -> RecvReq;
 
     /// One nonblocking pass of the progress engine: ingest every datagram
@@ -369,16 +374,32 @@ pub trait Comm {
         self.wait_any(slice::from_ref(&req)).map(|(_, m)| m)
     }
 
+    /// Arm `req` to complete with [`RecvError::TimedOut`] once `after`
+    /// has passed on the backend's clock with no message matched to it.
+    /// The expiry is a completion like any other: it wakes every wait on
+    /// `req`, and a message already in hand when it falls due still wins.
+    /// The default arms nothing, so `req` waits on for its message; the
+    /// one implementation, [`crate::Endpoint`], arms it in the request
+    /// table.
+    fn expire_recv(&mut self, req: RecvReq, after: Duration) {
+        let _ = (req, after);
+    }
+
     /// Block until `req` completes or `timeout` elapses. `Ok(None)` means
-    /// the timeout won — the request is **cancelled** (an already-matched
-    /// message would be requeued, but claim beats cancel, so none is
-    /// lost) and the handle retired. This is the single deadline
-    /// implementation every backend's timeout receive goes through.
+    /// the timeout won and the handle is retired. Provided:
+    /// [`Comm::expire_recv`], then [`Comm::wait`], with
+    /// [`RecvError::TimedOut`] read as `Ok(None)`.
     fn wait_deadline(
         &mut self,
         req: RecvReq,
         timeout: Duration,
-    ) -> Result<Option<Message>, RecvError>;
+    ) -> Result<Option<Message>, RecvError> {
+        self.expire_recv(req, timeout);
+        match self.wait(req) {
+            Err(RecvError::TimedOut) => Ok(None),
+            done => done.map(Some),
+        }
+    }
 
     /// Block until *one* of `reqs` completes; claim it and return its
     /// index in `reqs` with the message. The other requests stay posted.
@@ -389,7 +410,7 @@ pub trait Comm {
     /// empty slice — that wait could never return. Provided:
     /// [`Comm::wait_ready`], then [`Comm::test_claimed`] in the caller's
     /// order — so an implementor translates a completion in
-    /// [`Comm::test_claimed`] and [`Comm::wait_deadline`] only.
+    /// [`Comm::test_claimed`] only.
     fn wait_any(&mut self, reqs: &[RecvReq]) -> Result<(usize, Message), RecvError> {
         assert!(
             !reqs.is_empty(),

@@ -10,6 +10,7 @@ use mmpi_wire::{
 
 use crate::planes::horizon::PeerRtt;
 use crate::planes::CONTROL_SEQ_BASE;
+use crate::pump::deadline_after;
 use crate::testing::ScriptedPump;
 use crate::{EndpointCore, Inbox, RecvError, RecvReq, RepairConfig, WaitKind};
 
@@ -316,10 +317,15 @@ fn waiting_one_request_solicits_for_all_posted() {
     let _b = core.post_recv(&mut io, Some(2), 11);
     let c = core.post_recv(&mut io, Some(3), 12);
     // Park on the *last* one long enough for two solicitation rounds.
-    let deadline = core.arm_deadline(&mut io, c, rc.nack_timeout * 2 + Duration::from_millis(1));
-    core.block(&mut io, &WaitKind::Until(c, deadline));
-    let waited = core.claim_by_deadline(c).expect("nothing unavailable here");
-    assert!(waited.is_none(), "nothing ever arrives");
+    let deadline = deadline_after(io.clock(), rc.nack_timeout * 2 + Duration::from_millis(1));
+    core.expire_at(c, deadline);
+    core.block(&mut io, &WaitKind::AnyOf(&[c]));
+    let waited = core.test_claimed(c);
+    assert_eq!(
+        waited,
+        Some(Err(RecvError::TimedOut)),
+        "nothing ever arrives"
+    );
     let s = core.repair_stats();
     assert!(
         s.nacks_sent >= 6,

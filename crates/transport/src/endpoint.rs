@@ -17,7 +17,7 @@ use mmpi_wire::{Bytes, Message, MsgKind, RepairStats};
 
 use crate::api::{CancelSink, ClaimStep, Comm, RecvError, RecvReq, Tag};
 use crate::engine::EndpointCore;
-use crate::pump::{dur_nanos, Nanos, RepairPump, WaitKind};
+use crate::pump::{deadline_after, dur_nanos, Nanos, RepairPump, WaitKind};
 
 /// What differs between the fabrics an [`Endpoint`] runs over.
 ///
@@ -217,17 +217,9 @@ impl<B: Backend> Comm for Endpoint<B> {
             .with(|core, _| core.test_claimed(req).map(|r| core.view.local(r)))
     }
 
-    fn wait_deadline(
-        &mut self,
-        req: RecvReq,
-        timeout: Duration,
-    ) -> Result<Option<Message>, RecvError> {
-        let deadline = self.0.with(|core, io| core.arm_deadline(io, req, timeout));
-        self.0.block(WaitKind::Until(req, deadline));
-        self.0.with(|core, _| {
-            let done = core.claim_by_deadline(req).transpose();
-            done.map(|r| core.view.local(r)).transpose()
-        })
+    fn expire_recv(&mut self, req: RecvReq, after: Duration) {
+        self.0
+            .with(|core, io| core.expire_at(req, deadline_after(io.now(), after)));
     }
 
     fn wait_op(&mut self, op: &mut dyn ClaimStep) -> Result<(), RecvError> {

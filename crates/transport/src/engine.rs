@@ -17,12 +17,13 @@ use crate::config::RepairConfig;
 use crate::inbox::Inbox;
 use crate::planes::membership::MemberState;
 use crate::planes::{Ctx, Encoder, Repair};
-use crate::pump::{deadline_after, dur_nanos, Nanos, RepairPort, RepairPump, WaitKind, WaitPoll};
+use crate::pump::{dur_nanos, Nanos, RepairPort, RepairPump, WaitKind, WaitPoll};
 use crate::view::View;
 
 /// One posted receive in the endpoint's request table: its matcher, its
-/// private NACK solicitation deadline, and — once the progress engine
-/// completes it — the parked result awaiting a claim.
+/// private NACK solicitation deadline, the instant it expires if one was
+/// armed, and — once the progress engine completes it — the parked result
+/// awaiting a claim.
 #[derive(Debug)]
 struct PendingRecv {
     id: u64,
@@ -30,7 +31,10 @@ struct PendingRecv {
     tag: Tag,
     /// Next solicitation deadline (`None` with repair off).
     solicit_at: Option<Nanos>,
-    /// Parked completion; claimed by `test_claimed`/`wait_deadline`.
+    /// When the receive completes with [`RecvError::TimedOut`] if nothing
+    /// matched it first ([`EndpointCore::expire_at`]).
+    expires_at: Option<Nanos>,
+    /// Parked completion; claimed by `test_claimed`.
     done: Option<Result<Message, RecvError>>,
 }
 
@@ -344,17 +348,30 @@ impl EndpointCore {
             src,
             tag,
             solicit_at,
+            expires_at: None,
             done: None,
         });
         RecvReq(id)
+    }
+
+    /// Arm posted `req` to complete with [`RecvError::TimedOut`] at `at`
+    /// on the backend's clock ([`Comm::expire_recv`]); [`Nanos::MAX`], a
+    /// saturated timeout, is never.
+    pub fn expire_at(&mut self, req: RecvReq, at: Nanos) {
+        self.expect_posted(&[req]);
+        if let Some(p) = self.pending.iter_mut().find(|p| p.id == req.0) {
+            p.expires_at = (at != Nanos::MAX).then_some(at);
+        }
     }
 
     /// One pass of the engine over everything already in hand: service
     /// the planes in their fixed order — horizon (emit, then ingest),
     /// membership, gossip, SRM's queued NACKs; replay depends on it — then
     /// for every incomplete posted receive try to complete it from the
-    /// inbox (matched message or `Unavail` advertisement) and fire its
-    /// solicitation deadline if expired. Does **not** pump the socket —
+    /// inbox (matched message or `Unavail` advertisement), fire its
+    /// solicitation deadline if expired, and last, once its own expiry has
+    /// passed, complete it with [`RecvError::TimedOut`] — so a message in
+    /// hand beats the timeout. Does **not** pump the socket —
     /// callers decide whether to drain nonblockingly
     /// ([`EndpointCore::progress`]) or park ([`EndpointCore::block`]).
     pub(crate) fn advance<P: RepairPort>(&mut self, io: &mut P) {
@@ -405,75 +422,65 @@ impl EndpointCore {
                 pending[i].done = Some(Err(e));
                 continue;
             }
-            let Some(r) = repair else {
-                continue;
-            };
-            // Checked after the match: traffic already in hand from a
-            // now-dead peer is still delivered (it is valid pre-failure
-            // data); only a receive that would otherwise block forever
-            // fails over to the membership verdict.
-            if let Some(e) = r.member.as_ref().and_then(|m| m.failed_error(src)) {
-                pending[i].done = Some(Err(e));
-                continue;
-            }
-            if let Some(at) = pending[i].solicit_at {
-                if io.now() >= at {
-                    // Deadline-based, per request: a busy socket cannot
-                    // starve any posted receive's solicitation, and a
-                    // wait on one request advances the repair state of
-                    // every other.
-                    let next = Some(r.srm.solicit_step(
-                        &mut cx,
-                        io,
-                        src,
-                        tag,
-                        &mut r.horizon,
-                        r.member.as_ref(),
-                    ));
-                    // One solicit serves every posted receive with the
-                    // same matcher — the NACK's missing-seq ranges are
-                    // computed from the shared inbox, so duplicates
-                    // would be byte-identical. Re-arm them all to the
-                    // fresh deadline; otherwise a ring posting n-1
-                    // same-matcher receives would multicast n-1 copies
-                    // of the same NACK per timeout window (the storm
-                    // the SRM scale-out exists to prevent).
-                    for p in pending.iter_mut() {
-                        if p.done.is_none() && p.src == src && p.tag == tag {
-                            p.solicit_at = next;
+            if let Some(r) = repair {
+                // Checked after the match: traffic already in hand from a
+                // now-dead peer is still delivered (it is valid pre-failure
+                // data); only a receive that would otherwise block forever
+                // fails over to the membership verdict.
+                if let Some(e) = r.member.as_ref().and_then(|m| m.failed_error(src)) {
+                    pending[i].done = Some(Err(e));
+                    continue;
+                }
+                if let Some(at) = pending[i].solicit_at {
+                    if io.now() >= at {
+                        // Deadline-based, per request: a busy socket cannot
+                        // starve any posted receive's solicitation, and a
+                        // wait on one request advances the repair state of
+                        // every other.
+                        let next = Some(r.srm.solicit_step(
+                            &mut cx,
+                            io,
+                            src,
+                            tag,
+                            &mut r.horizon,
+                            r.member.as_ref(),
+                        ));
+                        // One solicit serves every posted receive with the
+                        // same matcher — the NACK's missing-seq ranges are
+                        // computed from the shared inbox, so duplicates
+                        // would be byte-identical. Re-arm them all to the
+                        // fresh deadline; otherwise a ring posting n-1
+                        // same-matcher receives would multicast n-1 copies
+                        // of the same NACK per timeout window (the storm
+                        // the SRM scale-out exists to prevent).
+                        for p in pending.iter_mut() {
+                            if p.done.is_none() && p.src == src && p.tag == tag {
+                                p.solicit_at = next;
+                            }
                         }
                     }
                 }
+            }
+            // Last, so that a message in hand beats the expiry.
+            if pending[i].expires_at.is_some_and(|at| io.now() >= at) {
+                pending[i].done = Some(Err(RecvError::TimedOut));
             }
         }
     }
 
     /// The deadline a blocking pump parks until: the earliest live
-    /// solicitation deadline across all incomplete posted receives, or
-    /// the next instant a plane needs a pass for its own sake
+    /// solicitation deadline or expiry across all incomplete posted
+    /// receives, or the next instant a plane needs a pass for its own sake
     /// ([`Repair::next_deadline`]), whichever is sooner.
     fn park_deadline(&self) -> Option<Nanos> {
-        let earliest_solicit = self
-            .pending
+        let plane_due = self.repair.as_ref().and_then(Repair::next_deadline);
+        self.pending
             .iter()
             .filter(|p| p.done.is_none())
-            .filter_map(|p| p.solicit_at)
-            .min();
-        let plane_due = self.repair.as_ref().and_then(Repair::next_deadline);
-        [earliest_solicit, plane_due].into_iter().flatten().min()
-    }
-
-    /// Claim a parked completion, retiring the handle. `None` while
-    /// pending.
-    fn claim(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
-        let i = self.pending.iter().position(|p| p.id == req.0)?;
-        if self.pending[i].done.is_some() {
-            // Order-preserving removal: post order is the matching
-            // priority of the survivors.
-            self.pending.remove(i).done
-        } else {
-            None
-        }
+            .flat_map(|p| [p.solicit_at, p.expires_at])
+            .chain([plane_due])
+            .flatten()
+            .min()
     }
 
     /// The precondition of every call that names requests: each is
@@ -501,16 +508,22 @@ impl EndpointCore {
     /// [`EndpointCore::progress`] this turn and are checking many
     /// requests — one engine pass, then O(1)-ish claims, instead of a
     /// socket drain per request (on the simulator every drain is a
-    /// round of the co-simulation).
+    /// round of the co-simulation). A parked completion is claimed and
+    /// the handle retired; `None` while pending.
     pub fn test_claimed(&mut self, req: RecvReq) -> Option<Result<Message, RecvError>> {
         self.expect_posted(&[req]);
-        self.claim(req)
+        let i = self.pending.iter().position(|p| p.id == req.0)?;
+        self.pending[i].done.as_ref()?;
+        // Order-preserving removal: post order is the matching priority
+        // of the survivors.
+        self.pending.remove(i).done
     }
 
     /// One turn of a blocking wait: run the engine over what is in hand
     /// (`advance`), then either the wait is over or the caller should
     /// receive one datagram — by no later than the returned instant, when
-    /// the next solicit, horizon, heartbeat or gossip retry falls due —
+    /// the next solicit, expiry, horizon, heartbeat or gossip retry falls
+    /// due —
     /// and poll again. Claims nothing. [`EndpointCore::block`] receives in
     /// [`RepairPump::pump_one`] between turns; the simulator's endpoint
     /// parks its rank and lets the round closer take the turns (`sim.rs`).
@@ -518,25 +531,14 @@ impl EndpointCore {
     pub fn poll_wait<P: RepairPort>(&mut self, io: &mut P, kind: &WaitKind<'_>) -> WaitPoll {
         self.advance(io);
         let done = |id: u64| self.pending.iter().any(|p| p.id == id && p.done.is_some());
-        let until = match *kind {
-            WaitKind::AnyOf(reqs) if reqs.iter().any(|r| done(r.0)) => return WaitPoll::Ready,
-            WaitKind::Until(req, _) if done(req.0) => return WaitPoll::Ready,
-            WaitKind::AnyPosted if self.pending.iter().any(|p| p.done.is_some()) => {
-                return WaitPoll::Ready
-            }
-            WaitKind::Until(_, deadline) => {
-                if io.now() >= deadline {
-                    return WaitPoll::Ready;
-                }
-                match self.park_deadline() {
-                    Some(at) => Some(at.min(deadline)),
-                    // A saturated deadline is no deadline (`deadline_after`).
-                    None => (deadline != Nanos::MAX).then_some(deadline),
-                }
-            }
-            WaitKind::AnyOf(_) | WaitKind::AnyPosted => self.park_deadline(),
+        let ready = match *kind {
+            WaitKind::AnyOf(reqs) => reqs.iter().any(|r| done(r.0)),
+            WaitKind::AnyPosted => self.pending.iter().any(|p| p.done.is_some()),
         };
-        WaitPoll::Park(until)
+        if ready {
+            return WaitPoll::Ready;
+        }
+        WaitPoll::Park(self.park_deadline())
     }
 
     /// Block until `kind` is satisfied — the one wait loop, behind every
@@ -558,30 +560,6 @@ impl EndpointCore {
             if let WaitKind::AnyPosted = kind {
                 self.advance(io);
                 return;
-            }
-        }
-    }
-
-    /// The start of a [`WaitKind::Until`] wait: `req` must be posted, and
-    /// the wait ends `timeout` from now on the backend's clock.
-    pub(crate) fn arm_deadline<P: RepairPort>(
-        &self,
-        io: &mut P,
-        req: RecvReq,
-        timeout: Duration,
-    ) -> Nanos {
-        self.expect_posted(&[req]);
-        deadline_after(io.now(), timeout)
-    }
-
-    /// The end of a [`WaitKind::Until`] wait: the completion if there is
-    /// one, else the deadline passed and the request is cancelled.
-    pub(crate) fn claim_by_deadline(&mut self, req: RecvReq) -> Result<Option<Message>, RecvError> {
-        match self.claim(req) {
-            Some(r) => r.map(Some),
-            None => {
-                self.cancel_req(req);
-                Ok(None)
             }
         }
     }
@@ -840,6 +818,7 @@ impl EndpointCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pump::deadline_after;
     use crate::testing::ScriptedPump;
 
     /// Rank 0 sends `count` 1 KiB group messages to rank 1 over a scripted
@@ -943,8 +922,8 @@ mod tests {
     }
 
     /// A `Duration::MAX` timeout used to wrap to a deadline in the past.
-    /// It saturates to "no deadline": the wait parks until the planes'
-    /// own next deadline and completes on delivery.
+    /// It saturates to "never": the wait parks until the planes' own next
+    /// deadline and completes on delivery.
     #[test]
     fn a_duration_max_wait_parks_until_the_plane_deadline_and_completes_on_delivery() {
         let mut io = ScriptedPump::new();
@@ -954,17 +933,16 @@ mod tests {
 
         let mut core = EndpointCore::new(0, 1, 2, 60_000, Some(RepairConfig::sim_default()));
         let req = core.post_recv(&mut io, Some(0), 5);
-        let parked = core.poll_wait(&mut io, &WaitKind::Until(req, never));
+        core.expire_at(req, never);
+        let parked = core.poll_wait(&mut io, &WaitKind::AnyOf(&[req]));
         assert!(
-            core.park_deadline().is_some(),
+            core.park_deadline().is_some_and(|at| at < never),
             "the solicit deadline is armed"
         );
         assert_eq!(parked, WaitPoll::Park(core.park_deadline()));
         io.inject_message(MsgKind::Data, 0, 5, 0, b"late");
-        let deadline = core.arm_deadline(&mut io, req, Duration::MAX);
-        assert_eq!(deadline, never);
-        core.block(&mut io, &WaitKind::Until(req, deadline));
-        let got = core.claim_by_deadline(req);
+        core.block(&mut io, &WaitKind::AnyOf(&[req]));
+        let got = core.test_claimed(req);
         assert_eq!(
             got.expect("delivered").expect("not timed out").payload,
             b"late"
@@ -973,7 +951,35 @@ mod tests {
         // With nothing armed there is no instant to park until at all.
         let mut plain = EndpointCore::new(0, 1, 2, 60_000, None);
         let req = plain.post_recv(&mut io, Some(0), 5);
-        let parked = plain.poll_wait(&mut io, &WaitKind::Until(req, never));
+        plain.expire_at(req, never);
+        let parked = plain.poll_wait(&mut io, &WaitKind::AnyOf(&[req]));
         assert_eq!(parked, WaitPoll::Park(None));
+    }
+
+    /// An expiry is the last thing a pass tries: a receive whose message
+    /// is in hand when its deadline has passed completes with the message,
+    /// with repair on or off. One with nothing in hand parks until its
+    /// expiry and then completes with `TimedOut`.
+    #[test]
+    fn a_message_in_hand_beats_the_timeout() {
+        for repair in [None, Some(RepairConfig::sim_default())] {
+            let mut io = ScriptedPump::new();
+            let mut core = EndpointCore::new(0, 1, 2, 60_000, repair);
+            let req = core.post_recv(&mut io, Some(0), 5);
+            core.expire_at(req, 1_000);
+            io.inject_message(MsgKind::Data, 0, 5, 0, b"in hand");
+            io.set_clock(2_000);
+            core.progress(&mut io);
+            let got = core.test_claimed(req).expect("completed");
+            assert_eq!(got.expect("not timed out").payload, b"in hand");
+
+            let late = core.post_recv(&mut io, Some(0), 6);
+            core.expire_at(late, 3_000);
+            let parked = core.poll_wait(&mut io, &WaitKind::AnyOf(&[late]));
+            assert_eq!(parked, WaitPoll::Park(Some(3_000)), "{repair:?}");
+            core.block(&mut io, &WaitKind::AnyOf(&[late]));
+            assert_eq!(io.clock(), 3_000);
+            assert_eq!(core.test_claimed(late), Some(Err(RecvError::TimedOut)));
+        }
     }
 }

@@ -114,11 +114,9 @@ impl<P: RepairPump> RepairPort for P {
 #[derive(Clone, Copy, Debug)]
 pub enum WaitKind<'a> {
     /// One of these posted receives holds a completion
-    /// ([`Comm::wait`], [`Comm::wait_any`], [`Comm::wait_ready`]).
+    /// ([`Comm::wait`], [`Comm::wait_any`], [`Comm::wait_ready`]) — an
+    /// expiry armed by [`Comm::expire_recv`] included.
     AnyOf(&'a [RecvReq]),
-    /// The receive holds a completion, or the backend's clock has reached
-    /// the deadline ([`Comm::wait_deadline`]).
-    Until(RecvReq, Nanos),
     /// Any posted receive at all holds a completion
     /// ([`Comm::progress_block`]).
     AnyPosted,
@@ -141,8 +139,8 @@ pub(crate) fn dur_nanos(d: Duration) -> Nanos {
 }
 
 /// The instant `timeout` after `now`, saturating at [`Nanos::MAX`] — which
-/// [`EndpointCore::poll_wait`] reads as "no deadline", so a
-/// `Duration::MAX` wait blocks instead of expiring in the past.
+/// [`EndpointCore::expire_at`] reads as "never", so a `Duration::MAX` wait
+/// blocks instead of expiring in the past.
 pub(crate) fn deadline_after(now: Nanos, timeout: Duration) -> Nanos {
     now.saturating_add(dur_nanos(timeout))
 }

@@ -338,7 +338,6 @@ impl RepairPump for SimIo<SimProcess> {
 #[derive(Clone, Copy)]
 enum Parked {
     AnyOf,
-    Until(RecvReq, Nanos),
     AnyPosted,
     /// [`Comm::progress_block`] after its one receive: a last engine pass
     /// and the call returns, whatever that pass found.
@@ -369,7 +368,6 @@ impl EndpointState {
                 self.reqs.extend_from_slice(reqs);
                 Parked::AnyOf
             }
-            WaitKind::Until(req, deadline) => Parked::Until(req, deadline),
             WaitKind::AnyPosted => Parked::AnyPosted,
         };
     }
@@ -406,7 +404,6 @@ impl EndpointState {
         loop {
             let kind = match self.parked {
                 Parked::AnyOf => WaitKind::AnyOf(&self.reqs),
-                Parked::Until(req, deadline) => WaitKind::Until(req, deadline),
                 Parked::AnyPosted => WaitKind::AnyPosted,
                 Parked::Pass => {
                     self.core.advance(io);

@@ -114,8 +114,9 @@ impl View {
                 rank: local(rank),
                 epoch,
             }),
-            // Raised above the transport, in the caller's ranks already.
-            Err(e @ RecvError::Unreachable { .. }) => Err(e),
+            // Raised above the transport, in the caller's ranks already,
+            // or naming no rank.
+            Err(e @ (RecvError::Unreachable { .. } | RecvError::TimedOut)) => Err(e),
         }
     }
 

@@ -249,8 +249,8 @@ fn request_contract<C: Comm>(mut c: C) {
     let got = c.test_claimed(unrelated).expect("still parked in its slot");
     assert_eq!(payload_of(got.unwrap()), UNRELATED);
 
-    // A `wait_deadline` that times out cancels: the stale request is
-    // ahead in post order and would otherwise take the message.
+    // A `wait_deadline` that times out retires the request: the stale
+    // request is ahead in post order and would otherwise take the message.
     let stale = c.post_recv(Some(0), LATE);
     assert!(c.wait_deadline(stale, PAUSE).unwrap().is_none());
     c.cancel_recv(stale); // retired already: a no-op

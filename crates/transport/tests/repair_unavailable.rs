@@ -25,8 +25,8 @@ fn pipes(cfg: RepairConfig) -> (EndpointCore, ScriptedPump, EndpointCore, Script
     (sender, sender_io, receiver, receiver_io)
 }
 
-/// One bounded receive attempt at `core`: post, wait out `timeout`,
-/// cancel on expiry.
+/// One bounded receive attempt at `core`: post it to expire after
+/// `timeout` and wait; `Ok(None)` when it expired.
 fn recv_within(
     core: &mut EndpointCore,
     io: &mut ScriptedPump,
@@ -35,14 +35,14 @@ fn recv_within(
     timeout: Duration,
 ) -> Result<Option<Message>, RecvError> {
     let req = core.post_recv(io, src, tag);
-    let deadline = io.clock().saturating_add(timeout.as_nanos() as Nanos);
-    core.block(io, &WaitKind::Until(req, deadline));
-    match core.test_claimed(req) {
-        Some(done) => done.map(Some),
-        None => {
-            core.cancel_req(req);
-            Ok(None)
-        }
+    core.expire_at(req, io.clock().saturating_add(timeout.as_nanos() as Nanos));
+    core.block(io, &WaitKind::AnyOf(&[req]));
+    match core
+        .test_claimed(req)
+        .expect("the wait ends on a completion")
+    {
+        Err(RecvError::TimedOut) => Ok(None),
+        done => done.map(Some),
     }
 }
 
@@ -362,8 +362,13 @@ fn overheard_any_source_solicit_suppresses_our_own() {
     let timeout = RepairConfig::sim_default().nack_timeout.as_nanos() as Nanos;
     io.set_clock(deadline - timeout + 100_000);
     io.inject(solicit);
-    core.block(&mut io, &WaitKind::Until(req, deadline + 1));
-    assert!(core.test_claimed(req).is_none(), "nothing can arrive");
+    core.expire_at(req, deadline + 1);
+    core.block(&mut io, &WaitKind::AnyOf(&[req]));
+    assert_eq!(
+        core.test_claimed(req),
+        Some(Err(RecvError::TimedOut)),
+        "nothing can arrive"
+    );
     let s = core.repair_stats();
     assert_eq!(
         s.nacks_suppressed, 1,
@@ -390,8 +395,13 @@ fn an_overheard_solicit_older_than_one_timeout_does_not_suppress() {
         (timeout..2 * timeout).contains(&deadline),
         "the deadline falls where a two-timeout window would still suppress: {deadline}"
     );
-    core.block(&mut io, &WaitKind::Until(req, deadline + 1));
-    assert!(core.test_claimed(req).is_none(), "nothing can arrive");
+    core.expire_at(req, deadline + 1);
+    core.block(&mut io, &WaitKind::AnyOf(&[req]));
+    assert_eq!(
+        core.test_claimed(req),
+        Some(Err(RecvError::TimedOut)),
+        "nothing can arrive"
+    );
     let s = core.repair_stats();
     assert_eq!(
         s.nacks_suppressed, 0,

@@ -544,7 +544,10 @@ fn mcast_allgather_finish_ns(faults: FaultParams) -> Vec<u64> {
         let mut comm = Communicator::new(c);
         let mine = [comm.rank() as u8; 3];
         let parts = comm.allgather(&mine).unwrap();
-        assert!(parts.iter().enumerate().all(|(src, p)| p == &[src as u8; 3]));
+        assert!(parts
+            .iter()
+            .enumerate()
+            .all(|(src, p)| p == &[src as u8; 3]));
         comm.transport().now().as_nanos()
     })
     .expect("the partitioned allgather must complete");
@@ -583,5 +586,9 @@ fn a_repair_stays_off_the_other_ranks_critical_path() {
     }
     let round = (repair.nack_timeout + repair.backoff).as_nanos() as u64;
     assert!(cut[5] > makespan + nack, "rank 5 lost block 2: {}", cut[5]);
-    assert!(cut[5] < heal.as_nanos() + round, "rank 5 ended at {}", cut[5]);
+    assert!(
+        cut[5] < heal.as_nanos() + round,
+        "rank 5 ended at {}",
+        cut[5]
+    );
 }

@@ -239,6 +239,9 @@ impl EndpointCore {
         let dgs = self.encode(tag, kind, payload, seq);
         self.record_if_armed(seq, SendDst::Rank(dst as u32), tag, kind, &dgs);
         io.send_encoded(dst, &dgs);
+        if self.repair.as_ref().is_some_and(|r| r.srm.has_standing()) {
+            self.notify_sent(io, tag, Some(dst));
+        }
         // Deliberately no membership `note_tx`: a unicast proves us alive
         // to its one destination only. Every other observer's suspicion
         // clock keeps running, so a unicast-heavy phase (pairwise barrier
@@ -280,6 +283,9 @@ impl EndpointCore {
             }
             _ => io.send_encoded_mcast(&dgs),
         }
+        if self.repair.as_ref().is_some_and(|r| r.srm.has_standing()) {
+            self.notify_sent(io, tag, None);
+        }
         // The whole group just heard from us: the standalone heartbeat
         // can wait another interval. No clock read with membership off,
         // so that send path stays identical.
@@ -287,6 +293,26 @@ impl EndpointCore {
             m.note_tx(io.now());
         }
         seq
+    }
+
+    /// The send notice (`docs/PROTOCOL.md` §8.4): when this send of `tag`
+    /// — to `dst`, or to the group when `None` — answers a peer's
+    /// standing request, follow it on the same path with an empty
+    /// `MsgKind::Sent` from the control sequence space, never recorded.
+    #[cold]
+    fn notify_sent<P: RepairPort>(&mut self, io: &mut P, tag: Tag, dst: Option<usize>) {
+        let Some(r) = &mut self.repair else {
+            return;
+        };
+        if !r.srm.answer_standing(tag, dst.map(|d| d as u32)) {
+            return;
+        }
+        let seq = self.enc.control_seq();
+        let dgs = self.enc.encode(tag, MsgKind::Sent, &Bytes::new(), seq);
+        match dst {
+            Some(d) => io.send_encoded(d, &dgs),
+            None => io.send_encoded_mcast(&dgs),
+        }
     }
 
     /// Re-send to the group under an explicit (previously used) sequence
@@ -464,6 +490,22 @@ impl EndpointCore {
             // Last, so that a message in hand beats the expiry.
             if pending[i].expires_at.is_some_and(|at| io.now() >= at) {
                 pending[i].done = Some(Err(RecvError::TimedOut));
+            }
+        }
+        // Send notices (`docs/PROTOCOL.md` §8.4), after the match step: on
+        // a FIFO path a notice trails its message, so a receive still
+        // waiting on it here lost the message and re-arms to solicit soon.
+        while let Some((s, tag)) = cx.inbox.take_notice() {
+            let Some(r) = repair.as_mut() else {
+                continue;
+            };
+            let src = Some(s as usize);
+            let waiting = |p: &PendingRecv| p.done.is_none() && p.src == src && p.tag == tag;
+            let at = r
+                .srm
+                .notice(io, &r.horizon, s as usize, tag, pending.iter().any(waiting));
+            for p in pending.iter_mut().filter(|p| waiting(p)) {
+                p.solicit_at = at;
             }
         }
     }

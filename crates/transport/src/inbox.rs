@@ -124,6 +124,9 @@ pub struct Inbox {
     /// Gossip-plane control (`Advr`/`Want`/`Served`), diverted like
     /// horizons: out-of-band sequence space, never application-matchable.
     gossip: VecDeque<Message>,
+    /// `(source, tag)` of each send notice (`MsgKind::Sent`), diverted
+    /// like horizons.
+    notices: VecDeque<(u32, Tag)>,
     /// When set (gossip plane armed), every accepted `Data` message is
     /// also logged here for the endpoint's relay store — receivers
     /// re-advertise what they hold so partitioned peers can pull from
@@ -175,6 +178,7 @@ impl Inbox {
             horizons: VecDeque::new(),
             membership: VecDeque::new(),
             gossip: VecDeque::new(),
+            notices: VecDeque::new(),
             log_data: false,
             data_log: VecDeque::new(),
             assembler: Assembler::new(),
@@ -264,6 +268,7 @@ impl Inbox {
                     | MsgKind::Advr
                     | MsgKind::Want
                     | MsgKind::Served
+                    | MsgKind::Sent
             );
             // ...and the *next* epoch's repair plane is already open:
             // mid-shrink, the survivors that rebased first must keep
@@ -306,6 +311,17 @@ impl Inbox {
             self.gossip.push_back(m);
             if self.gossip.len() > 256 {
                 self.gossip.pop_front();
+            }
+            return;
+        }
+        if m.kind == MsgKind::Sent {
+            // Send notice: control sequence space like the horizons, so
+            // diverted before the seq tracking. Only `(source, tag)`
+            // matters. Bounded queue: a shed notice only leaves its
+            // receiver on the timer it had.
+            self.notices.push_back((m.src_rank, m.tag));
+            if self.notices.len() > 64 {
+                self.notices.pop_front();
             }
             return;
         }
@@ -380,6 +396,11 @@ impl Inbox {
     /// `Served`), if any.
     pub fn take_gossip(&mut self) -> Option<Message> {
         self.gossip.pop_front()
+    }
+
+    /// Take the oldest pending send notice, as `(source, tag)`, if any.
+    pub fn take_notice(&mut self) -> Option<(u32, Tag)> {
+        self.notices.pop_front()
     }
 
     /// Arm the relay feed: accepted `Data` messages are also logged for

@@ -1,6 +1,7 @@
 //! The SRM plane (`docs/PROTOCOL.md` §8): answering NACKs out of the
-//! retransmit ring, and deciding — at a posted receive's expired deadline —
-//! whether to solicit or stay quiet because a peer already did.
+//! retransmit ring, deciding — at a posted receive's expired deadline —
+//! whether to solicit or stay quiet because a peer already did, and the
+//! standing requests and send notices of §8.4.
 
 use std::collections::HashMap;
 
@@ -22,9 +23,10 @@ fn prune_stale<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Nanos>, now: Nanos,
     }
 }
 
-/// Per-endpoint SRM scale-out state: the seeded backoff stream plus the
-/// two suppression memories (solicits overheard from peers, repairs this
-/// endpoint already multicast).
+/// Per-endpoint SRM scale-out state: the seeded backoff stream, the two
+/// suppression memories (solicits overheard from peers, repairs this
+/// endpoint already multicast) and the solicits that came before the
+/// traffic they name.
 #[derive(Debug)]
 pub(crate) struct SrmState {
     cfg: RepairConfig,
@@ -41,6 +43,10 @@ pub(crate) struct SrmState {
     /// the responder-side window that keeps one loss from producing one
     /// repair per stuck receiver.
     repaired: HashMap<u64, Nanos>,
+    /// Standing requests: `(tag, requester) → when` a peer last solicited
+    /// a tag of ours that we had not sent yet. The first send of the tag
+    /// answers them with a send notice ([`SrmState::answer_standing`]).
+    standing: HashMap<(Tag, u32), Nanos>,
 }
 
 impl SrmState {
@@ -54,6 +60,7 @@ impl SrmState {
             rng: SplitMix64::new(mix),
             heard: HashMap::new(),
             repaired: HashMap::new(),
+            standing: HashMap::new(),
         }
     }
 
@@ -84,6 +91,67 @@ impl SrmState {
         }
     }
 
+    /// Remember a solicit for `tag` that came before we sent it. A waiting
+    /// requester asks again at least once per `nack_timeout + backoff`
+    /// (stretched up to [`MAX_STRETCH`]× under adaptive timers), which
+    /// refreshes its entry; one older than that belongs to a requester
+    /// that stopped asking, and pruning it only leaves that requester on
+    /// its own timer.
+    fn note_standing(&mut self, tag: Tag, requester: u32, now: Nanos) {
+        let stretch = if self.cfg.adaptive { MAX_STRETCH } else { 1 };
+        let period = dur_nanos(self.cfg.nack_timeout) + dur_nanos(self.cfg.backoff);
+        prune_stale(&mut self.standing, now, period.saturating_mul(stretch));
+        self.standing.insert((tag, requester), now);
+    }
+
+    /// Whether any solicit stands: the one branch every send pays.
+    pub(crate) fn has_standing(&self) -> bool {
+        !self.standing.is_empty()
+    }
+
+    /// A send of `tag` just went out — to rank `dst`, or to the group
+    /// when `None`. Drop the standing requests it answers (a multicast
+    /// answers every requester of the tag, a unicast only its
+    /// destination) and say whether any did, that is whether a send
+    /// notice is owed.
+    pub(crate) fn answer_standing(&mut self, tag: Tag, dst: Option<u32>) -> bool {
+        match dst {
+            Some(d) => self.standing.remove(&(tag, d)).is_some(),
+            None => {
+                let before = self.standing.len();
+                self.standing.retain(|&(t, _), _| t != tag);
+                self.standing.len() < before
+            }
+        }
+    }
+
+    /// A send notice from `src` for `tag` arrived (`docs/PROTOCOL.md`
+    /// §8.4). The source has sent the tag, so a solicit for it overheard
+    /// earlier no longer says a repair is on its way: forget it. When a
+    /// posted receive is still `waiting` on `(src, tag)` after the match
+    /// step, the message was lost, and the receive re-arms to the returned
+    /// deadline: `now + U[0, backoff / 4]`, so that concurrent losers
+    /// still draw apart and suppress each other.
+    pub(crate) fn notice<P: RepairPort>(
+        &mut self,
+        io: &mut P,
+        horizon: &HorizonState,
+        src: usize,
+        tag: Tag,
+        waiting: bool,
+    ) -> Option<Nanos> {
+        self.heard.remove(&(src as u32, tag));
+        if !waiting {
+            return None;
+        }
+        let jitter = horizon.timers(Some(src)).1 / 4;
+        let mut at = io.now();
+        if jitter > 0 {
+            at += self.rng.next_below(jitter + 1);
+        }
+        Some(at)
+    }
+
     fn recently_repaired(&self, seq: u64, now: Nanos, window: Nanos) -> bool {
         self.repaired
             .get(&seq)
@@ -108,10 +176,13 @@ impl SrmState {
     /// payload). A NACK
     /// matching nothing whose tag falls at or below the ring's eviction
     /// floor is answered with `Unavail`, so the requester fails fast
-    /// instead of re-soliciting forever. Re-sends always reuse the
-    /// original sequence number (receivers that already have the message
-    /// dedup the copy) and re-send the recorded views themselves — no
-    /// per-record clone.
+    /// instead of re-soliciting forever. One naming us that matches
+    /// nothing above the floor names traffic not sent yet: it gets no
+    /// reply, but on a multicast fabric it becomes a *standing request*,
+    /// which the first send of the tag answers with a send notice (§8.4).
+    /// Re-sends always reuse the original sequence number (receivers that
+    /// already have the message dedup the copy) and re-send the recorded
+    /// views themselves — no per-record clone.
     pub(crate) fn service<P: RepairPort>(&mut self, cx: &mut Ctx<'_>, io: &mut P) {
         let window = dur_nanos(self.cfg.nack_timeout);
         let me = cx.enc.rank as u32;
@@ -198,8 +269,13 @@ impl SrmState {
                 io.send_encoded(requester as usize, &dgs);
             } else if !matched_any {
                 // Not yet sent (the normal-path match will handle it) or
-                // never ours: count and stay silent.
+                // never ours: count and stay silent. A solicit naming us
+                // on a multicast fabric stands until we send the tag
+                // (gossip has its own pull probes).
                 cx.stats.unanswered_nacks += 1;
+                if payload.target == me && !cx.enc.unicast_only {
+                    self.note_standing(nack.tag, requester, now);
+                }
             }
         }
     }

@@ -5,6 +5,11 @@
 //! A source repeats a multicast repair once one timeout has passed since
 //! the last, the soonest its requester can ask again.
 //!
+//! A solicit that comes before its traffic exists stands at the source,
+//! and the source's first send of the tag answers it with a send notice
+//! right behind the message (§8.4). A receiver still missing the message
+//! when the notice arrives lost it, and solicits within `backoff / 4`.
+//!
 //! Three bare [`EndpointCore`]s of a 3-rank group over
 //! [`ScriptedPump::routed`], stepped from deadline to deadline on the
 //! shared clock. Rank 0 is the source, rank 1 the receiver under test and
@@ -13,7 +18,7 @@
 
 use mmpi_transport::testing::ScriptedPump;
 use mmpi_transport::{EndpointCore, Nanos, RecvReq, RepairConfig, WaitKind, WaitPoll};
-use mmpi_wire::{Bytes, Datagram, MsgKind, RepairStats};
+use mmpi_wire::{Bytes, Datagram, MsgKind, NackPayload, RepairStats};
 
 const N: usize = 3;
 const SOURCE: usize = 0;
@@ -38,6 +43,10 @@ enum Verdict {
 struct Net {
     cores: Vec<EndpointCore>,
     ios: Vec<ScriptedPump>,
+    /// The payload the source sends, which every receive must get.
+    payload: Vec<u8>,
+    /// Every hop handed to the fabric, lost or not, in send order.
+    hops: Vec<Hop>,
     /// Each rank's posted receive of `(SOURCE, TAG)` until it completes.
     posted: Vec<Option<RecvReq>>,
     /// When each rank's receive completed.
@@ -56,6 +65,8 @@ impl Net {
                 .map(|rank| EndpointCore::new(0, rank, N, 60_000, Some(cfg)))
                 .collect(),
             ios: ScriptedPump::routed(N),
+            payload: vec![0xAB; 256],
+            hops: Vec::new(),
             posted: vec![None; N],
             done_at: vec![None; N],
             verdicts: Vec::new(),
@@ -76,8 +87,23 @@ impl Net {
     }
 
     fn multicast(&mut self) {
-        let payload = Bytes::from(vec![0xAB; 256]);
+        let payload = Bytes::from(self.payload.clone());
         self.cores[SOURCE].mcast_message(&mut self.ios[SOURCE], TAG, MsgKind::Data, &payload);
+    }
+
+    /// Send `to` the empty unicast a scout is.
+    fn scout(&mut self, to: usize) {
+        self.payload = Vec::new();
+        let empty = Bytes::new();
+        self.cores[SOURCE].send_message(&mut self.ios[SOURCE], to, TAG, MsgKind::Scout, &empty);
+    }
+
+    /// How many hops of `kind` went from the source to `to`.
+    fn hops_to(&self, to: usize, kind: MsgKind) -> usize {
+        self.hops
+            .iter()
+            .filter(|h| **h == (SOURCE, to, kind))
+            .count()
     }
 
     /// Run every rank's engine pass and route what it sent, unless `lost`
@@ -91,7 +117,7 @@ impl Net {
                     continue;
                 };
                 if let Some(got) = self.cores[rank].test_claimed(req) {
-                    assert_eq!(got.expect("the data is retained").payload, vec![0xAB; 256]);
+                    assert_eq!(got.expect("the data is retained").payload, self.payload);
                     self.posted[rank] = None;
                     self.done_at[rank] = Some(self.now());
                 }
@@ -112,6 +138,7 @@ impl Net {
                 for (to, d) in out {
                     moved = true;
                     let hop = (from, to, d.decode().expect("well-formed").kind);
+                    self.hops.push(hop);
                     if !lost(&hop) {
                         self.ios[to].inject([d]);
                     }
@@ -150,54 +177,211 @@ impl Net {
             }
         }
     }
+
+    /// The victim's solicits, in order.
+    fn solicits(&self) -> Vec<Nanos> {
+        self.verdicts
+            .iter()
+            .filter(|(_, v)| *v == Verdict::Solicited)
+            .map(|&(at, _)| at)
+            .collect()
+    }
+
+    /// The peer solicits `(0, tag)` before the source has sent it, and the
+    /// victim overhears it: the victim posts half a timeout before the
+    /// peer's deadline, so its own deadline lands after the peer's
+    /// solicit. Returns when the peer solicited.
+    fn early_solicit(&mut self, lost: &mut impl FnMut(&Hop) -> bool) -> Nanos {
+        self.post(PEER);
+        let heard = self.next_deadline().expect("the peer's first deadline");
+        self.run_until(heard - T / 2, lost);
+        self.post(VICTIM);
+        self.run_until(heard + 1, lost);
+        assert_eq!(
+            self.stats(PEER).nacks_sent,
+            1,
+            "the peer solicited at {heard}"
+        );
+        assert_eq!(
+            self.stats(SOURCE).unanswered_nacks,
+            1,
+            "the solicit named a tag not sent yet"
+        );
+        heard
+    }
 }
 
-/// A fate that loses the source's first `n` data hops to the victim and
-/// delivers everything else.
-fn lose_data_to_victim(n: usize) -> impl FnMut(&Hop) -> bool {
+/// A fate that loses the source's first `n` hops of `kind` to the victim
+/// and delivers everything else.
+fn lose_to_victim(kind: MsgKind, n: usize) -> impl FnMut(&Hop) -> bool {
     let mut lost = 0;
     move |hop| {
-        let lose = *hop == (SOURCE, VICTIM, MsgKind::Data) && lost < n;
+        let lose = *hop == (SOURCE, VICTIM, kind) && lost < n;
         lost += usize::from(lose);
         lose
     }
 }
 
-/// A solicit for traffic not sent yet must not strand a receiver that
-/// loses that traffic later. The peer solicits `(0, tag)` before the
-/// source has sent; the victim overhears it. The source's multicast then
-/// reaches the peer and is lost at the victim. The victim stays quiet only
-/// while the overheard solicit is younger than one timeout, solicits at
-/// its first deadline after that, and holds the data within
-/// `2 × (nack_timeout + backoff)` of the loss.
+/// Rank 21's case of `docs/PERFORMANCE.md` ("an early solicit"). The
+/// peer solicits `(0, tag)` before the source has sent, and the victim
+/// overhears it. The source's multicast 0.4 ms later is lost at the
+/// victim. The victim solicits within `backoff / 4` of the loss, not a
+/// timeout later, and its repair arrives with that solicit. On its own
+/// timer, its first deadline falls at least half a timeout after the
+/// loss, inside the window of the overheard solicit.
 #[test]
-fn an_early_solicit_does_not_strand_a_later_loss() {
+fn a_send_notice_turns_a_later_loss_into_a_prompt_solicit() {
     let mut net = Net::new();
-    let mut lost = lose_data_to_victim(1);
-    net.post(PEER);
-    let heard = net.next_deadline().expect("the peer's first deadline");
-    // The victim posts half a timeout before the peer's deadline, so its
-    // own deadline lands after the peer's solicit.
-    net.run_until(heard - T / 2, &mut lost);
-    net.post(VICTIM);
-    net.run_until(heard + 1, &mut lost);
-    assert_eq!(
-        net.stats(PEER).nacks_sent,
-        1,
-        "the peer solicited at {heard}"
-    );
-    assert_eq!(
-        net.stats(SOURCE).unanswered_nacks,
-        1,
-        "the solicit named a tag not sent yet"
-    );
-
-    // The source multicasts 0.4 ms later; the copy to the victim is lost.
+    let mut lost = lose_to_victim(MsgKind::Data, 1);
+    let heard = net.early_solicit(&mut lost);
     let loss = heard + 400_000;
     net.run_until(loss, &mut lost);
     net.multicast();
     net.run_until(loss + 4 * (T + B), &mut lost);
     assert!(net.done_at[PEER].is_some(), "the peer got the multicast");
+
+    let asked = net.solicits();
+    assert_eq!(asked.len(), 1, "{:?}", net.verdicts);
+    assert!(
+        asked[0] - loss <= B / 4,
+        "the victim solicited {} ns after the loss: {:?}",
+        asked[0] - loss,
+        net.verdicts
+    );
+    assert_eq!(net.done_at[VICTIM], Some(asked[0]));
+    assert_eq!(net.stats(SOURCE).retransmits_sent, 1);
+}
+
+/// The same over a unicast, shaped like a scout: the victim itself asks
+/// the source for an empty message it has not sent yet, and the message
+/// is lost. The victim re-solicits within `backoff / 4` of the loss, not
+/// a timeout later, and the source replays the scout to it.
+#[test]
+fn a_lost_scout_is_solicited_promptly() {
+    let mut net = Net::new();
+    let mut lost = lose_to_victim(MsgKind::Scout, 1);
+    net.post(VICTIM);
+    let first = net.next_deadline().expect("the victim's first deadline");
+    net.run_until(first + 1, &mut lost);
+    assert_eq!(net.solicits(), [first], "the victim asked early");
+    assert_eq!(net.stats(SOURCE).unanswered_nacks, 1);
+
+    let loss = first + 400_000;
+    net.run_until(loss, &mut lost);
+    net.scout(VICTIM);
+    net.run_until(loss + 4 * (T + B), &mut lost);
+    let asked = net.solicits();
+    assert_eq!(asked.len(), 2, "{:?}", net.verdicts);
+    assert!(
+        asked[1] - loss <= B / 4,
+        "the victim solicited {} ns after the loss: {:?}",
+        asked[1] - loss,
+        net.verdicts
+    );
+    assert_eq!(net.done_at[VICTIM], Some(asked[1]));
+    assert_eq!(net.stats(SOURCE).retransmits_sent, 1);
+    assert_eq!(
+        net.hops_to(PEER, MsgKind::Sent),
+        0,
+        "a unicast's notice goes to its destination only"
+    );
+}
+
+/// A receiver that holds the data ignores the notice: nobody solicits
+/// again and the source re-sends nothing. On each path the notice trails
+/// the data, and one early solicit draws one notice however often the tag
+/// is sent.
+#[test]
+fn a_holder_ignores_the_notice_and_a_tag_is_noticed_once() {
+    let mut net = Net::new();
+    let mut lost = |_: &Hop| false;
+    let heard = net.early_solicit(&mut lost);
+    let sent = heard + 400_000;
+    net.run_until(sent, &mut lost);
+    net.multicast();
+    net.run_until(sent + 1, &mut lost);
+    assert_eq!(net.done_at[VICTIM], Some(sent));
+    assert_eq!(net.done_at[PEER], Some(sent));
+    net.post(VICTIM);
+    net.multicast();
+    net.run_until(sent + 4 * (T + B), &mut lost);
+
+    assert!(net.solicits().is_empty(), "{:?}", net.verdicts);
+    assert_eq!(net.stats(PEER).nacks_sent, 1, "only the early solicit");
+    assert_eq!(net.stats(SOURCE).retransmits_sent, 0);
+    for to in [VICTIM, PEER] {
+        let path: Vec<MsgKind> = net
+            .hops
+            .iter()
+            .filter(|h| h.0 == SOURCE && h.1 == to)
+            .map(|h| h.2)
+            .collect();
+        assert_eq!(
+            path,
+            [MsgKind::Data, MsgKind::Sent, MsgKind::Data],
+            "rank {to}"
+        );
+    }
+}
+
+/// A standing request for a tag that is never sent does not stay. Once
+/// the source holds 128 of them, it prunes each older than
+/// `nack_timeout + backoff`, the longest a requester still waiting goes
+/// without asking again: a late send of the pruned tag owes no notice,
+/// and a send of a fresh one still does.
+#[test]
+fn a_standing_request_for_a_tag_never_sent_is_pruned() {
+    let mut net = Net::new();
+    let solicit = NackPayload::addressed_to(SOURCE as u32).encode();
+    let mut seq = 0;
+    let mut ask = |net: &mut Net, from: usize, tag: u32| {
+        net.ios[SOURCE].inject_message(MsgKind::Nack, from as u32, tag, seq, &solicit);
+        seq += 1;
+        net.cores[SOURCE].progress(&mut net.ios[SOURCE]);
+    };
+    ask(&mut net, PEER, TAG);
+    net.ios[0].set_clock(T + B);
+    for tag in 100..228 {
+        ask(&mut net, VICTIM, tag);
+    }
+    assert_eq!(net.stats(SOURCE).unanswered_nacks, 129);
+    net.multicast();
+    net.settle(&mut |_| false);
+    assert_eq!(
+        net.hops_to(PEER, MsgKind::Sent),
+        0,
+        "the request for the tag never sent was pruned"
+    );
+    let payload = Bytes::from(net.payload.clone());
+    net.cores[SOURCE].mcast_message(&mut net.ios[SOURCE], 100, MsgKind::Data, &payload);
+    net.settle(&mut |_| false);
+    assert_eq!(net.hops_to(VICTIM, MsgKind::Sent), 1, "a fresh one stands");
+}
+
+/// A lost notice leaves the receiver on its timer, and a solicit for
+/// traffic not sent yet must not strand it there. The peer solicits
+/// `(0, tag)` before the source has sent; the victim overhears it. The
+/// source's multicast then reaches the peer and is lost at the victim,
+/// and so is its send notice. The victim stays quiet only while the
+/// overheard solicit is younger than one timeout, solicits at its first
+/// deadline after that, and holds the data within
+/// `2 × (nack_timeout + backoff)` of the loss.
+#[test]
+fn an_early_solicit_does_not_strand_a_later_loss() {
+    let mut net = Net::new();
+    let mut lose_data = lose_to_victim(MsgKind::Data, 1);
+    let mut lose_notice = lose_to_victim(MsgKind::Sent, 1);
+    let mut lost = |hop: &Hop| lose_data(hop) | lose_notice(hop);
+    let heard = net.early_solicit(&mut lost);
+
+    // The source multicasts 0.4 ms later; the copy to the victim is lost,
+    // and so is the notice behind it.
+    let loss = heard + 400_000;
+    net.run_until(loss, &mut lost);
+    net.multicast();
+    net.run_until(loss + 4 * (T + B), &mut lost);
+    assert!(net.done_at[PEER].is_some(), "the peer got the multicast");
+    assert_eq!(net.hops_to(VICTIM, MsgKind::Sent), 1);
 
     let (solicited_at, _) = *net
         .verdicts
@@ -236,17 +420,12 @@ fn an_early_solicit_does_not_strand_a_later_loss() {
 fn a_lost_repair_is_answered_at_the_next_solicit() {
     let mut net = Net::new();
     // The original multicast and the first repair are lost at the victim.
-    let mut lost = lose_data_to_victim(2);
+    let mut lost = lose_to_victim(MsgKind::Data, 2);
     net.post(VICTIM);
     net.multicast();
     net.run_until(4 * (T + B), &mut lost);
 
-    let solicits: Vec<Nanos> = net
-        .verdicts
-        .iter()
-        .filter(|(_, v)| *v == Verdict::Solicited)
-        .map(|&(at, _)| at)
-        .collect();
+    let solicits = net.solicits();
     assert_eq!(solicits.len(), 2, "{:?}", net.verdicts);
     assert!(
         solicits[1] - solicits[0] < 2 * T,

@@ -95,6 +95,14 @@ pub enum MsgKind {
     /// [`crate::gossip::GossipDigest`]. Consumed by the dissemination
     /// plane, never delivered to the application.
     Served = 11,
+    /// Send notice: the sender just sent its first message under this
+    /// tag, and a peer had solicited the tag before it existed. Sent right
+    /// behind that message on the same path (multicast after a multicast,
+    /// unicast after a unicast), so on a FIFO path a receiver still
+    /// missing the message knows it was lost. Empty payload, numbered from
+    /// the control sequence space, never recorded for retransmission.
+    /// Consumed by the repair loop, never delivered to the application.
+    Sent = 12,
 }
 
 impl MsgKind {
@@ -113,6 +121,7 @@ impl MsgKind {
             9 => MsgKind::Advr,
             10 => MsgKind::Want,
             11 => MsgKind::Served,
+            12 => MsgKind::Sent,
             other => return Err(WireError::BadKind(other)),
         })
     }
@@ -340,6 +349,7 @@ mod tests {
             MsgKind::Advr,
             MsgKind::Want,
             MsgKind::Served,
+            MsgKind::Sent,
         ] {
             assert_eq!(MsgKind::from_u8(kind as u8).unwrap(), kind);
         }

@@ -153,8 +153,12 @@ fn digest(parts: &[String]) -> u64 {
 /// predecessor's is in, with a receive posted for each block it lacks up
 /// to two past the highest in hand (`many_to_many.rs`): the interrupted
 /// `iallgather` and its retry post and repair in a different order.
-/// Re-recorded once for it.
-const SHRINK_KILL_N8: u64 = 0xd24f_4adb_8a34_513a;
+/// Re-recorded once for it. It was `0xd24f_4adb_8a34_513a` until a
+/// solicit for traffic not sent yet came to stand at its source, whose
+/// first send of the tag is followed by a send notice that re-arms a
+/// receiver still missing it (`docs/PROTOCOL.md` §8.4): the lossy run's
+/// repairs move. Re-recorded once for it.
+const SHRINK_KILL_N8: u64 = 0x5df8_923a_9be5_8982;
 
 /// Full verification of one kill scenario: run it, check every
 /// survivor against the lossless mem ground truth, and (optionally)

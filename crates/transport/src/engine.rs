@@ -256,9 +256,10 @@ impl EndpointCore {
     /// byte-identical to the pre-seam protocol. Under
     /// [`crate::config::Dissemination::Gossip`] the payload is only
     /// *recorded* (as a `Multicast` record, so any requester may pull it)
-    /// and a compact `Advr` digest is unicast to every live peer instead —
-    /// lazy push; the payload itself crosses a link only when a peer
-    /// answers with a `Want`.
+    /// and a compact `Advr` digest is unicast to each live finger peer
+    /// instead — lazy push; the payload itself crosses a link only when a
+    /// peer answers with a `Want`, and the peers that pulled it advertise
+    /// it on to their own fingers.
     pub fn mcast_message<P: RepairPort>(
         &mut self,
         io: &mut P,
@@ -279,7 +280,7 @@ impl EndpointCore {
                     ..
                 },
             )) => {
-                g.advertise(&mut cx, io, &[(me, seq)], member.as_ref());
+                g.advertise_to_fingers(&mut cx, io, &[(me, seq)], member.as_ref());
             }
             _ => io.send_encoded_mcast(&dgs),
         }

@@ -121,15 +121,15 @@ pub struct Inbox {
     unavail: VecDeque<Message>,
     horizons: VecDeque<Message>,
     membership: VecDeque<Message>,
-    /// Gossip-plane control (`Advr`/`Want`/`Served`), diverted like
+    /// Gossip-plane control (`Advr`/`Want`/`Served`/`Repull`), diverted like
     /// horizons: out-of-band sequence space, never application-matchable.
     gossip: VecDeque<Message>,
     /// `(source, tag)` of each send notice (`MsgKind::Sent`), diverted
     /// like horizons.
     notices: VecDeque<(u32, Tag)>,
-    /// When set (gossip plane armed), every accepted `Data` message is
-    /// also logged here for the endpoint's relay store — receivers
-    /// re-advertise what they hold so partitioned peers can pull from
+    /// When set (gossip plane armed), every accepted application message
+    /// is also logged here for the endpoint's relay store — receivers
+    /// re-advertise what they pulled so partitioned peers can pull from
     /// any reachable relay. Off (and empty) under multicast.
     log_data: bool,
     data_log: VecDeque<Message>,
@@ -268,6 +268,7 @@ impl Inbox {
                     | MsgKind::Advr
                     | MsgKind::Want
                     | MsgKind::Served
+                    | MsgKind::Repull
                     | MsgKind::Sent
             );
             // ...and the *next* epoch's repair plane is already open:
@@ -299,15 +300,19 @@ impl Inbox {
             }
             return;
         }
-        if matches!(m.kind, MsgKind::Advr | MsgKind::Want | MsgKind::Served) {
+        if matches!(
+            m.kind,
+            MsgKind::Advr | MsgKind::Want | MsgKind::Served | MsgKind::Repull
+        ) {
             // Gossip-plane control: like horizons and beacons it lives in
             // the out-of-band control sequence space (a lost digest must
             // never become an unanswerable data hole), so it is diverted
             // before the seq tracking. Bounded queue: digests are
             // cumulative — a later `Advr` re-covers anything a shed one
             // carried — an unanswered `Want` is re-issued by the
-            // requester's retry timer, and a shed `Served` echo only
-            // delays the rotation it would have triggered.
+            // requester's retry timer, and a shed `Served` echo or
+            // `Repull` only delays the re-pull: the next probe draws
+            // another echo.
             self.gossip.push_back(m);
             if self.gossip.len() > 256 {
                 self.gossip.pop_front();
@@ -372,13 +377,14 @@ impl Inbox {
             }
             return;
         }
-        if self.log_data && m.kind == MsgKind::Data {
-            // Relay feed (gossip plane): remember accepted payloads so
-            // this endpoint can re-advertise and answer pulls for them.
-            // Clone is handle-bumps only — `Message` payloads are shared
-            // `Bytes` views. Bounded: the relay store drains this every
-            // pump; shedding the oldest under a flood only costs a relay
-            // opportunity, never delivery.
+        if self.log_data {
+            // Relay feed (gossip plane): remember accepted payloads of
+            // every kind — a barrier's `Release` is group-sent too — so
+            // this endpoint can re-advertise and answer pulls for the ones
+            // it pulled. Clone is handle-bumps only — `Message` payloads
+            // are shared `Bytes` views. Bounded: the relay store drains
+            // this every pump; shedding the oldest under a flood only
+            // costs a relay opportunity, never delivery.
             self.data_log.push_back(m.clone());
             if self.data_log.len() > 256 {
                 self.data_log.pop_front();
@@ -393,7 +399,7 @@ impl Inbox {
     }
 
     /// Take the oldest pending gossip control message (`Advr`/`Want`/
-    /// `Served`), if any.
+    /// `Served`/`Repull`), if any.
     pub fn take_gossip(&mut self) -> Option<Message> {
         self.gossip.pop_front()
     }
@@ -403,14 +409,14 @@ impl Inbox {
         self.notices.pop_front()
     }
 
-    /// Arm the relay feed: accepted `Data` messages are also logged for
+    /// Arm the relay feed: accepted application messages are also logged for
     /// [`Inbox::take_data_log`]. Called once when the gossip plane is
     /// selected — under multicast the log stays off and empty.
     pub fn set_log_data(&mut self, on: bool) {
         self.log_data = on;
     }
 
-    /// Take the oldest logged `Data` message (relay feed), if any.
+    /// Take the oldest logged application message (relay feed), if any.
     pub fn take_data_log(&mut self) -> Option<Message> {
         self.data_log.pop_front()
     }

@@ -2,14 +2,16 @@
 //! digests pushed lazily, `Want` pulls answered out of the retransmit
 //! ring or the relay store — each payload at most once per requester,
 //! a repeated `Want` drawing a `Served` echo instead — and the retry
-//! rule: probe the same holder on an exponential backoff, rotate to the
-//! next known holder when its echo proves the answer lost.
+//! rule: probe the same holder every repair timeout, rotate to the next
+//! known holder when its echo proves the answer lost, and re-pull
+//! (`Repull`) from a holder whose echo already did.
 //! Everything iterated into wire bytes is `BTreeMap`/`Vec`-backed — replay
 //! determinism forbids hash-order output.
 //!
-//! An origin advertises to every peer, a relay to its ⌊log₂(n−1)⌋+1
-//! finger peers only ([`GossipState::service`]). The plane still sends
-//! ≈ 160 `Advr`s a collective at N=32 and ingests as many, so both
+//! Origins and relays alike advertise to their ⌊log₂(n−1)⌋+1 finger
+//! peers only ([`GossipState::advertise_to_fingers`]), so a holder
+//! answers that many pulls, not n−1. The plane still sends ≈ 140
+//! `Advr`s a collective at N=32 and ingests as many, so both
 //! directions work in place: digests and frontiers are read off the
 //! received payload through `mmpi_wire`'s views, and what is sent is
 //! encoded in scratch the state owns ([`DigestScratch`]) — an `Advr`
@@ -27,14 +29,6 @@ use super::membership::{self, MemberState};
 use super::{Ctx, Encoder};
 use crate::pump::{Nanos, RepairPort};
 
-/// Probe the holder of an unanswered `Want` after this many repair
-/// timeouts (`nack_timeout`, or the adaptive per-peer RTO), then after
-/// twice as long each time (see [`GossipState::pull_from`]). A probe is
-/// only a `Want` again: the holder answers it with the payload if the
-/// first `Want` was lost, or with a `Served` echo if the payload is
-/// already on its way or was lost.
-const WANT_RETRY_FACTOR: u64 = 2;
-
 /// Capacity of the relay store (messages): payloads this endpoint received
 /// and re-advertises so partitioned peers can pull from it. Bounded like
 /// the retransmit ring; the ACK-horizon plane frees fully-acknowledged
@@ -42,18 +36,23 @@ const WANT_RETRY_FACTOR: u64 = 2;
 const RELAY_CAP: usize = mmpi_wire::DEFAULT_RETRANSMIT_CAP;
 
 /// One outstanding gossip pull: the holder it is addressed to, when to
-/// probe that holder again, and when to give up on it.
-#[derive(Clone, Copy, Debug)]
+/// probe that holder again, when to give up on it, and which holders
+/// have proved their answer lost.
+#[derive(Clone, Debug)]
 struct WantPending {
     /// The peer the `Want` was addressed to.
     peer: u32,
     /// When to probe `peer` again.
     at: Nanos,
-    /// The wait that led to `at`; doubles with each probe.
-    wait: Nanos,
+    /// The probe interval: one repair timeout toward `peer`.
+    every: Nanos,
     /// When to rotate to the next holder though `peer` never echoed: a
     /// dead or cut-off holder.
     rotate_at: Nanos,
+    /// Holders whose `Served` echo proved their last answer to this pull
+    /// lost, and that have not been re-pulled since: the next pull to one
+    /// of them is a `Repull`. Empty (and unallocated) on a clean fabric.
+    lost: Vec<u32>,
 }
 
 /// Per-endpoint state of the epidemic dissemination plane.
@@ -183,8 +182,8 @@ fn acked_prefix(hwm: u64, holes: impl Iterator<Item = SeqRange>) -> Option<u64> 
 /// The buffers an outgoing digest is built in, owned by the plane and
 /// cleared, not dropped, between sends: the id list (filled by the sender,
 /// sorted here in place), the payload bytes, and the payloads of the last
-/// list encoded — a pass that advertises one id to 31 peers encodes it
-/// once and hands every peer a handle to the same bytes.
+/// list encoded — a pass that advertises one id to its fingers (five at
+/// N=32) encodes it once and hands each a handle to the same bytes.
 #[derive(Debug, Default)]
 struct DigestScratch {
     /// The ids to send next; [`DigestScratch::send`] consumes them.
@@ -308,11 +307,12 @@ impl GossipState {
         self.wanted.values().map(|w| w.at).min()
     }
 
-    /// One pass of the gossip state machine: fold freshly accepted
+    /// One pass of the gossip state machine: fold freshly pulled
     /// payloads into the relay store and advertise them, ingest queued
     /// `Advr`s (pulling what we miss), `Want`s (answering out of the ring
-    /// or relay, or echoing) and `Served` echoes (rotating a pull whose
-    /// answer was lost), then probe or rotate expired pulls.
+    /// or relay, or echoing), `Repull`s (answering) and `Served` echoes
+    /// (re-pulling an answer that was lost), then probe or rotate expired
+    /// pulls.
     pub(crate) fn service<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -321,31 +321,28 @@ impl GossipState {
         member: Option<&MemberState>,
     ) {
         let (me, n) = (cx.enc.rank, cx.enc.n);
-        // 1. Relay feed: every payload the inbox accepted becomes
-        //    answerable here and is advertised onward — the epidemic
-        //    relay that lets a peer partitioned from the origin pull
-        //    from whoever it *can* reach. The origin told everyone, so a
-        //    relay tells only its finger peers, the `p` with
-        //    `(p − me) mod n` a power of two: ⌊log₂(n−1)⌋+1 of them. A
-        //    rank the origin's `Advr` missed hears from its finger
-        //    predecessors; a dead finger is skipped, not replaced.
+        // 1. Relay feed: every payload we pulled becomes answerable here
+        //    and is advertised onward to our finger peers — the epidemic
+        //    relay that carries a group send past the origin's fingers
+        //    and lets a peer partitioned from the origin pull from
+        //    whoever it *can* reach. What nobody advertised to us — a
+        //    point-to-point send, or its NACK repair — stays with its
+        //    receiver. A pull is still `wanted` here: only
+        //    `retry_wants`, below, retires the ones that landed.
         let mut fresh = std::mem::take(&mut self.relayed);
         while let Some(m) = cx.inbox.take_data_log() {
-            let src = m.src_rank;
-            if src as usize >= n {
+            let key = (m.src_rank, m.seq);
+            if key.0 as usize >= n
+                || !self.wanted.contains_key(&key)
+                || self.relay.contains_key(&key)
+            {
                 continue;
             }
-            let key = (src, m.seq);
-            if self.relay.contains_key(&key) {
-                continue;
-            }
-            // The origin of a payload holds it by definition.
             self.relay_insert(m);
             fresh.push(key);
         }
         if !fresh.is_empty() {
-            let finger = |p: usize| ((p + n - me) % n).is_power_of_two();
-            self.advertise_to(cx, io, &fresh, member, finger);
+            self.advertise_to_fingers(cx, io, &fresh, member);
             fresh.clear();
         }
         self.relayed = fresh;
@@ -360,7 +357,8 @@ impl GossipState {
             };
             match msg.kind {
                 MsgKind::Advr => self.ingest_advr(cx, io, horizon, peer, digest),
-                MsgKind::Want => self.answer_want(cx, io, peer, digest),
+                MsgKind::Want => self.answer_want(cx, io, peer, digest, false),
+                MsgKind::Repull => self.answer_want(cx, io, peer, digest, true),
                 MsgKind::Served => self.ingest_served(cx, io, horizon, member, peer, digest),
                 _ => {}
             }
@@ -401,34 +399,27 @@ impl GossipState {
         }
     }
 
-    /// The origin's lazy push of a group send: an `Advr` digest of `ids`
-    /// to every live peer, so on a clean fabric each peer is one pull
-    /// round-trip from the payload.
-    pub(crate) fn advertise<P: RepairPort>(
+    /// The lazy push of a group send, by its origin and by every relay
+    /// that pulled it: unicast an `Advr` digest of `ids` to each live
+    /// finger peer — the `p` with `(p − me) mod n` a power of two,
+    /// ⌊log₂(n−1)⌋+1 of them — that is not already known (or already
+    /// told) to hold them. Every rank is a finger of some holder, so the
+    /// digest reaches the group in ⌈log₂ n⌉ relay hops, and no holder
+    /// answers more pulls than it has fingers. A dead finger is skipped,
+    /// not replaced. The per-peer `advertised` table is what keeps
+    /// re-sends and relay loops from amplifying: an id is pushed at a
+    /// peer once, ever, per endpoint.
+    pub(crate) fn advertise_to_fingers<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
         ids: &[(u32, u64)],
         member: Option<&MemberState>,
     ) {
-        self.advertise_to(cx, io, ids, member, |_| true);
-    }
-
-    /// Unicast an `Advr` digest of `ids` to every live peer `to` admits
-    /// that is not already known (or already told) to hold them. The
-    /// per-peer `advertised` table is what keeps re-sends and relay loops
-    /// from amplifying: an id is pushed at a peer once, ever, per
-    /// endpoint.
-    fn advertise_to<P: RepairPort>(
-        &mut self,
-        cx: &mut Ctx<'_>,
-        io: &mut P,
-        ids: &[(u32, u64)],
-        member: Option<&MemberState>,
-        to: impl Fn(usize) -> bool,
-    ) {
-        for p in 0..cx.enc.n {
-            if p == cx.enc.rank || membership::is_dead(member, p) || !to(p) {
+        let (me, n) = (cx.enc.rank, cx.enc.n);
+        for p in 0..n {
+            let finger = ((p + n - me) % n).is_power_of_two();
+            if p == me || !finger || membership::is_dead(member, p) {
                 continue;
             }
             for &(src, seq) in ids {
@@ -482,7 +473,7 @@ impl GossipState {
                     if self.wanted.contains_key(&(e.src, s)) {
                         continue; // pull in flight; `peer` is a known alternate now
                     }
-                    let pull = Self::pull_from(cx.enc, horizon, peer, now);
+                    let pull = Self::pull_from(cx.enc, horizon, peer, now, Vec::new());
                     self.wanted.insert((e.src, s), pull);
                     self.digests.ids.push((e.src, s));
                 }
@@ -499,22 +490,24 @@ impl GossipState {
     /// matching treat the relayed copy exactly like the original. Each
     /// payload goes to a requester once: ids already served are echoed
     /// back in one `Served` digest, which on a FIFO path lands behind the
-    /// payload it names. Ids we do not hold go unanswered — the
-    /// requester rotates to another holder at its deadline, and the NACK
-    /// plane backstops it.
+    /// payload it names — unless the pull is a `Repull` (`repull`): the
+    /// requester's evidence that our answer was lost, so the payload goes
+    /// again. Ids we do not hold go unanswered — the requester rotates to
+    /// another holder at its deadline, and the NACK plane backstops it.
     fn answer_want<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
         peer: usize,
         digest: GossipDigestView<'_>,
+        repull: bool,
     ) {
         let me = cx.enc.rank as u32;
         for e in digest.entries() {
             for r in e.ranges {
                 let end = r.end.min(r.start.saturating_add(4096));
                 for s in r.start..=end {
-                    if self.served[peer].contains(e.src, s) {
+                    if !repull && self.served[peer].contains(e.src, s) {
                         self.digests.ids.push((e.src, s));
                         continue;
                     }
@@ -551,10 +544,13 @@ impl GossipState {
     /// Fold one holder's echo: an id it names that we still miss, and are
     /// pulling from that same holder, had its answer sent ahead of the
     /// echo on the same path — the answer was lost. Rotate that pull to
-    /// the next live holder at once. With no other holder known the pull
-    /// stays on its probe schedule: a later echo rotates it once a relay
-    /// advertises. An echo naming ids we pull from someone else, or hold,
-    /// changes nothing.
+    /// the next live holder at once, the echoing one itself when no other
+    /// is known: a `Want` to a holder with no lost answer, a `Repull` to
+    /// one whose echo proved it (then that holder's answer is unproven
+    /// again). A `Repull` goes out only here, right behind the echo that
+    /// justifies it, so on a FIFO path it never duplicates an answer
+    /// still on its way. An echo naming ids we pull from someone else, or
+    /// hold, changes nothing.
     fn ingest_served<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -565,38 +561,44 @@ impl GossipState {
         digest: GossipDigestView<'_>,
     ) {
         let now = io.now();
-        let mut per_peer: BTreeMap<usize, Vec<(u32, u64)>> = BTreeMap::new();
+        let mut per_peer: BTreeMap<(usize, bool), Vec<(u32, u64)>> = BTreeMap::new();
         for e in digest.entries() {
             for r in e.ranges {
                 let end = r.end.min(r.start.saturating_add(4096));
                 for s in r.start..=end {
                     let key = (e.src, s);
-                    let pulling = self
-                        .wanted
-                        .get(&key)
-                        .is_some_and(|w| w.peer as usize == peer);
-                    if !pulling || cx.inbox.has_seen(e.src, s) {
-                        continue;
-                    }
-                    let Some(next) = self.next_holder(cx.enc, member, key, peer, true) else {
+                    let Some(w) = self.wanted.get_mut(&key) else {
                         continue;
                     };
-                    self.wanted
-                        .insert(key, Self::pull_from(cx.enc, horizon, next, now));
-                    per_peer.entry(next).or_default().push(key);
+                    if w.peer as usize != peer || cx.inbox.has_seen(e.src, s) {
+                        continue;
+                    }
+                    let mut lost = std::mem::take(&mut w.lost);
+                    if !lost.contains(&(peer as u32)) {
+                        lost.push(peer as u32);
+                    }
+                    let next = self
+                        .next_holder(cx.enc, member, key, peer, true)
+                        .unwrap_or(peer);
+                    let repull = lost.contains(&(next as u32));
+                    lost.retain(|&p| p as usize != next);
+                    let pull = Self::pull_from(cx.enc, horizon, next, now, lost);
+                    self.wanted.insert(key, pull);
+                    per_peer.entry((next, repull)).or_default().push(key);
                 }
             }
         }
-        self.send_wants(cx, io, per_peer);
+        self.send_pulls(cx, io, per_peer);
     }
 
     /// Retire pulls whose payload landed, then act on expired ones: probe
-    /// the same holder again, twice as late each time — so a queued
-    /// answer is never pulled twice, and a lost one is re-pulled one
-    /// probe after the loss — or, once the holder has been silent past
-    /// its `n/2`-stretched deadline, rotate to the next live peer known
-    /// to hold the id. An id with no live known holder left is dropped:
-    /// the per-request NACK plane is the backstop for truly lost traffic.
+    /// the same holder again, one repair timeout later each time — a
+    /// probe is a `Want`, so a queued answer is never pulled twice, and a
+    /// lost one draws the echo that re-pulls it — or, once the holder has
+    /// been silent past its `n/2`-stretched deadline, rotate to the next
+    /// live peer known to hold the id. An id with no live known holder
+    /// left is dropped: the per-request NACK plane is the backstop for
+    /// truly lost traffic.
     fn retry_wants<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -613,41 +615,37 @@ impl GossipState {
             return;
         }
         let now = io.now();
-        let expired: Vec<((u32, u64), WantPending)> = self
+        let expired: Vec<(u32, u64)> = self
             .wanted
             .iter()
             .filter(|(_, w)| now >= w.at)
-            .map(|(&k, &w)| (k, w))
+            .map(|(&k, _)| k)
             .collect();
-        let mut per_peer: BTreeMap<usize, Vec<(u32, u64)>> = BTreeMap::new();
-        for (key, w) in expired {
+        let mut per_peer: BTreeMap<(usize, bool), Vec<(u32, u64)>> = BTreeMap::new();
+        for key in expired {
+            let Some(w) = self.wanted.get_mut(&key) else {
+                continue;
+            };
             let prev = w.peer as usize;
             if now < w.rotate_at {
-                // A probe: the same holder, the next step of the backoff.
-                let wait = w.wait.saturating_mul(2);
-                self.wanted.insert(
-                    key,
-                    WantPending {
-                        at: now.saturating_add(wait).min(w.rotate_at),
-                        wait,
-                        ..w
-                    },
-                );
-                per_peer.entry(prev).or_default().push(key);
+                // A probe: the same holder, one interval on.
+                w.at = now.saturating_add(w.every).min(w.rotate_at);
+                per_peer.entry((prev, false)).or_default().push(key);
                 continue;
             }
+            let lost = std::mem::take(&mut w.lost);
             match self.next_holder(cx.enc, member, key, prev, false) {
                 Some(peer) => {
-                    self.wanted
-                        .insert(key, Self::pull_from(cx.enc, horizon, peer, now));
-                    per_peer.entry(peer).or_default().push(key);
+                    let pull = Self::pull_from(cx.enc, horizon, peer, now, lost);
+                    self.wanted.insert(key, pull);
+                    per_peer.entry((peer, false)).or_default().push(key);
                 }
                 None => {
                     self.wanted.remove(&key);
                 }
             }
         }
-        self.send_wants(cx, io, per_peer);
+        self.send_pulls(cx, io, per_peer);
     }
 
     /// The first live peer known to hold `key` ranked strictly after
@@ -672,34 +670,48 @@ impl GossipState {
             .min_by_key(|&p| (p <= prev, p))
     }
 
-    /// Send one merged `Want` per holder.
-    fn send_wants<P: RepairPort>(
+    /// Send one merged pull per `(holder, is a Repull)`: a `Want`, or a
+    /// `Repull`. Both count as pulls sent.
+    fn send_pulls<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
-        per_peer: BTreeMap<usize, Vec<(u32, u64)>>,
+        per_peer: BTreeMap<(usize, bool), Vec<(u32, u64)>>,
     ) {
-        for (peer, ids) in per_peer {
+        for ((peer, repull), ids) in per_peer {
+            let kind = if repull {
+                MsgKind::Repull
+            } else {
+                MsgKind::Want
+            };
             self.digests.ids.extend_from_slice(&ids);
-            cx.stats.wants_sent += self.digests.send(cx.enc, io, MsgKind::Want, peer);
+            cx.stats.wants_sent += self.digests.send(cx.enc, io, kind, peer);
         }
     }
 
-    /// A fresh pull of one id from `peer` at `now`: the first probe after
-    /// T = [`WANT_RETRY_FACTOR`] repair timeouts toward `peer`, the
-    /// rotation after `n/2` × T (floor 1×) — the constant-bandwidth-share
-    /// stretch, which only a holder that never echoes (dead, cut off, or
-    /// no longer holding the id) lets run out; a live holder's echo
-    /// rotates the pull long before it.
-    fn pull_from(enc: &Encoder, horizon: &HorizonState, peer: usize, now: Nanos) -> WantPending {
+    /// A fresh pull of one id from `peer` at `now`: probes every
+    /// T = one repair timeout toward `peer` (`nack_timeout`, or the
+    /// adaptive per-peer RTO) — a holder answers at most ⌊log₂(n−1)⌋+1
+    /// pulls, so its queue is short — and the rotation after `n/2` × T
+    /// (floor 1×), the constant-bandwidth-share stretch, which only a
+    /// holder that never echoes (dead, cut off, or no longer holding the
+    /// id) lets run out; a live holder's echo rotates the pull long
+    /// before it. `lost` carries over from the pull this one replaces.
+    fn pull_from(
+        enc: &Encoder,
+        horizon: &HorizonState,
+        peer: usize,
+        now: Nanos,
+        lost: Vec<u32>,
+    ) -> WantPending {
         let (t, _) = horizon.timers(Some(peer));
-        let wait = t.max(1).saturating_mul(WANT_RETRY_FACTOR);
-        let patience = wait.saturating_mul((enc.n as u64 / 2).max(1));
+        let every = t.max(1);
         WantPending {
             peer: peer as u32,
-            at: now.saturating_add(wait),
-            wait,
-            rotate_at: now.saturating_add(patience),
+            at: now.saturating_add(every),
+            every,
+            rotate_at: now.saturating_add(every.saturating_mul((enc.n as u64 / 2).max(1))),
+            lost,
         }
     }
 

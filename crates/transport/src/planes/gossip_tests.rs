@@ -198,13 +198,15 @@ impl Rig {
             3 if t % 2 == 0 => {
                 let ids = [(b % n as u32, s)];
                 self.g
-                    .advertise(&mut cx, &mut self.io, &ids, Some(&self.member));
+                    .advertise_to_fingers(&mut cx, &mut self.io, &ids, Some(&self.member));
             }
             3 => {
-                // A pull of one (maybe relayed, maybe repeated) id.
+                // A pull of one (maybe relayed, maybe repeated) id; now
+                // and then a `Repull`.
                 let payload = GossipDigest::single(1 + b % (n as u32 - 1), s).encode();
                 let view = GossipDigestView::parse(&payload).expect("own encoding");
-                self.g.answer_want(&mut cx, &mut self.io, peer, view);
+                self.g
+                    .answer_want(&mut cx, &mut self.io, peer, view, t % 4 == 3);
             }
             4..=8 => {
                 let acks: Vec<SourceHorizon> = (0..1 + t % 3)
@@ -375,21 +377,21 @@ fn unchanged_session_message_evaluates_no_quorum() {
     assert_eq!(rig.g.acked.skipped.capacity(), scratch);
 }
 
-/// Relays go to the finger peers, the power-of-two offsets from
-/// `me`, less the origin; a dead finger is skipped, not replaced. The
-/// origin's own `advertise` still reaches every live peer. Who was
+/// Origins and relays alike advertise to the finger peers, the
+/// power-of-two offsets from `me` — a relay less the origin; a dead
+/// finger is skipped, not replaced. A relay passes on only what it
+/// pulled: a payload nobody advertised to it is told to no one. Who was
 /// told is read off the `advertised` table.
 #[test]
-fn relays_advertise_to_the_fingers_and_origins_to_everyone() {
+fn relays_and_origins_advertise_to_the_fingers() {
     fn told(rig: &Rig, (src, seq): (u32, u64)) -> Vec<usize> {
         (0..rig.enc.n)
             .filter(|&p| rig.g.advertised[p].contains(src, seq))
             .collect()
     }
-    fn relay(rig: &mut Rig, src: u32, seq: u64) {
-        for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
-            rig.inbox.ingest_wire(&d, false).expect("well-formed");
-        }
+    /// `(src, seq)` lands in the inbox — advertised by its origin and
+    /// pulled first when `pulled` — and one pass runs.
+    fn land(rig: &mut Rig, src: u32, seq: u64, pulled: bool) {
         let mut cx = Ctx {
             enc: &mut rig.enc,
             inbox: &mut rig.inbox,
@@ -397,6 +399,15 @@ fn relays_advertise_to_the_fingers_and_origins_to_everyone() {
             stats: &mut rig.stats,
         };
         let (member, horizon) = (Some(&rig.member), &rig.horizon);
+        if pulled {
+            let payload = GossipDigest::single(src, seq).encode();
+            let view = GossipDigestView::parse(&payload).expect("own encoding");
+            rig.g
+                .ingest_advr(&mut cx, &mut rig.io, horizon, src as usize, view);
+        }
+        for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
+            cx.inbox.ingest_wire(&d, false).expect("well-formed");
+        }
         rig.g.service(&mut cx, &mut rig.io, horizon, member);
     }
     for n in [2usize, 3, 16, 32, 64] {
@@ -410,20 +421,22 @@ fn relays_advertise_to_the_fingers_and_origins_to_everyone() {
             .collect();
         assert_eq!(fingers.len() as u32, (n - 1).ilog2() + 1, "n={n}");
         fingers.sort_unstable();
-        fingers.retain(|&p| p != src as usize);
-        relay(&mut rig, src, 1);
-        assert_eq!(told(&rig, (src, 1)), fingers, "n={n}");
 
         let own = (me as u32, 5);
-        rig.apply((3, 0, own.0, own.1, 0)); // the origin's `advertise`
-        let everyone: Vec<usize> = (0..n).filter(|&p| p != me).collect();
-        assert_eq!(told(&rig, own), everyone, "n={n}");
+        rig.apply((3, 0, own.0, own.1, 0)); // the origin's advertisement
+        assert_eq!(told(&rig, own), fingers, "n={n}");
+
+        fingers.retain(|&p| p != src as usize);
+        land(&mut rig, src, 1, true);
+        assert_eq!(told(&rig, (src, 1)), fingers, "n={n}");
+        land(&mut rig, src, 2, false);
+        assert!(told(&rig, (src, 2)).is_empty(), "n={n}: not pulled");
 
         if let Some(&dead) = fingers.first() {
             rig.member.force_fail(dead);
-            relay(&mut rig, src, 2);
+            land(&mut rig, src, 3, true);
             fingers.remove(0);
-            assert_eq!(told(&rig, (src, 2)), fingers, "n={n}");
+            assert_eq!(told(&rig, (src, 3)), fingers, "n={n}");
         }
     }
 }

@@ -1,30 +1,34 @@
 //! The gossip pull's retry rule, one path at a time (`docs/PROTOCOL.md`
-//! §11.2): a requester probes the holder it pulls from on an exponential
-//! backoff, a holder sends each payload to a requester once and echoes a
-//! repeated `Want` with `Served`, and an echo that arrives while the
-//! payload is still missing rotates the pull to another holder at once.
+//! §11.2): a requester probes the holder it pulls from every repair
+//! timeout, a holder sends each payload to a requester once and echoes a
+//! repeated `Want` with `Served`, an echo that arrives while the payload
+//! is still missing rotates the pull to another holder at once, and a
+//! holder whose echo already proved its answer lost is sent a `Repull`,
+//! which it answers with the payload again.
 //!
 //! Three bare [`EndpointCore`]s of an 8-rank group over
 //! [`ScriptedPump::routed`], routed by hand so that each test loses or
 //! holds exactly the datagram it names (what is sent to the five absent
-//! ranks is dropped). Rank 1 originates one group send, rank 7 pulls it
-//! and relays the advertisement to its finger peer rank 0, and rank 0 is
-//! the requester both advertise to. At N=8 the `n/2` rotation deadline is
-//! 4 T, past the first two probes (T and 3 T).
+//! ranks is dropped). Rank 0 originates one group send and advertises it
+//! to its finger peers 1, 2 and 4; rank 1 pulls it and relays the
+//! advertisement to its own finger peer rank 2, the requester both
+//! advertise to. At N=8 the `n/2` rotation deadline is 4 T, past the
+//! first three probes (T, 2 T and 3 T).
 
 use mmpi_transport::testing::ScriptedPump;
 use mmpi_transport::{EndpointCore, Nanos, RepairConfig};
 use mmpi_wire::{Bytes, Datagram, GossipDigest, MsgKind};
 
 const N: usize = 8;
-const REQUESTER: usize = 0;
-const ORIGIN: usize = 1;
-const RELAY: usize = 7;
+const REQUESTER: usize = 2;
+const ORIGIN: usize = 0;
+const RELAY: usize = 1;
+/// The requester first: its pump's clock is the one the tests move.
 const PRESENT: [usize; 3] = [REQUESTER, ORIGIN, RELAY];
 const TAG: u32 = 7;
-/// The first probe's delay: `WANT_RETRY_FACTOR` (2) × `nack_timeout`
-/// (2 ms under `sim_default`).
-const T: Nanos = 4_000_000;
+/// The probe interval: one repair timeout, `nack_timeout` (2 ms under
+/// `sim_default`).
+const T: Nanos = 2_000_000;
 
 /// What the script does with one datagram.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,10 +84,11 @@ impl Net {
 
     /// Run every rank's progress pass and route what it sent, until
     /// nothing moves. `fate` sees each datagram not already on a held
-    /// link. Returns what was sent, in order.
+    /// link. Returns what was sent, in order. A script that moves for
+    /// 100 rounds at one instant is a ping-pong between ranks, and fails.
     fn settle(&mut self, mut fate: impl FnMut(&Sent) -> Fate) -> Vec<Sent> {
         let first = self.log.len();
-        loop {
+        for _ in 0..100 {
             for (core, io) in self.cores.iter_mut().zip(&mut self.ios) {
                 core.progress(io);
             }
@@ -112,6 +117,10 @@ impl Net {
                 return self.log[first..].to_vec();
             }
         }
+        panic!(
+            "still moving after 100 rounds: {:?}",
+            &self.log[first..][..24]
+        );
     }
 
     /// Deliver everything parked on `from → to`, in order, reopen the
@@ -130,7 +139,7 @@ impl Net {
     }
 
     /// Whether the requester holds the payload: a receive posted now is
-    /// matched at once.
+    /// matched at once. The requester is `cores[0]`.
     fn requester_has(&mut self) -> bool {
         let (core, io) = (&mut self.cores[0], &mut self.ios[0]);
         let req = core.post_recv(io, Some(ORIGIN), TAG);
@@ -161,7 +170,10 @@ fn pulls(log: &[Sent]) -> Vec<Sent> {
         .copied()
         .filter(|&(from, to, k)| {
             (from == REQUESTER || to == REQUESTER)
-                && matches!(k, MsgKind::Want | MsgKind::Served | MsgKind::Data)
+                && matches!(
+                    k,
+                    MsgKind::Want | MsgKind::Repull | MsgKind::Served | MsgKind::Data
+                )
         })
         .collect()
 }
@@ -244,10 +256,11 @@ fn an_answer_delayed_behind_probes_crosses_once() {
         first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Hold),
     );
     assert_eq!(log, [WANT, ANSWER]);
-    // Probes at T and 3 T (the backoff doubles); each draws an echo,
+    // Probes at T, 2 T and 3 T, one interval apart; each draws an echo,
     // which queues behind the held answer.
-    for (now, sent) in [(T, &[WANT, ECHO][..]), (2 * T, &[]), (3 * T, &[WANT, ECHO])] {
-        assert_eq!(pulls(&net.settle_at(now)), sent, "at {now}");
+    for now in [T, 2 * T, 3 * T] {
+        assert!(pulls(&net.settle_at(now - 1)).is_empty(), "before {now}");
+        assert_eq!(pulls(&net.settle_at(now)), [WANT, ECHO], "at {now}");
         assert!(!net.requester_has());
     }
     let log = net.release(ORIGIN, REQUESTER);
@@ -258,7 +271,7 @@ fn an_answer_delayed_behind_probes_crosses_once() {
     assert!(net.requester_has());
     assert_eq!(net.payloads(ORIGIN, REQUESTER), 1);
     assert_eq!(net.payloads(RELAY, REQUESTER), 0);
-    assert_eq!(net.stats(ORIGIN).echoes_sent, 2);
+    assert_eq!(net.stats(ORIGIN).echoes_sent, 3);
     assert!(pulls(&net.settle_at(60 * T)).is_empty(), "the pull retired");
 }
 
@@ -275,9 +288,9 @@ fn a_silent_holder_is_left_at_the_n_over_2_deadline() {
     };
     net.originate();
     net.settle(cut);
-    for (now, sent) in [(T, &[WANT][..]), (3 * T, &[WANT])] {
+    for now in [T, 2 * T, 3 * T] {
         net.ios[0].set_clock(now);
-        assert_eq!(pulls(&net.settle(cut)), sent, "at {now}");
+        assert_eq!(pulls(&net.settle(cut)), [WANT], "at {now}");
     }
     net.ios[0].set_clock(4 * T - 1);
     assert!(pulls(&net.settle(cut)).is_empty());
@@ -317,4 +330,71 @@ fn a_strangers_echo_changes_nothing() {
     net.release(ORIGIN, REQUESTER);
     assert!(net.requester_has());
     assert_eq!(net.payloads(RELAY, REQUESTER), 0);
+}
+
+const REPULL: Sent = (REQUESTER, ORIGIN, MsgKind::Repull);
+
+#[test]
+fn when_every_holder_lost_its_answer_the_first_is_re_pulled() {
+    let mut net = Net::new();
+    // The first answer of each holder is lost.
+    let (mut origin, mut relay) = (
+        first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Drop),
+        first(RELAY, REQUESTER, MsgKind::Data, Fate::Drop),
+    );
+    let mut lose_both = move |s: &Sent| match (origin(s), relay(s)) {
+        (Fate::Deliver, Fate::Deliver) => Fate::Deliver,
+        _ => Fate::Drop,
+    };
+    let log = advertised(&mut net, &mut lose_both);
+    assert_eq!(log, [WANT, ANSWER]);
+    net.ios[0].set_clock(T);
+    assert_eq!(
+        pulls(&net.settle(&mut lose_both)),
+        [
+            WANT,
+            ECHO,
+            (REQUESTER, RELAY, MsgKind::Want),
+            (RELAY, REQUESTER, MsgKind::Data),
+        ]
+    );
+    assert!(!net.requester_has());
+    // The relay's echo proves its answer lost too: the origin, whose
+    // echo already did, is asked again and answers with the payload.
+    assert_eq!(
+        pulls(&net.settle_at(2 * T)),
+        [
+            (REQUESTER, RELAY, MsgKind::Want),
+            (RELAY, REQUESTER, MsgKind::Served),
+            REPULL,
+            ANSWER,
+        ]
+    );
+    assert!(net.requester_has(), "within 3 T, not at the NACK backstop");
+    assert_eq!(net.payloads(ORIGIN, REQUESTER), 2);
+    assert!(pulls(&net.settle_at(60 * T)).is_empty(), "the pull retired");
+}
+
+#[test]
+fn the_only_known_holder_is_re_pulled_after_its_echo() {
+    let mut net = Net::new();
+    // The relay never advertises to the requester, and the origin's
+    // first answer is lost.
+    let fate = |&s: &Sent| {
+        if s == (RELAY, REQUESTER, MsgKind::Advr) || s == ANSWER {
+            Fate::Drop
+        } else {
+            Fate::Deliver
+        }
+    };
+    net.originate();
+    assert_eq!(pulls(&net.settle(fate)), [WANT, ANSWER]);
+    net.ios[0].set_clock(T);
+    assert_eq!(
+        pulls(&net.settle(|_| Fate::Deliver)),
+        [WANT, ECHO, REPULL, ANSWER]
+    );
+    assert!(net.requester_has());
+    let origin = net.stats(ORIGIN);
+    assert_eq!((origin.pulls_answered, origin.echoes_sent), (3, 1));
 }

@@ -249,13 +249,7 @@ pub(crate) fn merge_range(ranges: &mut Vec<SeqRange>, range: SeqRange) -> bool {
     let lo = ranges.partition_point(|r| r.end.saturating_add(1) < range.start);
     let hi = lo + ranges[lo..].partition_point(|r| r.start <= range.end.saturating_add(1));
     if lo == hi {
-        if ranges.capacity() == 0 {
-            // Most lists stay one coalesced range for life: do not let
-            // `insert` reserve four slots for it.
-            *ranges = vec![range];
-        } else {
-            ranges.insert(lo, range);
-        }
+        ranges.insert(lo, range);
         return true;
     }
     let merged = SeqRange {
@@ -277,16 +271,88 @@ pub(crate) fn merge_range(ranges: &mut Vec<SeqRange>, range: SeqRange) -> bool {
 /// answer it. GC'd by the AckHorizon plane via [`SeenTable::release_below`].
 ///
 /// Dense: one row per source, indexed by rank, so a lookup is an index and
-/// a note allocates only when a row first holds a range or outgrows its
-/// buffer (a row the GC emptied keeps its buffer). The table is built for
-/// a group of `sources` ranks and holds nothing until the first note; ids
-/// of a source outside the group — stray or hostile traffic — are refused
-/// rather than given a row.
+/// a note allocates only when a row first holds a second disjoint range or
+/// outgrows its buffer (a row the GC emptied keeps its buffer). The table
+/// is built for a group of `sources` ranks and holds nothing until the
+/// first note; ids of a source outside the group — stray or hostile
+/// traffic — are refused rather than given a row.
 #[derive(Clone, Debug)]
 pub struct SeenTable {
     sources: usize,
     /// `rows[src]`, grown to `src + 1` by the first note of `src`.
-    rows: Vec<Vec<SeqRange>>,
+    rows: Vec<Row>,
+}
+
+/// One source's ranges, sorted, disjoint and coalesced. Most rows hold one
+/// coalesced range for life, so that one lives inline: a `Row` is no
+/// bigger than the `Vec` it replaces (the `Vec`'s capacity niche holds
+/// the tag), and its first note allocates nothing.
+#[derive(Clone, Debug)]
+enum Row {
+    One(SeqRange),
+    /// Empty, or more than one range.
+    Many(Vec<SeqRange>),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::Many(Vec::new())
+    }
+}
+
+impl Row {
+    fn as_slice(&self) -> &[SeqRange] {
+        match self {
+            Row::One(r) => std::slice::from_ref(r),
+            Row::Many(v) => v,
+        }
+    }
+
+    /// [`merge_range`] for a row; `range` is not empty.
+    fn merge(&mut self, range: SeqRange) -> bool {
+        match self {
+            Row::One(r)
+                if range.start <= r.end.saturating_add(1)
+                    && r.start <= range.end.saturating_add(1) =>
+            {
+                // Overlapping or abutting: still one range.
+                let merged = SeqRange {
+                    start: r.start.min(range.start),
+                    end: r.end.max(range.end),
+                };
+                std::mem::replace(r, merged) != merged
+            }
+            Row::One(r) => {
+                let (a, b) = if range.start < r.start {
+                    (range, *r)
+                } else {
+                    (*r, range)
+                };
+                *self = Row::Many(vec![a, b]);
+                true
+            }
+            Row::Many(v) if v.capacity() == 0 => {
+                *self = Row::One(range);
+                true
+            }
+            Row::Many(v) => merge_range(v, range),
+        }
+    }
+
+    /// Drop every seq at or below `floor`.
+    fn release_below(&mut self, floor: u64) {
+        match self {
+            Row::One(r) if r.end <= floor => *self = Row::default(),
+            Row::One(r) => r.start = r.start.max(floor.saturating_add(1)),
+            Row::Many(v) => v.retain_mut(|r| {
+                if r.end <= floor {
+                    return false;
+                }
+                r.start = r.start.max(floor.saturating_add(1));
+                true
+            }),
+        }
+    }
 }
 
 impl PartialEq for SeenTable {
@@ -312,8 +378,8 @@ impl SeenTable {
     fn held(&self) -> impl Iterator<Item = (u32, &[SeqRange])> {
         (0u32..)
             .zip(&self.rows)
-            .filter(|(_, row)| !row.is_empty())
             .map(|(src, row)| (src, row.as_slice()))
+            .filter(|(_, row)| !row.is_empty())
     }
 
     /// Record that the peer holds `(src, seq)`. Returns `true` when the
@@ -337,32 +403,25 @@ impl SeenTable {
             return false;
         }
         if self.rows.len() <= src {
-            self.rows.resize_with(src + 1, Vec::new);
+            self.rows.resize_with(src + 1, Row::default);
         }
-        merge_range(&mut self.rows[src], range)
+        self.rows[src].merge(range)
     }
 
     /// True when the peer is known to hold `(src, seq)`.
     pub fn contains(&self, src: u32, seq: u64) -> bool {
         self.rows
             .get(src as usize)
-            .is_some_and(|row| row.iter().any(|r| r.contains(seq)))
+            .is_some_and(|row| row.as_slice().iter().any(|r| r.contains(seq)))
     }
 
     /// Drop all recorded ids of `src` at or below `floor` — the
     /// AckHorizon-plane GC hook: once the whole group acknowledged a
     /// prefix, remembering who holds it buys nothing.
     pub fn release_below(&mut self, src: u32, floor: u64) {
-        let Some(row) = self.rows.get_mut(src as usize) else {
-            return;
-        };
-        row.retain_mut(|r| {
-            if r.end <= floor {
-                return false;
-            }
-            r.start = r.start.max(floor.saturating_add(1));
-            true
-        });
+        if let Some(row) = self.rows.get_mut(src as usize) {
+            row.release_below(floor);
+        }
     }
 
     /// The table's contents as a digest (for re-advertising).
@@ -380,12 +439,12 @@ impl SeenTable {
 
     /// Stored range count across sources (bookkeeping bound checks).
     pub fn range_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.rows.iter().map(|row| row.as_slice().len()).sum()
     }
 
     /// True when nothing is recorded.
     pub fn is_empty(&self) -> bool {
-        self.rows.iter().all(Vec::is_empty)
+        self.rows.iter().all(|row| row.as_slice().is_empty())
     }
 }
 
@@ -504,6 +563,26 @@ mod tests {
         let dec = GossipDigest::decode(&d.encode()).unwrap();
         assert!(dec.contains(2, 0) && dec.contains(2, 3) && dec.contains(5, 9));
         assert!(!dec.contains(2, 4));
+    }
+
+    /// A row holds its first range inline: no bigger than the `Vec` it
+    /// replaced, and its first note allocates nothing.
+    #[test]
+    fn a_row_holds_its_first_range_inline() {
+        assert_eq!(size_of::<Row>(), size_of::<Vec<SeqRange>>());
+        let mut t = SeenTable::new(4);
+        t.note(2, 7);
+        t.note_range(2, r(3, 6));
+        assert!(matches!(t.rows[2], Row::One(SeqRange { start: 3, end: 7 })));
+        t.note(2, 9);
+        assert_eq!(t.rows[2].as_slice(), [r(3, 7), r(9, 9)]);
+        t.release_below(2, 8);
+        assert_eq!(t.rows[2].as_slice(), [r(9, 9)]);
+        t.release_below(2, 9);
+        assert!(t.is_empty());
+        t.note(1, 4);
+        t.release_below(1, 4);
+        assert!(t.is_empty() && t.rows[1].as_slice().is_empty());
     }
 
     /// A source outside the group the table was built for gets no row.

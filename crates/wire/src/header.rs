@@ -103,6 +103,15 @@ pub enum MsgKind {
     /// the control sequence space, never recorded for retransmission.
     /// Consumed by the repair loop, never delivered to the application.
     Sent = 12,
+    /// Gossip re-pull: a `Want` addressed to a holder whose `Served` echo
+    /// already proved its answer lost. The holder answers it with the
+    /// payload even though it served the requester once. Sent only in
+    /// answer to an echo, so on a FIFO path no earlier answer of that
+    /// holder is still on its way. Also a
+    /// [`crate::gossip::GossipDigest`], numbered from the control
+    /// sequence space. Consumed by the dissemination plane, never
+    /// delivered to the application.
+    Repull = 13,
 }
 
 impl MsgKind {
@@ -122,6 +131,7 @@ impl MsgKind {
             10 => MsgKind::Want,
             11 => MsgKind::Served,
             12 => MsgKind::Sent,
+            13 => MsgKind::Repull,
             other => return Err(WireError::BadKind(other)),
         })
     }
@@ -350,6 +360,7 @@ mod tests {
             MsgKind::Want,
             MsgKind::Served,
             MsgKind::Sent,
+            MsgKind::Repull,
         ] {
             assert_eq!(MsgKind::from_u8(kind as u8).unwrap(), kind);
         }

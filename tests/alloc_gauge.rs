@@ -196,11 +196,14 @@ fn datagram_path_allocation_budget() {
     // three again. The id list, its sort, the ranges and the digest bytes
     // are scratch the plane owns.
     assert_eq!(gossip_send_allocs(2), 4 + 5);
-    // 31 peers, one id: the payload is encoded once and every peer gets a
-    // handle to it, so each further `Advr` is its datagram alone.
+    // 31 peers, of which 5 are fingers, one id: the payload is encoded
+    // once and every finger gets a handle to it, so each further `Advr` is
+    // its datagram alone. Re-recorded once (it was 2 + 31 · 3) when the
+    // origin took to advertising to its fingers only, not to every peer
+    // (`docs/PROTOCOL.md` §11.1).
     let fan_out = gossip_send_allocs(32) - 4;
-    assert_eq!(fan_out, 2 + 31 * 3);
-    assert!(fan_out <= 31 * 5);
+    assert_eq!(fan_out, 2 + 5 * 3);
+    assert!(fan_out <= 5 * 5);
 
     // --- an unchanged session message is ingested in place -------------
     let session = AckHorizonPayload {

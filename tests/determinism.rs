@@ -220,7 +220,12 @@ fn bcast_barrier_allgather(
 /// probing its holder on an exponential backoff instead of rotating after
 /// `n/2` repair timeouts, and a holder to echoing a repeated `Want` with
 /// `Served` instead of re-sending the payload (§11.2): another protocol
-/// change, re-recorded once for it.
+/// change, re-recorded once for it. It was `0x8dfc_b8e4_b831_597f` until
+/// an origin took to advertising to its finger peers only, a relay to
+/// passing on only what it pulled, a pull to probing every repair timeout,
+/// and a requester to re-pulling (`MsgKind::Repull`) from a holder whose
+/// echo proved its answer lost (§11.1, §11.2): the run's datagrams
+/// differ. Re-recorded once for it.
 ///
 /// `SERVED_SWITCH_N64_SRM` was `0x821b_2c9a_830a_464a` and
 /// `SERVED_HUB_N8_SRM` `0x59a2_ebda_29de_2e3f` until an overheard solicit
@@ -242,7 +247,7 @@ fn bcast_barrier_allgather(
 /// once for it; gossip keeps no standing requests, so its run sends none.
 const SERVED_SWITCH_N64_SRM: u64 = 0xba5c_7e44_6756_554a;
 const SERVED_HUB_N8_SRM: u64 = 0x748f_d535_778b_c9df;
-const SERVED_GOSSIP_N16: u64 = 0x8dfc_b8e4_b831_597f;
+const SERVED_GOSSIP_N16: u64 = 0x643f_9e37_a5d4_895f;
 
 #[test]
 fn served_waits_replay_the_recorded_runs() {

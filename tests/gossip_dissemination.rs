@@ -435,16 +435,108 @@ fn lossy_gossip_repulls_only_lost_answers() {
     assert!(dups <= 8, "{dups} duplicate chunks: {:?}", stats.repair);
 }
 
+/// An origin is pulled by its finger peers only: at N=32 on a lossless
+/// unicast-only switch, root 0's `Advr` goes to ranks 1, 2, 4, 8 and 16,
+/// and every other rank pulls from a relay that pulled before it
+/// (`docs/PROTOCOL.md` §11.1). Over 8 broadcasts the root answers at most
+/// ⌊log₂ 31⌋+1 = 5 pulls each; advertising to every peer had it answer
+/// all 31. Each rank reports back point-to-point once it holds all 8, so
+/// the root counts after the last pull it will ever answer.
+#[test]
+fn an_origin_answers_only_its_fingers_pulls() {
+    const DONE: u32 = 0x0D0E;
+    let (n, count) = (32usize, 8u64);
+    let params = NetParams::fast_ethernet_switch().with_unicast_only();
+    let seed = 0x6055_F165;
+    let (report, _) = run_sim_world_stats(
+        &ClusterConfig::new(n, params, seed),
+        &gossip_cfg(seed),
+        |c| {
+            let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::Gossip);
+            for i in 0..count {
+                let mut buf = vec![i as u8; 4096];
+                comm.bcast(0, &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == i as u8));
+            }
+            let c = comm.transport_mut();
+            if c.rank() != 0 {
+                c.send(0, DONE, vec![1]);
+                return 0;
+            }
+            for peer in 1..n {
+                let req = c.post_recv(Some(peer), DONE);
+                c.wait(req).unwrap();
+            }
+            c.repair_stats().pulls_answered
+        },
+    )
+    .unwrap_or_else(|e| panic!("gossip bcast stream failed: {e:?}"));
+    let bound = ((n - 1).ilog2() as u64 + 1) * count;
+    assert!(
+        report.outputs[0] <= bound,
+        "the root answered {} pulls for {count} broadcasts (bound {bound})",
+        report.outputs[0]
+    );
+}
+
+/// A point-to-point send under gossip reaches its destination and no one
+/// else: a relay passes on only what it pulled (`docs/PROTOCOL.md`
+/// §11.1). At N=4 on a unicast-only switch, after rank 0's
+/// `send(1, 77, 100 B)` nobody advertises or pulls anything, and only
+/// rank 1's link carries the payload. Relaying every accepted message had
+/// rank 1 send 2 `Advr`s, and ranks 2 and 3 each pull the payload.
+#[test]
+fn a_point_to_point_send_under_gossip_reaches_only_its_destination() {
+    let params = NetParams::fast_ethernet_switch()
+        .with_unicast_only()
+        .with_payload_tracking();
+    let seed = 0x9E1D_0077;
+    let payload = vec![0x5Au8; 100];
+    let (report, stats) = run_sim_world_stats(
+        &ClusterConfig::new(4, params, seed),
+        &gossip_cfg(seed),
+        |mut c| match c.rank() {
+            0 => {
+                c.send(1, 77, payload.clone());
+                None
+            }
+            1 => {
+                let req = c.post_recv(Some(0), 77);
+                Some(c.wait(req).unwrap().payload.to_vec())
+            }
+            _ => None,
+        },
+    )
+    .unwrap_or_else(|e| panic!("point-to-point gossip run failed: {e:?}"));
+    assert_eq!(report.outputs[1].as_deref(), Some(&payload[..]));
+    let r = &stats.repair;
+    assert_eq!(
+        (r.advrs_sent, r.wants_sent, r.pulls_answered),
+        (0, 0, 0),
+        "{r:?}"
+    );
+    let crossed: Vec<u64> = stats
+        .net
+        .links
+        .iter()
+        .map(|l| l.data_chunks_delivered)
+        .collect();
+    assert_eq!(crossed, [0, 1, 0, 0], "data chunks per receiving link");
+}
+
 /// A rank cut off from the origin gets the payload through a relay: at
-/// N=16 on a unicast-only switch, every frame from the root to rank 5 is
-/// held from the start until 1 s. The root's `Advr` to rank 5 is parked
-/// with the rest, so rank 5 can only learn of the payload from the ranks
+/// N=16 on a unicast-only switch, every frame from the root to rank 4 —
+/// one of the root's finger peers, so the root does advertise to it — is
+/// held from the start until 1 s. The root's `Advr` to rank 4 is parked
+/// with the rest, so rank 4 can only learn of the payload from the ranks
 /// that pulled it — its finger predecessors relay the `Advr` — and must
 /// pull it from one of them long before the hold is released
-/// (`docs/PROTOCOL.md` §11.1, §11.3).
+/// (`docs/PROTOCOL.md` §11.1, §11.3). The victim was rank 5 until the
+/// root took to advertising to its fingers only: rank 5 is none of them,
+/// so nothing was held.
 #[test]
 fn held_root_link_is_routed_around_by_a_relay() {
-    let (n, root, victim) = (16, 0usize, 5usize);
+    let (n, root, victim) = (16, 0usize, 4usize);
     let release = SimTime::from_micros(1_000_000);
     let (from, to) = (HostId(root as u32), HostId(victim as u32));
     let faults = FaultParams {

@@ -254,12 +254,13 @@ impl EndpointCore {
     /// the dissemination seam. Under [`crate::config::Dissemination::Multicast`]
     /// the encoded message goes out as one fabric multicast,
     /// byte-identical to the pre-seam protocol. Under
-    /// [`crate::config::Dissemination::Gossip`] the payload is only
-    /// *recorded* (as a `Multicast` record, so any requester may pull it)
-    /// and a compact `Advr` digest is unicast to each live finger peer
-    /// instead — lazy push; the payload itself crosses a link only when a
-    /// peer answers with a `Want`, and the peers that pulled it advertise
-    /// it on to their own fingers.
+    /// [`crate::config::Dissemination::Gossip`] the payload is recorded
+    /// (as a `Multicast` record, so any requester may pull it) and pushed
+    /// down the binomial tree of the origin's finger peers, each push
+    /// behind a compact `Advr` digest on the same path; every rank that
+    /// got it by push pushes it on to its own children, and every holder
+    /// advertises it lazily to its other fingers, whose pulls repair a
+    /// lost push.
     pub fn mcast_message<P: RepairPort>(
         &mut self,
         io: &mut P,
@@ -280,7 +281,7 @@ impl EndpointCore {
                     ..
                 },
             )) => {
-                g.advertise_to_fingers(&mut cx, io, &[(me, seq)], member.as_ref());
+                g.push_down_tree(&mut cx, io, (me, seq), &dgs, member.as_ref());
             }
             _ => io.send_encoded_mcast(&dgs),
         }
@@ -925,7 +926,11 @@ mod tests {
         let member =
             |s: &RepairStats| s.heartbeats_sent + s.suspicions + s.failures_confirmed + s.epoch;
         let gossip = |s: &RepairStats| {
-            s.advrs_sent + s.wants_sent + s.pulls_answered + s.duplicate_payloads_avoided
+            s.advrs_sent
+                + s.wants_sent
+                + s.pulls_answered
+                + s.pushes_sent
+                + s.duplicate_payloads_avoided
         };
         let sim = RepairConfig::sim_default;
         let beat = Duration::from_millis(5);
@@ -958,7 +963,8 @@ mod tests {
         }
 
         let (a, b) = deliver(Some(sim().with_gossip()), 2000);
-        assert!(a.advrs_sent >= 1996 && b.wants_sent >= 1996 && a.pulls_answered >= 1996);
+        // Each payload is pushed, or pulled where a push is lost.
+        assert!(a.advrs_sent >= 1996 && a.pushes_sent + a.pulls_answered >= 1996);
         for s in [&a, &b] {
             assert_eq!(member(s), 0, "{s:?}");
         }

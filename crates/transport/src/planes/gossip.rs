@@ -1,12 +1,16 @@
-//! The epidemic dissemination plane (`docs/PROTOCOL.md` §11): `Advr`
-//! digests pushed lazily, `Want` pulls answered out of the retransmit
-//! ring or the relay store — each payload at most once per requester,
-//! a repeated `Want` drawing a `Served` echo instead — and the retry
-//! rule: probe the same holder every repair timeout, rotate to the next
-//! known holder when its echo proves the answer lost, and re-pull
-//! (`Repull`) from a holder whose echo already did.
-//! Everything iterated into wire bytes is `BTreeMap`/`Vec`-backed — replay
-//! determinism forbids hash-order output.
+//! The epidemic dissemination plane (`docs/PROTOCOL.md` §11): a group
+//! send is pushed eagerly down the binomial tree its origin's finger
+//! graph forms ([`tree_children`]), each push behind its `Advr` on the
+//! same path, and advertised lazily (`Advr` alone) to the holder's other
+//! fingers. An `Advr` arms a pull that waits one repair timeout for the
+//! push before its first `Want`, so the pulls — answered out of the
+//! retransmit ring or the relay store, each payload at most once per
+//! requester, a repeated `Want` drawing a `Served` echo instead — are
+//! the repair path: a pull that has asked probes its holder every half
+//! repair timeout, rotates to the next known holder when its echo proves
+//! the answer lost, and re-pulls (`Repull`) from a holder whose echo
+//! already did. Everything iterated into wire bytes is
+//! `BTreeMap`/`Vec`-backed — replay determinism forbids hash-order output.
 //!
 //! Origins and relays alike advertise to their ⌊log₂(n−1)⌋+1 finger
 //! peers only ([`GossipState::advertise_to_fingers`]), so a holder
@@ -20,8 +24,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mmpi_wire::{
-    split_message, Bytes, GossipDigestView, Message, MsgKind, SeenTable, SeqRange, SourceHorizon,
-    SourceHorizonView, MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
+    split_message, Bytes, Datagram, GossipDigestView, Message, MsgKind, SeenTable, SeqRange,
+    SourceHorizon, SourceHorizonView, MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
 };
 
 use super::horizon::HorizonState;
@@ -35,16 +39,19 @@ use crate::pump::{Nanos, RepairPort};
 /// entries first.
 const RELAY_CAP: usize = mmpi_wire::DEFAULT_RETRANSMIT_CAP;
 
-/// One outstanding gossip pull: the holder it is addressed to, when to
-/// probe that holder again, when to give up on it, and which holders
-/// have proved their answer lost.
+/// One outstanding gossip pull: the holder it is addressed to, whether
+/// it has asked yet, when to ask or probe that holder again, when to
+/// give up on it, and which holders have proved their answer lost.
 #[derive(Clone, Debug)]
 struct WantPending {
-    /// The peer the `Want` was addressed to.
+    /// The peer the `Want` is (or will be) addressed to.
     peer: u32,
-    /// When to probe `peer` again.
+    /// The first `Want` has gone out. Until then the pull waits for the
+    /// push its `Advr` heralded, and a payload landing is a push.
+    asked: bool,
+    /// When to ask `peer` — or, once asked, probe it again.
     at: Nanos,
-    /// The probe interval: one repair timeout toward `peer`.
+    /// The probe interval once asked: half a repair timeout toward `peer`.
     every: Nanos,
     /// When to rotate to the next holder though `peer` never echoed: a
     /// dead or cut-off holder.
@@ -87,8 +94,27 @@ pub(crate) struct GossipState {
     acked: AckBook,
     /// Where outgoing digests are built.
     digests: DigestScratch,
-    /// Scratch: the ids one pass of [`GossipState::service`] newly relays.
+    /// Scratch: the ids one pass of [`GossipState::service`] newly relays
+    /// after pulling them.
     relayed: Vec<(u32, u64)>,
+    /// Scratch: payloads one pass took in that no pull was waiting for —
+    /// a push whose `Advr` is still queued behind it in the same pass, or
+    /// a point-to-point send. An `Advr` naming one claims it as a push;
+    /// the rest are dropped at the end of the pass.
+    unclaimed: Vec<Message>,
+}
+
+/// The binomial tree the finger graph forms around origin `src`: `me`'s
+/// children, the fingers `me + d` for the powers of two `d > r` with
+/// `r + d < n`, where `r = (me − src) mod n` — smallest offset (largest
+/// subtree) first. Every rank but the origin is the child of exactly one
+/// rank, so the pushes cross n−1 links.
+fn tree_children(me: usize, src: usize, n: usize) -> impl Iterator<Item = usize> {
+    let r = (me + n - src) % n;
+    std::iter::successors(Some(1usize), |&d| d.checked_mul(2))
+        .take_while(move |&d| r + d < n)
+        .filter(move |&d| d > r)
+        .map(move |d| (me + d) % n)
 }
 
 /// Every peer's latest frontier per source — the GC quorum for the relay
@@ -297,22 +323,24 @@ impl GossipState {
             acked: AckBook::new(n),
             digests: DigestScratch::default(),
             relayed: Vec::new(),
+            unclaimed: Vec::new(),
         }
     }
 
-    /// Earliest outstanding pull retry, if any — folded into the park
-    /// deadline so a lost `Want` or answer is re-solicited even from an
-    /// endpoint parked in a wait loop.
+    /// Earliest outstanding pull ask or retry, if any — folded into the
+    /// park deadline so a lost push, `Want` or answer is re-solicited even
+    /// from an endpoint parked in a wait loop.
     pub(crate) fn next_deadline(&self) -> Option<Nanos> {
         self.wanted.values().map(|w| w.at).min()
     }
 
-    /// One pass of the gossip state machine: fold freshly pulled
-    /// payloads into the relay store and advertise them, ingest queued
-    /// `Advr`s (pulling what we miss), `Want`s (answering out of the ring
-    /// or relay, or echoing), `Repull`s (answering) and `Served` echoes
-    /// (re-pulling an answer that was lost), then probe or rotate expired
-    /// pulls.
+    /// One pass of the gossip state machine: fold freshly landed
+    /// payloads into the relay store — pushing on down the tree what came
+    /// by push, advertising what came by pull — then ingest queued `Advr`s
+    /// (arming a pull for what we miss), `Want`s (answering out of the
+    /// ring or relay, or echoing), `Repull`s (answering) and `Served`
+    /// echoes (re-pulling an answer that was lost), then ask, probe or
+    /// rotate expired pulls.
     pub(crate) fn service<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -321,25 +349,31 @@ impl GossipState {
         member: Option<&MemberState>,
     ) {
         let (me, n) = (cx.enc.rank, cx.enc.n);
-        // 1. Relay feed: every payload we pulled becomes answerable here
-        //    and is advertised onward to our finger peers — the epidemic
-        //    relay that carries a group send past the origin's fingers
-        //    and lets a peer partitioned from the origin pull from
-        //    whoever it *can* reach. What nobody advertised to us — a
+        // 1. Relay feed: every payload an `Advr` heralded becomes
+        //    answerable here. One that landed while its pull still waited
+        //    is a push, and goes on down the tree; one an asked pull drew
+        //    is advertised onward to our finger peers and never pushed —
+        //    the lazy relay that lets a peer cut off from its tree parent
+        //    pull from whoever it *can* reach. What no pull waits for is
+        //    held for this pass's `Advr`s: a push may have overtaken its
+        //    own `Advr` in the queues. What nobody advertised to us — a
         //    point-to-point send, or its NACK repair — stays with its
         //    receiver. A pull is still `wanted` here: only
         //    `retry_wants`, below, retires the ones that landed.
         let mut fresh = std::mem::take(&mut self.relayed);
         while let Some(m) = cx.inbox.take_data_log() {
             let key = (m.src_rank, m.seq);
-            if key.0 as usize >= n
-                || !self.wanted.contains_key(&key)
-                || self.relay.contains_key(&key)
-            {
+            if key.0 as usize >= n || self.relay.contains_key(&key) {
                 continue;
             }
-            self.relay_insert(m);
-            fresh.push(key);
+            match self.wanted.get(&key) {
+                Some(w) if !w.asked => self.hold_pushed(cx, io, m, member),
+                Some(_) => {
+                    self.relay_insert(m);
+                    fresh.push(key);
+                }
+                None => self.unclaimed.push(m),
+            }
         }
         if !fresh.is_empty() {
             self.advertise_to_fingers(cx, io, &fresh, member);
@@ -356,15 +390,77 @@ impl GossipState {
                 continue;
             };
             match msg.kind {
-                MsgKind::Advr => self.ingest_advr(cx, io, horizon, peer, digest),
+                MsgKind::Advr => self.ingest_advr(cx, io, horizon, member, peer, digest),
                 MsgKind::Want => self.answer_want(cx, io, peer, digest, false),
                 MsgKind::Repull => self.answer_want(cx, io, peer, digest, true),
                 MsgKind::Served => self.ingest_served(cx, io, horizon, member, peer, digest),
                 _ => {}
             }
         }
-        // 3. Expired pulls probe their holder, or rotate off a silent one.
+        self.unclaimed.clear();
+        // 3. Expired pulls ask or probe their holder, or rotate off a
+        //    silent one.
         self.retry_wants(cx, io, horizon, member);
+    }
+
+    /// Take in a payload that arrived by push: store it for relaying and
+    /// push it on to our own tree children, then advertise it lazily to
+    /// the rest of our fingers. A leaf encodes nothing.
+    fn hold_pushed<P: RepairPort>(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        io: &mut P,
+        m: Message,
+        member: Option<&MemberState>,
+    ) {
+        let key = (m.src_rank, m.seq);
+        let dgs = match tree_children(cx.enc.rank, key.0 as usize, cx.enc.n).next() {
+            Some(_) => split_message(
+                m.kind,
+                m.context,
+                m.src_rank,
+                m.tag,
+                m.seq,
+                &m.payload,
+                cx.enc.max_chunk,
+            ),
+            None => Vec::new(),
+        };
+        self.relay_insert(m);
+        self.push_down_tree(cx, io, key, &dgs, member);
+    }
+
+    /// The eager push of a group send, by its origin (`dgs` are the
+    /// recorded datagrams) and by every relay that itself received it by
+    /// push: to each live tree child ([`tree_children`]) not known to
+    /// hold it, an `Advr` of the id and then the payload, on the same
+    /// path — so a child that loses the push has the `Advr` to pull by.
+    /// Only after every push are the other fingers told, lazily
+    /// ([`GossipState::advertise_to_fingers`]). A push counts as served:
+    /// a child's later `Want` for it draws an echo, not a second copy.
+    pub(crate) fn push_down_tree<P: RepairPort>(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        io: &mut P,
+        (src, seq): (u32, u64),
+        dgs: &[Datagram],
+        member: Option<&MemberState>,
+    ) {
+        for child in tree_children(cx.enc.rank, src as usize, cx.enc.n) {
+            if membership::is_dead(member, child) || self.peer_seen[child].contains(src, seq) {
+                continue;
+            }
+            self.acked.mark(src);
+            if self.advertised[child].note(src, seq) {
+                self.digests.ids.push((src, seq));
+                cx.stats.advrs_sent += self.digests.send(cx.enc, io, MsgKind::Advr, child);
+            }
+            if self.served[child].note(src, seq) {
+                cx.stats.pushes_sent += 1;
+                io.send_encoded(child, dgs);
+            }
+        }
+        self.advertise_to_fingers(cx, io, &[(src, seq)], member);
     }
 
     /// Store one accepted payload for relaying, FIFO-evicting at
@@ -399,17 +495,18 @@ impl GossipState {
         }
     }
 
-    /// The lazy push of a group send, by its origin and by every relay
-    /// that pulled it: unicast an `Advr` digest of `ids` to each live
-    /// finger peer — the `p` with `(p − me) mod n` a power of two,
-    /// ⌊log₂(n−1)⌋+1 of them — that is not already known (or already
-    /// told) to hold them. Every rank is a finger of some holder, so the
-    /// digest reaches the group in ⌈log₂ n⌉ relay hops, and no holder
+    /// The lazy push of a group send, by every holder: unicast an `Advr`
+    /// digest of `ids` to each live finger peer — the `p` with
+    /// `(p − me) mod n` a power of two, ⌊log₂(n−1)⌋+1 of them — that is
+    /// not already known (or already told) to hold them. Every rank is a
+    /// finger of some holder, so the digest reaches the group in
+    /// ⌈log₂ n⌉ relay hops even where pushes are lost, and no holder
     /// answers more pulls than it has fingers. A dead finger is skipped,
     /// not replaced. The per-peer `advertised` table is what keeps
-    /// re-sends and relay loops from amplifying: an id is pushed at a
-    /// peer once, ever, per endpoint.
-    pub(crate) fn advertise_to_fingers<P: RepairPort>(
+    /// re-sends and relay loops from amplifying: an id is advertised to a
+    /// peer once, ever, per endpoint — so a tree child, told ahead of its
+    /// push, is not told again here.
+    fn advertise_to_fingers<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
@@ -437,16 +534,19 @@ impl GossipState {
     }
 
     /// Fold one peer's advertisement: every id it names is positive
-    /// knowledge (the peer holds it and will answer pulls); ids we do
-    /// not hold and are not already pulling become a merged `Want` back
-    /// to the advertiser. Ids we already hold count as
-    /// `duplicate_payloads_avoided` — each is a payload that did *not*
-    /// cross our link a second time.
+    /// knowledge (the peer holds it and will answer pulls); an id we do
+    /// not hold and are not already pulling arms a pull from the
+    /// advertiser that waits one repair timeout for the push before it
+    /// asks. An id that landed this pass with no pull waiting is the push
+    /// this `Advr` heralds, and goes on down the tree. Other ids we already
+    /// hold count as `duplicate_payloads_avoided` — each is a payload that
+    /// did *not* cross our link a second time.
     fn ingest_advr<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
         horizon: &HorizonState,
+        member: Option<&MemberState>,
         peer: usize,
         digest: GossipDigestView<'_>,
     ) {
@@ -465,21 +565,26 @@ impl GossipState {
                         continue; // our own traffic: we hold it
                     }
                     if cx.inbox.has_seen(e.src, s) || self.relay.contains_key(&(e.src, s)) {
-                        if newly {
+                        let pushed = self
+                            .unclaimed
+                            .iter()
+                            .position(|m| (m.src_rank, m.seq) == (e.src, s));
+                        if let Some(i) = pushed {
+                            let m = self.unclaimed.swap_remove(i);
+                            self.hold_pushed(cx, io, m, member);
+                        } else if newly {
                             cx.stats.duplicate_payloads_avoided += 1;
                         }
                         continue;
                     }
                     if self.wanted.contains_key(&(e.src, s)) {
-                        continue; // pull in flight; `peer` is a known alternate now
+                        continue; // pull armed; `peer` is a known alternate now
                     }
-                    let pull = Self::pull_from(cx.enc, horizon, peer, now, Vec::new());
+                    let pull = Self::pull_from(cx.enc, horizon, peer, now, Vec::new(), true);
                     self.wanted.insert((e.src, s), pull);
-                    self.digests.ids.push((e.src, s));
                 }
             }
         }
-        cx.stats.wants_sent += self.digests.send(cx.enc, io, MsgKind::Want, peer);
     }
 
     /// Answer one peer's pull: our own traffic replays out of the
@@ -570,7 +675,7 @@ impl GossipState {
                     let Some(w) = self.wanted.get_mut(&key) else {
                         continue;
                     };
-                    if w.peer as usize != peer || cx.inbox.has_seen(e.src, s) {
+                    if !w.asked || w.peer as usize != peer || cx.inbox.has_seen(e.src, s) {
                         continue;
                     }
                     let mut lost = std::mem::take(&mut w.lost);
@@ -582,7 +687,7 @@ impl GossipState {
                         .unwrap_or(peer);
                     let repull = lost.contains(&(next as u32));
                     lost.retain(|&p| p as usize != next);
-                    let pull = Self::pull_from(cx.enc, horizon, next, now, lost);
+                    let pull = Self::pull_from(cx.enc, horizon, next, now, lost, false);
                     self.wanted.insert(key, pull);
                     per_peer.entry((next, repull)).or_default().push(key);
                 }
@@ -591,14 +696,15 @@ impl GossipState {
         self.send_pulls(cx, io, per_peer);
     }
 
-    /// Retire pulls whose payload landed, then act on expired ones: probe
-    /// the same holder again, one repair timeout later each time — a
-    /// probe is a `Want`, so a queued answer is never pulled twice, and a
-    /// lost one draws the echo that re-pulls it — or, once the holder has
-    /// been silent past its `n/2`-stretched deadline, rotate to the next
-    /// live peer known to hold the id. An id with no live known holder
-    /// left is dropped: the per-request NACK plane is the backstop for
-    /// truly lost traffic.
+    /// Retire pulls whose payload landed, then act on expired ones: a pull
+    /// whose push never came asks its advertiser; one that has asked
+    /// probes the same holder again, half a repair timeout later each
+    /// time — a probe is a `Want`, so a queued answer is never pulled
+    /// twice, and a lost one draws the echo that re-pulls it — or, once
+    /// the holder has been silent past its `n/2`-stretched deadline,
+    /// rotates to the next live peer known to hold the id. An id with no
+    /// live known holder left is dropped: the per-request NACK plane is
+    /// the backstop for truly lost traffic.
     fn retry_wants<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -627,8 +733,10 @@ impl GossipState {
                 continue;
             };
             let prev = w.peer as usize;
-            if now < w.rotate_at {
-                // A probe: the same holder, one interval on.
+            if !w.asked || now < w.rotate_at {
+                // The overdue push's first ask, or a probe: the same
+                // holder, one interval on.
+                w.asked = true;
                 w.at = now.saturating_add(w.every).min(w.rotate_at);
                 per_peer.entry((prev, false)).or_default().push(key);
                 continue;
@@ -636,7 +744,7 @@ impl GossipState {
             let lost = std::mem::take(&mut w.lost);
             match self.next_holder(cx.enc, member, key, prev, false) {
                 Some(peer) => {
-                    let pull = Self::pull_from(cx.enc, horizon, peer, now, lost);
+                    let pull = Self::pull_from(cx.enc, horizon, peer, now, lost, false);
                     self.wanted.insert(key, pull);
                     per_peer.entry((peer, false)).or_default().push(key);
                 }
@@ -689,28 +797,40 @@ impl GossipState {
         }
     }
 
-    /// A fresh pull of one id from `peer` at `now`: probes every
-    /// T = one repair timeout toward `peer` (`nack_timeout`, or the
-    /// adaptive per-peer RTO) — a holder answers at most ⌊log₂(n−1)⌋+1
-    /// pulls, so its queue is short — and the rotation after `n/2` × T
-    /// (floor 1×), the constant-bandwidth-share stretch, which only a
-    /// holder that never echoes (dead, cut off, or no longer holding the
-    /// id) lets run out; a live holder's echo rotates the pull long
-    /// before it. `lost` carries over from the pull this one replaces.
+    /// A fresh pull of one id from `peer` at `now`, with T one repair
+    /// timeout toward `peer` (`nack_timeout`, or the adaptive per-peer
+    /// RTO). `deferred` — an `Advr` armed it — the pull first waits T for
+    /// the push; otherwise it has just asked. Once asked it probes every
+    /// T/2 — a holder answers at most ⌊log₂(n−1)⌋+1 pulls, so its queue
+    /// is short, and the `Served` echo keeps a probe from re-sending a
+    /// payload — and rotates `n/2` × T (floor 1×) after asking, the
+    /// constant-bandwidth-share stretch, which only a holder that never
+    /// echoes (dead, cut off, or no longer holding the id) lets run out;
+    /// a live holder's echo rotates the pull long before it. `lost`
+    /// carries over from the pull this one replaces.
     fn pull_from(
         enc: &Encoder,
         horizon: &HorizonState,
         peer: usize,
         now: Nanos,
         lost: Vec<u32>,
+        deferred: bool,
     ) -> WantPending {
         let (t, _) = horizon.timers(Some(peer));
-        let every = t.max(1);
+        let t = t.max(2);
+        let every = t / 2;
+        // When the first `Want` goes out, and when the pull acts next.
+        let (asks_at, at) = if deferred {
+            (now.saturating_add(t), now.saturating_add(t))
+        } else {
+            (now, now.saturating_add(every))
+        };
         WantPending {
             peer: peer as u32,
-            at: now.saturating_add(every),
+            asked: !deferred,
+            at,
             every,
-            rotate_at: now.saturating_add(every.saturating_mul((enc.n as u64 / 2).max(1))),
+            rotate_at: asks_at.saturating_add(t.saturating_mul((enc.n as u64 / 2).max(1))),
             lost,
         }
     }

@@ -192,8 +192,14 @@ impl Rig {
                 };
                 let payload = digest.encode();
                 let view = GossipDigestView::parse(&payload).expect("own encoding");
-                self.g
-                    .ingest_advr(&mut cx, &mut self.io, &self.horizon, peer, view);
+                self.g.ingest_advr(
+                    &mut cx,
+                    &mut self.io,
+                    &self.horizon,
+                    Some(&self.member),
+                    peer,
+                    view,
+                );
             }
             3 if t % 2 == 0 => {
                 let ids = [(b % n as u32, s)];
@@ -377,38 +383,57 @@ fn unchanged_session_message_evaluates_no_quorum() {
     assert_eq!(rig.g.acked.skipped.capacity(), scratch);
 }
 
+/// How a payload reaches the plane in [`land`].
+#[derive(Clone, Copy, PartialEq)]
+enum Landing {
+    /// Behind its origin's `Advr`, while the pull it armed still waits.
+    Pushed,
+    /// In answer to an asked pull: its `Advr` came a repair timeout
+    /// earlier, and the pull's `Want` went out.
+    Pulled,
+    /// With no `Advr` at all: a point-to-point send.
+    Unadvertised,
+}
+
+/// `(src, seq)` lands in the rig's inbox, `how` says behind what, and one
+/// pass runs.
+fn land(rig: &mut Rig, src: u32, seq: u64, how: Landing) {
+    let mut cx = Ctx {
+        enc: &mut rig.enc,
+        inbox: &mut rig.inbox,
+        rtx: &mut rig.rtx,
+        stats: &mut rig.stats,
+    };
+    let (member, horizon) = (Some(&rig.member), &rig.horizon);
+    if how != Landing::Unadvertised {
+        let payload = GossipDigest::single(src, seq).encode();
+        let view = GossipDigestView::parse(&payload).expect("own encoding");
+        rig.g
+            .ingest_advr(&mut cx, &mut rig.io, horizon, member, src as usize, view);
+    }
+    if how == Landing::Pulled {
+        let (t, _) = horizon.timers(Some(src as usize));
+        rig.io.set_clock(rig.io.clock() + t);
+        rig.g.service(&mut cx, &mut rig.io, horizon, member);
+        assert!(rig.g.wanted[&(src, seq)].asked, "the pull asked");
+    }
+    for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
+        cx.inbox.ingest_wire(&d, false).expect("well-formed");
+    }
+    rig.g.service(&mut cx, &mut rig.io, horizon, member);
+}
+
 /// Origins and relays alike advertise to the finger peers, the
 /// power-of-two offsets from `me` — a relay less the origin; a dead
-/// finger is skipped, not replaced. A relay passes on only what it
-/// pulled: a payload nobody advertised to it is told to no one. Who was
-/// told is read off the `advertised` table.
+/// finger is skipped, not replaced. A relay passes on only what an
+/// `Advr` heralded, pushed or pulled: a payload nobody advertised to it
+/// is told to no one. Who was told is read off the `advertised` table.
 #[test]
 fn relays_and_origins_advertise_to_the_fingers() {
     fn told(rig: &Rig, (src, seq): (u32, u64)) -> Vec<usize> {
         (0..rig.enc.n)
             .filter(|&p| rig.g.advertised[p].contains(src, seq))
             .collect()
-    }
-    /// `(src, seq)` lands in the inbox — advertised by its origin and
-    /// pulled first when `pulled` — and one pass runs.
-    fn land(rig: &mut Rig, src: u32, seq: u64, pulled: bool) {
-        let mut cx = Ctx {
-            enc: &mut rig.enc,
-            inbox: &mut rig.inbox,
-            rtx: &mut rig.rtx,
-            stats: &mut rig.stats,
-        };
-        let (member, horizon) = (Some(&rig.member), &rig.horizon);
-        if pulled {
-            let payload = GossipDigest::single(src, seq).encode();
-            let view = GossipDigestView::parse(&payload).expect("own encoding");
-            rig.g
-                .ingest_advr(&mut cx, &mut rig.io, horizon, src as usize, view);
-        }
-        for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
-            cx.inbox.ingest_wire(&d, false).expect("well-formed");
-        }
-        rig.g.service(&mut cx, &mut rig.io, horizon, member);
     }
     for n in [2usize, 3, 16, 32, 64] {
         let (me, src) = (n - 1, 0u32);
@@ -427,18 +452,103 @@ fn relays_and_origins_advertise_to_the_fingers() {
         assert_eq!(told(&rig, own), fingers, "n={n}");
 
         fingers.retain(|&p| p != src as usize);
-        land(&mut rig, src, 1, true);
+        land(&mut rig, src, 1, Landing::Pushed);
         assert_eq!(told(&rig, (src, 1)), fingers, "n={n}");
-        land(&mut rig, src, 2, false);
-        assert!(told(&rig, (src, 2)).is_empty(), "n={n}: not pulled");
+        land(&mut rig, src, 2, Landing::Unadvertised);
+        assert!(told(&rig, (src, 2)).is_empty(), "n={n}: not advertised");
+        land(&mut rig, src, 3, Landing::Pulled);
+        assert_eq!(told(&rig, (src, 3)), fingers, "n={n}");
 
         if let Some(&dead) = fingers.first() {
             rig.member.force_fail(dead);
-            land(&mut rig, src, 3, true);
+            land(&mut rig, src, 4, Landing::Pushed);
             fingers.remove(0);
-            assert_eq!(told(&rig, (src, 3)), fingers, "n={n}");
+            assert_eq!(told(&rig, (src, 4)), fingers, "n={n}");
+        }
+        assert_eq!(rig.stats.pushes_sent, 0, "n={n}: rank n-1 is a leaf");
+    }
+}
+
+/// The tree is the binomial tree of the origin's finger graph: every rank
+/// but the origin is the child of exactly one rank, each child is a
+/// finger of its parent, and a parent lists its children by offset,
+/// largest subtree first — at every size and around every origin.
+#[test]
+fn the_push_tree_spans_the_group_through_fingers() {
+    for n in 1usize..=40 {
+        for src in 0..n {
+            let mut parents = vec![0usize; n];
+            for me in 0..n {
+                let offsets: Vec<usize> = tree_children(me, src, n)
+                    .map(|c| (c + n - me) % n)
+                    .collect();
+                assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{offsets:?}");
+                assert!(offsets.iter().all(|d| d.is_power_of_two()));
+                for c in tree_children(me, src, n) {
+                    parents[c] += 1;
+                }
+            }
+            let want: Vec<usize> = (0..n).map(|p| usize::from(p != src)).collect();
+            assert_eq!(parents, want, "n={n}, src={src}");
         }
     }
+    let children: Vec<usize> = tree_children(2, 0, 32).collect();
+    assert_eq!(children, [6, 10, 18]);
+}
+
+/// A rank that got a payload by push pushes it on to its tree children —
+/// each behind its `Advr`, smallest offset first — and only then tells its
+/// other fingers; one that got it by an asked pull advertises it to every
+/// finger and pushes nothing. Rank 2 of 32 around origin 0: children 6,
+/// 10 and 18, other fingers 3 and 4.
+#[test]
+fn a_pushed_payload_goes_down_the_tree_and_a_pulled_one_is_only_advertised() {
+    let sent = |rig: &mut Rig| -> Vec<(usize, MsgKind)> {
+        rig.io
+            .take_sent()
+            .iter()
+            .map(|(to, d)| (*to, d.decode().expect("well-formed").kind))
+            .collect()
+    };
+    let mut rig = Rig::new(32, 2, false);
+    rig.io = ScriptedPump::routed(1).remove(0);
+    rig.inbox.set_log_data(true);
+
+    land(&mut rig, 0, 1, Landing::Pushed);
+    use MsgKind::{Advr, Data, Want};
+    assert_eq!(
+        sent(&mut rig),
+        [
+            (6, Advr),
+            (6, Data),
+            (10, Advr),
+            (10, Data),
+            (18, Advr),
+            (18, Data),
+            (3, Advr),
+            (4, Advr),
+        ]
+    );
+    assert_eq!(rig.stats.pushes_sent, 3);
+    assert_eq!(
+        rig.stats.wants_sent, 0,
+        "the push came before the pull asked"
+    );
+
+    land(&mut rig, 0, 2, Landing::Pulled);
+    assert_eq!(
+        sent(&mut rig),
+        [
+            (0, Want),
+            (3, Advr),
+            (4, Advr),
+            (6, Advr),
+            (10, Advr),
+            (18, Advr),
+        ],
+        "a pulled payload is advertised, never pushed"
+    );
+    assert_eq!(rig.stats.pushes_sent, 3);
 }
 
 /// GC empties the relay store while it is under its cap; the keys it

@@ -1,19 +1,22 @@
 //! The gossip pull's retry rule, one path at a time (`docs/PROTOCOL.md`
-//! §11.2): a requester probes the holder it pulls from every repair
-//! timeout, a holder sends each payload to a requester once and echoes a
-//! repeated `Want` with `Served`, an echo that arrives while the payload
-//! is still missing rotates the pull to another holder at once, and a
-//! holder whose echo already proved its answer lost is sent a `Repull`,
-//! which it answers with the payload again.
+//! §11.2): a pull armed by an `Advr` waits one repair timeout T for the
+//! push before it asks; once asked, the requester probes the holder
+//! every T/2, a holder sends each payload to a requester once — by push
+//! or in answer to a pull — and echoes a repeated `Want` with `Served`,
+//! an echo that arrives while the payload is still missing rotates the
+//! pull to another holder at once, and a holder whose echo already proved
+//! its answer lost is sent a `Repull`, which it answers with the payload
+//! again.
 //!
 //! Three bare [`EndpointCore`]s of an 8-rank group over
 //! [`ScriptedPump::routed`], routed by hand so that each test loses or
 //! holds exactly the datagram it names (what is sent to the five absent
-//! ranks is dropped). Rank 0 originates one group send and advertises it
-//! to its finger peers 1, 2 and 4; rank 1 pulls it and relays the
-//! advertisement to its own finger peer rank 2, the requester both
-//! advertise to. At N=8 the `n/2` rotation deadline is 4 T, past the
-//! first three probes (T, 2 T and 3 T).
+//! ranks is dropped). Rank 0 originates one group send and pushes it,
+//! each push behind its `Advr`, to its tree children 1, 2 and 4; rank 1,
+//! the relay, pushes it on to its own children 3 and 5 and advertises it
+//! lazily to its other finger, rank 2 — the requester, whose tree parent
+//! is the origin. At N=8 the `n/2` rotation deadline is 4 T after the
+//! first ask, past its seven probes.
 
 use mmpi_transport::testing::ScriptedPump;
 use mmpi_transport::{EndpointCore, Nanos, RepairConfig};
@@ -192,9 +195,9 @@ fn first(from: usize, to: usize, k: MsgKind, fate: Fate) -> impl FnMut(&Sent) ->
     }
 }
 
-/// The origin sends; the requester pulls from it (its `Advr` came
-/// first), the relay pulls the payload too and advertises it to the
-/// requester. Returns the requester's pulls and answers.
+/// The origin sends: it pushes to the requester and the relay, and the
+/// relay advertises the payload to the requester. Returns the
+/// requester's pulls and answers.
 fn advertised(net: &mut Net, fate: impl FnMut(&Sent) -> Fate) -> Vec<Sent> {
     net.originate();
     let log = net.settle(fate);
@@ -203,24 +206,47 @@ fn advertised(net: &mut Net, fate: impl FnMut(&Sent) -> Fate) -> Vec<Sent> {
     pulls(&log)
 }
 
+/// The origin's push to the requester; also its answer to a `Repull`.
+const PUSH: Sent = (ORIGIN, REQUESTER, MsgKind::Data);
+const ANSWER: Sent = PUSH;
 const WANT: Sent = (REQUESTER, ORIGIN, MsgKind::Want);
-const ANSWER: Sent = (ORIGIN, REQUESTER, MsgKind::Data);
 const ECHO: Sent = (ORIGIN, REQUESTER, MsgKind::Served);
+const REPULL: Sent = (REQUESTER, ORIGIN, MsgKind::Repull);
+const RELAY_WANT: Sent = (REQUESTER, RELAY, MsgKind::Want);
+const RELAY_ANSWER: Sent = (RELAY, REQUESTER, MsgKind::Data);
+const RELAY_ECHO: Sent = (RELAY, REQUESTER, MsgKind::Served);
+
+/// The origin's `Advr` and push to the requester are lost: the requester
+/// knows of the payload from the relay alone.
+fn origin_silent(s: &Sent) -> bool {
+    matches!(s, (ORIGIN, REQUESTER, MsgKind::Advr | MsgKind::Data))
+}
 
 #[test]
 fn a_lost_want_is_answered_at_the_first_probe() {
     let mut net = Net::new();
-    let log = advertised(
-        &mut net,
-        first(REQUESTER, ORIGIN, MsgKind::Want, Fate::Drop),
-    );
-    assert_eq!(log, [WANT]);
+    let mut lost_want = first(REQUESTER, RELAY, MsgKind::Want, Fate::Drop);
+    let mut fate = |s: &Sent| {
+        if origin_silent(s) {
+            Fate::Drop
+        } else {
+            lost_want(s)
+        }
+    };
+    assert_eq!(advertised(&mut net, &mut fate), [PUSH]);
     assert!(!net.requester_has());
 
-    assert!(pulls(&net.settle_at(T - 1)).is_empty(), "no probe before T");
-    assert_eq!(pulls(&net.settle_at(T)), [WANT, ANSWER]);
+    net.ios[0].set_clock(T - 1);
+    assert!(pulls(&net.settle(&mut fate)).is_empty(), "no ask before T");
+    net.ios[0].set_clock(T);
+    assert_eq!(pulls(&net.settle(&mut fate)), [RELAY_WANT], "lost");
+    assert!(
+        pulls(&net.settle_at(T + T / 2 - 1)).is_empty(),
+        "no probe before T/2"
+    );
+    assert_eq!(pulls(&net.settle_at(T + T / 2)), [RELAY_WANT, RELAY_ANSWER]);
     assert!(net.requester_has());
-    assert_eq!(net.stats(ORIGIN).echoes_sent, 0);
+    assert_eq!(net.stats(RELAY).echoes_sent, 0);
 }
 
 #[test]
@@ -230,22 +256,28 @@ fn a_lost_answer_draws_an_echo_and_rotates_to_the_other_holder_at_once() {
         &mut net,
         first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Drop),
     );
-    assert_eq!(log, [WANT, ANSWER]);
+    assert_eq!(log, [PUSH]);
     assert!(!net.requester_has());
 
+    assert!(
+        pulls(&net.settle_at(T - 1)).is_empty(),
+        "the pull waits T for the push"
+    );
     assert_eq!(
         pulls(&net.settle_at(T)),
-        [
-            WANT,
-            ECHO,
-            (REQUESTER, RELAY, MsgKind::Want),
-            (RELAY, REQUESTER, MsgKind::Data),
-        ],
-        "the origin echoed instead of re-sending, and the echo moved the pull"
+        [WANT, ECHO, RELAY_WANT, RELAY_ANSWER],
+        "the origin echoed instead of re-sending its push, and the echo moved the pull"
     );
     assert!(net.requester_has());
     let origin = net.stats(ORIGIN);
-    assert_eq!((origin.pulls_answered, origin.echoes_sent), (2, 1));
+    assert_eq!(
+        (
+            origin.pushes_sent,
+            origin.pulls_answered,
+            origin.echoes_sent
+        ),
+        (3, 0, 1)
+    );
 }
 
 #[test]
@@ -255,10 +287,10 @@ fn an_answer_delayed_behind_probes_crosses_once() {
         &mut net,
         first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Hold),
     );
-    assert_eq!(log, [WANT, ANSWER]);
-    // Probes at T, 2 T and 3 T, one interval apart; each draws an echo,
-    // which queues behind the held answer.
-    for now in [T, 2 * T, 3 * T] {
+    assert_eq!(log, [PUSH]);
+    // The ask at T and probes T/2 apart; each draws an echo, which queues
+    // behind the held push.
+    for now in [T, T + T / 2, 2 * T] {
         assert!(pulls(&net.settle_at(now - 1)).is_empty(), "before {now}");
         assert_eq!(pulls(&net.settle_at(now)), [WANT, ECHO], "at {now}");
         assert!(!net.requester_has());
@@ -278,9 +310,10 @@ fn an_answer_delayed_behind_probes_crosses_once() {
 #[test]
 fn a_silent_holder_is_left_at_the_n_over_2_deadline() {
     let mut net = Net::new();
-    // Nothing the requester sends reaches the origin: a cut-off holder.
-    let cut = |&(from, to, _): &Sent| {
-        if (from, to) == (REQUESTER, ORIGIN) {
+    // The push is lost and nothing the requester sends reaches the
+    // origin: a cut-off holder.
+    let cut = |&s: &Sent| {
+        if s == PUSH || (s.0, s.1) == (REQUESTER, ORIGIN) {
             Fate::Drop
         } else {
             Fate::Deliver
@@ -288,20 +321,16 @@ fn a_silent_holder_is_left_at_the_n_over_2_deadline() {
     };
     net.originate();
     net.settle(cut);
-    for now in [T, 2 * T, 3 * T] {
+    // The ask at T, then seven probes T/2 apart.
+    for k in 0..8 {
+        let now = T + k * T / 2;
         net.ios[0].set_clock(now);
         assert_eq!(pulls(&net.settle(cut)), [WANT], "at {now}");
     }
-    net.ios[0].set_clock(4 * T - 1);
+    net.ios[0].set_clock(5 * T - 1);
     assert!(pulls(&net.settle(cut)).is_empty());
-    net.ios[0].set_clock(4 * T);
-    assert_eq!(
-        pulls(&net.settle(cut)),
-        [
-            (REQUESTER, RELAY, MsgKind::Want),
-            (RELAY, REQUESTER, MsgKind::Data),
-        ]
-    );
+    net.ios[0].set_clock(5 * T);
+    assert_eq!(pulls(&net.settle(cut)), [RELAY_WANT, RELAY_ANSWER]);
     assert!(net.requester_has());
 }
 
@@ -312,7 +341,12 @@ fn a_strangers_echo_changes_nothing() {
         &mut net,
         first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Hold),
     );
-    assert_eq!(log, [WANT, ANSWER]);
+    assert_eq!(log, [PUSH]);
+    assert_eq!(
+        pulls(&net.settle_at(T)),
+        [WANT, ECHO],
+        "asked; the echo is held"
+    );
     let before = net.stats(REQUESTER);
     // The relay echoes the id the requester pulls from the origin, and
     // the origin echoes an id nobody pulls.
@@ -324,20 +358,20 @@ fn a_strangers_echo_changes_nothing() {
     assert!(pulls(&net.settle(|_| Fate::Deliver)).is_empty());
     assert_eq!(net.stats(REQUESTER), before);
 
-    // The pull goes on as if nothing had arrived: its probe is due at T,
-    // to the origin.
-    assert_eq!(pulls(&net.settle_at(T)), [WANT, ECHO]);
+    // The pull goes on as if nothing had arrived: its probe is due at
+    // T + T/2, to the origin.
+    assert!(pulls(&net.settle_at(T + T / 2 - 1)).is_empty());
+    assert_eq!(pulls(&net.settle_at(T + T / 2)), [WANT, ECHO]);
     net.release(ORIGIN, REQUESTER);
     assert!(net.requester_has());
     assert_eq!(net.payloads(RELAY, REQUESTER), 0);
 }
 
-const REPULL: Sent = (REQUESTER, ORIGIN, MsgKind::Repull);
-
 #[test]
 fn when_every_holder_lost_its_answer_the_first_is_re_pulled() {
     let mut net = Net::new();
-    // The first answer of each holder is lost.
+    // The first answer of each holder is lost: the origin's push and the
+    // relay's answer to the requester's pull.
     let (mut origin, mut relay) = (
         first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Drop),
         first(RELAY, REQUESTER, MsgKind::Data, Fate::Drop),
@@ -347,30 +381,20 @@ fn when_every_holder_lost_its_answer_the_first_is_re_pulled() {
         _ => Fate::Drop,
     };
     let log = advertised(&mut net, &mut lose_both);
-    assert_eq!(log, [WANT, ANSWER]);
+    assert_eq!(log, [PUSH]);
     net.ios[0].set_clock(T);
     assert_eq!(
         pulls(&net.settle(&mut lose_both)),
-        [
-            WANT,
-            ECHO,
-            (REQUESTER, RELAY, MsgKind::Want),
-            (RELAY, REQUESTER, MsgKind::Data),
-        ]
+        [WANT, ECHO, RELAY_WANT, RELAY_ANSWER]
     );
     assert!(!net.requester_has());
     // The relay's echo proves its answer lost too: the origin, whose
     // echo already did, is asked again and answers with the payload.
     assert_eq!(
-        pulls(&net.settle_at(2 * T)),
-        [
-            (REQUESTER, RELAY, MsgKind::Want),
-            (RELAY, REQUESTER, MsgKind::Served),
-            REPULL,
-            ANSWER,
-        ]
+        pulls(&net.settle_at(T + T / 2)),
+        [RELAY_WANT, RELAY_ECHO, REPULL, ANSWER]
     );
-    assert!(net.requester_has(), "within 3 T, not at the NACK backstop");
+    assert!(net.requester_has(), "within 2 T, not at the NACK backstop");
     assert_eq!(net.payloads(ORIGIN, REQUESTER), 2);
     assert!(pulls(&net.settle_at(60 * T)).is_empty(), "the pull retired");
 }
@@ -378,23 +402,66 @@ fn when_every_holder_lost_its_answer_the_first_is_re_pulled() {
 #[test]
 fn the_only_known_holder_is_re_pulled_after_its_echo() {
     let mut net = Net::new();
-    // The relay never advertises to the requester, and the origin's
-    // first answer is lost.
-    let fate = |&s: &Sent| {
-        if s == (RELAY, REQUESTER, MsgKind::Advr) || s == ANSWER {
+    // The requester hears of the payload from the relay alone, and the
+    // relay's first answer is lost.
+    let mut lost_answer = first(RELAY, REQUESTER, MsgKind::Data, Fate::Drop);
+    let mut fate = |s: &Sent| {
+        if origin_silent(s) {
             Fate::Drop
         } else {
-            Fate::Deliver
+            lost_answer(s)
         }
     };
-    net.originate();
-    assert_eq!(pulls(&net.settle(fate)), [WANT, ANSWER]);
+    assert_eq!(advertised(&mut net, &mut fate), [PUSH]);
     net.ios[0].set_clock(T);
+    assert_eq!(pulls(&net.settle(&mut fate)), [RELAY_WANT, RELAY_ANSWER]);
     assert_eq!(
-        pulls(&net.settle(|_| Fate::Deliver)),
-        [WANT, ECHO, REPULL, ANSWER]
+        pulls(&net.settle_at(T + T / 2)),
+        [
+            RELAY_WANT,
+            RELAY_ECHO,
+            (REQUESTER, RELAY, MsgKind::Repull),
+            RELAY_ANSWER
+        ]
     );
     assert!(net.requester_has());
+    let relay = net.stats(RELAY);
+    assert_eq!((relay.pulls_answered, relay.echoes_sent), (2, 1));
+}
+
+/// A push whose `Advr` arrived but which was itself lost is recovered
+/// from the tree parent: the relay's lazy `Advr` is stalled behind a
+/// held link, so the parent is the only holder the requester knows. Its
+/// pull asks the parent at T, whose echo — the push counts as served —
+/// proves the push lost and draws a `Repull`, answered with the payload.
+#[test]
+fn a_lost_push_is_recovered_from_the_tree_parent() {
+    let mut net = Net::new();
+    let mut lost_push = first(ORIGIN, REQUESTER, MsgKind::Data, Fate::Drop);
+    let mut fate = |s: &Sent| match s {
+        (RELAY, REQUESTER, _) => Fate::Hold,
+        _ => lost_push(s),
+    };
+    net.originate();
+    assert_eq!(pulls(&net.settle(&mut fate)), [PUSH]);
+    assert!(!net.requester_has());
+    net.ios[0].set_clock(T);
+    assert_eq!(pulls(&net.settle(&mut fate)), [WANT, ECHO, REPULL, ANSWER]);
+    assert!(net.requester_has(), "from the parent, within T");
+    let log = net.release(RELAY, REQUESTER);
+    assert!(
+        pulls(&log).is_empty(),
+        "the relay's late Advr pulls nothing: {log:?}"
+    );
+    assert_eq!(net.payloads(ORIGIN, REQUESTER), 2);
+    assert_eq!(net.payloads(RELAY, REQUESTER), 0);
     let origin = net.stats(ORIGIN);
-    assert_eq!((origin.pulls_answered, origin.echoes_sent), (3, 1));
+    assert_eq!(
+        (
+            origin.pushes_sent,
+            origin.pulls_answered,
+            origin.echoes_sent
+        ),
+        (3, 1, 1)
+    );
 }

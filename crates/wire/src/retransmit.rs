@@ -279,6 +279,10 @@ pub struct RepairStats {
     /// to a `Want` for ids it had already unicast to that requester once.
     /// Not advertisements — [`RepairStats::advrs_sent`] does not count them.
     pub echoes_sent: u64,
+    /// Payloads this endpoint pushed eagerly to its gossip tree children:
+    /// an origin's group send, or one a relay itself received by push.
+    /// Not pulls — [`RepairStats::pulls_answered`] does not count them.
+    pub pushes_sent: u64,
     /// Control messages (`Nack`, `AckHorizon`, `Advr`, `Want`, `Served`) a plane
     /// dropped at ingest: a payload that does not decode, or a sender
     /// rank outside the group. Stray or hostile traffic on a real port;
@@ -293,11 +297,11 @@ pub struct RepairStats {
 }
 
 impl std::fmt::Debug for RepairStats {
-    /// The derived rendering — with the echo and the two drop counters
+    /// The derived rendering — with the echo, push and two drop counters
     /// shown only when they counted something. The recorded replay
     /// fingerprints (`tests/determinism.rs`) hash this rendering of lossy
     /// simulated runs, where nothing is ever malformed or foreign and no
-    /// multicast run echoes a pull: such a run must go on rendering
+    /// multicast run echoes or pushes a payload: such a run must go on rendering
     /// exactly as it did before the counters existed.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = f.debug_struct("RepairStats");
@@ -327,6 +331,9 @@ impl std::fmt::Debug for RepairStats {
             );
         if self.echoes_sent != 0 {
             s.field("echoes_sent", &self.echoes_sent);
+        }
+        if self.pushes_sent != 0 {
+            s.field("pushes_sent", &self.pushes_sent);
         }
         if self.malformed_dropped != 0 {
             s.field("malformed_dropped", &self.malformed_dropped);
@@ -361,6 +368,7 @@ impl RepairStats {
         self.pulls_answered += other.pulls_answered;
         self.duplicate_payloads_avoided += other.duplicate_payloads_avoided;
         self.echoes_sent += other.echoes_sent;
+        self.pushes_sent += other.pushes_sent;
         self.malformed_dropped += other.malformed_dropped;
         self.foreign_dropped += other.foreign_dropped;
         self.epoch = self.epoch.max(other.epoch);
@@ -492,6 +500,18 @@ mod tests {
             .ends_with("duplicate_payloads_avoided: 0, echoes_sent: 3, epoch: 0 }"));
     }
 
+    /// A run that never pushed a payload renders as it did before the
+    /// counter existed.
+    #[test]
+    fn stats_render_pushes_only_when_set() {
+        let pushed = RepairStats {
+            pushes_sent: 31,
+            ..RepairStats::default()
+        };
+        assert!(format!("{pushed:?}")
+            .ends_with("duplicate_payloads_avoided: 0, pushes_sent: 31, epoch: 0 }"));
+    }
+
     #[test]
     fn stats_merge_sums() {
         let mut a = RepairStats {
@@ -515,6 +535,7 @@ mod tests {
             pulls_answered: 19,
             duplicate_payloads_avoided: 20,
             echoes_sent: 24,
+            pushes_sent: 25,
             malformed_dropped: 22,
             foreign_dropped: 23,
             epoch: 21,
@@ -539,6 +560,7 @@ mod tests {
         assert_eq!(a.pulls_answered, 38);
         assert_eq!(a.duplicate_payloads_avoided, 40);
         assert_eq!(a.echoes_sent, 48);
+        assert_eq!(a.pushes_sent, 50);
         assert_eq!((a.malformed_dropped, a.foreign_dropped), (44, 46));
         assert_eq!(a.epoch, 21, "epoch merges by max, not sum");
     }

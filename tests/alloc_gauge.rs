@@ -200,7 +200,10 @@ fn datagram_path_allocation_budget() {
     // once and every finger gets a handle to it, so each further `Advr` is
     // its datagram alone. Re-recorded once (it was 2 + 31 · 3) when the
     // origin took to advertising to its fingers only, not to every peer
-    // (`docs/PROTOCOL.md` §11.1).
+    // (`docs/PROTOCOL.md` §11.1). The fingers are the origin's tree
+    // children, and each `Advr` is followed by a push of the payload
+    // (§11.1): a push hands the port the recorded datagrams and allocates
+    // nothing, so the count stayed put when pushes came in.
     let fan_out = gossip_send_allocs(32) - 4;
     assert_eq!(fan_out, 2 + 5 * 3);
     assert!(fan_out <= 5 * 5);

@@ -225,7 +225,13 @@ fn bcast_barrier_allgather(
 /// passing on only what it pulled, a pull to probing every repair timeout,
 /// and a requester to re-pulling (`MsgKind::Repull`) from a holder whose
 /// echo proved its answer lost (§11.1, §11.2): the run's datagrams
-/// differ. Re-recorded once for it.
+/// differ. Re-recorded once for it. It was `0x643f_9e37_a5d4_895f` until
+/// a holder took to pushing each group send down its finger tree behind
+/// an `Advr`, a pull to waiting one repair timeout for the push before it
+/// asks and to probing every half repair timeout once it has, and a
+/// payload obtained by a pull to being advertised but never pushed
+/// (§11.1, §11.2): the run's datagrams and times differ, and its
+/// counters render `pushes_sent`. Re-recorded once for it.
 ///
 /// `SERVED_SWITCH_N64_SRM` was `0x821b_2c9a_830a_464a` and
 /// `SERVED_HUB_N8_SRM` `0x59a2_ebda_29de_2e3f` until an overheard solicit
@@ -247,7 +253,7 @@ fn bcast_barrier_allgather(
 /// once for it; gossip keeps no standing requests, so its run sends none.
 const SERVED_SWITCH_N64_SRM: u64 = 0xba5c_7e44_6756_554a;
 const SERVED_HUB_N8_SRM: u64 = 0x748f_d535_778b_c9df;
-const SERVED_GOSSIP_N16: u64 = 0x643f_9e37_a5d4_895f;
+const SERVED_GOSSIP_N16: u64 = 0x9442_24d5_2142_e4aa;
 
 #[test]
 fn served_waits_replay_the_recorded_runs() {

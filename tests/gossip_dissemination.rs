@@ -7,7 +7,7 @@
 //! constant, so the refactor cannot silently perturb the pre-seam
 //! protocol.
 
-use mcast_mpi::core::{combine_u64_sum, BcastAlgorithm, Communicator};
+use mcast_mpi::core::{combine_u64_sum, BarrierAlgorithm, BcastAlgorithm, Communicator};
 use mcast_mpi::netsim::cluster::ClusterConfig;
 use mcast_mpi::netsim::error::SimError;
 use mcast_mpi::netsim::ids::{DatagramDst, GroupId, HostId, UdpPort};
@@ -65,8 +65,9 @@ fn gossip_cfg(seed: u64) -> SimCommConfig {
 /// the lossless in-memory ground truth at N ∈ {4, 8, 16} — on a clean
 /// switch, at 10% per-link loss, and on a `unicast_only` fabric where
 /// the switch forwards no multicast at all. Every gossip run must show
-/// the epidemic machinery actually ran (advertisements out, pulls
-/// answered) and must emit zero multicast frames for the fabric to drop.
+/// the epidemic machinery actually ran (advertisements out, payloads
+/// pushed or pulls answered — a clean fabric answers none: every push
+/// lands) and must emit zero multicast frames for the fabric to drop.
 #[test]
 fn gossip_digest_matches_mem_across_sizes_and_fabrics() {
     for n in [4usize, 8, 16] {
@@ -99,7 +100,8 @@ fn gossip_digest_matches_mem_across_sizes_and_fabrics() {
             .unwrap_or_else(|e| panic!("gossip run failed (n={n}, {label}): {e:?}"));
             assert_eq!(report.outputs, mem, "digest mismatch (n={n}, {label})");
             assert!(
-                stats.repair.advrs_sent > 0 && stats.repair.pulls_answered > 0,
+                stats.repair.advrs_sent > 0
+                    && stats.repair.pushes_sent + stats.repair.pulls_answered > 0,
                 "the epidemic plane must actually run (n={n}, {label}): {:?}",
                 stats.repair
             );
@@ -417,6 +419,123 @@ fn gossip_payload_crosses_each_link_at_most_once_at_n16_and_n32() {
         );
         assert_eq!(duplicate_chunks(&stats), 0, "n={n}: {:?}", stats.repair);
     }
+}
+
+/// On a lossless unicast-only switch a gossip broadcast is its tree: each
+/// rank but the root gets the payload by push, exactly once, from its
+/// tree parent, and no pull draws a payload — a pull armed by an `Advr`
+/// waits one repair timeout for the push (`docs/PROTOCOL.md` §11.1).
+/// `2n` 4 KiB broadcasts, the root rotating, a point-to-point barrier
+/// after each. A push can still land after its pull asked: every session
+/// period each rank unicasts its session message to all n−1 peers at
+/// once, and at N=32 that burst (≈ 2.5 ms of a 100 Mb/s link) can queue
+/// between an `Advr` and its push on the way down (6 of the 1 984 pushes
+/// here; at most one per eight broadcasts passes). Such a `Want` goes to
+/// the tree parent, whose `Advr` came first, and draws an echo, never a
+/// second payload; a first `Want` sent without waiting would go out for
+/// every push. Reversing the push
+/// order (largest offset first) holds the root's biggest subtree back
+/// behind its smallest ones, and their lazy `Advr`s outrun the late
+/// pushes.
+#[test]
+fn a_lossless_broadcast_is_n_minus_1_pushes_and_no_want() {
+    for n in [16usize, 32] {
+        let count = 2 * n;
+        let params = NetParams::fast_ethernet_switch()
+            .with_unicast_only()
+            .with_payload_tracking();
+        let seed = 0x6055_7EE0 + n as u64;
+        let (report, stats) = run_sim_world_stats(
+            &ClusterConfig::new(n, params, seed),
+            &gossip_cfg(seed),
+            |c| {
+                let mut comm = Communicator::new(c)
+                    .with_bcast(BcastAlgorithm::Gossip)
+                    .with_barrier(BarrierAlgorithm::Mpich);
+                let mut intact = true;
+                for i in 0..count {
+                    let root = i % comm.size();
+                    let fill = |k: usize| (i * 17 + k) as u8;
+                    let mut buf: Vec<u8> = if comm.rank() == root {
+                        (0..4096).map(fill).collect()
+                    } else {
+                        vec![0; 4096]
+                    };
+                    comm.bcast(root, &mut buf).unwrap();
+                    intact &= buf.iter().enumerate().all(|(k, &b)| b == fill(k));
+                    comm.barrier().unwrap();
+                }
+                intact
+            },
+        )
+        .unwrap_or_else(|e| panic!("lossless gossip run failed (n={n}): {e:?}"));
+        assert!(report.outputs.iter().all(|&ok| ok), "n={n}: wrong bytes");
+        let r = &stats.repair;
+        println!("n={n}: {} pushes, {} Wants", r.pushes_sent, r.wants_sent);
+        assert_eq!(
+            (r.pushes_sent, r.pulls_answered, r.echoes_sent),
+            (count as u64 * (n as u64 - 1), 0, r.wants_sent),
+            "n={n}: {r:?}"
+        );
+        assert!(r.wants_sent <= count as u64 / 8, "n={n}: {r:?}");
+        assert_eq!(duplicate_chunks(&stats), 0, "n={n}");
+    }
+}
+
+/// A tree parent that has failed takes its subtree's pushes with it; the
+/// subtree completes through the lazy `Advr`s of the other holders
+/// instead. At N=16 rank 1 — the root's first child, parent of every
+/// odd rank's subtree — crashes before the broadcast and every survivor
+/// declares it failed, so the root skips it: the seven even ranks get
+/// the payload by push, and the seven odd survivors each pull it. A
+/// payload obtained by a pull is never pushed on, so the run pushes
+/// exactly seven times.
+#[test]
+fn a_failed_tree_parents_subtree_completes_through_the_lazy_advrs() {
+    const DEAD: usize = 1;
+    let n = 16;
+    let params = NetParams::fast_ethernet_switch()
+        .with_unicast_only()
+        .with_payload_tracking();
+    let seed = 0x6055_DEAD;
+    let cfg = SimCommConfig {
+        repair: Some(
+            RepairConfig::sim_default()
+                .with_seed(seed)
+                .with_gossip()
+                .with_membership(std::time::Duration::from_millis(5)),
+        ),
+        ..Default::default()
+    };
+    let payload: Vec<u8> = (0..2048u32).map(|i| (i * 13 % 251) as u8).collect();
+    let (report, stats) =
+        run_sim_world_stats(&ClusterConfig::new(n, params, seed), &cfg, |mut c| {
+            if c.rank() == DEAD {
+                c.simulate_crash();
+                return None;
+            }
+            c.declare_failed(DEAD);
+            let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::Gossip);
+            let mut buf = if comm.rank() == 0 {
+                payload.clone()
+            } else {
+                vec![0; payload.len()]
+            };
+            comm.bcast(0, &mut buf).unwrap();
+            let wants = comm.transport().repair_stats().wants_sent;
+            Some((buf, wants))
+        })
+        .unwrap_or_else(|e| panic!("failed-parent gossip run failed: {e:?}"));
+    for (rank, out) in report.outputs.iter().enumerate() {
+        if rank == DEAD {
+            continue;
+        }
+        let (got, wants) = out.as_ref().expect("a survivor reports");
+        assert_eq!(got, &payload, "rank {rank} holds the wrong bytes");
+        assert_eq!(*wants > 0, rank % 2 == 1, "rank {rank} sent {wants} Wants");
+    }
+    assert_eq!(stats.repair.pushes_sent, 7, "{:?}", stats.repair);
+    assert_eq!(duplicate_chunks(&stats), 0, "{:?}", stats.repair);
 }
 
 /// Under loss a pull is re-asked only when the evidence says so: the

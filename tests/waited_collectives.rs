@@ -470,6 +470,12 @@ fn mpich_family_cycle_n8() {
 /// proved its answer lost (§11.1, §11.2): fewer `Advr`s, probes and
 /// NACK-backstop repairs cross the fabric, so the `World` handles 11 542
 /// events, answers 180 waits and steps 867 completions inline.
+/// Re-recorded once more when a holder took to pushing each group send
+/// down its finger tree, a pull to waiting one repair timeout for the push
+/// before it asks and to probing every half repair timeout once it has
+/// (§11.1, §11.2): most payloads cross as one push instead of
+/// `Advr` → `Want` → answer, so the `World` handles 10 759 events, answers
+/// 189 waits and steps 825 completions inline.
 #[test]
 fn gossip_bcast_n16_unicast_only_lossy() {
     let fabric = NetParams::fast_ethernet_switch()
@@ -484,8 +490,8 @@ fn gossip_bcast_n16_unicast_only_lossy() {
     );
     assert!(stats.net.injected_frame_losses > 0, "the loss model ran");
     assert!(stats.repair.wants_sent > 0, "receivers pulled");
-    assert_eq!(report.events_handled, 11_542);
-    assert_eq!((lent, plain), (handoff(180, 867), handoff(180, 867)));
+    assert_eq!(report.events_handled, 10_759);
+    assert_eq!((lent, plain), (handoff(189, 825), handoff(189, 825)));
 }
 
 /// Two concurrent parity groups of an 8-rank world on a lossy switch:

@@ -98,10 +98,16 @@ pub(crate) struct GossipState {
     /// after pulling them.
     relayed: Vec<(u32, u64)>,
     /// Scratch: payloads one pass took in that no pull was waiting for —
-    /// a push whose `Advr` is still queued behind it in the same pass, or
-    /// a point-to-point send. An `Advr` naming one claims it as a push;
-    /// the rest are dropped at the end of the pass.
+    /// a push whose `Advr` is still queued behind it in the same pass, a
+    /// push whose `Advr` was lost, or a point-to-point send. An `Advr` of
+    /// the same pass naming one claims it as a push; the rest are `held`.
     unclaimed: Vec<Message>,
+    /// What earlier passes left unclaimed, and when, for one repair
+    /// timeout. An `Advr` naming one claims it for the relay store and
+    /// the lazy `Advr`s, not for the tree: by then the subtree below has
+    /// had other holders' `Advr`s as long, and pushing on races its
+    /// pulls. What no `Advr` names in time is dropped.
+    held: Vec<(Nanos, Message)>,
 }
 
 /// The binomial tree the finger graph forms around origin `src`: `me`'s
@@ -115,6 +121,21 @@ fn tree_children(me: usize, src: usize, n: usize) -> impl Iterator<Item = usize>
         .take_while(move |&d| r + d < n)
         .filter(move |&d| d > r)
         .map(move |d| (me + d) % n)
+}
+
+/// The datagrams a stored relay message goes out as: re-encoded under
+/// the *origin's* rank and sequence number, so the receiver's dedup and
+/// matching treat the relayed copy exactly like the original.
+fn relay_datagrams(m: &Message, enc: &Encoder) -> Vec<Datagram> {
+    split_message(
+        m.kind,
+        m.context,
+        m.src_rank,
+        m.tag,
+        m.seq,
+        &m.payload,
+        enc.max_chunk,
+    )
 }
 
 /// Every peer's latest frontier per source — the GC quorum for the relay
@@ -324,6 +345,7 @@ impl GossipState {
             digests: DigestScratch::default(),
             relayed: Vec::new(),
             unclaimed: Vec::new(),
+            held: Vec::new(),
         }
     }
 
@@ -355,11 +377,15 @@ impl GossipState {
         //    is advertised onward to our finger peers and never pushed —
         //    the lazy relay that lets a peer cut off from its tree parent
         //    pull from whoever it *can* reach. What no pull waits for is
-        //    held for this pass's `Advr`s: a push may have overtaken its
-        //    own `Advr` in the queues. What nobody advertised to us — a
+        //    held for this pass's `Advr`s — a push may have overtaken its
+        //    own `Advr` in the queues — and then for a repair timeout, in
+        //    case its `Advr` was lost. What nobody advertises to us — a
         //    point-to-point send, or its NACK repair — stays with its
         //    receiver. A pull is still `wanted` here: only
         //    `retry_wants`, below, retires the ones that landed.
+        let now = io.now();
+        let (t, _) = horizon.timers(None);
+        self.held.retain(|&(at, _)| now < at.saturating_add(t));
         let mut fresh = std::mem::take(&mut self.relayed);
         while let Some(m) = cx.inbox.take_data_log() {
             let key = (m.src_rank, m.seq);
@@ -397,7 +423,7 @@ impl GossipState {
                 _ => {}
             }
         }
-        self.unclaimed.clear();
+        self.held.extend(self.unclaimed.drain(..).map(|m| (now, m)));
         // 3. Expired pulls ask or probe their holder, or rotate off a
         //    silent one.
         self.retry_wants(cx, io, horizon, member);
@@ -415,15 +441,7 @@ impl GossipState {
     ) {
         let key = (m.src_rank, m.seq);
         let dgs = match tree_children(cx.enc.rank, key.0 as usize, cx.enc.n).next() {
-            Some(_) => split_message(
-                m.kind,
-                m.context,
-                m.src_rank,
-                m.tag,
-                m.seq,
-                &m.payload,
-                cx.enc.max_chunk,
-            ),
+            Some(_) => relay_datagrams(&m, cx.enc),
             None => Vec::new(),
         };
         self.relay_insert(m);
@@ -538,9 +556,11 @@ impl GossipState {
     /// not hold and are not already pulling arms a pull from the
     /// advertiser that waits one repair timeout for the push before it
     /// asks. An id that landed this pass with no pull waiting is the push
-    /// this `Advr` heralds, and goes on down the tree. Other ids we already
-    /// hold count as `duplicate_payloads_avoided` — each is a payload that
-    /// did *not* cross our link a second time.
+    /// this `Advr` heralds, and goes on down the tree; one an earlier pass
+    /// left `held` — its own `Advr` lost — is stored and advertised
+    /// lazily. Other ids we already hold count as
+    /// `duplicate_payloads_avoided` — each is a payload that did *not*
+    /// cross our link a second time.
     fn ingest_advr<P: RepairPort>(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -565,13 +585,14 @@ impl GossipState {
                         continue; // our own traffic: we hold it
                     }
                     if cx.inbox.has_seen(e.src, s) || self.relay.contains_key(&(e.src, s)) {
-                        let pushed = self
-                            .unclaimed
-                            .iter()
-                            .position(|m| (m.src_rank, m.seq) == (e.src, s));
-                        if let Some(i) = pushed {
+                        let is_id = |m: &Message| (m.src_rank, m.seq) == (e.src, s);
+                        if let Some(i) = self.unclaimed.iter().position(is_id) {
                             let m = self.unclaimed.swap_remove(i);
                             self.hold_pushed(cx, io, m, member);
+                        } else if let Some(i) = self.held.iter().position(|(_, m)| is_id(m)) {
+                            let (_, m) = self.held.swap_remove(i);
+                            self.relay_insert(m);
+                            self.advertise_to_fingers(cx, io, &[(e.src, s)], member);
                         } else if newly {
                             cx.stats.duplicate_payloads_avoided += 1;
                         }
@@ -622,17 +643,9 @@ impl GossipState {
                             .filter(|rec| rec.matches(peer as u32, rec.tag))
                             .map(|rec| rec.datagrams.clone())
                     } else {
-                        self.relay.get(&(e.src, s)).map(|m| {
-                            split_message(
-                                m.kind,
-                                m.context,
-                                m.src_rank,
-                                m.tag,
-                                m.seq,
-                                &m.payload,
-                                cx.enc.max_chunk,
-                            )
-                        })
+                        self.relay
+                            .get(&(e.src, s))
+                            .map(|m| relay_datagrams(m, cx.enc))
                     };
                     if let Some(dgs) = answer {
                         self.served[peer].note(e.src, s);

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use super::*;
 use crate::config::{MembershipConfig, RepairConfig};
 use crate::inbox::Inbox;
+use crate::planes::CONTROL_SEQ_BASE;
 use crate::testing::ScriptedPump;
 
 /// The feed and the GC as they were before they became incremental, kept
@@ -388,9 +389,9 @@ fn unchanged_session_message_evaluates_no_quorum() {
 enum Landing {
     /// Behind its origin's `Advr`, while the pull it armed still waits.
     Pushed,
-    /// In answer to an asked pull: its `Advr` came a repair timeout
-    /// earlier, and the pull's `Want` went out.
-    Pulled,
+    /// After an asked pull: the `Advr` of the rank it names came a repair
+    /// timeout earlier, and the pull's `Want` went out to that rank.
+    Pulled(usize),
     /// With no `Advr` at all: a point-to-point send.
     Unadvertised,
 }
@@ -405,14 +406,19 @@ fn land(rig: &mut Rig, src: u32, seq: u64, how: Landing) {
         stats: &mut rig.stats,
     };
     let (member, horizon) = (Some(&rig.member), &rig.horizon);
-    if how != Landing::Unadvertised {
+    let advertiser = match how {
+        Landing::Pushed => Some(src as usize),
+        Landing::Pulled(from) => Some(from),
+        Landing::Unadvertised => None,
+    };
+    if let Some(from) = advertiser {
         let payload = GossipDigest::single(src, seq).encode();
         let view = GossipDigestView::parse(&payload).expect("own encoding");
         rig.g
-            .ingest_advr(&mut cx, &mut rig.io, horizon, member, src as usize, view);
+            .ingest_advr(&mut cx, &mut rig.io, horizon, member, from, view);
     }
-    if how == Landing::Pulled {
-        let (t, _) = horizon.timers(Some(src as usize));
+    if let Landing::Pulled(from) = how {
+        let (t, _) = horizon.timers(Some(from));
         rig.io.set_clock(rig.io.clock() + t);
         rig.g.service(&mut cx, &mut rig.io, horizon, member);
         assert!(rig.g.wanted[&(src, seq)].asked, "the pull asked");
@@ -456,7 +462,7 @@ fn relays_and_origins_advertise_to_the_fingers() {
         assert_eq!(told(&rig, (src, 1)), fingers, "n={n}");
         land(&mut rig, src, 2, Landing::Unadvertised);
         assert!(told(&rig, (src, 2)).is_empty(), "n={n}: not advertised");
-        land(&mut rig, src, 3, Landing::Pulled);
+        land(&mut rig, src, 3, Landing::Pulled(src as usize));
         assert_eq!(told(&rig, (src, 3)), fingers, "n={n}");
 
         if let Some(&dead) = fingers.first() {
@@ -498,9 +504,13 @@ fn the_push_tree_spans_the_group_through_fingers() {
 
 /// A rank that got a payload by push pushes it on to its tree children —
 /// each behind its `Advr`, smallest offset first — and only then tells its
-/// other fingers; one that got it by an asked pull advertises it to every
-/// finger and pushes nothing. Rank 2 of 32 around origin 0: children 6,
-/// 10 and 18, other fingers 3 and 4.
+/// other fingers. One that got it after its pull asked advertises it to
+/// every finger and pushes nothing, even when the holder asked was its
+/// tree parent (the origin here) and what landed was that parent's push,
+/// held up: by then its subtree has waited a repair timeout on the lazy
+/// `Advr`s, and pushing on puts about three times the duplicate chunks
+/// on a lossy N=32 fabric. Rank 2 of 32 around origin 0: children 6, 10
+/// and 18, other fingers 3 and 4.
 #[test]
 fn a_pushed_payload_goes_down_the_tree_and_a_pulled_one_is_only_advertised() {
     let sent = |rig: &mut Rig| -> Vec<(usize, MsgKind)> {
@@ -535,7 +545,22 @@ fn a_pushed_payload_goes_down_the_tree_and_a_pulled_one_is_only_advertised() {
         "the push came before the pull asked"
     );
 
-    land(&mut rig, 0, 2, Landing::Pulled);
+    land(&mut rig, 0, 2, Landing::Pulled(1));
+    assert_eq!(
+        sent(&mut rig),
+        [
+            (1, Want),
+            (3, Advr),
+            (4, Advr),
+            (6, Advr),
+            (10, Advr),
+            (18, Advr),
+        ],
+        "a pulled payload is advertised, never pushed"
+    );
+    assert_eq!(rig.stats.pushes_sent, 3);
+
+    land(&mut rig, 0, 3, Landing::Pulled(0));
     assert_eq!(
         sent(&mut rig),
         [
@@ -546,9 +571,86 @@ fn a_pushed_payload_goes_down_the_tree_and_a_pulled_one_is_only_advertised() {
             (10, Advr),
             (18, Advr),
         ],
-        "a pulled payload is advertised, never pushed"
+        "landed after asking the tree parent: advertised, not pushed"
     );
     assert_eq!(rig.stats.pushes_sent, 3);
+}
+
+/// A payload that lands with no pull waiting for it is claimed by the
+/// first `Advr` naming it. In the same pass it is the push that `Advr`
+/// heralds, overtaken in the inbox queues, and goes on down the tree. In
+/// a later pass, within a repair timeout, it is a push whose own `Advr`
+/// was lost: it is stored and advertised to the fingers, not pushed on.
+/// Later still it is gone, and the `Advr` counts a duplicate avoided.
+/// Rank 2 of 32 around origin 0: children 6, 10 and 18, other fingers 3
+/// and 4; rank 1, a holder, advertises. Every message comes through the
+/// inbox, as off the wire.
+#[test]
+fn a_payload_with_no_pull_waiting_is_claimed_by_an_advr_naming_it() {
+    use MsgKind::{Advr, Data};
+    let mut rig = Rig::new(32, 2, false);
+    rig.io = ScriptedPump::routed(1).remove(0);
+    rig.inbox.set_log_data(true);
+    let (t, _) = rig.horizon.timers(None);
+    let payload = |seq: u64| split_message(Data, 0, 0, 0, seq, &Bytes::new(), 60_000);
+    let advr = |seq: u64| {
+        let digest = GossipDigest::single(0, seq).encode();
+        split_message(Advr, 0, 1, 0, CONTROL_SEQ_BASE | seq, &digest, 60_000)
+    };
+    // Take `dgs` in and run one pass; what it sent, to whom.
+    let pass = |rig: &mut Rig, dgs: Vec<Datagram>| -> Vec<(usize, MsgKind)> {
+        for d in dgs {
+            rig.inbox.ingest_wire(&d, false).expect("well-formed");
+        }
+        let mut cx = Ctx {
+            enc: &mut rig.enc,
+            inbox: &mut rig.inbox,
+            rtx: &mut rig.rtx,
+            stats: &mut rig.stats,
+        };
+        let (member, horizon) = (Some(&rig.member), &rig.horizon);
+        rig.g.service(&mut cx, &mut rig.io, horizon, member);
+        rig.io
+            .take_sent()
+            .iter()
+            .map(|(to, d)| (*to, d.decode().expect("well-formed").kind))
+            .collect()
+    };
+
+    let both = payload(1).into_iter().chain(advr(1)).collect();
+    let pushed = [
+        (6, Advr),
+        (6, Data),
+        (10, Advr),
+        (10, Data),
+        (18, Advr),
+        (18, Data),
+        (3, Advr),
+        (4, Advr),
+    ];
+    assert_eq!(pass(&mut rig, both), pushed, "the same pass: a push");
+
+    assert!(
+        pass(&mut rig, payload(2)).is_empty(),
+        "nothing names it yet"
+    );
+    rig.io.set_clock(rig.io.clock() + t - 1);
+    let lazy = [(3, Advr), (4, Advr), (6, Advr), (10, Advr), (18, Advr)];
+    assert_eq!(
+        pass(&mut rig, advr(2)),
+        lazy,
+        "a later pass: relayed lazily"
+    );
+    assert!(rig.g.relay.contains_key(&(0, 2)));
+
+    assert!(pass(&mut rig, payload(3)).is_empty());
+    rig.io.set_clock(rig.io.clock() + t);
+    let sent = pass(&mut rig, advr(3));
+    assert!(sent.is_empty(), "held no longer: {sent:?}");
+    assert!(!rig.g.relay.contains_key(&(0, 3)));
+    assert!(rig.g.held.is_empty());
+    assert_eq!(rig.stats.pushes_sent, 3);
+    assert_eq!(rig.stats.duplicate_payloads_avoided, 1);
 }
 
 /// GC empties the relay store while it is under its cap; the keys it

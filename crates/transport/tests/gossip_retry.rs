@@ -6,7 +6,10 @@
 //! an echo that arrives while the payload is still missing rotates the
 //! pull to another holder at once, and a holder whose echo already proved
 //! its answer lost is sent a `Repull`, which it answers with the payload
-//! again.
+//! again. Only a payload that lands before its pull asked goes on down
+//! the requester's subtree (its one child, rank 6, absent here: counted
+//! in its `pushes_sent`); one that lands after — its push held up, or
+//! an answer — and one whose `Advr` was lost are advertised lazily.
 //!
 //! Three bare [`EndpointCore`]s of an 8-rank group over
 //! [`ScriptedPump::routed`], routed by hand so that each test loses or
@@ -278,6 +281,7 @@ fn a_lost_answer_draws_an_echo_and_rotates_to_the_other_holder_at_once() {
         ),
         (3, 0, 1)
     );
+    assert_eq!(net.stats(REQUESTER).pushes_sent, 0, "pulled: not pushed on");
 }
 
 #[test]
@@ -304,6 +308,11 @@ fn an_answer_delayed_behind_probes_crosses_once() {
     assert_eq!(net.payloads(ORIGIN, REQUESTER), 1);
     assert_eq!(net.payloads(RELAY, REQUESTER), 0);
     assert_eq!(net.stats(ORIGIN).echoes_sent, 3);
+    assert_eq!(
+        net.stats(REQUESTER).pushes_sent,
+        0,
+        "the push landed after the pull asked: not pushed on"
+    );
     assert!(pulls(&net.settle_at(60 * T)).is_empty(), "the pull retired");
 }
 
@@ -464,4 +473,39 @@ fn a_lost_push_is_recovered_from_the_tree_parent() {
         ),
         (3, 1, 1)
     );
+    assert_eq!(
+        net.stats(REQUESTER).pushes_sent,
+        0,
+        "a Repull's answer is pulled: not pushed on"
+    );
+}
+
+/// A push whose `Advr` was lost lands with no pull waiting for it. The
+/// requester holds it until the relay's lazy `Advr`, a pass later, names
+/// it: then it stores it and advertises it to its fingers (3, 4 and 6,
+/// absent here), but does not push it on — by then its subtree has had
+/// the other holders' `Advr`s as long. It asks no one, and answers a
+/// pull for it.
+#[test]
+fn a_push_that_lost_its_advr_is_relayed_lazily() {
+    let mut net = Net::new();
+    let log = advertised(
+        &mut net,
+        first(ORIGIN, REQUESTER, MsgKind::Advr, Fate::Drop),
+    );
+    assert_eq!(log, [PUSH]);
+    assert!(net.requester_has());
+    let requester = net.stats(REQUESTER);
+    assert_eq!((requester.pushes_sent, requester.advrs_sent), (0, 3));
+    for now in [T, 2 * T, 60 * T] {
+        assert!(pulls(&net.settle_at(now)).is_empty(), "at {now}");
+    }
+    assert_eq!(net.stats(REQUESTER).wants_sent, 0);
+    assert_eq!(net.payloads(RELAY, REQUESTER), 0);
+
+    let digest = GossipDigest::single(ORIGIN as u32, 0).encode();
+    net.ios[0].inject_message(MsgKind::Want, RELAY as u32, 0, (1 << 63) | 900, &digest);
+    let log = net.settle(|_| Fate::Deliver);
+    assert_eq!(log, [(REQUESTER, RELAY, MsgKind::Data)], "answered");
+    assert_eq!(net.stats(REQUESTER).pulls_answered, 1);
 }

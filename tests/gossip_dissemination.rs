@@ -430,15 +430,17 @@ fn gossip_payload_crosses_each_link_at_most_once_at_n16_and_n32() {
 /// period each rank unicasts its session message to all n−1 peers at
 /// once, and at N=32 that burst (≈ 2.5 ms of a 100 Mb/s link) can queue
 /// between an `Advr` and its push on the way down (6 of the 1 984 pushes
-/// here; at most one per eight broadcasts passes). Such a `Want` goes to
-/// the tree parent, whose `Advr` came first, and draws an echo, never a
-/// second payload; a first `Want` sent without waiting would go out for
-/// every push. Reversing the push
-/// order (largest offset first) holds the root's biggest subtree back
-/// behind its smallest ones, and their lazy `Advr`s outrun the late
-/// pushes.
+/// here; at most one per eight broadcasts passes, so "no `Want`" holds
+/// at N=16 only). Such a `Want` goes to the tree parent, whose `Advr`
+/// came first, and draws an echo, never a second payload; a first `Want`
+/// sent without waiting would go out for every push. A late push is not
+/// pushed on, so the exact push count also says that every late push at
+/// these seeds landed at a leaf: at a rank with children it would show
+/// as pushes missing and pulls answered. Reversing the push order
+/// (largest offset first) holds the root's biggest subtree back behind
+/// its smallest ones, and their lazy `Advr`s outrun the late pushes.
 #[test]
-fn a_lossless_broadcast_is_n_minus_1_pushes_and_no_want() {
+fn a_lossless_broadcast_is_n_minus_1_pushes_and_a_want_only_for_a_late_push() {
     for n in [16usize, 32] {
         let count = 2 * n;
         let params = NetParams::fast_ethernet_switch()

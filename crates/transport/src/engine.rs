@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use mmpi_wire::{
     Bytes, Datagram, Message, MsgKind, RepairStats, RetransmitBuffer, SendDst, UnavailPayload,
+    ONE_FRAME_PAYLOAD,
 };
 
 #[cfg(doc)]
@@ -239,6 +240,7 @@ impl EndpointCore {
         let dgs = self.encode(tag, kind, payload, seq);
         self.record_if_armed(seq, SendDst::Rank(dst as u32), tag, kind, &dgs);
         io.send_encoded(dst, &dgs);
+        self.copy_while_repairing(io, payload, &dgs, Some(dst));
         if self.repair.as_ref().is_some_and(|r| r.srm.has_standing()) {
             self.notify_sent(io, tag, Some(dst));
         }
@@ -252,8 +254,10 @@ impl EndpointCore {
 
     /// The shared *group* send path (see [`EndpointCore::send_message`]) —
     /// the dissemination seam. Under [`crate::config::Dissemination::Multicast`]
-    /// the encoded message goes out as one fabric multicast,
-    /// byte-identical to the pre-seam protocol. Under
+    /// the encoded message goes out as one fabric multicast (twice while
+    /// the group repairs loss, see [`EndpointCore::copy_while_repairing`]),
+    /// byte-identical to the pre-seam protocol on a fabric that never
+    /// solicits. Under
     /// [`crate::config::Dissemination::Gossip`] the payload is recorded
     /// (as a `Multicast` record, so any requester may pull it) and pushed
     /// down the binomial tree of the origin's finger peers, each push
@@ -283,7 +287,10 @@ impl EndpointCore {
             )) => {
                 g.push_down_tree(&mut cx, io, (me, seq), &dgs, member.as_ref());
             }
-            _ => io.send_encoded_mcast(&dgs),
+            _ => {
+                io.send_encoded_mcast(&dgs);
+                self.copy_while_repairing(io, payload, &dgs, None);
+            }
         }
         if self.repair.as_ref().is_some_and(|r| r.srm.has_standing()) {
             self.notify_sent(io, tag, None);
@@ -295,6 +302,33 @@ impl EndpointCore {
             m.note_tx(io.now());
         }
         seq
+    }
+
+    /// The copy rule (`docs/PROTOCOL.md` §8.5): while this endpoint has
+    /// sent or taken in a solicit lately ([`SrmState::copies_due`]), a
+    /// message that encodes to one datagram fitting one Ethernet frame
+    /// goes out a second time on the same path, under the same seq. A
+    /// receiver drops whichever copy comes second as a duplicate, so one
+    /// frame buys a loss probability of p² instead of p. Never under
+    /// gossip: no solicit is noted there.
+    ///
+    /// [`SrmState::copies_due`]: crate::planes::srm::SrmState::copies_due
+    fn copy_while_repairing<P: RepairPort>(
+        &mut self,
+        io: &mut P,
+        payload: &Bytes,
+        dgs: &[Datagram],
+        dst: Option<usize>,
+    ) {
+        let one_frame = dgs.len() == 1 && payload.len() <= ONE_FRAME_PAYLOAD;
+        if !one_frame || !self.repair.as_ref().is_some_and(|r| r.srm.copies_due(io)) {
+            return;
+        }
+        match dst {
+            Some(d) => io.send_encoded(d, dgs),
+            None => io.send_encoded_mcast(dgs),
+        }
+        self.rstats.copies_sent += 1;
     }
 
     /// The send notice (`docs/PROTOCOL.md` §8.4): when this send of `tag`

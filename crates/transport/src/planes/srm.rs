@@ -1,7 +1,8 @@
 //! The SRM plane (`docs/PROTOCOL.md` §8): answering NACKs out of the
 //! retransmit ring, deciding — at a posted receive's expired deadline —
-//! whether to solicit or stay quiet because a peer already did, and the
-//! standing requests and send notices of §8.4.
+//! whether to solicit or stay quiet because a peer already did, the
+//! standing requests and send notices of §8.4, and when a send goes out
+//! twice (§8.5).
 
 use std::collections::HashMap;
 
@@ -23,10 +24,15 @@ fn prune_stale<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Nanos>, now: Nanos,
     }
 }
 
+/// How many solicit timeouts (`nack_timeout`) a solicit sent or taken in
+/// keeps one-frame sends copied (§8.5): a loss seen now says the fabric is
+/// lossy for the next few exchanges, not for the rest of the run.
+const COPY_WINDOW_TIMEOUTS: u64 = 8;
+
 /// Per-endpoint SRM scale-out state: the seeded backoff stream, the two
 /// suppression memories (solicits overheard from peers, repairs this
-/// endpoint already multicast) and the solicits that came before the
-/// traffic they name.
+/// endpoint already multicast), the solicits that came before the
+/// traffic they name, and when this endpoint last saw a solicit.
 #[derive(Debug)]
 pub(crate) struct SrmState {
     cfg: RepairConfig,
@@ -47,6 +53,11 @@ pub(crate) struct SrmState {
     /// a tag of ours that we had not sent yet. The first send of the tag
     /// answers them with a send notice ([`SrmState::answer_standing`]).
     standing: HashMap<(Tag, u32), Nanos>,
+    /// When this endpoint last sent or took in a solicit on a multicast
+    /// fabric: the group is repairing loss, so one-frame sends go out
+    /// twice ([`SrmState::copies_due`]). `None` until the first, and
+    /// always under gossip.
+    solicit_seen: Option<Nanos>,
 }
 
 impl SrmState {
@@ -61,7 +72,18 @@ impl SrmState {
             heard: HashMap::new(),
             repaired: HashMap::new(),
             standing: HashMap::new(),
+            solicit_seen: None,
         }
+    }
+
+    /// Is the group repairing loss, as far as this endpoint can tell: did
+    /// it send or take in a solicit less than [`COPY_WINDOW_TIMEOUTS`]
+    /// solicit timeouts ago? Reads the clock only once it has seen one,
+    /// so a fabric that never solicits sends exactly as before.
+    pub(crate) fn copies_due<P: RepairPort>(&self, io: &mut P) -> bool {
+        let window = dur_nanos(self.cfg.nack_timeout).saturating_mul(COPY_WINDOW_TIMEOUTS);
+        self.solicit_seen
+            .is_some_and(|at| io.now().saturating_sub(at) < window)
     }
 
     /// Remember an overheard solicit. Pruning uses the widest window
@@ -199,6 +221,9 @@ impl SrmState {
             // are stuck on the same traffic, the repair it triggers will
             // heal us too, so our own deadline expiry can stay quiet.
             self.note_heard(payload.target, nack.tag, now);
+            if !cx.enc.unicast_only {
+                self.solicit_seen = Some(now);
+            }
             if payload.target != me && payload.target != NACK_TARGET_ANY {
                 // Addressed to another rank: suppression signal only.
                 cx.stats.nacks_overheard += 1;
@@ -323,6 +348,7 @@ impl SrmState {
             }
         } else {
             io.send_solicit(src, &dgs);
+            self.solicit_seen = Some(io.now());
         }
     }
 

@@ -10,6 +10,11 @@
 //! right behind the message (§8.4). A receiver still missing the message
 //! when the notice arrives lost it, and solicits within `backoff / 4`.
 //!
+//! An endpoint that sent or took in a solicit lately sends each message
+//! that fits one frame twice under one seq (§8.5), so a script that
+//! exercises the solicit paths after a solicit has been seen loses both
+//! copies.
+//!
 //! Three bare [`EndpointCore`]s of a 3-rank group over
 //! [`ScriptedPump::routed`], stepped from deadline to deadline on the
 //! shared clock. Rank 0 is the source, rank 1 the receiver under test and
@@ -18,7 +23,7 @@
 
 use mmpi_transport::testing::ScriptedPump;
 use mmpi_transport::{EndpointCore, Nanos, RecvReq, RepairConfig, WaitKind, WaitPoll};
-use mmpi_wire::{Bytes, Datagram, MsgKind, NackPayload, RepairStats};
+use mmpi_wire::{Bytes, Datagram, MsgKind, NackPayload, RepairStats, ONE_FRAME_PAYLOAD};
 
 const N: usize = 3;
 const SOURCE: usize = 0;
@@ -57,7 +62,10 @@ struct Net {
 
 impl Net {
     fn new() -> Self {
-        let cfg = RepairConfig::sim_default();
+        Net::with(RepairConfig::sim_default())
+    }
+
+    fn with(cfg: RepairConfig) -> Self {
         assert_eq!(cfg.nack_timeout.as_nanos() as Nanos, T);
         assert_eq!(cfg.backoff.as_nanos() as Nanos, B);
         Net {
@@ -224,15 +232,16 @@ fn lose_to_victim(kind: MsgKind, n: usize) -> impl FnMut(&Hop) -> bool {
 
 /// Rank 21's case of `docs/PERFORMANCE.md` ("an early solicit"). The
 /// peer solicits `(0, tag)` before the source has sent, and the victim
-/// overhears it. The source's multicast 0.4 ms later is lost at the
-/// victim. The victim solicits within `backoff / 4` of the loss, not a
-/// timeout later, and its repair arrives with that solicit. On its own
-/// timer, its first deadline falls at least half a timeout after the
-/// loss, inside the window of the overheard solicit.
+/// overhears it. The source's multicast 0.4 ms later — both copies, the
+/// source having taken in the solicit — is lost at the victim. The victim
+/// solicits within `backoff / 4` of the loss, not a timeout later, and
+/// its repair arrives with that solicit. On its own timer, its first
+/// deadline falls at least half a timeout after the loss, inside the
+/// window of the overheard solicit.
 #[test]
 fn a_send_notice_turns_a_later_loss_into_a_prompt_solicit() {
     let mut net = Net::new();
-    let mut lost = lose_to_victim(MsgKind::Data, 1);
+    let mut lost = lose_to_victim(MsgKind::Data, 2);
     let heard = net.early_solicit(&mut lost);
     let loss = heard + 400_000;
     net.run_until(loss, &mut lost);
@@ -250,16 +259,17 @@ fn a_send_notice_turns_a_later_loss_into_a_prompt_solicit() {
     );
     assert_eq!(net.done_at[VICTIM], Some(asked[0]));
     assert_eq!(net.stats(SOURCE).retransmits_sent, 1);
+    assert_eq!(net.stats(SOURCE).copies_sent, 1);
 }
 
 /// The same over a unicast, shaped like a scout: the victim itself asks
 /// the source for an empty message it has not sent yet, and the message
-/// is lost. The victim re-solicits within `backoff / 4` of the loss, not
-/// a timeout later, and the source replays the scout to it.
+/// is lost, both copies. The victim re-solicits within `backoff / 4` of
+/// the loss, not a timeout later, and the source replays the scout to it.
 #[test]
 fn a_lost_scout_is_solicited_promptly() {
     let mut net = Net::new();
-    let mut lost = lose_to_victim(MsgKind::Scout, 1);
+    let mut lost = lose_to_victim(MsgKind::Scout, 2);
     net.post(VICTIM);
     let first = net.next_deadline().expect("the victim's first deadline");
     net.run_until(first + 1, &mut lost);
@@ -280,6 +290,7 @@ fn a_lost_scout_is_solicited_promptly() {
     );
     assert_eq!(net.done_at[VICTIM], Some(asked[1]));
     assert_eq!(net.stats(SOURCE).retransmits_sent, 1);
+    assert_eq!(net.hops_to(VICTIM, MsgKind::Scout), 3, "two copies, one replay");
     assert_eq!(
         net.hops_to(PEER, MsgKind::Sent),
         0,
@@ -287,10 +298,92 @@ fn a_lost_scout_is_solicited_promptly() {
     );
 }
 
+/// The copy rule (`docs/PROTOCOL.md` §8.5). The victim asks the source
+/// for a scout it has not sent yet, so the source has taken in a solicit,
+/// and its scout 0.4 ms later goes out twice under one seq. The first copy
+/// is lost; the second delivers the scout at once, with no solicit, no
+/// replay and no wait for the notice behind it. Had both arrived, the
+/// victim would have dropped the second as a duplicate: the scout is
+/// delivered once.
+#[test]
+fn a_scout_whose_first_copy_is_lost_arrives_by_the_second() {
+    for lose in [1, 0] {
+        let mut net = Net::new();
+        let mut lost = lose_to_victim(MsgKind::Scout, lose);
+        net.post(VICTIM);
+        let first = net.next_deadline().expect("the victim's first deadline");
+        net.run_until(first + 1, &mut lost);
+        assert_eq!(net.solicits(), [first], "the victim asked early");
+
+        let sent = first + 400_000;
+        net.run_until(sent, &mut lost);
+        net.scout(VICTIM);
+        net.run_until(sent + 1, &mut lost);
+        assert_eq!(net.done_at[VICTIM], Some(sent), "lost {lose}");
+        net.post(VICTIM);
+        net.run_until(sent + 4 * (T + B), &mut lost);
+
+        assert_eq!(net.hops_to(VICTIM, MsgKind::Scout), 2, "lost {lose}");
+        assert_eq!(net.stats(SOURCE).copies_sent, 1);
+        assert_eq!(net.stats(SOURCE).retransmits_sent, 0, "lost {lose}");
+        assert_eq!(
+            net.cores[VICTIM].inbox.duplicates_dropped(),
+            1 - lose as u64,
+            "lost {lose}"
+        );
+        assert!(
+            net.posted[VICTIM].is_some(),
+            "a second receive of the tag matches nothing: lost {lose}"
+        );
+    }
+}
+
+/// What the copy rule leaves alone. With a solicit taken in, a message
+/// whose one datagram would not fit one frame (here the 4 KiB of a
+/// broadcast block, and one byte past [`ONE_FRAME_PAYLOAD`]) goes out
+/// once, and one that fits exactly goes out twice. A source that has
+/// taken in no solicit copies nothing, and neither does a gossip source
+/// that has: its group sends are pushed, and its solicits never count.
+#[test]
+fn only_one_frame_multicast_sends_after_a_solicit_are_copied() {
+    let solicit = NackPayload::addressed_to(SOURCE as u32).encode();
+    let data_hops = |net: &mut Net, len: usize| {
+        net.payload = vec![0x5A; len];
+        net.multicast();
+        let before = net.hops.len();
+        net.settle(&mut |_| false);
+        net.hops[before..]
+            .iter()
+            .filter(|h| **h == (SOURCE, VICTIM, MsgKind::Data))
+            .count()
+    };
+    let mut net = Net::new();
+    assert_eq!(data_hops(&mut net, 64), 1, "no solicit seen: one copy");
+    net.ios[SOURCE].inject_message(MsgKind::Nack, PEER as u32, 99, 0, &solicit);
+    for (len, copies) in [
+        (4096, 1),
+        (ONE_FRAME_PAYLOAD + 1, 1),
+        (ONE_FRAME_PAYLOAD, 2),
+        (0, 2),
+    ] {
+        assert_eq!(data_hops(&mut net, len), copies, "{len} bytes");
+    }
+    assert_eq!(net.stats(SOURCE).copies_sent, 2);
+
+    let mut gossip = Net::with(RepairConfig::sim_default().with_gossip());
+    gossip.ios[SOURCE].inject_message(MsgKind::Nack, PEER as u32, 99, 0, &solicit);
+    assert_eq!(data_hops(&mut gossip, 64), 1, "pushed once");
+    gossip.scout(VICTIM);
+    gossip.settle(&mut |_| false);
+    assert_eq!(gossip.hops_to(VICTIM, MsgKind::Scout), 1);
+    assert_eq!(gossip.stats(SOURCE).copies_sent, 0);
+}
+
 /// A receiver that holds the data ignores the notice: nobody solicits
 /// again and the source re-sends nothing. On each path the notice trails
 /// the data, and one early solicit draws one notice however often the tag
-/// is sent.
+/// is sent. The source took in that solicit, so each send goes out as two
+/// copies (§8.5), both ahead of the notice.
 #[test]
 fn a_holder_ignores_the_notice_and_a_tag_is_noticed_once() {
     let mut net = Net::new();
@@ -318,10 +411,17 @@ fn a_holder_ignores_the_notice_and_a_tag_is_noticed_once() {
             .collect();
         assert_eq!(
             path,
-            [MsgKind::Data, MsgKind::Sent, MsgKind::Data],
+            [
+                MsgKind::Data,
+                MsgKind::Data,
+                MsgKind::Sent,
+                MsgKind::Data,
+                MsgKind::Data
+            ],
             "rank {to}"
         );
     }
+    assert_eq!(net.stats(SOURCE).copies_sent, 2);
 }
 
 /// A standing request for a tag that is never sent does not stay. Once
@@ -362,20 +462,20 @@ fn a_standing_request_for_a_tag_never_sent_is_pruned() {
 /// traffic not sent yet must not strand it there. The peer solicits
 /// `(0, tag)` before the source has sent; the victim overhears it. The
 /// source's multicast then reaches the peer and is lost at the victim,
-/// and so is its send notice. The victim stays quiet only while the
+/// both copies, and so is its send notice. The victim stays quiet only while the
 /// overheard solicit is younger than one timeout, solicits at its first
 /// deadline after that, and holds the data within
 /// `2 × (nack_timeout + backoff)` of the loss.
 #[test]
 fn an_early_solicit_does_not_strand_a_later_loss() {
     let mut net = Net::new();
-    let mut lose_data = lose_to_victim(MsgKind::Data, 1);
+    let mut lose_data = lose_to_victim(MsgKind::Data, 2);
     let mut lose_notice = lose_to_victim(MsgKind::Sent, 1);
     let mut lost = |hop: &Hop| lose_data(hop) | lose_notice(hop);
     let heard = net.early_solicit(&mut lost);
 
-    // The source multicasts 0.4 ms later; the copy to the victim is lost,
-    // and so is the notice behind it.
+    // The source multicasts 0.4 ms later; both copies to the victim are
+    // lost, and so is the notice behind them.
     let loss = heard + 400_000;
     net.run_until(loss, &mut lost);
     net.multicast();

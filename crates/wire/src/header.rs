@@ -27,6 +27,11 @@ pub const MAGIC: u16 = 0x4D43;
 pub const VERSION: u8 = 1;
 /// Encoded header size in bytes.
 pub const HEADER_LEN: usize = 40;
+/// The largest message payload whose one datagram fits one Ethernet
+/// frame: the 1 500-byte MTU less the 20-byte IPv4 and 8-byte UDP
+/// headers leaves 1 472 bytes of UDP payload, and the header takes
+/// [`HEADER_LEN`] of them.
+pub const ONE_FRAME_PAYLOAD: usize = 1_500 - 20 - 8 - HEADER_LEN;
 
 /// Role of a message in the collective protocols.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

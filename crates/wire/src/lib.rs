@@ -50,7 +50,7 @@ pub use gossip::{
     compact_ranges, GossipDigest, GossipDigestView, SeenTable, SourceDigest, SourceDigestView,
     MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
 };
-pub use header::{Header, MsgKind, HEADER_LEN, MAGIC, VERSION};
+pub use header::{Header, MsgKind, HEADER_LEN, MAGIC, ONE_FRAME_PAYLOAD, VERSION};
 pub use member::{FailureAnnouncePayload, HeartbeatPayload, HEARTBEAT_LEN, MAX_ANNOUNCE_RANKS};
 pub use nack::{
     AckHorizonPayload, AckHorizonView, HorizonEcho, NackPayload, NackView, RangesView, SeqRange,

@@ -283,6 +283,11 @@ pub struct RepairStats {
     /// an origin's group send, or one a relay itself received by push.
     /// Not pulls — [`RepairStats::pulls_answered`] does not count them.
     pub pushes_sent: u64,
+    /// Second copies of a one-frame data message this endpoint sent under
+    /// its first copy's sequence number, while it had sent or taken in a
+    /// solicit recently (`docs/PROTOCOL.md` §8.5). Always zero under gossip
+    /// and on a fabric that never solicits.
+    pub copies_sent: u64,
     /// Control messages (`Nack`, `AckHorizon`, `Advr`, `Want`, `Served`) a plane
     /// dropped at ingest: a payload that does not decode, or a sender
     /// rank outside the group. Stray or hostile traffic on a real port;
@@ -297,12 +302,13 @@ pub struct RepairStats {
 }
 
 impl std::fmt::Debug for RepairStats {
-    /// The derived rendering — with the echo, push and two drop counters
-    /// shown only when they counted something. The recorded replay
-    /// fingerprints (`tests/determinism.rs`) hash this rendering of lossy
-    /// simulated runs, where nothing is ever malformed or foreign and no
-    /// multicast run echoes or pushes a payload: such a run must go on rendering
-    /// exactly as it did before the counters existed.
+    /// The derived rendering — with the echo, push, copy and two drop
+    /// counters shown only when they counted something. The recorded
+    /// replay fingerprints (`tests/determinism.rs`) hash this rendering of
+    /// simulated runs, where nothing is ever malformed or foreign, no
+    /// multicast run echoes or pushes a payload and no gossip or lossless
+    /// run copies one: such a run must go on rendering exactly as it did
+    /// before the counters existed.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = f.debug_struct("RepairStats");
         s.field("nacks_sent", &self.nacks_sent)
@@ -334,6 +340,9 @@ impl std::fmt::Debug for RepairStats {
         }
         if self.pushes_sent != 0 {
             s.field("pushes_sent", &self.pushes_sent);
+        }
+        if self.copies_sent != 0 {
+            s.field("copies_sent", &self.copies_sent);
         }
         if self.malformed_dropped != 0 {
             s.field("malformed_dropped", &self.malformed_dropped);
@@ -369,6 +378,7 @@ impl RepairStats {
         self.duplicate_payloads_avoided += other.duplicate_payloads_avoided;
         self.echoes_sent += other.echoes_sent;
         self.pushes_sent += other.pushes_sent;
+        self.copies_sent += other.copies_sent;
         self.malformed_dropped += other.malformed_dropped;
         self.foreign_dropped += other.foreign_dropped;
         self.epoch = self.epoch.max(other.epoch);
@@ -512,6 +522,18 @@ mod tests {
             .ends_with("duplicate_payloads_avoided: 0, pushes_sent: 31, epoch: 0 }"));
     }
 
+    /// A run that never copied a message renders as it did before the
+    /// counter existed.
+    #[test]
+    fn stats_render_copies_only_when_set() {
+        let copied = RepairStats {
+            copies_sent: 12,
+            ..RepairStats::default()
+        };
+        assert!(format!("{copied:?}")
+            .ends_with("duplicate_payloads_avoided: 0, copies_sent: 12, epoch: 0 }"));
+    }
+
     #[test]
     fn stats_merge_sums() {
         let mut a = RepairStats {
@@ -536,6 +558,7 @@ mod tests {
             duplicate_payloads_avoided: 20,
             echoes_sent: 24,
             pushes_sent: 25,
+            copies_sent: 26,
             malformed_dropped: 22,
             foreign_dropped: 23,
             epoch: 21,
@@ -561,6 +584,7 @@ mod tests {
         assert_eq!(a.duplicate_payloads_avoided, 40);
         assert_eq!(a.echoes_sent, 48);
         assert_eq!(a.pushes_sent, 50);
+        assert_eq!(a.copies_sent, 52);
         assert_eq!((a.malformed_dropped, a.foreign_dropped), (44, 46));
         assert_eq!(a.epoch, 21, "epoch merges by max, not sum");
     }

@@ -251,8 +251,15 @@ fn bcast_barrier_allgather(
 /// receiver still missing it (`docs/PROTOCOL.md` §8.4): the runs carry
 /// notices, and their solicits, repairs and times differ. Re-recorded
 /// once for it; gossip keeps no standing requests, so its run sends none.
-const SERVED_SWITCH_N64_SRM: u64 = 0xba5c_7e44_6756_554a;
-const SERVED_HUB_N8_SRM: u64 = 0x748f_d535_778b_c9df;
+/// They were `0xba5c_7e44_6756_554a` and `0x748f_d535_778b_c9df` until an
+/// endpoint that has sent or taken in a solicit lately came to send each
+/// one-frame message twice under one seq (`docs/PROTOCOL.md` §8.5): the
+/// runs' scouts, releases, 1 200-byte broadcasts and allgather blocks are
+/// copied once they repair, so their datagrams, solicits, repairs and
+/// times differ, and their counters render `copies_sent`. Re-recorded
+/// once for it; the gossip run notes no solicit and copies nothing.
+const SERVED_SWITCH_N64_SRM: u64 = 0x6bc9_9a39_41d4_a0c2;
+const SERVED_HUB_N8_SRM: u64 = 0x35d7_e239_5a71_d06a;
 const SERVED_GOSSIP_N16: u64 = 0x9442_24d5_2142_e4aa;
 
 #[test]
@@ -354,8 +361,16 @@ fn served_waits_replay_the_recorded_runs() {
 /// source, whose first send of the tag is followed by a send notice that
 /// re-arms a receiver still missing it (`docs/PROTOCOL.md` §8.4): losses
 /// are repaired sooner and the run is shorter. Re-recorded once for it:
-/// the `World` handles 119 164 events; 2 320 completions are answered and
-/// 39 758 stepped inline, 42 078 in all.
+/// the `World` handled 119 164 events; 2 320 completions were answered
+/// and 39 758 stepped inline, 42 078 in all.
+///
+/// Re-recorded once more when an endpoint that has sent or taken in a
+/// solicit lately came to send each one-frame message twice under one seq
+/// (`docs/PROTOCOL.md` §8.5): a scout, release or block lost once is
+/// delivered by its copy without a solicit, so the run is shorter. The
+/// `World` handles 71 653 events; 1 158 completions are answered — the
+/// same 576 per-collective wakes and 582 drain receives — and 29 530
+/// stepped inline, 30 688 in all.
 #[test]
 fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
     use mcast_mpi::transport::RepairConfig;
@@ -385,17 +400,57 @@ fn lossy_n64_ranks_sleep_through_most_of_what_they_receive() {
         "hand-off and event counts replay exactly"
     );
     let want = mcast_mpi::netsim::cluster::HandoffStats {
-        answered: 2_320,
-        stepped_inline: 39_758,
+        answered: 1_158,
+        stepped_inline: 29_530,
     };
-    assert_eq!((handoff, events), (want, 119_164));
+    assert_eq!((handoff, events), (want, 71_653));
     assert!(
         handoff.answered < 11_872,
         "a waited collective must wake its rank less often than once per wait: {handoff:?}"
     );
     assert_eq!(
         handoff.answered + handoff.stepped_inline,
-        42_078,
+        30_688,
         "every completion is handed over one way or the other"
     );
+}
+
+/// A copy is owed only while the group repairs loss (`docs/PROTOCOL.md`
+/// §8.5), and a clean fabric never solicits: on a lossless N=64 switch
+/// with repair on, three cycles of a 3 000/2 100/1 200-byte broadcast, a
+/// barrier and a 200-byte allgather — scouts, releases and blocks that
+/// each fit one frame — send no copy and no solicit, and the run's exact
+/// counts are those the protocol read before the copy rule existed.
+#[test]
+fn a_lossless_n64_switch_with_repair_on_sends_no_copy() {
+    use mcast_mpi::transport::{run_sim_world_stats, RepairConfig};
+    let cluster = ClusterConfig::new(64, NetParams::fast_ethernet_switch(), 0x5E12_7ED1)
+        .with_start_skew(SimDuration::from_micros(50));
+    let comm_cfg = SimCommConfig {
+        repair: Some(RepairConfig::sim_default().with_seed(11)),
+        ..SimCommConfig::default()
+    };
+    let (report, stats) = run_sim_world_stats(&cluster, &comm_cfg, |c| {
+        let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::McastBinary);
+        (0..3).fold(0, |acc, i| acc ^ bcast_barrier_allgather(&mut comm, i))
+    })
+    .expect("a lossless switch delivers");
+    let counts = (
+        report.events_handled,
+        report.handoff.answered + report.handoff.stepped_inline,
+        stats.net.frames_sent,
+        stats.net.kernel_datagrams_sent,
+        stats.net.wire_bytes_sent,
+        report.completion_times.iter().map(|t| t.as_nanos()).max(),
+    );
+    println!("{counts:?} {:?}", stats.repair);
+    assert_eq!(
+        (stats.repair.copies_sent, stats.repair.nacks_sent),
+        (0, 0),
+        "{:?}",
+        stats.repair
+    );
+    // Events, completions handed over, frames, kernel datagrams, wire
+    // bytes and the last completion, as the parent protocol reads them.
+    assert_eq!(counts, (28_461, 12_916, 579, 0, 98_982, Some(550_760_683)));
 }

@@ -157,8 +157,13 @@ fn digest(parts: &[String]) -> u64 {
 /// solicit for traffic not sent yet came to stand at its source, whose
 /// first send of the tag is followed by a send notice that re-arms a
 /// receiver still missing it (`docs/PROTOCOL.md` §8.4): the lossy run's
-/// repairs move. Re-recorded once for it.
-const SHRINK_KILL_N8: u64 = 0x5df8_923a_9be5_8982;
+/// repairs move. Re-recorded once for it. It was `0x5df8_923a_9be5_8982`
+/// until a rank that has sent or taken in a solicit lately came to send
+/// each one-frame message twice under one seq (`docs/PROTOCOL.md` §8.5):
+/// the lossy run's blocks, scouts and releases are copied once it
+/// repairs, so its datagrams, repairs and times move. Re-recorded once
+/// for it.
+const SHRINK_KILL_N8: u64 = 0xbb07_b895_207f_37e1;
 
 /// Full verification of one kill scenario: run it, check every
 /// survivor against the lossless mem ground truth, and (optionally)

@@ -255,9 +255,8 @@ impl EndpointCore {
     /// The shared *group* send path (see [`EndpointCore::send_message`]) —
     /// the dissemination seam. Under [`crate::config::Dissemination::Multicast`]
     /// the encoded message goes out as one fabric multicast (twice while
-    /// the group repairs loss, see [`EndpointCore::copy_while_repairing`]),
-    /// byte-identical to the pre-seam protocol on a fabric that never
-    /// solicits. Under
+    /// the group repairs loss, `docs/PROTOCOL.md` §8.5), byte-identical to
+    /// the pre-seam protocol on a fabric that never solicits. Under
     /// [`crate::config::Dissemination::Gossip`] the payload is recorded
     /// (as a `Multicast` record, so any requester may pull it) and pushed
     /// down the binomial tree of the origin's finger peers, each push
@@ -305,14 +304,12 @@ impl EndpointCore {
     }
 
     /// The copy rule (`docs/PROTOCOL.md` §8.5): while this endpoint has
-    /// sent or taken in a solicit lately ([`SrmState::copies_due`]), a
+    /// sent or taken in a solicit lately (`SrmState::copies_due`), a
     /// message that encodes to one datagram fitting one Ethernet frame
     /// goes out a second time on the same path, under the same seq. A
     /// receiver drops whichever copy comes second as a duplicate, so one
     /// frame buys a loss probability of p² instead of p. Never under
     /// gossip: no solicit is noted there.
-    ///
-    /// [`SrmState::copies_due`]: crate::planes::srm::SrmState::copies_due
     fn copy_while_repairing<P: RepairPort>(
         &mut self,
         io: &mut P,

@@ -290,7 +290,11 @@ fn a_lost_scout_is_solicited_promptly() {
     );
     assert_eq!(net.done_at[VICTIM], Some(asked[1]));
     assert_eq!(net.stats(SOURCE).retransmits_sent, 1);
-    assert_eq!(net.hops_to(VICTIM, MsgKind::Scout), 3, "two copies, one replay");
+    assert_eq!(
+        net.hops_to(VICTIM, MsgKind::Scout),
+        3,
+        "two copies, one replay"
+    );
     assert_eq!(
         net.hops_to(PEER, MsgKind::Sent),
         0,

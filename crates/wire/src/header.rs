@@ -282,6 +282,24 @@ mod tests {
         assert_eq!(payload, &[9u8; 10]);
     }
 
+    /// A payload of [`ONE_FRAME_PAYLOAD`] bytes encodes to one datagram of
+    /// 1 472 bytes, the UDP payload of one 1 500-byte Ethernet frame.
+    #[test]
+    fn a_one_frame_payload_fills_one_frame() {
+        let payload = bytes::Bytes::from(vec![7u8; ONE_FRAME_PAYLOAD]);
+        let dgs = crate::split_message(
+            MsgKind::Data,
+            0,
+            1,
+            2,
+            3,
+            &payload,
+            crate::DEFAULT_MAX_CHUNK,
+        );
+        assert_eq!(dgs.len(), 1);
+        assert_eq!(dgs[0].len(), 1_472);
+    }
+
     #[test]
     fn rejects_short_datagram() {
         assert!(matches!(

@@ -68,6 +68,8 @@ fn gossip_cfg(seed: u64) -> SimCommConfig {
 /// the epidemic machinery actually ran (advertisements out, payloads
 /// pushed or pulls answered — a clean fabric answers none: every push
 /// lands) and must emit zero multicast frames for the fabric to drop.
+/// Gossip notes no solicit, so it copies no send (`docs/PROTOCOL.md`
+/// §8.5), though its lossy runs' point-to-point collectives do solicit.
 #[test]
 fn gossip_digest_matches_mem_across_sizes_and_fabrics() {
     for n in [4usize, 8, 16] {
@@ -110,6 +112,7 @@ fn gossip_digest_matches_mem_across_sizes_and_fabrics() {
                 "gossip emits no multicast frames, so a unicast-only \
                  switch has nothing to drop (n={n}, {label})"
             );
+            assert_eq!(stats.repair.copies_sent, 0, "n={n}, {label}");
             if lossy {
                 assert!(
                     stats.net.injected_frame_losses > 0 && stats.repair.wants_sent > 0,

@@ -342,6 +342,38 @@ fn a_scout_whose_first_copy_is_lost_arrives_by_the_second() {
     }
 }
 
+/// The copy window opens at a solicit the endpoint sends as well as at
+/// one it takes in, and closes `8 × nack_timeout` after the last. The
+/// victim solicits a scout not sent yet, and the scout then arrives: its
+/// own one-frame sends are copied until eight timeouts after its solicit.
+/// A solicit it overhears later opens the window again.
+#[test]
+fn the_copy_window_runs_eight_timeouts_from_the_last_solicit_seen() {
+    let mut net = Net::new();
+    let mut lost = |_: &Hop| false;
+    net.post(VICTIM);
+    let asked = net.next_deadline().expect("the victim's first deadline");
+    net.run_until(asked + 1, &mut lost);
+    assert_eq!(net.solicits(), [asked], "the victim solicited");
+    net.scout(VICTIM);
+    net.settle(&mut lost);
+    assert!(net.posted[VICTIM].is_none(), "the scout arrived");
+
+    let sends_at = |net: &mut Net, at: Nanos| {
+        net.ios[0].set_clock(at);
+        let empty = Bytes::new();
+        net.cores[VICTIM].send_message(&mut net.ios[VICTIM], PEER, 9, MsgKind::Scout, &empty);
+        net.ios[VICTIM].take_sent().len()
+    };
+    assert_eq!(sends_at(&mut net, asked + 8 * T - 1), 2, "its own solicit");
+    assert_eq!(sends_at(&mut net, asked + 8 * T), 1, "the window closed");
+    let solicit = NackPayload::addressed_to(SOURCE as u32).encode();
+    net.ios[VICTIM].inject_message(MsgKind::Nack, PEER as u32, 99, 0, &solicit);
+    net.cores[VICTIM].progress(&mut net.ios[VICTIM]);
+    assert_eq!(sends_at(&mut net, asked + 8 * T), 2, "an overheard solicit");
+    assert_eq!(net.stats(VICTIM).copies_sent, 2);
+}
+
 /// What the copy rule leaves alone. With a solicit taken in, a message
 /// whose one datagram would not fit one frame (here the 4 KiB of a
 /// broadcast block, and one byte past [`ONE_FRAME_PAYLOAD`]) goes out

@@ -1,6 +1,6 @@
 //! Tuning for the repair loop and the planes under it: [`RepairConfig`]
-//! (the NACK/retransmit loop, the ACK-horizon session plane, adaptive
-//! timers), [`MembershipConfig`] (liveness) and
+//! (the NACK/retransmit loop and the ACK-horizon session plane),
+//! [`MembershipConfig`] (liveness) and
 //! [`Dissemination`] (multicast or gossip). `docs/PROTOCOL.md` walks
 //! through what each knob drives.
 
@@ -13,25 +13,29 @@ use std::time::Duration;
 /// pre-repair protocol.
 ///
 /// Recovery runs the SRM-style scale-out of `docs/PROTOCOL.md` §8:
-/// solicitation deadlines
-/// carry a seeded random [`RepairConfig::backoff`], NACKs are *multicast*
+/// solicitation deadlines carry a seeded random jitter of up to one
+/// [`RepairConfig::nack_timeout`], NACKs are *multicast*
 /// so peers stuck on the same traffic overhear and suppress their own,
 /// and the origin answers one NACK with a *multicast* retransmission that
 /// heals every stuck receiver at once.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairConfig {
     /// How long a blocked receive waits before (re-)soliciting a
-    /// retransmission with a NACK (plus the random [`RepairConfig::backoff`]).
-    /// It is also both suppression windows of `docs/PROTOCOL.md` §8: a
-    /// peer's solicit overheard less than one timeout ago silences our
-    /// own, and a multicast repair sent less than one timeout ago is not
-    /// repeated.
+    /// retransmission with a NACK, plus a random jitter uniform in
+    /// `[0, nack_timeout]` drawn from a `SplitMix64` stream seeded by
+    /// `seed ^ rank ^ context` (deterministic replay holds). The jitter is
+    /// what draws a group's stuck receivers apart, so that one solicits
+    /// and the rest overhear it. The timeout is also both suppression
+    /// windows of `docs/PROTOCOL.md` §8: a peer's solicit overheard less
+    /// than one timeout ago silences our own, and a multicast repair sent
+    /// less than one timeout ago is not repeated. Every repair timer of
+    /// every peer runs on it; none is derived from a measured RTT.
     pub nack_timeout: Duration,
     /// Base quiet period an endpoint keeps servicing NACKs after its
     /// program finished (the drain phase). Every received datagram
     /// restarts the clock. The *effective* grace scales with group size
     /// (see [`RepairConfig::effective_drain_grace`]): a straggler can
-    /// spend `~n × (nack_timeout + backoff)` chaining through
+    /// spend `~n × 2 × nack_timeout` (timeout plus jitter) chaining through
     /// recoveries (the multicast allgather, which posts only two blocks
     /// ahead of the highest one in hand, is the worst case) before it
     /// even posts the receive that needs this endpoint's final message.
@@ -41,39 +45,26 @@ pub struct RepairConfig {
     /// evicted, and a NACK for it is answered with `Unavail`
     /// (`docs/PROTOCOL.md` §8.1).
     pub buffer_cap: usize,
-    /// Maximum random extra delay added to every solicitation deadline
-    /// (uniform in `[0, backoff]`, drawn from a `SplitMix64` stream
-    /// seeded by `seed ^ rank ^ context` — deterministic replay holds).
-    /// Zero disables the randomization.
-    pub backoff: Duration,
     /// Upper bound on the group-size-scaled drain grace. The scaling is
     /// free in the simulator (virtual time) but on UDP it is wall-clock
     /// spent in every endpoint's destructor, so it must stay bounded no
     /// matter how large the world is.
     pub drain_grace_cap: Duration,
-    /// Base seed of the per-endpoint backoff stream.
+    /// Base seed of the per-endpoint jitter stream.
     pub seed: u64,
     /// Period of the ACK-horizon session message (`MsgKind::AckHorizon`,
     /// `docs/PROTOCOL.md` §9): each endpoint periodically multicasts its
     /// per-source delivery frontiers plus RTT probe/echo timestamps.
     /// Enables retransmit-ring garbage collection (acknowledged history
-    /// is freed instead of waiting for capacity eviction), feeds the
-    /// adaptive timers. `None` (the default) disables the session-message
-    /// plane entirely — byte-identical to the pre-horizon protocol.
+    /// is freed instead of waiting for capacity eviction) and measures
+    /// each peer's smoothed RTT. `None` (the default) disables the
+    /// session-message plane entirely — byte-identical to the
+    /// pre-horizon protocol.
     pub horizon_interval: Option<Duration>,
-    /// Derive `nack_timeout` and `backoff` per peer from the measured
-    /// RTT (SRM-style EWMA of srtt/var, clamped to
-    /// `[nack_timeout, 16 × nack_timeout]`) instead of using the
-    /// configured constants; a peer's timeout is then also the window in
-    /// which an overheard solicit for its traffic silences ours. Falls
-    /// back to the constants for peers with no samples yet, so enabling
-    /// this is safe before any horizon exchange has happened. Estimates come from the virtual clock and
-    /// the seeded streams, so sim replay stays deterministic.
-    pub adaptive: bool,
     /// Membership/liveness layer (`docs/PROTOCOL.md` §10): heartbeats
     /// piggybacked on the ACK-horizon cadence (standalone beacons only
-    /// while outbound traffic is quiet), per-peer suspicion timers
-    /// derived from the RTT estimators, confirmed failures flooded as
+    /// while outbound traffic is quiet), per-peer suspicion timers,
+    /// confirmed failures flooded as
     /// `MsgKind::FailureAnnounce` and surfaced to blocked receives as
     /// [`crate::RecvError::PeerFailed`]. `None` (the default) disables the
     /// layer entirely — byte-identical to the membership-less protocol.
@@ -99,11 +90,9 @@ impl RepairConfig {
             nack_timeout: Duration::from_millis(2),
             drain_grace: Duration::from_millis(50),
             buffer_cap: mmpi_wire::DEFAULT_RETRANSMIT_CAP,
-            backoff: Duration::from_millis(2),
             drain_grace_cap: Duration::from_secs(1),
             seed: 0x5EED_BACC_0FF5,
             horizon_interval: None,
-            adaptive: false,
             membership: None,
             dissemination: Dissemination::Multicast,
         }
@@ -116,23 +105,22 @@ impl RepairConfig {
         RepairConfig {
             nack_timeout: Duration::from_millis(40),
             drain_grace: Duration::from_millis(400),
-            backoff: Duration::from_millis(40),
             ..Self::sim_default()
         }
     }
 
-    /// Builder-style: reseed the randomized-backoff stream.
+    /// Builder-style: reseed the solicit-jitter stream.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Builder-style: turn on the full adaptive control plane — ACK
-    /// horizons every `4 × nack_timeout` (unless an interval was already
-    /// set) plus RTT-derived per-peer timers.
+    /// Builder-style: turn the ACK-horizon plane on at its default
+    /// period, `4 × nack_timeout`, unless an interval was already set.
+    /// It changes no timer; the benchmark ladder still calls it by this
+    /// name. New code uses [`RepairConfig::with_horizon_interval`].
     pub fn with_adaptive(mut self) -> Self {
         self.arm_horizons();
-        self.adaptive = true;
         self
     }
 
@@ -199,26 +187,26 @@ impl RepairConfig {
 
     /// The drain grace actually applied by an endpoint in an `n`-rank
     /// world: the configured base, or the group-size-derived bound
-    /// `2 × n × (nack_timeout + backoff)` capped at
+    /// `4 × n × nack_timeout` — twice `n` solicit rounds of a timeout plus
+    /// at most a timeout of jitter — capped at
     /// [`RepairConfig::drain_grace_cap`], whichever is larger (so a cap
     /// equal to the base pins the grace to the base).
     /// The derivation covers the documented worst case of a straggler
     /// chaining through `~n` earlier-round recoveries, each costing up
-    /// to a solicitation deadline plus its backoff, before posting the
+    /// to a solicitation deadline plus its jitter, before posting the
     /// receive that needs this endpoint's final message; the cap — not a
     /// hidden clamp on `n` — is the sole bound, because on UDP the grace
     /// is wall-clock time spent in every destructor.
     pub fn effective_drain_grace(&self, n: usize) -> Duration {
-        let chained = (self.nack_timeout + self.backoff) * 2 * (n.max(2) as u32);
+        let chained = self.nack_timeout * 4 * (n.max(2) as u32);
         self.drain_grace.max(chained.min(self.drain_grace_cap))
     }
 }
 
 /// Tuning for the membership/liveness layer (`docs/PROTOCOL.md` §10),
 /// armed via [`RepairConfig::with_membership`]. A peer silent longer than
-/// `4 × max(rto, heartbeat_interval)` (rto = the same clamped
-/// `srtt + 4·rttvar` estimate the adaptive repair timers use) becomes
-/// *suspected*; a suspect still silent after 3 further such intervals is
+/// `4 × max(nack_timeout, heartbeat_interval)` becomes *suspected*; a
+/// suspect still silent after 3 further such intervals is
 /// *confirmed failed*, counted in
 /// [`mmpi_wire::RepairStats::failures_confirmed`], and flooded to the
 /// group.
@@ -244,8 +232,8 @@ impl MembershipConfig {
     /// 2 ms, which is what blew the confirmation tail to ~770 ms virtual
     /// in BENCH_8. Scaling the period keeps the aggregate near
     /// `2/interval` at any size. Suspicion/confirmation bounds already
-    /// use `max(rto, interval)`, so tolerance stretches with the cadence
-    /// automatically.
+    /// use `max(nack_timeout, interval)`, so tolerance stretches with the
+    /// cadence automatically.
     pub fn effective_heartbeat_interval(&self, n: usize) -> Duration {
         self.heartbeat_interval
             .saturating_mul((n as u32 / 2).max(1))

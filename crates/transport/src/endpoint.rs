@@ -111,16 +111,10 @@ impl<B: Backend> Endpoint<B> {
         self.0.peek(EndpointCore::repair_stats)
     }
 
-    /// Smoothed RTT estimate toward `peer`, if the adaptive control
-    /// plane has collected samples for it.
+    /// Smoothed RTT estimate toward `peer`, if the ACK-horizon plane has
+    /// collected samples for it.
     pub fn peer_rtt(&self, peer: usize) -> Option<Duration> {
         self.0.peek(|core| core.peer_rtt(peer))
-    }
-
-    /// The NACK solicitation timeout the repair loop currently applies
-    /// toward `peer` (configured base, or RTT-derived when adaptive).
-    pub fn peer_nack_timeout(&self, peer: usize) -> Option<Duration> {
-        self.0.peek(|core| core.peer_nack_timeout(peer))
     }
 
     /// Posted-but-unclaimed receives (diagnostics — a steadily growing

@@ -145,23 +145,14 @@ impl EndpointCore {
         self.cancels.clone()
     }
 
-    /// The smoothed RTT estimate for `peer`, if any samples exist —
-    /// exposed for the adaptive-timer convergence tests and diagnostics.
+    /// The smoothed RTT estimate for `peer`, if any samples exist — a
+    /// diagnostic: no timer reads it.
     pub fn peer_rtt(&self, peer: usize) -> Option<Duration> {
         self.repair
             .as_ref()?
             .horizon
             .peer_srtt(peer)
             .map(Duration::from_nanos)
-    }
-
-    /// The per-peer solicitation timeout a directed receive from `peer`
-    /// would use right now: RTT-derived (clamped into the configured
-    /// band) when adaptivity is on and samples exist, otherwise the
-    /// configured [`RepairConfig::nack_timeout`]. `None` with repair off.
-    pub fn peer_nack_timeout(&self, peer: usize) -> Option<Duration> {
-        let (t, _) = self.repair.as_ref()?.horizon.timers(Some(peer));
-        Some(Duration::from_nanos(t))
     }
 
     /// This endpoint's rank.
@@ -398,10 +389,7 @@ impl EndpointCore {
     ) -> RecvReq {
         let id = self.next_req;
         self.next_req += 1;
-        let solicit_at = self
-            .repair
-            .as_mut()
-            .map(|r| r.srm.deadline(&self.enc, io, &r.horizon, src));
+        let solicit_at = self.repair.as_mut().map(|r| r.srm.deadline(&self.enc, io));
         self.pending.push(PendingRecv {
             id,
             src,
@@ -461,7 +449,7 @@ impl EndpointCore {
                 m.service(&mut cx, io, &r.horizon);
             }
             if let Some(g) = &mut r.gossip {
-                g.service(&mut cx, io, &r.horizon, r.member.as_ref());
+                g.service(&mut cx, io, r.member.as_ref());
             }
             r.srm.service(&mut cx, io);
         }
@@ -471,9 +459,6 @@ impl EndpointCore {
             }
             let (src, tag) = (pending[i].src, pending[i].tag);
             if let Some(m) = cx.inbox.take_match(src, tag) {
-                if let Some(r) = repair {
-                    r.horizon.note_arrival(&mut cx, io, m.src_rank);
-                }
                 pending[i].done = Some(Ok(m));
                 continue;
             }
@@ -496,14 +481,8 @@ impl EndpointCore {
                         // starve any posted receive's solicitation, and a
                         // wait on one request advances the repair state of
                         // every other.
-                        let next = Some(r.srm.solicit_step(
-                            &mut cx,
-                            io,
-                            src,
-                            tag,
-                            &mut r.horizon,
-                            r.member.as_ref(),
-                        ));
+                        let next =
+                            Some(r.srm.solicit_step(&mut cx, io, src, tag, r.member.as_ref()));
                         // One solicit serves every posted receive with the
                         // same matcher — the NACK's missing-seq ranges are
                         // computed from the shared inbox, so duplicates
@@ -536,7 +515,7 @@ impl EndpointCore {
             let waiting = |p: &PendingRecv| p.done.is_none() && p.src == src && p.tag == tag;
             let at = r
                 .srm
-                .notice(io, &r.horizon, s as usize, tag, pending.iter().any(waiting));
+                .notice(io, s as usize, tag, pending.iter().any(waiting));
             for p in pending.iter_mut().filter(|p| waiting(p)) {
                 p.solicit_at = at;
             }
@@ -664,7 +643,7 @@ impl EndpointCore {
     fn service_repair_requests<P: RepairPort>(&mut self, io: &mut P) {
         if let Some((mut cx, r)) = self.planes() {
             if let Some(g) = &mut r.gossip {
-                g.service(&mut cx, io, &r.horizon, r.member.as_ref());
+                g.service(&mut cx, io, r.member.as_ref());
             }
             r.srm.service(&mut cx, io);
         }
@@ -756,10 +735,8 @@ impl EndpointCore {
 
     /// The drain grace this endpoint actually applies: the
     /// group-size-scaled configured bound
-    /// ([`RepairConfig::effective_drain_grace`]) — or, with adaptivity
-    /// on and RTT samples in hand, the same straggler-chain derivation
-    /// computed from the *measured* worst per-peer timeout, still capped
-    /// at [`RepairConfig::drain_grace_cap`]. The
+    /// ([`RepairConfig::effective_drain_grace`]), capped at
+    /// [`RepairConfig::drain_grace_cap`]. The
     /// straggler-chain length is the *live* group size: peers that
     /// failed or announced a graceful departure cannot be chaining
     /// through recoveries, so survivors need not wait out their share of
@@ -981,7 +958,10 @@ mod tests {
             assert_eq!(horizon(s) + member(s) + gossip(s), 0, "{s:?}");
         }
 
-        let (a, b) = deliver(Some(sim().with_adaptive()), 2000);
+        let (a, b) = deliver(
+            Some(sim().with_horizon_interval(Duration::from_millis(8))),
+            2000,
+        );
         assert!(a.horizons_received > 0 && a.acked_records_freed > 0 && a.rtt_samples > 0);
         for s in [&a, &b] {
             assert_eq!(member(s) + gossip(s), 0, "{s:?}");

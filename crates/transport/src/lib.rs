@@ -33,12 +33,12 @@
 //! The sim and UDP backends optionally run the NACK/retransmit repair
 //! loop (enable with [`RepairConfig`]; walkthrough in
 //! `docs/PROTOCOL.md`), which lets the collectives complete on a fabric
-//! that drops, duplicates or reorders datagrams. On top of it, the
-//! adaptive control plane (`RepairConfig::with_adaptive` /
-//! `with_horizon_interval`; `docs/PROTOCOL.md` §9) adds periodic
-//! `AckHorizon` session messages: per-peer RTT estimates stretch each
-//! peer's solicitation timers to its measured link, and acknowledged
-//! frontiers garbage-collect the retransmit ring. A sender that outruns
+//! that drops, duplicates or reorders datagrams. Every repair timer is a
+//! fixed multiple of [`RepairConfig::nack_timeout`]. On top of it, the
+//! ACK-horizon plane (`RepairConfig::with_horizon_interval`;
+//! `docs/PROTOCOL.md` §9) adds periodic `AckHorizon` session messages:
+//! they measure each peer's RTT, which no timer reads, and their
+//! acknowledged frontiers garbage-collect the retransmit ring. A sender that outruns
 //! its receivers is bounded by the ring's capacity eviction, answered by
 //! `Unavail` (§8.1); there is no send window (§9.4).
 //! [`sim::run_sim_world_stats`] reports the recovery effort alongside the

@@ -28,7 +28,6 @@ use mmpi_wire::{
     SourceHorizon, SourceHorizonView, MAX_DIGEST_RANGES, MAX_DIGEST_SOURCES,
 };
 
-use super::horizon::HorizonState;
 use super::membership::{self, MemberState};
 use super::{Ctx, Encoder};
 use crate::pump::{Nanos, RepairPort};
@@ -51,7 +50,7 @@ struct WantPending {
     asked: bool,
     /// When to ask `peer` — or, once asked, probe it again.
     at: Nanos,
-    /// The probe interval once asked: half a repair timeout toward `peer`.
+    /// The probe interval once asked: half a repair timeout.
     every: Nanos,
     /// When to rotate to the next holder though `peer` never echoed: a
     /// dead or cut-off holder.
@@ -65,6 +64,9 @@ struct WantPending {
 /// Per-endpoint state of the epidemic dissemination plane.
 #[derive(Debug)]
 pub(crate) struct GossipState {
+    /// One repair timeout, `nack_timeout`: how long a pull waits for its
+    /// push, and how long an unclaimed payload waits for its `Advr`.
+    timeout: Nanos,
     /// Per-peer: which ids that peer is known to hold (its `Advr`s plus
     /// the positive half of its ACK-horizon frontiers). Routes pulls and
     /// retries; GC'd by the horizon plane.
@@ -333,8 +335,9 @@ impl DigestScratch {
 }
 
 impl GossipState {
-    pub(crate) fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize, timeout: Nanos) -> Self {
         GossipState {
+            timeout,
             peer_seen: vec![SeenTable::new(n); n],
             advertised: vec![SeenTable::new(n); n],
             served: vec![SeenTable::new(n); n],
@@ -367,7 +370,6 @@ impl GossipState {
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
-        horizon: &HorizonState,
         member: Option<&MemberState>,
     ) {
         let (me, n) = (cx.enc.rank, cx.enc.n);
@@ -384,7 +386,7 @@ impl GossipState {
         //    receiver. A pull is still `wanted` here: only
         //    `retry_wants`, below, retires the ones that landed.
         let now = io.now();
-        let (t, _) = horizon.timers(None);
+        let t = self.timeout;
         self.held.retain(|&(at, _)| now < at.saturating_add(t));
         let mut fresh = std::mem::take(&mut self.relayed);
         while let Some(m) = cx.inbox.take_data_log() {
@@ -416,17 +418,17 @@ impl GossipState {
                 continue;
             };
             match msg.kind {
-                MsgKind::Advr => self.ingest_advr(cx, io, horizon, member, peer, digest),
+                MsgKind::Advr => self.ingest_advr(cx, io, member, peer, digest),
                 MsgKind::Want => self.answer_want(cx, io, peer, digest, false),
                 MsgKind::Repull => self.answer_want(cx, io, peer, digest, true),
-                MsgKind::Served => self.ingest_served(cx, io, horizon, member, peer, digest),
+                MsgKind::Served => self.ingest_served(cx, io, member, peer, digest),
                 _ => {}
             }
         }
         self.held.extend(self.unclaimed.drain(..).map(|m| (now, m)));
         // 3. Expired pulls ask or probe their holder, or rotate off a
         //    silent one.
-        self.retry_wants(cx, io, horizon, member);
+        self.retry_wants(cx, io, member);
     }
 
     /// Take in a payload that arrived by push: store it for relaying and
@@ -565,7 +567,6 @@ impl GossipState {
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
-        horizon: &HorizonState,
         member: Option<&MemberState>,
         peer: usize,
         digest: GossipDigestView<'_>,
@@ -601,7 +602,7 @@ impl GossipState {
                     if self.wanted.contains_key(&(e.src, s)) {
                         continue; // pull armed; `peer` is a known alternate now
                     }
-                    let pull = Self::pull_from(cx.enc, horizon, peer, now, Vec::new(), true);
+                    let pull = self.pull_from(cx.enc, peer, now, Vec::new(), true);
                     self.wanted.insert((e.src, s), pull);
                 }
             }
@@ -673,7 +674,6 @@ impl GossipState {
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
-        horizon: &HorizonState,
         member: Option<&MemberState>,
         peer: usize,
         digest: GossipDigestView<'_>,
@@ -700,7 +700,7 @@ impl GossipState {
                         .unwrap_or(peer);
                     let repull = lost.contains(&(next as u32));
                     lost.retain(|&p| p as usize != next);
-                    let pull = Self::pull_from(cx.enc, horizon, next, now, lost, false);
+                    let pull = self.pull_from(cx.enc, next, now, lost, false);
                     self.wanted.insert(key, pull);
                     per_peer.entry((next, repull)).or_default().push(key);
                 }
@@ -722,7 +722,6 @@ impl GossipState {
         &mut self,
         cx: &mut Ctx<'_>,
         io: &mut P,
-        horizon: &HorizonState,
         member: Option<&MemberState>,
     ) {
         if self.wanted.is_empty() {
@@ -757,7 +756,7 @@ impl GossipState {
             let lost = std::mem::take(&mut w.lost);
             match self.next_holder(cx.enc, member, key, prev, false) {
                 Some(peer) => {
-                    let pull = Self::pull_from(cx.enc, horizon, peer, now, lost, false);
+                    let pull = self.pull_from(cx.enc, peer, now, lost, false);
                     self.wanted.insert(key, pull);
                     per_peer.entry((peer, false)).or_default().push(key);
                 }
@@ -811,26 +810,25 @@ impl GossipState {
     }
 
     /// A fresh pull of one id from `peer` at `now`, with T one repair
-    /// timeout toward `peer` (`nack_timeout`, or the adaptive per-peer
-    /// RTO). `deferred` — an `Advr` armed it — the pull first waits T for
-    /// the push; otherwise it has just asked. Once asked it probes every
-    /// T/2 — a holder answers at most ⌊log₂(n−1)⌋+1 pulls, so its queue
-    /// is short, and the `Served` echo keeps a probe from re-sending a
-    /// payload — and rotates `n/2` × T (floor 1×) after asking, the
+    /// timeout (`nack_timeout`). `deferred` — an `Advr` armed it — the
+    /// pull first waits T for the push; otherwise it has just asked. Once
+    /// asked it probes every T/2 — a holder answers at most
+    /// ⌊log₂(n−1)⌋+1 pulls, so its queue is short, and the `Served` echo
+    /// keeps a probe from re-sending a payload — and rotates `n/2` × T
+    /// (floor 1×) after asking, the
     /// constant-bandwidth-share stretch, which only a holder that never
     /// echoes (dead, cut off, or no longer holding the id) lets run out;
     /// a live holder's echo rotates the pull long before it. `lost`
     /// carries over from the pull this one replaces.
     fn pull_from(
+        &self,
         enc: &Encoder,
-        horizon: &HorizonState,
         peer: usize,
         now: Nanos,
         lost: Vec<u32>,
         deferred: bool,
     ) -> WantPending {
-        let (t, _) = horizon.timers(Some(peer));
-        let t = t.max(2);
+        let t = self.timeout.max(2);
         let every = t / 2;
         // When the first `Want` goes out, and when the pull acts next.
         let (asks_at, at) = if deferred {

@@ -80,6 +80,11 @@ impl GossipState {
     }
 }
 
+/// One repair timeout under the simulator's defaults, in [`Nanos`].
+fn timeout() -> Nanos {
+    crate::pump::dur_nanos(RepairConfig::sim_default().nack_timeout)
+}
+
 /// One gossip plane and everything its entry points borrow.
 struct Rig {
     g: GossipState,
@@ -87,7 +92,6 @@ struct Rig {
     inbox: Inbox,
     rtx: RetransmitBuffer,
     stats: RepairStats,
-    horizon: HorizonState,
     member: MemberState,
     io: ScriptedPump,
     /// Drive the full-scan oracle instead of the incremental pair.
@@ -111,18 +115,16 @@ fn horizon_of(src: u32, hwm: u64, shape: u64) -> SourceHorizon {
 
 impl Rig {
     fn new(n: usize, me: usize, reference: bool) -> Self {
-        let cfg = RepairConfig::sim_default().with_gossip();
         let hb = MembershipConfig {
             heartbeat_interval: std::time::Duration::from_millis(2),
         };
         Rig {
-            g: GossipState::new(n),
+            g: GossipState::new(n, timeout()),
             enc: Encoder::new(0, me, n, 60_000, true),
             inbox: Inbox::new(0, me as u32),
             rtx: RetransmitBuffer::new(8),
             stats: RepairStats::default(),
-            horizon: HorizonState::new(&cfg, n),
-            member: MemberState::new(hb, n),
+            member: MemberState::new(hb, n, timeout()),
             io: ScriptedPump::new(),
             reference,
         }
@@ -193,14 +195,8 @@ impl Rig {
                 };
                 let payload = digest.encode();
                 let view = GossipDigestView::parse(&payload).expect("own encoding");
-                self.g.ingest_advr(
-                    &mut cx,
-                    &mut self.io,
-                    &self.horizon,
-                    Some(&self.member),
-                    peer,
-                    view,
-                );
+                self.g
+                    .ingest_advr(&mut cx, &mut self.io, Some(&self.member), peer, view);
             }
             3 if t % 2 == 0 => {
                 let ids = [(b % n as u32, s)];
@@ -405,7 +401,7 @@ fn land(rig: &mut Rig, src: u32, seq: u64, how: Landing) {
         rtx: &mut rig.rtx,
         stats: &mut rig.stats,
     };
-    let (member, horizon) = (Some(&rig.member), &rig.horizon);
+    let member = Some(&rig.member);
     let advertiser = match how {
         Landing::Pushed => Some(src as usize),
         Landing::Pulled(from) => Some(from),
@@ -414,19 +410,17 @@ fn land(rig: &mut Rig, src: u32, seq: u64, how: Landing) {
     if let Some(from) = advertiser {
         let payload = GossipDigest::single(src, seq).encode();
         let view = GossipDigestView::parse(&payload).expect("own encoding");
-        rig.g
-            .ingest_advr(&mut cx, &mut rig.io, horizon, member, from, view);
+        rig.g.ingest_advr(&mut cx, &mut rig.io, member, from, view);
     }
-    if let Landing::Pulled(from) = how {
-        let (t, _) = horizon.timers(Some(from));
-        rig.io.set_clock(rig.io.clock() + t);
-        rig.g.service(&mut cx, &mut rig.io, horizon, member);
+    if matches!(how, Landing::Pulled(_)) {
+        rig.io.set_clock(rig.io.clock() + timeout());
+        rig.g.service(&mut cx, &mut rig.io, member);
         assert!(rig.g.wanted[&(src, seq)].asked, "the pull asked");
     }
     for d in split_message(MsgKind::Data, 0, src, 0, seq, &Bytes::new(), 60_000) {
         cx.inbox.ingest_wire(&d, false).expect("well-formed");
     }
-    rig.g.service(&mut cx, &mut rig.io, horizon, member);
+    rig.g.service(&mut cx, &mut rig.io, member);
 }
 
 /// Origins and relays alike advertise to the finger peers, the
@@ -591,7 +585,7 @@ fn a_payload_with_no_pull_waiting_is_claimed_by_an_advr_naming_it() {
     let mut rig = Rig::new(32, 2, false);
     rig.io = ScriptedPump::routed(1).remove(0);
     rig.inbox.set_log_data(true);
-    let (t, _) = rig.horizon.timers(None);
+    let t = timeout();
     let payload = |seq: u64| split_message(Data, 0, 0, 0, seq, &Bytes::new(), 60_000);
     let advr = |seq: u64| {
         let digest = GossipDigest::single(0, seq).encode();
@@ -608,8 +602,7 @@ fn a_payload_with_no_pull_waiting_is_claimed_by_an_advr_naming_it() {
             rtx: &mut rig.rtx,
             stats: &mut rig.stats,
         };
-        let (member, horizon) = (Some(&rig.member), &rig.horizon);
-        rig.g.service(&mut cx, &mut rig.io, horizon, member);
+        rig.g.service(&mut cx, &mut rig.io, Some(&rig.member));
         rig.io
             .take_sent()
             .iter()

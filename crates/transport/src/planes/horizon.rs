@@ -1,7 +1,6 @@
 //! The ACK-horizon session plane (`docs/PROTOCOL.md` §9): the periodic
-//! session message, the per-peer RTT estimators it feeds, the timers
-//! derived from them, and the retransmit-ring GC the advertised frontiers
-//! allow.
+//! session message, the per-peer RTT estimators it feeds, and the
+//! retransmit-ring GC the advertised frontiers allow.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -17,19 +16,14 @@ use super::Ctx;
 use crate::config::RepairConfig;
 use crate::pump::{dur_nanos, Nanos, RepairPort};
 
-/// How far adaptive timers may stretch a configured timer: a peer's
-/// timeout stays within `[nack_timeout, MAX_STRETCH × nack_timeout]`.
-pub(crate) const MAX_STRETCH: u64 = 16;
-
-/// SRM/RFC-6298-style RTT estimator for one peer: integer-nanosecond
-/// EWMAs `srtt += (sample − srtt)/8`, `rttvar += (|sample − srtt| −
-/// rttvar)/4`, retransmission timeout `srtt + 4·rttvar`. All arithmetic
-/// is on [`Nanos`] from the backend clock, so simulated estimates replay
-/// byte-identically.
+/// RFC-6298-style smoothed RTT for one peer: the integer-nanosecond
+/// EWMA `srtt += (sample − srtt)/8`, seeded by the first sample. All
+/// arithmetic is on [`Nanos`] from the backend clock, so simulated
+/// estimates replay byte-identically. A measurement only: no timer reads
+/// it.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PeerRtt {
     srtt: Nanos,
-    rttvar: Nanos,
     samples: u64,
 }
 
@@ -38,9 +32,7 @@ impl PeerRtt {
         let sample = sample.max(1);
         if self.samples == 0 {
             self.srtt = sample;
-            self.rttvar = sample / 2;
         } else {
-            self.rttvar = (3 * self.rttvar + self.srtt.abs_diff(sample)) / 4;
             self.srtt = (7 * self.srtt + sample) / 8;
         }
         self.samples += 1;
@@ -49,12 +41,6 @@ impl PeerRtt {
     /// Smoothed RTT, once at least one sample exists.
     pub(crate) fn srtt(&self) -> Option<Nanos> {
         (self.samples > 0).then_some(self.srtt)
-    }
-
-    /// Derived solicitation timeout `srtt + 4·rttvar` (unclamped — the
-    /// consumer clamps into its configured band).
-    pub(crate) fn timeout(&self) -> Option<Nanos> {
-        (self.samples > 0).then(|| self.srtt + 4 * self.rttvar.max(1))
     }
 }
 
@@ -81,10 +67,6 @@ pub(crate) struct HorizonState {
     /// Rotation cursor over the inbox's known sources when there are
     /// more frontiers than one message carries.
     ack_cursor: usize,
-    /// `src → when we last solicited it` — the NACK→repair secondary
-    /// RTT source: the next matched arrival from that source closes the
-    /// pair. Gated against app-not-ready pollution at sample time.
-    solicited_at: BTreeMap<u32, Nanos>,
 }
 
 impl HorizonState {
@@ -96,7 +78,6 @@ impl HorizonState {
             frontier: vec![None; n],
             next_at: 0,
             ack_cursor: 0,
-            solicited_at: BTreeMap::new(),
         }
     }
 
@@ -264,105 +245,15 @@ impl HorizonState {
         cx.stats.acked_records_freed += freed;
     }
 
-    /// The `(timeout, backoff)` a solicit of `src` uses, in [`Nanos`]:
-    /// the RTT-derived pair — `srtt + 4·rttvar` clamped into
-    /// `[nack_timeout, 16 × nack_timeout]`, backoff scaled by the same
-    /// ratio — when adaptivity is on and samples exist for a directed
-    /// source, otherwise the configured constants (any-source waits have
-    /// no single peer to adapt to). The clamp floor is the *configured*
-    /// timeout, never below it: the RTT estimate measures the network,
-    /// but a blocked receive is also waiting out the sender's service
-    /// time (the peer may simply not have reached its send yet), and
-    /// that floor is exactly what `nack_timeout` encodes. Adaptivity
-    /// only stretches timers for links slower than assumed — shrinking
-    /// them below the base turns ordinary scheduling skew into a
-    /// premature-solicit storm.
-    pub(crate) fn timers(&self, src: Option<usize>) -> (Nanos, Nanos) {
-        let base_t = dur_nanos(self.cfg.nack_timeout);
-        let base_b = dur_nanos(self.cfg.backoff);
-        if !self.cfg.adaptive {
-            return (base_t, base_b);
-        }
-        let est = src.and_then(|s| self.rtt.get(s)).and_then(|p| p.timeout());
-        match est {
-            Some(e) if base_t > 0 => {
-                let t = e.clamp(base_t, base_t.saturating_mul(MAX_STRETCH));
-                let b = (t.saturating_mul(base_b) / base_t).min(base_b.saturating_mul(MAX_STRETCH));
-                (t, b)
-            }
-            _ => (base_t, base_b),
-        }
-    }
-
-    /// Feed `peer`'s estimator one RTT sample, as a horizon echo would.
-    #[cfg(test)]
-    pub(crate) fn observe_rtt(&mut self, peer: usize, sample: Nanos) {
-        self.rtt[peer].observe(sample);
-    }
-
     /// The smoothed RTT estimate for `peer`, if any samples exist.
     pub(crate) fn peer_srtt(&self, peer: usize) -> Option<Nanos> {
         self.rtt.get(peer)?.srtt()
     }
 
-    /// Open the NACK→repair RTT pair for `src` (adaptive timers only):
-    /// the next matched arrival from it closes the pair in
-    /// [`HorizonState::note_arrival`].
-    pub(crate) fn note_solicited<P: RepairPort>(&mut self, io: &mut P, src: usize) {
-        if self.cfg.adaptive {
-            let now = io.now();
-            self.solicited_at.insert(src as u32, now);
-        }
-    }
-
-    /// Record the NACK→repair RTT sampling point: a matched arrival from
-    /// `src` while a solicit of it is outstanding closes the pair. The
-    /// sample includes responder service time (it still tracks the link)
-    /// but is rejected beyond the adaptive clamp ceiling — an arrival
-    /// that late measures the application not being ready, not the
-    /// network.
-    pub(crate) fn note_arrival<P: RepairPort>(&mut self, cx: &mut Ctx<'_>, io: &mut P, src: u32) {
-        let Some(at) = self.solicited_at.remove(&src) else {
-            return;
-        };
-        if !self.cfg.adaptive {
-            return;
-        }
-        let sample = io.now().saturating_sub(at);
-        let ceiling = dur_nanos(self.cfg.nack_timeout).saturating_mul(MAX_STRETCH);
-        if sample <= ceiling {
-            self.rtt[src as usize].observe(sample);
-            cx.stats.rtt_samples += 1;
-        }
-    }
-
     /// The drain grace an endpoint with `n_live` live group members
     /// applies: the group-size-scaled configured bound
-    /// ([`RepairConfig::effective_drain_grace`]) — or, with adaptivity
-    /// on and RTT samples in hand, the same straggler-chain derivation
-    /// `2 × n × (timeout + backoff)` computed from the *measured* worst
-    /// per-peer timeout (clamped into the configured band) instead of
-    /// the configured constants, still capped at
-    /// [`RepairConfig::drain_grace_cap`]. Measured-fast worlds drain
-    /// sooner; measured-slow worlds get the grace their repairs need.
+    /// ([`RepairConfig::effective_drain_grace`]).
     pub(crate) fn drain_grace(&self, n_live: usize) -> Duration {
-        let rc = &self.cfg;
-        let base = rc.effective_drain_grace(n_live);
-        if !rc.adaptive {
-            return base;
-        }
-        let Some(w) = self.rtt.iter().filter_map(|p| p.timeout()).max() else {
-            return base;
-        };
-        let base_t = dur_nanos(rc.nack_timeout);
-        if base_t == 0 {
-            return base;
-        }
-        let t = w.clamp(base_t, base_t.saturating_mul(MAX_STRETCH));
-        let b = (t.saturating_mul(dur_nanos(rc.backoff)) / base_t)
-            .min(dur_nanos(rc.backoff).saturating_mul(MAX_STRETCH));
-        let chained = (t + b).saturating_mul(2 * n_live.max(2) as u64);
-        let chained = Duration::from_nanos(chained.min(dur_nanos(rc.drain_grace_cap)));
-        rc.drain_grace.max(chained)
+        self.cfg.effective_drain_grace(n_live)
     }
 }

@@ -10,8 +10,8 @@ use crate::api::RecvError;
 use crate::config::MembershipConfig;
 use crate::pump::{dur_nanos, Nanos, RepairPort};
 
-/// Silence tolerance before suspicion, in units of `max(rto, heartbeat
-/// interval)`.
+/// Silence tolerance before suspicion, in units of `max(nack_timeout,
+/// heartbeat interval)`.
 const SUSPICION_FACTOR: u64 = 4;
 /// Further such intervals a *suspected* peer must stay silent before the
 /// suspicion is confirmed as a failure. The 4 + 3 split matters on a lossy
@@ -54,6 +54,10 @@ impl PeerLive {
 #[derive(Debug)]
 pub(crate) struct MemberState {
     cfg: MembershipConfig,
+    /// The repair plane's `nack_timeout`: the floor of a suspicion
+    /// interval, so a heartbeat cadence faster than one repair timeout
+    /// cannot make the layer cry wolf.
+    timeout: Nanos,
     /// Liveness epoch — bumped by [`MemberState::set_epoch`] after a
     /// communicator shrink; stamped into the message context so
     /// old-epoch stragglers are discarded.
@@ -84,9 +88,10 @@ pub(crate) fn is_dead(member: Option<&MemberState>, p: usize) -> bool {
 }
 
 impl MemberState {
-    pub(crate) fn new(cfg: MembershipConfig, n: usize) -> Self {
+    pub(crate) fn new(cfg: MembershipConfig, n: usize, timeout: Nanos) -> Self {
         MemberState {
             cfg,
+            timeout,
             epoch: 0,
             incarnation: 0,
             peers: vec![PeerLive::default(); n],
@@ -237,7 +242,7 @@ impl MemberState {
 
     /// One pass of the membership state machine: fold queued
     /// announcements, refresh per-peer liveness from the inbox activity
-    /// counters, open/confirm suspicions against the RTT-derived bound,
+    /// counters, open/confirm suspicions against the silence bound,
     /// flood confirmed failures, and emit a standalone heartbeat if the
     /// schedule is due and the endpoint has been quiet.
     pub(crate) fn service<P: RepairPort>(
@@ -251,8 +256,9 @@ impl MemberState {
         // The group-size-scaled cadence: at a fixed period every rank's
         // beacon is a frame on every receiving link, which queues at the
         // switch as the group grows (the BENCH_8 N=64 confirmation-tail
-        // blowup). Suspicion bounds below use `max(rto, interval)`, so
-        // tolerance stretches with the cadence automatically.
+        // blowup). Suspicion bounds below use `max(nack_timeout,
+        // interval)`, so tolerance stretches with the cadence
+        // automatically.
         let interval = self.interval(n);
         if !self.started {
             self.started = true;
@@ -317,21 +323,19 @@ impl MemberState {
                 st.suspected_at = None;
             }
         }
-        // 3. Suspicion timers: silent past `k × max(rto, interval)`
-        //    opens suspicion; a suspect silent for `m` further intervals
-        //    is confirmed failed. The rto term is the same clamped
-        //    `srtt + 4·rttvar` the adaptive repair timers use, so slow
-        //    links get proportionally more tolerance before the layer
-        //    cries wolf.
+        // 3. Suspicion timers: silent past `k × max(nack_timeout,
+        //    interval)` opens suspicion; a suspect silent for `m` further
+        //    such intervals is confirmed failed. The bound is the same
+        //    for every peer: no timer reads the measured RTT.
+        let unit = self.timeout.max(interval);
+        let suspect_bound = SUSPICION_FACTOR * unit;
+        let confirm_bound = CONFIRM_MISSES * unit;
         let mut confirmed: Vec<u32> = Vec::new();
         let mut new_suspects = 0u64;
         for (p, st) in self.peers.iter_mut().enumerate() {
             if p == me || st.dead() {
                 continue;
             }
-            let (rto, _) = horizon.timers(Some(p));
-            let suspect_bound = SUSPICION_FACTOR * rto.max(interval);
-            let confirm_bound = CONFIRM_MISSES * rto.max(interval);
             match st.suspected_at {
                 None if now.saturating_sub(st.last_heard) > suspect_bound => {
                     st.suspected_at = Some(now);

@@ -3,7 +3,7 @@
 //!
 //! | module | state | what it does |
 //! |---|---|---|
-//! | [`srm`] | [`srm::SrmState`] | NACK service, solicit-or-suppress, randomized backoff (`docs/PROTOCOL.md` §8) |
+//! | [`srm`] | [`srm::SrmState`] | NACK service, solicit-or-suppress, randomized jitter (`docs/PROTOCOL.md` §8) |
 //! | [`horizon`] | [`horizon::HorizonState`] | ACK-horizon session messages, per-peer RTT, ring GC (§9) |
 //! | [`membership`] | [`membership::MemberState`] | heartbeats, suspicion, failure announces (§10) |
 //! | [`gossip`] | [`gossip::GossipState`] | `Advr`/`Want`/`Served` dissemination and the relay store (§11) |
@@ -12,9 +12,8 @@
 //! reaches a plane through `new`, `service(cx, io, …)` and
 //! `next_deadline()`, and a plane reaches another only through the few
 //! named reads the protocol needs — "is peer `p` dead"
-//! ([`membership::is_dead`]), "the timers toward peer `p`"
-//! ([`horizon::HorizonState::timers`]), "peer `p` acknowledged this
-//! frontier" ([`gossip::GossipState::note_frontiers`]) — each passed in as
+//! ([`membership::is_dead`]), "peer `p` acknowledged this frontier"
+//! ([`gossip::GossipState::note_frontiers`]) — each passed in as
 //! an argument, so the signature of an entry point lists everything it can
 //! touch. `docs/PROTOCOL.md` ("Where each plane lives") has the map and the
 //! fixed service order.
@@ -26,7 +25,7 @@ use mmpi_wire::{
 use crate::api::Tag;
 use crate::config::RepairConfig;
 use crate::inbox::Inbox;
-use crate::pump::{Nanos, RepairPort};
+use crate::pump::{dur_nanos, Nanos, RepairPort};
 
 pub(crate) mod gossip;
 pub(crate) mod horizon;
@@ -181,11 +180,12 @@ pub(crate) struct Repair {
 
 impl Repair {
     pub(crate) fn new(cfg: RepairConfig, rank: usize, n: usize, context: u32) -> Self {
+        let timeout = dur_nanos(cfg.nack_timeout);
         Repair {
             srm: SrmState::new(&cfg, rank, context),
             horizon: HorizonState::new(&cfg, n),
-            member: cfg.membership.map(|mc| MemberState::new(mc, n)),
-            gossip: cfg.is_gossip().then(|| GossipState::new(n)),
+            member: cfg.membership.map(|mc| MemberState::new(mc, n, timeout)),
+            gossip: cfg.is_gossip().then(|| GossipState::new(n, timeout)),
         }
     }
 

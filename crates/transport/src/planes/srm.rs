@@ -9,7 +9,6 @@ use std::collections::HashMap;
 use mmpi_netsim::rng::SplitMix64;
 use mmpi_wire::{MsgKind, NackPayload, NackView, SendDst, UnavailPayload, NACK_TARGET_ANY};
 
-use super::horizon::{HorizonState, MAX_STRETCH};
 use super::membership::{self, MemberState};
 use super::{Ctx, Encoder};
 use crate::api::Tag;
@@ -29,14 +28,14 @@ fn prune_stale<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Nanos>, now: Nanos,
 /// lossy for the next few exchanges, not for the rest of the run.
 const COPY_WINDOW_TIMEOUTS: u64 = 8;
 
-/// Per-endpoint SRM scale-out state: the seeded backoff stream, the two
+/// Per-endpoint SRM scale-out state: the seeded jitter stream, the two
 /// suppression memories (solicits overheard from peers, repairs this
 /// endpoint already multicast), the solicits that came before the
 /// traffic they name, and when this endpoint last saw a solicit.
 #[derive(Debug)]
 pub(crate) struct SrmState {
     cfg: RepairConfig,
-    /// Deterministic backoff jitter: seeded from
+    /// Deterministic solicit jitter: seeded from
     /// `(config seed, rank, context)`, so a replayed simulation draws the
     /// identical delays.
     rng: SplitMix64,
@@ -86,14 +85,11 @@ impl SrmState {
             .is_some_and(|at| io.now().saturating_sub(at) < window)
     }
 
-    /// Remember an overheard solicit. Pruning uses the widest window
-    /// [`SrmState::suppressed`] can check with — a peer's timeout
-    /// stretches up to [`MAX_STRETCH`] × `nack_timeout` under adaptive
-    /// timers — so no entry that could still suppress is dropped.
+    /// Remember an overheard solicit. Pruning uses the window
+    /// [`SrmState::suppressed`] checks with, one `nack_timeout`, so no
+    /// entry that could still suppress is dropped.
     fn note_heard(&mut self, target: u32, tag: Tag, now: Nanos) {
-        let stretch = if self.cfg.adaptive { MAX_STRETCH } else { 1 };
-        let widest = dur_nanos(self.cfg.nack_timeout).saturating_mul(stretch);
-        prune_stale(&mut self.heard, now, widest);
+        prune_stale(&mut self.heard, now, dur_nanos(self.cfg.nack_timeout));
         self.heard.insert((target, tag), now);
     }
 
@@ -114,15 +110,13 @@ impl SrmState {
     }
 
     /// Remember a solicit for `tag` that came before we sent it. A waiting
-    /// requester asks again at least once per `nack_timeout + backoff`
-    /// (stretched up to [`MAX_STRETCH`]× under adaptive timers), which
-    /// refreshes its entry; one older than that belongs to a requester
-    /// that stopped asking, and pruning it only leaves that requester on
-    /// its own timer.
+    /// requester asks again at least once per `2 × nack_timeout` (a
+    /// timeout plus at most a timeout of jitter), which refreshes its
+    /// entry; one older than that belongs to a requester that stopped
+    /// asking, and pruning it only leaves that requester on its own timer.
     fn note_standing(&mut self, tag: Tag, requester: u32, now: Nanos) {
-        let stretch = if self.cfg.adaptive { MAX_STRETCH } else { 1 };
-        let period = dur_nanos(self.cfg.nack_timeout) + dur_nanos(self.cfg.backoff);
-        prune_stale(&mut self.standing, now, period.saturating_mul(stretch));
+        let period = dur_nanos(self.cfg.nack_timeout).saturating_mul(2);
+        prune_stale(&mut self.standing, now, period);
         self.standing.insert((tag, requester), now);
     }
 
@@ -152,12 +146,11 @@ impl SrmState {
     /// earlier no longer says a repair is on its way: forget it. When a
     /// posted receive is still `waiting` on `(src, tag)` after the match
     /// step, the message was lost, and the receive re-arms to the returned
-    /// deadline: `now + U[0, backoff / 4]`, so that concurrent losers
+    /// deadline: `now + U[0, nack_timeout / 4]`, so that concurrent losers
     /// still draw apart and suppress each other.
     pub(crate) fn notice<P: RepairPort>(
         &mut self,
         io: &mut P,
-        horizon: &HorizonState,
         src: usize,
         tag: Tag,
         waiting: bool,
@@ -166,7 +159,7 @@ impl SrmState {
         if !waiting {
             return None;
         }
-        let jitter = horizon.timers(Some(src)).1 / 4;
+        let jitter = dur_nanos(self.cfg.nack_timeout) / 4;
         let mut at = io.now();
         if jitter > 0 {
             at += self.rng.next_below(jitter + 1);
@@ -314,7 +307,6 @@ impl SrmState {
         io: &mut P,
         src: Option<usize>,
         tag: Tag,
-        horizon: &mut HorizonState,
         member: Option<&MemberState>,
     ) {
         if src == Some(cx.enc.rank) {
@@ -325,9 +317,6 @@ impl SrmState {
             // answered, and the blocked receive is about to complete
             // with `PeerFailed` instead.
             return;
-        }
-        if let Some(s) = src {
-            horizon.note_solicited(io, s);
         }
         let target = src.map_or(NACK_TARGET_ANY, |s| s as u32);
         let missing = match src {
@@ -353,11 +342,9 @@ impl SrmState {
     }
 
     /// Next solicitation deadline: `now + nack_timeout` plus a uniform
-    /// draw from `[0, backoff]` off the endpoint's seeded stream. The
+    /// draw from `[0, nack_timeout]` off the endpoint's seeded stream. The
     /// jitter is what de-synchronizes the group's stuck receivers so one
-    /// solicit goes out first and the rest overhear it. With adaptivity
-    /// on, both terms are the RTT-derived per-peer pair of
-    /// [`HorizonState::timers`] for a directed `src`.
+    /// solicit goes out first and the rest overhear it.
     ///
     /// Under the gossip dissemination plane the deadline is stretched by
     /// the same `n/2` factor as a silent holder's `Want` rotation: there,
@@ -366,32 +353,26 @@ impl SrmState {
     /// its retransmission puts a second copy of the payload on a link the
     /// pull already crossed. The NACK plane stays the final backstop —
     /// it just fires behind the pull instead of in front of it.
-    pub(crate) fn deadline<P: RepairPort>(
-        &mut self,
-        enc: &Encoder,
-        io: &mut P,
-        horizon: &HorizonState,
-        src: Option<usize>,
-    ) -> Nanos {
-        let (mut t, b) = horizon.timers(src);
+    pub(crate) fn deadline<P: RepairPort>(&mut self, enc: &Encoder, io: &mut P) -> Nanos {
+        let timeout = dur_nanos(self.cfg.nack_timeout);
+        let mut wait = timeout;
         if enc.unicast_only {
-            t = t.saturating_mul((enc.n as u64 / 2).max(1));
+            wait = wait.saturating_mul((enc.n as u64 / 2).max(1));
         }
-        let mut at = io.now() + t;
-        if b > 0 {
-            at += self.rng.next_below(b + 1);
+        let mut at = io.now() + wait;
+        if timeout > 0 {
+            at += self.rng.next_below(timeout + 1);
         }
         at
     }
 
     /// True when our own solicit for `(src, tag)` should be skipped
-    /// because a peer's was overheard less than one solicit timeout ago
-    /// — `src`'s per-peer timeout under adaptive timers, `nack_timeout`
-    /// otherwise. Only then can its repair still be on its way; an older
-    /// solicit (often one that named traffic not yet sent) has had its
-    /// answer, so waiting on it would strand us.
-    fn suppressed(&self, horizon: &HorizonState, now: Nanos, src: Option<usize>, tag: Tag) -> bool {
-        let (window, _) = horizon.timers(src);
+    /// because a peer's was overheard less than one `nack_timeout` ago.
+    /// Only then can its repair still be on its way; an older solicit
+    /// (often one that named traffic not yet sent) has had its answer, so
+    /// waiting on it would strand us.
+    fn suppressed(&self, now: Nanos, src: Option<usize>, tag: Tag) -> bool {
+        let window = dur_nanos(self.cfg.nack_timeout);
         self.heard_recently(src.map(|s| s as u32), tag, now, window)
     }
 
@@ -403,15 +384,14 @@ impl SrmState {
         io: &mut P,
         src: Option<usize>,
         tag: Tag,
-        horizon: &mut HorizonState,
         member: Option<&MemberState>,
     ) -> Nanos {
-        if self.suppressed(horizon, io.now(), src, tag) {
+        if self.suppressed(io.now(), src, tag) {
             cx.stats.nacks_suppressed += 1;
         } else {
-            self.solicit(cx, io, src, tag, horizon, member);
+            self.solicit(cx, io, src, tag, member);
         }
-        self.deadline(cx.enc, io, horizon, src)
+        self.deadline(cx.enc, io)
     }
 }
 
@@ -419,36 +399,27 @@ impl SrmState {
 mod tests {
     use super::*;
 
-    /// Under adaptive timers a peer's timeout stretches up to 16 ×
-    /// `nack_timeout`. Once the overheard-solicit map passes its prune
-    /// bound, pruning with the base timeout would forget a solicit that
-    /// the stretched timeout still counts as fresh.
+    /// Once the overheard-solicit map passes its prune bound, pruning
+    /// keeps exactly the solicits one `nack_timeout` still counts as
+    /// fresh: a younger one suppresses, an older one is forgotten.
     #[test]
-    fn a_full_heard_map_keeps_solicits_a_stretched_timeout_covers() {
-        let cfg = RepairConfig::sim_default().with_adaptive();
+    fn a_full_heard_map_keeps_solicits_one_timeout_covers() {
+        let cfg = RepairConfig::sim_default();
         let t = dur_nanos(cfg.nack_timeout);
-        let mut horizon = HorizonState::new(&cfg, 4);
-        // One sample s sets srtt = s and rttvar = s/2: timeout 3s.
-        horizon.observe_rtt(1, 3 * t);
-        assert_eq!(horizon.timers(Some(1)).0, 9 * t);
-        assert_eq!(horizon.timers(Some(2)).0, t, "no samples: the base");
-
         let mut srm = SrmState::new(&cfg, 0, 0);
         srm.note_heard(1, 7, 0);
-        srm.note_heard(2, 7, 0);
-        // Five timeouts later, 200 unrelated solicits trigger pruning.
-        let now = 5 * t;
+        srm.note_heard(2, 7, t / 2);
+        let now = t + t / 4;
+        assert!(srm.suppressed(now, Some(2), 7), "t/2 + t/4 old");
+        assert!(!srm.suppressed(now, Some(1), 7), "t + t/4 old");
+        assert!(srm.heard.contains_key(&(1, 7)), "no prune below the bound");
+        // 200 unrelated solicits fill the map and trigger pruning.
         for tag in 100..300 {
             srm.note_heard(3, tag, now);
         }
-        assert!(
-            srm.suppressed(&horizon, now, Some(1), 7),
-            "rank 1's 9-timeout window still covers a 5-timeout-old solicit"
-        );
-        assert!(
-            !srm.suppressed(&horizon, now, Some(2), 7),
-            "rank 2 has the base window, which the solicit outlived"
-        );
-        assert!(!srm.suppressed(&horizon, 9 * t, Some(1), 7));
+        assert!(srm.suppressed(now, Some(2), 7), "kept: younger than t");
+        assert!(!srm.heard.contains_key(&(1, 7)), "forgotten: older than t");
+        assert!(srm.heard.contains_key(&(2, 7)));
+        assert!(!srm.suppressed(t / 2 + t, Some(2), 7), "expires at t");
     }
 }

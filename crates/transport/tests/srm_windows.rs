@@ -8,7 +8,7 @@
 //! A solicit that comes before its traffic exists stands at the source,
 //! and the source's first send of the tag answers it with a send notice
 //! right behind the message (§8.4). A receiver still missing the message
-//! when the notice arrives lost it, and solicits within `backoff / 4`.
+//! when the notice arrives lost it, and solicits within `nack_timeout / 4`.
 //!
 //! An endpoint that sent or took in a solicit lately sends each message
 //! that fits one frame twice under one seq (§8.5), so a script that
@@ -30,9 +30,10 @@ const SOURCE: usize = 0;
 const VICTIM: usize = 1;
 const PEER: usize = 2;
 const TAG: u32 = 7;
-/// `nack_timeout` and `backoff` under `sim_default`.
+/// `nack_timeout` under `sim_default`.
 const T: Nanos = 2_000_000;
-const B: Nanos = 2_000_000;
+/// The widest jitter a solicit deadline draws: one `nack_timeout`.
+const J: Nanos = T;
 
 /// One datagram handed to the fabric: `(from, to, kind)`. A multicast is
 /// one hop per other rank.
@@ -67,7 +68,6 @@ impl Net {
 
     fn with(cfg: RepairConfig) -> Self {
         assert_eq!(cfg.nack_timeout.as_nanos() as Nanos, T);
-        assert_eq!(cfg.backoff.as_nanos() as Nanos, B);
         Net {
             cores: (0..N)
                 .map(|rank| EndpointCore::new(0, rank, N, 60_000, Some(cfg)))
@@ -234,7 +234,7 @@ fn lose_to_victim(kind: MsgKind, n: usize) -> impl FnMut(&Hop) -> bool {
 /// peer solicits `(0, tag)` before the source has sent, and the victim
 /// overhears it. The source's multicast 0.4 ms later — both copies, the
 /// source having taken in the solicit — is lost at the victim. The victim
-/// solicits within `backoff / 4` of the loss, not a timeout later, and
+/// solicits within `nack_timeout / 4` of the loss, not a timeout later, and
 /// its repair arrives with that solicit. On its own timer, its first
 /// deadline falls at least half a timeout after the loss, inside the
 /// window of the overheard solicit.
@@ -246,13 +246,13 @@ fn a_send_notice_turns_a_later_loss_into_a_prompt_solicit() {
     let loss = heard + 400_000;
     net.run_until(loss, &mut lost);
     net.multicast();
-    net.run_until(loss + 4 * (T + B), &mut lost);
+    net.run_until(loss + 4 * (T + J), &mut lost);
     assert!(net.done_at[PEER].is_some(), "the peer got the multicast");
 
     let asked = net.solicits();
     assert_eq!(asked.len(), 1, "{:?}", net.verdicts);
     assert!(
-        asked[0] - loss <= B / 4,
+        asked[0] - loss <= J / 4,
         "the victim solicited {} ns after the loss: {:?}",
         asked[0] - loss,
         net.verdicts
@@ -264,7 +264,7 @@ fn a_send_notice_turns_a_later_loss_into_a_prompt_solicit() {
 
 /// The same over a unicast, shaped like a scout: the victim itself asks
 /// the source for an empty message it has not sent yet, and the message
-/// is lost, both copies. The victim re-solicits within `backoff / 4` of
+/// is lost, both copies. The victim re-solicits within `nack_timeout / 4` of
 /// the loss, not a timeout later, and the source replays the scout to it.
 #[test]
 fn a_lost_scout_is_solicited_promptly() {
@@ -279,11 +279,11 @@ fn a_lost_scout_is_solicited_promptly() {
     let loss = first + 400_000;
     net.run_until(loss, &mut lost);
     net.scout(VICTIM);
-    net.run_until(loss + 4 * (T + B), &mut lost);
+    net.run_until(loss + 4 * (T + J), &mut lost);
     let asked = net.solicits();
     assert_eq!(asked.len(), 2, "{:?}", net.verdicts);
     assert!(
-        asked[1] - loss <= B / 4,
+        asked[1] - loss <= J / 4,
         "the victim solicited {} ns after the loss: {:?}",
         asked[1] - loss,
         net.verdicts
@@ -325,7 +325,7 @@ fn a_scout_whose_first_copy_is_lost_arrives_by_the_second() {
         net.run_until(sent + 1, &mut lost);
         assert_eq!(net.done_at[VICTIM], Some(sent), "lost {lose}");
         net.post(VICTIM);
-        net.run_until(sent + 4 * (T + B), &mut lost);
+        net.run_until(sent + 4 * (T + J), &mut lost);
 
         assert_eq!(net.hops_to(VICTIM, MsgKind::Scout), 2, "lost {lose}");
         assert_eq!(net.stats(SOURCE).copies_sent, 1);
@@ -433,7 +433,7 @@ fn a_holder_ignores_the_notice_and_a_tag_is_noticed_once() {
     assert_eq!(net.done_at[PEER], Some(sent));
     net.post(VICTIM);
     net.multicast();
-    net.run_until(sent + 4 * (T + B), &mut lost);
+    net.run_until(sent + 4 * (T + J), &mut lost);
 
     assert!(net.solicits().is_empty(), "{:?}", net.verdicts);
     assert_eq!(net.stats(PEER).nacks_sent, 1, "only the early solicit");
@@ -461,12 +461,14 @@ fn a_holder_ignores_the_notice_and_a_tag_is_noticed_once() {
 }
 
 /// A standing request for a tag that is never sent does not stay. Once
-/// the source holds 128 of them, it prunes each older than
-/// `nack_timeout + backoff`, the longest a requester still waiting goes
-/// without asking again: a late send of the pruned tag owes no notice,
-/// and a send of a fresh one still does.
+/// the source holds 128 of them, it prunes each at least
+/// `2 × nack_timeout` old, the longest a requester still waiting goes
+/// without asking again (a timeout plus the widest jitter), and keeps each
+/// younger one: a late send of the pruned tag owes no notice, and a send
+/// of a kept tag or a fresh one still does.
 #[test]
 fn a_standing_request_for_a_tag_never_sent_is_pruned() {
+    const KEPT: u32 = TAG + 1;
     let mut net = Net::new();
     let solicit = NackPayload::addressed_to(SOURCE as u32).encode();
     let mut seq = 0;
@@ -476,22 +478,27 @@ fn a_standing_request_for_a_tag_never_sent_is_pruned() {
         net.cores[SOURCE].progress(&mut net.ios[SOURCE]);
     };
     ask(&mut net, PEER, TAG);
-    net.ios[0].set_clock(T + B);
+    net.ios[0].set_clock(1);
+    ask(&mut net, PEER, KEPT);
+    net.ios[0].set_clock(T + J);
     for tag in 100..228 {
         ask(&mut net, VICTIM, tag);
     }
-    assert_eq!(net.stats(SOURCE).unanswered_nacks, 129);
-    net.multicast();
-    net.settle(&mut |_| false);
+    assert_eq!(net.stats(SOURCE).unanswered_nacks, 130);
+    let send = |net: &mut Net, tag: u32| {
+        let payload = Bytes::from(net.payload.clone());
+        net.cores[SOURCE].mcast_message(&mut net.ios[SOURCE], tag, MsgKind::Data, &payload);
+        net.settle(&mut |_| false);
+        net.hops_to(PEER, MsgKind::Sent)
+    };
     assert_eq!(
-        net.hops_to(PEER, MsgKind::Sent),
+        send(&mut net, TAG),
         0,
-        "the request for the tag never sent was pruned"
+        "the request 2 × nack_timeout old was pruned"
     );
-    let payload = Bytes::from(net.payload.clone());
-    net.cores[SOURCE].mcast_message(&mut net.ios[SOURCE], 100, MsgKind::Data, &payload);
-    net.settle(&mut |_| false);
-    assert_eq!(net.hops_to(VICTIM, MsgKind::Sent), 1, "a fresh one stands");
+    assert_eq!(send(&mut net, KEPT), 1, "the request 1 ns younger stands");
+    send(&mut net, 100);
+    assert_eq!(net.hops_to(VICTIM, MsgKind::Sent), 2, "a fresh one stands");
 }
 
 /// A lost notice leaves the receiver on its timer, and a solicit for
@@ -501,7 +508,7 @@ fn a_standing_request_for_a_tag_never_sent_is_pruned() {
 /// both copies, and so is its send notice. The victim stays quiet only while the
 /// overheard solicit is younger than one timeout, solicits at its first
 /// deadline after that, and holds the data within
-/// `2 × (nack_timeout + backoff)` of the loss.
+/// `4 × nack_timeout` of the loss: twice a timeout plus the widest jitter.
 #[test]
 fn an_early_solicit_does_not_strand_a_later_loss() {
     let mut net = Net::new();
@@ -515,7 +522,7 @@ fn an_early_solicit_does_not_strand_a_later_loss() {
     let loss = heard + 400_000;
     net.run_until(loss, &mut lost);
     net.multicast();
-    net.run_until(loss + 4 * (T + B), &mut lost);
+    net.run_until(loss + 4 * (T + J), &mut lost);
     assert!(net.done_at[PEER].is_some(), "the peer got the multicast");
     assert_eq!(net.hops_to(VICTIM, MsgKind::Sent), 1);
 
@@ -542,7 +549,7 @@ fn an_early_solicit_does_not_strand_a_later_loss() {
     let done = net.done_at[VICTIM].expect("the repair heals the victim");
     assert_eq!(done, solicited_at, "the repair arrives with the solicit");
     assert!(
-        done - loss <= 2 * (T + B),
+        done - loss <= 2 * (T + J),
         "delivered {} ns after the loss",
         done - loss
     );
@@ -559,7 +566,7 @@ fn a_lost_repair_is_answered_at_the_next_solicit() {
     let mut lost = lose_to_victim(MsgKind::Data, 2);
     net.post(VICTIM);
     net.multicast();
-    net.run_until(4 * (T + B), &mut lost);
+    net.run_until(4 * (T + J), &mut lost);
 
     let solicits = net.solicits();
     assert_eq!(solicits.len(), 2, "{:?}", net.verdicts);

@@ -16,8 +16,8 @@
 //!   (posted receives + progress engine, `docs/API.md`) and its one
 //!   implementation over simulator, real-UDP-multicast and in-memory
 //!   backends (`docs/API.md`, "Backends"), plus
-//!   the NACK/retransmit repair loop, the adaptive control plane
-//!   (per-peer RTT estimation, ring GC — `docs/PROTOCOL.md` §9), the
+//!   the NACK/retransmit repair loop on fixed timers, the ACK-horizon
+//!   plane (RTT measurement, ring GC — `docs/PROTOCOL.md` §9), the
 //!   membership layer (heartbeat liveness, suspicion, failure
 //!   announcement, epoch rebasing — `docs/PROTOCOL.md` §10), and the
 //!   pluggable dissemination seam:
@@ -96,12 +96,12 @@
 //!                    │         │                 planes in a fixed order
 //!                    │         │                 (docs/PROTOCOL.md §8.3):
 //!                    │         │               · planes::srm: seeded
-//!                    │         │                 backoff, mcast NACK
+//!                    │         │                 jitter, mcast NACK
 //!                    │         │                 suppression, mcast
 //!                    │         │                 repair, Unavail floor
 //!                    │         │               · planes::horizon:
 //!                    │         │                 AckHorizon session msgs,
-//!                    │         │                 per-peer RTT timers
+//!                    │         │                 per-peer RTT measured
 //!                    │         │                 (RFC 6298), ring GC from
 //!                    │         │                 acked frontiers
 //!                    │         │               · planes::membership:
